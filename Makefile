@@ -20,9 +20,14 @@ race:
 	$(GO) test -race -short -timeout 20m ./...
 
 # go vet always; staticcheck rides along when it is on PATH (the container
-# image does not bake it in, so its absence is not an error).
+# image does not bake it in, so its absence is not an error). vet's asmdecl
+# holds the nn AVX2 kernel's frame layout to its Go declaration; the arm64
+# legs keep the other side of that build constraint — the portable stub and
+# everything that calls through it — compiling and vetted.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn ./internal/predictor
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo staticcheck ./...; staticcheck ./...; \
 	else \
@@ -31,18 +36,23 @@ vet:
 
 # Cheap allocation regression gates for the gating hot loop: a steady-state
 # Decide+Feedback round and the batched compiled forward must stay at ~zero
-# allocs/op (testing.AllocsPerRun, no benchmark run needed).
+# allocs/op (testing.AllocsPerRun, no benchmark run needed). The last line
+# re-runs the nn and predictor suites with the AVX2 kernel linked out
+# (nn.portableOnly), so a host that has AVX2 still exercises the portable
+# kernels every other host runs.
 alloc-smoke:
 	$(GO) test ./internal/core -run 'TestDecideRoundAllocCeiling|TestIncrementalDecideAllocCeiling' -count 1
 	$(GO) test ./internal/predictor -run 'TestPredictIntoZeroAlloc|TestWindowZeroAlloc' -count 1
 	$(GO) test ./internal/nn -run TestCompiledForwardZeroAlloc -count 1
+	$(GO) test -ldflags '-X packetgame/internal/nn.portableOnly=1' ./internal/nn ./internal/predictor -count 1
 
 verify: build vet test race alloc-smoke replay soak scale cluster failover benchdiff
 
 # Headline-regression gate: after `make scale`/`make cluster` rewrite the
-# BENCH files, compare their headline speedups against the copies committed
-# at HEAD and fail if any fell below 85% of its baseline. Skips (with a
-# note) when a baseline is missing or the bench schema version changed.
+# BENCH files, compare their headlines against the copies committed at HEAD
+# and fail if a speedup fell below 85% of its baseline or an absolute cost
+# (the churn sweep's ns figures) rose above 1/85% of it. Skips (with a note)
+# when a baseline is missing or the bench schema version changed.
 benchdiff:
 	$(GO) run ./cmd/benchdiff
 
@@ -73,8 +83,9 @@ failover:
 # The churn-scaled Decide sweep: m up to 100k, all streams active, with 1%,
 # 10%, and 100% of the fleet varying its packet metadata per round. The
 # experiment self-asserts the per-round allocation ceiling in every cell
-# and, at full scale, the m=100k acceptance floor (a 1%-churn round ≥50x
-# faster than a 100%-churn round). SCALESCALE=1 rewrites BENCH_scale.json.
+# and, at full scale, the m=100k acceptance ceilings in absolute time (a
+# 1%-churn round within the 40 ms round clock, a 100%-churn round within
+# 15 µs per changed stream). SCALESCALE=1 rewrites BENCH_scale.json.
 SCALESCALE ?= 1
 scale:
 	$(GO) run ./cmd/pgbench -exp scale -scale $(SCALESCALE)
@@ -130,7 +141,8 @@ chaos:
 # which rewrites BENCH_hotpath.json with this host's fast-vs-reference
 # Decide-round throughput at m = 64/256/1024.
 bench:
-	$(GO) test ./internal/nn -run NONE -bench 'Forward' -benchtime 2s -benchmem
+	$(GO) test ./internal/nn -run NONE -bench 'Forward|Kernel' -benchtime 2s -benchmem
+	$(GO) test ./internal/predictor -run NONE -bench PredictInto -cpu 1,2 -benchtime 2s -benchmem
 	$(GO) test ./internal/core -run NONE -bench 'DecideRound' -benchtime 2s -benchmem
 	$(GO) test ./internal/pipeline -run NONE -bench BenchmarkEngineRounds -benchtime 2s
 	$(GO) test . -run NONE -bench . -benchtime 1s

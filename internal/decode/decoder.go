@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"packetgame/internal/codec"
@@ -72,8 +73,9 @@ func NewBurnDecoder(cm CostModel, nanosPerUnit int64) *BurnDecoder {
 	return &BurnDecoder{Decoder: NewDecoder(cm), NanosPerUnit: nanosPerUnit}
 }
 
-// sink defeats dead-code elimination of the burn loop.
-var sink uint64
+// sink defeats dead-code elimination of the burn loop. Atomic because pool
+// workers burn concurrently.
+var sink atomic.Uint64
 
 // Decode decodes p, burning CPU proportional to its cost.
 func (b *BurnDecoder) Decode(p *codec.Packet) (Frame, error) {
@@ -117,9 +119,9 @@ func (l *LatencyDecoder) Decode(p *codec.Packet) (Frame, error) {
 // wall-clock polling so that concurrent decoders contend for CPU exactly like
 // a real software decoder would.
 func burn(nanos int64) {
-	x := sink
+	x := sink.Load()
 	for i := int64(0); i < nanos; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 	}
-	sink = x
+	sink.Store(x)
 }

@@ -34,20 +34,26 @@ const (
 )
 
 // compiledOp is one fused stage of the inference graph. Weights live in a
-// flat row-major []float32 (filter-major for conv: [out][in][k]).
+// flat row-major []float32 (filter-major for conv: [out][in][k]), except that
+// a matvec-shaped op compiled for the SIMD kernel keeps its first `lanes`
+// output rows transposed (see laneLayout) — one layout per op, never both.
 //
 // There is deliberately no int8 variant: a quantized path existed and
-// honestly measured 0.28× the float32 kernels (BENCH_hotpath `int8-vs-f32`
-// before its removal), because scalar Go has no way to amortize the int8
-// widening multiplies while the float32 path already runs 4-row
-// register-blocked — see DESIGN.md for the full rationale.
+// honestly measured 0.28× the scalar float32 kernels (BENCH_hotpath
+// `int8-vs-f32` before its removal), and it could not have kept the float32
+// decisions bit-for-bit, which the AVX2 float32 kernel does — see DESIGN.md
+// for the full rationale.
 type compiledOp struct {
 	kind opKind
 	act  Activation
 
-	in, out  int // channels (conv) or features (dense); pool: in == channels
-	k        int // conv kernel width
+	in, out     int // channels (conv) or features (dense); pool: in == channels
+	k           int // conv kernel width
 	inL, outLen int // conv: input/output length; pool: inL
+
+	// lanes > 0 marks a matvec-shaped op laid out for matvecAVX2: that many
+	// leading output rows (a multiple of 8) are stored [in][lanes].
+	lanes int
 
 	w []float32
 	b []float32
@@ -140,6 +146,9 @@ func compile(s *Sequential, inShape []int) (*Compiled, error) {
 				inL: shape[1], outLen: shape[1] - lt.k + 1,
 			}
 			fillWeights(&op, lt.w.W.Data, lt.b.W.Data)
+			if op.inL == op.k {
+				op.laneLayout(op.in * op.k)
+			}
 			shape = []int{lt.out, op.outLen}
 			op.act = fuse()
 			c.ops = append(c.ops, op)
@@ -149,6 +158,7 @@ func compile(s *Sequential, inShape []int) (*Compiled, error) {
 			}
 			op := compiledOp{kind: opDense, in: lt.in, out: lt.out}
 			fillWeights(&op, lt.w.W.Data, lt.b.W.Data)
+			op.laneLayout(op.in)
 			shape = []int{lt.out}
 			op.act = fuse()
 			c.ops = append(c.ops, op)
@@ -193,9 +203,47 @@ func fillWeights(op *compiledOp, w, b []float64) {
 	}
 }
 
+// portableOnly, when the linker sets it non-empty (`make alloc-smoke` passes
+// -ldflags "-X packetgame/internal/nn.portableOnly=1"), keeps every Compile
+// in the process on the portable kernels, so a host with AVX2 still runs the
+// tests through the path every other host takes.
+var portableOnly string
+
+// useSIMD makes Compile lay matvec-shaped ops out for matvecAVX2. It is fixed
+// at start-up from the CPU; only the kernel tests flip it, to compile one set
+// of weights both ways.
+var useSIMD = portableOnly == "" && cpuHasAVX2()
+
+// laneLayout re-lays a row-major [out][in] matvec op for the lane-per-output
+// kernel: the first lanes = out&^7 rows are transposed to [in][lanes], so the
+// eight outputs one vector holds sit side by side for every input; the out%8
+// rows left over stay row-major behind them and run through the portable
+// matvec, whose 4-row blocks line up because lanes is a multiple of 4.
+func (op *compiledOp) laneLayout(in int) {
+	lanes := op.out &^ 7
+	if !useSIMD || lanes == 0 || in == 0 {
+		return
+	}
+	w := make([]float32, len(op.w))
+	for o := 0; o < lanes; o++ {
+		for i := 0; i < in; i++ {
+			w[i*lanes+o] = op.w[o*in+i]
+		}
+	}
+	copy(w[in*lanes:], op.w[in*lanes:])
+	op.w, op.lanes = w, lanes
+}
+
+// ChunkRows is the number of examples Forward carries through the whole
+// graph at a time. A chunk's activations (a few tens of KB for the
+// predictor's graphs) stay in L1/L2 from one op to the next, and the pooled
+// scratch is bounded by the chunk instead of growing with the batch.
+const ChunkRows = 64
+
 // fwdScratch is the pooled per-call state of Compiled.Forward: two
-// ping-pong activation buffers. Pooling keeps Forward allocation-free in
-// steady state and safe for concurrent callers.
+// ping-pong activation buffers, each at most ChunkRows × the widest op
+// output. Pooling keeps Forward allocation-free in steady state and safe for
+// concurrent callers.
 type fwdScratch struct {
 	a, b []float32
 }
@@ -220,13 +268,23 @@ func (c *Compiled) Forward(n int, x []float32, out []float32) {
 		panic(fmt.Sprintf("nn: compiled %s: %d outputs for batch %d×%d", c.name, len(out), n, c.outDim))
 	}
 	sc := fwdPool.Get().(*fwdScratch)
-	src := x[:n*c.inDim]
+	for lo := 0; lo < n; lo += ChunkRows {
+		hi := min(lo+ChunkRows, n)
+		c.forwardChunk(sc, hi-lo, x[lo*c.inDim:hi*c.inDim], out[lo*c.outDim:hi*c.outDim])
+	}
+	fwdPool.Put(sc)
+}
+
+// forwardChunk runs every op over one chunk of n ≤ ChunkRows examples. The
+// kernels are row-independent, so chunking cannot change a bit of any row.
+func (c *Compiled) forwardChunk(sc *fwdScratch, n int, x, out []float32) {
+	src := x
 	useA := true
 	for oi := range c.ops {
 		op := &c.ops[oi]
 		var dst []float32
 		if oi == len(c.ops)-1 {
-			dst = out[:n*c.outDim]
+			dst = out
 		} else if useA {
 			sc.a = growF32(sc.a, n*op.outSize())
 			dst = sc.a
@@ -246,7 +304,6 @@ func (c *Compiled) Forward(n int, x []float32, out []float32) {
 		}
 		src = dst
 	}
-	fwdPool.Put(sc)
 }
 
 // activate applies the fused activation to one scalar. The transcendental
@@ -283,9 +340,7 @@ func sigmoid32(v float32) float32 {
 func convForward(op *compiledOp, n int, x, y []float32) {
 	in, out, k, inL, outL := op.in, op.out, op.k, op.inL, op.outLen
 	if inL == k {
-		for bi := 0; bi < n; bi++ {
-			matvec(op.w, op.b, x[bi*in*inL:(bi+1)*in*inL], y[bi*out:(bi+1)*out], in*k, out, op.act)
-		}
+		matvecRows(op, n, in*k, x, y)
 		return
 	}
 	if k == 3 && in == 1 {
@@ -380,12 +435,36 @@ func dot(a, b []float32) float32 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// denseForward is the fused Dense kernel: a register-blocked matvec per
-// example.
+// denseForward is the fused Dense kernel: a matvec per example.
 func denseForward(op *compiledOp, n int, x, y []float32) {
-	in, out := op.in, op.out
+	matvecRows(op, n, op.in, x, y)
+}
+
+// matvecRows computes n ≥ 1 independent matvecs, y[r] = act(b + W·x[r]) over
+// rows of `in` inputs and op.out outputs. An op laid out by laneLayout runs
+// its first op.lanes outputs through the AVX2 kernel (the sigmoid, which has
+// no vector form, is applied to what it stored) and only the out%8 tail
+// through the portable matvec; any other op is the portable matvec alone.
+func matvecRows(op *compiledOp, n, in int, x, y []float32) {
+	out, lanes := op.out, op.lanes
+	x, y = x[:n*in], y[:n*out]
+	if lanes > 0 {
+		matvecAVX2(&op.w[0], &op.b[0], &x[0], &y[0], in, lanes, out, n, op.act == ActReLU)
+		if op.act == ActSigmoid {
+			for bi := 0; bi < n; bi++ {
+				row := y[bi*out : bi*out+lanes]
+				for o, v := range row {
+					row[o] = sigmoid32(v)
+				}
+			}
+		}
+		if lanes == out {
+			return
+		}
+	}
+	wTail, bTail := op.w[in*lanes:], op.b[lanes:]
 	for bi := 0; bi < n; bi++ {
-		matvec(op.w, op.b, x[bi*in:(bi+1)*in], y[bi*out:(bi+1)*out], in, out, op.act)
+		matvec(wTail, bTail, x[bi*in:(bi+1)*in], y[bi*out+lanes:(bi+1)*out], in, out-lanes, op.act)
 	}
 }
 
@@ -421,6 +500,11 @@ func matvec(w, b, x, y []float32, in, out int, act Activation) {
 // poolForward is GlobalMaxPool1D: [N, C, L] → [N, C].
 func poolForward(op *compiledOp, n int, x, y []float32) {
 	c, l := op.in, op.inL
+	if l == 1 {
+		// The predictor's towers end on a single position: nothing to reduce.
+		copy(y[:n*c], x)
+		return
+	}
 	for bi := 0; bi < n; bi++ {
 		for ci := 0; ci < c; ci++ {
 			row := x[(bi*c+ci)*l : (bi*c+ci+1)*l]

@@ -113,24 +113,38 @@ func TestCompiledMatchesReference(t *testing.T) {
 }
 
 // TestCompiledBatchMatchesSingle: batching must be bit-exact — running n
-// examples in one Forward equals n single-example Forwards.
+// examples in one Forward equals n single-example Forwards, for batches that
+// end before, on and after a chunk boundary and span many chunks, on the
+// predictor's own shapes (so the SIMD blocks, the scalar conv and the pool
+// are all crossed).
 func TestCompiledBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := buildTower(5, 8, 2, rng)
-	c, err := Compile(s, []int{1, 5})
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	const n = 17
-	x := randInput(n*c.InDim(), rng)
-	batch := make([]float32, n*c.OutDim())
-	c.Forward(n, x, batch)
-	single := make([]float32, c.OutDim())
-	for i := 0; i < n; i++ {
-		c.Forward(1, x[i*c.InDim():(i+1)*c.InDim()], single)
-		for j, v := range single {
-			if v != batch[i*c.OutDim()+j] {
-				t.Fatalf("example %d output %d: batch %v != single %v", i, j, batch[i*c.OutDim()+j], v)
+	for _, tc := range []struct {
+		name    string
+		s       *Sequential
+		inShape []int
+	}{
+		{"tower-8", buildTower(5, 8, 2, rng), []int{1, 5}},
+		{"tower-32", buildTower(5, 32, 2, rng), []int{1, 5}},
+		{"head", buildHead(68, 128, 3, rng), []int{68}},
+	} {
+		c, err := Compile(tc.s, tc.inShape)
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", tc.name, err)
+		}
+		for _, n := range []int{1, 17, ChunkRows - 1, ChunkRows, ChunkRows + 1, 1025} {
+			x := randInput(n*c.InDim(), rng)
+			batch := make([]float32, n*c.OutDim())
+			c.Forward(n, x, batch)
+			single := make([]float32, c.OutDim())
+			for i := 0; i < n; i++ {
+				c.Forward(1, x[i*c.InDim():(i+1)*c.InDim()], single)
+				for j, v := range single {
+					if v != batch[i*c.OutDim()+j] {
+						t.Fatalf("%s n=%d example %d output %d: batch %v != single %v",
+							tc.name, n, i, j, batch[i*c.OutDim()+j], v)
+					}
+				}
 			}
 		}
 	}
@@ -183,7 +197,9 @@ func TestCompileRejectsUnsupported(t *testing.T) {
 	}
 }
 
-// TestCompiledForwardZeroAlloc: the steady-state forward must not allocate.
+// TestCompiledForwardZeroAlloc: the steady-state forward must not allocate,
+// for one chunk or for a batch of many (the scratch is sized by the chunk and
+// reused, not regrown per batch).
 func TestCompiledForwardZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
@@ -194,15 +210,16 @@ func TestCompiledForwardZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	const n = 64
-	x := randInput(n*c.InDim(), rng)
-	out := make([]float32, n*c.OutDim())
-	c.Forward(n, x, out) // warm the scratch pool
-	allocs := testing.AllocsPerRun(50, func() {
-		c.Forward(n, x, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("compiled forward allocates %v times per run, want 0", allocs)
+	for _, n := range []int{ChunkRows, 16*ChunkRows + 3} {
+		x := randInput(n*c.InDim(), rng)
+		out := make([]float32, n*c.OutDim())
+		c.Forward(n, x, out) // warm the scratch pool
+		allocs := testing.AllocsPerRun(50, func() {
+			c.Forward(n, x, out)
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d: compiled forward allocates %v times per run, want 0", n, allocs)
+		}
 	}
 }
 
@@ -240,4 +257,3 @@ func BenchmarkReferenceForward256(b *testing.B) {
 		_ = refForward(s, []int{1, 5}, n, x)
 	}
 }
-

@@ -2,7 +2,9 @@ package predictor
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"packetgame/internal/nn"
 )
@@ -13,9 +15,10 @@ import (
 // graphs (nn.Compile); every gating round then packs all m streams' feature
 // windows into one [m × views × w] batch, runs the two towers and the head
 // through the fused kernels, and writes confidences into caller scratch.
-// All round-scoped buffers come from sync.Pools, so the steady-state path
-// performs zero allocations and is safe for concurrent callers as long as
-// the weights are frozen (the gate serializes training against prediction).
+// All chunk-scoped buffers come from sync.Pools, so the steady-state path
+// performs (next to) no allocations and is safe for concurrent callers as
+// long as the weights are frozen (the gate serializes training against
+// prediction).
 
 // fastPath is one compiled snapshot of the predictor's weights.
 type fastPath struct {
@@ -85,7 +88,26 @@ func (p *Predictor) Compile() error {
 	return err
 }
 
-// batchScratch holds one round's packed batch buffers.
+// The forward runs in chunks of nn.ChunkRows rows: pack → towers → fuse →
+// head for one chunk before the next, so a chunk's activations stay in cache
+// from stage to stage and scratch is bounded by the chunk, not the batch.
+// Every kernel is row-independent and chunks write disjoint slices of out,
+// so any split of the rows — and any assignment of chunks to goroutines —
+// produces the same bits as one serial pass.
+const chunkRows = nn.ChunkRows
+
+// fanOutRows is the smallest batch PredictInto spreads over several cores:
+// 64 chunks, ~6 ms of serial work on the reference core. A fork-join ends
+// when its slowest worker does, so every call is exposed to one scheduler
+// stall — a helper's P still parked, or its thread losing the core to a
+// neighbour for a timeslice — whatever the batch size. On a shared host
+// that exposure, not the arithmetic, sets the run-to-run spread of a forward
+// that is only a millisecond long (DESIGN.md §10 has the measurement), so
+// smaller batches stay on the caller's core.
+const fanOutRows = 64 * chunkRows
+
+// batchScratch holds one chunk's packed buffers; a worker reuses it across
+// the chunks it takes.
 type batchScratch struct {
 	xi, xp, iOut, pOut, fused, conf []float32
 }
@@ -100,10 +122,14 @@ func grow32(buf []float32, n int) []float32 {
 }
 
 // PredictInto runs the batched compiled forward for feats, writing the
-// [len(feats) × Tasks] confidences row-major into out. It allocates nothing
-// in steady state and matches forwardBatch to float32 precision (the
-// equivalence is property-tested). Feature windows must have the model's
-// window length for every enabled size view.
+// [len(feats) × Tasks] confidences row-major into out. A batch of at least
+// fanOutRows rows is shared out chunk by chunk over up to GOMAXPROCS
+// goroutines, all of which have exited when it returns; the result does not
+// depend on how many ran. It allocates nothing in steady state on the serial
+// path (a fan-out allocates its job record and one closure per goroutine)
+// and matches forwardBatch to float32 precision (the equivalence is
+// property-tested). Feature windows must have the model's window length for
+// every enabled size view.
 func (p *Predictor) PredictInto(feats []Features, out []float64) error {
 	fp, err := p.fast()
 	if err != nil {
@@ -113,7 +139,7 @@ func (p *Predictor) PredictInto(feats []Features, out []float64) error {
 	if n == 0 {
 		return nil
 	}
-	w, cu, tasks := p.cfg.Window, p.cfg.ConvUnits, p.cfg.Tasks
+	w, tasks := p.cfg.Window, p.cfg.Tasks
 	if len(out) < n*tasks {
 		return fmt.Errorf("predictor: out holds %d values, batch needs %d", len(out), n*tasks)
 	}
@@ -125,7 +151,58 @@ func (p *Predictor) PredictInto(feats []Features, out []float64) error {
 			return fmt.Errorf("predictor: sample %d P-window %d, model window %d", k, len(feats[k].PSizes), w)
 		}
 	}
+	workers := 1
+	if n >= fanOutRows {
+		workers = min(runtime.GOMAXPROCS(0), (n+chunkRows-1)/chunkRows)
+	}
+	if workers == 1 {
+		// No goroutine shares this job, so it stays on the stack.
+		job := predictJob{p: p, fp: fp, feats: feats, out: out}
+		job.run()
+		return nil
+	}
+	job := &predictJob{p: p, fp: fp, feats: feats, out: out}
+	job.wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go func() {
+			defer job.wg.Done()
+			job.run()
+		}()
+	}
+	job.run()
+	job.wg.Wait()
+	return nil
+}
+
+// predictJob is one PredictInto call's shared state: the workers claim
+// chunks off next until the batch is exhausted.
+type predictJob struct {
+	p     *Predictor
+	fp    *fastPath
+	feats []Features
+	out   []float64
+	next  atomic.Int64 // next unclaimed chunk
+	wg    sync.WaitGroup
+}
+
+func (j *predictJob) run() {
 	sc := batchPool.Get().(*batchScratch)
+	tasks := j.p.cfg.Tasks
+	for {
+		lo := int(j.next.Add(1)-1) * chunkRows
+		if lo >= len(j.feats) {
+			break
+		}
+		hi := min(lo+chunkRows, len(j.feats))
+		j.p.predictChunk(j.fp, sc, j.feats[lo:hi], j.out[lo*tasks:hi*tasks])
+	}
+	batchPool.Put(sc)
+}
+
+// predictChunk is the whole tower→fuse→head pipeline for n ≤ chunkRows rows.
+func (p *Predictor) predictChunk(fp *fastPath, sc *batchScratch, feats []Features, out []float64) {
+	n := len(feats)
+	w, cu, tasks := p.cfg.Window, p.cfg.ConvUnits, p.cfg.Tasks
 	var iOut, pOut []float32
 	if fp.iTower != nil {
 		sc.xi = grow32(sc.xi, n*w)
@@ -175,8 +252,6 @@ func (p *Predictor) PredictInto(feats []Features, out []float64) error {
 	for i, v := range sc.conf[:n*tasks] {
 		out[i] = float64(v)
 	}
-	batchPool.Put(sc)
-	return nil
 }
 
 var slabPool = sync.Pool{New: func() interface{} { return new(Slab) }}

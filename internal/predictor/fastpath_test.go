@@ -2,9 +2,13 @@ package predictor
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"packetgame/internal/codec"
 )
@@ -97,7 +101,9 @@ func TestPredictIntoMatchesPredictBatch(t *testing.T) {
 }
 
 // TestPredictIntoZeroAlloc: the steady-state batched forward allocates
-// nothing (pools are warm after the first call).
+// nothing on the serial path (pools are warm after the first call), and a
+// fan-out-sized batch allocates only its job record and one closure per
+// extra goroutine — never scratch.
 func TestPredictIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
@@ -110,19 +116,148 @@ func TestPredictIntoZeroAlloc(t *testing.T) {
 	if err := p.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	const n = 32
-	feats := randFeats(p.Config(), n, rng)
-	out := make([]float64, n)
+	const procs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for _, tc := range []struct {
+		n       int
+		ceiling float64
+	}{
+		{32, 0},
+		{fanOutRows - 1, 0},
+		{4 * fanOutRows, 2 * procs}, // job + (procs-1) closures, with slack for a new g
+	} {
+		feats := randFeats(p.Config(), tc.n, rng)
+		out := make([]float64, tc.n)
+		for i := 0; i < 3; i++ { // warm every P's scratch pool
+			if err := p.PredictInto(feats, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := p.PredictInto(feats, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if allocs > tc.ceiling {
+			t.Fatalf("n=%d: PredictInto allocates %v times per run, ceiling %v", tc.n, allocs, tc.ceiling)
+		}
+		// 51 runs; a scratch buffer re-made on any of them would be tens of KB.
+		if perRun := float64(after.TotalAlloc-before.TotalAlloc) / 51; tc.ceiling > 0 && perRun > 1024 {
+			t.Fatalf("n=%d: PredictInto allocates %.0f bytes per run, ceiling 1024", tc.n, perRun)
+		}
+	}
+}
+
+// predictSerial is the oracle for the fan-out tests: the same chunks, one
+// goroutine, in order.
+func predictSerial(t *testing.T, p *Predictor, feats []Features) []float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	out := make([]float64, len(feats)*p.Config().Tasks)
 	if err := p.PredictInto(feats, out); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := p.PredictInto(feats, out); err != nil {
+	return out
+}
+
+// TestPredictIntoFanOutMatchesSerial: the confidences are the same bits
+// whether the batch ran on one goroutine or was shared out over several, and
+// whether a row was scored alone or inside a batch — for batches ending
+// before, on and after a chunk boundary and the fan-out threshold.
+func TestPredictIntoFanOutMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, cfg := range []Config{
+		DefaultConfig(),
+		{UseIView: true, UseTemporal: true, Tasks: 3, ConvUnits: 12, DenseUnits: 37},
+	} {
+		cfg.Seed = rng.Int63()
+		p, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictInto allocates %v times per run, want 0", allocs)
+		tasks := p.Config().Tasks
+		for _, n := range []int{1, chunkRows - 1, chunkRows, chunkRows + 1, fanOutRows - 1, fanOutRows, fanOutRows + 1, 1025} {
+			feats := randFeats(cfg, n, rng)
+			want := predictSerial(t, p, feats)
+			for _, procs := range []int{2, 3, 8} {
+				prev := runtime.GOMAXPROCS(procs)
+				got := make([]float64, n*tasks)
+				err := p.PredictInto(feats, got)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d procs=%d: output %d fan-out %v != serial %v", n, procs, i, got[i], want[i])
+					}
+				}
+			}
+			single := make([]float64, tasks)
+			for k := 0; k < n; k += 1 + n/50 {
+				if err := p.PredictInto(feats[k:k+1], single); err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range single {
+					if math.Float64bits(v) != math.Float64bits(want[k*tasks+j]) {
+						t.Fatalf("n=%d row %d task %d: alone %v != in batch %v", n, k, j, v, want[k*tasks+j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPredictIntoConcurrentCallers: several goroutines share one predictor,
+// each fanning its own batch out; every caller gets its own rows' bits (run
+// under -race this also checks the chunk hand-out and the scratch pools),
+// and no worker goroutine outlives the calls.
+func TestPredictIntoConcurrentCallers(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	p, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, n = 6, 2*fanOutRows + 5
+	feats := make([][]Features, callers)
+	want := make([][]float64, callers)
+	for c := range feats {
+		feats[c] = randFeats(p.Config(), n, rng)
+		want[c] = predictSerial(t, p, feats[c])
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			got := make([]float64, n)
+			for iter := 0; iter < 8; iter++ {
+				if err := p.PredictInto(feats[c], got); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[c][i]) {
+						t.Errorf("caller %d iter %d: output %d = %v, want %v", c, iter, i, got[i], want[c][i])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	// wg.Done runs just before a goroutine's last instructions, so give the
+	// scheduler a moment to retire them before counting.
+	for try := 0; runtime.NumGoroutine() > base && try < 100; try++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines before, %d after: PredictInto left workers behind", base, got)
 	}
 }
 
@@ -261,5 +396,33 @@ func TestSlabCloneInto(t *testing.T) {
 	})
 	if warm != 0 {
 		t.Fatalf("recycled slab allocates %v times per clone round, want 0", warm)
+	}
+}
+
+// BenchmarkPredictInto is the full-churn forward at replay-pgsp's and
+// local-dense's batch sizes (serial) and at the fan-out threshold; run the
+// last with -cpu 1,2 to read the serial cost and the fan-out's share.
+func BenchmarkPredictInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(26))
+	p, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{512, 1024, fanOutRows} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			feats := randFeats(p.Config(), n, rng)
+			out := make([]float64, n)
+			if err := p.PredictInto(feats, out); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.PredictInto(feats, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+		})
 	}
 }
