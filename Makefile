@@ -35,8 +35,10 @@ vet:
 	fi
 
 # Cheap allocation regression gates for the gating hot loop: a steady-state
-# Decide+Feedback round and the batched compiled forward must stay at ~zero
-# allocs/op (testing.AllocsPerRun, no benchmark run needed). The last line
+# Decide+Feedback round, the batched compiled forward, every selector's
+# solve (Ranked with all candidates dirty included) and the coordinator's
+# solve-and-grant step must stay at ~zero allocs/op (testing.AllocsPerRun,
+# no benchmark run needed). The last line
 # re-runs the nn and predictor suites with the AVX2 kernel linked out
 # (nn.portableOnly), so a host that has AVX2 still exercises the portable
 # kernels every other host runs.
@@ -44,6 +46,8 @@ alloc-smoke:
 	$(GO) test ./internal/core -run 'TestDecideRoundAllocCeiling|TestIncrementalDecideAllocCeiling' -count 1
 	$(GO) test ./internal/predictor -run 'TestPredictIntoZeroAlloc|TestWindowZeroAlloc' -count 1
 	$(GO) test ./internal/nn -run TestCompiledForwardZeroAlloc -count 1
+	$(GO) test ./internal/knapsack -run TestSelectZeroAlloc -count 1
+	$(GO) test ./internal/cluster -run TestSolveGrantZeroAlloc -count 1
 	$(GO) test -ldflags '-X packetgame/internal/nn.portableOnly=1' ./internal/nn ./internal/predictor -count 1
 
 verify: build vet test race alloc-smoke replay soak scale cluster failover benchdiff
@@ -128,6 +132,7 @@ fuzz:
 	$(GO) test ./internal/container -fuzz FuzzUnmarshalPacket -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -fuzz FuzzPGSPFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -fuzz FuzzCaptureContainer -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/knapsack -fuzz FuzzOrderKernel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -fuzz FuzzPGCPRoundFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -fuzz FuzzFailoverRecords -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
@@ -144,6 +149,7 @@ bench:
 	$(GO) test ./internal/nn -run NONE -bench 'Forward|Kernel' -benchtime 2s -benchmem
 	$(GO) test ./internal/predictor -run NONE -bench PredictInto -cpu 1,2 -benchtime 2s -benchmem
 	$(GO) test ./internal/core -run NONE -bench 'DecideRound' -benchtime 2s -benchmem
+	$(GO) test ./internal/knapsack -run NONE -bench Select -benchtime 300x -benchmem
 	$(GO) test ./internal/pipeline -run NONE -bench BenchmarkEngineRounds -benchtime 2s
 	$(GO) test . -run NONE -bench . -benchtime 1s
 	$(GO) run ./cmd/pgbench -exp hotpath

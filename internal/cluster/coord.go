@@ -276,11 +276,22 @@ type Coordinator struct {
 	rep Report
 
 	// inflight is the FIFO of granted-but-unobserved rounds, oldest first;
-	// it never exceeds cfg.MaxInFlight entries across a round boundary.
+	// it never exceeds cfg.MaxInFlight entries across a round boundary. The
+	// slots past its length are retired flights whose buffers the next
+	// rounds reuse.
 	inflight []flight
 
+	// liveList is the sorted live-worker list every per-worker loop of a
+	// round runs in, and slot its inverse (worker id → position in
+	// liveList, -1 for anyone else). Both change only at membership
+	// boundaries.
+	liveList []int
+	slot     []int32
+
 	// round scratch
-	cands    []knapsack.Candidate // global compact candidate list, ascending by stream
+	cands    []knapsack.Candidate // gathered candidates, in arrival order
+	cost     []float64            // per-stream offered cost, valid for this round's candidates
+	grants   [][]int              // per-live-position grant lists, global selection order
 	candMsg  candidatesMsg
 	sel      []int
 	perPkts  map[int][]roundPacket
@@ -345,6 +356,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		workers:   make(map[int]*wconn),
 		ring:      &Ring{},
 		owners:    make([]int, cfg.Streams),
+		cost:      make([]float64, cfg.Streams),
 		rc:        newReconciler(cfg.SLO, cfg.Budget),
 		view:      &sloView{slo: cfg.SLO},
 		perPkts:   make(map[int][]roundPacket),
@@ -586,9 +598,8 @@ func (c *Coordinator) markDead(wc *wconn, err error) {
 	c.rc.removeWorker(wc.id)
 }
 
-// live returns the live worker IDs, sorted: every per-worker iteration in
-// the round loop runs in this order so float accumulation and frame
-// ordering are deterministic.
+// live returns the live worker IDs, sorted: every per-worker iteration runs
+// in this order so float accumulation and frame ordering are deterministic.
 func (c *Coordinator) live() []int {
 	ids := make([]int, 0, len(c.workers))
 	for id, wc := range c.workers {
@@ -598,6 +609,32 @@ func (c *Coordinator) live() []int {
 	}
 	sort.Ints(ids)
 	return ids
+}
+
+// refreshLive rebuilds the round loop's live list, its id → position index
+// and the per-position grant buffers. The round loop calls it only at
+// membership boundaries, after drainAll — no flight still reads the old
+// list — so a steady-state round neither allocates nor sorts for it.
+func (c *Coordinator) refreshLive() {
+	c.liveList = c.live()
+	c.slot = c.slot[:0]
+	for k, id := range c.liveList {
+		for len(c.slot) <= id {
+			c.slot = append(c.slot, -1)
+		}
+		c.slot[id] = int32(k)
+	}
+	for len(c.grants) < len(c.liveList) {
+		c.grants = append(c.grants, nil)
+	}
+}
+
+// slotOf returns worker id's position in the live list, or -1.
+func (c *Coordinator) slotOf(id int) int {
+	if id < 0 || id >= len(c.slot) {
+		return -1
+	}
+	return int(c.slot[id])
 }
 
 const (
@@ -613,16 +650,57 @@ func (c *Coordinator) hashRound(round int64, sel []int) {
 // its reports later and feed the governors in the exact order a lockstep
 // run would.
 type flight struct {
-	round    int64
-	ids      []int // live workers at grant time, sorted
-	mode     overload.Mode
-	bEff     float64
-	sel      []int // global selection, for the journal's round record
-	granted  map[int]float64
-	offered  map[int]float64
-	lats     map[int]time.Duration
-	deltas   map[int]AccDeltas // per-worker accuracy deltas from the reports
+	round int64
+	ids   []int // live workers at grant time, sorted
+	mode  overload.Mode
+	bEff  float64
+	sel   []int // global selection, for the journal's round record
+	// Per-worker columns, indexed by position in ids.
+	granted  []float64
+	offered  []float64
+	reported []bool // a valid report arrived: lats and deltas hold it
+	lats     []time.Duration
+	deltas   []AccDeltas // accuracy deltas from the reports
 	gathered bool
+}
+
+// zeroed returns s resized to n zero values, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// nextFlight returns the retired slot just past the in-flight window, reset
+// for round r over the current live list; the round loop commits it by
+// extending c.inflight over it once the grants are out. An abandoned round
+// (simulated crash) simply never commits.
+func (c *Coordinator) nextFlight(r int64, bEff float64, mode overload.Mode) *flight {
+	k := len(c.inflight)
+	if k == cap(c.inflight) {
+		c.inflight = append(c.inflight, flight{})[:k]
+	}
+	f := &c.inflight[:k+1][k]
+	n := len(c.liveList)
+	f.round, f.ids, f.mode, f.bEff, f.gathered = r, c.liveList, mode, bEff, false
+	f.granted = zeroed(f.granted, n)
+	f.offered = zeroed(f.offered, n)
+	f.reported = zeroed(f.reported, n)
+	f.lats = zeroed(f.lats, n)
+	f.deltas = zeroed(f.deltas, n)
+	return f
+}
+
+// retireFlight pops the oldest flight, parking it past the window's end so
+// its buffers are reused.
+func (c *Coordinator) retireFlight() {
+	f := c.inflight[0]
+	n := copy(c.inflight, c.inflight[1:])
+	c.inflight[n] = f
+	c.inflight = c.inflight[:n]
 }
 
 // gatherFlight collects the flight's reports (idempotent). Lockstep mode
@@ -634,7 +712,7 @@ func (c *Coordinator) gatherFlight(f *flight) {
 		return
 	}
 	f.gathered = true
-	for _, id := range f.ids {
+	for k, id := range f.ids {
 		wc := c.workers[id]
 		if wc == nil || wc.dead {
 			continue
@@ -650,10 +728,9 @@ func (c *Coordinator) gatherFlight(f *flight) {
 		}
 		lat := msg.latency
 		if c.cfg.LatencyModel != nil {
-			lat = c.cfg.LatencyModel(id, f.granted[id], f.offered[id])
+			lat = c.cfg.LatencyModel(id, f.granted[k], f.offered[k])
 		}
-		f.lats[id] = lat
-		f.deltas[id] = msg.deltas
+		f.reported[k], f.lats[k], f.deltas[k] = true, lat, msg.deltas
 	}
 }
 
@@ -663,14 +740,12 @@ func (c *Coordinator) gatherFlight(f *flight) {
 func (c *Coordinator) observeFlight(f *flight) {
 	var roundLat time.Duration
 	var agg AccDeltas
-	for _, id := range f.ids {
-		if d, ok := f.deltas[id]; ok {
-			agg.add(d)
-		}
-		lat, ok := f.lats[id]
-		if !ok {
+	for k, id := range f.ids {
+		if !f.reported[k] {
 			continue
 		}
+		agg.add(f.deltas[k])
+		lat := f.lats[k]
 		c.rc.observeLatency(id, lat, 1)
 		if lat > roundLat {
 			roundLat = lat
@@ -789,7 +864,9 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 		// drain entirely — that is what lets pipelined rounds overlap.
 		// Standby attachment waits for the same quiescent point so the
 		// snapshot it streams is consistent with the journal position.
-		if len(c.joinCh) > 0 || len(c.standbyCh) > 0 || len(c.rejoinCh) > 0 || c.anyDead() {
+		// The live list is rebuilt here and nowhere else (entering the loop
+		// counts as a boundary), so steady-state rounds reuse it.
+		if r == start || len(c.joinCh) > 0 || len(c.standbyCh) > 0 || len(c.rejoinCh) > 0 || c.anyDead() {
 			c.drainAll()
 			for drained := false; !drained; {
 				select {
@@ -812,8 +889,9 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 			if err := c.reap(r); err != nil {
 				return c.rep, err
 			}
+			c.refreshLive()
 		}
-		live := c.live()
+		live := c.liveList
 		if len(live) == 0 {
 			return c.rep, fmt.Errorf("cluster: no live workers at round %d", r)
 		}
@@ -826,7 +904,8 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 			return c.rep, fmt.Errorf("cluster: source: %w", err)
 		}
 
-		bEff, mode := c.rc.plan(c.liveSet())
+		bEff, mode := c.rc.plan(live)
+		fl := c.nextFlight(r, bEff, mode)
 
 		// Scatter: demux the active streams to their owners — O(active), not
 		// O(m). Every live worker receives the round frame (delta-coded
@@ -867,11 +946,12 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 		// solve sees zero items for idle, quarantined, and shed streams;
 		// distributed workers simply never offer those, so the gathered
 		// list holds exactly the non-zero slots of the dense array a single
-		// gate would build. Workers own disjoint stream sets — sorting by
-		// stream merges their ascending runs into the dense index order.
+		// gate would build. Workers own disjoint stream sets and the solve
+		// ties on the stream id, so the lists are appended as they arrive —
+		// no merge into stream order — and each candidate's cost is parked
+		// in its stream's slot for the grant totals.
 		c.cands = c.cands[:0]
-		offered := make(map[int]float64, len(live))
-		for _, id := range live {
+		for k, id := range live {
 			wc := c.workers[id]
 			if wc.dead {
 				continue
@@ -900,10 +980,12 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 				continue
 			}
 			c.cands = append(c.cands, c.candMsg.cands...)
-			offered[id] = c.candMsg.offered
+			for _, cand := range c.candMsg.cands {
+				c.cost[cand.Stream] = cand.Cost
+			}
+			fl.offered[k] = c.candMsg.offered
 			c.rc.observeDemand(id, c.candMsg.offered)
 		}
-		sort.Sort(candsByStream(c.cands))
 
 		// A mid-round crash lands BEFORE the solve: the primary never
 		// computes (or hashes) a selection for this round, so the workers'
@@ -912,34 +994,18 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 			return c.rep, ErrCoordinatorKilled
 		}
 
-		// Global solve: the exact greedy a single giant gate runs. Over the
-		// ascending compact list, positional tie-breaks equal the dense
-		// index tie-breaks, so the selection is bit-identical to the dense
-		// solve — in O(active log active).
-		c.sel = c.greedy.SelectSparseAppend(c.sel[:0], c.cands, bEff)
+		c.solveGrant(fl)
 		c.hashRound(r, c.sel)
 		c.rep.Decoded += int64(len(c.sel))
 		if c.cfg.OnRound != nil {
 			c.cfg.OnRound(r, c.sel)
 		}
-
-		// Scatter grants in global selection order, filtered per owner.
-		granted := make(map[int]float64, len(live))
-		for _, id := range live {
+		for k, id := range live {
 			wc := c.workers[id]
 			if wc.dead {
 				continue
 			}
-			var mine []int
-			var cost float64
-			for _, s := range c.sel {
-				if c.owners[s] == id {
-					mine = append(mine, s)
-					cost += candCost(c.cands, s)
-				}
-			}
-			granted[id] = cost
-			c.grantsB = encodeGrant(c.grantsB[:0], r, mine)
+			c.grantsB = encodeGrant(c.grantsB[:0], r, c.grants[k])
 			if err := wc.send(fGrant, c.grantsB); err != nil {
 				c.markDead(wc, err)
 			}
@@ -952,20 +1018,15 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 		// a flight is *observed* (latency fed to the governors) exactly
 		// when it leaves the MaxInFlight window, so the decision sequence
 		// depends only on the lag k, never on Pipelined.
-		c.inflight = append(c.inflight, flight{
-			round: r, ids: live, mode: mode, bEff: bEff,
-			sel:     append([]int(nil), c.sel...),
-			granted: granted, offered: offered,
-			lats:   make(map[int]time.Duration, len(live)),
-			deltas: make(map[int]AccDeltas, len(live)),
-		})
+		fl.sel = append(fl.sel[:0], c.sel...)
+		c.inflight = c.inflight[:len(c.inflight)+1]
 		if !c.cfg.Pipelined {
-			c.gatherFlight(&c.inflight[len(c.inflight)-1])
+			c.gatherFlight(fl)
 		}
 		for len(c.inflight) >= c.cfg.MaxInFlight {
 			c.gatherFlight(&c.inflight[0])
 			c.observeFlight(&c.inflight[0])
-			c.inflight = c.inflight[:copy(c.inflight, c.inflight[1:])]
+			c.retireFlight()
 		}
 	}
 
@@ -991,30 +1052,26 @@ func (c *Coordinator) nextRound() (*codec.Round, error) {
 	return &c.denseRnd, nil
 }
 
-// candsByStream sorts the gathered candidate list ascending by stream.
-type candsByStream []knapsack.Candidate
-
-func (s candsByStream) Len() int           { return len(s) }
-func (s candsByStream) Less(a, b int) bool { return s[a].Stream < s[b].Stream }
-func (s candsByStream) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
-
-// candCost looks up a stream's offered cost in the sorted candidate list.
-func candCost(cands []knapsack.Candidate, stream int) float64 {
-	k := sort.Search(len(cands), func(i int) bool { return int(cands[i].Stream) >= stream })
-	if k < len(cands) && int(cands[k].Stream) == stream {
-		return cands[k].Cost
+// solveGrant is the coordinator's decision step. The solve is the exact
+// greedy a single giant gate runs: the ordering kernel ties on the stream id
+// itself, so over the gathered list — whatever order the workers' lists were
+// appended in — the selection is bit-identical to the dense solve, in time
+// linear in the candidates. One pass over the selection then buckets it per
+// owner, keeping global selection order within each worker's grant, and
+// totals each worker's granted cost from the per-stream slots. A stream
+// whose owner is not in the flight's live list is granted to no one.
+// Steady state allocates nothing.
+func (c *Coordinator) solveGrant(f *flight) {
+	c.sel = c.greedy.SelectSparseAppend(c.sel[:0], c.cands, f.bEff)
+	for k := range f.ids {
+		c.grants[k] = c.grants[k][:0]
 	}
-	return 0
-}
-
-func (c *Coordinator) liveSet() map[int]bool {
-	s := make(map[int]bool, len(c.workers))
-	for id, wc := range c.workers {
-		if !wc.dead {
-			s[id] = true
+	for _, s := range c.sel {
+		if k := c.slotOf(c.owners[s]); k >= 0 {
+			c.grants[k] = append(c.grants[k], s)
+			f.granted[k] += c.cost[s]
 		}
 	}
-	return s
 }
 
 // shutdown says goodbye to every live worker and merges their finals.

@@ -28,7 +28,6 @@ type reconciler struct {
 	budget float64
 	govs   map[int]*overload.Governor
 	demand map[int]float64
-	ids    []int // sorted scratch: float accumulation order must be stable
 }
 
 func newReconciler(slo time.Duration, budget float64) *reconciler {
@@ -110,30 +109,25 @@ func (rc *reconciler) observeLatency(id int, lat time.Duration, depth int) {
 }
 
 // plan returns the cluster's effective budget and degradation mode for the
-// next round over the given live workers. Iteration is in sorted worker-ID
-// order: float accumulation order is part of the determinism contract.
-func (rc *reconciler) plan(live map[int]bool) (float64, overload.Mode) {
+// next round over the given live workers, which must be sorted by worker ID:
+// float accumulation order is part of the determinism contract.
+func (rc *reconciler) plan(live []int) (float64, overload.Mode) {
 	if rc.slo == 0 {
 		return rc.budget, overload.ModeFull
 	}
-	rc.ids = rc.ids[:0]
-	for id := range live {
-		rc.ids = append(rc.ids, id)
-	}
-	sort.Ints(rc.ids)
 	var total float64
-	for _, id := range rc.ids {
+	for _, id := range live {
 		total += rc.demand[id]
 	}
 	var bEff float64
 	mode := overload.ModeFull
-	for _, id := range rc.ids {
+	for _, id := range live {
 		gov := rc.govs[id]
 		if gov == nil {
 			continue
 		}
 		bw, mw := gov.Plan()
-		share := 1.0 / float64(len(rc.ids))
+		share := 1.0 / float64(len(live))
 		if total > 0 {
 			share = rc.demand[id] / total
 		}

@@ -241,7 +241,7 @@ func (w *Worker) build(wel Welcome) error {
 		}
 	}
 	w.src = &clusterSource{w: w, m: cfg.Streams, welRound: wel.CurrentRound}
-	sel := &remoteSelector{w: w}
+	sel := &remoteSelector{w: w, cost: make([]float64, cfg.Streams)}
 	gate, err := core.NewGate(core.Config{
 		Streams:     cfg.Streams,
 		Window:      cfg.Window,
@@ -1095,6 +1095,7 @@ func (s *clusterSource) Plan() (float64, overload.Mode) {
 type remoteSelector struct {
 	w     *Worker
 	cands []knapsack.Candidate
+	cost  []float64 // per-stream offered cost, valid for this round's cands
 	buf   []byte
 }
 
@@ -1116,7 +1117,7 @@ func (r *remoteSelector) SelectAppend(dst []int, items []knapsack.Item, budget f
 		if it.Value == 0 && it.Cost == 0 {
 			continue
 		}
-		r.cands = append(r.cands, knapsack.Candidate{Stream: int32(i), Value: it.Value, Cost: it.Cost})
+		r.offer(knapsack.Candidate{Stream: int32(i), Value: it.Value, Cost: it.Cost})
 	}
 	return r.solve(dst, budget)
 }
@@ -1131,9 +1132,16 @@ func (r *remoteSelector) SelectSparseAppend(dst []int, cands []knapsack.Candidat
 		if c.Value == 0 && c.Cost == 0 {
 			continue
 		}
-		r.cands = append(r.cands, c)
+		r.offer(c)
 	}
 	return r.solve(dst, budget)
+}
+
+// offer lists one candidate for the wire and parks its cost in its stream's
+// slot, where granted totals it without searching the list.
+func (r *remoteSelector) offer(c knapsack.Candidate) {
+	r.cands = append(r.cands, c)
+	r.cost[c.Stream] = c.Cost
 }
 
 // localSolve settles a round without a coordinator: the worker's own greedy
@@ -1202,7 +1210,7 @@ func (r *remoteSelector) granted(dst []int, g grantMsg, round int64) []int {
 	}
 	var cost float64
 	for _, s := range g.streams {
-		cost += candCost(r.cands, s)
+		cost += r.cost[s]
 	}
 	src := w.src
 	if src.grantSeen {

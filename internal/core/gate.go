@@ -797,8 +797,11 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 	// 3. Combinatorial selection under the effective budget. The ranked
 	// incremental structure re-ranks only the streams whose (value, cost)
 	// moved since their last offer and merges them into its persistent
-	// order — O(churn·log churn + selections) per round, provably the
+	// order — linear in the moved streams plus the merge, provably the
 	// same selection as the dense greedy/tiered sort (knapsack tests).
+	// With Explore on the bonus moves every active stream's value every
+	// round, so "moved" is the whole active set and the round is one
+	// radix sort of it (knapsack/order.go), not a comparison sort.
 	// The dense path re-builds and re-sorts everything: it serves custom
 	// Selectors and the NoIncremental oracle. Quarantined and
 	// brownout-shed streams are simply never offered (dense: zero-value
@@ -819,9 +822,7 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 		g.selOut = g.ranked.SelectAppend(g.selOut[:0], nt, bEff)
 	} else if g.selSparse != nil && g.tiered == nil && !g.cfg.NoIncremental {
 		// Sparse custom selectors (the cluster worker's remote solve) get a
-		// compact candidate list instead of the O(m) dense item build: the
-		// active list is ascending by stream id, so positional tie-breaks in
-		// the selector match dense index tie-breaks exactly.
+		// compact candidate list instead of the O(m) dense item build.
 		g.cands = g.cands[:0]
 		for _, i := range g.active {
 			g.cands = append(g.cands, knapsack.Candidate{Stream: int32(i), Value: g.conf[i], Cost: g.costs[i]})

@@ -3,12 +3,20 @@
 // confidence/cost ratio (with the paper's 1−c/B approximation guarantee for
 // approximately fractional costs), an exact dynamic-programming oracle, a
 // fractional upper bound, round-robin, and random selection.
+//
+// Every ratio order — Greedy, GreedyPrefix, Tiered, Ranked, FractionalOPT —
+// comes from one non-comparison ordering kernel (order.go): candidates are
+// keyed by the bit image of their ratio and byte-radix sorted, linear in
+// the number of candidates, under one ordering contract (ratio descending,
+// zero cost first, id ascending on exact ties; NaN and negative-cost
+// candidates never listed). The selectors differ only in how they list
+// candidates and walk the result, which is what keeps their selections
+// bit-identical to one another.
 package knapsack
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Item is one selectable packet: its gating confidence (value) and its
@@ -45,13 +53,12 @@ type Candidate struct {
 }
 
 // SparseSelector is an optional Selector extension for sparse fleets: the
-// candidate list names only the streams in play this round (strictly
-// ascending by Stream), so the selector touches O(active) state instead of
-// an O(m) dense item array. Selected stream ids are appended to dst in
-// selection order. Because candidates arrive in ascending stream order, a
-// ratio sort with positional tie-break over the compact array selects
-// exactly the streams the dense Greedy would (dense index order == compact
-// position order), so sparse and dense paths stay bit-identical.
+// candidate list names only the streams in play this round, in any order
+// with each stream at most once, so the selector touches O(active) state
+// instead of an O(m) dense item array. Selected stream ids are appended to
+// dst in selection order. Ties break on the stream id itself, never on list
+// position, so the selection is exactly the dense Greedy's over the
+// equivalent item array however the list was assembled.
 type SparseSelector interface {
 	SelectSparseAppend(dst []int, cands []Candidate, budget float64) []int
 }
@@ -92,12 +99,10 @@ func MaxCost(items []Item) float64 {
 // reference costs are folded into Item.Cost by the dependency tracker).
 //
 // For approximately fractional costs it guarantees value ≥ (1−c/B)·OPT
-// (Lemma 1). Complexity is O(m log m) per round.
+// (Lemma 1). A round costs one scan of the items plus the ordering kernel's
+// linear radix sort of the positive-value candidates — no comparison sort.
 type Greedy struct {
-	// scratch reused across rounds: candidate order, per-item ratios, and the
-	// sorter view over both. Safe because the gate serializes Select calls
-	// under decideMu.
-	rank ratioRank
+	ord order // kernel scratch, reused across rounds
 }
 
 // Name implements Selector.
@@ -109,124 +114,66 @@ func (g *Greedy) Select(items []Item, budget float64) []int {
 }
 
 // SelectAppend implements SelectAppender: selection indices are appended to
-// dst and the only steady-state cost is the O(m log m) sort.
+// dst; in steady state nothing is allocated.
 func (g *Greedy) SelectAppend(dst []int, items []Item, budget float64) []int {
-	g.rank.sortByRatio(items)
 	remaining := budget
-	for _, i := range g.rank.order {
-		if items[i].Cost <= remaining {
-			dst = append(dst, i)
-			remaining -= items[i].Cost
+	for _, e := range g.ord.sortItems(items) {
+		if c := items[e.id].Cost; c <= remaining {
+			dst = append(dst, int(e.id))
+			remaining -= c
 		}
 	}
 	return dst
 }
 
 // SelectSparseAppend implements SparseSelector: the compact-candidate form
-// of SelectAppend. Candidates arrive in ascending stream order, so the
-// positional tie-break reproduces the dense index tie-break exactly and the
-// appended stream ids match SelectAppend's on the equivalent dense array
-// (zero slots omitted) in selection order.
+// of SelectAppend. The appended stream ids match SelectAppend's on the
+// equivalent dense array (zero slots omitted) in selection order, whatever
+// order cands is in.
 func (g *Greedy) SelectSparseAppend(dst []int, cands []Candidate, budget float64) []int {
-	g.rank.sortSparseByRatio(cands)
+	o := &g.ord
+	o.begin()
+	for k, c := range cands {
+		o.list(int(c.Stream), k, c.Value, c.Cost)
+	}
 	remaining := budget
-	for _, k := range g.rank.order {
-		if cands[k].Cost <= remaining {
-			dst = append(dst, int(cands[k].Stream))
-			remaining -= cands[k].Cost
+	for _, e := range o.sort() {
+		if c := cands[e.pos].Cost; c <= remaining {
+			dst = append(dst, int(e.id))
+			remaining -= c
 		}
 	}
 	return dst
 }
 
-// ratioRank is the shared ratio-ordering scratch: positive-value candidates
-// ranked by descending value/cost ratio (zero-cost first), index tie-break.
-// Ratios are precomputed so the sort comparator is two loads, and the sorter
-// is a pointer receiver on persistent state so sort.Sort allocates nothing.
-type ratioRank struct {
-	order  []int
-	ratios []float64
-}
-
-// rankShrinkFloor is the capacity below which ratioRank scratch is never
-// reallocated downward: shrinking tiny buffers only causes churn.
-const rankShrinkFloor = 1024
-
-// ensure sizes the scratch for n items: it grows on demand and — so a
-// transient m spike does not pin a giant buffer for the process lifetime —
-// reallocates downward once the working size drops below a quarter of the
-// retained capacity.
-func (r *ratioRank) ensure(n int) {
-	if c := cap(r.order); c < n || (c > rankShrinkFloor && n < c/4) {
-		r.order = make([]int, 0, n)
-		r.ratios = make([]float64, n)
-	}
-}
-
-func (r *ratioRank) sortByRatio(items []Item) {
-	r.ensure(len(items))
-	r.order = r.order[:0]
-	r.ratios = r.ratios[:len(items)]
+// sortItems lists a dense item array (id = index) and returns it in ratio
+// order.
+func (o *order) sortItems(items []Item) []entry {
+	o.begin()
 	for i, it := range items {
-		if it.Value > 0 {
-			r.order = append(r.order, i)
-			r.ratios[i] = ratio(it)
-		}
+		o.list(i, i, it.Value, it.Cost)
 	}
-	sort.Sort(r)
-}
-
-func (r *ratioRank) sortSparseByRatio(cands []Candidate) {
-	r.ensure(len(cands))
-	r.order = r.order[:0]
-	r.ratios = r.ratios[:len(cands)]
-	for k, c := range cands {
-		if c.Value > 0 {
-			r.order = append(r.order, k)
-			r.ratios[k] = ratio(Item{Value: c.Value, Cost: c.Cost})
-		}
-	}
-	sort.Sort(r)
-}
-
-func (r *ratioRank) Len() int { return len(r.order) }
-
-func (r *ratioRank) Less(a, b int) bool {
-	ra, rb := r.ratios[r.order[a]], r.ratios[r.order[b]]
-	if ra != rb {
-		return ra > rb
-	}
-	return r.order[a] < r.order[b]
-}
-
-func (r *ratioRank) Swap(a, b int) { r.order[a], r.order[b] = r.order[b], r.order[a] }
-
-func ratio(it Item) float64 {
-	if it.Cost == 0 {
-		return math.Inf(1)
-	}
-	return it.Value / it.Cost
+	return o.sort()
 }
 
 // GreedyPrefix is Greedy without the fill pass: it stops at the first item
 // that does not fit. It exists to ablate the fill pass and to match the
 // textbook analysis exactly.
-type GreedyPrefix struct{ rank ratioRank }
+type GreedyPrefix struct{ ord order }
 
 // Name implements Selector.
 func (*GreedyPrefix) Name() string { return "greedy-prefix" }
 
 // Select implements Selector.
 func (g *GreedyPrefix) Select(items []Item, budget float64) []int {
-	g.rank.sortByRatio(items)
 	var sel []int
 	remaining := budget
-	for _, i := range g.rank.order {
-		if items[i].Cost > remaining {
+	for _, e := range g.ord.sortItems(items) {
+		if items[e.id].Cost > remaining {
 			break
 		}
-		sel = append(sel, i)
-		remaining -= items[i].Cost
+		sel = append(sel, int(e.id))
+		remaining -= items[e.id].Cost
 	}
 	return sel
 }
@@ -374,19 +321,11 @@ func (d *ExactDP) Select(items []Item, budget float64) []int {
 // items sorted by ratio, the last one taken partially. It upper-bounds every
 // 0/1 solution and is the opt_F of the Lemma 1 proof.
 func FractionalOPT(items []Item, budget float64) float64 {
-	order := make([]int, 0, len(items))
-	for i, it := range items {
-		if it.Value > 0 {
-			order = append(order, i)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return ratio(items[order[a]]) > ratio(items[order[b]])
-	})
+	var o order
 	var v float64
 	remaining := budget
-	for _, i := range order {
-		it := items[i]
+	for _, e := range o.sortItems(items) {
+		it := items[e.id]
 		if it.Cost <= remaining {
 			v += it.Value
 			remaining -= it.Cost

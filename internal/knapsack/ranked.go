@@ -1,7 +1,5 @@
 package knapsack
 
-import "sort"
-
 // Ranked is the incremental counterpart of Greedy and Tiered: a persistent
 // score-ordered candidate list that survives across rounds so the per-round
 // sorting cost scales with *churn* (candidates whose value or cost changed
@@ -16,54 +14,60 @@ import "sort"
 // Offer compares the candidate against its stored (value, cost): unchanged
 // candidates that were also offered last round keep their position in the
 // ordered list for free; changed or newly (re)appearing candidates are
-// staged. SelectAppend sorts only the staged set — O(d·log d) for d dirty
-// candidates — and merges it with the surviving span of last round's order
-// in one linear pass. Candidates *not* offered this round drop out during
-// the merge, so absence (idle stream, quarantine, admission shed) needs no
-// explicit delete call and a revived candidate is simply re-staged.
+// staged. SelectAppend runs the ordering kernel over the staged set only —
+// linear in the d dirty candidates — and merges it with the surviving span
+// of last round's order in one linear pass. Candidates *not* offered this
+// round drop out during the merge, so absence (idle stream, quarantine,
+// admission shed) needs no explicit delete call and a revived candidate is
+// simply re-staged.
+//
+// What Ranked saves is therefore proportional to the candidates whose
+// (value, cost) did NOT move. With the gate's exploration bonus on, every
+// active stream's value moves every round, the staged set is the whole
+// active set, and a round is one kernel sort of it plus a merge that drops
+// all of last round's order — the same work as Greedy's sparse solve, which
+// is why that sort must not be a comparison sort.
 //
 // The resulting order is bit-identical to a from-scratch sort because the
-// comparator is a strict total order — ratio descending (zero-cost = +Inf),
-// id ascending on ties — so a merge of two internally sorted disjoint
-// sequences reproduces the full sort exactly. The selection walk then
-// replicates Greedy's ratio-order fill pass (numTiers == 1) or Tiered's
-// strict-priority cascade (per-tier lists, lower tiers skipped once the
-// remaining budget is exhausted), preserving the Lemma-1 bound per pool.
+// kernel's order is a strict total order (order.go), so a merge of two
+// internally sorted disjoint sequences reproduces the full sort exactly.
+// The selection walk then replicates Greedy's ratio-order fill pass
+// (numTiers == 1) or Tiered's strict-priority cascade (per-tier lists,
+// lower tiers skipped once the remaining budget is exhausted), preserving
+// the Lemma-1 bound per pool.
 //
-// Zero values ride the same rule as sortByRatio: candidates with value <= 0
-// are never listed. All state is persistent and index-addressed, so
-// steady-state rounds allocate nothing. Not safe for concurrent use.
+// Candidates the kernel does not list (value <= 0, NaN, negative cost) are
+// dropped at Offer. Per-id state is persistent and the ordered lists carry
+// their keys inline, sized by the candidates offered, so steady-state
+// rounds allocate nothing. Not safe for concurrent use.
 type Ranked struct {
 	n     int
 	round int64
 
 	// Per-candidate state, indexed by id.
-	value  []float64
-	cost   []float64
-	ratios []float64
-	tier   []uint8
-	stamp  []int64 // round the candidate was last offered with value > 0
-	dirty  []bool  // staged this round (changed / re-appeared)
+	value []float64
+	cost  []float64
+	tier  []uint8
+	stamp []int64 // round the candidate was last offered and listed
+	dirty []bool  // staged this round (changed / re-appeared)
 
-	// Per-tier ordered candidate lists from the last completed round, plus
-	// this round's staged ids and the merge scratch.
-	live   [][]int32
-	staged [][]int32
-	merge  []int32
-
-	sorter stagedSorter
+	// Per-tier ordered candidate lists from the last completed round, this
+	// round's staged entries, and the spare buffer that serves first as the
+	// kernel's scratch and then as the merge output.
+	live   [][]entry
+	staged [][]entry
+	merge  []entry
 }
 
 // NewRanked creates an incremental selector for ids in [0, n).
 func NewRanked(n int) *Ranked {
 	return &Ranked{
-		n:      n,
-		value:  make([]float64, n),
-		cost:   make([]float64, n),
-		ratios: make([]float64, n),
-		tier:   make([]uint8, n),
-		stamp:  make([]int64, n),
-		dirty:  make([]bool, n),
+		n:     n,
+		value: make([]float64, n),
+		cost:  make([]float64, n),
+		tier:  make([]uint8, n),
+		stamp: make([]int64, n),
+		dirty: make([]bool, n),
 	}
 }
 
@@ -76,8 +80,7 @@ func (r *Ranked) BeginRound() {
 	r.round++
 }
 
-// tierList grows the per-tier lists to cover tier t and returns staged[t]
-// for appending.
+// growTiers extends the per-tier live and staged lists to numTiers tiers.
 func (r *Ranked) growTiers(numTiers int) {
 	for len(r.live) < numTiers {
 		r.live = append(r.live, nil)
@@ -88,71 +91,53 @@ func (r *Ranked) growTiers(numTiers int) {
 // Offer registers candidate id for this round's selection with the given
 // value, cost, and priority tier. A candidate whose (value, cost, tier) is
 // unchanged since last round's offer keeps its ordered position for free;
-// anything else is staged for the incremental re-sort. Offers with
-// value <= 0 are dropped (matching Greedy's positive-value rule). ids must
-// be unique within a round; tier must be < the numTiers later passed to
-// SelectAppend.
+// anything else is staged for the incremental re-sort. Offers the ordering
+// kernel does not list (value <= 0, NaN, negative cost) are dropped, exactly
+// as Greedy drops them. ids must be unique within a round; tier must be <
+// the numTiers later passed to SelectAppend.
 func (r *Ranked) Offer(id int, value, cost float64, tier uint8) {
-	if value <= 0 {
-		return
+	if !(value > 0) {
+		return // never listed — and a zeroed slot must not pass for a survivor
 	}
-	prev := r.stamp[id]
-	r.stamp[id] = r.round
-	if prev == r.round-1 && r.value[id] == value && r.cost[id] == cost &&
+	if r.stamp[id] == r.round-1 && r.value[id] == value && r.cost[id] == cost &&
 		r.tier[id] == tier && !r.dirty[id] {
 		// Survivor: same score as the position it already holds in live.
+		r.stamp[id] = r.round
 		return
 	}
+	key, ok := orderKey(value, cost)
+	if !ok {
+		return
+	}
+	r.stamp[id] = r.round
 	r.value[id] = value
 	r.cost[id] = cost
-	r.ratios[id] = ratio(Item{Value: value, Cost: cost})
 	r.tier[id] = tier
 	r.dirty[id] = true
 	r.growTiers(int(tier) + 1)
-	r.staged[tier] = append(r.staged[tier], int32(id))
+	r.staged[tier] = append(r.staged[tier], entry{key: key, id: int32(id)})
 }
 
-// less is the strict total order shared with ratioRank: ratio descending,
-// id ascending on exact ties.
-func (r *Ranked) less(a, b int32) bool {
-	ra, rb := r.ratios[a], r.ratios[b]
-	if ra != rb {
-		return ra > rb
-	}
-	return a < b
-}
-
-// stagedSorter sorts one tier's staged ids without allocating.
-type stagedSorter struct {
-	r   *Ranked
-	ids []int32
-}
-
-func (s *stagedSorter) Len() int           { return len(s.ids) }
-func (s *stagedSorter) Less(a, b int) bool { return s.r.less(s.ids[a], s.ids[b]) }
-func (s *stagedSorter) Swap(a, b int)      { s.ids[a], s.ids[b] = s.ids[b], s.ids[a] }
-
-// mergeTier folds tier t's staged ids into its live order: survivors of the
-// previous order (offered again this round, not re-staged) keep their
+// mergeTier folds tier t's staged entries into its live order: survivors of
+// the previous order (offered again this round, not re-staged) keep their
 // relative positions, dead entries drop, staged entries merge in sorted
 // position. Returns the new live list.
-func (r *Ranked) mergeTier(t int) []int32 {
+func (r *Ranked) mergeTier(t int) []entry {
 	st := r.staged[t]
-	if len(st) > 1 {
-		r.sorter.r, r.sorter.ids = r, st
-		sort.Sort(&r.sorter)
-		r.sorter.ids = nil
+	if cap(r.merge) < len(st) {
+		r.merge = append(r.merge[:0], st...) // grown with append's headroom; the contents are scratch
 	}
+	sortEntries(st, r.merge[:len(st)])
 	old := r.live[t]
 	out := r.merge[:0]
 	oi, si := 0, 0
 	for oi < len(old) && si < len(st) {
 		o := old[oi]
-		if r.stamp[o] != r.round || r.dirty[o] {
+		if r.stamp[o.id] != r.round || r.dirty[o.id] {
 			oi++ // dead or re-staged: drop from the surviving span
 			continue
 		}
-		if r.less(o, st[si]) {
+		if entryLess(o, st[si]) {
 			out = append(out, o)
 			oi++
 		} else {
@@ -161,7 +146,7 @@ func (r *Ranked) mergeTier(t int) []int32 {
 		}
 	}
 	for ; oi < len(old); oi++ {
-		if o := old[oi]; r.stamp[o] == r.round && !r.dirty[o] {
+		if o := old[oi]; r.stamp[o.id] == r.round && !r.dirty[o.id] {
 			out = append(out, o)
 		}
 	}
@@ -169,8 +154,8 @@ func (r *Ranked) mergeTier(t int) []int32 {
 	// Swap buffers: old becomes next round's merge scratch.
 	r.merge = old[:0]
 	r.live[t] = out
-	for _, id := range st {
-		r.dirty[id] = false
+	for _, e := range st {
+		r.dirty[e.id] = false
 	}
 	r.staged[t] = st[:0]
 	return out
@@ -201,10 +186,10 @@ func (r *Ranked) SelectAppend(dst []int, numTiers int, budget float64) []int {
 			}
 			continue
 		}
-		for _, id := range r.mergeTier(t) {
-			if r.cost[id] <= remaining {
-				dst = append(dst, int(id))
-				remaining -= r.cost[id]
+		for _, e := range r.mergeTier(t) {
+			if c := r.cost[e.id]; c <= remaining {
+				dst = append(dst, int(e.id))
+				remaining -= c
 			}
 		}
 	}

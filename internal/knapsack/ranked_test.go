@@ -158,26 +158,39 @@ func TestRankedSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestRatioRankShrinks: the shared sort scratch must release memory after a
-// transient m spike instead of pinning the high-water mark forever.
-func TestRatioRankShrinks(t *testing.T) {
+// TestOrderScratchShrinks: the kernel scratch is sized by the candidates
+// listed, and must release memory after a transient spike instead of pinning
+// the high-water mark forever — on the solve after the first one whose
+// listings all stayed below a quarter of the retained capacity.
+func TestOrderScratchShrinks(t *testing.T) {
 	g := &Greedy{}
 	big := make([]Item, 100_000)
 	for i := range big {
 		big[i] = Item{Value: 1, Cost: 1}
 	}
 	g.SelectAppend(nil, big, 10)
-	if cap(g.rank.order) < len(big) {
-		t.Fatalf("scratch did not grow to the spike: cap %d", cap(g.rank.order))
+	if cap(g.ord.es) < len(big) || cap(g.ord.tmp) < len(big) {
+		t.Fatalf("scratch did not grow to the spike: cap %d/%d", cap(g.ord.es), cap(g.ord.tmp))
 	}
 	small := big[:2000]
 	g.SelectAppend(nil, small, 10)
-	if cap(g.rank.order) > len(big)/4 {
-		t.Fatalf("scratch still pinned at spike size: cap %d after m=%d round", cap(g.rank.order), len(small))
+	g.SelectAppend(nil, small, 10)
+	if cap(g.ord.es) > len(big)/4 || cap(g.ord.tmp) > len(big)/4 {
+		t.Fatalf("scratch still pinned at spike size: cap %d/%d after m=%d rounds", cap(g.ord.es), cap(g.ord.tmp), len(small))
 	}
 	// And it must still produce correct selections after shrinking.
 	sel := g.SelectAppend(nil, small, 3)
 	if len(sel) != 3 {
 		t.Fatalf("post-shrink selection wrong: %v", sel)
+	}
+	// A mostly idle dense array is sized by its candidates, not by m.
+	sparse := make([]Item, 100_000)
+	for i := 0; i < len(sparse); i += 100 {
+		sparse[i] = Item{Value: 1, Cost: 1}
+	}
+	g = &Greedy{}
+	g.SelectAppend(nil, sparse, 10)
+	if cap(g.ord.es) > len(sparse)/25 {
+		t.Fatalf("scratch sized by m: cap %d for %d candidates", cap(g.ord.es), len(sparse)/100)
 	}
 }

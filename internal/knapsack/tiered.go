@@ -1,7 +1,5 @@
 package knapsack
 
-import "sort"
-
 // Tiered is the admission-control variant of Greedy used under overload:
 // every item carries a priority tier (0 = highest, e.g. fire detection), and
 // the solve proceeds tier by tier in strict priority order — tier 0 solves
@@ -25,7 +23,7 @@ import "sort"
 // scratch is persistent: steady-state rounds allocate nothing beyond growth
 // of the caller's dst.
 type Tiered struct {
-	sub ratioRank // per-tier ratio order, reused across tiers and rounds
+	sub order // kernel scratch, reused across tiers and rounds
 }
 
 // Name identifies the policy in reports.
@@ -39,13 +37,20 @@ func (s *Tiered) SelectAppend(dst []int, items []Item, tiers []uint8, numTiers i
 	if len(items) == 0 || numTiers <= 0 {
 		return dst
 	}
+	o := &s.sub
+	o.begin()
 	remaining := budget
 	for t := 0; t < numTiers && remaining > 0; t++ {
-		s.sub.sortTier(items, tiers, uint8(t), numTiers)
-		for _, i := range s.sub.order {
-			if items[i].Cost <= remaining {
-				dst = append(dst, i)
-				remaining -= items[i].Cost
+		o.es = o.es[:0] // one scratch, re-listed per tier
+		for i, it := range items {
+			if clampTier(tiers[i], numTiers) == t {
+				o.list(i, i, it.Value, it.Cost)
+			}
+		}
+		for _, e := range o.sort() {
+			if c := items[e.id].Cost; c <= remaining {
+				dst = append(dst, int(e.id))
+				remaining -= c
 			}
 		}
 	}
@@ -57,19 +62,4 @@ func clampTier(t uint8, numTiers int) int {
 		return numTiers - 1
 	}
 	return int(t)
-}
-
-// sortTier ranks tier-t positive-value candidates by descending ratio,
-// sharing the ratioRank zero-alloc machinery.
-func (r *ratioRank) sortTier(items []Item, tiers []uint8, t uint8, numTiers int) {
-	r.ensure(len(items))
-	r.order = r.order[:0]
-	r.ratios = r.ratios[:len(items)]
-	for i, it := range items {
-		if it.Value > 0 && clampTier(tiers[i], numTiers) == int(t) {
-			r.order = append(r.order, i)
-			r.ratios[i] = ratio(it)
-		}
-	}
-	sort.Sort(r)
 }

@@ -21,7 +21,7 @@ func naiveTiered(items []Item, tiers []uint8, numTiers int, budget float64) []in
 			}
 		}
 		// Insertion sort by descending ratio, index tie-break — deliberately
-		// a different algorithm from the production sort.Sort path.
+		// a different algorithm from the production ordering kernel.
 		for a := 1; a < len(order); a++ {
 			for b := a; b > 0; b-- {
 				ra, rb := ratio(items[order[b]]), ratio(items[order[b-1]])
