@@ -55,8 +55,9 @@ verify: build vet test race alloc-smoke replay soak scale cluster failover bench
 # Headline-regression gate: after `make scale`/`make cluster` rewrite the
 # BENCH files, compare their headlines against the copies committed at HEAD
 # and fail if a speedup fell below 85% of its baseline or an absolute cost
-# (the churn sweep's ns figures) rose above 1/85% of it. Skips (with a note)
-# when a baseline is missing or the bench schema version changed.
+# (the churn sweep's ns figures, the end-to-end round's allocated bytes) rose
+# above 1/85% of it. Skips (with a note) when a baseline is missing or the
+# bench schema version changed.
 benchdiff:
 	$(GO) run ./cmd/benchdiff
 
@@ -142,9 +143,8 @@ fuzz:
 chaos:
 	$(GO) run -race ./cmd/pgbench -exp chaos
 
-# Hot-loop microbenches (with allocation counts), then the hotpath sweep,
-# which rewrites BENCH_hotpath.json with this host's fast-vs-reference
-# Decide-round throughput at m = 64/256/1024.
+# Hot-loop microbenches (with allocation counts). What a whole round costs,
+# end to end and layer by layer, is the ledger's to say (benchmark/).
 bench:
 	$(GO) test ./internal/nn -run NONE -bench 'Forward|Kernel' -benchtime 2s -benchmem
 	$(GO) test ./internal/predictor -run NONE -bench PredictInto -cpu 1,2 -benchtime 2s -benchmem
@@ -152,4 +152,3 @@ bench:
 	$(GO) test ./internal/knapsack -run NONE -bench Select -benchtime 300x -benchmem
 	$(GO) test ./internal/pipeline -run NONE -bench BenchmarkEngineRounds -benchtime 2s
 	$(GO) test . -run NONE -bench . -benchtime 1s
-	$(GO) run ./cmd/pgbench -exp hotpath

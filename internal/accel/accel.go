@@ -4,10 +4,7 @@
 // the paper combines the two in Table 5.
 package accel
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Accelerator scales an inference model's throughput.
 type Accelerator struct {
@@ -25,35 +22,6 @@ func TensorRT() Accelerator {
 
 // None is the identity accelerator.
 func None() Accelerator { return Accelerator{Name: "none", Speedup: 1} }
-
-// Measure builds an accelerator whose Speedup is measured rather than
-// assumed: base and fast each run iters times under the wall clock, and the
-// resulting ratio becomes the Speedup. This is how software acceleration
-// (e.g. the compiled float32 inference graph) plugs into the same Table 5
-// throughput model as the paper's constant-factor TensorRT entry. Both
-// closures run once before timing as a warmup.
-func Measure(name string, iters int, base, fast func()) (Accelerator, error) {
-	if iters <= 0 {
-		return Accelerator{}, fmt.Errorf("accel: iters must be positive, got %d", iters)
-	}
-	if base == nil || fast == nil {
-		return Accelerator{}, fmt.Errorf("accel: base and fast functions are required")
-	}
-	clock := func(f func()) time.Duration {
-		f() // warmup
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			f()
-		}
-		return time.Since(t0)
-	}
-	bd := clock(base)
-	fd := clock(fast)
-	if fd <= 0 || bd <= 0 {
-		return Accelerator{}, fmt.Errorf("accel: measured durations must be positive (base %v, fast %v)", bd, fd)
-	}
-	return Accelerator{Name: name, Speedup: float64(bd) / float64(fd)}, nil
-}
 
 // Apply returns the accelerated throughput for a base FPS.
 func (a Accelerator) Apply(baseFPS float64) (float64, error) {

@@ -24,53 +24,6 @@ func TestNoneIsIdentity(t *testing.T) {
 	}
 }
 
-func TestMeasure(t *testing.T) {
-	slow := func() {
-		var s float64
-		for i := 0; i < 200_000; i++ {
-			s += float64(i)
-		}
-		sinkF = s
-	}
-	fast := func() {
-		var s float64
-		for i := 0; i < 1_000; i++ {
-			s += float64(i)
-		}
-		sinkF = s
-	}
-	a, err := Measure("loop", 20, slow, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Name != "loop" {
-		t.Errorf("name = %q", a.Name)
-	}
-	// The exact ratio is host-dependent; 200x the work should measure
-	// clearly faster.
-	if a.Speedup <= 1 {
-		t.Errorf("speedup = %v, want > 1 for 200x less work", a.Speedup)
-	}
-	if _, err := a.Apply(100); err != nil {
-		t.Errorf("measured accelerator must Apply cleanly: %v", err)
-	}
-}
-
-var sinkF float64
-
-func TestMeasureValidation(t *testing.T) {
-	f := func() {}
-	if _, err := Measure("x", 0, f, f); err == nil {
-		t.Error("zero iters must error")
-	}
-	if _, err := Measure("x", 1, nil, f); err == nil {
-		t.Error("nil base must error")
-	}
-	if _, err := Measure("x", 1, f, nil); err == nil {
-		t.Error("nil fast must error")
-	}
-}
-
 func TestApplyValidation(t *testing.T) {
 	if _, err := TensorRT().Apply(0); err == nil {
 		t.Error("zero FPS must error")

@@ -45,6 +45,14 @@ type clusterParams struct {
 	window             int
 	usePred            bool
 	seed               int64
+	breaker            *core.BreakerConfig // nil = testBreaker()
+}
+
+func (p clusterParams) breakerConfig() *core.BreakerConfig {
+	if p.breaker != nil {
+		return p.breaker
+	}
+	return testBreaker()
 }
 
 // oracleSelections runs the single giant gate over an identically seeded
@@ -54,7 +62,7 @@ func oracleSelections(t *testing.T, p clusterParams) [][]int {
 	t.Helper()
 	cfg := core.Config{
 		Streams: p.m, Window: p.window, Budget: p.budget,
-		UseTemporal: true, Breaker: testBreaker(),
+		UseTemporal: true, Breaker: p.breakerConfig(),
 	}
 	if p.usePred {
 		pred, err := predictor.New(testPredCfg(p.window))
@@ -90,7 +98,7 @@ func oracleSelections(t *testing.T, p clusterParams) [][]int {
 func coordConfig(p clusterParams) CoordConfig {
 	cfg := CoordConfig{
 		Streams: p.m, Window: p.window, Budget: p.budget,
-		UseTemporal: true, Breaker: testBreaker(),
+		UseTemporal: true, Breaker: p.breakerConfig(),
 		Task: "pc", Rounds: p.rounds, MinWorkers: p.workers,
 		Source: pipeline.NewLocalSource(mkFleet(p.m, p.seed), 0),
 		Lease:  30 * time.Second, Heartbeat: 100 * time.Millisecond,
@@ -207,6 +215,28 @@ func TestClusterOracleEquality(t *testing.T) {
 	}
 	if rep.Deaths != 0 || rep.Joins != 0 {
 		t.Fatalf("stable run recorded churn: %+v", rep)
+	}
+}
+
+// TestClusterDefaultBreakersReachWorkers joins workers under
+// &core.BreakerConfig{} — breakers armed, every threshold defaulted. The
+// config travels in the gob welcome frame, and gob omits zero-valued fields;
+// a non-nil pointer to an all-zero struct must still arrive non-nil (gob
+// sends the empty struct and the decoder allocates it), so every worker's
+// gate has breakers and the run hashes like a single gate with that config.
+func TestClusterDefaultBreakersReachWorkers(t *testing.T) {
+	p := clusterParams{m: 96, workers: 2, rounds: 25, window: 4, seed: 11, breaker: &core.BreakerConfig{}}
+	p.budget = 4 + float64(p.m)/8
+	oracle := oracleSelections(t, p)
+	rep, sels, ws := runCluster(t, coordConfig(p), p.workers, nil)
+	for i, w := range ws {
+		if w.Gate().Breakers() == nil {
+			t.Errorf("worker %d gates without breakers", i)
+		}
+	}
+	assertSelectionsEqual(t, oracle, sels)
+	if want := OracleHash(oracle); rep.DecisionHash != want {
+		t.Errorf("decision hash %x, single-gate oracle %x", rep.DecisionHash, want)
 	}
 }
 

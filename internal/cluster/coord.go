@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"packetgame/internal/codec"
 	"packetgame/internal/core"
 	"packetgame/internal/decode"
 	"packetgame/internal/knapsack"
@@ -247,6 +246,7 @@ var ErrCoordinatorKilled = errors.New("cluster: coordinator killed (simulated cr
 // the data-plane workers. Run drives the whole cluster in lockstep rounds.
 type Coordinator struct {
 	cfg       CoordConfig
+	src       pipeline.SparseRoundSource // cfg.Source, dense or not, as sparse rounds
 	ln        net.Listener
 	joinCh    chan *pendingConn
 	standbyCh chan *standbyPending
@@ -289,16 +289,15 @@ type Coordinator struct {
 	slot     []int32
 
 	// round scratch
-	cands    []knapsack.Candidate // gathered candidates, in arrival order
-	cost     []float64            // per-stream offered cost, valid for this round's candidates
-	grants   [][]int              // per-live-position grant lists, global selection order
-	candMsg  candidatesMsg
-	sel      []int
-	perPkts  map[int][]roundPacket
-	grantsB  []byte
-	roundB   []byte
-	pktBuf   []byte
-	denseRnd codec.Round // adapter scratch for non-sparse sources
+	cands   []knapsack.Candidate // gathered candidates, in arrival order
+	cost    []float64            // per-stream offered cost, valid for this round's candidates
+	grants  [][]int              // per-live-position grant lists, global selection order
+	candMsg candidatesMsg
+	sel     []int
+	perPkts map[int][]roundPacket
+	grantsB []byte
+	roundB  []byte
+	pktBuf  []byte
 }
 
 // NewCoordinator binds the listen socket and starts accepting joins.
@@ -348,6 +347,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:       cfg,
+		src:       pipeline.Sparse(cfg.Source),
 		ln:        ln,
 		joinCh:    make(chan *pendingConn, 16),
 		standbyCh: make(chan *standbyPending, 16),
@@ -896,7 +896,7 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 			return c.rep, fmt.Errorf("cluster: no live workers at round %d", r)
 		}
 
-		rnd, err := c.nextRound()
+		rnd, err := c.src.NextRoundSparse()
 		if err == io.EOF {
 			break
 		}
@@ -922,7 +922,7 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 				continue // orphaned this round; reassigned at next boundary
 			}
 			rp := roundPacket{stream: i, pkt: rnd.Pkts[k]}
-			if t, ok := c.cfg.Source.Truth(i); ok {
+			if t, ok := c.src.Truth(i); ok {
 				rp.truth, rp.hasT = t, true
 			}
 			c.perPkts[own] = append(c.perPkts[own], rp)
@@ -1035,21 +1035,6 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 	c.shutdown()
 	c.finish()
 	return c.rep, nil
-}
-
-// nextRound pulls the next global round from the source in sparse form:
-// sparse-capable sources hand it over in O(active); plain sources are
-// adapted through a dense gather.
-func (c *Coordinator) nextRound() (*codec.Round, error) {
-	if ss, ok := c.cfg.Source.(pipeline.SparseRoundSource); ok {
-		return ss.NextRoundSparse()
-	}
-	pkts, err := c.cfg.Source.NextRound()
-	if err != nil {
-		return nil, err
-	}
-	c.denseRnd.FromDense(pkts)
-	return &c.denseRnd, nil
 }
 
 // solveGrant is the coordinator's decision step. The solve is the exact

@@ -315,7 +315,7 @@ func (c *Coordinator) windowRejoin(p *rejoinPending, want, seen map[int]bool, cl
 // granted-but-unjournaled rounds) ends.
 func (c *Coordinator) advanceSource(n int64) error {
 	for i := int64(0); i < n; i++ {
-		if _, err := c.nextRound(); err != nil {
+		if _, err := c.src.NextRoundSparse(); err != nil {
 			return fmt.Errorf("cluster: advancing source to resume round %d: %w", n, err)
 		}
 	}

@@ -797,12 +797,12 @@ func (w *Worker) rejoin(clock int64, reconcileOnly bool) error {
 	return fmt.Errorf("cluster: no standby accepted re-join after %d sweeps", w.opts.RejoinAttempts)
 }
 
-// clusterSource adapts the round frames into the pipeline's RoundSource /
-// SparseRoundSource / RoundLister and the gate's overload.Planner: each
-// next-round call reports the previous round's settlement, then blocks for
-// the next round frame; Plan serves the coordinator-planned effective budget
-// and mode for the round in flight. On coordinator loss it re-homes to a
-// standby or degrades to orphan mode, transparently to the engine.
+// clusterSource adapts the round frames into the pipeline's
+// SparseRoundSource and the gate's overload.Planner: each next-round call
+// reports the previous round's settlement, then blocks for the next round
+// frame; Plan serves the coordinator-planned effective budget and mode for
+// the round in flight. On coordinator loss it re-homes to a standby or
+// degrades to orphan mode, transparently to the engine.
 type clusterSource struct {
 	w *Worker
 	m int
@@ -814,15 +814,14 @@ type clusterSource struct {
 	started   bool
 	t0        time.Time
 	cur       *roundMsg
-	dense     []*codec.Packet // NextRound scatter scratch
-	grantEWMA float64         // smoothed granted decode cost (orphan budget)
+	grantEWMA float64 // smoothed granted decode cost (orphan budget)
 	grantSeen bool
 	orphan    *orphanState
 }
 
 // orphanState drives local rounds after the coordinator is lost.
 type orphanState struct {
-	src     pipeline.RoundSource
+	src     pipeline.SparseRoundSource
 	left    int64
 	round   int64 // next local round number
 	bEff    float64
@@ -924,8 +923,9 @@ func (s *clusterSource) enterOrphan() error {
 	w := s.w
 	w.drainStale()
 	clock := s.clock()
+	src := pipeline.Sparse(w.opts.Orphan.Source)
 	for i := int64(0); i < clock; i++ {
-		if err := discardRound(w.opts.Orphan.Source); err != nil {
+		if _, err := src.NextRoundSparse(); err != nil {
 			return fmt.Errorf("cluster: orphan source behind cluster clock %d: %w", clock, err)
 		}
 	}
@@ -939,7 +939,7 @@ func (s *clusterSource) enterOrphan() error {
 		}
 	}
 	s.orphan = &orphanState{
-		src:     w.opts.Orphan.Source,
+		src:     src,
 		left:    w.opts.Orphan.Rounds,
 		round:   clock,
 		bEff:    bEff,
@@ -986,43 +986,18 @@ func (s *clusterSource) orphanNext() (*roundMsg, error) {
 	return msg, nil
 }
 
-// discardRound pulls and drops one round from a local source.
-func discardRound(src pipeline.RoundSource) error {
-	if ss, ok := src.(pipeline.SparseRoundSource); ok {
-		_, err := ss.NextRoundSparse()
-		return err
-	}
-	_, err := src.NextRound()
-	return err
-}
-
 // gatherOwned pulls one round from the local source into msg, keeping only
 // the streams this worker owns (best effort: streams never routed here are
 // unknown and skipped).
-func gatherOwned(src pipeline.RoundSource, owned []bool, msg *roundMsg) error {
-	if ss, ok := src.(pipeline.SparseRoundSource); ok {
-		rnd, err := ss.NextRoundSparse()
-		if err != nil {
-			return err
-		}
-		for k, id := range rnd.IDs {
-			if int(id) < len(owned) && owned[id] {
-				msg.rnd.Append(id, rnd.Pkts[k])
-				t, ok := src.Truth(int(id))
-				msg.truth = append(msg.truth, t)
-				msg.hasT = append(msg.hasT, ok)
-			}
-		}
-		return nil
-	}
-	pkts, err := src.NextRound()
+func gatherOwned(src pipeline.SparseRoundSource, owned []bool, msg *roundMsg) error {
+	rnd, err := src.NextRoundSparse()
 	if err != nil {
 		return err
 	}
-	for i, p := range pkts {
-		if p != nil && i < len(owned) && owned[i] {
-			msg.rnd.Append(int32(i), p)
-			t, ok := src.Truth(i)
+	for k, id := range rnd.IDs {
+		if int(id) < len(owned) && owned[id] {
+			msg.rnd.Append(id, rnd.Pkts[k])
+			t, ok := src.Truth(int(id))
 			msg.truth = append(msg.truth, t)
 			msg.hasT = append(msg.hasT, ok)
 		}
@@ -1040,22 +1015,10 @@ func (s *clusterSource) NextRoundSparse() (*codec.Round, error) {
 	return &msg.rnd, nil
 }
 
-// NextRound implements pipeline.RoundSource: the dense compatibility view,
-// used only when the engine runs with DenseRounds. The O(m) clear is the
-// price of the dense representation itself.
+// NextRound implements pipeline.RoundSource. Nothing pulls a cluster
+// source dense: the engine takes the sparse frame as it arrived.
 func (s *clusterSource) NextRound() ([]*codec.Packet, error) {
-	msg, err := s.next()
-	if err != nil {
-		return nil, err
-	}
-	if s.dense == nil {
-		s.dense = make([]*codec.Packet, s.m)
-	}
-	for i := range s.dense {
-		s.dense[i] = nil
-	}
-	msg.rnd.Scatter(s.dense)
-	return s.dense, nil
+	return nil, errors.New("cluster: round frames are sparse; use NextRoundSparse")
 }
 
 // Truth implements pipeline.RoundSource: ground truth relayed with the
@@ -1071,9 +1034,6 @@ func (s *clusterSource) Truth(i int) (codec.Scene, bool) {
 	}
 	return s.cur.truth[k], true
 }
-
-// NonIdle implements pipeline.RoundLister.
-func (s *clusterSource) NonIdle() []int32 { return s.cur.rnd.IDs }
 
 // Plan implements overload.Planner: the coordinator's reconciler already
 // planned this round's effective budget and degradation mode; the worker

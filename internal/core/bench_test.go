@@ -9,9 +9,9 @@ import (
 
 // The Decide-round benchmarks measure the gating hot loop in isolation:
 // packet rounds are pregenerated so the codec substrate stays off the
-// clock, and feedback reuses one necessary mask. The Reference variants run
-// the same gate with NoFastPath (float64 autodiff forward), which is the
-// pre-fast-path baseline recorded in BENCH_hotpath.json.
+// clock, and feedback reuses one necessary mask. noFast builds the gate on
+// the float64 reference forward, the twin TestFastPathMatchesReferenceDecisions
+// compares against.
 
 func benchGate(tb testing.TB, m int, noFast bool) (*Gate, [][]*codec.Packet) {
 	tb.Helper()
@@ -21,7 +21,7 @@ func benchGate(tb testing.TB, m int, noFast bool) (*Gate, [][]*codec.Packet) {
 	}
 	g, err := NewGate(Config{
 		Streams: m, Budget: float64(m) / 25, Predictor: p,
-		UseTemporal: true, NoFastPath: noFast,
+		UseTemporal: true, noFastPath: noFast,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -42,9 +42,9 @@ func benchGate(tb testing.TB, m int, noFast bool) (*Gate, [][]*codec.Packet) {
 	return g, pre
 }
 
-func benchDecideRound(b *testing.B, m int, noFast bool) {
+func benchDecideRound(b *testing.B, m int) {
 	b.Helper()
-	g, pre := benchGate(b, m, noFast)
+	g, pre := benchGate(b, m, false)
 	var sel []int
 	necessary := make([]bool, m)
 	b.ReportAllocs()
@@ -61,13 +61,9 @@ func benchDecideRound(b *testing.B, m int, noFast bool) {
 	}
 }
 
-func BenchmarkDecideRound64(b *testing.B)   { benchDecideRound(b, 64, false) }
-func BenchmarkDecideRound256(b *testing.B)  { benchDecideRound(b, 256, false) }
-func BenchmarkDecideRound1024(b *testing.B) { benchDecideRound(b, 1024, false) }
-
-func BenchmarkDecideRoundReference64(b *testing.B)   { benchDecideRound(b, 64, true) }
-func BenchmarkDecideRoundReference256(b *testing.B)  { benchDecideRound(b, 256, true) }
-func BenchmarkDecideRoundReference1024(b *testing.B) { benchDecideRound(b, 1024, true) }
+func BenchmarkDecideRound64(b *testing.B)   { benchDecideRound(b, 64) }
+func BenchmarkDecideRound256(b *testing.B)  { benchDecideRound(b, 256) }
+func BenchmarkDecideRound1024(b *testing.B) { benchDecideRound(b, 1024) }
 
 // TestDecideRoundAllocCeiling is the verify-gate smoke bench: after warmup,
 // a steady-state Decide+Feedback round must stay under a small allocs/op

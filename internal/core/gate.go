@@ -9,9 +9,9 @@
 // the streams that delivered a packet (and, for the network forward, only
 // the subset whose feature windows actually changed — the rest replay from
 // the score cache), so a 100k-stream fleet where 1% of windows move per
-// round pays roughly 1% of the dense recompute. Config.NoIncremental turns
-// all of it off and recomputes everything every round; the two paths are
-// bit-identical, which the incremental property tests enforce.
+// round pays roughly 1% of the dense recompute. The package's property tests
+// hold that to a reference gate that recomputes everything every round; the
+// two paths are bit-identical.
 package core
 
 import (
@@ -126,20 +126,18 @@ type Config struct {
 	// redundancy outcomes are known). *trace.Writer streams JSON Lines; a
 	// capture recorder embeds the same records next to the packets.
 	Trace trace.Sink
-	// NoFastPath disables the compiled batched inference fast path and
-	// scores streams through the reference float64 forwardBatch instead.
-	// Decisions are equivalent up to float32 rounding on exact confidence
-	// ties; the knob exists for A/B benchmarking and debugging.
-	NoFastPath bool
-	// NoIncremental disables the churn-scaled machinery: every round
-	// re-runs the predictor forward for every scored stream (no score
-	// cache) and solves the knapsack from a dense per-round item build and
-	// sort, exactly like the pre-incremental gate. Decisions and traces
-	// are bit-identical either way — the incremental property tests use
-	// this knob as their oracle — so the only reason to set it is A/B
-	// benchmarking the incremental machinery itself.
-	NoIncremental bool
 
+	// noFastPath and noIncremental select the gate's reference paths. They
+	// are test hooks, settable only from this package: its twin tests run a
+	// gate on the reference path beside one on the production path and
+	// require the same decisions. noFastPath scores through the float64
+	// forwardBatch instead of the compiled batched forward (equivalent up to
+	// float32 rounding on exact confidence ties); noIncremental re-runs the
+	// forward for every scored stream every round (no score cache) and
+	// solves the knapsack from a dense per-round item build and sort
+	// (bit-identical decisions and traces).
+	noFastPath    bool
+	noIncremental bool
 	// customSelector records whether the caller supplied Selector (set by
 	// withDefaults); such gates keep the dense per-round solve.
 	customSelector bool
@@ -311,22 +309,22 @@ type Gate struct {
 	costs      []float64
 	temporal   []float64
 	bonus      []float64
-	predOut    []float64 // [len(fresh) × tasks] confidences, row-major
-	selOut     []int     // SelectAppend scratch
-	selected   []bool    // all-false between rounds
-	degraded   []bool    // poisoned-window streams scored temporal-only this round
-	shed       []bool    // streams refused admission by the brownout mode this round
-	tasks      int       // predictor head count (0 without a predictor)
+	predOut    []float64               // [len(fresh) × tasks] confidences, row-major
+	selOut     []int                   // SelectAppend scratch
+	selected   []bool                  // all-false between rounds
+	degraded   []bool                  // poisoned-window streams scored temporal-only this round
+	shed       []bool                  // streams refused admission by the brownout mode this round
+	tasks      int                     // predictor head count (0 without a predictor)
 	selApp     knapsack.SelectAppender // non-nil when Selector supports append
 	selSparse  knapsack.SparseSelector // non-nil when Selector supports sparse candidates
 	cands      []knapsack.Candidate    // sparse candidate scratch (active streams only)
 	pktAt      []*codec.Packet         // sparse-round scatter scratch (m-length, nil between rounds)
 
 	// Incremental machinery. ranked is the persistent score-ordered
-	// candidate structure (nil with NoIncremental or a custom Selector);
+	// candidate structure (nil on the reference path or with a custom Selector);
 	// the cache arrays memoize the network confidence per stream, keyed by
 	// (feature epoch, temporal input, weights version). inc gates cache
-	// use: it is false when NoIncremental or without a predictor.
+	// use: it is false on the reference path or without a predictor.
 	ranked       *knapsack.Ranked
 	inc          bool
 	cacheConf    []float64
@@ -400,12 +398,12 @@ func NewGate(cfg Config) (*Gate, error) {
 	}
 	if cfg.Predictor != nil {
 		g.tasks = cfg.Predictor.Config().Tasks
-		if !cfg.NoFastPath {
+		if !cfg.noFastPath {
 			if err := cfg.Predictor.Compile(); err != nil {
 				return nil, fmt.Errorf("core: compiling inference fast path: %w", err)
 			}
 		}
-		g.inc = !cfg.NoIncremental
+		g.inc = !cfg.noIncremental
 		if g.inc {
 			g.cacheConf = make([]float64, cfg.Streams)
 			g.cacheEpoch = make([]uint64, cfg.Streams)
@@ -414,7 +412,7 @@ func NewGate(cfg Config) (*Gate, error) {
 			g.cacheValid = make([]bool, cfg.Streams)
 		}
 	}
-	if !cfg.NoIncremental && !cfg.customSelector {
+	if !cfg.noIncremental && !cfg.customSelector {
 		g.ranked = knapsack.NewRanked(cfg.Streams)
 	}
 	g.selApp, _ = cfg.Selector.(knapsack.SelectAppender)
@@ -740,7 +738,7 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 				g.predOut = make([]float64, len(g.feats)*g.tasks)
 			}
 			preds := g.predOut[:len(g.feats)*g.tasks]
-			if g.cfg.NoFastPath {
+			if g.cfg.noFastPath {
 				for k, row := range g.cfg.Predictor.PredictBatch(g.feats) {
 					copy(preds[k*g.tasks:(k+1)*g.tasks], row)
 				}
@@ -803,7 +801,7 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 	// round, so "moved" is the whole active set and the round is one
 	// radix sort of it (knapsack/order.go), not a comparison sort.
 	// The dense path re-builds and re-sorts everything: it serves custom
-	// Selectors and the NoIncremental oracle. Quarantined and
+	// Selectors and the reference path. Quarantined and
 	// brownout-shed streams are simply never offered (dense: zero-value
 	// items), so their budget flows to the healthy streams.
 	if g.ranked != nil {
@@ -820,7 +818,7 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 			g.ranked.Offer(i, g.conf[i], g.costs[i], tier)
 		}
 		g.selOut = g.ranked.SelectAppend(g.selOut[:0], nt, bEff)
-	} else if g.selSparse != nil && g.tiered == nil && !g.cfg.NoIncremental {
+	} else if g.selSparse != nil && g.tiered == nil && !g.cfg.noIncremental {
 		// Sparse custom selectors (the cluster worker's remote solve) get a
 		// compact candidate list instead of the O(m) dense item build.
 		g.cands = g.cands[:0]

@@ -111,7 +111,7 @@ func boolPtr(b bool) *bool { return &b }
 
 // TestIncrementalMatchesDenseOracle is the tentpole's bit-identity contract:
 // for every configuration, an incremental gate (score cache, ranked
-// selection, lazy breakers, sparse feedback) and a NoIncremental oracle gate
+// selection, lazy breakers, sparse feedback) and a noIncremental oracle gate
 // driven with identical packets, feedback, and overload schedules must
 // produce identical selections every round, identical decision traces,
 // identical lifetime stats, and identical breaker snapshots.
@@ -180,7 +180,7 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 		plan := overload.NewScripted(cfg.Budget)
 		cfg.Trace = sink
 		cfg.Planner = plan
-		cfg.NoIncremental = noInc
+		cfg.noIncremental = noInc
 		g, err := NewGate(cfg)
 		if err != nil {
 			t.Fatalf("NewGate(noInc=%v): %v", noInc, err)

@@ -75,7 +75,6 @@ func Registry() []Experiment {
 		{"tab5", "Tab 5: complementary method comparison", Tab5},
 		{"regret", "Thm 1: online regret growth", Regret},
 		{"pipe", "Staged engine: pipelined vs sequential round throughput", Pipe},
-		{"hotpath", "Gating hot loop: compiled fast path vs reference throughput", Hotpath},
 		{"scale", "Churn-scaled Decide: per-round cost vs fleet size and window churn", Scale},
 		{"lemma1", "Lemma 1: optimizer approximation ratio", Lemma1},
 		{"ablate", "Design-choice ablations beyond the paper's", Ablate},

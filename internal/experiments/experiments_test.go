@@ -15,7 +15,7 @@ func tinyOptions(buf *bytes.Buffer) Options {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig4", "fig9", "tab3", "fig10", "tab4",
-		"fig11", "fig12", "fig13", "fig14", "extreme", "tab5", "regret", "pipe", "hotpath", "scale", "lemma1", "ablate", "chaos", "overload", "replay", "cluster", "failover"}
+		"fig11", "fig12", "fig13", "fig14", "extreme", "tab5", "regret", "pipe", "scale", "lemma1", "ablate", "chaos", "overload", "replay", "cluster", "failover"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))

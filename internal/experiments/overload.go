@@ -427,7 +427,7 @@ func soakOnce(o Options, p soakParams) (soakResult, error) {
 				res.peakMisses++
 			}
 		}
-		if err := g.FeedbackExt(sel, necessary, failed); err != nil {
+		if err := g.FeedbackFull(sel, necessary, failed, nil); err != nil {
 			return soakResult{}, fmt.Errorf("overload: round %d feedback: %w", r, err)
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -39,25 +40,25 @@ const (
 // round above; half the round clock leaves the other half for decoding.
 const scaleExploreCeilingNs = 20e6
 
-// scaleSparseE2ECeilingNs bounds the sparse end-to-end leg at m=100k and 1%
-// activity: the whole engine round within 1% of the round clock. The bound
-// is absolute, not a ratio to the dense leg, because the dense leg allocates
-// 6.4 MB a round and its time is the collector's: 1.2–2.0 ms across runs of
-// one binary, and lower whenever anything else shrinks the heap.
-const scaleSparseE2ECeilingNs = 400e3
+// The end-to-end ceilings at m=100k and 1% activity: the whole engine round
+// within 1% of the round clock, and allocating a small multiple of what the
+// round's 1000 active streams need — not the 6.4 MB a nil-padded m-wide round
+// array would.
+const (
+	scaleE2ECeilingNs         = 400e3
+	scaleE2EAllocCeilingBytes = 64 << 10
+)
 
 // Scale benchmarks the churn-scaled Decide path at fleet sizes up to
 // m=100k: every stream delivers a packet every round, but only a `churn`
 // fraction of the fleet varies its packet sizes — the rest repeat their
 // metadata exactly, so their feature windows freeze and the gate serves
 // them from the score cache instead of re-running the predictor. Per-round
-// cost should therefore track churn, not m; the dense recompute
-// (Config.NoIncremental, same decisions bit-for-bit) pays the full forward
-// regardless. At full scale the experiment asserts the headline acceptance
-// numbers at m=100k in absolute terms — a 1%-churn round fits the 40 ms round
-// clock and a 100%-churn round costs at most scaleFullChurnCeilingNs per
-// changed stream — plus the steady-state allocation ceiling in every cell,
-// and writes BENCH_scale.json. (Absolute, not the 1%-vs-100% ratio: a faster
+// cost should therefore track churn, not m. At full scale the experiment
+// asserts the headline acceptance numbers at m=100k in absolute terms — a
+// 1%-churn round fits the 40 ms round clock and a 100%-churn round costs at
+// most scaleFullChurnCeilingNs per changed stream — plus the steady-state
+// allocation ceiling in every cell, and writes BENCH_scale.json. (Absolute, not the 1%-vs-100% ratio: a faster
 // forward shrinks only the 100% cell, so the ratio falls exactly when the
 // code improves.)
 func Scale(o Options) error {
@@ -150,43 +151,24 @@ func Scale(o Options) error {
 			m, nsByAct[1.00]/nsByAct[0.01])
 	}
 
-	o.printf("\n=== End-to-end pipeline: dense vs sparse round representation (1%% activity) ===\n")
-	o.printf("%-8s %-7s %12s %14s %14s %12s\n", "m", "repr", "ns/round", "alloc B/rd", "mallocs/rd", "decoded")
+	o.printf("\n=== End-to-end pipeline round (1%% activity) ===\n")
+	o.printf("%-8s %12s %14s %14s %12s\n", "m", "ns/round", "alloc B/rd", "mallocs/rd", "decoded")
 	for _, m := range []int{o.scaled(10000, 128), o.scaled(100000, 256)} {
-		var legs [2]scaleE2ECell
-		for li, dense := range []bool{true, false} {
-			cell, err := timeE2ELeg(m, 0.01, dense, o.Seed)
-			if err != nil {
-				return err
-			}
-			legs[li] = cell
-			report.E2E = append(report.E2E, cell)
-			repr := "sparse"
-			if dense {
-				repr = "dense"
-			}
-			o.printf("%-8d %-7s %12.0f %14.0f %14.1f %12d\n",
-				m, repr, cell.NsPerRound, cell.AllocBytesPerRound, cell.MallocsPerRound, cell.Decoded)
+		cell, err := timeE2E(m, 0.01, o.Seed)
+		if err != nil {
+			return err
 		}
-		if legs[0].Decoded != legs[1].Decoded {
-			return fmt.Errorf("scale e2e: m=%d dense decoded %d, sparse %d — representations diverged",
-				m, legs[0].Decoded, legs[1].Decoded)
-		}
-		sp := scaleE2ESpeedup{
-			M:            m,
-			WallSpeedup:  legs[0].NsPerRound / legs[1].NsPerRound,
-			AllocSpeedup: legs[0].AllocBytesPerRound / legs[1].AllocBytesPerRound,
-		}
-		report.E2ESpeedups = append(report.E2ESpeedups, sp)
-		o.printf("%-8d sparse vs dense: %.1fx faster, %.1fx fewer allocated bytes per round\n",
-			m, sp.WallSpeedup, sp.AllocSpeedup)
+		report.E2E = append(report.E2E, cell)
+		o.printf("%-8d %12.0f %14.0f %14.1f %12d\n",
+			m, cell.NsPerRound, cell.AllocBytesPerRound, cell.MallocsPerRound, cell.Decoded)
 		if o.Scale >= 1 && m >= 100000 {
-			if legs[1].NsPerRound > scaleSparseE2ECeilingNs {
-				return fmt.Errorf("scale e2e: m=%d sparse round takes %.0f µs through the engine, ceiling %.0f",
-					m, legs[1].NsPerRound/1e3, scaleSparseE2ECeilingNs/1e3)
+			if cell.NsPerRound > scaleE2ECeilingNs {
+				return fmt.Errorf("scale e2e: m=%d round takes %.0f µs through the engine, ceiling %.0f",
+					m, cell.NsPerRound/1e3, scaleE2ECeilingNs/1e3)
 			}
-			if sp.AllocSpeedup < 10 {
-				return fmt.Errorf("scale e2e: m=%d sparse alloc speedup %.1fx below the 10x acceptance floor", m, sp.AllocSpeedup)
+			if cell.AllocBytesPerRound > scaleE2EAllocCeilingBytes {
+				return fmt.Errorf("scale e2e: m=%d round allocates %.0f bytes, ceiling %d",
+					m, cell.AllocBytesPerRound, scaleE2EAllocCeilingBytes)
 			}
 		}
 	}
@@ -233,26 +215,18 @@ type scaleChurnCost struct {
 type scaleE2ECell struct {
 	M                  int     `json:"m"`
 	Activity           float64 `json:"activity"`
-	Dense              bool    `json:"dense"`
 	NsPerRound         float64 `json:"ns_per_round"`
 	AllocBytesPerRound float64 `json:"alloc_bytes_per_round"`
 	MallocsPerRound    float64 `json:"mallocs_per_round"`
 	Decoded            int64   `json:"decoded"`
 }
 
-type scaleE2ESpeedup struct {
-	M            int     `json:"m"`
-	WallSpeedup  float64 `json:"wall_speedup"`
-	AllocSpeedup float64 `json:"alloc_speedup"`
-}
-
 type scaleReport struct {
-	Meta        BenchMeta         `json:"meta"`
-	Cells       []scaleCell       `json:"cells"`
-	Idle        []scaleCell       `json:"idle_cells"`
-	ChurnCosts  []scaleChurnCost  `json:"churn_costs"`
-	E2E         []scaleE2ECell    `json:"e2e_cells"`
-	E2ESpeedups []scaleE2ESpeedup `json:"e2e_speedups"`
+	Meta       BenchMeta        `json:"meta"`
+	Cells      []scaleCell      `json:"cells"`
+	Idle       []scaleCell      `json:"idle_cells"`
+	ChurnCosts []scaleChurnCost `json:"churn_costs"`
+	E2E        []scaleE2ECell   `json:"e2e_cells"`
 }
 
 // bestScaleCells measures every (m, churn) cell of the sweep, m-major, and
@@ -315,12 +289,11 @@ func timeScaleCell(m int, churn float64, explore bool, seed int64) (scaleCell, e
 
 	// Persistent packet structs: only the churned prefix mutates its size
 	// between rounds, everything else repeats its metadata exactly.
-	pkts := make([]*codec.Packet, m)
-	nonIdle := make([]int32, m)
-	for i := range pkts {
-		pkts[i] = &codec.Packet{StreamID: i, Type: codec.PictureP, Size: 1000 + i%777, GOPSize: 25, GOPIndex: 1}
-		nonIdle[i] = int32(i)
+	rnd := codec.Round{M: m}
+	for i := 0; i < m; i++ {
+		rnd.Append(int32(i), &codec.Packet{StreamID: i, Type: codec.PictureP, Size: 1000 + i%777, GOPSize: 25, GOPIndex: 1})
 	}
+	pkts := rnd.Pkts
 	churned := int(float64(m) * churn)
 	if churned < 1 {
 		churned = 1
@@ -338,7 +311,7 @@ func timeScaleCell(m int, churn float64, explore bool, seed int64) (scaleCell, e
 	oneRound := func() error {
 		mutate()
 		var err error
-		sel, err = g.DecideRoundAppend(pkts, nonIdle, sel[:0])
+		sel, err = g.DecideSparseAppend(&rnd, sel[:0])
 		if err != nil {
 			return err
 		}
@@ -396,10 +369,9 @@ func timeScaleCell(m int, churn float64, explore bool, seed int64) (scaleCell, e
 // timeIdleCell measures one (m, activity) cell of the sparse-fleet sweep:
 // each round only an `activity` slice of the fleet delivers a packet — the
 // window of active streams rotates across the fleet so every stream takes
-// turns — and the rest are idle (no packet, not in nonIdle). The gate
-// promises O(non-idle) rounds when handed the non-idle list; this cell
-// makes the remaining O(m) residue measurable as ns/active versus the
-// dense 100% row.
+// turns — and the rest are idle (not in the round). The gate promises
+// O(active) rounds; this cell makes the remaining O(m) residue measurable as
+// ns/active versus the 100% row.
 func timeIdleCell(m int, activity float64, seed int64) (scaleCell, error) {
 	pcfg := predictor.Config{UseIView: true, UsePView: true, Seed: seed}
 	p, err := predictor.New(pcfg)
@@ -423,46 +395,37 @@ func timeIdleCell(m int, activity float64, seed int64) (scaleCell, error) {
 		return scaleCell{}, err
 	}
 
-	// One persistent packet per stream; the round view holds pool[i] for
-	// the active window and nil everywhere else.
+	// One persistent packet per stream; each round lists the active window.
 	pool := make([]*codec.Packet, m)
 	for i := range pool {
 		pool[i] = &codec.Packet{StreamID: i, Type: codec.PictureP, Size: 1000 + i%777, GOPSize: 25, GOPIndex: 1}
 	}
-	pkts := make([]*codec.Packet, m)
-	nonIdle := make([]int32, 0, active)
+	var rnd codec.Round
 	start := 0
 	lcg := uint64(seed)*6364136223846793005 + 1442695040888963407
+	activate := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			lcg = lcg*6364136223846793005 + 1442695040888963407
+			pool[i].Size = 200 + int(lcg>>40)%60000
+			rnd.Append(int32(i), pool[i])
+		}
+	}
 
 	necessary := make([]bool, m)
 	var sel []int
 	oneRound := func() error {
-		for _, i := range nonIdle {
-			pkts[i] = nil
-		}
-		nonIdle = nonIdle[:0]
 		// Active window [start, start+active) mod m, listed ascending:
 		// the wrapped run first, then the tail run.
+		rnd.Reset(m)
 		if end := start + active - m; end > 0 {
-			for i := 0; i < end; i++ {
-				nonIdle = append(nonIdle, int32(i))
-			}
-			for i := start; i < m; i++ {
-				nonIdle = append(nonIdle, int32(i))
-			}
+			activate(0, end)
+			activate(start, m)
 		} else {
-			for i := start; i < start+active; i++ {
-				nonIdle = append(nonIdle, int32(i))
-			}
-		}
-		for _, i := range nonIdle {
-			lcg = lcg*6364136223846793005 + 1442695040888963407
-			pool[i].Size = 200 + int(lcg>>40)%60000
-			pkts[i] = pool[i]
+			activate(start, start+active)
 		}
 		start = (start + active) % m
 		var err error
-		sel, err = g.DecideRoundAppend(pkts, nonIdle, sel[:0])
+		sel, err = g.DecideSparseAppend(&rnd, sel[:0])
 		if err != nil {
 			return err
 		}
@@ -504,19 +467,14 @@ func timeIdleCell(m int, activity float64, seed int64) (scaleCell, error) {
 	return cell, nil
 }
 
-// e2eSource is the end-to-end leg's synthetic fleet at its sparse steady
+// e2eSource is the end-to-end cell's synthetic fleet at its sparse steady
 // state: a fixed `active` slice of the fleet delivers a packet with frozen
 // metadata every round (so the gate serves it from the score cache) and the
-// rest are idle. The source itself is O(1) per round in both views — the
-// dense nil-padded array and the sparse round are built once — so any O(m)
-// cost a leg observes comes from the engine's round representation, not
-// from the source. Packets are never mutated, making the shared references
-// safe while rounds overlap in the pipelined engine.
-type e2eSource struct {
-	pkts    []*codec.Packet // dense round view (nil-padded)
-	nonIdle []int32
-	round   codec.Round
-}
+// rest are idle. The round is built once, so the source is O(1) per round and
+// everything the cell observes is the engine's. Packets are never mutated,
+// making the shared references safe while rounds overlap in the pipelined
+// engine.
+type e2eSource struct{ round codec.Round }
 
 func newE2ESource(m int, activity float64, seed int64) *e2eSource {
 	active := int(float64(m) * activity)
@@ -534,39 +492,32 @@ func newE2ESource(m int, activity float64, seed int64) *e2eSource {
 			payload = p.Payload
 		}
 	}
-	s := &e2eSource{pkts: make([]*codec.Packet, m)}
+	s := &e2eSource{}
 	s.round.Reset(m)
 	for i := 0; i < active; i++ {
-		p := &codec.Packet{StreamID: i, Type: codec.PictureP, Seq: 1, PTS: 40,
-			Size: 1000 + i%777, GOPSize: 25, GOPIndex: 1, Payload: payload}
-		s.pkts[i] = p
-		s.nonIdle = append(s.nonIdle, int32(i))
-		s.round.Append(int32(i), p)
+		s.round.Append(int32(i), &codec.Packet{StreamID: i, Type: codec.PictureP, Seq: 1, PTS: 40,
+			Size: 1000 + i%777, GOPSize: 25, GOPIndex: 1, Payload: payload})
 	}
 	return s
 }
 
-// NextRound implements pipeline.RoundSource (the dense leg's entry).
-func (s *e2eSource) NextRound() ([]*codec.Packet, error) { return s.pkts, nil }
+// NextRound implements pipeline.RoundSource; the engine pulls this source
+// through NextRoundSparse.
+func (s *e2eSource) NextRound() ([]*codec.Packet, error) {
+	return nil, errors.New("scale: e2e source pulled dense")
+}
 
-// NextRoundSparse implements pipeline.SparseRoundSource (the sparse leg's).
+// NextRoundSparse implements pipeline.SparseRoundSource.
 func (s *e2eSource) NextRoundSparse() (*codec.Round, error) { return &s.round, nil }
 
-// Truth implements pipeline.RoundSource: the perf leg carries no ground
+// Truth implements pipeline.RoundSource: the perf cell carries no ground
 // truth (accuracy is not what it measures).
 func (s *e2eSource) Truth(i int) (codec.Scene, bool) { return codec.Scene{}, false }
 
-// NonIdle implements pipeline.RoundLister.
-func (s *e2eSource) NonIdle() []int32 { return s.nonIdle }
-
-// timeE2ELeg runs the full pipelined engine — producer, gate, decode pool,
-// settle — over the rotating-activity source in one of the two round
-// representations and measures steady-state per-round wall time and heap
-// traffic. The dense leg pins Config.DenseRounds, so the engine pulls
-// nil-padded O(m) rounds and settles with the dense walks; decisions are
-// bit-identical either way (asserted via the decode counters), so the delta
-// is purely the representation.
-func timeE2ELeg(m int, activity float64, dense bool, seed int64) (scaleE2ECell, error) {
+// timeE2E runs the full pipelined engine — producer, gate, decode pool,
+// settle — over the fixed-activity source and measures steady-state
+// per-round wall time and heap traffic.
+func timeE2E(m int, activity float64, seed int64) (scaleE2ECell, error) {
 	pcfg := predictor.Config{UseIView: true, UsePView: true, Seed: seed}
 	p, err := predictor.New(pcfg)
 	if err != nil {
@@ -595,7 +546,6 @@ func timeE2ELeg(m int, activity float64, dense bool, seed int64) (scaleE2ECell, 
 		Workers:     4,
 		MaxInFlight: 2,
 		Pipelined:   true,
-		DenseRounds: dense,
 	})
 	if err != nil {
 		return scaleE2ECell{}, err
@@ -619,7 +569,6 @@ func timeE2ELeg(m int, activity float64, dense bool, seed int64) (scaleE2ECell, 
 	return scaleE2ECell{
 		M:                  m,
 		Activity:           activity,
-		Dense:              dense,
 		NsPerRound:         float64(rep.Elapsed.Nanoseconds()) / float64(rounds),
 		AllocBytesPerRound: float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(rounds),
 		MallocsPerRound:    float64(msAfter.Mallocs-msBefore.Mallocs) / float64(rounds),

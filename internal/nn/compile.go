@@ -39,9 +39,8 @@ const (
 // output rows transposed (see laneLayout) — one layout per op, never both.
 //
 // There is deliberately no int8 variant: a quantized path existed and
-// honestly measured 0.28× the scalar float32 kernels (BENCH_hotpath
-// `int8-vs-f32` before its removal), and it could not have kept the float32
-// decisions bit-for-bit, which the AVX2 float32 kernel does — see DESIGN.md
+// honestly measured 0.28× the scalar float32 kernels before its removal,
+// and it could not have kept the float32 decisions bit-for-bit, which the AVX2 float32 kernel does — see DESIGN.md
 // for the full rationale.
 type compiledOp struct {
 	kind opKind

@@ -46,67 +46,94 @@ type RoundSource interface {
 	Truth(i int) (codec.Scene, bool)
 }
 
-// RoundLister is optionally implemented by sources that know which streams
-// delivered a packet in the round just returned by NextRound: NonIdle
-// returns their indices, strictly ascending, valid until the next NextRound
-// call. Sources assemble rounds stream by stream, so the list costs them
-// nothing extra — and handing it to a churn-scaled gate saves the gate its
-// own O(m) scan, keeping sparse rounds in a large fleet cheap end to end.
-type RoundLister interface {
-	NonIdle() []int32
-}
-
-// SparseRoundSource is optionally implemented by sources that can hand the
-// round over in sparse form — active ids plus packets, no nil padding. The
-// engine prefers it (unless Config.DenseRounds pins the dense oracle path),
-// which makes the whole producer side O(active) per round: a source that
-// knows its activity never materializes the idle streams at all. The
-// returned Round is valid until the next NextRoundSparse call; Truth is
-// still indexed by stream id.
+// SparseRoundSource is implemented by sources that hand the round over in
+// sparse form — active ids plus packets, no nil padding — which makes the
+// whole producer side O(active) per round: a source that knows its activity
+// never materializes the idle streams at all. The returned Round is valid
+// until the next NextRoundSparse call; Truth is still indexed by stream id.
 type SparseRoundSource interface {
 	RoundSource
 	NextRoundSparse() (*codec.Round, error)
 }
 
-// sparseDecider is optionally implemented by gates (a *core.Gate) that
-// accept the round's non-idle list directly.
-type sparseDecider interface {
-	DecideRoundAppend(pkts []*codec.Packet, nonIdle []int32, dst []int) ([]int, error)
-}
-
-// roundDecider is optionally implemented by gates (a *core.Gate) that accept
-// a sparse round directly.
-type roundDecider interface {
-	DecideSparseAppend(r *codec.Round, dst []int) ([]int, error)
-}
-
-// decide routes one round to the gate, handing over the non-idle list when
-// both the source produced one and the gate can consume it.
-func (e *Engine) decide(pkts []*codec.Packet, nonIdle []int32) ([]int, error) {
-	if nonIdle != nil {
-		if sd, ok := e.cfg.Gate.(sparseDecider); ok {
-			return sd.DecideRoundAppend(pkts, nonIdle, nil)
-		}
+// Sparse is the one place a dense round becomes a codec.Round: it returns
+// src itself when src already hands rounds over sparse, and otherwise wraps
+// it so each NextRound slice is gathered into an adapter-owned Round (nil
+// entries are idle streams; the slice length is the round's fleet width M,
+// which the gate checks against its own). Everything downstream of a source
+// — both engines, the cluster coordinator and its workers — pulls rounds
+// through the result and never sees the dense form.
+func Sparse(src RoundSource) SparseRoundSource {
+	if ss, ok := src.(SparseRoundSource); ok {
+		return ss
 	}
-	return e.cfg.Gate.Decide(pkts)
+	return &denseAdapter{RoundSource: src, gather: gather{dense: src}}
 }
 
-// decideSparse routes a sparse round to the gate. Gates without a sparse
-// entry point (baselines) get the round scattered into a persistent dense
-// scratch — correctness for every Decider, O(active) only for gates that
-// understand rounds.
-func (e *Engine) decideSparse(r *codec.Round) ([]int, error) {
-	if rd, ok := e.cfg.Gate.(roundDecider); ok {
+// gather refills its Round from a dense round producer, O(m) per round.
+type gather struct {
+	dense RoundClient
+	round codec.Round
+}
+
+func (g *gather) NextRoundSparse() (*codec.Round, error) {
+	pkts, err := g.dense.NextRound()
+	if err != nil {
+		return nil, err
+	}
+	g.round.FromDense(pkts)
+	return &g.round, nil
+}
+
+// denseAdapter is a dense-only RoundSource seen through a gather.
+type denseAdapter struct {
+	RoundSource
+	gather
+}
+
+// release drops a consumed round's packet references when the round is the
+// adapter's own storage, so a dense source's last round is not kept alive by
+// the engine while it waits — on a blocking source, or between Run calls. A
+// round handed over by a sparse source is the source's to manage.
+func (e *Engine) release(rnd *codec.Round) {
+	if _, own := e.src.(*denseAdapter); own {
+		rnd.Reset(rnd.M)
+	}
+}
+
+// decide routes a round to the gate. A gate may upgrade the Decider protocol
+// in exactly two ways — DecideSparseAppend here and FeedbackFull in feedback
+// — and both are looked up on the Config.Gate interface value, so a wrapper
+// embedding a *core.Gate sees every call. Plain Deciders (the baselines) get
+// the round scattered into a persistent dense scratch: correct for every
+// Decider, O(active) only for gates that understand rounds.
+func (e *Engine) decide(r *codec.Round) ([]int, error) {
+	if rd, ok := e.cfg.Gate.(interface {
+		DecideSparseAppend(*codec.Round, []int) ([]int, error)
+	}); ok {
 		return rd.DecideSparseAppend(r, nil)
 	}
-	if cap(e.scatter) < r.M {
+	if len(e.scatter) < r.M {
 		e.scatter = make([]*codec.Packet, r.M)
 	}
 	dense := e.scatter[:r.M]
 	r.Scatter(dense)
-	sel, err := e.decide(dense, r.IDs)
+	sel, err := e.cfg.Gate.Decide(dense)
 	r.ClearScatter(dense)
 	return sel, err
+}
+
+// feedback routes a settled round's ack to the gate: FeedbackFull carries
+// the decode-failure and deadline-deferral masks (nil = none) to a gate that
+// understands them; a plain Decider gets the paper's Feedback, where failed
+// slots read as necessary and deferred slots as redundant.
+func feedback(g core.Decider, a roundAck) error {
+	if full, ok := g.(interface {
+		FeedbackFull([]int, []bool, []bool, []bool) error
+	}); ok {
+		return full.FeedbackFull(a.sel, a.necessary, a.failed, a.deferred)
+	}
+	return g.Feedback(a.sel, a.necessary)
 }
 
 // Config parameterizes an Engine.
@@ -157,13 +184,6 @@ type Config struct {
 	MaxInFlight int
 	// Pipelined selects the concurrent staged engine.
 	Pipelined bool
-	// DenseRounds disables the sparse round path: even when the Source
-	// implements SparseRoundSource, rounds are pulled dense (nil-padded
-	// m-length arrays) and settled with the dense O(m) walks, exactly like
-	// the pre-sparse engine. Decisions are bit-identical either way — the
-	// sparse property tests use this knob as their oracle — so the only
-	// reason to set it is A/B benchmarking the representation itself.
-	DenseRounds bool
 	// FreshFeedback (pipelined only) applies each round's redundancy
 	// feedback the moment the round completes, instead of deferring it to
 	// the gate stage's deterministic lag-k schedule. Decisions become
@@ -231,28 +251,29 @@ type Report struct {
 // Engine runs the pipeline.
 type Engine struct {
 	cfg      Config
+	src      SparseRoundSource // cfg.Source through the Sparse adapter
 	fleet    *infer.Fleet
 	sawTruth bool
 
 	stop      chan struct{}
 	closeOnce sync.Once
 
-	// selMask is settleRound scratch (settles are serial in both engines).
-	// The sparse settle path keeps it all-false between rounds (set and
-	// cleared per selection) so it never pays an O(m) wipe.
+	// selMask is settle scratch (settles are serial in both engines), one
+	// entry per stream of the fleet. It is all-false between rounds — set and
+	// cleared per selection — so settling never pays an O(m) wipe.
 	selMask []bool
-	// scatter is decideSparse's dense scratch for gates without a sparse
-	// entry point (all-nil between rounds).
+	// scatter is decide's dense scratch for gates without a sparse entry
+	// point (all-nil between rounds).
 	scatter []*codec.Packet
-	// freeMasks recycles per-round necessary masks between settleRound and
-	// the feedback release sites, which may run on different goroutines in
-	// the pipelined engine.
+	// freeMasks recycles per-round necessary masks between settle and the
+	// feedback release sites, which may run on different goroutines in the
+	// pipelined engine.
 	maskMu    sync.Mutex
 	freeMasks [][]bool
 
-	// rwMu guards the pipelined engine's roundWork free list: sparse rounds
-	// recycle their id/packet/truth/frame buffers through it, so a
-	// steady-state in-flight round allocates O(active), not O(m).
+	// rwMu guards the roundWork free list: every round's id/packet/truth/
+	// frame buffers recycle through it, so a steady-state round allocates
+	// nothing of its own.
 	rwMu   sync.Mutex
 	rwFree []*roundWork
 }
@@ -315,7 +336,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Deadline > 0 && !cfg.Pipelined {
 		return nil, errors.New("pipeline: Deadline requires Pipelined (the sequential engine settles rounds synchronously)")
 	}
-	return &Engine{cfg: cfg, stop: make(chan struct{})}, nil
+	return &Engine{cfg: cfg, src: Sparse(cfg.Source), stop: make(chan struct{})}, nil
 }
 
 // Close asks a running engine to stop at the next round boundary. Run then
@@ -374,33 +395,6 @@ func (e *Engine) newDecoder() decode.PacketDecoder {
 	return d
 }
 
-// feedbackExt routes a settled round's ack to the gate, carrying the decode
-// failure mask when the gate understands it (a fault-aware *core.Gate);
-// baselines fall back to the plain Feedback protocol.
-func feedbackExt(g core.Decider, sel []int, necessary, failed []bool) error {
-	if ext, ok := g.(interface {
-		FeedbackExt([]int, []bool, []bool) error
-	}); ok {
-		return ext.FeedbackExt(sel, necessary, failed)
-	}
-	return g.Feedback(sel, necessary)
-}
-
-// feedbackFull is feedbackExt carrying deadline-abort deferral flags when
-// present: an overload-aware gate keeps deferred slots out of its learned
-// state; older gates degrade to the failure/plain protocols (deferred slots
-// then carry necessary=false, which is the pre-overload behavior).
-func feedbackFull(g core.Decider, sel []int, necessary, failed, deferred []bool) error {
-	if deferred != nil {
-		if full, ok := g.(interface {
-			FeedbackFull([]int, []bool, []bool, []bool) error
-		}); ok {
-			return full.FeedbackFull(sel, necessary, failed, deferred)
-		}
-	}
-	return feedbackExt(g, sel, necessary, failed)
-}
-
 // newFleet builds the per-stream inference monitors for m streams.
 func (e *Engine) newFleet(m int) *infer.Fleet {
 	if len(e.cfg.Tasks) > 0 {
@@ -444,14 +438,6 @@ func (e *Engine) Run(maxRounds int) (Report, error) {
 	return rep, err
 }
 
-// pendingAck is one settled round whose feedback the lag schedule has not
-// yet released to the gate.
-type pendingAck struct {
-	sel       []int
-	necessary []bool
-	failed    []bool
-}
-
 // runSequential executes rounds one at a time in the calling goroutine,
 // deferring each round's feedback by the lag k. It is the reference
 // implementation of the engine's decision semantics.
@@ -462,17 +448,17 @@ func (e *Engine) runSequential(maxRounds int) (Report, error) {
 	k := e.cfg.MaxInFlight
 	// Round-scoped scratch, reused across rounds: the ack FIFO (ring via
 	// head index), the decode result slices, and the worker semaphore.
-	var acks []pendingAck
+	var acks []roundAck
 	ackHead := 0
 	release := func() error {
 		a := acks[ackHead]
-		acks[ackHead] = pendingAck{}
+		acks[ackHead] = roundAck{}
 		ackHead++
 		if ackHead == len(acks) {
 			acks = acks[:0]
 			ackHead = 0
 		}
-		if err := feedbackExt(e.cfg.Gate, a.sel, a.necessary, a.failed); err != nil {
+		if err := feedback(e.cfg.Gate, a); err != nil {
 			return fmt.Errorf("pipeline: feedback: %w", err)
 		}
 		e.putMask(a.necessary)
@@ -481,35 +467,24 @@ func (e *Engine) runSequential(maxRounds int) (Report, error) {
 	var frames []decode.Frame
 	var errs []error
 	sem := make(chan struct{}, e.cfg.Workers)
-	sparseSrc, _ := e.cfg.Source.(SparseRoundSource)
-	if e.cfg.DenseRounds {
-		sparseSrc = nil
-	}
 
 	for rounds := 0; maxRounds == 0 || rounds < maxRounds; rounds++ {
 		if e.closed() {
 			break
 		}
 		// Release feedback due under the lag schedule: Decide(t) must
-		// observe rounds 0..t−k. This runs before NextRound so a blocking
-		// source (a cluster worker awaiting its round frame) blocks with
-		// the gate quiescent — no pending feedback — which is what lets
-		// stream state migrate between rounds. The decisions are
-		// unchanged: NextRound never touches the gate, so Decide(t) sees
-		// exactly the same released set either side of it.
+		// observe rounds 0..t−k. This runs before the source is pulled so a
+		// blocking source (a cluster worker awaiting its round frame) blocks
+		// with the gate quiescent — no pending feedback — which is what lets
+		// stream state migrate between rounds. The decisions are unchanged:
+		// the source never touches the gate, so Decide(t) sees exactly the
+		// same released set either side of it.
 		for len(acks)-ackHead >= k {
 			if err := release(); err != nil {
 				return rep, err
 			}
 		}
-		var pkts []*codec.Packet
-		var rnd *codec.Round
-		var err error
-		if sparseSrc != nil {
-			rnd, err = sparseSrc.NextRoundSparse()
-		} else {
-			pkts, err = e.cfg.Source.NextRound()
-		}
+		rnd, err := e.src.NextRoundSparse()
 		if err == io.EOF {
 			break
 		}
@@ -517,27 +492,12 @@ func (e *Engine) runSequential(maxRounds int) (Report, error) {
 			return rep, fmt.Errorf("pipeline: source: %w", err)
 		}
 		if e.fleet == nil {
-			if rnd != nil {
-				e.fleet = e.newFleet(rnd.M)
-			} else {
-				e.fleet = e.newFleet(len(pkts))
-			}
+			e.fleet = e.newFleet(rnd.M)
 		}
 
-		var nonIdle []int32
-		if rnd == nil {
-			if rl, ok := e.cfg.Source.(RoundLister); ok {
-				nonIdle = rl.NonIdle()
-			}
-		}
 		metrics.StageEnter(e.cfg.Stages.GateStage())
 		t0 := time.Now()
-		var sel []int
-		if rnd != nil {
-			sel, err = e.decideSparse(rnd)
-		} else {
-			sel, err = e.decide(pkts, nonIdle)
-		}
+		sel, err := e.decide(rnd)
 		metrics.StageExit(e.cfg.Stages.GateStage(), time.Since(t0).Nanoseconds())
 		if err != nil {
 			return rep, fmt.Errorf("pipeline: gate: %w", err)
@@ -561,19 +521,13 @@ func (e *Engine) runSequential(maxRounds int) (Report, error) {
 		}
 		var wg sync.WaitGroup
 		for k, i := range sel {
-			var p *codec.Packet
-			if rnd != nil {
-				p = rnd.Get(int32(i))
-			} else {
-				p = pkts[i]
-			}
 			wg.Add(1)
 			go func(k int, p *codec.Packet) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
 				frames[k], errs[k] = decoder.Decode(p)
-			}(k, p)
+			}(k, rnd.Get(int32(i)))
 		}
 		wg.Wait()
 		metrics.StageExit(e.cfg.Stages.DecodeStage(), time.Since(t1).Nanoseconds())
@@ -588,16 +542,14 @@ func (e *Engine) runSequential(maxRounds int) (Report, error) {
 		}
 
 		// Filter + inference + accounting, sequential (cheap relative to
-		// decode; the fleet monitors are not concurrency-safe).
+		// decode; the fleet monitors are not concurrency-safe). The source
+		// has not been pulled again, so the round and its truth are read in
+		// place.
 		metrics.StageEnter(e.cfg.Stages.InferStage())
 		t2 := time.Now()
-		var necessary []bool
-		if rnd != nil {
-			necessary = e.settleRoundSparse(&rep, rnd.IDs, rnd.Pkts, nil, sel, frames, failed, nil, e.cfg.Source.Truth)
-		} else {
-			necessary = e.settleRound(&rep, pkts, sel, frames, failed, nil, e.cfg.Source.Truth)
-		}
+		necessary := e.settle(&rep, rnd.M, rnd.IDs, rnd.Pkts, nil, sel, frames, failed, nil, e.src.Truth)
 		metrics.StageExit(e.cfg.Stages.InferStage(), time.Since(t2).Nanoseconds())
+		e.release(rnd)
 		if e.cfg.Governor != nil {
 			// Sequential rounds never queue: depth is the feedback backlog,
 			// latency spans gate entry through settle.
@@ -606,12 +558,12 @@ func (e *Engine) runSequential(maxRounds int) (Report, error) {
 		if ackHead > 0 && len(acks) == cap(acks) {
 			n := copy(acks, acks[ackHead:])
 			for j := n; j < len(acks); j++ {
-				acks[j] = pendingAck{}
+				acks[j] = roundAck{}
 			}
 			acks = acks[:n]
 			ackHead = 0
 		}
-		acks = append(acks, pendingAck{sel: sel, necessary: necessary, failed: failed})
+		acks = append(acks, roundAck{sel: sel, necessary: necessary, failed: failed})
 	}
 	for len(acks)-ackHead > 0 {
 		if err := release(); err != nil {
@@ -621,12 +573,13 @@ func (e *Engine) runSequential(maxRounds int) (Report, error) {
 	return rep, nil
 }
 
-// settleRound applies the frame filter, inference, and report accounting
-// for one decoded round. frames[k] holds the decoded frame for stream
-// sel[k]; failed[k] (nil = none) marks selections whose decode never
-// produced a frame; deferred[k] (nil = none) marks selections abandoned by
-// a round deadline; truth reads the (possibly captured) ground truth for a
-// stream. It returns the per-selection redundancy feedback.
+// settle applies the frame filter, inference, and report accounting for one
+// decoded round of fleet width m: ids and pkts are the round's active
+// streams, frames[k] holds the decoded frame for stream sel[k]; failed[k]
+// (nil = none) marks selections whose decode never produced a frame;
+// deferred[k] (nil = none) marks selections abandoned by a round deadline;
+// truth reads the (possibly captured) ground truth for a stream. It returns
+// the per-selection redundancy feedback.
 //
 // Failed selections settle conservatively: the budget was spent but no
 // content was seen, so the slot reports necessary feedback (the gate must
@@ -636,64 +589,25 @@ func (e *Engine) runSequential(maxRounds int) (Report, error) {
 // verdict at all — the gate keeps them out of its learned state — and are
 // excluded from the Decoded count (nothing was decoded).
 //
+// The skipped-stream walk visits only the round's active ids and the
+// selection mask is set and cleared per selection, so settling costs
+// O(active), not O(m). Non-selected actives read their captured truth
+// positionally from truths, parallel to ids, instead of re-searching the id
+// list per stream; the sequential engine settles straight from the source
+// (truths == nil) and reads truth by id.
+//
 // The returned mask comes from the engine's recycler; the feedback release
 // site hands it back via putMask once the gate has consumed it.
-func (e *Engine) settleRound(rep *Report, pkts []*codec.Packet, sel []int, frames []decode.Frame, failed, deferred []bool, truth func(int) (codec.Scene, bool)) []bool {
+func (e *Engine) settle(rep *Report, m int, ids []int32, pkts []*codec.Packet, truths []truthVal, sel []int, frames []decode.Frame, failed, deferred []bool, truth func(int) (codec.Scene, bool)) []bool {
 	necessary := e.getMask(len(sel))
-	if cap(e.selMask) < len(pkts) {
-		e.selMask = make([]bool, len(pkts))
+	if len(e.selMask) < m {
+		e.selMask = make([]bool, m)
 	}
-	isSel := e.selMask[:len(pkts)]
-	for i := range isSel {
-		isSel[i] = false
-	}
+	isSel := e.selMask
 	for _, i := range sel {
 		isSel[i] = true
 	}
 	aborted := e.settleSelected(rep, necessary, sel, frames, failed, deferred, truth)
-	for i, p := range pkts {
-		if p == nil || isSel[i] {
-			continue
-		}
-		if t, ok := truth(i); ok {
-			e.sawTruth = true
-			e.fleet.Stream(i).ObserveSkipped(t)
-		}
-		rep.Packets++
-	}
-	rep.Packets += int64(len(sel))
-	rep.Decoded += int64(len(sel)) - aborted
-	rep.DeadlineAborted += aborted
-	e.cfg.Overload.AddAborted(aborted)
-	rep.Rounds++
-	return necessary
-}
-
-// settleRoundSparse is settleRound for a sparse round (ids + parallel
-// packets): the skipped-stream walk visits only the round's active ids and
-// the selection mask is set and cleared per selection, so settling costs
-// O(active) instead of O(m). Identical accounting, identical feedback.
-func (e *Engine) settleRoundSparse(rep *Report, ids []int32, pkts []*codec.Packet, truths []truthVal, sel []int, frames []decode.Frame, failed, deferred []bool, truth func(int) (codec.Scene, bool)) []bool {
-	necessary := e.getMask(len(sel))
-	m := 0
-	if n := len(ids); n > 0 {
-		m = int(ids[n-1]) + 1
-	}
-	if cap(e.selMask) < m {
-		grown := make([]bool, m)
-		e.selMask = grown
-	}
-	// selMask is all-false between rounds: set exactly the selections, clear
-	// them again below.
-	isSel := e.selMask[:cap(e.selMask)]
-	for _, i := range sel {
-		isSel[i] = true
-	}
-	aborted := e.settleSelected(rep, necessary, sel, frames, failed, deferred, truth)
-	// Non-selected actives read their captured truth positionally — the
-	// parallel truths slice — instead of re-searching the id list per
-	// stream. The sequential engine settles straight from the source
-	// (truths == nil) and falls back to the by-id lookup.
 	for k, id := range ids {
 		if pkts[k] == nil || isSel[id] {
 			continue
@@ -722,9 +636,7 @@ func (e *Engine) settleRoundSparse(rep *Report, ids []int32, pkts []*codec.Packe
 }
 
 // settleSelected settles the selected slots of one round — deferred, failed,
-// filtered, or inferred — filling the per-selection feedback mask. Shared by
-// the dense and sparse settle paths; it never touches the round's packet
-// array.
+// filtered, or inferred — filling the per-selection feedback mask.
 func (e *Engine) settleSelected(rep *Report, necessary []bool, sel []int, frames []decode.Frame, failed, deferred []bool, truth func(int) (codec.Scene, bool)) int64 {
 	var aborted int64
 	for k, i := range sel {

@@ -16,7 +16,6 @@ type LocalSource struct {
 	done    int
 	pkts    []*codec.Packet
 	truth   []codec.Scene
-	nonIdle []int32
 	round   codec.Round
 }
 
@@ -35,13 +34,9 @@ func (s *LocalSource) NextRound() ([]*codec.Packet, error) {
 	if s.rounds > 0 && s.done >= s.rounds {
 		return nil, io.EOF
 	}
-	s.nonIdle = s.nonIdle[:0]
 	for i, st := range s.streams {
 		s.pkts[i] = st.Next()
 		s.truth[i] = st.LastScene
-		if s.pkts[i] != nil {
-			s.nonIdle = append(s.nonIdle, int32(i))
-		}
 	}
 	s.done++
 	return s.pkts, nil
@@ -67,9 +62,6 @@ func (s *LocalSource) NextRoundSparse() (*codec.Round, error) {
 // Truth implements RoundSource.
 func (s *LocalSource) Truth(i int) (codec.Scene, bool) { return s.truth[i], true }
 
-// NonIdle implements RoundLister.
-func (s *LocalSource) NonIdle() []int32 { return s.nonIdle }
-
 // Camera is a one-packet-per-round feed. *codec.Stream satisfies it, as do
 // fault-injecting wrappers.
 type Camera interface {
@@ -87,13 +79,12 @@ type CameraTruth interface {
 // CameraTruth contribute ground truth for accuracy accounting; a camera may
 // return nil from Next (an idle or stalled round).
 type CameraSource struct {
-	cams    []Camera
-	rounds  int
-	done    int
-	pkts    []*codec.Packet
-	truth   []truthVal
-	nonIdle []int32
-	round   codec.Round
+	cams   []Camera
+	rounds int
+	done   int
+	pkts   []*codec.Packet
+	truth  []truthVal
+	round  codec.Round
 }
 
 // NewCameraSource wraps a camera fleet; rounds caps the run (0 = unlimited).
@@ -111,16 +102,12 @@ func (s *CameraSource) NextRound() ([]*codec.Packet, error) {
 	if s.rounds > 0 && s.done >= s.rounds {
 		return nil, io.EOF
 	}
-	s.nonIdle = s.nonIdle[:0]
 	for i, cam := range s.cams {
 		s.pkts[i] = cam.Next()
 		s.truth[i] = truthVal{}
 		if ct, ok := cam.(CameraTruth); ok {
 			sc, tok := ct.Truth()
 			s.truth[i] = truthVal{scene: sc, ok: tok}
-		}
-		if s.pkts[i] != nil {
-			s.nonIdle = append(s.nonIdle, int32(i))
 		}
 	}
 	s.done++
@@ -153,9 +140,6 @@ func (s *CameraSource) Truth(i int) (codec.Scene, bool) {
 	return s.truth[i].scene, s.truth[i].ok
 }
 
-// NonIdle implements RoundLister.
-func (s *CameraSource) NonIdle() []int32 { return s.nonIdle }
-
 // RoundClient yields PGSP rounds: *stream.Client satisfies it, as does the
 // reconnecting *stream.Resilient.
 type RoundClient interface {
@@ -172,29 +156,25 @@ type SparseRoundClient interface {
 // available over the network.
 type NetSource struct {
 	client RoundClient
-	round  codec.Round
+	sparse SparseRoundClient
 }
 
-// NewNetSource wraps a connected PGSP client.
-func NewNetSource(c RoundClient) *NetSource { return &NetSource{client: c} }
+// NewNetSource wraps a connected PGSP client. Clients speaking the sparse
+// wire format pass rounds through in O(active); plain clients go through
+// the same dense gather Sparse applies to plain sources.
+func NewNetSource(c RoundClient) *NetSource {
+	sparse, ok := c.(SparseRoundClient)
+	if !ok {
+		sparse = &gather{dense: c}
+	}
+	return &NetSource{client: c, sparse: sparse}
+}
 
 // NextRound implements RoundSource.
 func (s *NetSource) NextRound() ([]*codec.Packet, error) { return s.client.NextRound() }
 
-// NextRoundSparse implements SparseRoundSource: clients speaking the sparse
-// wire format pass rounds through in O(active); plain clients gather a
-// dense round and compact it here.
-func (s *NetSource) NextRoundSparse() (*codec.Round, error) {
-	if sc, ok := s.client.(SparseRoundClient); ok {
-		return sc.NextRoundSparse()
-	}
-	pkts, err := s.client.NextRound()
-	if err != nil {
-		return nil, err
-	}
-	s.round.FromDense(pkts)
-	return &s.round, nil
-}
+// NextRoundSparse implements SparseRoundSource.
+func (s *NetSource) NextRoundSparse() (*codec.Round, error) { return s.sparse.NextRoundSparse() }
 
 // Truth implements RoundSource: network sources have none.
 func (s *NetSource) Truth(i int) (codec.Scene, bool) { return codec.Scene{}, false }
@@ -205,7 +185,6 @@ type FileSource struct {
 	readers []*container.Reader
 	pkts    []*codec.Packet
 	eof     []bool
-	nonIdle []int32
 	round   codec.Round
 }
 
@@ -225,7 +204,6 @@ func NewFileSource(readers []*container.Reader) (*FileSource, error) {
 // NextRound implements RoundSource.
 func (s *FileSource) NextRound() ([]*codec.Packet, error) {
 	alive := false
-	s.nonIdle = s.nonIdle[:0]
 	for i, r := range s.readers {
 		s.pkts[i] = nil
 		if s.eof[i] {
@@ -241,7 +219,6 @@ func (s *FileSource) NextRound() ([]*codec.Packet, error) {
 		}
 		p.StreamID = i
 		s.pkts[i] = p
-		s.nonIdle = append(s.nonIdle, int32(i))
 		alive = true
 	}
 	if !alive {
@@ -278,6 +255,3 @@ func (s *FileSource) NextRoundSparse() (*codec.Round, error) {
 
 // Truth implements RoundSource: container files carry no side-channel truth.
 func (s *FileSource) Truth(i int) (codec.Scene, bool) { return codec.Scene{}, false }
-
-// NonIdle implements RoundLister.
-func (s *FileSource) NonIdle() []int32 { return s.nonIdle }

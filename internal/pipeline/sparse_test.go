@@ -50,9 +50,13 @@ func mkChurnFleet(m int, seed int64, idlePct uint64) []Camera {
 	return cams
 }
 
-// runChurn runs one engine over a seeded churn fleet. dense forces the
-// DenseRounds oracle knob — the byte-for-byte pre-sparse code path — so any
-// divergence from a dense=false twin is a sparse-representation bug.
+// denseOnly hides a source's NextRoundSparse: the engine sees a plain
+// RoundSource and pulls it through the Sparse adapter's dense gather.
+type denseOnly struct{ RoundSource }
+
+// runChurn runs one engine over a seeded churn fleet. dense hands the source
+// over as a dense-only RoundSource, so any divergence from a dense=false
+// twin is a bug in the adapter or in the source's own sparse rounds.
 func runChurn(t *testing.T, dense, pipelined bool, k, workers, m, rounds int, budget float64, seed int64, idlePct uint64) ([][]int, Report, core.Stats) {
 	t.Helper()
 	g, err := core.NewGate(core.Config{Streams: m, Budget: budget, UseTemporal: true})
@@ -60,14 +64,17 @@ func runChurn(t *testing.T, dense, pipelined bool, k, workers, m, rounds int, bu
 		t.Fatal(err)
 	}
 	var decisions [][]int
+	var src RoundSource = NewCameraSource(mkChurnFleet(m, seed, idlePct), rounds)
+	if dense {
+		src = denseOnly{src}
+	}
 	eng, err := New(Config{
-		Source:      NewCameraSource(mkChurnFleet(m, seed, idlePct), rounds),
+		Source:      src,
 		Gate:        g,
 		Task:        infer.PersonCounting{},
 		Workers:     workers,
 		MaxInFlight: k,
 		Pipelined:   pipelined,
-		DenseRounds: dense,
 		OnRound: func(round int64, sel []int) {
 			if int64(len(decisions)) != round {
 				t.Errorf("OnRound out of order: round %d after %d rounds", round, len(decisions))
@@ -85,11 +92,12 @@ func runChurn(t *testing.T, dense, pipelined bool, k, workers, m, rounds int, bu
 	return decisions, rep, g.Stats()
 }
 
-// TestSparseRoundsMatchDense is the sparse-representation property test:
+// TestSparseRoundsMatchDense is the round-representation property test:
 // across randomized activity levels (including heavy idleness and fully
-// dense rounds) and both engine modes, the sparse round path must be
-// bit-identical to the DenseRounds oracle — same per-round decode sets,
-// same report counters, same gate statistics.
+// dense rounds), both engine modes and lags 1 and 3, a source's own sparse
+// rounds must be bit-identical to the same source pulled dense through the
+// adapter — same per-round decode sets, same report counters, same gate
+// statistics.
 func TestSparseRoundsMatchDense(t *testing.T) {
 	cases := []struct {
 		pipelined bool
@@ -98,7 +106,7 @@ func TestSparseRoundsMatchDense(t *testing.T) {
 		seed      int64
 	}{
 		{pipelined: false, k: 1, idlePct: 0, seed: 101},
-		{pipelined: false, k: 2, idlePct: 35, seed: 102},
+		{pipelined: false, k: 3, idlePct: 35, seed: 102},
 		{pipelined: false, k: 1, idlePct: 90, seed: 103},
 		{pipelined: true, k: 1, idlePct: 35, seed: 104},
 		{pipelined: true, k: 3, idlePct: 60, seed: 105},
@@ -111,7 +119,7 @@ func TestSparseRoundsMatchDense(t *testing.T) {
 			selD, repD, stD := runChurn(t, true, tc.pipelined, tc.k, 6, m, rounds, 8, tc.seed, tc.idlePct)
 			selS, repS, stS := runChurn(t, false, tc.pipelined, tc.k, 6, m, rounds, 8, tc.seed, tc.idlePct)
 			if repD.Rounds != int64(rounds) {
-				t.Fatalf("dense oracle ran %d rounds, want %d", repD.Rounds, rounds)
+				t.Fatalf("dense-only source ran %d rounds, want %d", repD.Rounds, rounds)
 			}
 			compareRuns(t, name, selD, selS, repD, repS, stD, stS)
 		})
@@ -119,9 +127,8 @@ func TestSparseRoundsMatchDense(t *testing.T) {
 }
 
 // TestSparsePipelinedMatchesSparseSequential closes the square: with both
-// twins on the sparse path, the pipelined engine at lag k must still match
-// the sequential engine at the same lag (the pre-sparse determinism
-// guarantee carries over to recycled roundWorks).
+// twins on the source's own sparse rounds, the pipelined engine at lag k
+// must still match the sequential engine at the same lag.
 func TestSparsePipelinedMatchesSparseSequential(t *testing.T) {
 	const m, rounds = 20, 120
 	for _, k := range []int{1, 3} {
@@ -134,9 +141,9 @@ func TestSparsePipelinedMatchesSparseSequential(t *testing.T) {
 	}
 }
 
-// TestSparseLocalAndFileSources smoke-tests the remaining SparseRoundSource
-// implementations end to end: a LocalSource fleet (never idle) must settle
-// every packet, matching its dense twin exactly.
+// TestSparseLocalSourceMatchesDense runs a LocalSource fleet (never idle)
+// end to end: it must settle every packet, matching its dense-only twin
+// exactly.
 func TestSparseLocalSourceMatchesDense(t *testing.T) {
 	const m, rounds = 12, 100
 	run := func(dense bool) ([][]int, Report, core.Stats) {
@@ -145,12 +152,15 @@ func TestSparseLocalSourceMatchesDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		var decisions [][]int
+		var src RoundSource = NewLocalSource(mkFleet(m, 55), rounds)
+		if dense {
+			src = denseOnly{src}
+		}
 		eng, err := New(Config{
-			Source:      NewLocalSource(mkFleet(m, 55), rounds),
-			Gate:        g,
-			Task:        infer.PersonCounting{},
-			DenseRounds: dense,
-			OnRound:     func(_ int64, sel []int) { decisions = append(decisions, sel) },
+			Source:  src,
+			Gate:    g,
+			Task:    infer.PersonCounting{},
+			OnRound: func(_ int64, sel []int) { decisions = append(decisions, sel) },
 		})
 		if err != nil {
 			t.Fatal(err)

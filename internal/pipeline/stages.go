@@ -15,7 +15,7 @@ import (
 // The pipelined engine splits a round's lifecycle across three actors:
 //
 //	gate loop (caller's goroutine)
-//	    NextRound → Decide → publish roundWork → submit decode jobs,
+//	    pull round → Decide → publish roundWork → submit decode jobs,
 //	    and apply due feedback under the lag-k schedule;
 //	decode pool (Workers goroutines)
 //	    decode tagged jobs, emit completions in any order;
@@ -45,45 +45,37 @@ type truthVal struct {
 	ok    bool
 }
 
-// roundWork is one in-flight round: the gate's decision plus everything the
-// collector needs to settle it. cancel is non-nil only under a round
+// roundWork is one in-flight round: the active id list with packets and
+// gate-time truth packed parallel to it, the gate's decision, and the
+// settle-time frames scratch. The gate loop copies the source's Round into
+// one (the source reuses its storage each round) and the collector recycles
+// it through the engine's free list — ids, pkts, truth and frames all reach
+// steady-state capacity — so an in-flight round costs O(active), not O(m),
+// and allocates nothing of its own. cancel is non-nil only under a round
 // deadline: the collector sets it when the round is abandoned, and queued
 // decode jobs carrying it short-circuit with decode.ErrAborted.
-//
-// Two representations share the struct: dense rounds (ids == nil) index
-// pkts/truth by stream id, exactly the pre-sparse layout; sparse rounds
-// carry the active id list with pkts/truth packed parallel to it. Sparse
-// roundWorks recycle through the engine's free list — ids, pkts, truth, and
-// the settle-time frames scratch all reach steady-state capacity — so an
-// in-flight round costs O(active) allocations, not O(m).
 type roundWork struct {
 	round    int64
-	m        int     // fleet width the round was drawn from
-	ids      []int32 // nil = dense round
+	m        int // fleet width the round was drawn from
+	ids      []int32
 	pkts     []*codec.Packet
 	truth    []truthVal
-	frames   []decode.Frame // sparse settle scratch (collector-owned)
+	frames   []decode.Frame // settle scratch (collector-owned)
 	sel      []int
 	enqueued time.Time
 	cancel   *atomic.Bool
 }
 
-// pktOf returns stream i's packet in either representation.
+// pktOf returns stream i's packet (nil when idle this round).
 func (rw *roundWork) pktOf(i int) *codec.Packet {
-	if rw.ids == nil {
-		return rw.pkts[i]
-	}
 	if k := findID(rw.ids, int32(i)); k >= 0 {
 		return rw.pkts[k]
 	}
 	return nil
 }
 
-// truthOf returns stream i's captured truth in either representation.
+// truthOf returns stream i's captured truth.
 func (rw *roundWork) truthOf(i int) truthVal {
-	if rw.ids == nil {
-		return rw.truth[i]
-	}
 	if k := findID(rw.ids, int32(i)); k >= 0 {
 		return rw.truth[k]
 	}
@@ -107,9 +99,8 @@ func findID(ids []int32, id int32) int {
 	return -1
 }
 
-// getRW pulls a recycled roundWork (sparse path only); putRW returns one
-// after settle. The sel slice is never recycled here — it travels onward in
-// the round's ack.
+// getRW pulls a recycled roundWork; putRW returns one after settle. The sel
+// slice is never recycled here — it travels onward in the round's ack.
 func (e *Engine) getRW() *roundWork {
 	e.rwMu.Lock()
 	defer e.rwMu.Unlock()
@@ -134,6 +125,22 @@ func (e *Engine) putRW(rw *roundWork) {
 	e.rwMu.Lock()
 	e.rwFree = append(e.rwFree, rw)
 	e.rwMu.Unlock()
+}
+
+// capture copies the source's round and its ground truth into a recycled
+// roundWork — three O(active) appends — because the source may reuse its
+// packet and truth storage as soon as it is pulled again.
+func (e *Engine) capture(round int64, rnd *codec.Round) *roundWork {
+	rw := e.getRW()
+	rw.round = round
+	rw.m = rnd.M
+	rw.ids = append(rw.ids, rnd.IDs...)
+	rw.pkts = append(rw.pkts, rnd.Pkts...)
+	for _, id := range rnd.IDs {
+		s, ok := e.src.Truth(int(id))
+		rw.truth = append(rw.truth, truthVal{scene: s, ok: ok})
+	}
+	return rw
 }
 
 // roundAck is one settled round's redundancy feedback, traveling from the
@@ -178,18 +185,13 @@ func (e *Engine) runPipelined(maxRounds int) (Report, error) {
 	}()
 
 	var runErr error
-	var nonIdle []int32         // per-round scratch, rebuilt while capturing truth
 	var jobPkts []*codec.Packet // per-round scratch for decode-job submission
-	sparseSrc, _ := e.cfg.Source.(SparseRoundSource)
-	if e.cfg.DenseRounds {
-		sparseSrc = nil
-	}
 	inflight := 0
 	applyDue := func(min int) {
 		for inflight > min && runErr == nil {
 			a := <-acks
 			inflight--
-			if err := feedbackFull(e.cfg.Gate, a.sel, a.necessary, a.failed, a.deferred); err != nil {
+			if err := feedback(e.cfg.Gate, a); err != nil {
 				runErr = fmt.Errorf("pipeline: feedback: %w", err)
 			}
 			e.putMask(a.necessary)
@@ -200,14 +202,7 @@ func (e *Engine) runPipelined(maxRounds int) (Report, error) {
 		if e.closed() {
 			break
 		}
-		var pkts []*codec.Packet
-		var rnd *codec.Round
-		var err error
-		if sparseSrc != nil {
-			rnd, err = sparseSrc.NextRoundSparse()
-		} else {
-			pkts, err = e.cfg.Source.NextRound()
-		}
+		rnd, err := e.src.NextRoundSparse()
 		if err == io.EOF {
 			break
 		}
@@ -228,48 +223,12 @@ func (e *Engine) runPipelined(maxRounds int) (Report, error) {
 			}
 		}
 
-		// The source may reuse its packet and truth storage each round, so
-		// copy the round and capture truth before overlapping with the next
-		// NextRound call. Sparse rounds copy into a recycled roundWork —
-		// three O(active) appends; dense rounds keep the pre-sparse O(m)
-		// copies. The non-idle list feeds the gate's churn-scaled entry.
-		var rw *roundWork
-		var sel []int
-		if rnd != nil {
-			rw = e.getRW()
-			rw.round = next
-			rw.m = rnd.M
-			rw.ids = append(rw.ids[:0], rnd.IDs...)
-			rw.pkts = append(rw.pkts[:0], rnd.Pkts...)
-			rw.truth = rw.truth[:0]
-			for _, id := range rnd.IDs {
-				s, ok := e.cfg.Source.Truth(int(id))
-				rw.truth = append(rw.truth, truthVal{scene: s, ok: ok})
-			}
-
-			metrics.StageEnter(e.cfg.Stages.GateStage())
-			t0 := time.Now()
-			sel, err = e.decideSparse(rnd)
-			metrics.StageExit(e.cfg.Stages.GateStage(), time.Since(t0).Nanoseconds())
-		} else {
-			cp := append([]*codec.Packet(nil), pkts...)
-			truth := make([]truthVal, len(pkts))
-			nonIdle = nonIdle[:0]
-			for i, p := range cp {
-				if p == nil {
-					continue
-				}
-				nonIdle = append(nonIdle, int32(i))
-				s, ok := e.cfg.Source.Truth(i)
-				truth[i] = truthVal{scene: s, ok: ok}
-			}
-			rw = &roundWork{round: next, m: len(cp), pkts: cp, truth: truth}
-
-			metrics.StageEnter(e.cfg.Stages.GateStage())
-			t0 := time.Now()
-			sel, err = e.decide(cp, nonIdle)
-			metrics.StageExit(e.cfg.Stages.GateStage(), time.Since(t0).Nanoseconds())
-		}
+		rw := e.capture(next, rnd)
+		metrics.StageEnter(e.cfg.Stages.GateStage())
+		t0 := time.Now()
+		sel, err := e.decide(rnd)
+		metrics.StageExit(e.cfg.Stages.GateStage(), time.Since(t0).Nanoseconds())
+		e.release(rnd) // rw holds its own copy
 		if err != nil {
 			runErr = fmt.Errorf("pipeline: gate: %w", err)
 			if fresh {
@@ -289,7 +248,7 @@ func (e *Engine) runPipelined(maxRounds int) (Report, error) {
 			rw.cancel = cancel
 		}
 		// Capture job packets before publishing rw: a deadline abort can
-		// settle and recycle a sparse roundWork while this loop is still
+		// settle and recycle the roundWork while this loop is still
 		// submitting, so jobs must not read rw afterwards.
 		jobPkts = jobPkts[:0]
 		for _, i := range sel {
@@ -456,18 +415,12 @@ func (c *collector) settle(st *pendingCollect, aborted bool, depth int) {
 	if e.fleet == nil {
 		e.fleet = e.newFleet(rw.m)
 	}
-	var frames []decode.Frame
-	if rw.ids != nil {
-		// Sparse rounds settle from the roundWork's recycled scratch.
-		if cap(rw.frames) < len(rw.sel) {
-			rw.frames = make([]decode.Frame, len(rw.sel))
-		}
-		frames = rw.frames[:len(rw.sel)]
-		for i := range frames {
-			frames[i] = decode.Frame{}
-		}
-	} else {
-		frames = make([]decode.Frame, len(rw.sel))
+	if cap(rw.frames) < len(rw.sel) {
+		rw.frames = make([]decode.Frame, len(rw.sel))
+	}
+	frames := rw.frames[:len(rw.sel)]
+	for i := range frames {
+		frames[i] = decode.Frame{}
 	}
 	var failed, deferred []bool
 	if aborted {
@@ -504,22 +457,15 @@ func (c *collector) settle(st *pendingCollect, aborted bool, depth int) {
 		tv := rw.truthOf(i)
 		return tv.scene, tv.ok
 	}
-	var necessary []bool
-	if rw.ids != nil {
-		necessary = e.settleRoundSparse(&c.rep, rw.ids, rw.pkts, rw.truth, rw.sel, frames, failed, deferred, truth)
-	} else {
-		necessary = e.settleRound(&c.rep, rw.pkts, rw.sel, frames, failed, deferred, truth)
-	}
+	necessary := e.settle(&c.rep, rw.m, rw.ids, rw.pkts, rw.truth, rw.sel, frames, failed, deferred, truth)
 	metrics.StageExit(e.cfg.Stages.InferStage(), time.Since(t0).Nanoseconds())
 	if e.cfg.Governor != nil {
 		e.cfg.Governor.Observe(time.Since(rw.enqueued), depth)
 	}
 	a := roundAck{sel: rw.sel, necessary: necessary, failed: failed, deferred: deferred}
-	if rw.ids != nil {
-		e.putRW(rw) // sel travels on in the ack; buffers recycle now
-	}
+	e.putRW(rw) // sel travels on in the ack; buffers recycle now
 	if c.fresh {
-		if err := feedbackFull(e.cfg.Gate, a.sel, a.necessary, a.failed, a.deferred); err != nil && c.err == nil {
+		if err := feedback(e.cfg.Gate, a); err != nil && c.err == nil {
 			c.err = fmt.Errorf("pipeline: feedback: %w", err)
 		}
 		e.putMask(a.necessary)
