@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race verify verify-quick vet fuzz bench chaos soak alloc-smoke corpus replay scale cluster failover benchdiff
+.PHONY: build test race verify verify-quick vet fuzz bench chaos soak alloc-smoke corpus replay scale cluster failover benchdiff loc
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,15 @@ vet:
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# Non-test Go lines (raw `wc -l`: comments and blanks count) per package and
+# for the whole tree outside benchmark/ — the figure CHANGES.md entries quote
+# before → after.
+loc:
+	@for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs -n1 dirname | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d total outside benchmark/\n' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)
 
 # Cheap allocation regression gates for the gating hot loop: a steady-state
 # Decide+Feedback round, the batched compiled forward, every selector's

@@ -87,13 +87,14 @@ func BenchmarkFig4_GreedyOracleRound(b *testing.B) {
 func benchSelectorRound(b *testing.B, sel knapsack.Selector) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	items := make([]knapsack.Item, 1000)
-	for i := range items {
-		items[i] = knapsack.Item{Value: rng.Float64(), Cost: 0.8 + rng.Float64()*2}
+	cands := make([]knapsack.Candidate, 1000)
+	for i := range cands {
+		cands[i] = knapsack.Candidate{Stream: int32(i), Value: rng.Float64(), Cost: 0.8 + rng.Float64()*2}
 	}
+	var dst []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel.Select(items, 34.8)
+		dst = sel.Select(dst[:0], cands, 34.8)
 	}
 }
 

@@ -1047,7 +1047,7 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 // whose owner is not in the flight's live list is granted to no one.
 // Steady state allocates nothing.
 func (c *Coordinator) solveGrant(f *flight) {
-	c.sel = c.greedy.SelectSparseAppend(c.sel[:0], c.cands, f.bEff)
+	c.sel = c.greedy.Select(c.sel[:0], c.cands, f.bEff)
 	for k := range f.ids {
 		c.grants[k] = c.grants[k][:0]
 	}

@@ -109,8 +109,8 @@ func TestSolveGrantGatherOrderFree(t *testing.T) {
 		fx := newSolveFixture(streams, workerIDs, int64(100+r))
 		rng := rand.New(rand.NewSource(int64(r)))
 		bEff := 20 + 200*rng.Float64()
-		var oracle knapsack.Greedy
-		want := oracle.SelectAppend(nil, fx.items, bEff)
+		var oracle knapsack.Tiered // one tier: the from-scratch greedy over the dense array
+		want := oracle.SelectAppend(nil, fx.items, make([]uint8, streams), 1, bEff)
 		oracleSels = append(oracleSels, want)
 
 		n := len(workerIDs)

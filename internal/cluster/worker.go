@@ -1053,85 +1053,38 @@ func (s *clusterSource) Plan() (float64, overload.Mode) {
 // solve falls back to the local greedy under the planned budget: degraded,
 // never stalled.
 type remoteSelector struct {
-	w     *Worker
-	cands []knapsack.Candidate
-	cost  []float64 // per-stream offered cost, valid for this round's cands
-	buf   []byte
+	w    *Worker
+	cost []float64 // per-stream offered cost, valid for this round's candidates
+	buf  []byte
 }
 
-// Name implements knapsack.Selector.
-func (*remoteSelector) Name() string { return "cluster-remote" }
-
-// Select implements knapsack.Selector.
-func (r *remoteSelector) Select(items []knapsack.Item, budget float64) []int {
-	return r.SelectAppend(nil, items, budget)
-}
-
-// SelectAppend implements knapsack.SelectAppender. items is the gate's
-// dense per-stream array: zero entries are idle/quarantined/shed streams (a
-// single gate would not offer them either), everything else is offered to
-// the global solve verbatim.
-func (r *remoteSelector) SelectAppend(dst []int, items []knapsack.Item, budget float64) []int {
-	r.cands = r.cands[:0]
-	for i, it := range items {
-		if it.Value == 0 && it.Cost == 0 {
-			continue
-		}
-		r.offer(knapsack.Candidate{Stream: int32(i), Value: it.Value, Cost: it.Cost})
-	}
-	return r.solve(dst, budget)
-}
-
-// SelectSparseAppend implements knapsack.SparseSelector: the gate's sparse
-// decide path hands the active candidates directly. The zero-value/zero-cost
-// skip mirrors SelectAppend's so both paths put bit-identical candidate
-// frames on the wire.
-func (r *remoteSelector) SelectSparseAppend(dst []int, cands []knapsack.Candidate, budget float64) []int {
-	r.cands = r.cands[:0]
-	for _, c := range cands {
-		if c.Value == 0 && c.Cost == 0 {
-			continue
-		}
-		r.offer(c)
-	}
-	return r.solve(dst, budget)
-}
-
-// offer lists one candidate for the wire and parks its cost in its stream's
-// slot, where granted totals it without searching the list.
-func (r *remoteSelector) offer(c knapsack.Candidate) {
-	r.cands = append(r.cands, c)
-	r.cost[c.Stream] = c.Cost
-}
-
-// localSolve settles a round without a coordinator: the worker's own greedy
-// over its own candidates under the planned budget.
-func (r *remoteSelector) localSolve(dst []int, budget float64) []int {
-	return r.w.greedy.SelectSparseAppend(dst, r.cands, budget)
-}
-
-// solve ships r.cands to the coordinator and blocks for the grant. The
-// budget argument (the planner's bEff) is ignored while connected — the
+// Select implements knapsack.Selector. cands is the gate's active set —
+// idle, quarantined and shed streams are absent, as a single gate would not
+// offer them either — and goes to the global solve verbatim. The budget
+// argument (the planner's bEff) is ignored while connected — the
 // coordinator's grant embodies the global plan — and drives the local
 // fallback solve otherwise.
-func (r *remoteSelector) solve(dst []int, budget float64) []int {
+func (r *remoteSelector) Select(dst []int, cands []knapsack.Candidate, budget float64) []int {
 	w := r.w
 	if w.src.orphan != nil {
-		sel := r.localSolve(dst, budget)
+		sel := w.greedy.Select(dst, cands, budget)
 		w.src.orphan.decoded += int64(len(sel) - len(dst))
 		return sel
 	}
+	// Park each cost in its stream's slot, where granted totals it without
+	// searching the list.
 	var offered float64
-	for _, c := range r.cands {
+	for _, c := range cands {
+		r.cost[c.Stream] = c.Cost
 		offered += c.Cost
 	}
 	round := w.src.cur.round
-	r.buf = encodeCandidates(r.buf[:0], round, offered, r.cands)
+	r.buf = encodeCandidates(r.buf[:0], round, offered, cands)
 	if err := w.send(fCandidates, r.buf); err != nil {
 		if w.recoverable() {
 			// Coordinator died mid-decide: settle locally rather than
 			// stall; the next round recovers (re-home or orphan).
-			return r.localSolve(dst, budget)
+			return w.greedy.Select(dst, cands, budget)
 		}
 		w.fail(err)
 		return dst
@@ -1148,7 +1101,7 @@ func (r *remoteSelector) solve(dst []int, budget float64) []int {
 		return r.granted(dst, g, round)
 	case <-sess.down:
 		if w.recoverable() {
-			return r.localSolve(dst, budget)
+			return w.greedy.Select(dst, cands, budget)
 		}
 		return dst
 	case <-w.stop:

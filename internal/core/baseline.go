@@ -30,7 +30,7 @@ type BaselineGate struct {
 	tracker  *decode.MultiTracker
 	values   ValueFunc
 	budget   float64
-	items    []knapsack.Item
+	cands    []knapsack.Candidate
 	selected []bool
 	costs    []float64
 	stats    Stats
@@ -44,7 +44,6 @@ func NewBaselineGate(m int, cm decode.CostModel, sel knapsack.Selector, values V
 		tracker:  decode.NewMultiTracker(m, cm),
 		values:   values,
 		budget:   budget,
-		items:    make([]knapsack.Item, m),
 		selected: make([]bool, m),
 	}
 }
@@ -69,9 +68,9 @@ func (b *BaselineGate) Decide(pkts []*codec.Packet) ([]int, error) {
 	if b.values != nil {
 		vals = b.values(pkts)
 	}
-	for i := range b.items {
-		b.items[i] = knapsack.Item{}
-		if pkts[i] == nil {
+	b.cands = b.cands[:0]
+	for i, p := range pkts {
+		if p == nil {
 			continue
 		}
 		b.stats.Packets++
@@ -79,9 +78,9 @@ func (b *BaselineGate) Decide(pkts []*codec.Packet) ([]int, error) {
 		if vals != nil {
 			v = vals[i]
 		}
-		b.items[i] = knapsack.Item{Value: v, Cost: costs[i]}
+		b.cands = append(b.cands, knapsack.Candidate{Stream: int32(i), Value: v, Cost: costs[i]})
 	}
-	sel := b.selector.Select(b.items, b.budget)
+	sel := b.selector.Select(nil, b.cands, b.budget)
 	for i := range b.selected {
 		b.selected[i] = false
 	}

@@ -4,25 +4,28 @@ import (
 	"testing"
 
 	"packetgame/internal/codec"
+	"packetgame/internal/knapsack"
 	"packetgame/internal/predictor"
 )
 
 // The Decide-round benchmarks measure the gating hot loop in isolation:
 // packet rounds are pregenerated so the codec substrate stays off the
-// clock, and feedback reuses one necessary mask. noFast builds the gate on
-// the float64 reference forward, the twin TestFastPathMatchesReferenceDecisions
-// compares against.
+// clock, and feedback reuses one necessary mask.
 
-func benchGate(tb testing.TB, m int, noFast bool) (*Gate, [][]*codec.Packet) {
+func benchConfig(tb testing.TB, m int) Config {
 	tb.Helper()
 	p, err := predictor.New(predictor.DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g, err := NewGate(Config{
-		Streams: m, Budget: float64(m) / 25, Predictor: p,
-		UseTemporal: true, noFastPath: noFast,
-	})
+	return Config{Streams: m, Budget: float64(m) / 25, Predictor: p, UseTemporal: true}
+}
+
+func benchGate(tb testing.TB, m int, sel knapsack.Selector) (*Gate, [][]*codec.Packet) {
+	tb.Helper()
+	cfg := benchConfig(tb, m)
+	cfg.Selector = sel
+	g, err := NewGate(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -44,7 +47,7 @@ func benchGate(tb testing.TB, m int, noFast bool) (*Gate, [][]*codec.Packet) {
 
 func benchDecideRound(b *testing.B, m int) {
 	b.Helper()
-	g, pre := benchGate(b, m, false)
+	g, pre := benchGate(b, m, nil)
 	var sel []int
 	necessary := make([]bool, m)
 	b.ReportAllocs()
@@ -68,13 +71,19 @@ func BenchmarkDecideRound1024(b *testing.B) { benchDecideRound(b, 1024) }
 // TestDecideRoundAllocCeiling is the verify-gate smoke bench: after warmup,
 // a steady-state Decide+Feedback round must stay under a small allocs/op
 // ceiling (sync.Pool churn and map internals give a little slack; the target
-// is "no per-stream or per-buffer allocation scales with m").
+// is "no per-stream or per-buffer allocation scales with m"). That holds for
+// the built-in ranked solve and for a configured Selector alike.
 func TestDecideRoundAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
 	}
+	t.Run("ranked", func(t *testing.T) { decideRoundAllocCeiling(t, nil) })
+	t.Run("selector", func(t *testing.T) { decideRoundAllocCeiling(t, &knapsack.GreedyPrefix{}) })
+}
+
+func decideRoundAllocCeiling(t *testing.T, selector knapsack.Selector) {
 	const m = 128
-	g, pre := benchGate(t, m, false)
+	g, pre := benchGate(t, m, selector)
 	var sel []int
 	necessary := make([]bool, m)
 	round := 0
@@ -99,14 +108,24 @@ func TestDecideRoundAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesReferenceDecisions runs fast and reference gates over
-// identical packet rounds and checks the decisions agree in aggregate: the
-// float32 fast path may flip exact near-ties in greedy ordering, so we bound
-// the per-round symmetric-difference rate rather than demand identity.
+// TestFastPathMatchesReferenceDecisions runs the production gate and the
+// reference gate scoring through the float64 forward over identical packet
+// rounds and checks the decisions agree in aggregate: the float32 fast path
+// may flip exact near-ties in greedy ordering, so we bound the per-round
+// symmetric-difference rate rather than demand identity.
 func TestFastPathMatchesReferenceDecisions(t *testing.T) {
 	const m, rounds = 96, 60
-	fast, pre := benchGate(t, m, false)
-	ref, _ := benchGate(t, m, true)
+	fast, pre := benchGate(t, m, nil)
+	refCfg := benchConfig(t, m)
+	ref, err := newRefGate(refCfg, func(feats []predictor.Features, out []float64) error {
+		for k, row := range refCfg.Predictor.PredictBatch(feats) {
+			copy(out[k*len(row):], row)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	necessary := make([]bool, m)
 	var diff, total int
 	selB := make([]bool, m)

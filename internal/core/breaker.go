@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-
-	"packetgame/internal/codec"
 )
 
 // BreakerState is a per-stream circuit breaker state.
@@ -113,7 +111,8 @@ type breaker struct {
 // deliver a packet (and streams whose decode outcomes arrive) are touched,
 // and each touch replays the stream's packet-free span in closed form —
 // round-for-round identical to ticking every breaker every round, which the
-// equivalence test in breaker_test.go enforces against the dense shim.
+// equivalence test enforces against the reference gate's dense shim
+// (reference_test.go).
 type breakerSet struct {
 	cfg BreakerConfig
 
@@ -122,7 +121,6 @@ type breakerSet struct {
 	round int64   // rounds begun so far
 	quar  []bool  // quarantine mask; entries listed in quarList are live
 	qlist []int32 // streams whose quar entry was set this round
-	dense []int32 // beginRound shim scratch
 }
 
 func newBreakerSet(streams int, cfg BreakerConfig) *breakerSet {
@@ -208,10 +206,6 @@ func (s *breakerSet) packetRound(b *breaker, r int64) bool {
 func (s *breakerSet) beginRoundSparse(nonIdle []int32) []bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.beginRoundSparseLocked(nonIdle)
-}
-
-func (s *breakerSet) beginRoundSparseLocked(nonIdle []int32) []bool {
 	s.round++
 	for _, i := range s.qlist {
 		s.quar[i] = false
@@ -224,32 +218,6 @@ func (s *breakerSet) beginRoundSparseLocked(nonIdle []int32) []bool {
 		}
 	}
 	return s.quar
-}
-
-// beginRound is the dense equivalent of beginRoundSparse: it advances every
-// breaker (idle ones included) and fills the mask for all streams, exactly
-// like the pre-lazy eager formulation. The gate itself uses the sparse
-// entry point; this one serves tests and diagnostics that want the full
-// per-stream view each round.
-func (s *breakerSet) beginRound(pkts []*codec.Packet) []bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dense = s.dense[:0]
-	for i := range s.bs {
-		if i < len(pkts) && pkts[i] != nil {
-			s.dense = append(s.dense, int32(i))
-		}
-	}
-	quar := s.beginRoundSparseLocked(s.dense)
-	for i := range s.bs {
-		b := &s.bs[i]
-		s.fastForward(b, s.round)
-		if b.state == BreakerOpen && !quar[i] {
-			quar[i] = true
-			s.qlist = append(s.qlist, int32(i))
-		}
-	}
-	return quar
 }
 
 // open transitions a breaker to open and starts its cooldown. gapCaused

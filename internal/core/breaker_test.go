@@ -221,11 +221,23 @@ func TestGateQuarantineAndRecovery(t *testing.T) {
 	}
 }
 
+// candidates lists a stream-indexed item array the way Decide lists its
+// active set: a zero slot is a quarantined stream and is absent.
+func candidates(items []knapsack.Item) []knapsack.Candidate {
+	var cands []knapsack.Candidate
+	for i, it := range items {
+		if it != (knapsack.Item{}) {
+			cands = append(cands, knapsack.Candidate{Stream: int32(i), Value: it.Value, Cost: it.Cost})
+		}
+	}
+	return cands
+}
+
 // TestQuarantineKnapsackBound checks the budget-reallocation guarantee: with
-// quarantined streams zeroed out exactly as Decide does (zero-value items),
-// greedy selection over the mixed item set (a) never picks a quarantined
-// stream, (b) matches the selection over the healthy subset alone, and (c)
-// keeps the Lemma-1 value bound ≥ (1 − c/B)·OPT over the healthy subset.
+// quarantined streams left out exactly as Decide does (no candidate), greedy
+// selection over the mixed fleet (a) never picks a quarantined stream, (b)
+// matches the selection over the healthy subset alone, and (c) keeps the
+// Lemma-1 value bound ≥ (1 − c/B)·OPT over the healthy subset.
 func TestQuarantineKnapsackBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	greedy := &knapsack.Greedy{}
@@ -238,14 +250,14 @@ func TestQuarantineKnapsackBound(t *testing.T) {
 			it := knapsack.Item{Value: 0.05 + rng.Float64(), Cost: 0.8 + 2.2*rng.Float64()}
 			if rng.Float64() < 0.3 {
 				quarantined[i] = true
-				mixed[i] = knapsack.Item{} // what Decide emits for open breakers
+				mixed[i] = knapsack.Item{} // open breaker: Decide lists no candidate
 				continue
 			}
 			mixed[i] = it
 			healthy = append(healthy, it)
 		}
 		budget := 2.9 + rng.Float64()*6
-		sel := greedy.Select(mixed, budget)
+		sel := greedy.Select(nil, candidates(mixed), budget)
 		for _, i := range sel {
 			if quarantined[i] {
 				t.Fatalf("trial %d: greedy picked quarantined stream %d", trial, i)
@@ -255,11 +267,11 @@ func TestQuarantineKnapsackBound(t *testing.T) {
 			continue
 		}
 		got := knapsack.TotalValue(mixed, sel)
-		healthySel := greedy.Select(healthy, budget)
+		healthySel := greedy.Select(nil, candidates(healthy), budget)
 		if want := knapsack.TotalValue(healthy, healthySel); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: mixed-set value %v != healthy-subset value %v", trial, got, want)
 		}
-		opt := knapsack.TotalValue(healthy, (&knapsack.ExactDP{Scale: 0.01}).Select(healthy, budget))
+		opt := knapsack.TotalValue(healthy, (&knapsack.ExactDP{Scale: 0.01}).Select(nil, candidates(healthy), budget))
 		c := knapsack.MaxCost(healthy)
 		if bound := (1 - c/budget) * opt; got < bound-1e-6 {
 			t.Fatalf("trial %d: value %v < (1-%v/%v)·OPT = %v over healthy subset", trial, got, c, budget, bound)
@@ -269,7 +281,7 @@ func TestQuarantineKnapsackBound(t *testing.T) {
 
 // TestQuarantineTieredKnapsackBound extends the budget-reallocation
 // guarantee to the tiered (priority-class) solver: with quarantined streams
-// zeroed exactly as Decide does, (a) no quarantined stream is ever picked,
+// absent (a zero slot in the dense reference solver's array), (a) no quarantined stream is ever picked,
 // (b) the quarantined stream's tier keeps or improves its value net of the
 // quarantined member — the freed budget flows in-tier before cascading —
 // while tiers above it are untouched, and (c) the per-tier Lemma-1 bound
@@ -296,7 +308,7 @@ func TestQuarantineTieredKnapsackBound(t *testing.T) {
 		qTier := int(tiers[q])
 		mixed := make([]knapsack.Item, n)
 		copy(mixed, items)
-		mixed[q] = knapsack.Item{} // what Decide emits for open breakers
+		mixed[q] = knapsack.Item{} // open breaker: the stream is not offered
 		sel := tiered.SelectAppend(nil, mixed, tiers, numTiers, budget)
 		for _, i := range sel {
 			if i == q {
@@ -336,7 +348,7 @@ func TestQuarantineTieredKnapsackBound(t *testing.T) {
 			got = tierValue(sel, tier, -1)
 			if len(healthy) > 0 && remaining > 0 {
 				if c := knapsack.MaxCost(healthy); c < remaining {
-					opt := knapsack.TotalValue(healthy, dp.Select(healthy, remaining))
+					opt := knapsack.TotalValue(healthy, dp.Select(nil, candidates(healthy), remaining))
 					if bound := (1 - c/remaining) * opt; got < bound-1e-6 {
 						t.Fatalf("trial %d tier %d: value %v < (1-%v/%v)·OPT = %v",
 							trial, tier, got, c, remaining, bound)

@@ -55,10 +55,13 @@ type Config struct {
 	// preserving the regret guarantee (§5.4). Defaults to the value of
 	// UseTemporal.
 	Explore *bool
-	// Selector is the combinatorial optimizer (default knapsack.Greedy).
-	// Supplying a custom Selector routes every round through the dense
-	// per-round solve (the incremental ranked structure assumes the
-	// greedy/tiered semantics it replicates).
+	// Selector is the combinatorial optimizer. Nil selects the built-in
+	// ranked solve: the paper's greedy (tiered under Priorities), kept
+	// ordered across rounds so a round re-ranks only the streams whose value
+	// or cost moved. A custom Selector is handed the round's active
+	// candidates — the admitted, non-quarantined streams, ascending, each
+	// with its confidence and dependency-inclusive cost — and the round's
+	// effective budget, and returns the streams to decode.
 	Selector knapsack.Selector
 	// DependencyAware folds undecoded reference chains into packet costs
 	// (Fig 6). Disabling it is a design ablation: costs become the bare
@@ -97,8 +100,8 @@ type Config struct {
 	Breaker *BreakerConfig
 	// Priorities assigns each stream an admission-control tier (0 =
 	// highest, e.g. fire detection). When set it must have length Streams
-	// and switches selection to the strict-priority tiered solver: low
-	// tiers are shed first when the effective budget shrinks, and a
+	// and switches the built-in solve to the strict-priority tiered cascade:
+	// low tiers are shed first when the effective budget shrinks, and a
 	// quarantined stream's freed budget flows to its own tier before
 	// cascading down. Incompatible with a custom Selector. Nil keeps the
 	// single-pool greedy solve.
@@ -126,21 +129,6 @@ type Config struct {
 	// redundancy outcomes are known). *trace.Writer streams JSON Lines; a
 	// capture recorder embeds the same records next to the packets.
 	Trace trace.Sink
-
-	// noFastPath and noIncremental select the gate's reference paths. They
-	// are test hooks, settable only from this package: its twin tests run a
-	// gate on the reference path beside one on the production path and
-	// require the same decisions. noFastPath scores through the float64
-	// forwardBatch instead of the compiled batched forward (equivalent up to
-	// float32 rounding on exact confidence ties); noIncremental re-runs the
-	// forward for every scored stream every round (no score cache) and
-	// solves the knapsack from a dense per-round item build and sort
-	// (bit-identical decisions and traces).
-	noFastPath    bool
-	noIncremental bool
-	// customSelector records whether the caller supplied Selector (set by
-	// withDefaults); such gates keep the dense per-round solve.
-	customSelector bool
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -161,12 +149,8 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("core: %d priorities for %d streams", len(c.Priorities), c.Streams)
 		}
 		if c.Selector != nil {
-			return c, fmt.Errorf("core: Priorities require the tiered solver and cannot combine with a custom Selector")
+			return c, fmt.Errorf("core: Priorities require the built-in tiered solve and cannot combine with a custom Selector")
 		}
-	}
-	c.customSelector = c.Selector != nil
-	if c.Selector == nil {
-		c.Selector = &knapsack.Greedy{}
 	}
 	if c.Predictor == nil && !c.UseTemporal {
 		return c, fmt.Errorf("core: need a predictor, the temporal estimator, or both")
@@ -242,9 +226,8 @@ type IncrementalStats struct {
 // buffers come from the gate's free lists and return there when the round
 // retires, so steady-state rounds recycle rather than allocate.
 type pendingRound struct {
-	sel      []int  // decode set, as returned by Decide
-	selBools []bool // per-stream selection flags (all-false outside sel)
-	trace    *trace.Round
+	sel   []int // decode set, as returned by Decide
+	trace *trace.Round
 	// feats maps stream index to the features used for the decision,
 	// retained (cloned into slab) only when online learning is on.
 	feats map[int]predictor.Features
@@ -267,7 +250,7 @@ type Gate struct {
 	// decideMu serializes Decide and guards the decision scratch buffers,
 	// the predictor forward pass, and the online trainer's weight updates.
 	decideMu sync.Mutex
-	// ackMu serializes Feedback and guards the reward scratch.
+	// ackMu serializes Feedback and guards the shards' push lists.
 	ackMu sync.Mutex
 	// pendMu guards the pending-round FIFO, lifetime stats, the trace
 	// writer, and the online-sample buffer. Innermost lock.
@@ -280,53 +263,44 @@ type Gate struct {
 	// FeedbackExt folds outcomes in under ackMu.
 	breakers *breakerSet
 
-	// pending is a ring FIFO: pendHead indexes the oldest unacked round,
-	// the tail is appended to. Retired rounds recycle their buffers through
-	// the free lists below (all under pendMu). freeBool buffers keep the
-	// all-false invariant while on the free list.
+	// pending is the FIFO of unacked rounds, oldest first; it never holds
+	// more than maxPending (the in-flight depth), so retiring shifts it
+	// down. Retired rounds recycle their buffers through the free lists
+	// below (all under pendMu).
 	pending    []pendingRound
-	pendHead   int
 	maxPending int
 	freeSel    [][]int
-	freeBool   [][]bool
 	freeFeats  []map[int]predictor.Features
 
 	// Decision scratch (decideMu). The per-stream arrays (conf, costs,
-	// temporal, bonus, degraded, shed, selected) are m-length but only the
-	// entries of streams the round touches are written; `touched` remembers
-	// them so the next round resets exactly those — every other entry is
-	// still at its zero value, making the reset equivalent to the dense
+	// temporal, bonus, degraded, selected) are m-length but only the entries
+	// of the streams a round sweeps are written; `sweep` still lists them when
+	// the next round starts, which resets exactly those — every other entry
+	// is still at its zero value, making the reset equivalent to the dense
 	// full-array zeroing without the O(m) walk.
-	items      []knapsack.Item
 	feats      []predictor.Features
-	active     []int   // admitted streams, ascending (scored this round)
-	fresh      []int   // active subset re-scored through the network
-	nonIdleBuf []int32 // scanned non-idle list when the caller supplies none
-	sweep      []int32 // non-quarantined non-idle (windows advance)
-	touched    []int32
+	active     []int     // admitted streams, ascending (scored this round)
+	fresh      []int     // active subset re-scored through the network
+	nonIdleBuf []int32   // scanned non-idle list when the caller supplies none
+	sweep      []int32   // non-quarantined non-idle (windows advance)
 	shardIDs   [][]int32 // per-shard grouping scratch
 	conf       []float64
 	costs      []float64
 	temporal   []float64
 	bonus      []float64
-	predOut    []float64               // [len(fresh) × tasks] confidences, row-major
-	selOut     []int                   // SelectAppend scratch
-	selected   []bool                  // all-false between rounds
-	degraded   []bool                  // poisoned-window streams scored temporal-only this round
-	shed       []bool                  // streams refused admission by the brownout mode this round
-	tasks      int                     // predictor head count (0 without a predictor)
-	selApp     knapsack.SelectAppender // non-nil when Selector supports append
-	selSparse  knapsack.SparseSelector // non-nil when Selector supports sparse candidates
-	cands      []knapsack.Candidate    // sparse candidate scratch (active streams only)
-	pktAt      []*codec.Packet         // sparse-round scatter scratch (m-length, nil between rounds)
+	predOut    []float64            // [len(fresh) × tasks] confidences, row-major
+	selOut     []int                // the round's selection
+	selected   []bool               // all-false between rounds
+	degraded   []bool               // poisoned-window streams scored temporal-only this round
+	tasks      int                  // predictor head count (0 without a predictor)
+	cands      []knapsack.Candidate // custom-Selector candidate scratch (active streams only)
+	pktAt      []*codec.Packet      // sparse-round scatter scratch (m-length, nil between rounds)
 
-	// Incremental machinery. ranked is the persistent score-ordered
-	// candidate structure (nil on the reference path or with a custom Selector);
-	// the cache arrays memoize the network confidence per stream, keyed by
-	// (feature epoch, temporal input, weights version). inc gates cache
-	// use: it is false on the reference path or without a predictor.
+	// ranked is the built-in solve: the persistent score-ordered candidate
+	// structure (nil with a custom Selector). The cache arrays (allocated
+	// with a predictor) memoize the network confidence per stream, keyed by
+	// (feature epoch, temporal input, weights version).
 	ranked       *knapsack.Ranked
-	inc          bool
 	cacheConf    []float64
 	cacheEpoch   []uint64
 	cacheTemp    []float64
@@ -334,9 +308,8 @@ type Gate struct {
 	cacheValid   []bool
 	incStats     IncrementalStats
 
-	// Tiered admission control (Config.Priorities). tiers is the clamped
-	// per-stream tier table, fixed at construction.
-	tiered   *knapsack.Tiered
+	// Tiered admission control (Config.Priorities). tiers is the per-stream
+	// tier table, fixed at construction; numTiers is 1 without priorities.
 	tiers    []uint8
 	numTiers int
 
@@ -345,11 +318,6 @@ type Gate struct {
 	// the temporal-only estimate until its feature store reaches that many
 	// pushes (decideMu).
 	warmTarget []int64
-
-	// Feedback scratch (ackMu). reward is m-length, all-zero between
-	// rounds: entries are set for a feedback's selections and cleared
-	// again after the estimator push lists are built.
-	reward []float64
 
 	// Online learning (OnlineLR > 0). Weight updates take decideMu; the
 	// slab backs buffered samples and resets after every trainer step.
@@ -375,48 +343,37 @@ func NewGate(cfg Config) (*Gate, error) {
 		cfg:        cfg,
 		shards:     shards,
 		maxPending: cfg.MaxPending,
-		items:      make([]knapsack.Item, cfg.Streams),
 		conf:       make([]float64, cfg.Streams),
 		costs:      make([]float64, cfg.Streams),
 		temporal:   make([]float64, cfg.Streams),
 		bonus:      make([]float64, cfg.Streams),
 		selected:   make([]bool, cfg.Streams),
 		degraded:   make([]bool, cfg.Streams),
-		shed:       make([]bool, cfg.Streams),
-		reward:     make([]float64, cfg.Streams),
 		shardIDs:   make([][]int32, len(shards.shards)),
+		numTiers:   1,
 	}
 	if len(cfg.Priorities) != 0 {
-		g.numTiers = 1
 		for _, t := range cfg.Priorities {
 			if int(t)+1 > g.numTiers {
 				g.numTiers = int(t) + 1
 			}
 		}
 		g.tiers = append([]uint8(nil), cfg.Priorities...)
-		g.tiered = &knapsack.Tiered{}
 	}
 	if cfg.Predictor != nil {
 		g.tasks = cfg.Predictor.Config().Tasks
-		if !cfg.noFastPath {
-			if err := cfg.Predictor.Compile(); err != nil {
-				return nil, fmt.Errorf("core: compiling inference fast path: %w", err)
-			}
+		if err := cfg.Predictor.Compile(); err != nil {
+			return nil, fmt.Errorf("core: compiling inference fast path: %w", err)
 		}
-		g.inc = !cfg.noIncremental
-		if g.inc {
-			g.cacheConf = make([]float64, cfg.Streams)
-			g.cacheEpoch = make([]uint64, cfg.Streams)
-			g.cacheTemp = make([]float64, cfg.Streams)
-			g.cachePredVer = make([]uint64, cfg.Streams)
-			g.cacheValid = make([]bool, cfg.Streams)
-		}
+		g.cacheConf = make([]float64, cfg.Streams)
+		g.cacheEpoch = make([]uint64, cfg.Streams)
+		g.cacheTemp = make([]float64, cfg.Streams)
+		g.cachePredVer = make([]uint64, cfg.Streams)
+		g.cacheValid = make([]bool, cfg.Streams)
 	}
-	if !cfg.noIncremental && !cfg.customSelector {
+	if cfg.Selector == nil {
 		g.ranked = knapsack.NewRanked(cfg.Streams)
 	}
-	g.selApp, _ = cfg.Selector.(knapsack.SelectAppender)
-	g.selSparse, _ = cfg.Selector.(knapsack.SparseSelector)
 	if cfg.OnlineLR > 0 {
 		g.trainer = predictor.NewTrainer(cfg.Predictor, cfg.OnlineLR)
 		g.trainSlab = &predictor.Slab{}
@@ -468,7 +425,7 @@ func (g *Gate) Incremental() IncrementalStats {
 func (g *Gate) Pending() int {
 	g.pendMu.Lock()
 	defer g.pendMu.Unlock()
-	return len(g.pending) - g.pendHead
+	return len(g.pending)
 }
 
 // SetMaxPending raises (or lowers, min 1) the decided-but-unacked round
@@ -497,10 +454,7 @@ func (g *Gate) Decide(pkts []*codec.Packet) ([]int, error) {
 func (g *Gate) DecideAppend(pkts []*codec.Packet, dst []int) ([]int, error) {
 	g.decideMu.Lock()
 	defer g.decideMu.Unlock()
-	if err := g.decideLocked(pkts, nil); err != nil {
-		return nil, err
-	}
-	return append(dst, g.selOut...), nil
+	return g.decideLocked(pkts, nil, dst)
 }
 
 // DecideRoundAppend is DecideAppend for callers that already know which
@@ -524,10 +478,7 @@ func (g *Gate) DecideRoundAppend(pkts []*codec.Packet, nonIdle []int32, dst []in
 		}
 		last = i
 	}
-	if err := g.decideLocked(pkts, nonIdle); err != nil {
-		return nil, err
-	}
-	return append(dst, g.selOut...), nil
+	return g.decideLocked(pkts, nonIdle, dst)
 }
 
 // DecideSparseAppend is DecideRoundAppend over a sparse round: only the
@@ -549,12 +500,9 @@ func (g *Gate) DecideSparseAppend(r *codec.Round, dst []int) ([]int, error) {
 		g.pktAt = make([]*codec.Packet, g.cfg.Streams)
 	}
 	r.Scatter(g.pktAt)
-	err := g.decideLocked(g.pktAt, r.IDs)
+	sel, err := g.decideLocked(g.pktAt, r.IDs, dst)
 	r.ClearScatter(g.pktAt)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, g.selOut...), nil
+	return sel, err
 }
 
 // groupByShard splits ids (ascending stream IDs) into g.shardIDs by shard.
@@ -568,28 +516,52 @@ func (g *Gate) groupByShard(ids []int32) {
 	}
 }
 
-func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
+// round is what one Decide threads through its five phases.
+type round struct {
+	pkts    []*codec.Packet
+	nonIdle []int32 // streams with a packet, ascending
+	bEff    float64 // effective budget the round plans against
+	mode    overload.Mode
+	pend    pendingRound // the round's feedback record, filled in as it goes
+}
+
+// decideLocked is Algorithm 1's round: plan → sweep → score → select →
+// commit. The selection is appended to dst; on error the result is nil.
+func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32, dst []int) ([]int, error) {
+	r, err := g.planRound(pkts, nonIdle)
+	if err != nil {
+		return nil, err
+	}
+	g.sweepRound(&r)
+	if err := g.scoreRound(&r); err != nil {
+		return nil, err
+	}
+	g.selectRound(&r)
+	g.commitRound(&r)
+	return append(dst, g.selOut...), nil
+}
+
+// planRound admits the round: it enforces the pending-round bound, asks the
+// overload planner or governor (when armed) for the effective budget and
+// degradation mode the round runs with instead of the fixed nominal budget,
+// and lists the non-idle streams when the caller did not.
+func (g *Gate) planRound(pkts []*codec.Packet, nonIdle []int32) (round, error) {
 	if len(pkts) != g.cfg.Streams {
-		return fmt.Errorf("core: %d packets for %d streams", len(pkts), g.cfg.Streams)
+		return round{}, fmt.Errorf("core: %d packets for %d streams", len(pkts), g.cfg.Streams)
 	}
 	g.pendMu.Lock()
-	if n := len(g.pending) - g.pendHead; n >= g.maxPending {
-		g.pendMu.Unlock()
-		return fmt.Errorf("core: Decide called with %d unacked rounds (MaxPending %d): Feedback must close the oldest round first", n, g.maxPending)
-	}
+	n := len(g.pending)
+	maxPending := g.maxPending
 	g.pendMu.Unlock()
-
-	// 0. Plan against the overload governor (when armed): the round runs
-	// with the governor's effective budget and degradation mode instead of
-	// the fixed nominal budget.
-	bEff := g.cfg.Budget
-	mode := overload.ModeFull
-	if g.cfg.Planner != nil {
-		bEff, mode = g.cfg.Planner.Plan()
-	} else if g.cfg.Governor != nil {
-		bEff, mode = g.cfg.Governor.Plan()
+	if n >= maxPending {
+		return round{}, fmt.Errorf("core: Decide called with %d unacked rounds (MaxPending %d): Feedback must close the oldest round first", n, maxPending)
 	}
-
+	r := round{pkts: pkts, nonIdle: nonIdle, bEff: g.cfg.Budget, mode: overload.ModeFull}
+	if g.cfg.Planner != nil {
+		r.bEff, r.mode = g.cfg.Planner.Plan()
+	} else if g.cfg.Governor != nil {
+		r.bEff, r.mode = g.cfg.Governor.Plan()
+	}
 	if nonIdle == nil {
 		g.nonIdleBuf = g.nonIdleBuf[:0]
 		for i, p := range pkts {
@@ -597,47 +569,46 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 				g.nonIdleBuf = append(g.nonIdleBuf, int32(i))
 			}
 		}
-		nonIdle = g.nonIdleBuf
+		r.nonIdle = g.nonIdleBuf
 	}
+	return r, nil
+}
 
+// sweepRound advances the circuit breakers (when armed) and folds packet
+// metadata into the per-stream feature store, reading the sharded
+// per-stream state (temporal estimate, exploration bonus,
+// dependency-inclusive cost) one shard lock at a time. Quarantined streams
+// are observed but excluded: their windows stay frozen (untrusted metadata),
+// their packets never enter the selection, and the budget they would have
+// consumed flows to the healthy streams. Brownout modes shed packets at
+// admission here too — shed streams still push their (trusted) windows so
+// context stays warm for recovery, but they are excluded from scoring and
+// selection. What is left is g.active: the round's candidates.
+func (g *Gate) sweepRound(r *round) {
 	// Reset the per-stream scratch entries the previous round wrote; all
 	// other entries still hold their zero values.
-	for _, i := range g.touched {
+	for _, i := range g.sweep {
 		g.conf[i] = 0
 		g.costs[i] = 0
 		g.temporal[i] = 0
 		g.bonus[i] = 0
 		g.degraded[i] = false
-		g.shed[i] = false
 	}
-	g.touched = g.touched[:0]
 
-	// 1. Advance the circuit breakers (when armed) and fold packet
-	// metadata into the per-stream feature store, reading the sharded
-	// per-stream state (temporal estimate, exploration bonus,
-	// dependency-inclusive cost) one shard lock at a time. Quarantined
-	// streams are observed but excluded: their windows stay frozen
-	// (untrusted metadata), their packets never enter the selection, and
-	// the budget they would have consumed flows to the healthy streams.
-	// Brownout modes shed packets at admission here too — shed streams
-	// still push their (trusted) windows so context stays warm for
-	// recovery, but they are excluded from scoring and selection.
 	var quar []bool
 	if g.breakers != nil {
-		quar = g.breakers.beginRoundSparse(nonIdle)
+		quar = g.breakers.beginRoundSparse(r.nonIdle)
 	}
 	g.sweep = g.sweep[:0]
 	g.active = g.active[:0]
 	shedCount := 0
-	for _, i32 := range nonIdle {
+	for _, i32 := range r.nonIdle {
 		i := int(i32)
 		if quar != nil && quar[i] {
 			continue
 		}
 		g.sweep = append(g.sweep, i32)
-		g.touched = append(g.touched, i32)
-		if !g.admit(mode, i, pkts[i]) {
-			g.shed[i] = true
+		if !g.admit(r.mode, i, r.pkts[i]) {
 			shedCount++
 			continue
 		}
@@ -658,7 +629,7 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 		for _, i32 := range lst {
 			i := int(i32)
 			li := i / numShards
-			p := pkts[i]
+			p := r.pkts[i]
 			sh.store.Push(li, p)
 			if sh.est != nil {
 				g.temporal[i] = sh.est.Exploit(li)
@@ -672,114 +643,22 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 		}
 		sh.mu.Unlock()
 	}
+}
 
-	// 2. Confidence per stream: contextual predictor fused with the
-	// temporal estimate, plus the exploration bonus (Alg. 1 line 5-6).
-	// Streams whose score-cache key still matches — feature epoch,
-	// temporal input, and predictor weights version all unchanged — reuse
-	// their cached network confidence; only the rest (`fresh`) run through
-	// the compiled batched forward, whose kernels are row-independent, so
-	// the partial batch is bit-identical to scoring everyone. Brownout
-	// modes below full skip the predictor entirely — the temporal-only
-	// rung is exactly the poisoned-window degradation applied fleet-wide,
-	// and the deeper rungs inherit it — which also suspends
-	// online-training retention (no predictor features were used, so
-	// there is nothing truthful to train on).
-	var roundFeats map[int]predictor.Features
-	var roundSlab *predictor.Slab
-	if g.cfg.Predictor != nil && mode == overload.ModeFull {
-		pVer := g.cfg.Predictor.Version()
-		g.feats = g.feats[:0]
-		g.fresh = g.fresh[:0]
-		for _, i := range g.active {
-			sh, li := g.shards.shardOf(i)
-			// Fault-aware gates degrade streams whose metadata windows
-			// are poisoned to the temporal-only estimate instead of
-			// trusting the network on garbage input.
-			if g.breakers != nil && sh.store.Poisoned(li) {
-				g.degraded[i] = true
-				g.conf[i] = g.temporal[i]
-				continue
-			}
-			// Streams adopted without transferred state (fresh import
-			// after a lost migration) stay temporal-only until their
-			// feature windows refill: the predictor never scores cold
-			// windows.
-			if g.warmTarget != nil && g.warmTarget[i] > 0 {
-				if sh.store.Pushes(li) >= g.warmTarget[i] {
-					g.warmTarget[i] = 0
-				} else {
-					g.degraded[i] = true
-					g.conf[i] = g.temporal[i]
-					continue
-				}
-			}
-			t := 0.0
-			if g.cfg.UseTemporal {
-				t = g.temporal[i]
-			}
-			if g.inc {
-				if g.cacheValid[i] && g.cacheEpoch[i] == sh.store.Epoch(li) &&
-					g.cacheTemp[i] == t && g.cachePredVer[i] == pVer {
-					g.conf[i] = g.cacheConf[i]
-					g.incStats.CacheHits++
-					continue
-				}
-				g.cacheValid[i] = false
-				g.cacheEpoch[i] = sh.store.Epoch(li)
-				g.cacheTemp[i] = t
-				g.cachePredVer[i] = pVer
-			}
-			g.fresh = append(g.fresh, i)
-			g.feats = append(g.feats, sh.store.Features(li, t))
+// scoreRound sets every active stream's confidence: the contextual
+// predictor fused with the temporal estimate, plus the exploration bonus
+// (Alg. 1 line 5-6). Brownout modes below full skip the predictor entirely
+// — the temporal-only rung is exactly the poisoned-window degradation
+// applied fleet-wide, and the deeper rungs inherit it — which also suspends
+// online-training retention (no predictor features were used, so there is
+// nothing truthful to train on).
+func (g *Gate) scoreRound(r *round) error {
+	if g.cfg.Predictor != nil && r.mode == overload.ModeFull {
+		if err := g.scoreContextual(); err != nil {
+			return err
 		}
-		if len(g.feats) > 0 {
-			if cap(g.predOut) < len(g.feats)*g.tasks {
-				g.predOut = make([]float64, len(g.feats)*g.tasks)
-			}
-			preds := g.predOut[:len(g.feats)*g.tasks]
-			if g.cfg.noFastPath {
-				for k, row := range g.cfg.Predictor.PredictBatch(g.feats) {
-					copy(preds[k*g.tasks:(k+1)*g.tasks], row)
-				}
-			} else if err := g.cfg.Predictor.PredictInto(g.feats, preds); err != nil {
-				return fmt.Errorf("core: fast-path inference: %w", err)
-			}
-			for k, i := range g.fresh {
-				row := preds[k*g.tasks : (k+1)*g.tasks]
-				var net float64
-				if g.cfg.TaskIndex == AllTasks {
-					for _, v := range row {
-						if v > net {
-							net = v
-						}
-					}
-				} else {
-					net = row[g.cfg.TaskIndex]
-				}
-				g.conf[i] = net
-				if g.inc {
-					g.cacheConf[i] = net
-					g.cacheValid[i] = true
-				}
-			}
-		}
-		g.incStats.Scored += int64(len(g.active))
-		g.incStats.Forwards += int64(len(g.fresh))
 		if g.trainer != nil {
-			roundFeats = g.grabFeatsMap(len(g.active))
-			roundSlab = predictor.GetSlab()
-			for _, i := range g.active {
-				if g.degraded[i] {
-					continue // poisoned features must not train the net
-				}
-				sh, li := g.shards.shardOf(i)
-				t := 0.0
-				if g.cfg.UseTemporal {
-					t = g.temporal[i]
-				}
-				roundFeats[i] = roundSlab.CloneInto(sh.store.Features(li, t))
-			}
+			g.retainFeatures(r)
 		}
 	} else {
 		for _, i := range g.active {
@@ -791,24 +670,125 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 			g.conf[i] += g.bonus[i]
 		}
 	}
+	return nil
+}
 
-	// 3. Combinatorial selection under the effective budget. The ranked
-	// incremental structure re-ranks only the streams whose (value, cost)
-	// moved since their last offer and merges them into its persistent
-	// order — linear in the moved streams plus the merge, provably the
-	// same selection as the dense greedy/tiered sort (knapsack tests).
-	// With Explore on the bonus moves every active stream's value every
-	// round, so "moved" is the whole active set and the round is one
-	// radix sort of it (knapsack/order.go), not a comparison sort.
-	// The dense path re-builds and re-sorts everything: it serves custom
-	// Selectors and the reference path. Quarantined and
-	// brownout-shed streams are simply never offered (dense: zero-value
-	// items), so their budget flows to the healthy streams.
-	if g.ranked != nil {
-		nt := g.numTiers
-		if nt == 0 {
-			nt = 1
+// temporalInput is the temporal estimate the predictor sees for stream i.
+func (g *Gate) temporalInput(i int) float64 {
+	if g.cfg.UseTemporal {
+		return g.temporal[i]
+	}
+	return 0
+}
+
+// scoreContextual runs the network for the active streams. Streams whose
+// score-cache key still matches — feature epoch, temporal input, and
+// predictor weights version all unchanged — reuse their cached network
+// confidence; only the rest (`fresh`) run through the compiled batched
+// forward, whose kernels are row-independent, so the partial batch is
+// bit-identical to scoring everyone.
+func (g *Gate) scoreContextual() error {
+	pVer := g.cfg.Predictor.Version()
+	g.feats = g.feats[:0]
+	g.fresh = g.fresh[:0]
+	for _, i := range g.active {
+		sh, li := g.shards.shardOf(i)
+		// Fault-aware gates degrade streams whose metadata windows are
+		// poisoned to the temporal-only estimate instead of trusting the
+		// network on garbage input.
+		if g.breakers != nil && sh.store.Poisoned(li) {
+			g.degraded[i] = true
+			g.conf[i] = g.temporal[i]
+			continue
 		}
+		// Streams adopted without transferred state (fresh import after a
+		// lost migration) stay temporal-only until their feature windows
+		// refill: the predictor never scores cold windows.
+		if g.warmTarget != nil && g.warmTarget[i] > 0 {
+			if sh.store.Pushes(li) >= g.warmTarget[i] {
+				g.warmTarget[i] = 0
+			} else {
+				g.degraded[i] = true
+				g.conf[i] = g.temporal[i]
+				continue
+			}
+		}
+		t := g.temporalInput(i)
+		if g.cacheValid[i] && g.cacheEpoch[i] == sh.store.Epoch(li) &&
+			g.cacheTemp[i] == t && g.cachePredVer[i] == pVer {
+			g.conf[i] = g.cacheConf[i]
+			g.incStats.CacheHits++
+			continue
+		}
+		g.cacheValid[i] = false
+		g.cacheEpoch[i] = sh.store.Epoch(li)
+		g.cacheTemp[i] = t
+		g.cachePredVer[i] = pVer
+		g.fresh = append(g.fresh, i)
+		g.feats = append(g.feats, sh.store.Features(li, t))
+	}
+	g.incStats.Scored += int64(len(g.active))
+	g.incStats.Forwards += int64(len(g.fresh))
+	if len(g.feats) == 0 {
+		return nil
+	}
+	if cap(g.predOut) < len(g.feats)*g.tasks {
+		g.predOut = make([]float64, len(g.feats)*g.tasks)
+	}
+	preds := g.predOut[:len(g.feats)*g.tasks]
+	if err := g.cfg.Predictor.PredictInto(g.feats, preds); err != nil {
+		return fmt.Errorf("core: fast-path inference: %w", err)
+	}
+	for k, i := range g.fresh {
+		net := headConfidence(preds[k*g.tasks:(k+1)*g.tasks], g.cfg.TaskIndex)
+		g.conf[i] = net
+		g.cacheConf[i] = net
+		g.cacheValid[i] = true
+	}
+	return nil
+}
+
+// headConfidence reads one stream's confidence off its row of predictor
+// outputs: the configured head, or with AllTasks the maximum over heads.
+func headConfidence(row []float64, task int) float64 {
+	if task != AllTasks {
+		return row[task]
+	}
+	var net float64
+	for _, v := range row {
+		if v > net {
+			net = v
+		}
+	}
+	return net
+}
+
+// retainFeatures clones the features each active stream was scored on into
+// a slab that lives until the round retires, for the online trainer.
+func (g *Gate) retainFeatures(r *round) {
+	r.pend.feats = g.grabFeatsMap(len(g.active))
+	r.pend.slab = predictor.GetSlab()
+	for _, i := range g.active {
+		if g.degraded[i] {
+			continue // poisoned features must not train the net
+		}
+		sh, li := g.shards.shardOf(i)
+		r.pend.feats[i] = r.pend.slab.CloneInto(sh.store.Features(li, g.temporalInput(i)))
+	}
+}
+
+// selectRound solves the knapsack over the active streams under the
+// effective budget. Quarantined and brownout-shed streams are not among
+// them, so their budget flows to the healthy streams. The built-in ranked
+// structure re-ranks only the streams whose (value, cost) moved since their
+// last offer and merges them into its persistent order — linear in the moved
+// streams plus the merge, provably the same selection as the from-scratch
+// greedy/tiered sort (knapsack tests). With Explore on the bonus moves every
+// active stream's value every round, so "moved" is the whole active set and
+// the round is one radix sort of it (knapsack/order.go), not a comparison
+// sort. A configured Selector gets the active set as a candidate list.
+func (g *Gate) selectRound(r *round) {
+	if g.ranked != nil {
 		g.ranked.BeginRound()
 		for _, i := range g.active {
 			var tier uint8
@@ -817,43 +797,33 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 			}
 			g.ranked.Offer(i, g.conf[i], g.costs[i], tier)
 		}
-		g.selOut = g.ranked.SelectAppend(g.selOut[:0], nt, bEff)
-	} else if g.selSparse != nil && g.tiered == nil && !g.cfg.noIncremental {
-		// Sparse custom selectors (the cluster worker's remote solve) get a
-		// compact candidate list instead of the O(m) dense item build.
-		g.cands = g.cands[:0]
-		for _, i := range g.active {
-			g.cands = append(g.cands, knapsack.Candidate{Stream: int32(i), Value: g.conf[i], Cost: g.costs[i]})
-		}
-		g.selOut = g.selSparse.SelectSparseAppend(g.selOut[:0], g.cands, bEff)
-	} else {
-		for i := range g.items {
-			g.items[i] = knapsack.Item{}
-			if pkts[i] != nil && (quar == nil || !quar[i]) && !g.shed[i] {
-				g.items[i] = knapsack.Item{Value: g.conf[i], Cost: g.costs[i]}
-			}
-		}
-		if g.tiered != nil {
-			g.selOut = g.tiered.SelectAppend(g.selOut[:0], g.items, g.tiers, g.numTiers, bEff)
-		} else if g.selApp != nil {
-			g.selOut = g.selApp.SelectAppend(g.selOut[:0], g.items, bEff)
-		} else {
-			g.selOut = append(g.selOut[:0], g.cfg.Selector.Select(g.items, bEff)...)
-		}
+		g.selOut = g.ranked.SelectAppend(g.selOut[:0], g.numTiers, r.bEff)
+		return
 	}
-	sel := g.selOut
+	g.cands = g.cands[:0]
+	for _, i := range g.active {
+		g.cands = append(g.cands, knapsack.Candidate{Stream: int32(i), Value: g.conf[i], Cost: g.costs[i]})
+	}
+	g.selOut = g.cfg.Selector.Select(g.selOut[:0], g.cands, r.bEff)
+}
 
-	// 4. Commit decisions to the dependency trackers, shard by shard.
-	// Every non-idle packet commits — including quarantined and shed ones
-	// (as unselected), which keeps reference-chain debts truthful. With
-	// dependency-aware costing off the trackers have no consumer (Cost
-	// above took the bare per-type cost), so the whole pass is skipped —
-	// an O(m) saving per round that cannot affect any decision.
+// commitRound commits the decisions to the dependency trackers, shard by
+// shard, then enqueues the round on the feedback FIFO and updates the
+// counters. Every non-idle packet commits — including quarantined and shed
+// ones (as unselected), which keeps reference-chain debts truthful. With
+// dependency-aware costing off the trackers have no consumer (sweepRound
+// took the bare per-type cost), so that pass is skipped — an O(m) saving per
+// round that cannot affect any decision.
+func (g *Gate) commitRound(r *round) {
+	sel := g.selOut
+	var spent float64
 	for _, i := range sel {
 		g.selected[i] = true
+		spent += g.costs[i]
 	}
-	if depAware {
-		g.groupByShard(nonIdle)
+	if *g.cfg.DependencyAware {
+		numShards := len(g.shards.shards)
+		g.groupByShard(r.nonIdle)
 		for k, sh := range g.shards.shards {
 			lst := g.shardIDs[k]
 			if len(lst) == 0 {
@@ -862,62 +832,39 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 			sh.mu.Lock()
 			for _, i32 := range lst {
 				i := int(i32)
-				sh.trackers[i/numShards].Commit(pkts[i], g.selected[i])
+				sh.trackers[i/numShards].Commit(r.pkts[i], g.selected[i])
 			}
 			sh.mu.Unlock()
 		}
 	}
 
-	// 5. Enqueue the round on the feedback FIFO and update counters. The
-	// round's retention buffers come from the free lists under pendMu.
-	var spent float64
-	for _, i := range sel {
-		spent += g.costs[i]
-	}
+	// The round's retention buffers come from the free lists under pendMu.
 	g.pendMu.Lock()
-	bools := g.grabBools()
-	for _, i := range sel {
-		bools[i] = true
-	}
-	pr := pendingRound{
-		sel:      append(g.grabSel(), sel...),
-		selBools: bools,
-		feats:    roundFeats,
-		slab:     roundSlab,
-	}
+	r.pend.sel = append(g.grabSel(), sel...)
 	if g.cfg.Trace != nil {
-		rec := &trace.Round{T: g.stats.Rounds, Budget: bEff, Spent: spent, Mode: mode.String()}
+		rec := &trace.Round{T: g.stats.Rounds, Budget: r.bEff, Spent: spent, Mode: r.mode.String()}
 		for _, i := range g.active {
 			rec.Decisions = append(rec.Decisions, trace.Decision{
 				Stream:     i,
-				Type:       pkts[i].Type.String(),
-				Size:       pkts[i].Size,
+				Type:       r.pkts[i].Type.String(),
+				Size:       r.pkts[i].Size,
 				Confidence: g.conf[i],
 				Cost:       g.costs[i],
 				Selected:   g.selected[i],
 			})
 		}
-		pr.trace = rec
+		r.pend.trace = rec
 	}
 	g.stats.Rounds++
-	g.stats.Packets += int64(len(nonIdle))
+	g.stats.Packets += int64(len(r.nonIdle))
 	g.stats.Decoded += int64(len(sel))
 	g.stats.CostSpent += spent
-	if g.pendHead > 0 && len(g.pending) == cap(g.pending) {
-		n := copy(g.pending, g.pending[g.pendHead:])
-		for j := n; j < len(g.pending); j++ {
-			g.pending[j] = pendingRound{}
-		}
-		g.pending = g.pending[:n]
-		g.pendHead = 0
-	}
-	g.pending = append(g.pending, pr)
+	g.pending = append(g.pending, r.pend)
 	g.pendMu.Unlock()
 	// Restore the all-false invariant on the selection mask.
 	for _, i := range sel {
 		g.selected[i] = false
 	}
-	return nil
 }
 
 // admit applies the degradation ladder's admission rule to one packet:
@@ -935,8 +882,8 @@ func (g *Gate) admit(mode overload.Mode, i int, p *codec.Packet) bool {
 	}
 }
 
-// grabSel / grabBools / grabFeatsMap recycle retired pending-round buffers.
-// grabSel and grabBools require pendMu; grabFeatsMap takes it itself.
+// grabSel / grabFeatsMap recycle retired pending-round buffers. grabSel
+// requires pendMu; grabFeatsMap takes it itself.
 func (g *Gate) grabSel() []int {
 	if n := len(g.freeSel); n > 0 {
 		s := g.freeSel[n-1]
@@ -944,18 +891,6 @@ func (g *Gate) grabSel() []int {
 		return s[:0]
 	}
 	return nil
-}
-
-// grabBools returns an all-false m-length mask: recycled buffers were
-// cleared entry-by-entry when their round retired, so no O(m) zeroing
-// happens here.
-func (g *Gate) grabBools() []bool {
-	if n := len(g.freeBool); n > 0 {
-		s := g.freeBool[n-1]
-		g.freeBool = g.freeBool[:n-1]
-		return s
-	}
-	return make([]bool, g.cfg.Streams)
 }
 
 func (g *Gate) grabFeatsMap(sizeHint int) map[int]predictor.Features {
@@ -1015,162 +950,172 @@ func (g *Gate) FeedbackExt(selected []int, necessary []bool, failed []bool) erro
 func (g *Gate) FeedbackFull(selected []int, necessary, failed, deferred []bool) error {
 	g.ackMu.Lock()
 	defer g.ackMu.Unlock()
+	a := ack{selected: selected, necessary: necessary, failed: failed, deferred: deferred}
+	pr, err := g.validateAck(a)
+	if err != nil {
+		return err
+	}
+	g.foldOutcomes(a)
+	if err := g.pushEstimators(a); err != nil {
+		return err
+	}
+	if g.trainer != nil {
+		if err := g.bufferSamples(a, pr.feats); err != nil {
+			return err
+		}
+	}
+	return g.retireRound(a, pr)
+}
+
+// ack is one round's feedback. failed and deferred may be nil (all false).
+type ack struct {
+	selected                    []int
+	necessary, failed, deferred []bool
+}
+
+func (a ack) isFailed(k int) bool   { return a.failed != nil && a.failed[k] }
+func (a ack) isDeferred(k int) bool { return a.deferred != nil && a.deferred[k] }
+
+// validateAck holds the ack against the oldest pending round, which it
+// returns: the flag slices must align with selected, and selected must be
+// that round's Decide return value, slot for slot. A rejected ack leaves the
+// round pending.
+func (g *Gate) validateAck(a ack) (pendingRound, error) {
 	g.pendMu.Lock()
-	if len(g.pending) == g.pendHead {
+	if len(g.pending) == 0 {
 		g.pendMu.Unlock()
-		return fmt.Errorf("core: Feedback without a pending round")
+		return pendingRound{}, fmt.Errorf("core: Feedback without a pending round")
 	}
-	pr := g.pending[g.pendHead]
+	pr := g.pending[0]
 	g.pendMu.Unlock()
-	if len(selected) != len(necessary) {
-		return fmt.Errorf("core: %d selections with %d feedback values", len(selected), len(necessary))
+	n := len(a.selected)
+	if n != len(a.necessary) {
+		return pr, fmt.Errorf("core: %d selections with %d feedback values", n, len(a.necessary))
 	}
-	if failed != nil && len(failed) != len(selected) {
-		return fmt.Errorf("core: %d selections with %d failure flags", len(selected), len(failed))
+	if a.failed != nil && len(a.failed) != n {
+		return pr, fmt.Errorf("core: %d selections with %d failure flags", n, len(a.failed))
 	}
-	if deferred != nil && len(deferred) != len(selected) {
-		return fmt.Errorf("core: %d selections with %d deferral flags", len(selected), len(deferred))
+	if a.deferred != nil && len(a.deferred) != n {
+		return pr, fmt.Errorf("core: %d selections with %d deferral flags", n, len(a.deferred))
 	}
-	if len(selected) != len(pr.sel) {
-		return fmt.Errorf("core: feedback for %d selections, pending round selected %d", len(selected), len(pr.sel))
+	if n != len(pr.sel) {
+		return pr, fmt.Errorf("core: feedback for %d selections, pending round selected %d", n, len(pr.sel))
 	}
-	for _, i := range selected {
-		if i < 0 || i >= g.cfg.Streams {
-			return fmt.Errorf("core: feedback for invalid stream %d", i)
-		}
-		if !pr.selBools[i] {
-			return fmt.Errorf("core: feedback for stream %d, which the pending round did not select", i)
+	for k, i := range a.selected {
+		if i != pr.sel[k] {
+			return pr, fmt.Errorf("core: feedback slot %d is for stream %d, pending round selected stream %d there", k, i, pr.sel[k])
 		}
 	}
-	// The reward scratch is all-zero between feedbacks; set exactly the
-	// rewarded entries and clear them again once the estimator push lists
-	// below are built.
-	for k, i := range selected {
-		if necessary[k] && (deferred == nil || !deferred[k]) {
-			g.reward[i] = 1
-		}
-	}
-	// Deferred slots are recorded as unselected before the estimator push:
-	// the round's selBools buffer is about to be recycled anyway, and the
-	// cleared flag is what keeps abandoned decodes out of the UCB windows.
-	if deferred != nil {
-		var n int64
-		for k, i := range selected {
-			if deferred[k] {
-				pr.selBools[i] = false
-				n++
-			}
-		}
-		g.cfg.Overload.AddDeferred(n)
-	}
+	return pr, nil
+}
 
-	// Fold decode outcomes into the circuit breakers: a failure run opens
-	// the breaker, a success closes a half-open probe. Deferred slots skip
-	// this — abandoning a decode says nothing about the stream's health.
-	if g.breakers != nil {
-		for k, i := range selected {
-			if deferred != nil && deferred[k] {
-				continue
-			}
-			g.breakers.outcome(i, failed != nil && failed[k])
+// foldOutcomes folds decode outcomes into the circuit breakers: a failure
+// run opens the breaker, a success closes a half-open probe. Deferred slots
+// are only counted — abandoning a decode says nothing about the stream's
+// health.
+func (g *Gate) foldOutcomes(a ack) {
+	var deferred int64
+	for k, i := range a.selected {
+		if a.isDeferred(k) {
+			deferred++
+		} else if g.breakers != nil {
+			g.breakers.outcome(i, a.isFailed(k))
 		}
 	}
+	if a.deferred != nil {
+		g.cfg.Overload.AddDeferred(deferred)
+	}
+}
 
-	// Push the round into every shard's estimator, visiting only the
-	// round's selections instead of all m streams. Shard locks are taken
-	// one at a time, so a concurrent Decide proceeds on the other shards.
+// pushEstimators pushes the round into every shard's estimator, visiting
+// only the round's selections instead of all m streams. A deferred slot is
+// left out, which records the stream as unselected: that is what keeps
+// abandoned decodes out of the UCB windows. Shard locks are taken one at a
+// time, so a concurrent Decide proceeds on the other shards.
+func (g *Gate) pushEstimators(a ack) error {
 	numShards := len(g.shards.shards)
 	for _, sh := range g.shards.shards {
 		sh.pushIDs = sh.pushIDs[:0]
 		sh.pushRew = sh.pushRew[:0]
 	}
-	for _, i := range pr.sel {
-		if !pr.selBools[i] {
-			continue // settled as deferred
+	for k, i := range a.selected {
+		if a.isDeferred(k) {
+			continue
+		}
+		reward := 0.0
+		if a.necessary[k] {
+			reward = 1
 		}
 		sh := g.shards.shards[i%numShards]
 		sh.pushIDs = append(sh.pushIDs, int32(i/numShards))
-		sh.pushRew = append(sh.pushRew, g.reward[i])
+		sh.pushRew = append(sh.pushRew, reward)
 	}
-	for _, i := range selected {
-		g.reward[i] = 0
-	}
-	if err := g.shards.pushSparse(); err != nil {
-		return err
-	}
+	return g.shards.pushSparse()
+}
 
-	// Online fine-tuning: weight updates share decideMu with the forward
-	// pass so training never races a concurrent prediction.
-	if g.trainer != nil {
-		g.decideMu.Lock()
-		for k, i := range selected {
-			if failed != nil && failed[k] {
-				continue // unverified label: never train on it
-			}
-			if deferred != nil && deferred[k] {
-				continue // abandoned decode: no label exists at all
-			}
-			f, ok := pr.feats[i]
-			if !ok {
-				continue
-			}
-			// Deep-copy into the training slab: the round's own slab is
-			// recycled when the round retires below, but buffered samples
-			// must survive until the next trainer step.
-			labels := g.trainSlab.Alloc(g.tasks)
-			for t := range labels {
-				labels[t] = math.NaN() // only this gate's head gets a label
-			}
-			r := 0.0
-			if necessary[k] {
-				r = 1
-			}
-			labels[g.cfg.TaskIndex] = r
-			g.buffer = append(g.buffer, predictor.Sample{F: g.trainSlab.CloneInto(f), Labels: labels})
+// bufferSamples turns the round's verified outcomes into online-training
+// samples and steps the trainer once a minibatch is buffered. Weight updates
+// share decideMu with the forward pass so training never races a concurrent
+// prediction.
+func (g *Gate) bufferSamples(a ack, feats map[int]predictor.Features) error {
+	g.decideMu.Lock()
+	defer g.decideMu.Unlock()
+	for k, i := range a.selected {
+		if a.isFailed(k) {
+			continue // unverified label: never train on it
 		}
-		var stepErr error
-		if len(g.buffer) >= g.cfg.OnlineBatch {
-			_, stepErr = g.trainer.Step(g.buffer)
-			g.buffer = g.buffer[:0]
-			g.trainSlab.Reset()
+		if a.isDeferred(k) {
+			continue // abandoned decode: no label exists at all
 		}
-		g.decideMu.Unlock()
-		if stepErr != nil {
-			return stepErr
+		f, ok := feats[i]
+		if !ok {
+			continue
 		}
+		// Deep-copy into the training slab: the round's own slab is
+		// recycled when the round retires, but buffered samples must
+		// survive until the next trainer step.
+		labels := g.trainSlab.Alloc(g.tasks)
+		for t := range labels {
+			labels[t] = math.NaN() // only this gate's head gets a label
+		}
+		labels[g.cfg.TaskIndex] = 0
+		if a.necessary[k] {
+			labels[g.cfg.TaskIndex] = 1
+		}
+		g.buffer = append(g.buffer, predictor.Sample{F: g.trainSlab.CloneInto(f), Labels: labels})
 	}
+	if len(g.buffer) < g.cfg.OnlineBatch {
+		return nil
+	}
+	_, err := g.trainer.Step(g.buffer)
+	g.buffer = g.buffer[:0]
+	g.trainSlab.Reset()
+	return err
+}
 
-	// Retire the round: write its trace record, recycle its buffers, and
-	// advance the FIFO head.
+// retireRound writes the round's trace record, recycles its buffers, and
+// advances the FIFO head.
+func (g *Gate) retireRound(a ack, pr pendingRound) error {
 	g.pendMu.Lock()
 	defer g.pendMu.Unlock()
 	if pr.trace != nil {
-		nec := map[int]bool{}
-		def := map[int]bool{}
-		fld := map[int]bool{}
-		for k, i := range selected {
-			nec[i] = necessary[k] && (deferred == nil || !deferred[k])
-			def[i] = deferred != nil && deferred[k]
-			fld[i] = failed != nil && failed[k]
+		slot := make(map[int]int, len(a.selected))
+		for k, i := range a.selected {
+			slot[i] = k
 		}
 		for d := range pr.trace.Decisions {
-			if pr.trace.Decisions[d].Selected {
-				pr.trace.Decisions[d].Necessary = nec[pr.trace.Decisions[d].Stream]
-				pr.trace.Decisions[d].Deferred = def[pr.trace.Decisions[d].Stream]
-				pr.trace.Decisions[d].Failed = fld[pr.trace.Decisions[d].Stream]
+			if dec := &pr.trace.Decisions[d]; dec.Selected {
+				k := slot[dec.Stream]
+				dec.Necessary = a.necessary[k] && !a.isDeferred(k)
+				dec.Deferred = a.isDeferred(k)
+				dec.Failed = a.isFailed(k)
 			}
 		}
 		if err := g.cfg.Trace.Write(*pr.trace); err != nil {
 			return err
 		}
 	}
-	// Clear the mask entry-by-entry so the recycled buffer keeps the
-	// all-false free-list invariant without an O(m) wipe.
-	for _, i := range pr.sel {
-		pr.selBools[i] = false
-	}
 	g.freeSel = append(g.freeSel, pr.sel)
-	g.freeBool = append(g.freeBool, pr.selBools)
 	if pr.feats != nil {
 		clear(pr.feats)
 		g.freeFeats = append(g.freeFeats, pr.feats)
@@ -1178,11 +1123,8 @@ func (g *Gate) FeedbackFull(selected []int, necessary, failed, deferred []bool) 
 	if pr.slab != nil {
 		predictor.PutSlab(pr.slab)
 	}
-	g.pending[g.pendHead] = pendingRound{}
-	g.pendHead++
-	if g.pendHead == len(g.pending) {
-		g.pending = g.pending[:0]
-		g.pendHead = 0
-	}
+	n := copy(g.pending, g.pending[1:])
+	g.pending[n] = pendingRound{}
+	g.pending = g.pending[:n]
 	return nil
 }

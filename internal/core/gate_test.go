@@ -8,6 +8,7 @@ import (
 	"packetgame/internal/decode"
 	"packetgame/internal/infer"
 	"packetgame/internal/knapsack"
+	"packetgame/internal/overload"
 	"packetgame/internal/predictor"
 	"packetgame/internal/trace"
 )
@@ -74,6 +75,101 @@ func TestGateProtocolEnforced(t *testing.T) {
 	}
 	if err := g.Feedback(sel, nec); err == nil {
 		t.Error("double Feedback must error")
+	}
+
+	// An ack is held against the pending round slot for slot: naming one of
+	// its streams twice, naming them in another order, or naming a stream it
+	// did not select is rejected and leaves the round pending.
+	g, err = NewGate(Config{Streams: 4, Budget: 100, UseTemporal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err = g.Decide([]*codec.Packet{pkts[0], pkts[0], pkts[0], nil})
+	if err != nil || len(sel) != 3 {
+		t.Fatalf("Decide = %v, %v; want three selections", sel, err)
+	}
+	nec = make([]bool, len(sel))
+	for name, bad := range map[string][]int{
+		"duplicated": {sel[0], sel[0], sel[0]},
+		"permuted":   {sel[1], sel[0], sel[2]},
+		"foreign":    {sel[0], sel[1], 3},
+	} {
+		if err := g.Feedback(bad, nec); err == nil {
+			t.Errorf("%s ack %v of round %v must error", name, bad, sel)
+		}
+		if g.Pending() != 1 {
+			t.Fatalf("%s ack consumed the pending round", name)
+		}
+	}
+	if err := g.Feedback(sel, nec); err != nil {
+		t.Fatalf("the round's own ack after rejected ones: %v", err)
+	}
+}
+
+// recordingSelector keeps what the gate handed it and picks the last
+// candidate alone.
+type recordingSelector struct {
+	cands  []knapsack.Candidate
+	budget float64
+}
+
+func (r *recordingSelector) Select(dst []int, cands []knapsack.Candidate, budget float64) []int {
+	r.cands, r.budget = append(r.cands[:0], cands...), budget
+	if len(cands) == 0 {
+		return dst
+	}
+	return append(dst, int(cands[len(cands)-1].Stream))
+}
+
+// TestCustomSelectorSeesActiveSet: a configured Selector is handed exactly
+// the round's active set — the streams with a packet that are neither
+// quarantined by their breaker nor refused by the brownout mode — ascending,
+// with the confidence and cost the gate computed and the round's effective
+// budget, and what it returns is what Decide returns.
+func TestCustomSelectorSeesActiveSet(t *testing.T) {
+	rec := &recordingSelector{}
+	plan := overload.NewScripted(100)
+	g, err := NewGate(Config{Streams: 6, Budget: 100, UseTemporal: true, Selector: rec, Planner: plan,
+		Breaker: &BreakerConfig{FailureThreshold: 1, GapThreshold: -1, Cooldown: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func() *codec.Packet { return &codec.Packet{Type: codec.PictureI, GOPSize: 8, Size: 1000} }
+	pred := func() *codec.Packet { return &codec.Packet{Type: codec.PictureP, GOPSize: 8, GOPIndex: 1, Size: 300} }
+
+	// Round 1, full mode: all six are candidates; the selector's pick, stream
+	// 5, fails its decode and opens its breaker.
+	sel, err := g.Decide([]*codec.Packet{key(), key(), key(), key(), key(), key()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.cands) != 6 || len(sel) != 1 || sel[0] != 5 {
+		t.Fatalf("round 1: %d candidates, selection %v; want 6 and [5]", len(rec.cands), sel)
+	}
+	if err := g.FeedbackExt(sel, []bool{false}, []bool{true}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Round 2, keyframe-only at B_eff 3.5: stream 1 is idle, 2 and 4 carry
+	// predicted pictures (shed), 5 is quarantined; 0 and 3 remain.
+	plan.Set(3.5, overload.ModeKeyframeOnly)
+	sel, err = g.Decide([]*codec.Packet{key(), nil, pred(), key(), pred(), key()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.cands) != 2 || rec.cands[0].Stream != 0 || rec.cands[1].Stream != 3 {
+		t.Fatalf("round 2 candidates %+v, want streams [0 3]", rec.cands)
+	}
+	if rec.budget != 3.5 {
+		t.Errorf("selector saw budget %v, want the round's B_eff 3.5", rec.budget)
+	}
+	for _, c := range rec.cands {
+		if c.Value != g.Confidence(int(c.Stream)) || c.Cost != decode.DefaultCosts.I {
+			t.Errorf("candidate %+v: want value %v, cost %v", c, g.Confidence(int(c.Stream)), decode.DefaultCosts.I)
+		}
+	}
+	if len(sel) != 1 || sel[0] != 3 {
+		t.Errorf("Decide returned %v, want the selector's [3]", sel)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -109,12 +111,13 @@ func tinyPredictor(t *testing.T, tasks int, useTemporal bool) *predictor.Predict
 
 func boolPtr(b bool) *bool { return &b }
 
-// TestIncrementalMatchesDenseOracle is the tentpole's bit-identity contract:
-// for every configuration, an incremental gate (score cache, ranked
-// selection, lazy breakers, sparse feedback) and a noIncremental oracle gate
-// driven with identical packets, feedback, and overload schedules must
-// produce identical selections every round, identical decision traces,
-// identical lifetime stats, and identical breaker snapshots.
+// TestIncrementalMatchesDenseOracle is the bit-identity contract: for every
+// configuration, the production gate (score cache, ranked selection, lazy
+// breakers, sparse feedback) and the dense reference gate (reference_test.go)
+// scoring through the same compiled forward, driven with identical packets,
+// feedback, and overload schedules, must produce identical selections every
+// round, identical decision traces, identical lifetime stats, and identical
+// breaker snapshots.
 func TestIncrementalMatchesDenseOracle(t *testing.T) {
 	cases := []oracleCase{
 		{
@@ -164,7 +167,7 @@ func TestIncrementalMatchesDenseOracle(t *testing.T) {
 }
 
 func runOracleCase(t *testing.T, tc oracleCase) {
-	mk := func(noInc bool) (*Gate, *memSink, *overload.Scripted) {
+	mkCfg := func() (Config, *memSink, *overload.Scripted) {
 		cfg := tc.cfg(tc.m)
 		switch tc.name {
 		case "temporal-only":
@@ -180,15 +183,22 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 		plan := overload.NewScripted(cfg.Budget)
 		cfg.Trace = sink
 		cfg.Planner = plan
-		cfg.noIncremental = noInc
-		g, err := NewGate(cfg)
-		if err != nil {
-			t.Fatalf("NewGate(noInc=%v): %v", noInc, err)
-		}
-		return g, sink, plan
+		return cfg, sink, plan
 	}
-	inc, incSink, incPlan := mk(false)
-	ora, oraSink, oraPlan := mk(true)
+	incCfg, incSink, incPlan := mkCfg()
+	inc, err := NewGate(incCfg)
+	if err != nil {
+		t.Fatalf("NewGate: %v", err)
+	}
+	oraCfg, oraSink, oraPlan := mkCfg()
+	var forward func([]predictor.Features, []float64) error
+	if oraCfg.Predictor != nil {
+		forward = oraCfg.Predictor.PredictInto
+	}
+	ora, err := newRefGate(oraCfg, forward)
+	if err != nil {
+		t.Fatalf("newRefGate: %v", err)
+	}
 
 	rng := rand.New(rand.NewSource(tc.seed))
 	modes := []overload.Mode{overload.ModeFull, overload.ModeFull, overload.ModeFull,
@@ -236,17 +246,17 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 			nonIdle = append(nonIdle, int32(i))
 		}
 
-		// Alternate entry points: the churn-scaled caller-supplied list and
-		// the self-scanning Decide must behave identically.
-		var selInc, selOra []int
-		var err1, err2 error
+		// Alternate the production entry points: the churn-scaled
+		// caller-supplied list and the self-scanning Decide must behave
+		// identically.
+		var selInc []int
+		var err1 error
 		if r%3 == 0 {
 			selInc, err1 = inc.DecideRoundAppend(pkts, nonIdle, nil)
-			selOra, err2 = ora.DecideRoundAppend(pkts, nonIdle, nil)
 		} else {
 			selInc, err1 = inc.Decide(pkts)
-			selOra, err2 = ora.Decide(pkts)
 		}
+		selOra, err2 := ora.Decide(pkts)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("round %d: decide errors inc=%v oracle=%v", r, err1, err2)
 		}
@@ -287,7 +297,7 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 			t.Fatalf("trace round %d diverged\ninc:    %+v\noracle: %+v", r, incSink.rounds[r], oraSink.rounds[r])
 		}
 	}
-	if is, os := inc.Stats(), ora.Stats(); is != os {
+	if is, os := inc.Stats(), ora.stats; is != os {
 		t.Fatalf("stats diverged: inc=%+v oracle=%+v", is, os)
 	}
 	if !reflect.DeepEqual(inc.Breakers(), ora.Breakers()) {
@@ -303,8 +313,24 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 			t.Fatalf("no forward was saved: %+v", st)
 		}
 	}
-	if ost := ora.Incremental(); ost.CacheHits != 0 {
-		t.Fatalf("oracle gate used the cache: %+v", ost)
+}
+
+// TestReferenceGateSharesNoRoundLogic holds the oracle honest: the reference
+// gate's source names none of the production gate's round machinery — the
+// incremental selector, the score cache, the dirty-entry bookkeeping, the
+// production round driver.
+func TestReferenceGateSharesNoRoundLogic(t *testing.T) {
+	src, err := os.ReadFile("reference_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Ranked", "cacheValid", "touched", "decideLocked"} {
+		if bytes.Contains(src, []byte(name)) {
+			t.Errorf("reference_test.go references %q", name)
+		}
+	}
+	if n := bytes.Count(src, []byte("\n")); n > 300 {
+		t.Errorf("reference gate is %d lines, ceiling 300", n)
 	}
 }
 

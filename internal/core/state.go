@@ -104,7 +104,7 @@ func (g *Gate) lockQuiescent(op string) (func(), error) {
 	g.decideMu.Lock()
 	g.ackMu.Lock()
 	g.pendMu.Lock()
-	pending := len(g.pending) - g.pendHead
+	pending := len(g.pending)
 	g.pendMu.Unlock()
 	if pending != 0 {
 		g.ackMu.Unlock()

@@ -23,16 +23,18 @@ func Lemma1(o Options) error {
 	n := 0
 	for trial := 0; trial < trials; trial++ {
 		items := make([]knapsack.Item, 4+rng.Intn(28))
+		cands := make([]knapsack.Candidate, len(items))
 		for i := range items {
 			items[i] = knapsack.Item{Value: rng.Float64(), Cost: costs[rng.Intn(len(costs))]}
+			cands[i] = knapsack.Candidate{Stream: int32(i), Value: items[i].Value, Cost: items[i].Cost}
 		}
 		budget := 3 + rng.Float64()*20
 		opt := knapsack.FractionalOPT(items, budget)
 		if opt <= 0 {
 			continue
 		}
-		vg := knapsack.TotalValue(items, greedy.Select(items, budget))
-		vf := knapsack.TotalValue(items, fill.Select(items, budget))
+		vg := knapsack.TotalValue(items, greedy.Select(nil, cands, budget))
+		vf := knapsack.TotalValue(items, fill.Select(nil, cands, budget))
 		ratio := vg / opt
 		bound := 1 - knapsack.MaxCost(items)/budget
 		if ratio < worst {

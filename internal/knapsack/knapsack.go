@@ -4,6 +4,12 @@
 // approximately fractional costs), an exact dynamic-programming oracle, a
 // fractional upper bound, round-robin, and random selection.
 //
+// There is one selector contract, Selector: a list of the round's candidates
+// in, the chosen stream ids out. Greedy, GreedyPrefix, RoundRobin, Random and
+// ExactDP implement it; so does the cluster worker's remote solve. Ranked
+// (the gate's built-in incremental solve) and Tiered (its dense reference)
+// have their own entry points because they carry priority tiers.
+//
 // Every ratio order — Greedy, GreedyPrefix, Tiered, Ranked, FractionalOPT —
 // comes from one non-comparison ordering kernel (order.go): candidates are
 // keyed by the bit image of their ratio and byte-radix sorted, linear in
@@ -19,48 +25,32 @@ import (
 	"math/rand"
 )
 
-// Item is one selectable packet: its gating confidence (value) and its
-// dependency-inclusive decode cost.
+// Item is one slot of a dense, stream-indexed (value, cost) array: the form
+// the analysis helpers below (FractionalOPT, MaxCost, TotalValue) and the
+// dense reference solver Tiered read. Selectors take Candidates instead.
 type Item struct {
 	Value float64
 	Cost  float64
 }
 
-// Selector chooses a subset of items whose total cost fits the budget.
-// Implementations may keep state across rounds (e.g. round-robin's cursor).
-type Selector interface {
-	// Name identifies the policy in reports.
-	Name() string
-	// Select returns the indices of the chosen items, in selection order.
-	Select(items []Item, budget float64) []int
-}
-
-// SelectAppender is an optional Selector extension for hot loops: the chosen
-// indices are appended to dst (which may be nil) so a caller that recycles
-// its selection buffer pays no allocation per round.
-type SelectAppender interface {
-	SelectAppend(dst []int, items []Item, budget float64) []int
-}
-
-// Candidate is one sparse knapsack candidate: the stream it stands for plus
-// its gating value and dependency-inclusive cost. It is the compact form of
-// a dense []Item slot — an Item array is indexed by stream, a Candidate
-// carries its stream with it.
+// Candidate is one selectable packet: the stream it stands for, its gating
+// confidence (value) and its dependency-inclusive decode cost.
 type Candidate struct {
 	Stream int32
 	Value  float64
 	Cost   float64
 }
 
-// SparseSelector is an optional Selector extension for sparse fleets: the
-// candidate list names only the streams in play this round, in any order
-// with each stream at most once, so the selector touches O(active) state
-// instead of an O(m) dense item array. Selected stream ids are appended to
-// dst in selection order. Ties break on the stream id itself, never on list
-// position, so the selection is exactly the dense Greedy's over the
-// equivalent item array however the list was assembled.
-type SparseSelector interface {
-	SelectSparseAppend(dst []int, cands []Candidate, budget float64) []int
+// Selector chooses a subset of a round's candidates whose total cost fits
+// the budget. Implementations may keep state across rounds (e.g.
+// round-robin's cursor).
+type Selector interface {
+	// Select appends the stream ids of the chosen candidates to dst (which
+	// may be nil), in selection order. cands names only the streams in play
+	// this round, each at most once — a stream that is idle, quarantined or
+	// shed is simply absent — so a solve touches O(len(cands)) state, and a
+	// caller that recycles dst pays no allocation per round.
+	Select(dst []int, cands []Candidate, budget float64) []int
 }
 
 // TotalValue sums the values of the selected indices.
@@ -92,52 +82,27 @@ func MaxCost(items []Item) float64 {
 	return m
 }
 
-// Greedy is the paper's optimizer: items are ranked by value/cost ratio and
-// taken while the budget lasts; remaining budget is then filled with any
-// later items that still fit ("decode as many as possible packets that the
-// current prioritized packet refers to" generalizes to this fill pass once
-// reference costs are folded into Item.Cost by the dependency tracker).
+// Greedy is the paper's optimizer: candidates are ranked by value/cost ratio
+// and taken while the budget lasts; remaining budget is then filled with any
+// later candidates that still fit ("decode as many as possible packets that
+// the current prioritized packet refers to" generalizes to this fill pass
+// once reference costs are folded into Candidate.Cost by the dependency
+// tracker).
 //
 // For approximately fractional costs it guarantees value ≥ (1−c/B)·OPT
-// (Lemma 1). A round costs one scan of the items plus the ordering kernel's
-// linear radix sort of the positive-value candidates — no comparison sort.
+// (Lemma 1). A round costs one scan of the candidates plus the ordering
+// kernel's linear radix sort of the positive-value ones — no comparison
+// sort. Ties break on the stream id itself, never on list position, so the
+// selection does not depend on the order cands is in (the cluster
+// coordinator's gather appends workers' lists as they arrive).
 type Greedy struct {
 	ord order // kernel scratch, reused across rounds
 }
 
-// Name implements Selector.
-func (*Greedy) Name() string { return "greedy" }
-
-// Select implements Selector.
-func (g *Greedy) Select(items []Item, budget float64) []int {
-	return g.SelectAppend(nil, items, budget)
-}
-
-// SelectAppend implements SelectAppender: selection indices are appended to
-// dst; in steady state nothing is allocated.
-func (g *Greedy) SelectAppend(dst []int, items []Item, budget float64) []int {
+// Select implements Selector; in steady state nothing is allocated.
+func (g *Greedy) Select(dst []int, cands []Candidate, budget float64) []int {
 	remaining := budget
-	for _, e := range g.ord.sortItems(items) {
-		if c := items[e.id].Cost; c <= remaining {
-			dst = append(dst, int(e.id))
-			remaining -= c
-		}
-	}
-	return dst
-}
-
-// SelectSparseAppend implements SparseSelector: the compact-candidate form
-// of SelectAppend. The appended stream ids match SelectAppend's on the
-// equivalent dense array (zero slots omitted) in selection order, whatever
-// order cands is in.
-func (g *Greedy) SelectSparseAppend(dst []int, cands []Candidate, budget float64) []int {
-	o := &g.ord
-	o.begin()
-	for k, c := range cands {
-		o.list(int(c.Stream), k, c.Value, c.Cost)
-	}
-	remaining := budget
-	for _, e := range o.sort() {
+	for _, e := range g.ord.sortCands(cands) {
 		if c := cands[e.pos].Cost; c <= remaining {
 			dst = append(dst, int(e.id))
 			remaining -= c
@@ -146,83 +111,77 @@ func (g *Greedy) SelectSparseAppend(dst []int, cands []Candidate, budget float64
 	return dst
 }
 
-// sortItems lists a dense item array (id = index) and returns it in ratio
-// order.
-func (o *order) sortItems(items []Item) []entry {
+// sortCands lists a candidate list (id = stream, pos = list position) and
+// returns it in ratio order.
+func (o *order) sortCands(cands []Candidate) []entry {
 	o.begin()
-	for i, it := range items {
-		o.list(i, i, it.Value, it.Cost)
+	for k, c := range cands {
+		o.list(int(c.Stream), k, c.Value, c.Cost)
 	}
 	return o.sort()
 }
 
-// GreedyPrefix is Greedy without the fill pass: it stops at the first item
-// that does not fit. It exists to ablate the fill pass and to match the
-// textbook analysis exactly.
+// GreedyPrefix is Greedy without the fill pass: it stops at the first
+// candidate that does not fit. It exists to ablate the fill pass and to
+// match the textbook analysis exactly. Like Greedy it is order-free.
 type GreedyPrefix struct{ ord order }
 
-// Name implements Selector.
-func (*GreedyPrefix) Name() string { return "greedy-prefix" }
-
 // Select implements Selector.
-func (g *GreedyPrefix) Select(items []Item, budget float64) []int {
-	var sel []int
+func (g *GreedyPrefix) Select(dst []int, cands []Candidate, budget float64) []int {
 	remaining := budget
-	for _, e := range g.ord.sortItems(items) {
-		if items[e.id].Cost > remaining {
+	for _, e := range g.ord.sortCands(cands) {
+		c := cands[e.pos].Cost
+		if c > remaining {
 			break
 		}
-		sel = append(sel, int(e.id))
-		remaining -= items[e.id].Cost
+		dst = append(dst, int(e.id))
+		remaining -= c
 	}
-	return sel
+	return dst
 }
 
 // RoundRobin is the stream-agnostic baseline of §3.2: it cycles through
 // streams in fixed order, decoding as many as the budget allows each round,
-// regardless of content.
+// regardless of content. cands must be in ascending stream order.
 type RoundRobin struct {
-	cursor int
+	cursor int32 // stream the rotation resumes at
 }
 
-// Name implements Selector.
-func (*RoundRobin) Name() string { return "round-robin" }
-
 // Select implements Selector.
-func (r *RoundRobin) Select(items []Item, budget float64) []int {
-	m := len(items)
-	if m == 0 {
-		return nil
-	}
-	var sel []int
-	remaining := budget
-	for k := 0; k < m; k++ {
-		i := (r.cursor + k) % m
-		it := items[i]
-		if it.Cost == 0 && it.Value == 0 {
-			continue // idle stream
+func (r *RoundRobin) Select(dst []int, cands []Candidate, budget float64) []int {
+	n := len(cands)
+	start, hi := 0, n // first candidate at or after the cursor
+	for start < hi {
+		if mid := (start + hi) / 2; cands[mid].Stream < r.cursor {
+			start = mid + 1
+		} else {
+			hi = mid
 		}
-		if it.Cost <= remaining {
-			sel = append(sel, i)
-			remaining -= it.Cost
+	}
+	remaining := budget
+	for k := 0; k < n; k++ {
+		c := cands[(start+k)%n]
+		if c.Cost <= remaining {
+			dst = append(dst, int(c.Stream))
+			remaining -= c.Cost
 			continue
 		}
-		if it.Cost > budget {
+		if c.Cost > budget {
 			// Unservable even with the whole budget (e.g. a dependency
 			// chain longer than the budget): waiting would starve the
 			// rotation forever, so skip past it this round.
 			continue
 		}
 		// Budget exhausted for this stream; resume here next round.
-		r.cursor = i
-		return sel
+		r.cursor = c.Stream
+		break
 	}
-	r.cursor = (r.cursor + m) % m
-	return sel
+	return dst
 }
 
 // Random selects a uniformly random feasible subset by shuffling and taking
-// items while the budget lasts.
+// candidates while the budget lasts. A seed reproduces its selections only
+// over the same candidate order, so cands must be in ascending stream order.
 type Random struct {
 	rng *rand.Rand
 	idx []int
@@ -233,88 +192,87 @@ func NewRandom(seed int64) *Random {
 	return &Random{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Name implements Selector.
-func (*Random) Name() string { return "random" }
-
 // Select implements Selector.
-func (r *Random) Select(items []Item, budget float64) []int {
-	if cap(r.idx) < len(items) {
-		r.idx = make([]int, 0, len(items))
-	}
+func (r *Random) Select(dst []int, cands []Candidate, budget float64) []int {
 	r.idx = r.idx[:0]
-	for i, it := range items {
-		if it.Cost > 0 || it.Value > 0 {
-			r.idx = append(r.idx, i)
-		}
+	for k := range cands {
+		r.idx = append(r.idx, k)
 	}
 	r.rng.Shuffle(len(r.idx), func(a, b int) { r.idx[a], r.idx[b] = r.idx[b], r.idx[a] })
-	var sel []int
 	remaining := budget
-	for _, i := range r.idx {
-		if items[i].Cost <= remaining {
-			sel = append(sel, i)
-			remaining -= items[i].Cost
+	for _, k := range r.idx {
+		if c := cands[k]; c.Cost <= remaining {
+			dst = append(dst, int(c.Stream))
+			remaining -= c.Cost
 		}
 	}
-	return sel
+	return dst
 }
 
 // ExactDP solves the 0/1 knapsack exactly by dynamic programming over a
 // discretized budget. It is exponentially cheaper than enumeration but still
 // only suitable for small instances (tests and ablations, not production).
+// The chosen streams are appended in list order.
 type ExactDP struct {
 	// Scale discretizes costs: cost units per DP cell. Default 0.01.
 	Scale float64
+
+	// Scratch, reused across solves: per-candidate discretized costs,
+	// dp[j] = best value at capacity j, and keep[i*(w+1)+j] recording
+	// whether candidate i was taken at capacity j.
+	costs []int
+	dp    []float64
+	keep  []bool
 }
 
-// Name implements Selector.
-func (*ExactDP) Name() string { return "exact-dp" }
-
 // Select implements Selector.
-func (d *ExactDP) Select(items []Item, budget float64) []int {
+func (d *ExactDP) Select(dst []int, cands []Candidate, budget float64) []int {
 	scale := d.Scale
 	if scale <= 0 {
 		scale = 0.01
 	}
 	w := int(math.Floor(budget/scale + 1e-9))
 	if w < 0 {
-		return nil
+		return dst
 	}
-	n := len(items)
-	costs := make([]int, n)
-	for i, it := range items {
-		costs[i] = int(math.Ceil(it.Cost/scale - 1e-9))
-	}
-	// dp[j] = best value at capacity j; keep[i][j] records choices.
-	dp := make([]float64, w+1)
-	keep := make([][]bool, n)
-	for i := 0; i < n; i++ {
-		keep[i] = make([]bool, w+1)
-		if items[i].Value <= 0 {
+	n := len(cands)
+	d.costs, d.dp, d.keep = grown(d.costs, n), grown(d.dp, w+1), grown(d.keep, n*(w+1))
+	costs, dp, keep := d.costs, d.dp, d.keep
+	clear(dp)
+	clear(keep)
+	for i, c := range cands {
+		costs[i] = int(math.Ceil(c.Cost/scale - 1e-9))
+		if c.Value <= 0 {
 			continue
 		}
-		ci := costs[i]
-		for j := w; j >= ci; j-- {
-			if cand := dp[j-ci] + items[i].Value; cand > dp[j] {
-				dp[j] = cand
-				keep[i][j] = true
+		for j := w; j >= costs[i]; j-- {
+			if v := dp[j-costs[i]] + c.Value; v > dp[j] {
+				dp[j] = v
+				keep[i*(w+1)+j] = true
 			}
 		}
 	}
-	// Reconstruct.
-	var sel []int
-	j := w
-	for i := n - 1; i >= 0; i-- {
-		if keep[i][j] {
-			sel = append(sel, i)
+	// Reconstruct back to front, then reverse into list order.
+	first := len(dst)
+	for i, j := n-1, w; i >= 0; i-- {
+		if keep[i*(w+1)+j] {
+			dst = append(dst, int(cands[i].Stream))
 			j -= costs[i]
 		}
 	}
-	// Reverse to ascending order for stable output.
-	for a, b := 0, len(sel)-1; a < b; a, b = a+1, b-1 {
-		sel[a], sel[b] = sel[b], sel[a]
+	for a, b := first, len(dst)-1; a < b; a, b = a+1, b-1 {
+		dst[a], dst[b] = dst[b], dst[a]
 	}
-	return sel
+	return dst
+}
+
+// grown returns buf resized to n elements, reallocating only when it is too
+// small; the contents are unspecified.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // FractionalOPT returns the optimal value of the *fractional* relaxation:
@@ -322,9 +280,12 @@ func (d *ExactDP) Select(items []Item, budget float64) []int {
 // 0/1 solution and is the opt_F of the Lemma 1 proof.
 func FractionalOPT(items []Item, budget float64) float64 {
 	var o order
+	for i, it := range items {
+		o.list(i, i, it.Value, it.Cost)
+	}
 	var v float64
 	remaining := budget
-	for _, e := range o.sortItems(items) {
+	for _, e := range o.sort() {
 		it := items[e.id]
 		if it.Cost <= remaining {
 			v += it.Value

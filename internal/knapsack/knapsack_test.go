@@ -7,6 +7,19 @@ import (
 	"testing/quick"
 )
 
+// candsOf lists a dense item array as candidates, ascending by stream. A zero
+// slot is an idle stream and is not listed: in a candidate list absence is
+// absence.
+func candsOf(items []Item) []Candidate {
+	var cands []Candidate
+	for i, it := range items {
+		if it != (Item{}) {
+			cands = append(cands, Candidate{Stream: int32(i), Value: it.Value, Cost: it.Cost})
+		}
+	}
+	return cands
+}
+
 func TestGreedyBasic(t *testing.T) {
 	items := []Item{
 		{Value: 0.9, Cost: 1},   // ratio 0.9
@@ -15,7 +28,7 @@ func TestGreedyBasic(t *testing.T) {
 		{Value: 0.1, Cost: 0.8}, // ratio 0.125
 	}
 	g := &Greedy{}
-	sel := g.Select(items, 2.0)
+	sel := g.Select(nil, candsOf(items), 2.0)
 	if len(sel) != 2 || sel[0] != 0 || sel[1] != 2 {
 		t.Errorf("sel = %v, want [0 2]", sel)
 	}
@@ -29,7 +42,7 @@ func TestGreedyBasic(t *testing.T) {
 
 func TestGreedySkipsZeroValue(t *testing.T) {
 	items := []Item{{Value: 0, Cost: 1}, {Value: 0.1, Cost: 1}}
-	sel := (&Greedy{}).Select(items, 5)
+	sel := (&Greedy{}).Select(nil, candsOf(items), 5)
 	if len(sel) != 1 || sel[0] != 1 {
 		t.Errorf("sel = %v, want [1]", sel)
 	}
@@ -37,7 +50,7 @@ func TestGreedySkipsZeroValue(t *testing.T) {
 
 func TestGreedyZeroCostFirst(t *testing.T) {
 	items := []Item{{Value: 0.1, Cost: 1}, {Value: 0.01, Cost: 0}}
-	sel := (&Greedy{}).Select(items, 1)
+	sel := (&Greedy{}).Select(nil, candsOf(items), 1)
 	if len(sel) != 2 || sel[0] != 1 {
 		t.Errorf("sel = %v, want zero-cost item first", sel)
 	}
@@ -51,8 +64,8 @@ func TestGreedyFillPassBeatsPrefix(t *testing.T) {
 		{Value: 0.9, Cost: 2.5}, // doesn't fit after item 0 (budget 2)
 		{Value: 0.3, Cost: 1},   // fill pass takes this
 	}
-	prefix := (&GreedyPrefix{}).Select(items, 2)
-	fill := (&Greedy{}).Select(items, 2)
+	prefix := (&GreedyPrefix{}).Select(nil, candsOf(items), 2)
+	fill := (&Greedy{}).Select(nil, candsOf(items), 2)
 	if TotalValue(items, fill) <= TotalValue(items, prefix) {
 		t.Errorf("fill (%v) must beat prefix (%v)", fill, prefix)
 	}
@@ -60,11 +73,11 @@ func TestGreedyFillPassBeatsPrefix(t *testing.T) {
 
 func TestGreedyEmptyAndInfeasible(t *testing.T) {
 	g := &Greedy{}
-	if sel := g.Select(nil, 10); len(sel) != 0 {
+	if sel := g.Select(nil, nil, 10); len(sel) != 0 {
 		t.Errorf("empty items: %v", sel)
 	}
 	items := []Item{{Value: 1, Cost: 5}}
-	if sel := g.Select(items, 1); len(sel) != 0 {
+	if sel := g.Select(nil, candsOf(items), 1); len(sel) != 0 {
 		t.Errorf("infeasible item selected: %v", sel)
 	}
 }
@@ -77,7 +90,7 @@ func TestExactDPOptimal(t *testing.T) {
 		{Value: 1.0, Cost: 2}, // ratio 0.5
 	}
 	dp := &ExactDP{}
-	sel := dp.Select(items, 4)
+	sel := dp.Select(nil, candsOf(items), 4)
 	if v := TotalValue(items, sel); math.Abs(v-2.0) > 1e-9 {
 		t.Errorf("DP value = %v, want 2.0 (items 1+2)", v)
 	}
@@ -90,7 +103,7 @@ func TestFractionalOPTUpperBounds(t *testing.T) {
 	if math.Abs(opt-1.5) > 1e-12 {
 		t.Errorf("fractional OPT = %v, want 1.5", opt)
 	}
-	dp := (&ExactDP{}).Select(items, 3)
+	dp := (&ExactDP{}).Select(nil, candsOf(items), 3)
 	if TotalValue(items, dp) > opt+1e-9 {
 		t.Errorf("DP %v exceeds fractional bound %v", TotalValue(items, dp), opt)
 	}
@@ -113,7 +126,7 @@ func TestLemma1ApproximationRatio(t *testing.T) {
 			}
 		}
 		budget := 3 + rng.Float64()*12
-		vg := TotalValue(items, g.Select(items, budget))
+		vg := TotalValue(items, g.Select(nil, candsOf(items), budget))
 		opt := FractionalOPT(items, budget)
 		if opt == 0 {
 			continue
@@ -124,11 +137,11 @@ func TestLemma1ApproximationRatio(t *testing.T) {
 				trial, vg, bound, items, budget)
 		}
 		// The fill-pass greedy can only do better.
-		if vf := TotalValue(items, (&Greedy{}).Select(items, budget)); vf < vg-1e-9 {
+		if vf := TotalValue(items, (&Greedy{}).Select(nil, candsOf(items), budget)); vf < vg-1e-9 {
 			t.Fatalf("trial %d: fill greedy %v below prefix greedy %v", trial, vf, vg)
 		}
 		// And the DP optimum respects the fractional bound.
-		if vdp := TotalValue(items, dp.Select(items, budget)); vdp > opt+1e-6 {
+		if vdp := TotalValue(items, dp.Select(nil, candsOf(items), budget)); vdp > opt+1e-6 {
 			t.Fatalf("trial %d: DP %v above fractional %v", trial, vdp, opt)
 		}
 	}
@@ -145,14 +158,14 @@ func TestSelectorsRespectBudget(t *testing.T) {
 		}
 		budget := rng.Float64() * 8
 		for _, s := range selectors {
-			sel := s.Select(items, budget)
+			sel := s.Select(nil, candsOf(items), budget)
 			if c := TotalCost(items, sel); c > budget+1e-9 {
-				t.Errorf("%s: cost %v exceeds budget %v", s.Name(), c, budget)
+				t.Errorf("%T: cost %v exceeds budget %v", s, c, budget)
 			}
 			seen := map[int]bool{}
 			for _, i := range sel {
 				if i < 0 || i >= n || seen[i] {
-					t.Errorf("%s: invalid/duplicate index %d in %v", s.Name(), i, sel)
+					t.Errorf("%T: invalid/duplicate index %d in %v", s, i, sel)
 				}
 				seen[i] = true
 			}
@@ -169,7 +182,7 @@ func TestRoundRobinCyclesFairly(t *testing.T) {
 	counts := make([]int, 6)
 	// Budget 2 per round: each round decodes 2 streams, cursor advances.
 	for round := 0; round < 9; round++ {
-		for _, i := range rr.Select(items, 2) {
+		for _, i := range rr.Select(nil, candsOf(items), 2) {
 			counts[i]++
 		}
 	}
@@ -183,7 +196,7 @@ func TestRoundRobinCyclesFairly(t *testing.T) {
 func TestRoundRobinIgnoresValues(t *testing.T) {
 	items := []Item{{Value: 0.001, Cost: 1}, {Value: 0.999, Cost: 1}}
 	rr := &RoundRobin{}
-	sel := rr.Select(items, 1)
+	sel := rr.Select(nil, candsOf(items), 1)
 	if len(sel) != 1 || sel[0] != 0 {
 		t.Errorf("round-robin must start at stream 0 regardless of value: %v", sel)
 	}
@@ -192,7 +205,7 @@ func TestRoundRobinIgnoresValues(t *testing.T) {
 func TestRoundRobinSkipsIdleStreams(t *testing.T) {
 	items := []Item{{}, {Value: 0.5, Cost: 1}, {}}
 	rr := &RoundRobin{}
-	sel := rr.Select(items, 5)
+	sel := rr.Select(nil, candsOf(items), 5)
 	if len(sel) != 1 || sel[0] != 1 {
 		t.Errorf("sel = %v, want only the active stream", sel)
 	}
@@ -205,7 +218,7 @@ func TestRandomSelectorDeterministicSeed(t *testing.T) {
 	}
 	a, b := NewRandom(5), NewRandom(5)
 	for round := 0; round < 10; round++ {
-		sa, sb := a.Select(items, 7), b.Select(items, 7)
+		sa, sb := a.Select(nil, candsOf(items), 7), b.Select(nil, candsOf(items), 7)
 		if len(sa) != len(sb) {
 			t.Fatalf("round %d: diverged", round)
 		}
@@ -225,7 +238,7 @@ func TestRandomCoversAllStreamsEventually(t *testing.T) {
 	r := NewRandom(3)
 	seen := map[int]bool{}
 	for round := 0; round < 200; round++ {
-		for _, i := range r.Select(items, 3) {
+		for _, i := range r.Select(nil, candsOf(items), 3) {
 			seen[i] = true
 		}
 	}
@@ -253,7 +266,7 @@ func TestGreedyFeasibilityProperty(t *testing.T) {
 			items[i] = Item{Value: math.Abs(math.Mod(v, 1)), Cost: 0.5 + math.Abs(math.Mod(v*3, 3))}
 		}
 		budget := math.Abs(math.Mod(budgetRaw, 20))
-		sel := (&Greedy{}).Select(items, budget)
+		sel := (&Greedy{}).Select(nil, candsOf(items), budget)
 		return TotalCost(items, sel) <= budget+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -270,7 +283,7 @@ func TestRoundRobinSkipsUnservable(t *testing.T) {
 		{Value: 1, Cost: 1},
 	}
 	rr := &RoundRobin{}
-	sel := rr.Select(items, 3)
+	sel := rr.Select(nil, candsOf(items), 3)
 	if len(sel) != 2 || sel[0] != 1 || sel[1] != 2 {
 		t.Errorf("sel = %v, want [1 2] (skipping the unservable stream)", sel)
 	}

@@ -3,9 +3,8 @@ package knapsack
 import "math"
 
 // This file is the package's one ordering kernel. Every ratio order in the
-// tree — Greedy (dense and sparse), GreedyPrefix, Tiered, Ranked's staged
-// set, FractionalOPT, and through Greedy the cluster coordinator's global
-// solve — lists its candidates as entries and sorts them here.
+// tree — Greedy, GreedyPrefix, Tiered, Ranked's staged set, FractionalOPT,
+// and through Greedy the cluster coordinator's global solve — lists its candidates as entries and sorts them here.
 //
 // Ordering contract: ratio value/cost descending (a zero cost ranks as +Inf,
 // ahead of every finite ratio), id ascending among exactly equal ratios.
@@ -21,7 +20,7 @@ import "math"
 // ratios lie in [+0, +Inf], where the bit image is monotone, and −0 cannot
 // occur (a −0 cost takes the zero-cost branch, a positive value over a
 // positive cost underflows to +0). pos is the caller's handle back to the
-// candidate — its position in a sparse list; dense callers and Ranked
+// candidate — its position in a candidate list; dense callers and Ranked
 // address by id and leave it unused.
 type entry struct {
 	key uint64

@@ -138,9 +138,10 @@ var unlistable = []Item{
 }
 
 // TestUnlistableCandidatesAgree is the NaN / signed-zero contract: every
-// selector drops the same candidates, so Greedy (dense and sparse), Tiered
-// and Ranked still agree bit for bit when such candidates are mixed in, and
-// ±0 costs and underflowed ratios share their keys.
+// selector drops the same candidates, so Greedy (over an ascending and over a
+// shuffled list), Tiered and Ranked still agree bit for bit when such
+// candidates are mixed in, and ±0 costs and underflowed ratios share their
+// keys.
 func TestUnlistableCandidatesAgree(t *testing.T) {
 	for _, it := range unlistable {
 		if _, ok := orderKey(it.Value, it.Cost); ok {
@@ -177,7 +178,7 @@ func TestUnlistableCandidatesAgree(t *testing.T) {
 			}
 		}
 		budget := rng.Float64() * 10
-		want := g.SelectAppend(nil, items, budget)
+		want := g.Select(nil, candsOf(items), budget)
 		for _, i := range want {
 			if !listed(items[i]) {
 				t.Fatalf("round %d: greedy selected unlistable %+v", round, items[i])
@@ -188,8 +189,8 @@ func TestUnlistableCandidatesAgree(t *testing.T) {
 		for _, i := range rng.Perm(m) {
 			cands = append(cands, Candidate{Stream: int32(i), Value: items[i].Value, Cost: items[i].Cost})
 		}
-		if got := gs.SelectSparseAppend(nil, cands, budget); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: sparse %v vs dense %v", round, got, want)
+		if got := gs.Select(nil, cands, budget); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: shuffled %v vs ascending %v", round, got, want)
 		}
 		if got := td.SelectAppend(nil, items, tiers, 1, budget); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: tiered %v vs greedy %v", round, got, want)
@@ -206,7 +207,8 @@ func TestUnlistableCandidatesAgree(t *testing.T) {
 
 // FuzzOrderKernel feeds raw float bit patterns (NaNs, infinities, negatives,
 // denormals) through the kernel in a seed-shuffled listing order and checks
-// it against the comparison sort, then that the selectors built on it agree.
+// it against the comparison sort, then that the selectors built on it agree
+// (Greedy over the ascending list ≡ over the shuffled one ≡ Ranked).
 func FuzzOrderKernel(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		var b []byte
@@ -244,13 +246,13 @@ func FuzzOrderKernel(f *testing.F) {
 			return
 		}
 		var g, gs Greedy
-		dense := g.SelectAppend(nil, items, budget)
+		dense := g.Select(nil, candsOf(items), budget)
 		var cands []Candidate
 		for _, i := range ids {
 			cands = append(cands, Candidate{Stream: int32(i), Value: items[i].Value, Cost: items[i].Cost})
 		}
-		if sparse := gs.SelectSparseAppend(nil, cands, budget); !reflect.DeepEqual(sparse, dense) {
-			t.Fatalf("sparse %v vs dense %v", sparse, dense)
+		if shuffled := gs.Select(nil, cands, budget); !reflect.DeepEqual(shuffled, dense) {
+			t.Fatalf("shuffled %v vs ascending %v", shuffled, dense)
 		}
 		rk := NewRanked(n)
 		rk.BeginRound()
@@ -296,8 +298,9 @@ func (fx *selectFixture) ranked(rk *Ranked, dst []int, budget float64) []int {
 	return rk.SelectAppend(dst, 2, budget)
 }
 
-// TestSelectZeroAlloc: in steady state no selector allocates — including
-// Ranked with every candidate dirty every round, the paper's configuration.
+// TestSelectZeroAlloc: in steady state no selector allocates — every
+// implementation of Selector, the dense reference Tiered, and Ranked with
+// every candidate dirty every round, the paper's configuration.
 func TestSelectZeroAlloc(t *testing.T) {
 	const n = 2048
 	fx := newSelectFixture(n)
@@ -305,17 +308,22 @@ func TestSelectZeroAlloc(t *testing.T) {
 	for i := range tiers {
 		tiers[i] = uint8(i & 1)
 	}
-	var dense, sparse Greedy
 	var td Tiered
 	rk := NewRanked(n)
 	dst := make([]int, 0, n)
 	round := 0
+	sel := func(s Selector, cands []Candidate) func() {
+		return func() { dst = s.Select(dst[:0], cands, 64) }
+	}
 	cases := []struct {
 		name string
 		run  func()
 	}{
-		{"greedy-dense", func() { dst = dense.SelectAppend(dst[:0], fx.items, 64) }},
-		{"greedy-sparse", func() { dst = sparse.SelectSparseAppend(dst[:0], fx.cands, 64) }},
+		{"greedy", sel(&Greedy{}, fx.cands)},
+		{"greedy-prefix", sel(&GreedyPrefix{}, fx.cands)},
+		{"round-robin", sel(&RoundRobin{}, fx.cands)},
+		{"random", sel(NewRandom(1), fx.cands)},
+		{"exact-dp", sel(&ExactDP{Scale: 0.5}, fx.cands[:64])}, // O(n·B/Scale): kept small
 		{"tiered", func() { dst = td.SelectAppend(dst[:0], fx.items, tiers, 2, 64) }},
 		{"ranked-100pct", func() { dst = fx.ranked(rk, dst[:0], 64) }},
 	}
@@ -344,15 +352,14 @@ func BenchmarkSelect(b *testing.B) {
 		fx := newSelectFixture(n)
 		budget := float64(n) / 8
 		dst := make([]int, 0, n)
-		var dense, sparse Greedy
+		var greedy Greedy
 		rk1, rk100 := NewRanked(n), NewRanked(n)
 		legs := []struct {
 			name  string
 			every int
 			run   func()
 		}{
-			{"greedy-dense", 1, func() { dst = dense.SelectAppend(dst[:0], fx.items, budget) }},
-			{"greedy-sparse", 1, func() { dst = sparse.SelectSparseAppend(dst[:0], fx.cands, budget) }},
+			{"greedy", 1, func() { dst = greedy.Select(dst[:0], fx.cands, budget) }},
 			{"ranked-1pct", 100, func() { dst = fx.ranked(rk1, dst[:0], budget) }},
 			{"ranked-100pct", 1, func() { dst = fx.ranked(rk100, dst[:0], budget) }},
 		}

@@ -78,9 +78,9 @@ func TestGreedyLemma1PropertyVsBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: fractional OPT %v below integral OPT %v", trial, fracOPT, opt)
 		}
 
-		greedySel := new(Greedy).Select(items, budget)
-		prefixSel := new(GreedyPrefix).Select(items, budget)
-		dpSel := new(ExactDP).Select(items, budget)
+		greedySel := new(Greedy).Select(nil, candsOf(items), budget)
+		prefixSel := new(GreedyPrefix).Select(nil, candsOf(items), budget)
+		dpSel := new(ExactDP).Select(nil, candsOf(items), budget)
 		for name, sel := range map[string][]int{"greedy": greedySel, "prefix": prefixSel, "dp": dpSel} {
 			if got := TotalCost(items, sel); got > budget+eps {
 				t.Fatalf("trial %d: %s overspent: %v > %v", trial, name, got, budget)
@@ -104,45 +104,5 @@ func TestGreedyLemma1PropertyVsBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: ExactDP %v != brute-force OPT %v\nitems=%+v budget=%v",
 				trial, dpVal, opt, items, budget)
 		}
-	}
-}
-
-// TestSparseGreedyMatchesDense is the compact-solve equivalence property:
-// on random instances, SelectSparseAppend over the non-zero slots (in
-// ascending stream order) must return exactly SelectAppend's selection over
-// the dense array, including ratio ties and the fill pass.
-func TestSparseGreedyMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	var g, gs Greedy
-	for trial := 0; trial < 300; trial++ {
-		m := 1 + rng.Intn(64)
-		items := make([]Item, m)
-		var cands []Candidate
-		for i := range items {
-			if rng.Float64() < 0.4 {
-				continue // idle slot
-			}
-			v := float64(rng.Intn(5)) / 4 // includes 0 and duplicate ratios
-			c := float64(1+rng.Intn(4)) / 2
-			if rng.Float64() < 0.1 {
-				c = 0
-			}
-			items[i] = Item{Value: v, Cost: c}
-			if v != 0 || c != 0 {
-				cands = append(cands, Candidate{Stream: int32(i), Value: v, Cost: c})
-			}
-		}
-		budget := rng.Float64() * 8
-		dense := g.SelectAppend(nil, items, budget)
-		sparse := gs.SelectSparseAppend(nil, cands, budget)
-		if len(dense) != len(sparse) {
-			t.Fatalf("trial %d: dense %v vs sparse %v", trial, dense, sparse)
-		}
-		for k := range dense {
-			if dense[k] != sparse[k] {
-				t.Fatalf("trial %d: dense %v vs sparse %v", trial, dense, sparse)
-			}
-		}
-		cands = cands[:0]
 	}
 }

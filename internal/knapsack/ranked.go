@@ -25,7 +25,7 @@ package knapsack
 // (value, cost) did NOT move. With the gate's exploration bonus on, every
 // active stream's value moves every round, the staged set is the whole
 // active set, and a round is one kernel sort of it plus a merge that drops
-// all of last round's order — the same work as Greedy's sparse solve, which
+// all of last round's order — the same work as Greedy's solve, which
 // is why that sort must not be a comparison sort.
 //
 // The resulting order is bit-identical to a from-scratch sort because the
@@ -70,9 +70,6 @@ func NewRanked(n int) *Ranked {
 		dirty: make([]bool, n),
 	}
 }
-
-// Name identifies the policy in reports.
-func (*Ranked) Name() string { return "ranked-incremental" }
 
 // BeginRound opens a new round; every candidate for this round must then be
 // Offered before SelectAppend.
@@ -163,7 +160,7 @@ func (r *Ranked) mergeTier(t int) []entry {
 
 // SelectAppend closes the round: it folds the staged candidates into the
 // persistent order and appends the chosen ids to dst. With numTiers == 1
-// the walk is exactly Greedy.SelectAppend over the offered candidates; with
+// the walk is exactly Greedy.Select over the offered candidates; with
 // more tiers it is Tiered.SelectAppend's strict-priority cascade, including
 // its rule that once the remaining budget hits zero, lower tiers are not
 // visited at all.

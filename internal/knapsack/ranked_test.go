@@ -8,7 +8,7 @@ import (
 // TestRankedMatchesGreedy drives Ranked through many rounds of randomized
 // churn — values drifting, candidates disappearing and reviving, exact ratio
 // ties — and asserts the selection is identical (same ids, same order) to a
-// from-scratch Greedy solve over the equivalent dense item set every round.
+// from-scratch Greedy solve over the equivalent item set every round.
 func TestRankedMatchesGreedy(t *testing.T) {
 	const m = 64
 	rng := rand.New(rand.NewSource(7))
@@ -50,7 +50,7 @@ func TestRankedMatchesGreedy(t *testing.T) {
 				items[i] = Item{Value: vals[i], Cost: costs[i]}
 			}
 		}
-		want := g.SelectAppend(nil, items, budget)
+		want := g.Select(nil, candsOf(items), budget)
 
 		rk.BeginRound()
 		for i := 0; i < m; i++ {
@@ -168,28 +168,28 @@ func TestOrderScratchShrinks(t *testing.T) {
 	for i := range big {
 		big[i] = Item{Value: 1, Cost: 1}
 	}
-	g.SelectAppend(nil, big, 10)
+	g.Select(nil, candsOf(big), 10)
 	if cap(g.ord.es) < len(big) || cap(g.ord.tmp) < len(big) {
 		t.Fatalf("scratch did not grow to the spike: cap %d/%d", cap(g.ord.es), cap(g.ord.tmp))
 	}
 	small := big[:2000]
-	g.SelectAppend(nil, small, 10)
-	g.SelectAppend(nil, small, 10)
+	g.Select(nil, candsOf(small), 10)
+	g.Select(nil, candsOf(small), 10)
 	if cap(g.ord.es) > len(big)/4 || cap(g.ord.tmp) > len(big)/4 {
 		t.Fatalf("scratch still pinned at spike size: cap %d/%d after m=%d rounds", cap(g.ord.es), cap(g.ord.tmp), len(small))
 	}
 	// And it must still produce correct selections after shrinking.
-	sel := g.SelectAppend(nil, small, 3)
+	sel := g.Select(nil, candsOf(small), 3)
 	if len(sel) != 3 {
 		t.Fatalf("post-shrink selection wrong: %v", sel)
 	}
-	// A mostly idle dense array is sized by its candidates, not by m.
+	// A mostly idle fleet is sized by its candidates, not by m.
 	sparse := make([]Item, 100_000)
 	for i := 0; i < len(sparse); i += 100 {
 		sparse[i] = Item{Value: 1, Cost: 1}
 	}
 	g = &Greedy{}
-	g.SelectAppend(nil, sparse, 10)
+	g.Select(nil, candsOf(sparse), 10)
 	if cap(g.ord.es) > len(sparse)/25 {
 		t.Fatalf("scratch sized by m: cap %d for %d candidates", cap(g.ord.es), len(sparse)/100)
 	}

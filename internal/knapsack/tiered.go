@@ -19,15 +19,14 @@ package knapsack
 // approximately fractional costs, where B_t is the budget remaining when
 // tier t solved and c_t the tier's largest item cost.
 //
-// With numTiers == 1 the result is identical to Greedy.SelectAppend. All
-// scratch is persistent: steady-state rounds allocate nothing beyond growth
+// With numTiers == 1 the result is identical to Greedy.Select over the
+// positive-budget rounds the gate runs. Tiered reads a dense, stream-indexed
+// item array (a zero slot is an absent stream): it is the from-scratch
+// reference Ranked's cascade is tested against. All scratch is persistent: steady-state rounds allocate nothing beyond growth
 // of the caller's dst.
 type Tiered struct {
 	sub order // kernel scratch, reused across tiers and rounds
 }
-
-// Name identifies the policy in reports.
-func (*Tiered) Name() string { return "tiered-greedy" }
 
 // SelectAppend appends the chosen indices to dst, solving tiers in priority
 // order. tiers[i] is item i's tier and must be < numTiers (out-of-range

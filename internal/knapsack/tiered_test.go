@@ -80,7 +80,7 @@ func TestTieredSingleTierEqualsGreedy(t *testing.T) {
 		tiers := make([]uint8, len(items))
 		budget := 1 + rng.Float64()*10
 		got := tiered.SelectAppend(nil, items, tiers, 1, budget)
-		want := greedy.SelectAppend(nil, items, budget)
+		want := greedy.Select(nil, candsOf(items), budget)
 		if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
 			t.Fatalf("trial %d: tiered %v != greedy %v", trial, got, want)
 		}
@@ -142,7 +142,7 @@ func TestTieredPerTierLemmaBound(t *testing.T) {
 			if len(sub) == 0 {
 				continue
 			}
-			opt := TotalValue(sub, dp.Select(sub, remaining))
+			opt := TotalValue(sub, dp.Select(nil, candsOf(sub), remaining))
 			if remaining > 0 && c < remaining {
 				if bound := (1 - c/remaining) * opt; got < bound-1e-6 {
 					t.Fatalf("trial %d tier %d: value %v < (1-%v/%v)·OPT = %v",

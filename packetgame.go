@@ -198,14 +198,17 @@ func NewTrainer(p *Predictor, lr float64) *Trainer { return predictor.NewTrainer
 
 // Selectors (combinatorial optimizer and baselines).
 type (
-	// Selector chooses a budget-feasible subset of items.
+	// Selector chooses a budget-feasible subset of a round's candidates:
+	// one method, Select(dst, cands, budget), appending the chosen stream
+	// ids to dst. Config.Selector nil means the gate's built-in ranked solve.
 	Selector = knapsack.Selector
 	// Greedy is the paper's 1−c/B optimizer.
 	Greedy = knapsack.Greedy
 	// RoundRobin is the stream-agnostic baseline of §3.2.
 	RoundRobin = knapsack.RoundRobin
-	// Item is one selectable packet (value, cost).
-	Item = knapsack.Item
+	// Candidate is one selectable packet (stream, value, cost): what a
+	// Selector is handed.
+	Candidate = knapsack.Candidate
 )
 
 // NewRandomSelector builds the random baseline.
