@@ -47,7 +47,9 @@ loc:
 # Decide+Feedback round, the batched compiled forward, every selector's
 # solve (Ranked with all candidates dirty included) and the coordinator's
 # solve-and-grant step must stay at ~zero allocs/op (testing.AllocsPerRun,
-# no benchmark run needed). The last line
+# no benchmark run needed), and a whole engine round — gate loop, decode
+# pool, collector, feedback, rounds overlapping or not — under one small
+# object. The last line
 # re-runs the nn and predictor suites with the AVX2 kernel linked out
 # (nn.portableOnly), so a host that has AVX2 still exercises the portable
 # kernels every other host runs.
@@ -57,6 +59,7 @@ alloc-smoke:
 	$(GO) test ./internal/nn -run TestCompiledForwardZeroAlloc -count 1
 	$(GO) test ./internal/knapsack -run TestSelectZeroAlloc -count 1
 	$(GO) test ./internal/cluster -run TestSolveGrantZeroAlloc -count 1
+	$(GO) test ./internal/pipeline -run TestEngineRoundAllocCeiling -count 1
 	$(GO) test -ldflags '-X packetgame/internal/nn.portableOnly=1' ./internal/nn ./internal/predictor -count 1
 
 verify: build vet test race alloc-smoke replay soak scale cluster failover benchdiff
@@ -64,8 +67,7 @@ verify: build vet test race alloc-smoke replay soak scale cluster failover bench
 # Headline-regression gate: after `make scale`/`make cluster` rewrite the
 # BENCH files, compare their headlines against the copies committed at HEAD
 # and fail if a speedup fell below 85% of its baseline or an absolute cost
-# (the churn sweep's ns figures, the end-to-end round's allocated bytes) rose
-# above 1/85% of it. Skips (with a note) when a baseline is missing or the
+# (the churn sweep's ns figures) rose above 1/85% of it. Skips (with a note) when a baseline is missing or the
 # bench schema version changed.
 benchdiff:
 	$(GO) run ./cmd/benchdiff

@@ -47,8 +47,8 @@ func main() {
 		policy    = flag.String("policy", "packetgame", "packetgame, roundrobin, or random")
 		workers   = flag.Int("workers", 4, "decode workers")
 		seed      = flag.Int64("seed", 1, "random seed")
-		pipelined = flag.Bool("pipelined", false, "overlap rounds through the staged engine")
-		inflight  = flag.Int("inflight", 1, "feedback lag k: rounds in flight (pipelined) / ack deferral (sequential)")
+		pipelined = flag.Bool("pipelined", false, "let up to -inflight rounds overlap (the next round is gated while this one decodes)")
+		inflight  = flag.Int("inflight", 1, "feedback lag k: round t is decided on feedback through round t-k; with -pipelined also the number of rounds that may overlap")
 		fresh     = flag.Bool("fresh", false, "apply feedback on round completion instead of the deterministic lag schedule (pipelined only)")
 		shards    = flag.Int("shards", 0, "gate state shards (0 = default)")
 		burn      = flag.Int64("burn", 0, "CPU nanoseconds burned per decode-cost unit (software decoder model)")
@@ -208,9 +208,10 @@ func main() {
 	// Recording. The capture gets every ingested packet via a source tap;
 	// with the packetgame policy the gate's decision trace lands in the same
 	// file. The decision trace is audit-grade (replayable bit-identically by
-	// `pgcap audit`) only when the run is sequential with immediate feedback
-	// and no learned predictor or fault injection — otherwise the gate
-	// metadata is omitted so audits fail loudly instead of lying.
+	// `pgcap audit`) only when rounds do not overlap, feedback is immediate
+	// (k = 1) and there is no learned predictor or fault injection —
+	// otherwise the gate metadata is omitted so audits fail loudly instead of
+	// lying.
 	var capw *capture.Writer
 	var capFile *os.File
 	openCapture := func(gm *capture.GateMeta) {
@@ -352,7 +353,7 @@ func main() {
 		fmt.Printf("  accuracy          n/a (no ground truth over the network)\n")
 	}
 	fmt.Printf("  wall time         %v (%.0f decoded FPS)\n", rep.Elapsed.Round(1e6), rep.DecodedFPS)
-	mode := "sequential"
+	mode := "no overlap"
 	if *pipelined {
 		mode = "pipelined"
 	}

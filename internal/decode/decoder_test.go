@@ -64,39 +64,39 @@ func TestBurnDecoderDecodes(t *testing.T) {
 
 func TestPoolDecodesAll(t *testing.T) {
 	st := codec.NewStream(codec.SceneConfig{}, codec.EncoderConfig{GOPSize: 6}, 13)
-	pool := NewPool(NewDecoder(DefaultCosts), 4)
+	pool := NewTaggedPool(NewDecoder(DefaultCosts), 4)
 	const n = 200
 	go func() {
 		for i := 0; i < n; i++ {
-			pool.Submit(st.Next())
+			pool.Submit(Job{Slot: i, Pkt: st.Next()})
 		}
 		pool.Close()
 	}()
 	seen := map[int64]bool{}
-	for f := range pool.Frames() {
-		if seen[f.Seq] {
-			t.Errorf("duplicate frame seq %d", f.Seq)
+	for c := range pool.Completions() {
+		if c.Err != nil {
+			t.Errorf("unexpected decode error: %v", c.Err)
 		}
-		seen[f.Seq] = true
+		if seen[c.Frame.Seq] {
+			t.Errorf("duplicate frame seq %d", c.Frame.Seq)
+		}
+		seen[c.Frame.Seq] = true
 	}
 	if len(seen) != n {
 		t.Errorf("decoded %d frames, want %d", len(seen), n)
 	}
-	for err := range pool.Errs() {
-		t.Errorf("unexpected decode error: %v", err)
-	}
 }
 
 func TestPoolReportsErrors(t *testing.T) {
-	pool := NewPool(NewDecoder(DefaultCosts), 2)
-	pool.Submit(&codec.Packet{}) // no payload
+	pool := NewTaggedPool(NewDecoder(DefaultCosts), 2)
+	pool.Submit(Job{Pkt: &codec.Packet{}}) // no payload
 	pool.Close()
-	for range pool.Frames() {
-		t.Error("no frames expected")
-	}
 	var got error
-	for err := range pool.Errs() {
-		got = err
+	for c := range pool.Completions() {
+		if c.Frame != (Frame{}) {
+			t.Error("no frames expected")
+		}
+		got = c.Err
 	}
 	if !errors.Is(got, ErrNoPayload) {
 		t.Errorf("pool error = %v, want ErrNoPayload", got)
@@ -104,15 +104,17 @@ func TestPoolReportsErrors(t *testing.T) {
 }
 
 func TestPoolMinWorkers(t *testing.T) {
-	pool := NewPool(NewDecoder(DefaultCosts), 0) // clamped to 1
+	pool := NewTaggedPool(NewDecoder(DefaultCosts), 0) // clamped to 1
 	st := codec.NewStream(codec.SceneConfig{}, codec.EncoderConfig{GOPSize: 3}, 2)
 	go func() {
-		pool.Submit(st.Next())
+		pool.Submit(Job{Pkt: st.Next()})
 		pool.Close()
 	}()
 	n := 0
-	for range pool.Frames() {
-		n++
+	for c := range pool.Completions() {
+		if c.Err == nil {
+			n++
+		}
 	}
 	if n != 1 {
 		t.Errorf("decoded %d frames, want 1", n)

@@ -13,73 +13,6 @@ import (
 // decoded — the outcome is unknown, not a decoder failure.
 var ErrAborted = errors.New("decode: job aborted before decoding")
 
-// Pool decodes packets on a fixed set of worker goroutines, modelling a
-// multi-core software decoder. Submit packets with Submit; decoded frames
-// arrive on Frames in completion order. Close Submit-side with Close; Frames
-// closes once all in-flight work drains.
-type Pool struct {
-	in      chan *codec.Packet
-	out     chan Frame
-	errs    chan error
-	wg      sync.WaitGroup
-	decoder interface {
-		Decode(*codec.Packet) (Frame, error)
-	}
-}
-
-// NewPool starts workers goroutines decoding via d (a *Decoder or
-// *BurnDecoder).
-func NewPool(d interface {
-	Decode(*codec.Packet) (Frame, error)
-}, workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{
-		in:      make(chan *codec.Packet, workers*2),
-		out:     make(chan Frame, workers*2),
-		errs:    make(chan error, workers),
-		decoder: d,
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	go func() {
-		p.wg.Wait()
-		close(p.out)
-		close(p.errs)
-	}()
-	return p
-}
-
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for pkt := range p.in {
-		f, err := p.decoder.Decode(pkt)
-		if err != nil {
-			select {
-			case p.errs <- err:
-			default: // keep only the first errors; don't block the pool
-			}
-			continue
-		}
-		p.out <- f
-	}
-}
-
-// Submit queues a packet for decoding. It must not be called after Close.
-func (p *Pool) Submit(pkt *codec.Packet) { p.in <- pkt }
-
-// Frames returns the decoded frame channel.
-func (p *Pool) Frames() <-chan Frame { return p.out }
-
-// Errs returns the (best-effort) decode error channel.
-func (p *Pool) Errs() <-chan error { return p.errs }
-
-// Close stops accepting work. Frames closes after in-flight work drains.
-func (p *Pool) Close() { close(p.in) }
-
 // Job is one tagged decode request: the packet plus its position in the
 // round it belongs to, so completions can be reassembled per round even
 // when the pool finishes them out of order.
@@ -104,11 +37,11 @@ type Completion struct {
 	Err   error
 }
 
-// TaggedPool decodes tagged jobs on a fixed set of worker goroutines and
-// reports every completion — success or failure — on a single channel. It
-// is the staged pipeline engine's decode stage: unlike Pool, nothing is
-// dropped, so a downstream collector can account for every packet of every
-// in-flight round and ack rounds in order.
+// TaggedPool decodes tagged jobs on a fixed set of worker goroutines,
+// modelling a multi-core software decoder, and reports every completion —
+// success or failure — on a single channel. It is the pipeline engine's
+// decode stage: nothing is dropped, so the collector downstream can account
+// for every packet of every in-flight round and ack rounds in order.
 type TaggedPool struct {
 	in      chan Job
 	out     chan Completion

@@ -67,8 +67,8 @@ func TestTaggedPoolReportsEveryCompletion(t *testing.T) {
 }
 
 // TestTaggedPoolDeliversErrors checks that failed decodes surface as tagged
-// error completions rather than being dropped (unlike Pool's best-effort
-// error channel), so a collector can still account for the round.
+// error completions rather than being dropped, so a collector can still
+// account for the round.
 func TestTaggedPoolDeliversErrors(t *testing.T) {
 	st := poolStream(4)
 	pool := NewTaggedPool(NewDecoder(DefaultCosts), 2)

@@ -74,7 +74,7 @@ func Registry() []Experiment {
 		{"extreme", "§6.4: extreme bitrate and GOP cases", Extreme},
 		{"tab5", "Tab 5: complementary method comparison", Tab5},
 		{"regret", "Thm 1: online regret growth", Regret},
-		{"pipe", "Staged engine: pipelined vs sequential round throughput", Pipe},
+		{"pipe", "Engine round overlap: pipelined vs one-round-at-a-time throughput", Pipe},
 		{"scale", "Churn-scaled Decide: per-round cost vs fleet size and window churn", Scale},
 		{"lemma1", "Lemma 1: optimizer approximation ratio", Lemma1},
 		{"ablate", "Design-choice ablations beyond the paper's", Ablate},

@@ -10,7 +10,7 @@ import (
 	"packetgame/internal/pipeline"
 )
 
-// Pipe measures the staged engine against the sequential reference: round
+// Pipe measures the engine with round overlap on against overlap off: round
 // throughput at increasing in-flight depth under the offloaded-decoder
 // latency model (visible on any host) and the CPU-burning model (visible
 // with enough cores), confirming decisions stay identical throughout.
@@ -77,7 +77,7 @@ func Pipe(o Options) error {
 	}
 
 	const latency = int64(500_000) // 0.5ms per decode unit
-	o.printf("=== Staged engine: pipelined vs sequential (m=%d, budget=%.1f, workers=%d) ===\n", m, budget, workers)
+	o.printf("=== Engine round overlap: pipelined vs one round at a time (m=%d, budget=%.1f, workers=%d) ===\n", m, budget, workers)
 	o.printf("offloaded-decoder model, %.1fms per decode unit, %d rounds\n\n", float64(latency)/1e6, rounds)
 	o.printf("%-22s %12s %12s %10s %10s\n", "engine", "rounds/s", "decodes/s", "gain", "decisions")
 
@@ -86,7 +86,7 @@ func Pipe(o Options) error {
 		return err
 	}
 	seqRPS := float64(repSeq.Rounds) / repSeq.Elapsed.Seconds()
-	o.printf("%-22s %12.1f %12.0f %10s %10s\n", "sequential k=1", seqRPS, repSeq.DecodedFPS, "1.00x", "ref")
+	o.printf("%-22s %12.1f %12.0f %10s %10s\n", "no overlap k=1", seqRPS, repSeq.DecodedFPS, "1.00x", "ref")
 
 	for _, k := range []int{1, 2, 4, 8} {
 		rep, sel, stages, err := run(true, k, latency)
@@ -95,7 +95,7 @@ func Pipe(o Options) error {
 		}
 		rps := float64(rep.Rounds) / rep.Elapsed.Seconds()
 		// A deeper lag legitimately changes decisions vs the k=1
-		// reference, so compare against a sequential run at the same k.
+		// reference, so compare against a no-overlap run at the same k.
 		refSel := selSeq
 		if k > 1 {
 			_, refSel, _, err = run(false, k, 0)
@@ -112,7 +112,8 @@ func Pipe(o Options) error {
 			stages.Decode.Snapshot().MaxDepth, stages.Decode.Snapshot().MeanNanos()/1e6)
 	}
 	o.printf("\n(k is the feedback lag: Decide(t) sees redundancy feedback through round t−k.\n")
-	o.printf(" Pipelined and sequential engines make identical decisions at equal k;\n")
-	o.printf(" wall-clock gains come purely from overlapping gate, decode, and infer stages.)\n")
+	o.printf(" It is one engine loop either way and decisions are identical at equal k;\n")
+	o.printf(" wall-clock gains come purely from letting rounds overlap across the gate,\n")
+	o.printf(" decode, and infer stages.)\n")
 	return nil
 }

@@ -41,12 +41,13 @@ const (
 const scaleExploreCeilingNs = 20e6
 
 // The end-to-end ceilings at m=100k and 1% activity: the whole engine round
-// within 1% of the round clock, and allocating a small multiple of what the
-// round's 1000 active streams need — not the 6.4 MB a nil-padded m-wide round
-// array would.
+// within 1% of the round clock, and allocating nothing of its own — the
+// ~19 B a round the cell reads is each Run call's pool and channels spread
+// over its 120 rounds, and twice that leaves no room for one small object
+// per round, let alone one per active stream or selected packet.
 const (
 	scaleE2ECeilingNs         = 400e3
-	scaleE2EAllocCeilingBytes = 64 << 10
+	scaleE2EAllocCeilingBytes = 38
 )
 
 // Scale benchmarks the churn-scaled Decide path at fleet sizes up to

@@ -94,7 +94,7 @@ func TestAdapterRounds(t *testing.T) {
 	}
 }
 
-// TestEngineDenseSourceEdges runs both engines over a dense-only source
+// TestEngineDenseSourceEdges runs both overlap modes over a dense-only source
 // whose rounds have nil holes and an all-idle round, and over one whose
 // slices are not the gate's width: the first must count exactly the packets
 // delivered, the second must fail with the gate's width error.
@@ -256,14 +256,16 @@ func TestSettleMaskSizedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.EnsureFleet(m)
-	ids, pkts, sel := make([]int32, 1), []*codec.Packet{{}}, make([]int, 1)
-	frames := make([]decode.Frame, 1)
+	rw := &roundWork{m: m, ids: make([]int32, 1), pkts: []*codec.Packet{{}}, truth: make([]truthVal, 1), sel: make([]int, 1)}
+	rnd := &codec.Round{M: m, IDs: rw.ids, Pkts: rw.pkts}
 	var rep Report
 	top := 0
 	settle := func() {
 		top += 16
-		ids[0], sel[0] = int32(top), top
-		eng.putMask(eng.settle(&rep, m, ids, pkts, nil, sel, frames, nil, nil, eng.src.Truth))
+		rw.ids[0], rw.sel[0] = int32(top), top
+		rw.arm(rnd)
+		rw.complete(decode.Completion{Slot: 0})
+		eng.settle(&rep, rw)
 	}
 	settle() // first round sizes the mask and the recycled buffers
 	if allocs := testing.AllocsPerRun(200, settle); allocs != 0 {

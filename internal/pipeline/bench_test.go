@@ -1,8 +1,11 @@
 package pipeline
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
+	"packetgame/internal/codec"
 	"packetgame/internal/core"
 	"packetgame/internal/infer"
 )
@@ -32,8 +35,8 @@ func benchEngine(tb testing.TB, pipelined bool, k, workers, m, rounds int, budge
 	return eng
 }
 
-// TestPipelinedThroughputGain measures round throughput of the pipelined
-// engine against the sequential engine under the offloaded-decoder latency
+// TestPipelinedThroughputGain measures round throughput with overlap on
+// against overlap off ("sequential" below) under the offloaded-decoder latency
 // model (decode holds a session for cost-proportional wall-clock time, no
 // host CPU), where pipeline overlap is visible regardless of host core
 // count. Decisions must stay identical — the speedup may not come from
@@ -84,8 +87,8 @@ func TestPipelinedThroughputGain(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineRounds compares round throughput of the two engines under
-// the CPU-burning decode model at Workers=8 — the multi-core wall-clock
+// BenchmarkEngineRounds compares round throughput with overlap off
+// ("sequential") and on under the CPU-burning decode model at Workers=8 — the multi-core wall-clock
 // comparison (run on a host with ≥8 cores for the full effect; on smaller
 // hosts the latency-model test above measures overlap instead).
 func BenchmarkEngineRounds(b *testing.B) {
@@ -111,5 +114,75 @@ func BenchmarkEngineRounds(b *testing.B) {
 			}
 			b.ReportMetric(float64(rep.Decoded)/b.Elapsed().Seconds(), "decodes/s")
 		})
+	}
+}
+
+// loopSource replays a fixed set of sparse rounds forever, handing out its
+// own storage: a source that allocates nothing, so what a run allocates is
+// the engine's (and the gate's) alone.
+type loopSource struct {
+	rounds []codec.Round
+	next   int
+}
+
+func (s *loopSource) NextRoundSparse() (*codec.Round, error) {
+	s.next++
+	return &s.rounds[(s.next-1)%len(s.rounds)], nil
+}
+
+func (s *loopSource) NextRound() ([]*codec.Packet, error) {
+	return nil, errors.New("loopSource is pulled sparse")
+}
+
+func (s *loopSource) Truth(int) (codec.Scene, bool) { return codec.Scene{}, false }
+
+// TestEngineRoundAllocCeiling holds the steady-state round to a few bytes:
+// with overlap off and on at k=2, over a source that recycles its rounds, a
+// round of ~13 selections must cost less than one small object — so nothing
+// in the loop allocates per round, let alone per selected packet. (The
+// residue is each Run call's pool and channels spread over its rounds.)
+func TestEngineRoundAllocCeiling(t *testing.T) {
+	const (
+		m, k, rounds   = 64, 2, 4000
+		budget         = 20.0
+		bytesPerRound  = 48
+		mallocsCeiling = 0.5
+	)
+	for _, pipelined := range []bool{false, true} {
+		src := &loopSource{rounds: make([]codec.Round, 40)}
+		fleet := NewCameraSource(mkChurnFleet(m, 71, 30), 0)
+		for r := range src.rounds {
+			rnd, err := fleet.NextRoundSparse()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.rounds[r] = codec.Round{M: m, IDs: append([]int32(nil), rnd.IDs...), Pkts: append([]*codec.Packet(nil), rnd.Pkts...)}
+		}
+		eng, err := New(Config{
+			Source: src, Gate: mkGate(t, m, budget), Task: infer.PersonCounting{},
+			Workers: 4, MaxInFlight: k, Pipelined: pipelined,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(400); err != nil { // every recycled buffer reaches capacity
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := eng.Run(rounds)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+		mallocs := float64(after.Mallocs-before.Mallocs) / rounds
+		t.Logf("pipelined=%v: %.1f B, %.3f mallocs per round (%.1f selections)", pipelined, bytes, mallocs, float64(rep.Decoded)/rounds)
+		if rep.Decoded < 10*rounds {
+			t.Fatalf("pipelined=%v: only %d selections in %d rounds; the ceiling would be vacuous", pipelined, rep.Decoded, rounds)
+		}
+		if bytes > bytesPerRound || mallocs > mallocsCeiling {
+			t.Errorf("pipelined=%v: %.1f B and %.3f mallocs per round, want ≤ %d B and ≤ %.1f", pipelined, bytes, mallocs, bytesPerRound, mallocsCeiling)
+		}
 	}
 }

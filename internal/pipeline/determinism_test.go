@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"fmt"
 	"testing"
 
+	"packetgame/internal/codec"
 	"packetgame/internal/core"
 	"packetgame/internal/infer"
 )
@@ -10,7 +12,7 @@ import (
 // runForDecisions runs a freshly built engine over a seeded fleet and
 // returns every round's decode set plus the final report. The fleet, gate,
 // and source are rebuilt identically each call, so any divergence between
-// two calls comes from the engine mode under test.
+// two calls comes from the overlap mode under test.
 func runForDecisions(t *testing.T, pipelined, fresh bool, k, workers, m, rounds int, budget float64, seed int64) ([][]int, Report, core.Stats) {
 	t.Helper()
 	g, err := core.NewGate(core.Config{Streams: m, Budget: budget, UseTemporal: true})
@@ -41,6 +43,17 @@ func runForDecisions(t *testing.T, pipelined, fresh bool, k, workers, m, rounds 
 		t.Fatal(err)
 	}
 	return decisions, rep, g.Stats()
+}
+
+// refForDecisions runs the reference loop over the same seeded fleet and a
+// gate built the same way: the selections, counters and gate statistics both
+// overlap modes of the engine must reproduce at lag k.
+func refForDecisions(t *testing.T, k, m, rounds int, budget float64, seed int64) ([][]int, Report, core.Stats) {
+	t.Helper()
+	g := mkGate(t, m, budget)
+	g.SetMaxPending(k)
+	sels, rep := refLoop(t, g, NewLocalSource(mkFleet(m, seed), rounds), infer.PersonCounting{}, m, k)
+	return sels, rep, g.Stats()
 }
 
 // stripTiming zeroes a report's wall-clock-dependent fields so the
@@ -76,8 +89,8 @@ func compareRuns(t *testing.T, name string, selA, selB [][]int, repA, repB Repor
 }
 
 // TestPipelinedMatchesSequentialDecisions is the determinism regression
-// test: at equal feedback lag k, the sequential (reference) engine and the
-// pipelined engine must produce bit-identical per-round decode sets, final
+// test: at equal feedback lag k, the engine with overlap off and with overlap
+// on must both produce the reference loop's per-round decode sets, final
 // report counters, and gate statistics on a seeded fleet — for the strict
 // k=1 schedule, a deeper k=3 schedule, and a stress-scale configuration.
 func TestPipelinedMatchesSequentialDecisions(t *testing.T) {
@@ -94,23 +107,27 @@ func TestPipelinedMatchesSequentialDecisions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			selSeq, repSeq, stSeq := runForDecisions(t, false, false, tc.k, tc.workers, tc.m, tc.rounds, tc.budget, tc.seed)
-			selPipe, repPipe, stPipe := runForDecisions(t, true, false, tc.k, tc.workers, tc.m, tc.rounds, tc.budget, tc.seed)
-			if int64(len(selSeq)) != repSeq.Rounds || repSeq.Rounds != int64(tc.rounds) {
-				t.Fatalf("sequential ran %d rounds (OnRound saw %d), want %d", repSeq.Rounds, len(selSeq), tc.rounds)
+			selRef, repRef, stRef := refForDecisions(t, tc.k, tc.m, tc.rounds, tc.budget, tc.seed)
+			if int64(len(selRef)) != repRef.Rounds || repRef.Rounds != int64(tc.rounds) {
+				t.Fatalf("reference ran %d rounds (%d selections), want %d", repRef.Rounds, len(selRef), tc.rounds)
 			}
-			compareRuns(t, tc.name, selSeq, selPipe, repSeq, repPipe, stSeq, stPipe)
+			for _, pipelined := range []bool{false, true} {
+				sel, rep, st := runForDecisions(t, pipelined, false, tc.k, tc.workers, tc.m, tc.rounds, tc.budget, tc.seed)
+				compareRuns(t, fmt.Sprintf("%s/pipelined=%v", tc.name, pipelined), selRef, sel, repRef, rep, stRef, st)
+			}
 		})
 	}
 }
 
-// TestSequentialLagOneMatchesSeedSchedule pins the generalized lag-k
-// sequential engine at k=1 against the default configuration (MaxInFlight
-// unset), which is the seed engine's strict Decide/Feedback alternation.
+// TestSequentialLagOneMatchesSeedSchedule pins the default configuration
+// (MaxInFlight unset) and an explicit k=1 to the reference loop at k=1: the
+// paper's strict Decide/Feedback alternation.
 func TestSequentialLagOneMatchesSeedSchedule(t *testing.T) {
-	selDefault, repDefault, stDefault := runForDecisions(t, false, false, 0, 4, 12, 100, 5, 31)
-	selK1, repK1, stK1 := runForDecisions(t, false, false, 1, 4, 12, 100, 5, 31)
-	compareRuns(t, "default-vs-k1", selDefault, selK1, repDefault, repK1, stDefault, stK1)
+	selRef, repRef, stRef := refForDecisions(t, 1, 12, 100, 5, 31)
+	for _, k := range []int{0, 1} {
+		sel, rep, st := runForDecisions(t, false, false, k, 4, 12, 100, 5, 31)
+		compareRuns(t, fmt.Sprintf("MaxInFlight=%d", k), selRef, sel, repRef, rep, stRef, st)
+	}
 }
 
 // TestFreshFeedbackRunCompletes checks the timing-dependent feedback mode
@@ -127,5 +144,110 @@ func TestFreshFeedbackRunCompletes(t *testing.T) {
 	}
 	if rep.Decoded == 0 || rep.Inferred != rep.Decoded {
 		t.Errorf("decoded = %d, inferred = %d", rep.Decoded, rep.Inferred)
+	}
+}
+
+// callLog records, in call order, every source pull ("P"), Decide ("D<t>")
+// and Feedback ("F<t>") of one run. With deterministic feedback all three
+// happen on Run's goroutine, so the log needs no lock.
+type callLog struct{ calls []string }
+
+// orderGate is a plain Decider — no DecideSparseAppend, no FeedbackFull —
+// that logs its calls on the way to the gate behind it.
+type orderGate struct {
+	g            *core.Gate
+	log          *callLog
+	decided, fed int
+}
+
+func (o *orderGate) Decide(pkts []*codec.Packet) ([]int, error) {
+	o.log.calls = append(o.log.calls, fmt.Sprintf("D%d", o.decided))
+	o.decided++
+	return o.g.Decide(pkts)
+}
+
+func (o *orderGate) Feedback(sel []int, necessary []bool) error {
+	o.log.calls = append(o.log.calls, fmt.Sprintf("F%d", o.fed))
+	o.fed++
+	return o.g.Feedback(sel, necessary)
+}
+
+// orderSource logs every pull of the source behind it, dense or sparse.
+type orderSource struct {
+	SparseRoundSource
+	log *callLog
+}
+
+func (s orderSource) NextRound() ([]*codec.Packet, error) {
+	s.log.calls = append(s.log.calls, "P")
+	return s.SparseRoundSource.NextRound()
+}
+
+func (s orderSource) NextRoundSparse() (*codec.Round, error) {
+	s.log.calls = append(s.log.calls, "P")
+	return s.SparseRoundSource.NextRoundSparse()
+}
+
+// TestLagScheduleCallOrder pins the lag-k schedule as the gate sees it: for
+// k ∈ {1,2,4}, overlap off and on, a dense-only and a sparse source, a plain
+// Decider is called exactly D0…D(k−1), F0, Dk, F1, … with the tail of
+// Feedbacks after the last Decide. With overlap off the source pulls are
+// pinned too: F(t−k) comes before round t's pull, so a source that blocks
+// finds the gate with no feedback due.
+func TestLagScheduleCallOrder(t *testing.T) {
+	const m, rounds = 8, 12
+	for _, k := range []int{1, 2, 4} {
+		var want, wantDF []string // with and without the pulls
+		for r := 0; r <= rounds; r++ {
+			if r >= k {
+				want = append(want, fmt.Sprintf("F%d", r-k))
+			}
+			want = append(want, "P") // the last pull is the one that returns io.EOF
+			if r < rounds {
+				want = append(want, fmt.Sprintf("D%d", r))
+			}
+		}
+		for r := rounds - k + 1; r < rounds; r++ {
+			want = append(want, fmt.Sprintf("F%d", r))
+		}
+		for _, c := range want {
+			if c != "P" {
+				wantDF = append(wantDF, c)
+			}
+		}
+		for _, pipelined := range []bool{false, true} {
+			for _, dense := range []bool{false, true} {
+				name := fmt.Sprintf("k=%d/pipelined=%v/dense=%v", k, pipelined, dense)
+				log := &callLog{}
+				g := mkGate(t, m, 4)
+				g.SetMaxPending(k)
+				var src RoundSource = orderSource{NewLocalSource(mkFleet(m, 61), rounds), log}
+				if dense {
+					src = denseOnly{src}
+				}
+				eng, err := New(Config{
+					Source: src, Gate: &orderGate{g: g, log: log}, Task: infer.PersonCounting{},
+					MaxInFlight: k, Pipelined: pipelined,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Run(0); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, exp := log.calls, want
+				if pipelined {
+					got, exp = nil, wantDF
+					for _, c := range log.calls {
+						if c != "P" {
+							got = append(got, c)
+						}
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(exp) {
+					t.Errorf("%s: calls\n  got  %v\n  want %v", name, got, exp)
+				}
+			}
+		}
 	}
 }

@@ -17,7 +17,7 @@ func TestDeadlineValidation(t *testing.T) {
 		Source: NewLocalSource(mkFleet(m, 1), 10),
 		Gate:   mkGate(t, m, 4),
 		Task:   infer.PersonCounting{},
-		// Deadline without Pipelined: the sequential engine has no decode
+		// Deadline without Pipelined: without overlap a round has no decode
 		// queue to shed, so a deadline is a configuration error.
 		Deadline: 10 * time.Millisecond,
 	}); err == nil {

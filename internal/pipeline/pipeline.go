@@ -5,25 +5,18 @@
 // an optional frame filter and the inference task; redundancy feedback
 // closes the loop.
 //
-// The engine runs in one of two modes with identical decision semantics:
-//
-//   - sequential (default): rounds execute one after another in the calling
-//     goroutine, with decode fanned out per round;
-//   - pipelined (Config.Pipelined): rounds flow through gate → decode →
-//     filter/infer as channel-connected stages, so round t+1 is gated and
-//     queued while round t is still decoding.
-//
-// Both modes honor the same feedback-lag schedule: with MaxInFlight = k,
-// the decision for round t observes redundancy feedback through round t−k.
-// The sequential engine applies that schedule inline (it is the reference
-// implementation); the pipelined engine realizes it concurrently. At k = 1
-// both reduce to the strict Decide/Feedback alternation of the paper.
+// The engine is one round loop (stages.go): gate → decode pool → collector →
+// redundancy feedback, with up to Config.MaxInFlight = k rounds between
+// decision and feedback. The decision for round t observes feedback through
+// round t−k; at k = 1 that is the strict Decide/Feedback alternation of the
+// paper. Config.Pipelined only says whether those rounds may overlap in time
+// — round t+1 gated and queued while round t is still decoding — or each is
+// settled before the next is pulled; the decisions are the same either way.
 package pipeline
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -106,12 +99,13 @@ func (e *Engine) release(rnd *codec.Round) {
 // — and both are looked up on the Config.Gate interface value, so a wrapper
 // embedding a *core.Gate sees every call. Plain Deciders (the baselines) get
 // the round scattered into a persistent dense scratch: correct for every
-// Decider, O(active) only for gates that understand rounds.
-func (e *Engine) decide(r *codec.Round) ([]int, error) {
+// Decider, O(active) only for gates that understand rounds. The selection is
+// appended to dst by a gate that takes one; a plain Decider returns its own.
+func (e *Engine) decide(r *codec.Round, dst []int) ([]int, error) {
 	if rd, ok := e.cfg.Gate.(interface {
 		DecideSparseAppend(*codec.Round, []int) ([]int, error)
 	}); ok {
-		return rd.DecideSparseAppend(r, nil)
+		return rd.DecideSparseAppend(r, dst)
 	}
 	if len(e.scatter) < r.M {
 		e.scatter = make([]*codec.Packet, r.M)
@@ -127,13 +121,21 @@ func (e *Engine) decide(r *codec.Round) ([]int, error) {
 // the decode-failure and deadline-deferral masks (nil = none) to a gate that
 // understands them; a plain Decider gets the paper's Feedback, where failed
 // slots read as necessary and deferred slots as redundant.
-func feedback(g core.Decider, a roundAck) error {
-	if full, ok := g.(interface {
+func feedback(g core.Decider, rw *roundWork) error {
+	full, ok := g.(interface {
 		FeedbackFull([]int, []bool, []bool, []bool) error
-	}); ok {
-		return full.FeedbackFull(a.sel, a.necessary, a.failed, a.deferred)
+	})
+	if !ok {
+		return g.Feedback(rw.sel, rw.necessary)
 	}
-	return g.Feedback(a.sel, a.necessary)
+	failed, deferred := rw.failed, rw.deferred
+	if rw.nFailed == 0 {
+		failed = nil
+	}
+	if rw.open == 0 {
+		deferred = nil
+	}
+	return full.FeedbackFull(rw.sel, rw.necessary, failed, deferred)
 }
 
 // Config parameterizes an Engine.
@@ -177,23 +179,25 @@ type Config struct {
 	// its injected faults).
 	WrapDecoder func(decode.PacketDecoder) decode.PacketDecoder
 	// MaxInFlight is the feedback lag k: the number of rounds that may be
-	// decided but not yet acked, and the pipelined engine's in-flight
-	// round bound. Decide(t) observes feedback through round t−k in both
-	// engines, so sequential and pipelined runs of the same k make
-	// identical decisions. 0 defaults to 1 (strict alternation).
+	// decided but not yet fed back, and with Pipelined the in-flight round
+	// bound. Decide(t) observes feedback through round t−k whether or not
+	// rounds overlap, so runs of the same k make identical decisions.
+	// 0 defaults to 1 (strict alternation).
 	MaxInFlight int
-	// Pipelined selects the concurrent staged engine.
+	// Pipelined lets rounds overlap: round t+1 is pulled, gated and queued
+	// while round t is still decoding, up to MaxInFlight rounds deep. Unset,
+	// each round is settled before the next is pulled.
 	Pipelined bool
 	// FreshFeedback (pipelined only) applies each round's redundancy
 	// feedback the moment the round completes, instead of deferring it to
-	// the gate stage's deterministic lag-k schedule. Decisions become
+	// the gate loop's deterministic lag-k schedule. Decisions become
 	// timing-dependent (feedback may land earlier than the schedule
 	// promises, never later than needed) in exchange for the freshest
 	// possible UCB state. Feedback is still applied in strict round order.
 	FreshFeedback bool
 	// OnRound, when non-nil, is invoked synchronously after every gating
 	// decision with the round number and the selected stream indices.
-	// Both engines call it from the deciding goroutine in round order.
+	// It is called from Run's goroutine in round order.
 	OnRound func(round int64, selected []int)
 	// Stages, when non-nil, receives per-stage queue-depth and latency
 	// counters for the gate, decode, and infer stages.
@@ -258,53 +262,17 @@ type Engine struct {
 	stop      chan struct{}
 	closeOnce sync.Once
 
-	// selMask is settle scratch (settles are serial in both engines), one
-	// entry per stream of the fleet. It is all-false between rounds — set and
+	// selMask is settle scratch (the collector settles serially), one entry
+	// per stream of the fleet. It is all-false between rounds — set and
 	// cleared per selection — so settling never pays an O(m) wipe.
 	selMask []bool
 	// scatter is decide's dense scratch for gates without a sparse entry
 	// point (all-nil between rounds).
 	scatter []*codec.Packet
-	// freeMasks recycles per-round necessary masks between settle and the
-	// feedback release sites, which may run on different goroutines in the
-	// pipelined engine.
-	maskMu    sync.Mutex
-	freeMasks [][]bool
-
-	// rwMu guards the roundWork free list: every round's id/packet/truth/
-	// frame buffers recycle through it, so a steady-state round allocates
-	// nothing of its own.
-	rwMu   sync.Mutex
+	// rwFree is the gate loop's roundWork free list: every round's buffers
+	// recycle through it, so a steady-state round allocates nothing of its
+	// own.
 	rwFree []*roundWork
-}
-
-// getMask returns a zeroed n-element mask, recycled when possible.
-func (e *Engine) getMask(n int) []bool {
-	e.maskMu.Lock()
-	var s []bool
-	if l := len(e.freeMasks); l > 0 {
-		s = e.freeMasks[l-1]
-		e.freeMasks = e.freeMasks[:l-1]
-	}
-	e.maskMu.Unlock()
-	if cap(s) < n {
-		s = make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-// putMask releases a mask for reuse. The caller must not touch it after.
-func (e *Engine) putMask(s []bool) {
-	if s == nil {
-		return
-	}
-	e.maskMu.Lock()
-	e.freeMasks = append(e.freeMasks, s)
-	e.maskMu.Unlock()
 }
 
 // New creates an engine.
@@ -334,7 +302,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("pipeline: Deadline must be non-negative, got %v", cfg.Deadline)
 	}
 	if cfg.Deadline > 0 && !cfg.Pipelined {
-		return nil, errors.New("pipeline: Deadline requires Pipelined (the sequential engine settles rounds synchronously)")
+		return nil, errors.New("pipeline: Deadline requires Pipelined (without overlap a round has no queue to shed)")
 	}
 	return &Engine{cfg: cfg, src: Sparse(cfg.Source), stop: make(chan struct{})}, nil
 }
@@ -363,8 +331,8 @@ func (e *Engine) closed() bool {
 func (e *Engine) Fleet() *infer.Fleet { return e.fleet }
 
 // EnsureFleet builds the per-stream inference monitors for m streams before
-// the first round, and returns them. The run loops normally build the fleet
-// lazily from the first round's width; a cluster worker that must import
+// the first round, and returns them. Run normally builds the fleet lazily
+// from the first round's width; a cluster worker that must import
 // migrated monitor state before its engine sees a round calls this first.
 // Idempotent once built (m is then ignored).
 func (e *Engine) EnsureFleet(m int) *infer.Fleet {
@@ -414,13 +382,7 @@ func (e *Engine) raiseGatePending() {
 // Run processes up to maxRounds rounds (0 = until the source ends).
 func (e *Engine) Run(maxRounds int) (Report, error) {
 	start := time.Now()
-	var rep Report
-	var err error
-	if e.cfg.Pipelined {
-		rep, err = e.runPipelined(maxRounds)
-	} else {
-		rep, err = e.runSequential(maxRounds)
-	}
+	rep, err := e.runRounds(maxRounds)
 	rep.Elapsed = time.Since(start)
 	if rep.Elapsed > 0 {
 		rep.DecodedFPS = float64(rep.Decoded) / rep.Elapsed.Seconds()
@@ -438,148 +400,9 @@ func (e *Engine) Run(maxRounds int) (Report, error) {
 	return rep, err
 }
 
-// runSequential executes rounds one at a time in the calling goroutine,
-// deferring each round's feedback by the lag k. It is the reference
-// implementation of the engine's decision semantics.
-func (e *Engine) runSequential(maxRounds int) (Report, error) {
-	var rep Report
-	decoder := e.newDecoder()
-	e.raiseGatePending()
-	k := e.cfg.MaxInFlight
-	// Round-scoped scratch, reused across rounds: the ack FIFO (ring via
-	// head index), the decode result slices, and the worker semaphore.
-	var acks []roundAck
-	ackHead := 0
-	release := func() error {
-		a := acks[ackHead]
-		acks[ackHead] = roundAck{}
-		ackHead++
-		if ackHead == len(acks) {
-			acks = acks[:0]
-			ackHead = 0
-		}
-		if err := feedback(e.cfg.Gate, a); err != nil {
-			return fmt.Errorf("pipeline: feedback: %w", err)
-		}
-		e.putMask(a.necessary)
-		return nil
-	}
-	var frames []decode.Frame
-	var errs []error
-	sem := make(chan struct{}, e.cfg.Workers)
-
-	for rounds := 0; maxRounds == 0 || rounds < maxRounds; rounds++ {
-		if e.closed() {
-			break
-		}
-		// Release feedback due under the lag schedule: Decide(t) must
-		// observe rounds 0..t−k. This runs before the source is pulled so a
-		// blocking source (a cluster worker awaiting its round frame) blocks
-		// with the gate quiescent — no pending feedback — which is what lets
-		// stream state migrate between rounds. The decisions are unchanged:
-		// the source never touches the gate, so Decide(t) sees exactly the
-		// same released set either side of it.
-		for len(acks)-ackHead >= k {
-			if err := release(); err != nil {
-				return rep, err
-			}
-		}
-		rnd, err := e.src.NextRoundSparse()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return rep, fmt.Errorf("pipeline: source: %w", err)
-		}
-		if e.fleet == nil {
-			e.fleet = e.newFleet(rnd.M)
-		}
-
-		metrics.StageEnter(e.cfg.Stages.GateStage())
-		t0 := time.Now()
-		sel, err := e.decide(rnd)
-		metrics.StageExit(e.cfg.Stages.GateStage(), time.Since(t0).Nanoseconds())
-		if err != nil {
-			return rep, fmt.Errorf("pipeline: gate: %w", err)
-		}
-		if e.cfg.OnRound != nil {
-			e.cfg.OnRound(int64(rounds), append([]int(nil), sel...))
-		}
-
-		// Decode selected packets in parallel.
-		metrics.StageEnter(e.cfg.Stages.DecodeStage())
-		t1 := time.Now()
-		if cap(frames) < len(sel) {
-			frames = make([]decode.Frame, len(sel))
-			errs = make([]error, len(sel))
-		}
-		frames = frames[:len(sel)]
-		errs = errs[:len(sel)]
-		for i := range errs {
-			frames[i] = decode.Frame{}
-			errs[i] = nil
-		}
-		var wg sync.WaitGroup
-		for k, i := range sel {
-			wg.Add(1)
-			go func(k int, p *codec.Packet) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				frames[k], errs[k] = decoder.Decode(p)
-			}(k, rnd.Get(int32(i)))
-		}
-		wg.Wait()
-		metrics.StageExit(e.cfg.Stages.DecodeStage(), time.Since(t1).Nanoseconds())
-		var failed []bool
-		for k, err := range errs {
-			if err != nil {
-				if failed == nil {
-					failed = make([]bool, len(sel))
-				}
-				failed[k] = true
-			}
-		}
-
-		// Filter + inference + accounting, sequential (cheap relative to
-		// decode; the fleet monitors are not concurrency-safe). The source
-		// has not been pulled again, so the round and its truth are read in
-		// place.
-		metrics.StageEnter(e.cfg.Stages.InferStage())
-		t2 := time.Now()
-		necessary := e.settle(&rep, rnd.M, rnd.IDs, rnd.Pkts, nil, sel, frames, failed, nil, e.src.Truth)
-		metrics.StageExit(e.cfg.Stages.InferStage(), time.Since(t2).Nanoseconds())
-		e.release(rnd)
-		if e.cfg.Governor != nil {
-			// Sequential rounds never queue: depth is the feedback backlog,
-			// latency spans gate entry through settle.
-			e.cfg.Governor.Observe(time.Since(t0), len(acks)-ackHead)
-		}
-		if ackHead > 0 && len(acks) == cap(acks) {
-			n := copy(acks, acks[ackHead:])
-			for j := n; j < len(acks); j++ {
-				acks[j] = roundAck{}
-			}
-			acks = acks[:n]
-			ackHead = 0
-		}
-		acks = append(acks, roundAck{sel: sel, necessary: necessary, failed: failed})
-	}
-	for len(acks)-ackHead > 0 {
-		if err := release(); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}
-
 // settle applies the frame filter, inference, and report accounting for one
-// decoded round of fleet width m: ids and pkts are the round's active
-// streams, frames[k] holds the decoded frame for stream sel[k]; failed[k]
-// (nil = none) marks selections whose decode never produced a frame;
-// deferred[k] (nil = none) marks selections abandoned by a round deadline;
-// truth reads the (possibly captured) ground truth for a stream. It returns
-// the per-selection redundancy feedback.
+// round whose outcome slots are final, and fills rw.necessary, the
+// per-selection redundancy feedback.
 //
 // Failed selections settle conservatively: the budget was spent but no
 // content was seen, so the slot reports necessary feedback (the gate must
@@ -591,90 +414,72 @@ func (e *Engine) runSequential(maxRounds int) (Report, error) {
 //
 // The skipped-stream walk visits only the round's active ids and the
 // selection mask is set and cleared per selection, so settling costs
-// O(active), not O(m). Non-selected actives read their captured truth
-// positionally from truths, parallel to ids, instead of re-searching the id
-// list per stream; the sequential engine settles straight from the source
-// (truths == nil) and reads truth by id.
-//
-// The returned mask comes from the engine's recycler; the feedback release
-// site hands it back via putMask once the gate has consumed it.
-func (e *Engine) settle(rep *Report, m int, ids []int32, pkts []*codec.Packet, truths []truthVal, sel []int, frames []decode.Frame, failed, deferred []bool, truth func(int) (codec.Scene, bool)) []bool {
-	necessary := e.getMask(len(sel))
-	if len(e.selMask) < m {
-		e.selMask = make([]bool, m)
+// O(active), not O(m). Truth is the captured one, read positionally:
+// truth[k] for the k-th active stream, truth[pos[k]] for the k-th selection.
+func (e *Engine) settle(rep *Report, rw *roundWork) {
+	if len(e.selMask) < rw.m {
+		e.selMask = make([]bool, rw.m)
 	}
 	isSel := e.selMask
-	for _, i := range sel {
+	for _, i := range rw.sel {
 		isSel[i] = true
 	}
-	aborted := e.settleSelected(rep, necessary, sel, frames, failed, deferred, truth)
-	for k, id := range ids {
-		if pkts[k] == nil || isSel[id] {
+	aborted := e.settleSelected(rep, rw)
+	for k, id := range rw.ids {
+		if rw.pkts[k] == nil || isSel[id] {
 			continue
 		}
-		var tv truthVal
-		if truths != nil {
-			tv = truths[k]
-		} else {
-			tv.scene, tv.ok = truth(int(id))
-		}
-		if tv.ok {
+		if tv := rw.truth[k]; tv.ok {
 			e.sawTruth = true
 			e.fleet.Stream(int(id)).ObserveSkipped(tv.scene)
 		}
 		rep.Packets++
 	}
-	for _, i := range sel {
+	for _, i := range rw.sel {
 		isSel[i] = false
 	}
-	rep.Packets += int64(len(sel))
-	rep.Decoded += int64(len(sel)) - aborted
+	rep.Packets += int64(len(rw.sel))
+	rep.Decoded += int64(len(rw.sel)) - aborted
 	rep.DeadlineAborted += aborted
 	e.cfg.Overload.AddAborted(aborted)
 	rep.Rounds++
-	return necessary
 }
 
 // settleSelected settles the selected slots of one round — deferred, failed,
 // filtered, or inferred — filling the per-selection feedback mask.
-func (e *Engine) settleSelected(rep *Report, necessary []bool, sel []int, frames []decode.Frame, failed, deferred []bool, truth func(int) (codec.Scene, bool)) int64 {
+func (e *Engine) settleSelected(rep *Report, rw *roundWork) int64 {
 	var aborted int64
-	for k, i := range sel {
-		if deferred != nil && deferred[k] {
-			aborted++
-			if t, ok := truth(i); ok {
-				e.sawTruth = true
-				e.fleet.Stream(i).ObserveSkipped(t)
-			}
-			continue
-		}
-		if failed != nil && failed[k] {
-			necessary[k] = true
-			rep.DecodeFailed++
-			if t, ok := truth(i); ok {
-				e.sawTruth = true
-				e.fleet.Stream(i).ObserveSkipped(t)
-			}
-			continue
-		}
-		scene := frames[k].Scene
-		t, ok := truth(i)
-		if ok {
+	for k, i := range rw.sel {
+		tv := rw.truth[rw.pos[k]]
+		if tv.ok {
 			e.sawTruth = true
-		} else {
-			t = scene // the decoded content is the best truth we have
 		}
-		if e.cfg.Filter != nil && !e.cfg.Filter.Pass(scene) {
-			rep.Filtered++
+		mon := e.fleet.Stream(i)
+		switch {
+		case rw.deferred[k]:
+			aborted++
+		case rw.failed[k]:
+			rw.necessary[k] = true
+			rep.DecodeFailed++
+		default:
+			scene := rw.frames[k].Scene
+			if !tv.ok {
+				tv = truthVal{scene: scene, ok: true} // the decoded content is the best truth we have
+			}
+			if e.cfg.Filter == nil || e.cfg.Filter.Pass(scene) {
+				rw.necessary[k] = mon.ObserveDecoded(tv.scene, scene)
+				rep.Inferred++
+				if rw.necessary[k] {
+					rep.NecessaryDecoded++
+				}
+				continue
+			}
 			// A filtered frame is treated as redundant feedback: the
 			// filter judged its content unchanged.
-			e.fleet.Stream(i).ObserveSkipped(t)
-			continue
+			rep.Filtered++
 		}
-		necessary[k] = e.fleet.Stream(i).ObserveDecoded(t, scene)
-		rep.Inferred++
-		if necessary[k] {
-			rep.NecessaryDecoded++
+		if tv.ok {
+			mon.ObserveSkipped(tv.scene)
 		}
 	}
 	return aborted

@@ -85,8 +85,8 @@ func TestCloseDrainsPipelinedEngine(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestCloseStopsSequentialEngine covers the reference engine: Close between
-// rounds ends the run with all pending feedback flushed.
+// TestCloseStopsSequentialEngine covers overlap off: Close between rounds
+// ends the run with all pending feedback flushed.
 func TestCloseStopsSequentialEngine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const m = 8
@@ -135,7 +135,7 @@ func (f *failEvery) Decode(p *codec.Packet) (decode.Frame, error) {
 	return f.inner.Decode(p)
 }
 
-// TestPoisonPillDoesNotWedgePipeline runs both engines against a decoder
+// TestPoisonPillDoesNotWedgePipeline runs both overlap modes against a decoder
 // that always fails one stream: the run must complete every round, account
 // the failures, and ack every round to the gate.
 func TestPoisonPillDoesNotWedgePipeline(t *testing.T) {

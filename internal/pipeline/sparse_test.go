@@ -11,8 +11,8 @@ import (
 
 // churnCam wraps a synthetic stream with seeded random idleness: each round
 // it emits nothing with probability idlePct/100. Rebuilding with the same
-// seed replays the identical activity pattern, which is what lets the twin
-// engines below consume the same rounds through different representations.
+// seed replays the identical activity pattern, which is what lets the runs
+// below consume the same rounds through different representations.
 type churnCam struct {
 	st      *codec.Stream
 	rng     uint64
@@ -92,12 +92,22 @@ func runChurn(t *testing.T, dense, pipelined bool, k, workers, m, rounds int, bu
 	return decisions, rep, g.Stats()
 }
 
+// refChurn runs the reference loop over the same seeded churn fleet, pulled
+// dense.
+func refChurn(t *testing.T, k, m, rounds int, budget float64, seed int64, idlePct uint64) ([][]int, Report, core.Stats) {
+	t.Helper()
+	g := mkGate(t, m, budget)
+	g.SetMaxPending(k)
+	sels, rep := refLoop(t, g, NewCameraSource(mkChurnFleet(m, seed, idlePct), rounds), infer.PersonCounting{}, m, k)
+	return sels, rep, g.Stats()
+}
+
 // TestSparseRoundsMatchDense is the round-representation property test:
 // across randomized activity levels (including heavy idleness and fully
-// dense rounds), both engine modes and lags 1 and 3, a source's own sparse
-// rounds must be bit-identical to the same source pulled dense through the
-// adapter — same per-round decode sets, same report counters, same gate
-// statistics.
+// dense rounds), both overlap modes and lags 1 to 4, a source's own sparse
+// rounds and the same source pulled dense through the adapter must both be
+// bit-identical to the reference loop — same per-round decode sets, same
+// report counters, same gate statistics.
 func TestSparseRoundsMatchDense(t *testing.T) {
 	cases := []struct {
 		pipelined bool
@@ -116,27 +126,31 @@ func TestSparseRoundsMatchDense(t *testing.T) {
 	for _, tc := range cases {
 		name := fmt.Sprintf("pipelined=%v/k=%d/idle=%d", tc.pipelined, tc.k, tc.idlePct)
 		t.Run(name, func(t *testing.T) {
-			selD, repD, stD := runChurn(t, true, tc.pipelined, tc.k, 6, m, rounds, 8, tc.seed, tc.idlePct)
-			selS, repS, stS := runChurn(t, false, tc.pipelined, tc.k, 6, m, rounds, 8, tc.seed, tc.idlePct)
-			if repD.Rounds != int64(rounds) {
-				t.Fatalf("dense-only source ran %d rounds, want %d", repD.Rounds, rounds)
+			selRef, repRef, stRef := refChurn(t, tc.k, m, rounds, 8, tc.seed, tc.idlePct)
+			if repRef.Rounds != int64(rounds) {
+				t.Fatalf("reference ran %d rounds, want %d", repRef.Rounds, rounds)
 			}
-			compareRuns(t, name, selD, selS, repD, repS, stD, stS)
+			for _, dense := range []bool{true, false} {
+				sel, rep, st := runChurn(t, dense, tc.pipelined, tc.k, 6, m, rounds, 8, tc.seed, tc.idlePct)
+				compareRuns(t, fmt.Sprintf("%s/dense=%v", name, dense), selRef, sel, repRef, rep, stRef, st)
+			}
 		})
 	}
 }
 
-// TestSparsePipelinedMatchesSparseSequential closes the square: with both
-// twins on the source's own sparse rounds, the pipelined engine at lag k
-// must still match the sequential engine at the same lag.
+// TestSparsePipelinedMatchesSparseSequential closes the square: on the
+// source's own sparse rounds, overlap off and overlap on at lag k must both
+// match the reference loop at the same lag.
 func TestSparsePipelinedMatchesSparseSequential(t *testing.T) {
 	const m, rounds = 20, 120
 	for _, k := range []int{1, 3} {
 		name := fmt.Sprintf("k%d", k)
 		t.Run(name, func(t *testing.T) {
-			selSeq, repSeq, stSeq := runChurn(t, false, false, k, 5, m, rounds, 7, 201, 50)
-			selPipe, repPipe, stPipe := runChurn(t, false, true, k, 5, m, rounds, 7, 201, 50)
-			compareRuns(t, name, selSeq, selPipe, repSeq, repPipe, stSeq, stPipe)
+			selRef, repRef, stRef := refChurn(t, k, m, rounds, 7, 201, 50)
+			for _, pipelined := range []bool{false, true} {
+				sel, rep, st := runChurn(t, false, pipelined, k, 5, m, rounds, 7, 201, 50)
+				compareRuns(t, fmt.Sprintf("%s/pipelined=%v", name, pipelined), selRef, sel, repRef, rep, stRef, st)
+			}
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -12,31 +11,50 @@ import (
 	"packetgame/internal/metrics"
 )
 
-// The pipelined engine splits a round's lifecycle across three actors:
+// The engine is one round loop whose work is split across three actors:
 //
-//	gate loop (caller's goroutine)
-//	    pull round → Decide → publish roundWork → submit decode jobs,
-//	    and apply due feedback under the lag-k schedule;
+//	gate loop (Run's goroutine)
+//	    apply the feedback due under the lag-k schedule → pull the source →
+//	    Decide → capture the round into a recycled roundWork → publish the
+//	    roundWork → submit its decode jobs;
 //	decode pool (Workers goroutines)
 //	    decode tagged jobs, emit completions in any order;
 //	collector (one goroutine)
-//	    reassemble completions per round, settle rounds strictly in round
-//	    order (filter/infer/accounting), and ack each settled round.
+//	    write each completion into its round's roundWork, settle rounds
+//	    strictly in round order (filter/infer/accounting), and hand every
+//	    settled roundWork back to the gate loop as its round's ack.
+//
+// Config.Pipelined decides only whether rounds may overlap. When set, round
+// t+1 is pulled and gated while round t is still decoding, up to MaxInFlight
+// rounds deep. When not, the gate loop waits for the ack of the round it just
+// submitted and parks it in the lag FIFO before going on — a single wait on
+// the same path, so the source is never pulled while a round is in the pool
+// or the collector.
 //
 // Feedback ordering: every settled round produces exactly one ack, and the
 // collector settles rounds in ascending round order, so acks reach the gate
 // in decision order — the UCB reward windows never observe out-of-order
-// rewards. In the default deterministic mode the acks travel back to the
-// gate loop, which applies Feedback only when the lag schedule demands it
-// (before Decide(t), rounds ≤ t−k are acked). With FreshFeedback the
-// collector applies Feedback itself the moment a round settles, giving the
-// estimator the freshest state at the cost of timing-dependent decisions.
+// rewards. The gate loop applies Feedback only when the lag schedule demands
+// it: before round t's source pull, rounds ≤ t−k are fed back, so Decide(t)
+// observes exactly rounds 0..t−k whether or not rounds overlap, and a source
+// that blocks (a cluster worker awaiting its round frame) blocks with no
+// feedback due. With FreshFeedback the collector applies Feedback itself the
+// moment a round settles — the freshest estimator state at the cost of
+// timing-dependent decisions — and the ack only returns the in-flight slot.
 //
-// Liveness: acks and tokens are buffered beyond the in-flight bound, so the
-// collector never blocks sending; the collector therefore always drains
-// pool completions, so the pool never blocks; rounds with decode errors are
-// still acked (with the error attached), so the gate loop's drain always
-// terminates.
+// The fleet: the gate loop builds the inference monitors before it publishes
+// the first round (or EnsureFleet did, before Run). From a round's publish to
+// its ack the collector alone touches them. The gate loop — and through it a
+// source's NextRoundSparse — may read or migrate monitor state only while no
+// round is between publish and ack, which with Pipelined unset is every
+// source pull.
+//
+// Liveness: at most MaxInFlight rounds sit between publish and feedback, and
+// both the round and the ack channel buffer that many, so neither the gate
+// loop's publish nor the collector's ack ever blocks; the collector therefore
+// always drains pool completions, so the pool never blocks; rounds with
+// decode errors are still acked (with the failure flagged), so the gate
+// loop's drain always terminates.
 
 // truthVal is ground truth captured at gate time, so settling a round later
 // does not race the source's per-round truth state.
@@ -45,65 +63,59 @@ type truthVal struct {
 	ok    bool
 }
 
-// roundWork is one in-flight round: the active id list with packets and
-// gate-time truth packed parallel to it, the gate's decision, and the
-// settle-time frames scratch. The gate loop copies the source's Round into
-// one (the source reuses its storage each round) and the collector recycles
-// it through the engine's free list — ids, pkts, truth and frames all reach
-// steady-state capacity — so an in-flight round costs O(active), not O(m),
-// and allocates nothing of its own. cancel is non-nil only under a round
-// deadline: the collector sets it when the round is abandoned, and queued
-// decode jobs carrying it short-circuit with decode.ErrAborted.
+// roundWork is the one record of a round, from source pull to feedback: the
+// active id list with packets and gate-time truth packed parallel to it, the
+// gate's decision, and one outcome slot per selection. The gate loop copies
+// the source's Round into it (the source reuses its storage each round),
+// publishes it to the collector, gets it back as the round's ack, and
+// recycles it once the gate has consumed the feedback — every slice reaches
+// steady-state capacity, so a round costs O(active), not O(m), and allocates
+// nothing of its own.
+//
+// Ownership: the gate loop writes it until publish and again after the ack;
+// in between only the collector writes (the outcome slots and open), and the
+// gate loop, still submitting the round's jobs, only reads pos, pkts and
+// cancel.
 type roundWork struct {
-	round    int64
-	m        int // fleet width the round was drawn from
-	ids      []int32
-	pkts     []*codec.Packet
-	truth    []truthVal
-	frames   []decode.Frame // settle scratch (collector-owned)
-	sel      []int
+	m     int // fleet width the round was drawn from
+	ids   []int32
+	pkts  []*codec.Packet
+	truth []truthVal
+
+	sel []int
+	pos []int32 // pos[k] is stream sel[k]'s position in ids
+	// Outcome slots, parallel to sel. A slot starts deferred — no outcome
+	// yet — and its completion clears that, leaving a frame or a failed
+	// mark; whatever is still deferred when a deadline settles the round
+	// early is fed back as such.
+	frames    []decode.Frame
+	failed    []bool
+	deferred  []bool
+	necessary []bool // the redundancy feedback, filled by settle
+	open      int    // slots still without an outcome
+	nFailed   int
+
 	enqueued time.Time
-	cancel   *atomic.Bool
+	// cancel is non-nil only under a round deadline: the collector sets it
+	// when the round is abandoned, and queued decode jobs carrying it
+	// short-circuit with decode.ErrAborted.
+	cancel *atomic.Bool
 }
 
-// pktOf returns stream i's packet (nil when idle this round).
-func (rw *roundWork) pktOf(i int) *codec.Packet {
-	if k := findID(rw.ids, int32(i)); k >= 0 {
-		return rw.pkts[k]
+// resize returns s with length n and every element zero, reusing its storage
+// when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return nil
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-// truthOf returns stream i's captured truth.
-func (rw *roundWork) truthOf(i int) truthVal {
-	if k := findID(rw.ids, int32(i)); k >= 0 {
-		return rw.truth[k]
-	}
-	return truthVal{}
-}
-
-// findID binary-searches a strictly-ascending id list.
-func findID(ids []int32, id int32) int {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ids) && ids[lo] == id {
-		return lo
-	}
-	return -1
-}
-
-// getRW pulls a recycled roundWork; putRW returns one after settle. The sel
-// slice is never recycled here — it travels onward in the round's ack.
+// getRW pulls a recycled roundWork; putRW returns one after feedback. Both
+// run on the gate loop only.
 func (e *Engine) getRW() *roundWork {
-	e.rwMu.Lock()
-	defer e.rwMu.Unlock()
 	if n := len(e.rwFree); n > 0 {
 		rw := e.rwFree[n-1]
 		e.rwFree = e.rwFree[:n-1]
@@ -114,25 +126,19 @@ func (e *Engine) getRW() *roundWork {
 
 func (e *Engine) putRW(rw *roundWork) {
 	rw.ids = rw.ids[:0]
-	for i := range rw.pkts {
-		rw.pkts[i] = nil // drop packet refs so the pool does not pin payloads
-	}
+	clear(rw.pkts) // drop packet refs so the free list does not pin payloads
 	rw.pkts = rw.pkts[:0]
 	rw.truth = rw.truth[:0]
-	rw.frames = rw.frames[:0]
-	rw.sel = nil
 	rw.cancel = nil
-	e.rwMu.Lock()
 	e.rwFree = append(e.rwFree, rw)
-	e.rwMu.Unlock()
 }
 
-// capture copies the source's round and its ground truth into a recycled
-// roundWork — three O(active) appends — because the source may reuse its
-// packet and truth storage as soon as it is pulled again.
-func (e *Engine) capture(round int64, rnd *codec.Round) *roundWork {
-	rw := e.getRW()
-	rw.round = round
+// capture copies the source's round and its ground truth into rw — three
+// O(active) appends — because the source may reuse its packet and truth
+// storage as soon as it is pulled again. It runs after the decision, which
+// reads the source's own round, so the copy is not on the way to the
+// selection.
+func (e *Engine) capture(rw *roundWork, rnd *codec.Round) {
 	rw.m = rnd.M
 	rw.ids = append(rw.ids, rnd.IDs...)
 	rw.pkts = append(rw.pkts, rnd.Pkts...)
@@ -140,44 +146,51 @@ func (e *Engine) capture(round int64, rnd *codec.Round) *roundWork {
 		s, ok := e.src.Truth(int(id))
 		rw.truth = append(rw.truth, truthVal{scene: s, ok: ok})
 	}
-	return rw
 }
 
-// roundAck is one settled round's redundancy feedback, traveling from the
-// collector back to the gate loop. failed marks selections whose decode
-// errored out (nil = clean round); such rounds still settle — partial
-// failures degrade feedback, they don't abort the run. deferred marks
-// selections abandoned by a deadline abort (nil = none): those slots carry
-// no verdict and the gate keeps them out of its learned state.
-type roundAck struct {
-	sel       []int
-	necessary []bool
-	failed    []bool
-	deferred  []bool
+// arm readies the outcome slots for the round's decision: each selection's
+// position in the id list, and a zeroed slot per selection, all deferred.
+func (rw *roundWork) arm(rnd *codec.Round) {
+	n := len(rw.sel)
+	rw.pos = rw.pos[:0]
+	for _, i := range rw.sel {
+		rw.pos = append(rw.pos, int32(rnd.Find(int32(i))))
+	}
+	rw.frames = resize(rw.frames, n)
+	rw.failed = resize(rw.failed, n)
+	rw.necessary = resize(rw.necessary, n)
+	rw.deferred = resize(rw.deferred, n)
+	for k := range rw.deferred {
+		rw.deferred[k] = true
+	}
+	rw.open, rw.nFailed = n, 0
 }
 
-// runPipelined executes rounds through the staged engine with up to
-// MaxInFlight rounds overlapping.
-func (e *Engine) runPipelined(maxRounds int) (Report, error) {
+// complete records one decode outcome in its slot. A failed decode still
+// closes the slot: partial failures degrade feedback, they don't hold the
+// round.
+func (rw *roundWork) complete(c decode.Completion) {
+	if c.Err != nil {
+		rw.failed[c.Slot] = true
+		rw.nFailed++
+	} else {
+		rw.frames[c.Slot] = c.Frame
+	}
+	rw.deferred[c.Slot] = false
+	rw.open--
+}
+
+// runRounds is the gate loop. It processes up to maxRounds rounds (0 = until
+// the source ends) and returns the collector's report.
+func (e *Engine) runRounds(maxRounds int) (Report, error) {
 	k := e.cfg.MaxInFlight
 	e.raiseGatePending()
 	pool := decode.NewTaggedPool(e.newDecoder(), e.cfg.Workers)
-	fresh := e.cfg.FreshFeedback
-
-	roundsCh := make(chan *roundWork, k+2)
-	acks := make(chan roundAck, k+2)
-	tokens := make(chan struct{}, k)
-	for i := 0; i < k; i++ {
-		tokens <- struct{}{}
-	}
-	c := &collector{
-		engine: e,
-		comps:  pool.Completions(),
-		rounds: roundsCh,
-		acks:   acks,
-		tokens: tokens,
-		fresh:  fresh,
-	}
+	// At most k rounds are between publish and feedback, so k slots mean
+	// neither channel ever blocks its sender (see Liveness above).
+	roundsCh := make(chan *roundWork, k)
+	acks := make(chan *roundWork, k)
+	c := &collector{engine: e, comps: pool.Completions(), rounds: roundsCh, acks: acks}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -185,21 +198,42 @@ func (e *Engine) runPipelined(maxRounds int) (Report, error) {
 	}()
 
 	var runErr error
-	var jobPkts []*codec.Packet // per-round scratch for decode-job submission
-	inflight := 0
-	applyDue := func(min int) {
-		for inflight > min && runErr == nil {
-			a := <-acks
-			inflight--
-			if err := feedback(e.cfg.Gate, a); err != nil {
-				runErr = fmt.Errorf("pipeline: feedback: %w", err)
+	var lag []*roundWork // overlap off: acked rounds whose feedback is not yet due
+	inflight := 0        // rounds published and not yet fed back
+	// applyDue feeds rounds back, oldest first, until at most max remain in
+	// flight. After an error it still takes the acks — the collector's
+	// rounds must come home — but applies nothing more.
+	applyDue := func(max int) {
+		for inflight > max {
+			var rw *roundWork
+			if len(lag) > 0 {
+				rw = lag[0]
+				lag = lag[:copy(lag, lag[1:])]
+			} else {
+				rw = <-acks
 			}
-			e.putMask(a.necessary)
+			inflight--
+			if runErr == nil && !e.cfg.FreshFeedback {
+				if err := feedback(e.cfg.Gate, rw); err != nil {
+					runErr = fmt.Errorf("pipeline: feedback: %w", err)
+				}
+			}
+			e.putRW(rw)
 		}
 	}
 
 	for next := int64(0); maxRounds == 0 || next < int64(maxRounds); next++ {
 		if e.closed() {
+			break
+		}
+		// The lag schedule and the admission bound in one step: rounds
+		// ≤ next−k are fed back, leaving at most k−1 in flight. It runs
+		// before the pull so that a blocking source blocks with the gate
+		// quiescent — no feedback due — which is what lets stream state
+		// migrate between rounds; the source never touches the gate, so
+		// Decide(next) sees the same fed-back set either side of the pull.
+		applyDue(k - 1)
+		if runErr != nil {
 			break
 		}
 		rnd, err := e.src.NextRoundSparse()
@@ -210,69 +244,47 @@ func (e *Engine) runPipelined(maxRounds int) (Report, error) {
 			runErr = fmt.Errorf("pipeline: source: %w", err)
 			break
 		}
-		// Admission control: at most k rounds in flight. Deterministic
-		// mode applies the feedback of rounds ≤ next−k here, on the
-		// deciding goroutine; fresh mode just takes an in-flight token
-		// (the collector applied feedback already).
-		if fresh {
-			<-tokens
-		} else {
-			applyDue(k - 1)
-			if runErr != nil {
-				break
-			}
+		if e.fleet == nil {
+			e.fleet = e.newFleet(rnd.M)
 		}
 
-		rw := e.capture(next, rnd)
+		rw := e.getRW()
 		metrics.StageEnter(e.cfg.Stages.GateStage())
 		t0 := time.Now()
-		sel, err := e.decide(rnd)
+		rw.sel, err = e.decide(rnd, rw.sel[:0])
 		metrics.StageExit(e.cfg.Stages.GateStage(), time.Since(t0).Nanoseconds())
-		e.release(rnd) // rw holds its own copy
 		if err != nil {
 			runErr = fmt.Errorf("pipeline: gate: %w", err)
-			if fresh {
-				tokens <- struct{}{} // round never entered flight
-			}
+			e.release(rnd)
+			e.putRW(rw) // the round never entered flight
 			break
 		}
+		e.capture(rw, rnd)
+		rw.arm(rnd)
+		e.release(rnd) // rw holds its own copy
 		if e.cfg.OnRound != nil {
-			e.cfg.OnRound(next, append([]int(nil), sel...))
+			e.cfg.OnRound(next, append([]int(nil), rw.sel...))
 		}
-
-		rw.sel = sel
-		rw.enqueued = time.Now()
-		var cancel *atomic.Bool
 		if e.cfg.Deadline > 0 {
-			cancel = new(atomic.Bool)
-			rw.cancel = cancel
+			rw.cancel = new(atomic.Bool)
 		}
-		// Capture job packets before publishing rw: a deadline abort can
-		// settle and recycle the roundWork while this loop is still
-		// submitting, so jobs must not read rw afterwards.
-		jobPkts = jobPkts[:0]
-		for _, i := range sel {
-			jobPkts = append(jobPkts, rw.pktOf(i))
-		}
+		rw.enqueued = time.Now()
 		metrics.StageEnter(e.cfg.Stages.DecodeStage())
-		roundsCh <- rw
-		for slot := range sel {
-			pool.Submit(decode.Job{Round: next, Slot: slot, Pkt: jobPkts[slot], Cancel: cancel})
+		roundsCh <- rw // always before the round's jobs: the collector relies on it
+		for slot, p := range rw.pos {
+			pool.Submit(decode.Job{Round: next, Slot: slot, Pkt: rw.pkts[p], Cancel: rw.cancel})
 		}
 		inflight++
-	}
-
-	// Shutdown: stop the stages, then drain outstanding acks in order.
-	pool.Close()
-	close(roundsCh)
-	if !fresh {
-		applyDue(0)
-		for inflight > 0 { // error path: drain without applying
-			a := <-acks
-			e.putMask(a.necessary)
-			inflight--
+		if !e.cfg.Pipelined {
+			lag = append(lag, <-acks)
 		}
 	}
+
+	// Shutdown: stop the stages, then bring every outstanding round home in
+	// order, applying its feedback unless the run failed.
+	pool.Close()
+	close(roundsCh)
+	applyDue(0)
 	<-done
 	if runErr == nil {
 		runErr = c.err
@@ -280,47 +292,35 @@ func (e *Engine) runPipelined(maxRounds int) (Report, error) {
 	return c.rep, runErr
 }
 
-// pendingCollect accumulates one round's completions until it can settle.
-type pendingCollect struct {
-	work  *roundWork
-	comps []decode.Completion
-}
-
-func (p *pendingCollect) ready() bool {
-	return p.work != nil && len(p.comps) == len(p.work.sel)
-}
-
-// collector reassembles decode completions into rounds and settles them
-// strictly in round order. It is the sole owner of the inference fleet and
-// the run report while the pipeline is live.
+// collector writes decode completions into their rounds and settles the
+// rounds strictly in round order. It is the sole owner of the inference
+// fleet and the run report while a round is between publish and ack.
 type collector struct {
 	engine *Engine
 	comps  <-chan decode.Completion
 	rounds <-chan *roundWork
-	acks   chan<- roundAck
-	tokens chan<- struct{}
-	fresh  bool
+	acks   chan<- *roundWork
 
 	rep Report
-	err error
+	err error // first FreshFeedback error
 }
 
 func (c *collector) run() {
-	pending := map[int64]*pendingCollect{}
+	// flight holds the published, unsettled rounds in round order:
+	// flight[0] is round next.
+	var flight []*roundWork
 	next := int64(0)
 	roundsCh, comps := c.rounds, c.comps
-	get := func(round int64) *pendingCollect {
-		st := pending[round]
-		if st == nil {
-			st = &pendingCollect{}
-			pending[round] = st
-		}
-		return st
+	settleHead := func() {
+		rw := flight[0]
+		flight = flight[:copy(flight, flight[1:])]
+		next++
+		c.settle(rw, len(flight))
 	}
 
 	// Deadline machinery: one timer tracks the head round only. Rounds
 	// settle strictly in order, so the head is always the first to expire;
-	// rearm repoints the timer whenever the head changes.
+	// rearm repoints the timer whenever the head may have changed.
 	deadline := c.engine.cfg.Deadline
 	var timer *time.Timer
 	var timerC <-chan time.Time
@@ -332,11 +332,10 @@ func (c *collector) run() {
 			<-timer.C // drain: only this goroutine receives from timer.C
 		}
 		timerC = nil
-		st := pending[next]
-		if st == nil || st.work == nil {
+		if len(flight) == 0 {
 			return
 		}
-		d := time.Until(st.work.enqueued.Add(deadline))
+		d := time.Until(flight[0].enqueued.Add(deadline))
 		if timer == nil {
 			timer = time.NewTimer(d)
 		} else {
@@ -357,42 +356,33 @@ func (c *collector) run() {
 				roundsCh = nil
 				break
 			}
-			get(rw.round).work = rw
+			flight = append(flight, rw)
 		case comp, ok := <-comps:
 			if !ok {
 				comps = nil
 				break
 			}
 			if comp.Round < next {
-				// Straggler of a deadline-settled round: its fate was
-				// already acked as deferred. Dropping it here (instead of
-				// get()) keeps the pending map from resurrecting the round.
+				// Straggler of a deadline-settled round: its slot was
+				// already acked as deferred.
 				break
 			}
-			st := get(comp.Round)
-			st.comps = append(st.comps, comp)
+			// A completion can outrun its round through the select, never
+			// through the channels: the round was published before its jobs.
+			for comp.Round >= next+int64(len(flight)) {
+				flight = append(flight, <-roundsCh)
+			}
+			flight[comp.Round-next].complete(comp)
 		case <-timerC:
+			// The head round missed its deadline (a ready head never waits
+			// for the timer): cancel whatever is still queued and settle now
+			// with the outcomes in hand.
 			timerC = nil
-			st := pending[next]
-			if st != nil && st.work != nil && !st.ready() {
-				// The head round missed its deadline: cancel whatever is
-				// still queued and settle now with the frames in hand.
-				if st.work.cancel != nil {
-					st.work.cancel.Store(true)
-				}
-				delete(pending, next)
-				next++
-				c.settle(st, true, len(pending))
-			}
+			flight[0].cancel.Store(true)
+			settleHead()
 		}
-		for {
-			st := pending[next]
-			if st == nil || !st.ready() {
-				break
-			}
-			delete(pending, next)
-			next++
-			c.settle(st, false, len(pending))
+		for len(flight) > 0 && flight[0].open == 0 {
+			settleHead()
 		}
 		rearm()
 	}
@@ -402,75 +392,22 @@ func (c *collector) run() {
 // Slots whose decode errored settle with conservative feedback and a
 // failure flag — partial-failure rounds complete normally, so the gate
 // loop's drain always terminates and poison pills never wedge the pipeline.
-//
-// aborted marks a deadline-settled round: completions the round never
-// received, plus jobs the pool short-circuited with decode.ErrAborted,
-// settle as deferred — no feedback verdict, the stream just observes a
-// skip. depth is the number of rounds still pending behind this one, fed
-// to the overload governor as its queue-pressure signal.
-func (c *collector) settle(st *pendingCollect, aborted bool, depth int) {
+// depth is the number of rounds still pending behind this one, fed to the
+// overload governor as its queue-pressure signal.
+func (c *collector) settle(rw *roundWork, depth int) {
 	e := c.engine
-	rw := st.work
 	metrics.StageExit(e.cfg.Stages.DecodeStage(), time.Since(rw.enqueued).Nanoseconds())
-	if e.fleet == nil {
-		e.fleet = e.newFleet(rw.m)
-	}
-	if cap(rw.frames) < len(rw.sel) {
-		rw.frames = make([]decode.Frame, len(rw.sel))
-	}
-	frames := rw.frames[:len(rw.sel)]
-	for i := range frames {
-		frames[i] = decode.Frame{}
-	}
-	var failed, deferred []bool
-	if aborted {
-		// Every slot starts deferred; slots with a real completion below
-		// flip back to their actual outcome.
-		deferred = make([]bool, len(rw.sel))
-		for k := range deferred {
-			deferred[k] = true
-		}
-	}
-	for _, comp := range st.comps {
-		if errors.Is(comp.Err, decode.ErrAborted) {
-			if deferred == nil {
-				deferred = make([]bool, len(rw.sel))
-			}
-			deferred[comp.Slot] = true
-			continue
-		}
-		if aborted {
-			deferred[comp.Slot] = false
-		}
-		if comp.Err != nil {
-			if failed == nil {
-				failed = make([]bool, len(rw.sel))
-			}
-			failed[comp.Slot] = true
-			continue
-		}
-		frames[comp.Slot] = comp.Frame
-	}
 	metrics.StageEnter(e.cfg.Stages.InferStage())
 	t0 := time.Now()
-	truth := func(i int) (codec.Scene, bool) {
-		tv := rw.truthOf(i)
-		return tv.scene, tv.ok
-	}
-	necessary := e.settle(&c.rep, rw.m, rw.ids, rw.pkts, rw.truth, rw.sel, frames, failed, deferred, truth)
+	e.settle(&c.rep, rw)
 	metrics.StageExit(e.cfg.Stages.InferStage(), time.Since(t0).Nanoseconds())
 	if e.cfg.Governor != nil {
 		e.cfg.Governor.Observe(time.Since(rw.enqueued), depth)
 	}
-	a := roundAck{sel: rw.sel, necessary: necessary, failed: failed, deferred: deferred}
-	e.putRW(rw) // sel travels on in the ack; buffers recycle now
-	if c.fresh {
-		if err := feedback(e.cfg.Gate, a); err != nil && c.err == nil {
+	if e.cfg.FreshFeedback {
+		if err := feedback(e.cfg.Gate, rw); err != nil && c.err == nil {
 			c.err = fmt.Errorf("pipeline: feedback: %w", err)
 		}
-		e.putMask(a.necessary)
-		c.tokens <- struct{}{}
-	} else {
-		c.acks <- a
 	}
+	c.acks <- rw
 }
