@@ -327,8 +327,6 @@ func TestClusterFreshFallback(t *testing.T) {
 	p.budget = 4 + float64(p.m)/8
 	cfg := coordConfig(p)
 	cfg.TransferFault = func(stream, attempt int) bool { return true }
-	cfg.MaxTransferAttempts = 3
-	cfg.TransferBackoff = 100 * time.Microsecond
 
 	var c *Coordinator
 	workerCh := make(chan *Worker, 1)
@@ -400,7 +398,15 @@ func TestClusterFreshFallback(t *testing.T) {
 // model.
 func chaosRun(t *testing.T, p clusterParams, chaos bool) Report {
 	t.Helper()
+	return chaosRunWith(t, p, chaos, "")
+}
+
+// chaosRunWith is chaosRun with the control plane journaled at journal
+// (when set).
+func chaosRunWith(t *testing.T, p clusterParams, chaos bool, journal string) Report {
+	t.Helper()
 	cfg := coordConfig(p)
+	cfg.JournalPath = journal
 	cfg.SLO = 20 * time.Millisecond
 	cfg.LatencyModel = func(worker int, granted, offered float64) time.Duration {
 		return time.Duration(granted * float64(40*time.Microsecond))

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -85,21 +84,12 @@ type CoordConfig struct {
 	// n of moving a stream is dropped when it returns true. Exhausted
 	// transfers fall back to fresh adoption on the new owner.
 	TransferFault func(stream, attempt int) bool
-	// MaxTransferAttempts bounds per-stream transfer retries (default 4).
-	MaxTransferAttempts int
-	// TransferBackoff is the wall-clock pause between transfer retries
-	// (default 2ms; decision-neutral — rounds are not running during
-	// migration).
-	TransferBackoff time.Duration
 	// JournalPath, when set, makes the control plane durable: a snapshot +
 	// append-only journal (capture's CRC record discipline) of ring
 	// membership, the round clock, per-worker governor/demand state, and
 	// accuracy counters. A standby elected after a crash replays it — or
 	// the equivalent fJournalAppend frame stream — to take over.
 	JournalPath string
-	// CompactEvery bounds the journal: after this many records past the
-	// last snapshot the file is rewritten as a fresh snapshot (default 512).
-	CompactEvery int
 	// RejoinWait bounds how long an elected standby holds the rejoin window
 	// open for journaled members that have not yet re-homed or reconciled
 	// (default 15s). The window closes as soon as every member is accounted
@@ -121,7 +111,21 @@ type CoordConfig struct {
 	OnMembership func(round int64, joined, died []int)
 }
 
-// Report is the cluster-level run summary.
+const (
+	// Moving one stream's state is tried maxTransferAttempts times,
+	// transferBackoff apart (wall clock: no round runs during a migration).
+	maxTransferAttempts = 4
+	transferBackoff     = 2 * time.Millisecond
+	// compactEvery journal records past the last snapshot, the file is
+	// rewritten as a fresh one.
+	compactEvery = 512
+)
+
+// Report is the cluster-level run summary. Its run counters are read off the
+// coordinator's replica image (what the journal and the standbys mirror), so
+// a standby that took over reports both reigns and a killed primary returns
+// the image at the kill. Deaths and DeadReasons are detection-time
+// diagnostics: a death seen only at shutdown is never a membership record.
 type Report struct {
 	Rounds  int64
 	Workers int // distinct workers ever admitted
@@ -160,12 +164,11 @@ type inFrame struct {
 	err  error
 }
 
-// wconn is the coordinator's handle on one worker connection.
+// wconn is the coordinator's handle on one worker connection. The link is
+// nil only in the dead placeholder of a member that never re-homed.
 type wconn struct {
+	*link
 	id       int
-	name     string
-	conn     net.Conn
-	bw       *bufio.Writer
 	frames   chan inFrame
 	lastSeen atomic.Int64 // unix nanos, updated by the reader on any frame
 	dead     bool         // coordinator-loop only
@@ -187,35 +190,6 @@ type wconn struct {
 type delayedReport struct {
 	f   inFrame
 	due time.Time
-}
-
-func (wc *wconn) send(typ uint8, body []byte) error {
-	return writeFrame(wc.bw, typ, body)
-}
-
-type pendingConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	name string
-}
-
-// standbyPending is a handshaken standby awaiting attachment at the next
-// consistent point (quorum or a round boundary).
-type standbyPending struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	info StandbyJoin
-}
-
-// rejoinPending is a handshaken re-join (re-home or reconcile-only) from a
-// worker that lost its coordinator.
-type rejoinPending struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	info RejoinInfo
 }
 
 // CrashPoint selects where within a round a simulated coordinator crash
@@ -245,12 +219,14 @@ var ErrCoordinatorKilled = errors.New("cluster: coordinator killed (simulated cr
 // reconciler, and the per-round global knapsack solve, and speaks PGCP to
 // the data-plane workers. Run drives the whole cluster in lockstep rounds.
 type Coordinator struct {
-	cfg       CoordConfig
-	src       pipeline.SparseRoundSource // cfg.Source, dense or not, as sparse rounds
-	ln        net.Listener
-	joinCh    chan *pendingConn
-	standbyCh chan *standbyPending
-	rejoinCh  chan *rejoinPending
+	cfg CoordConfig
+	src pipeline.SparseRoundSource // cfg.Source, dense or not, as sparse rounds
+	ln  net.Listener
+	// Identified connections queue by hello type — join, standby, re-join
+	// (re-home or reconcile-only) — until the next consistent point.
+	joinCh    chan *pending
+	standbyCh chan *pending
+	rejoinCh  chan *pending
 	accept    chan struct{} // closed to stop the accept loop
 
 	workers map[int]*wconn
@@ -260,7 +236,7 @@ type Coordinator struct {
 	epoch   uint64
 	seq     uint64
 	rc      *reconciler
-	view    *sloView
+	lats    []time.Duration // observed round latencies, for the report's p99
 	greedy  knapsack.Greedy
 
 	// rs is the coordinator's own replica image — the same state machine a
@@ -273,6 +249,8 @@ type Coordinator struct {
 	standbys []*standbyConn
 	jbuf     []byte // scratch for fJournalAppend frame bodies
 
+	// rep holds what only this coordinator saw — Deaths, DeadReasons, Finals;
+	// report() fills in everything else from rs.
 	rep Report
 
 	// inflight is the FIFO of granted-but-unobserved rounds, oldest first;
@@ -294,7 +272,7 @@ type Coordinator struct {
 	grants  [][]int              // per-live-position grant lists, global selection order
 	candMsg candidatesMsg
 	sel     []int
-	perPkts map[int][]roundPacket
+	scatter [][]roundPacket // per-live-position round packets, ascending by stream
 	grantsB []byte
 	roundB  []byte
 	pktBuf  []byte
@@ -326,17 +304,8 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = cfg.Lease / 4
 	}
-	if cfg.MaxTransferAttempts <= 0 {
-		cfg.MaxTransferAttempts = 4
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 1
-	}
-	if cfg.TransferBackoff <= 0 {
-		cfg.TransferBackoff = 2 * time.Millisecond
-	}
-	if cfg.CompactEvery <= 0 {
-		cfg.CompactEvery = 512
 	}
 	if cfg.RejoinWait <= 0 {
 		cfg.RejoinWait = 15 * time.Second
@@ -349,19 +318,16 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		cfg:       cfg,
 		src:       pipeline.Sparse(cfg.Source),
 		ln:        ln,
-		joinCh:    make(chan *pendingConn, 16),
-		standbyCh: make(chan *standbyPending, 16),
-		rejoinCh:  make(chan *rejoinPending, 64),
+		joinCh:    make(chan *pending, 16),
+		standbyCh: make(chan *pending, 16),
+		rejoinCh:  make(chan *pending, 64),
 		accept:    make(chan struct{}),
 		workers:   make(map[int]*wconn),
 		ring:      &Ring{},
 		owners:    make([]int, cfg.Streams),
 		cost:      make([]float64, cfg.Streams),
 		rc:        newReconciler(cfg.SLO, cfg.Budget),
-		view:      &sloView{slo: cfg.SLO},
-		perPkts:   make(map[int][]roundPacket),
-		rep: Report{DecisionHash: fnvOffset, Finals: make(map[int]WorkerFinal),
-			DeadReasons: make(map[int]string)},
+		rep:       Report{Finals: make(map[int]WorkerFinal), DeadReasons: make(map[int]string)},
 	}
 	c.rs = newReplicaState()
 	c.rs.Streams = cfg.Streams
@@ -375,13 +341,14 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 			ln.Close()
 			return nil, err
 		}
-		c.jr, err = openJournal(cfg.JournalPath, cfg.CompactEvery, snap)
+		c.jr, err = openJournal(cfg.JournalPath, compactEvery, snap)
 		if err != nil {
 			ln.Close()
 			return nil, err
 		}
 	}
-	go c.acceptLoop()
+	queues := map[uint8]chan *pending{fJoin: c.joinCh, fStandbyJoin: c.standbyCh, fRejoin: c.rejoinCh}
+	go serveLinks(ln, c.accept, func(hello uint8) chan<- *pending { return queues[hello] })
 	return c, nil
 }
 
@@ -393,65 +360,6 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 // hook, then block until the join request is queued — the very next round
 // boundary admits it.
 func (c *Coordinator) PendingJoins() int { return len(c.joinCh) }
-
-func (c *Coordinator) acceptLoop() {
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go func() {
-			br := bufio.NewReaderSize(conn, 1<<20)
-			bw := bufio.NewWriterSize(conn, 1<<20)
-			if err := readHandshake(br); err != nil {
-				conn.Close()
-				return
-			}
-			typ, body, err := readFrame(br)
-			if err != nil {
-				conn.Close()
-				return
-			}
-			switch typ {
-			case fJoin:
-				var ji JoinInfo
-				if err := gobDecode(body, &ji); err != nil {
-					conn.Close()
-					return
-				}
-				select {
-				case c.joinCh <- &pendingConn{conn: conn, br: br, bw: bw, name: ji.Name}:
-				case <-c.accept:
-					conn.Close()
-				}
-			case fStandbyJoin:
-				var sj StandbyJoin
-				if err := gobDecode(body, &sj); err != nil {
-					conn.Close()
-					return
-				}
-				select {
-				case c.standbyCh <- &standbyPending{conn: conn, br: br, bw: bw, info: sj}:
-				case <-c.accept:
-					conn.Close()
-				}
-			case fRejoin:
-				var ri RejoinInfo
-				if err := gobDecode(body, &ri); err != nil {
-					conn.Close()
-					return
-				}
-				select {
-				case c.rejoinCh <- &rejoinPending{conn: conn, br: br, bw: bw, info: ri}:
-				case <-c.accept:
-					conn.Close()
-				}
-			default:
-				conn.Close()
-			}
-		}()
-	}
-}
 
 // clusterConfig is the welcome payload shared with every worker.
 func (c *Coordinator) clusterConfig() ClusterConfig {
@@ -474,37 +382,32 @@ func (c *Coordinator) clusterConfig() ClusterConfig {
 // readWorker pumps one worker's frames into its channel. Heartbeats are
 // folded into lastSeen here so they never clog the round machinery; reports
 // detour through the ReportDelay delivery model when one is configured.
-func (c *Coordinator) readWorker(wc *wconn, br *bufio.Reader) {
+func (c *Coordinator) readWorker(wc *wconn) {
 	for {
-		typ, body, err := readFrame(br)
+		typ, body, err := wc.recv(0)
 		wc.lastSeen.Store(time.Now().UnixNano())
-		if err != nil {
-			// The terminal error must not overtake reports still sitting in
-			// the delay pump: per-connection frame order is what pins the
-			// round a death is detected at, so two same-seed runs reap the
-			// worker at the same boundary. Route it through the same FIFO.
-			if wc.delayCh != nil {
-				select {
-				case wc.delayCh <- delayedReport{f: inFrame{err: err}}:
-				case <-c.accept:
-				}
-				return
+		switch {
+		case err == nil && typ == fHeartbeat:
+		case wc.delayCh == nil || (err == nil && typ != fReport):
+			wc.frames <- inFrame{typ, body, err}
+		default:
+			// The terminal error takes the reports' FIFO too, undelayed: it
+			// must not overtake reports still in the delay pump — frame order
+			// pins the round a death is detected at, so two same-seed runs
+			// reap the worker at the same boundary.
+			dr := delayedReport{f: inFrame{typ, body, err}}
+			if err == nil {
+				dr.due = time.Now().Add(c.cfg.ReportDelay)
 			}
-			wc.frames <- inFrame{err: err}
-			return
-		}
-		if typ == fHeartbeat {
-			continue
-		}
-		if typ == fReport && wc.delayCh != nil {
 			select {
-			case wc.delayCh <- delayedReport{f: inFrame{typ: typ, body: body}, due: time.Now().Add(c.cfg.ReportDelay)}:
+			case wc.delayCh <- dr:
 			case <-c.accept:
 				return
 			}
-			continue
 		}
-		wc.frames <- inFrame{typ: typ, body: body}
+		if err != nil {
+			return
+		}
 	}
 }
 
@@ -592,7 +495,7 @@ func (c *Coordinator) markDead(wc *wconn, err error) {
 		return
 	}
 	wc.dead = true
-	wc.conn.Close()
+	wc.close()
 	c.rep.Deaths++
 	c.rep.DeadReasons[wc.id] = err.Error()
 	c.rc.removeWorker(wc.id)
@@ -626,6 +529,7 @@ func (c *Coordinator) refreshLive() {
 	}
 	for len(c.grants) < len(c.liveList) {
 		c.grants = append(c.grants, nil)
+		c.scatter = append(c.scatter, nil)
 	}
 }
 
@@ -641,10 +545,6 @@ const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
-
-func (c *Coordinator) hashRound(round int64, sel []int) {
-	c.rep.DecisionHash = foldRoundHash(c.rep.DecisionHash, round, sel)
-}
 
 // flight is one granted-but-unobserved round: everything needed to gather
 // its reports later and feed the governors in the exact order a lockstep
@@ -703,6 +603,42 @@ func (c *Coordinator) retireFlight() {
 	c.inflight = c.inflight[:n]
 }
 
+// candidatesFrom awaits wc's candidates for round r into c.candMsg: all for
+// streams it owns, or it is marked dead.
+func (c *Coordinator) candidatesFrom(wc *wconn, r int64) bool {
+	f, ok := c.await(wc, fCandidates)
+	if !ok {
+		return false
+	}
+	err := decodeCandidates(f.body, c.cfg.Streams, &c.candMsg)
+	if err == nil && c.candMsg.round != r {
+		err = fmt.Errorf("candidates for round %d during round %d", c.candMsg.round, r)
+	}
+	for _, cand := range c.candMsg.cands {
+		if err == nil && c.owners[cand.Stream] != wc.id {
+			err = fmt.Errorf("candidate for unowned stream %d", cand.Stream)
+		}
+	}
+	if err != nil {
+		c.markDead(wc, err)
+	}
+	return err == nil
+}
+
+// reportFrom awaits wc's report for round r, likewise.
+func (c *Coordinator) reportFrom(wc *wconn, r int64) (reportMsg, bool) {
+	f, ok := c.awaitReport(wc)
+	if !ok {
+		return reportMsg{}, false
+	}
+	msg, err := decodeReport(f.body)
+	if err != nil || msg.round != r {
+		c.markDead(wc, fmt.Errorf("bad report (round %d, want %d): %v", msg.round, r, err))
+		return msg, false
+	}
+	return msg, true
+}
+
 // gatherFlight collects the flight's reports (idempotent). Lockstep mode
 // calls it at the end of the flight's own round — blocking through the full
 // report delay; pipelined mode defers it until the flight falls due, by
@@ -717,13 +653,8 @@ func (c *Coordinator) gatherFlight(f *flight) {
 		if wc == nil || wc.dead {
 			continue
 		}
-		fr, ok := c.awaitReport(wc)
+		msg, ok := c.reportFrom(wc, f.round)
 		if !ok {
-			continue
-		}
-		msg, err := decodeReport(fr.body)
-		if err != nil || msg.round != f.round {
-			c.markDead(wc, fmt.Errorf("bad report (round %d, want %d): %v", msg.round, f.round, err))
 			continue
 		}
 		lat := msg.latency
@@ -751,10 +682,8 @@ func (c *Coordinator) observeFlight(f *flight) {
 			roundLat = lat
 		}
 	}
-	sloMiss := c.cfg.SLO > 0 && roundLat > c.cfg.SLO
-	c.view.observeRound(roundLat, f.mode)
-	c.rep.Rounds++
-	c.journalRound(f, agg, roundLat, sloMiss)
+	c.lats = append(c.lats, roundLat)
+	c.journalRound(f, agg, roundLat, c.cfg.SLO > 0 && roundLat > c.cfg.SLO)
 	if c.cfg.OnRoundEnd != nil {
 		c.cfg.OnRoundEnd(f.round)
 	}
@@ -792,27 +721,34 @@ func (c *Coordinator) Run() (Report, error) {
 
 	// Initial quorum: admissions before round 0 need no state transfer —
 	// every gate is genuinely fresh at clock 0, exactly like the oracle.
-	// Standbys may attach here too: nothing is in flight, so the snapshot
-	// they receive is trivially consistent.
+	if err := c.awaitQuorum(0, "nothing to re-join: cluster has not started"); err != nil {
+		return c.report(), err
+	}
+	return c.runRounds(0)
+}
+
+// awaitQuorum is the one wait for MinWorkers live workers, bounded by
+// JoinTimeout. Nothing is in flight: joins are admitted at round, standbys
+// attach to a trivially consistent snapshot, re-joins are refused.
+func (c *Coordinator) awaitQuorum(round int64, rejoinReason string) error {
 	deadline := time.After(c.cfg.JoinTimeout)
-	for len(c.workers) < c.cfg.MinWorkers {
+	for len(c.live()) < c.cfg.MinWorkers {
 		select {
 		case p := <-c.joinCh:
-			if err := c.admit(p, 0); err != nil {
-				return c.rep, err
+			if err := c.admit(p, round); err != nil {
+				return err
 			}
 		case p := <-c.standbyCh:
 			if err := c.attachStandby(p); err != nil {
-				return c.rep, err
+				return err
 			}
 		case p := <-c.rejoinCh:
-			c.rejectRejoin(p, "nothing to re-join: cluster has not started")
+			refuseRejoin(p, rejoinReason)
 		case <-deadline:
-			return c.rep, fmt.Errorf("cluster: %d/%d workers joined within %v",
-				len(c.workers), c.cfg.MinWorkers, c.cfg.JoinTimeout)
+			return fmt.Errorf("cluster: %d/%d workers joined within %v", len(c.live()), c.cfg.MinWorkers, c.cfg.JoinTimeout)
 		}
 	}
-	return c.runRounds(0)
+	return nil
 }
 
 // teardown releases everything Run or a takeover acquired. The journal is
@@ -825,23 +761,16 @@ func (c *Coordinator) teardown() {
 	}
 	c.ln.Close()
 	for _, wc := range c.workers {
-		if wc.conn != nil { // placeholder wconns for never-re-homed members
-			wc.conn.Close()
+		if wc.link != nil {
+			wc.close()
 		}
 	}
 	for _, sc := range c.standbys {
 		sc.close()
 	}
-	for {
-		select {
-		case p := <-c.joinCh:
-			p.conn.Close()
-		case p := <-c.standbyCh:
-			p.conn.Close()
-		case p := <-c.rejoinCh:
-			p.conn.Close()
-		default:
-			return
+	for _, q := range []chan *pending{c.joinCh, c.standbyCh, c.rejoinCh} {
+		for len(q) > 0 {
+			(<-q).close()
 		}
 	}
 }
@@ -852,10 +781,10 @@ func (c *Coordinator) teardown() {
 func (c *Coordinator) runRounds(start int64) (Report, error) {
 	for r := start; c.cfg.Rounds == 0 || r < int64(c.cfg.Rounds); r++ {
 		if c.jerr != nil {
-			return c.rep, c.jerr
+			return c.report(), c.jerr
 		}
 		if c.crashDue(r, CrashBoundary) {
-			return c.rep, ErrCoordinatorKilled
+			return c.report(), ErrCoordinatorKilled
 		}
 		// Membership changes land exactly on round boundaries, and only
 		// after every in-flight round has been drained: each live worker is
@@ -872,28 +801,28 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 				select {
 				case p := <-c.joinCh:
 					if err := c.admit(p, r); err != nil {
-						return c.rep, err
+						return c.report(), err
 					}
 				case p := <-c.standbyCh:
 					if err := c.attachStandby(p); err != nil {
-						return c.rep, err
+						return c.report(), err
 					}
 				case p := <-c.rejoinCh:
 					if err := c.primaryRejoin(p, r); err != nil {
-						return c.rep, err
+						return c.report(), err
 					}
 				default:
 					drained = true
 				}
 			}
 			if err := c.reap(r); err != nil {
-				return c.rep, err
+				return c.report(), err
 			}
 			c.refreshLive()
 		}
 		live := c.liveList
 		if len(live) == 0 {
-			return c.rep, fmt.Errorf("cluster: no live workers at round %d", r)
+			return c.report(), fmt.Errorf("cluster: no live workers at round %d", r)
 		}
 
 		rnd, err := c.src.NextRoundSparse()
@@ -901,40 +830,41 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 			break
 		}
 		if err != nil {
-			return c.rep, fmt.Errorf("cluster: source: %w", err)
+			return c.report(), fmt.Errorf("cluster: source: %w", err)
 		}
 
 		bEff, mode := c.rc.plan(live)
 		fl := c.nextFlight(r, bEff, mode)
 
-		// Scatter: demux the active streams to their owners — O(active), not
-		// O(m). Every live worker receives the round frame (delta-coded
-		// against what it got last round): an empty round still advances its
-		// clocks.
-		for _, id := range live {
-			c.perPkts[id] = c.perPkts[id][:0]
+		// Scatter: demux the active streams to their owners' live positions —
+		// O(active), not O(m). A boundary reaps until nobody is dead, so a
+		// stream whose owner has no position is orphaned this round and
+		// reassigned at the next boundary. Every live worker receives the
+		// round frame (delta-coded against what it got last round): an empty
+		// round still advances its clocks.
+		for n := range live {
+			c.scatter[n] = c.scatter[n][:0]
 		}
 		for k, id32 := range rnd.IDs {
 			i := int(id32)
-			own := c.owners[i]
-			wc := c.workers[own]
-			if wc == nil || wc.dead {
-				continue // orphaned this round; reassigned at next boundary
+			n := c.slotOf(c.owners[i])
+			if n < 0 {
+				continue
 			}
 			rp := roundPacket{stream: i, pkt: rnd.Pkts[k]}
 			if t, ok := c.src.Truth(i); ok {
 				rp.truth, rp.hasT = t, true
 			}
-			c.perPkts[own] = append(c.perPkts[own], rp)
+			c.scatter[n] = append(c.scatter[n], rp)
 		}
 		for n, id := range live {
 			if n == (len(live)+1)/2 && c.crashDue(r, CrashMidScatter) {
-				return c.rep, ErrCoordinatorKilled
+				return c.report(), ErrCoordinatorKilled
 			}
 			wc := c.workers[id]
-			c.roundB = encodeRoundDelta(c.roundB[:0], r, bEff, mode, c.perPkts[id], wc.prev, &c.pktBuf)
+			c.roundB = encodeRoundDelta(c.roundB[:0], r, bEff, mode, c.scatter[n], wc.prev, &c.pktBuf)
 			wc.prev = wc.prev[:0]
-			for _, rp := range c.perPkts[id] {
+			for _, rp := range c.scatter[n] {
 				wc.prev = append(wc.prev, int32(rp.stream))
 			}
 			if err := wc.send(fRound, c.roundB); err != nil {
@@ -952,31 +882,7 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 		// in its stream's slot for the grant totals.
 		c.cands = c.cands[:0]
 		for k, id := range live {
-			wc := c.workers[id]
-			if wc.dead {
-				continue
-			}
-			f, ok := c.await(wc, fCandidates)
-			if !ok {
-				continue
-			}
-			if err := decodeCandidates(f.body, c.cfg.Streams, &c.candMsg); err != nil {
-				c.markDead(wc, err)
-				continue
-			}
-			if c.candMsg.round != r {
-				c.markDead(wc, fmt.Errorf("candidates for round %d during round %d", c.candMsg.round, r))
-				continue
-			}
-			owned := true
-			for _, cand := range c.candMsg.cands {
-				if c.owners[cand.Stream] != id {
-					c.markDead(wc, fmt.Errorf("candidate for unowned stream %d", cand.Stream))
-					owned = false
-					break
-				}
-			}
-			if !owned {
+			if !c.candidatesFrom(c.workers[id], r) {
 				continue
 			}
 			c.cands = append(c.cands, c.candMsg.cands...)
@@ -991,12 +897,10 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 		// computes (or hashes) a selection for this round, so the workers'
 		// local settlements cannot disagree with a decision that exists.
 		if c.crashDue(r, CrashMidRound) {
-			return c.rep, ErrCoordinatorKilled
+			return c.report(), ErrCoordinatorKilled
 		}
 
 		c.solveGrant(fl)
-		c.hashRound(r, c.sel)
-		c.rep.Decoded += int64(len(c.sel))
 		if c.cfg.OnRound != nil {
 			c.cfg.OnRound(r, c.sel)
 		}
@@ -1033,8 +937,7 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 	// Observe whatever is still in flight before saying goodbye.
 	c.drainAll()
 	c.shutdown()
-	c.finish()
-	return c.rep, nil
+	return c.report(), nil
 }
 
 // solveGrant is the coordinator's decision step. The solve is the exact
@@ -1061,20 +964,21 @@ func (c *Coordinator) solveGrant(f *flight) {
 
 // shutdown says goodbye to every live worker and merges their finals.
 // Standbys get a goodbye too: an orderly completion must not look like a
-// death, or the standby would take over an already-finished run.
+// death, or the standby would take over an already-finished run. Entering it
+// is a boundary: a takeover with no round left to play built no live list.
 func (c *Coordinator) shutdown() {
 	for _, sc := range c.standbys {
-		sc.push(fGoodbye, nil)
+		sc.send(fGoodbye, nil)
 	}
-	for _, id := range c.live() {
+	c.refreshLive()
+	for _, id := range c.liveList {
 		wc := c.workers[id]
 		if err := wc.send(fGoodbye, nil); err != nil {
 			c.markDead(wc, err)
 		}
 	}
-	for _, id := range c.live() {
-		wc := c.workers[id]
-		f, ok := c.await(wc, fFinal)
+	for _, id := range c.liveList {
+		f, ok := c.await(c.workers[id], fFinal)
 		if !ok {
 			continue
 		}
@@ -1086,25 +990,23 @@ func (c *Coordinator) shutdown() {
 	}
 }
 
-// finish folds the accumulated per-round deltas and the residual finals
-// into the cluster report. The per-round deltas (shipped inside every
-// report frame) carry almost all observations; a worker's final is only
-// the tail it had not yet reported — so a death at any point loses at most
-// one round of that worker's observations.
-func (c *Coordinator) finish() {
-	rep := &c.rep
-	rep.NegRounds = c.rs.Acc.NegRounds
-	rep.NegCorrect = c.rs.Acc.NegCorrect
-	rep.PosRounds = c.rs.Acc.PosRounds
-	rep.PosCorrect = c.rs.Acc.PosCorrect
-	rep.DecodeFailed = c.rs.Acc.DecodeFailed
+// report is the run summary as of now. The replica's per-round accuracy
+// deltas (shipped inside every report frame) carry almost all observations;
+// a worker's final is only the tail it had not yet reported — so a death at
+// any point loses at most one round of that worker's observations.
+func (c *Coordinator) report() Report {
+	rep, rs := c.rep, c.rs
+	rep.Rounds, rep.Decoded, rep.DecisionHash = rs.Rounds, rs.Decoded, rs.Hash
+	rep.Workers, rep.Joins = rs.Workers, rs.Joins
+	rep.Transfers, rep.TransfersLost, rep.FreshAdoptions = rs.Transfers, rs.TransfersLost, rs.FreshAdoptions
+	rep.SLOMisses, rep.ModeRounds = rs.SLOMisses, rs.ModeRounds
+	acc := rs.Acc
 	for _, fin := range rep.Finals {
-		rep.NegRounds += fin.NegRounds
-		rep.NegCorrect += fin.NegCorrect
-		rep.PosRounds += fin.PosRounds
-		rep.PosCorrect += fin.PosCorrect
-		rep.DecodeFailed += fin.DecodeFailed
+		acc.add(AccDeltas{NegRounds: fin.NegRounds, NegCorrect: fin.NegCorrect,
+			PosRounds: fin.PosRounds, PosCorrect: fin.PosCorrect, DecodeFailed: fin.DecodeFailed})
 	}
+	rep.NegRounds, rep.NegCorrect, rep.DecodeFailed = acc.NegRounds, acc.NegCorrect, acc.DecodeFailed
+	rep.PosRounds, rep.PosCorrect = acc.PosRounds, acc.PosCorrect
 	if total := rep.NegRounds + rep.PosRounds; total > 0 {
 		rep.Accuracy = float64(rep.NegCorrect+rep.PosCorrect) / float64(total)
 	}
@@ -1122,141 +1024,139 @@ func (c *Coordinator) finish() {
 	if n > 0 {
 		rep.BalancedAccuracy = sum / float64(n)
 	}
-	// P99 covers the rounds this coordinator drove (an elected standby's
-	// report spans its post-takeover segment); misses and mode counts
-	// accumulate across the restored base.
-	rep.P99 = c.view.p99()
-	rep.SLOMisses += c.view.misses
-	for i, n := range c.view.modeAcc {
-		rep.ModeRounds[i] += n
+	// P99 covers only the rounds this coordinator drove.
+	rep.P99 = p99(c.lats)
+	return rep
+}
+
+// install is the one place a worker connection comes alive, under ring
+// identity id: lease stamped, report-delay pump if configured, reader started.
+func (c *Coordinator) install(id int, p *pending) *wconn {
+	wc := &wconn{link: p.link, id: id, frames: make(chan inFrame, 16)}
+	wc.lastSeen.Store(time.Now().UnixNano())
+	if c.cfg.ReportDelay > 0 {
+		wc.delayCh = make(chan delayedReport, 64)
+		go c.delayReports(wc)
 	}
+	c.workers[id] = wc
+	go c.readWorker(wc)
+	return wc
 }
 
 // admit welcomes one pending worker at round r: assign the next ID, ship
 // the config, add its ring points, and migrate the streams whose arcs it
 // now owns. Admissions at round 0 skip migration entirely — nothing has
-// state yet, and a fresh slot at clock 0 is exactly the oracle's state.
-func (c *Coordinator) admit(p *pendingConn, r int64) error {
+// state yet, and a fresh slot at clock 0 is exactly the oracle's state. The
+// membership record follows the migration, carrying its transfer counts.
+func (c *Coordinator) admit(p *pending, r int64) error {
+	var ji JoinInfo
+	if gobDecode(p.hello, &ji) != nil {
+		p.close()
+		return nil // failed admission, not a cluster error
+	}
 	id := c.nextID
 	c.nextID++
 	c.epoch++
-	wel := Welcome{WorkerID: id, Epoch: c.epoch, CurrentRound: r, Cfg: c.clusterConfig(),
-		Standbys: c.standbyAddrs()}
-	body, err := gobEncode(&wel)
+	body, err := gobEncode(&Welcome{WorkerID: id, Epoch: c.epoch, CurrentRound: r, Cfg: c.clusterConfig(),
+		Standbys: c.standbyAddrs()})
 	if err != nil {
+		p.close()
 		return err
 	}
-	wc := &wconn{id: id, name: p.name, conn: p.conn, bw: p.bw, frames: make(chan inFrame, 16)}
-	wc.lastSeen.Store(time.Now().UnixNano())
-	if err := wc.send(fWelcome, body); err != nil {
-		p.conn.Close()
-		return nil // failed admission, not a cluster error
+	if p.send(fWelcome, body) != nil {
+		return nil // failed admission (the link closed itself), not a cluster error
 	}
-	c.workers[id] = wc
-	if c.cfg.ReportDelay > 0 {
-		wc.delayCh = make(chan delayedReport, 64)
-		go c.delayReports(wc)
-	}
-	go c.readWorker(wc, p.br)
+	wc := c.install(id, p)
 	if err := c.rc.addWorker(id); err != nil {
 		return err
 	}
-	c.rep.Workers++
-	if r > 0 {
-		c.rep.Joins++
-	}
-
 	prev := append([]int(nil), c.owners...)
 	c.ring.Add(id)
 	c.ring.Owners(c.owners)
-	c.journalMember(r, []memberInfo{{ID: id, Name: p.name}}, nil)
-	if c.rep.Workers == 1 || r == 0 {
-		// Round 0: every slot on every worker is fresh at clock 0; the
-		// placement is pure routing, no state exists to move.
-		c.notifyMembership(r, []int{id}, nil)
-		return nil
+	rec := memberRecord{Round: r, Joined: []memberInfo{{ID: id, Name: ji.Name}}}
+	if c.rs.Workers > 0 && r > 0 {
+		c.migrate(wc, prev, &rec)
 	}
+	c.journalMember(&rec)
+	c.notifyMembership(r, []int{id}, nil)
+	return nil
+}
 
-	// Migrate exactly the streams whose arcs moved — consistent hashing
-	// guarantees they all moved TO the newcomer.
-	moved := map[int][]int{} // donor → streams
-	var orphans []int        // no live donor: fresh-adopt
-	for i := range c.owners {
-		if c.owners[i] == prev[i] {
-			continue
-		}
-		donor := prev[i]
-		dwc := c.workers[donor]
-		if dwc == nil || dwc.dead {
-			orphans = append(orphans, i)
-			continue
-		}
-		moved[donor] = append(moved[donor], i)
-	}
-	donors := make([]int, 0, len(moved))
-	for d := range moved {
-		donors = append(donors, d)
-	}
-	sort.Ints(donors)
+// migrate moves exactly the streams whose arcs moved — consistent hashing
+// guarantees they all moved TO the newcomer wc — counting the outcome in rec.
+func (c *Coordinator) migrate(wc *wconn, prev []int, rec *memberRecord) {
+	var orphans []int // streams whose state is lost: fresh-adopt
+	donors, moved := movedStreams(prev, c.owners, prev)
 	for _, d := range donors {
-		blobs, ok := c.retireFrom(c.workers[d], moved[d])
-		if !ok {
-			// Donor died mid-retire: its streams lost their state.
+		// A live donor exports and resets its streams, replying with their
+		// state; one that is dead, or dies mid-retire, took the state with it.
+		var blobs []StreamBlob
+		if dwc := c.workers[d]; dwc == nil || dwc.dead || !c.ctrl(dwc, fRetire, moved[d], fState, &blobs) {
 			orphans = append(orphans, moved[d]...)
 			continue
 		}
-		kept, lost := c.faultTransfers(blobs)
+		kept, lost := c.faultTransfers(blobs, rec)
 		if len(kept) > 0 {
-			if err := c.shipState(wc, kept); err != nil {
-				return err
-			}
+			c.ctrl(wc, fState, kept, fStateAck, nil)
 		}
 		orphans = append(orphans, lost...)
 	}
 	if len(orphans) > 0 {
 		sort.Ints(orphans)
-		if err := c.shipFresh(wc, orphans); err != nil {
-			return err
-		}
+		c.shipFresh(wc, orphans, rec)
 	}
-	c.notifyMembership(r, []int{id}, nil)
-	return nil
 }
 
-// retireFrom asks a donor to export and reset the given streams.
-func (c *Coordinator) retireFrom(dwc *wconn, streams []int) ([]StreamBlob, bool) {
-	sort.Ints(streams)
+// movedStreams groups the streams whose owner differs between prev and now
+// under key[stream] (the old owner, or the new); keys and groups ascend.
+func movedStreams(prev, now, key []int) ([]int, map[int][]int) {
+	groups := map[int][]int{}
+	for i := range now {
+		if now[i] != prev[i] {
+			groups[key[i]] = append(groups[key[i]], i)
+		}
+	}
+	keys := make([]int, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys, groups
+}
+
+// ctrl runs one sequenced control exchange with a quiescent worker: typ goes
+// out with the next sequence number and payload; the wantReply frame must
+// echo the number, its payload decoded into out. A failure marks wc dead.
+func (c *Coordinator) ctrl(wc *wconn, typ uint8, payload any, wantReply uint8, out any) bool {
 	c.seq++
-	body, err := encodeCtrl(c.seq, &streams)
+	body, err := encodeCtrl(c.seq, payload)
+	if err == nil {
+		err = wc.send(typ, body)
+	}
 	if err != nil {
-		return nil, false
+		c.markDead(wc, err)
+		return false
 	}
-	if err := dwc.send(fRetire, body); err != nil {
-		c.markDead(dwc, err)
-		return nil, false
-	}
-	f, ok := c.await(dwc, fState)
+	f, ok := c.await(wc, wantReply)
 	if !ok {
-		return nil, false
+		return false
 	}
-	var blobs []StreamBlob
-	seq, err := decodeCtrl(f.body, &blobs)
-	if err != nil || seq != c.seq {
-		c.markDead(dwc, fmt.Errorf("bad retire reply: %v", err))
-		return nil, false
+	if seq, err := decodeCtrl(f.body, out); err != nil || seq != c.seq {
+		c.markDead(wc, fmt.Errorf("bad reply to control frame %d (seq %d, want %d): %v", typ, seq, c.seq, err))
+		return false
 	}
-	return blobs, true
+	return true
 }
 
 // faultTransfers runs each blob through the transfer-fault injector with
 // bounded retry/backoff; exhausted streams are returned as lost.
-func (c *Coordinator) faultTransfers(blobs []StreamBlob) (kept []StreamBlob, lost []int) {
+func (c *Coordinator) faultTransfers(blobs []StreamBlob, rec *memberRecord) (kept []StreamBlob, lost []int) {
 	for _, b := range blobs {
 		delivered := false
-		for attempt := 1; attempt <= c.cfg.MaxTransferAttempts; attempt++ {
+		for attempt := 1; attempt <= maxTransferAttempts; attempt++ {
 			if c.cfg.TransferFault != nil && c.cfg.TransferFault(b.Stream, attempt) {
-				c.rep.TransfersLost++
-				time.Sleep(c.cfg.TransferBackoff)
+				rec.TransfersLost++
+				time.Sleep(transferBackoff)
 				continue
 			}
 			delivered = true
@@ -1264,7 +1164,7 @@ func (c *Coordinator) faultTransfers(blobs []StreamBlob) (kept []StreamBlob, los
 		}
 		if delivered {
 			kept = append(kept, b)
-			c.rep.Transfers++
+			rec.Transfers++
 		} else {
 			lost = append(lost, b.Stream)
 		}
@@ -1272,45 +1172,10 @@ func (c *Coordinator) faultTransfers(blobs []StreamBlob) (kept []StreamBlob, los
 	return kept, lost
 }
 
-// shipState delivers a state batch to its new owner and awaits the ack.
-func (c *Coordinator) shipState(wc *wconn, blobs []StreamBlob) error {
-	c.seq++
-	body, err := encodeCtrl(c.seq, &blobs)
-	if err != nil {
-		return err
-	}
-	if err := wc.send(fState, body); err != nil {
-		c.markDead(wc, err)
-		return nil
-	}
-	c.awaitAck(wc, c.seq)
-	return nil
-}
-
 // shipFresh tells the new owner to adopt streams with honest zero state.
-func (c *Coordinator) shipFresh(wc *wconn, streams []int) error {
-	c.seq++
-	body, err := encodeCtrl(c.seq, &streams)
-	if err != nil {
-		return err
-	}
-	if err := wc.send(fImportFresh, body); err != nil {
-		c.markDead(wc, err)
-		return nil
-	}
-	c.awaitAck(wc, c.seq)
-	c.rep.FreshAdoptions += int64(len(streams))
-	return nil
-}
-
-func (c *Coordinator) awaitAck(wc *wconn, seq uint64) {
-	f, ok := c.await(wc, fStateAck)
-	if !ok {
-		return
-	}
-	got, err := decodeCtrl(f.body, nil)
-	if err != nil || got != seq {
-		c.markDead(wc, fmt.Errorf("bad state ack: %v", err))
+func (c *Coordinator) shipFresh(wc *wconn, streams []int, rec *memberRecord) {
+	if c.ctrl(wc, fImportFresh, streams, fStateAck, nil) {
+		rec.FreshAdoptions += int64(len(streams))
 	}
 }
 
@@ -1341,27 +1206,15 @@ func (c *Coordinator) reap(r int64) error {
 			return fmt.Errorf("cluster: all workers dead at round %d (reasons: %v)", r, c.rep.DeadReasons)
 		}
 		c.ring.Owners(c.owners)
-		c.journalMember(r, nil, dead)
-		adopted := map[int][]int{} // new owner → streams
-		for i := range c.owners {
-			if c.owners[i] != prev[i] {
-				adopted[c.owners[i]] = append(adopted[c.owners[i]], i)
-			}
-		}
-		ids := make([]int, 0, len(adopted))
-		for id := range adopted {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
+		rec := memberRecord{Round: r, Died: dead}
+		ids, adopted := movedStreams(prev, c.owners, c.owners)
 		for _, id := range ids {
-			wc := c.workers[id]
-			if wc == nil || wc.dead {
-				continue // next pass of the loop handles it
-			}
-			if err := c.shipFresh(wc, adopted[id]); err != nil {
-				return err
+			// An adopter that is dead by now is the next pass's to handle.
+			if wc := c.workers[id]; wc != nil && !wc.dead {
+				c.shipFresh(wc, adopted[id], &rec)
 			}
 		}
+		c.journalMember(&rec)
 		c.notifyMembership(r, nil, dead)
 	}
 }

@@ -1,10 +1,6 @@
 package cluster
 
 import (
-	"bufio"
-	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"packetgame/internal/overload"
@@ -39,23 +35,29 @@ func (c *Coordinator) journalRound(f *flight, agg AccDeltas, roundLat time.Durat
 	// Compaction happens only here — at an observed-round point, where the
 	// replica is a consistent image of everything journaled so far.
 	if c.jr != nil && c.jr.shouldCompact() {
-		snap, err := gobEncode(c.rs)
-		if err == nil {
-			err = c.jr.compact(snap)
-		}
-		if err != nil && c.jerr == nil {
+		if err := c.compactJournal(); err != nil && c.jerr == nil {
 			c.jerr = err
 		}
 	}
 }
 
-// journalMember folds a membership change into the replica and mirrors it.
-func (c *Coordinator) journalMember(r int64, joined []memberInfo, died []int) {
-	rec := memberRecord{Round: r, Epoch: c.epoch, NextID: c.nextID, Joined: joined, Died: died}
-	if err := c.rs.applyMember(&rec); err != nil && c.jerr == nil {
+// compactJournal rewrites the journal file as a snapshot of the replica.
+func (c *Coordinator) compactJournal() error {
+	snap, err := gobEncode(c.rs)
+	if err != nil {
+		return err
+	}
+	return c.jr.compact(snap)
+}
+
+// journalMember stamps a completed membership change and its migration's
+// counts with the epoch it produced, folds it into the replica, mirrors it.
+func (c *Coordinator) journalMember(rec *memberRecord) {
+	rec.Epoch, rec.NextID = c.epoch, c.nextID
+	if err := c.rs.applyMember(rec); err != nil && c.jerr == nil {
 		c.jerr = err
 	}
-	c.mirrorRecord(jMember, &rec)
+	c.mirrorRecord(jMember, rec)
 }
 
 // journalReconcile folds out-of-round accuracy deltas (re-home handoffs,
@@ -102,7 +104,7 @@ func (c *Coordinator) pushStandbys(kind uint8, body []byte) {
 	c.jbuf = append(c.jbuf, body...)
 	live := c.standbys[:0]
 	for _, sc := range c.standbys {
-		if sc.push(fJournalAppend, c.jbuf) == nil {
+		if sc.send(fJournalAppend, c.jbuf) == nil {
 			live = append(live, sc)
 		}
 	}
@@ -113,81 +115,33 @@ func (c *Coordinator) pushStandbys(kind uint8, body []byte) {
 	}
 }
 
-// standbyConn is the primary's handle on one attached standby. push is
-// called from both the coordinator loop (journal mirroring) and the
-// per-standby heartbeat goroutine, hence the mutex.
+// standbyConn is the primary's handle on one attached standby: the link the
+// round loop and a heartbeat pump share, and the address workers re-home to.
 type standbyConn struct {
-	name string
+	*link
 	addr string
-	conn net.Conn
-	bw   *bufio.Writer
-	mu   sync.Mutex
-	dead bool
-}
-
-func (sc *standbyConn) push(typ uint8, body []byte) error {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.dead {
-		return fmt.Errorf("standby %s is dead", sc.name)
-	}
-	if err := writeFrame(sc.bw, typ, body); err != nil {
-		sc.dead = true
-		sc.conn.Close()
-		return err
-	}
-	return nil
-}
-
-func (sc *standbyConn) alive() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return !sc.dead
-}
-
-func (sc *standbyConn) close() {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.dead = true
-	sc.conn.Close()
 }
 
 // attachStandby registers a standby at a consistent point (quorum or a
 // drained round boundary): it receives a snapshot of the replica image and
 // from then on every mirrored record, putting it exactly at the journal
-// position a file replay would reach.
-func (c *Coordinator) attachStandby(p *standbyPending) error {
+// position a file replay would reach. Heartbeats feed its lease between
+// records: quiet stretches (slow rounds, idle sources) are not primary death.
+func (c *Coordinator) attachStandby(p *pending) error {
+	var sj StandbyJoin
 	snap, err := gobEncode(c.rs)
-	if err != nil {
-		p.conn.Close()
+	if err != nil || gobDecode(p.hello, &sj) != nil {
+		p.close()
 		return err
 	}
-	sc := &standbyConn{name: p.info.Name, addr: p.info.Addr, conn: p.conn, bw: p.bw}
-	if err := sc.push(fSnapshotOffer, snap); err != nil {
+	sc := &standbyConn{link: p.link, addr: sj.Addr}
+	if sc.send(fSnapshotOffer, snap) != nil {
 		return nil // stillborn standby, not a cluster error
 	}
 	c.standbys = append(c.standbys, sc)
-	go c.standbyHeartbeats(sc)
+	go sc.beat(c.cfg.Heartbeat, func() []byte { return nil })
 	c.broadcastStandbys()
 	return nil
-}
-
-// standbyHeartbeats keeps the standby's lease fed between journal records:
-// long quiet stretches (slow rounds, idle sources) must not read as
-// primary death.
-func (c *Coordinator) standbyHeartbeats(sc *standbyConn) {
-	t := time.NewTicker(c.cfg.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if sc.push(fHeartbeat, nil) != nil {
-				return
-			}
-		case <-c.accept:
-			return
-		}
-	}
 }
 
 // standbyAddrs lists the live standbys' re-home addresses.
@@ -202,51 +156,60 @@ func (c *Coordinator) standbyAddrs() []string {
 }
 
 // broadcastStandbys tells every live worker where to re-home if this
-// coordinator dies.
+// coordinator dies. It runs between admissions too, so it walks the
+// membership, not the round loop's live list; send order is immaterial.
 func (c *Coordinator) broadcastStandbys() {
 	addrs := c.standbyAddrs()
 	body, err := gobEncode(&addrs)
 	if err != nil {
 		return
 	}
-	for _, id := range c.live() {
-		wc := c.workers[id]
-		if err := wc.send(fStandbys, body); err != nil {
-			c.markDead(wc, err)
+	for _, wc := range c.workers {
+		if !wc.dead {
+			if err := wc.send(fStandbys, body); err != nil {
+				c.markDead(wc, err)
+			}
 		}
 	}
 }
 
-func (c *Coordinator) rejectRejoin(p *rejoinPending, reason string) {
-	tk := TakeoverInfo{Accepted: false, Reason: reason}
-	if body, err := gobEncode(&tk); err == nil {
-		writeFrame(p.bw, fTakeover, body)
+// replyTakeover is the one writer of the re-join verdict. A reply that
+// cannot be delivered leaves the member to the reap, same as never arriving.
+func replyTakeover(p *pending, tk TakeoverInfo) bool {
+	body, err := gobEncode(&tk)
+	return err == nil && p.send(fTakeover, body) == nil
+}
+
+func refuseRejoin(p *pending, reason string) {
+	replyTakeover(p, TakeoverInfo{Reason: reason})
+	p.close()
+}
+
+// rejoinHello opens every re-join, at a live primary or in a takeover window:
+// decode the hello, and settle a reconcile-only one (an orphan handing in its
+// observations, not asking for a seat) on the spot. !ok: unreadable, dropped.
+func (c *Coordinator) rejoinHello(p *pending) (info RejoinInfo, ok bool) {
+	if gobDecode(p.hello, &info) != nil {
+		p.close()
+		return info, false
 	}
-	p.conn.Close()
+	if info.ReconcileOnly {
+		c.journalReconcile(info.Deltas)
+		replyTakeover(p, TakeoverInfo{Accepted: true, Reason: "reconciled", Epoch: c.epoch})
+		p.close()
+	}
+	return info, true
 }
 
 // acceptRejoin replies fTakeover and installs the worker's replacement
 // connection under its existing ring identity.
-func (c *Coordinator) acceptRejoin(p *rejoinPending, resume int64) (*wconn, bool) {
+func (c *Coordinator) acceptRejoin(p *pending, info RejoinInfo, resume int64) (*wconn, bool) {
 	tk := TakeoverInfo{Accepted: true, Epoch: c.epoch, Resume: resume, Standbys: c.standbyAddrs()}
-	body, err := gobEncode(&tk)
-	if err != nil {
-		p.conn.Close()
+	if !replyTakeover(p, tk) {
+		p.close()
 		return nil, false
 	}
-	if err := writeFrame(p.bw, fTakeover, body); err != nil {
-		p.conn.Close()
-		return nil, false
-	}
-	wc := &wconn{id: p.info.WorkerID, name: p.info.Name, conn: p.conn, bw: p.bw, frames: make(chan inFrame, 16)}
-	wc.lastSeen.Store(time.Now().UnixNano())
-	if c.cfg.ReportDelay > 0 {
-		wc.delayCh = make(chan delayedReport, 64)
-		go c.delayReports(wc)
-	}
-	c.workers[wc.id] = wc
-	go c.readWorker(wc, p.br)
-	return wc, true
+	return c.install(info.WorkerID, p), true
 }
 
 // primaryRejoin handles a re-join arriving at a live primary: an orphan
@@ -255,30 +218,24 @@ func (c *Coordinator) acceptRejoin(p *rejoinPending, resume int64) (*wconn, bool
 // it from the ring. Revival is pure reconnection — the worker kept its
 // gate state and ownership never changed — plus empty-round catch-up for
 // the rounds it missed.
-func (c *Coordinator) primaryRejoin(p *rejoinPending, r int64) error {
-	if p.info.ReconcileOnly {
-		c.journalReconcile(p.info.Deltas)
-		tk := TakeoverInfo{Accepted: true, Reason: "reconciled", Epoch: c.epoch}
-		if body, err := gobEncode(&tk); err == nil {
-			writeFrame(p.bw, fTakeover, body)
-		}
-		p.conn.Close()
+func (c *Coordinator) primaryRejoin(p *pending, r int64) error {
+	info, ok := c.rejoinHello(p)
+	if !ok || info.ReconcileOnly {
 		return nil
 	}
-	old, ok := c.workers[p.info.WorkerID]
-	if !ok || !old.dead {
-		c.rejectRejoin(p, "not a re-homeable member")
+	if old, ok := c.workers[info.WorkerID]; !ok || !old.dead {
+		refuseRejoin(p, "not a re-homeable member")
 		return nil
 	}
-	wc, ok := c.acceptRejoin(p, r)
+	wc, ok := c.acceptRejoin(p, info, r)
 	if !ok {
 		return nil
 	}
 	if err := c.rc.addWorker(wc.id); err != nil {
 		return err
 	}
-	c.journalReconcile(p.info.Deltas)
-	c.catchUp(wc, p.info.Clock, r)
+	c.journalReconcile(info.Deltas)
+	c.catchUp(wc, info.Clock, r)
 	return nil
 }
 
@@ -295,12 +252,7 @@ func (c *Coordinator) catchUp(wc *wconn, from, to int64) {
 			c.markDead(wc, err)
 			return
 		}
-		f, ok := c.await(wc, fCandidates)
-		if !ok {
-			return
-		}
-		if err := decodeCandidates(f.body, c.cfg.Streams, &c.candMsg); err != nil || c.candMsg.round != k {
-			c.markDead(wc, fmt.Errorf("catch-up candidates for round %d: %v", c.candMsg.round, err))
+		if !c.candidatesFrom(wc, k) {
 			return
 		}
 		c.grantsB = encodeGrant(c.grantsB[:0], k, nil)
@@ -308,13 +260,8 @@ func (c *Coordinator) catchUp(wc *wconn, from, to int64) {
 			c.markDead(wc, err)
 			return
 		}
-		fr, ok := c.awaitReport(wc)
+		msg, ok := c.reportFrom(wc, k)
 		if !ok {
-			return
-		}
-		msg, err := decodeReport(fr.body)
-		if err != nil || msg.round != k {
-			c.markDead(wc, fmt.Errorf("catch-up report for round %d: %v", msg.round, err))
 			return
 		}
 		c.journalReconcile(msg.deltas)

@@ -25,9 +25,6 @@ func heartbeatJitter(base time.Duration, id int) time.Duration {
 // jittered to [0.5, 1.5)× by (id, attempt): a dead coordinator orphans the
 // whole fleet at once, and the standby must not be hammered in lockstep.
 func rejoinBackoff(base time.Duration, id, attempt int) time.Duration {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
 	shift := attempt
 	if shift > 5 {
 		shift = 5

@@ -71,13 +71,19 @@ type roundRecord struct {
 	Ctl     []workerCtl
 }
 
-// memberRecord journals a membership change at round boundary Round.
+// memberRecord journals a membership change at round boundary Round and what
+// its state migration did. (The three counts postdate PGJ1 v1: gob reads a
+// record without them as zeros and an older reader skips them.)
 type memberRecord struct {
 	Round  int64
 	Epoch  uint64
 	NextID int
 	Joined []memberInfo
 	Died   []int
+
+	Transfers      int64
+	TransfersLost  int64
+	FreshAdoptions int64
 }
 
 // replicaState is the durable image of the coordinator's control plane. It
@@ -231,6 +237,9 @@ func (rs *replicaState) applyMember(rec *memberRecord) error {
 		rs.removeCtl(id)
 		rs.Deaths++
 	}
+	rs.Transfers += rec.Transfers
+	rs.TransfersLost += rec.TransfersLost
+	rs.FreshAdoptions += rec.FreshAdoptions
 	return nil
 }
 
@@ -272,7 +281,7 @@ type journal struct {
 	path  string
 	f     *os.File
 	since int // records appended since the last snapshot
-	limit int // compaction threshold (CompactEvery)
+	limit int // compaction threshold
 	buf   []byte
 }
 

@@ -22,14 +22,20 @@ import (
 )
 
 // PGCP — the PacketGame cluster protocol — runs over one TCP connection per
-// worker. After a handshake ("PGCP" + version), both sides exchange frames:
+// peer (link.go opens, accepts and identifies them). After a handshake
+// ("PGCP" + version), both sides exchange frames:
 //
 //	type(u8) · bodyLen(u32) · crc32(u32, IEEE over body) · body
 //
-// Control frames (welcome, state transfer, finals) carry gob bodies: they
-// are rare and their payloads are deep config/state structs. The per-round
-// hot frames (round, candidates, grant, report) are hand-encoded big-endian
-// so a 10k-stream round does not pay reflection per packet.
+// The per-round hot frames (round, candidates, grant, report) are
+// hand-encoded big-endian so a 10k-stream round does not pay reflection per
+// packet. Every other body is gob: the three hellos and their replies
+// (join→welcome, standby-join→snapshot-offer, rejoin→takeover), the
+// sequenced control payloads (retire, state, fresh-adopt), standby address
+// lists, finals, and the journal records inside journal-append frames. They
+// are rare and their payloads are deep config/state structs that evolve by
+// adding fields, which gob tolerates in both directions; they stay gob until
+// the shared wire layer (ROADMAP item 2) gives them explicit encoders.
 const (
 	protoMagic = "PGCP"
 	// Version 2 made the hot frames sparse: round frames delta-code their
@@ -108,33 +114,6 @@ func readFrame(br *bufio.Reader) (uint8, []byte, error) {
 		return 0, nil, fmt.Errorf("cluster: frame CRC mismatch (type %d, %d bytes)", hdr[0], n)
 	}
 	return hdr[0], body, nil
-}
-
-// writeHandshake / readHandshake exchange the protocol preamble.
-func writeHandshake(bw *bufio.Writer) error {
-	if _, err := bw.WriteString(protoMagic); err != nil {
-		return err
-	}
-	var v [2]byte
-	binary.BigEndian.PutUint16(v[:], protoVersion)
-	if _, err := bw.Write(v[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func readHandshake(br *bufio.Reader) error {
-	var buf [6]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return err
-	}
-	if string(buf[:4]) != protoMagic {
-		return fmt.Errorf("cluster: bad magic %q", buf[:4])
-	}
-	if v := binary.BigEndian.Uint16(buf[4:6]); v != protoVersion {
-		return fmt.Errorf("cluster: protocol version %d, want %d", v, protoVersion)
-	}
-	return nil
 }
 
 // JoinInfo is the worker's join request (gob).
@@ -254,20 +233,18 @@ func UnmarshalBlob(body []byte) (StreamBlob, error) {
 	return b, err
 }
 
-// ctrlFrame is a control body carrying a sequence number plus a gob payload:
-// seq(u64) · gob. Retire/state/ack/fresh frames use it so the coordinator
-// can match replies to requests.
+// A control body is seq(u64) · gob payload: retire, state and fresh-adopt
+// requests and their state/ack replies carry it so the coordinator can match
+// a reply to its request. A nil payload — the ack — is the sequence number
+// alone.
 func encodeCtrl(seq uint64, v any) ([]byte, error) {
-	payload, err := gobEncode(v)
-	if err != nil {
-		return nil, err
+	body := binary.BigEndian.AppendUint64(nil, seq)
+	if v == nil {
+		return body, nil
 	}
-	body := make([]byte, 8, 8+len(payload))
-	binary.BigEndian.PutUint64(body, seq)
-	return append(body, payload...), nil
+	payload, err := gobEncode(v)
+	return append(body, payload...), err
 }
-
-func binaryPutUint64(dst []byte, v uint64) { binary.BigEndian.PutUint64(dst, v) }
 
 func decodeCtrl(body []byte, v any) (uint64, error) {
 	if len(body) < 8 {
@@ -358,17 +335,6 @@ func readUvarint(body []byte, off int) (uint64, int, error) {
 		return 0, 0, fmt.Errorf("cluster: bad varint at offset %d", off)
 	}
 	return v, off + n, nil
-}
-
-// appendGapIDs gap-codes an ascending id list: first id verbatim, then each
-// id minus its predecessor minus one.
-func appendGapIDs(dst []byte, ids []int32) []byte {
-	prev := int32(-1)
-	for _, id := range ids {
-		dst = binary.AppendUvarint(dst, uint64(id-prev-1))
-		prev = id
-	}
-	return dst
 }
 
 // readGapIDs decodes count gap-coded ids into dst[:0]; every id must land in

@@ -145,33 +145,13 @@ func (rc *reconciler) plan(live []int) (float64, overload.Mode) {
 	return bEff, mode
 }
 
-// sloView aggregates the cluster's per-round latency observations into the
-// SLO summary reported at run end.
-type sloView struct {
-	slo       time.Duration
-	latencies []time.Duration
-	misses    int64
-	modeAcc   [4]int64
-}
-
-// observeRound records one cluster round: latency is the max over the
-// workers that settled it (the round is as slow as its slowest worker).
-func (v *sloView) observeRound(lat time.Duration, mode overload.Mode) {
-	v.latencies = append(v.latencies, lat)
-	if v.slo > 0 && lat > v.slo {
-		v.misses++
-	}
-	if int(mode) < len(v.modeAcc) {
-		v.modeAcc[mode]++
-	}
-}
-
-// p99 returns the 99th-percentile round latency.
-func (v *sloView) p99() time.Duration {
-	if len(v.latencies) == 0 {
+// p99 returns the 99th-percentile of the observed cluster round latencies
+// (a round is as slow as the slowest worker that settled it).
+func p99(lats []time.Duration) time.Duration {
+	if len(lats) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), v.latencies...)
+	s := append([]time.Duration(nil), lats...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	idx := (len(s)*99 + 99) / 100
 	if idx >= len(s) {

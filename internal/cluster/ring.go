@@ -15,6 +15,12 @@
 // Splitting the *selection* per-worker could never be bit-identical — a
 // knapsack over partitioned budgets is a different optimizer — so only the
 // scoring is distributed; the solve stays central and exact.
+//
+// link.go is the package's I/O shell: the one file that dials, accepts,
+// buffers a connection, speaks the handshake or arms a read deadline.
+// Coordinator (coord.go, failover.go, standby.go) and worker (worker.go) hold
+// links and exchange the frames of proto.go; journal.go is the replica image
+// every run counter lives in, and its file.
 package cluster
 
 // splitmix64 is the placement hash: cheap, well-mixed, and stable across

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
-	"sort"
 	"time"
 )
 
@@ -67,43 +64,21 @@ func (s *Standby) Run() (Report, error) {
 // mirrored journal stream until goodbye (stand down) or death (elect).
 func (s *Standby) follow() (*replicaState, error) {
 	cfg := &s.c.cfg
-	conn, err := net.DialTimeout("tcp", s.primary, cfg.JoinTimeout)
+	// The reply must be the snapshot offer — the replica image, gob as in
+	// the journal's snapshot record. A failure *here* is an error, not an
+	// election: this standby never had state to take over.
+	rs := new(replicaState)
+	l, err := dialLink(s.primary, cfg.JoinTimeout, fStandbyJoin, &StandbyJoin{Name: s.name, Addr: s.c.Addr()},
+		fSnapshotOffer, rs, cfg.JoinTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: standby dial: %w", err)
+		return nil, fmt.Errorf("cluster: standby follow: %w", err)
 	}
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 1<<20)
-	bw := bufio.NewWriterSize(conn, 1<<20)
-	if err := writeHandshake(bw); err != nil {
-		return nil, err
-	}
-	body, err := gobEncode(&StandbyJoin{Name: s.name, Addr: s.c.Addr()})
-	if err != nil {
-		return nil, err
-	}
-	if err := writeFrame(bw, fStandbyJoin, body); err != nil {
-		return nil, err
-	}
-	// The first frame must be the snapshot offer. A failure *here* is an
-	// error, not an election: this standby never had state to take over.
-	conn.SetReadDeadline(time.Now().Add(cfg.JoinTimeout))
-	typ, sbody, err := readFrame(br)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: standby snapshot: %w", err)
-	}
-	if typ != fSnapshotOffer {
-		return nil, fmt.Errorf("cluster: standby expected snapshot offer, got frame %d", typ)
-	}
-	rs := newReplicaState()
-	if err := rs.apply(jSnapshot, sbody); err != nil {
-		return nil, err
-	}
+	defer l.close()
 	// From here on, every record keeps the replica current and every
 	// heartbeat feeds the lease. Lease-long silence or a dead connection
 	// is primary death: take what we have to the election.
 	for {
-		conn.SetReadDeadline(time.Now().Add(cfg.Lease))
-		typ, body, err := readFrame(br)
+		typ, body, err := l.recv(cfg.Lease)
 		if err != nil {
 			return rs, nil
 		}
@@ -131,26 +106,29 @@ func (s *Standby) follow() (*replicaState, error) {
 func (c *Coordinator) takeover(rs *replicaState) (Report, error) {
 	defer c.teardown()
 	if err := c.restore(rs); err != nil {
-		return c.rep, err
+		return c.report(), err
 	}
 	resume, clocks, err := c.rejoinWindow(rs)
 	if err != nil {
-		return c.rep, err
+		return c.report(), err
 	}
 	if err := c.advanceSource(resume); err != nil {
-		return c.rep, err
+		return c.report(), err
 	}
-	// Catch up re-homed laggards in id order before rounds resume; members
-	// that never re-homed are reaped by the first boundary's dead check.
-	for _, id := range c.live() {
-		if from, ok := clocks[id]; ok && from < resume {
-			c.catchUp(c.workers[id], from, resume)
+	// Catch up re-homed laggards in id order (the journaled members are kept
+	// ascending) before rounds resume; members that never re-homed are
+	// reaped by the first boundary's dead check.
+	for _, m := range rs.Members {
+		if from, ok := clocks[m.ID]; ok && from < resume {
+			c.catchUp(c.workers[m.ID], from, resume)
 		}
 	}
 	return c.runRounds(resume)
 }
 
-// restore rebuilds the coordinator's control plane from the replica image.
+// restore rebuilds the coordinator's control plane from the replica image,
+// which becomes this coordinator's own: every counter the previous reign
+// journaled is already in it, so the final report spans both.
 func (c *Coordinator) restore(rs *replicaState) error {
 	if rs.Streams != c.cfg.Streams || rs.Window != c.cfg.Window || rs.Task != c.cfg.Task ||
 		rs.Budget != c.cfg.Budget || rs.SLONs != int64(c.cfg.SLO) {
@@ -176,28 +154,11 @@ func (c *Coordinator) restore(rs *replicaState) error {
 			return err
 		}
 	}
-	rep := &c.rep
-	rep.Rounds = rs.Rounds
-	rep.Decoded = rs.Decoded
-	rep.DecisionHash = rs.Hash
-	rep.Workers = rs.Workers
-	rep.Joins = rs.Joins
-	rep.Deaths = rs.Deaths
-	rep.Transfers = rs.Transfers
-	rep.TransfersLost = rs.TransfersLost
-	rep.FreshAdoptions = rs.FreshAdoptions
-	rep.SLOMisses = rs.SLOMisses
-	rep.ModeRounds = rs.ModeRounds
+	c.rep.Deaths = rs.Deaths // the journaled count seeds this reign's detections
 	// Reset the elected coordinator's own journal to the restored image so
 	// its durability chain starts from a consistent snapshot.
 	if c.jr != nil {
-		snap, err := gobEncode(c.rs)
-		if err != nil {
-			return err
-		}
-		if err := c.jr.compact(snap); err != nil {
-			return err
-		}
+		return c.compactJournal()
 	}
 	return nil
 }
@@ -212,22 +173,17 @@ func (c *Coordinator) restore(rs *replicaState) error {
 // primary granted but never journaled must not be replayed at workers
 // that already played them) and the per-worker clocks for catch-up.
 func (c *Coordinator) rejoinWindow(rs *replicaState) (int64, map[int]int64, error) {
-	want := make(map[int]bool, len(rs.Members))
-	for _, m := range rs.Members {
-		want[m.ID] = true
-	}
-	seen := make(map[int]bool, len(want))
-	clocks := make(map[int]int64, len(want))
+	seen := make(map[int]bool, len(rs.Members))
+	clocks := make(map[int]int64, len(rs.Members))
 	timeout := time.After(c.cfg.RejoinWait)
-	for len(seen) < len(want) {
+	for open := true; open && len(seen) < len(rs.Members); {
 		select {
 		case p := <-c.rejoinCh:
-			c.windowRejoin(p, want, seen, clocks)
+			c.windowRejoin(p, seen, clocks)
 		case <-timeout:
-			goto closed
+			open = false
 		}
 	}
-closed:
 	resume := rs.Round
 	for _, clk := range clocks {
 		if clk > resume {
@@ -237,14 +193,11 @@ closed:
 	// Members that never came back died with the primary; reconciled
 	// orphans left on purpose. Both get placeholder dead entries so the
 	// regular reap path adopts their arcs at the first round boundary.
-	var missing []int
-	for id := range want {
-		if c.workers[id] == nil {
-			missing = append(missing, id)
+	for _, m := range rs.Members {
+		id := m.ID
+		if c.workers[id] != nil {
+			continue
 		}
-	}
-	sort.Ints(missing)
-	for _, id := range missing {
 		c.workers[id] = &wconn{id: id, dead: true}
 		c.rep.Deaths++
 		if _, ok := c.rep.DeadReasons[id]; !ok {
@@ -258,55 +211,39 @@ closed:
 		// journaled round clock, decision hash, and accuracy accounting carry
 		// forward; the dead members' arcs are fresh-adopted at the first
 		// round boundary, exactly like any other reap.
-		deadline := time.After(c.cfg.JoinTimeout)
-		for len(c.live()) < c.cfg.MinWorkers {
-			select {
-			case p := <-c.joinCh:
-				if err := c.admit(p, resume); err != nil {
-					return 0, nil, err
-				}
-			case p := <-c.standbyCh:
-				if err := c.attachStandby(p); err != nil {
-					return 0, nil, err
-				}
-			case p := <-c.rejoinCh:
-				c.rejectRejoin(p, "takeover window closed: re-join at the next round boundary")
-			case <-deadline:
-				return 0, nil, fmt.Errorf("cluster: no workers re-homed after takeover and only %d/%d fresh joins within %v",
-					len(c.live()), c.cfg.MinWorkers, c.cfg.JoinTimeout)
-			}
+		if err := c.awaitQuorum(resume, "takeover window closed: re-join at the next round boundary"); err != nil {
+			return 0, nil, fmt.Errorf("cluster: no workers re-homed after takeover: %w", err)
 		}
 	}
 	return resume, clocks, nil
 }
 
-func (c *Coordinator) windowRejoin(p *rejoinPending, want, seen map[int]bool, clocks map[int]int64) {
-	id := p.info.WorkerID
-	if p.info.ReconcileOnly {
-		c.journalReconcile(p.info.Deltas)
-		if want[id] && !seen[id] {
+func (c *Coordinator) windowRejoin(p *pending, seen map[int]bool, clocks map[int]int64) {
+	info, ok := c.rejoinHello(p)
+	if !ok {
+		return
+	}
+	id := info.WorkerID
+	want := c.rs.memberIdx(id) >= 0
+	if info.ReconcileOnly {
+		if want && !seen[id] {
 			seen[id] = true
 			c.rep.DeadReasons[id] = "orphan: reconciled and left"
 		}
-		tk := TakeoverInfo{Accepted: true, Reason: "reconciled", Epoch: c.epoch}
-		if body, err := gobEncode(&tk); err == nil {
-			writeFrame(p.bw, fTakeover, body)
-		}
-		p.conn.Close()
 		return
 	}
-	if !want[id] || seen[id] {
-		c.rejectRejoin(p, fmt.Sprintf("worker %d is not a pending member of this takeover", id))
+	if !want || seen[id] {
+		refuseRejoin(p, fmt.Sprintf("worker %d is not a pending member of this takeover", id))
 		return
 	}
 	// The member had its one chance either way: a failed install below
 	// leaves it to the reap, same as never arriving.
 	seen[id] = true
-	if _, ok := c.acceptRejoin(p, c.rs.Round); !ok {
+	if _, ok := c.acceptRejoin(p, info, c.rs.Round); !ok {
 		return
 	}
-	clocks[id] = p.info.Clock
-	c.journalReconcile(p.info.Deltas)
+	clocks[id] = info.Clock
+	c.journalReconcile(info.Deltas)
 }
 
 // advanceSource discards the rounds the fleet already played so the
@@ -330,7 +267,7 @@ func (c *Coordinator) TakeoverFromJournal(path string) (Report, error) {
 	rs, err := replayJournal(path)
 	if err != nil {
 		c.teardown()
-		return c.rep, err
+		return c.report(), err
 	}
 	return c.takeover(rs)
 }

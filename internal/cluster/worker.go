@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -51,17 +49,18 @@ type WorkerOptions struct {
 	// coordinator dies: gate locally under the last granted budget at the
 	// overload ladder's temporal-only rung, then reconcile and retire.
 	Orphan *OrphanOptions
-	// RejoinAttempts bounds re-home/reconcile dial sweeps over the standby
-	// list (default 8), with deterministic per-worker jittered backoff
-	// between sweeps.
-	RejoinAttempts int
-	// RejoinBase is the base re-join backoff (default 50ms).
-	RejoinBase time.Duration
-	// RejoinWait bounds the wait for the standby's takeover reply
-	// (default 30s — the standby may be holding its rejoin window open for
-	// slower members).
-	RejoinWait time.Duration
 }
+
+const (
+	// rejoinAttempts bounds re-home/reconcile dial sweeps over the standby
+	// list, with deterministic jittered backoff from rejoinBase between them.
+	rejoinAttempts = 8
+	rejoinBase     = 50 * time.Millisecond
+	// rejoinDial bounds one dial; rejoinReplyWait the wait for the verdict
+	// (the standby may hold its rejoin window open for slower members).
+	rejoinDial      = 5 * time.Second
+	rejoinReplyWait = 30 * time.Second
+)
 
 // errCrashed marks an injected crash (distinguished from real failures in
 // Wait's error).
@@ -71,11 +70,8 @@ var errCrashed = errors.New("cluster: injected worker crash")
 // primary, then an elected standby — and every per-connection read state
 // (delta-coding membership, queued frames) is scoped to the session.
 type session struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	*link
 	down chan struct{} // closed by the read loop on a recoverable loss
-	err  error         // set before down is closed
 }
 
 // Worker is one data-plane process: it runs the full sharded gate over the
@@ -84,7 +80,10 @@ type session struct {
 // selector that trades candidate frames for grant frames inside Decide.
 type Worker struct {
 	opts WorkerOptions
-	wmu  sync.Mutex // serializes frame writes and session swaps
+	// sess is the current coordinator connection. Only the engine thread
+	// swaps it, so its own reads need no lock; wmu orders the swap against
+	// the heartbeat pump's sends.
+	wmu  sync.Mutex
 	sess *session
 
 	id    int
@@ -148,31 +147,17 @@ type OrphanReport struct {
 // engine, reader, and heartbeat goroutines. It returns once the worker is
 // admitted (the coordinator may still be transferring state to it).
 func Dial(addr string, opts WorkerOptions) (*Worker, error) {
-	if opts.RejoinAttempts <= 0 {
-		opts.RejoinAttempts = 8
-	}
-	if opts.RejoinBase <= 0 {
-		opts.RejoinBase = 50 * time.Millisecond
-	}
-	if opts.RejoinWait <= 0 {
-		opts.RejoinWait = 30 * time.Second
-	}
 	if opts.Orphan != nil && opts.Orphan.Rounds <= 0 {
 		opts.Orphan.Rounds = 8
 	}
-	conn, err := net.Dial("tcp", addr)
+	// The welcome comes at the coordinator's next consistent point, unbounded.
+	var wel Welcome
+	l, err := dialLink(addr, 0, fJoin, &JoinInfo{Name: opts.Name}, fWelcome, &wel, 0)
 	if err != nil {
 		return nil, err
 	}
-	s := &session{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 1<<20),
-		bw:   bufio.NewWriterSize(conn, 1<<20),
-		down: make(chan struct{}),
-	}
 	w := &Worker{
 		opts:    opts,
-		sess:    s,
 		stop:    make(chan struct{}),
 		bye:     make(chan struct{}),
 		done:    make(chan struct{}),
@@ -180,41 +165,24 @@ func Dial(addr string, opts WorkerOptions) (*Worker, error) {
 		roundCh: make(chan *roundMsg, 1),
 		over:    &metrics.OverloadStats{},
 	}
-	if err := writeHandshake(s.bw); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	join, err := gobEncode(&JoinInfo{Name: opts.Name})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := w.send(fJoin, join); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	typ, body, err := readFrame(s.br)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: awaiting welcome: %w", err)
-	}
-	if typ != fWelcome {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: expected welcome, got frame type %d", typ)
-	}
-	var wel Welcome
-	if err := gobDecode(body, &wel); err != nil {
-		conn.Close()
-		return nil, err
-	}
 	if err := w.build(wel); err != nil {
-		conn.Close()
+		l.close()
 		return nil, err
 	}
-	go w.readLoop(s)
-	go w.heartbeatLoop(s)
+	w.attach(l)
 	go w.run()
 	return w, nil
+}
+
+// attach makes l the worker's coordinator connection: a new session with its
+// own reader and heartbeat.
+func (w *Worker) attach(l *link) {
+	s := &session{link: l, down: make(chan struct{})}
+	w.wmu.Lock()
+	w.sess = s
+	w.wmu.Unlock()
+	go w.readLoop(s)
+	go w.heartbeat(s)
 }
 
 // build materializes the gate, fleet, and engine from the welcomed config.
@@ -290,19 +258,12 @@ func (w *Worker) build(wel Welcome) error {
 	return nil
 }
 
-// session returns the current coordinator connection. Only the engine
-// thread swaps sessions, so its own reads need no lock; the write lock in
-// installSession orders the swap against concurrent send calls.
-func (w *Worker) session() *session { return w.sess }
-
-// send writes one frame to the current session under the write lock.
+// send writes one frame to the current session.
 func (w *Worker) send(typ uint8, body []byte) error {
 	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	if w.sess == nil {
-		return errors.New("cluster: no coordinator session")
-	}
-	return writeFrame(w.sess.bw, typ, body)
+	s := w.sess
+	w.wmu.Unlock()
+	return s.send(typ, body)
 }
 
 // fail records the first fatal error and unblocks every waiter.
@@ -363,21 +324,22 @@ func (w *Worker) standbyList() []string {
 	return append([]string(nil), w.standbys...)
 }
 
+// ended reports whether the run is over: failed, crashed, or told goodbye.
+func (w *Worker) ended() bool {
+	select {
+	case <-w.stop:
+	case <-w.bye:
+	default:
+		return false
+	}
+	return true
+}
+
 // recoverable reports whether losing the coordinator connection has a
 // recovery path (re-home to a standby, or orphan mode) rather than being
 // fatal.
 func (w *Worker) recoverable() bool {
-	select {
-	case <-w.stop:
-		return false
-	case <-w.bye:
-		return false
-	default:
-	}
-	if w.opts.Orphan != nil {
-		return true
-	}
-	return len(w.standbyList()) > 0
+	return !w.ended() && (w.opts.Orphan != nil || len(w.standbyList()) > 0)
 }
 
 // totals snapshots the worker's cumulative observation counters. The live
@@ -418,11 +380,7 @@ func (w *Worker) shiftBase(d AccDeltas) {
 // per-round delta reports already delivered everything before it.
 func (w *Worker) run() {
 	defer close(w.done)
-	defer func() {
-		if s := w.session(); s != nil {
-			s.conn.Close()
-		}
-	}()
+	defer func() { w.sess.close() }()
 	rep, err := w.eng.Run(0)
 	if err != nil {
 		w.fail(err)
@@ -466,9 +424,7 @@ func (w *Worker) run() {
 // final frame — the coordinator learns of the death from the broken pipe.
 func (w *Worker) crash() {
 	w.fail(errCrashed)
-	if s := w.session(); s != nil {
-		s.conn.Close()
-	}
+	w.sess.close()
 }
 
 // readLoop is the worker's only frame reader for one session. Control
@@ -482,10 +438,12 @@ func (w *Worker) crash() {
 // worker — the engine thread then re-homes or goes orphan.
 func (w *Worker) readLoop(s *session) {
 	for {
-		typ, body, err := readFrame(s.br)
+		typ, body, err := s.recv(0)
 		if err != nil {
+			// Dead before down is signalled: what the engine sends once it has
+			// seen the loss fails, so its deltas ride the re-join handoff.
+			s.close()
 			if w.recoverable() {
-				s.err = err
 				close(s.down)
 			} else {
 				w.fail(err)
@@ -524,42 +482,8 @@ func (w *Worker) readLoop(s *session) {
 			case <-w.stop:
 				return
 			}
-		case fRetire:
-			var ids []int
-			seq, err := decodeCtrl(body, &ids)
-			if err == nil {
-				for _, i := range ids {
-					w.owned[i] = false
-				}
-				err = w.retire(seq, ids)
-			}
-			if err != nil {
-				w.fail(err)
-				return
-			}
-		case fState:
-			var blobs []StreamBlob
-			seq, err := decodeCtrl(body, &blobs)
-			if err == nil {
-				for _, b := range blobs {
-					w.owned[b.Stream] = true
-				}
-				err = w.adopt(seq, blobs)
-			}
-			if err != nil {
-				w.fail(err)
-				return
-			}
-		case fImportFresh:
-			var ids []int
-			seq, err := decodeCtrl(body, &ids)
-			if err == nil {
-				for _, i := range ids {
-					w.owned[i] = true
-				}
-				err = w.adoptFresh(seq, ids)
-			}
-			if err != nil {
+		case fRetire, fState, fImportFresh:
+			if err := w.control(typ, body); err != nil {
 				w.fail(err)
 				return
 			}
@@ -580,6 +504,39 @@ func (w *Worker) readLoop(s *session) {
 			return
 		}
 	}
+}
+
+// control serves one sequenced control frame — retire, state, fresh-adopt:
+// decode, update the owned set, act, reply under the same sequence number.
+func (w *Worker) control(typ uint8, body []byte) error {
+	var ids []int
+	var blobs []StreamBlob
+	var seq uint64
+	var err error
+	if typ == fState {
+		seq, err = decodeCtrl(body, &blobs)
+		for _, b := range blobs {
+			ids = append(ids, b.Stream)
+		}
+	} else {
+		seq, err = decodeCtrl(body, &ids)
+	}
+	if err != nil {
+		return err
+	}
+	for _, i := range ids {
+		if i < 0 || i >= len(w.owned) {
+			return fmt.Errorf("cluster: control frame %d names stream %d outside [0,%d)", typ, i, len(w.owned))
+		}
+		w.owned[i] = typ != fRetire
+	}
+	switch typ {
+	case fRetire:
+		return w.retire(seq, ids)
+	case fState:
+		return w.adopt(seq, blobs)
+	}
+	return w.adoptFresh(seq, ids)
 }
 
 // retire exports the named streams (gate + monitor), resets their local
@@ -635,50 +592,29 @@ func (w *Worker) adoptFresh(seq uint64, ids []int) error {
 }
 
 func (w *Worker) ack(seq uint64) error {
-	var body [8]byte
-	binaryPutUint64(body[:], seq)
-	return w.send(fStateAck, body[:])
+	body, _ := encodeCtrl(seq, nil) // no payload, nothing to fail
+	return w.send(fStateAck, body)
 }
 
-// heartbeatLoop sends liveness beacons for one session so the
-// coordinator's lease survives long decode stalls between reports. The
+// heartbeat sends liveness beacons for one session, until its link dies, so
+// the coordinator's lease survives long decode stalls between reports. The
 // period carries deterministic per-worker jitter: a fleet admitted (or
 // re-homed) together must not beacon in phase.
-func (w *Worker) heartbeatLoop(s *session) {
+func (w *Worker) heartbeat(s *session) {
 	every := w.ccfg.HeartbeatEvery
 	if every <= 0 {
 		every = 500 * time.Millisecond
 	}
-	tick := time.NewTicker(heartbeatJitter(every, w.id))
-	defer tick.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-w.bye:
-			return
-		case <-s.down:
-			return
-		case <-tick.C:
-			w.src.mu.Lock()
-			last := w.src.lastRound
-			w.src.mu.Unlock()
-			if err := w.send(fHeartbeat, encodeReport(last, 0, AccDeltas{})); err != nil {
-				// A beacon racing the orderly goodbye (the conn closes
-				// right after the final frame) is not a failure; real
-				// connection loss also breaks the read loop, which either
-				// reports it or triggers recovery.
-				select {
-				case <-w.bye:
-				case <-w.stop:
-				default:
-					if !w.recoverable() {
-						w.fail(err)
-					}
-				}
-				return
-			}
-		}
+	err := s.beat(heartbeatJitter(every, w.id), func() []byte {
+		w.src.mu.Lock()
+		defer w.src.mu.Unlock()
+		return encodeReport(w.src.lastRound, 0, AccDeltas{})
+	})
+	// A beacon racing the orderly goodbye (the conn closes right after the
+	// final frame) is not a failure; real connection loss also breaks the
+	// read loop, which either reports it or triggers recovery.
+	if err != nil && !w.ended() && !w.recoverable() {
+		w.fail(err)
 	}
 }
 
@@ -695,63 +631,14 @@ func (w *Worker) drainStale() {
 	}
 }
 
-// installSession swaps in a new coordinator connection: reset the
-// per-session read state, discard stale frames, and start the new reader
-// and heartbeat.
-func (w *Worker) installSession(s *session, tk TakeoverInfo) {
+// rehome swaps in the connection an elected coordinator accepted: discard
+// the dead session's stale frames, reset the per-session read state, attach.
+func (w *Worker) rehome(l *link, tk TakeoverInfo) {
 	w.drainStale()
 	w.prevIDs = w.prevIDs[:0]
 	w.epoch = tk.Epoch
 	w.setStandbys(tk.Standbys)
-	w.wmu.Lock()
-	w.sess = s
-	w.wmu.Unlock()
-	go w.readLoop(s)
-	go w.heartbeatLoop(s)
-}
-
-// dialRejoin performs one re-join handshake against addr and blocks for
-// the takeover verdict.
-func (w *Worker) dialRejoin(addr string, info RejoinInfo) (*session, TakeoverInfo, error) {
-	var tk TakeoverInfo
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, tk, err
-	}
-	s := &session{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 1<<20),
-		bw:   bufio.NewWriterSize(conn, 1<<20),
-		down: make(chan struct{}),
-	}
-	fail := func(err error) (*session, TakeoverInfo, error) {
-		conn.Close()
-		return nil, tk, err
-	}
-	if err := writeHandshake(s.bw); err != nil {
-		return fail(err)
-	}
-	body, err := gobEncode(&info)
-	if err != nil {
-		return fail(err)
-	}
-	if err := writeFrame(s.bw, fRejoin, body); err != nil {
-		return fail(err)
-	}
-	// The standby may hold the connection until its rejoin window resolves.
-	conn.SetReadDeadline(time.Now().Add(w.opts.RejoinWait))
-	typ, tbody, err := readFrame(s.br)
-	if err != nil {
-		return fail(err)
-	}
-	if typ != fTakeover {
-		return fail(fmt.Errorf("cluster: expected takeover reply, got frame %d", typ))
-	}
-	if err := gobDecode(tbody, &tk); err != nil {
-		return fail(err)
-	}
-	conn.SetReadDeadline(time.Time{})
-	return s, tk, nil
+	w.attach(l)
 }
 
 // rejoin sweeps the standby list (jittered backoff between sweeps) until
@@ -767,34 +654,31 @@ func (w *Worker) rejoin(clock int64, reconcileOnly bool) error {
 		ReconcileOnly: reconcileOnly,
 		Deltas:        totals.sub(w.lastReported),
 	}
-	for attempt := 0; attempt < w.opts.RejoinAttempts; attempt++ {
+	for attempt := 0; attempt < rejoinAttempts; attempt++ {
 		for _, addr := range w.standbyList() {
-			select {
-			case <-w.stop:
+			if w.ended() {
 				return errors.New("cluster: re-join aborted")
-			case <-w.bye:
-				return errors.New("cluster: re-join aborted")
-			default:
 			}
-			s, tk, err := w.dialRejoin(addr, info)
+			var tk TakeoverInfo
+			l, err := dialLink(addr, rejoinDial, fRejoin, &info, fTakeover, &tk, rejoinReplyWait)
 			if err != nil {
 				continue
 			}
 			if !tk.Accepted {
-				s.conn.Close()
+				l.close()
 				return fmt.Errorf("cluster: re-join rejected: %s", tk.Reason)
 			}
 			w.lastReported = totals
 			if reconcileOnly {
-				s.conn.Close()
+				l.close()
 				return nil
 			}
-			w.installSession(s, tk)
+			w.rehome(l, tk)
 			return nil
 		}
-		time.Sleep(rejoinBackoff(w.opts.RejoinBase, w.id, attempt))
+		time.Sleep(rejoinBackoff(rejoinBase, w.id, attempt))
 	}
-	return fmt.Errorf("cluster: no standby accepted re-join after %d sweeps", w.opts.RejoinAttempts)
+	return fmt.Errorf("cluster: no standby accepted re-join after %d sweeps", rejoinAttempts)
 }
 
 // clusterSource adapts the round frames into the pipeline's
@@ -872,7 +756,7 @@ func (s *clusterSource) next() (*roundMsg, error) {
 			return msg, nil
 		default:
 		}
-		sess := w.session()
+		sess := w.sess
 		select {
 		case msg := <-w.roundCh:
 			s.install(msg)
@@ -1089,7 +973,7 @@ func (r *remoteSelector) Select(dst []int, cands []knapsack.Candidate, budget fl
 		w.fail(err)
 		return dst
 	}
-	sess := w.session()
+	sess := w.sess
 	// Prefer a grant already delivered over a concurrent session death.
 	select {
 	case g := <-w.grantCh:

@@ -58,17 +58,6 @@ type compiledOp struct {
 	b []float32
 }
 
-func (op *compiledOp) inSize() int {
-	switch op.kind {
-	case opConv:
-		return op.in * op.inL
-	case opPool:
-		return op.in * op.inL
-	default:
-		return op.in
-	}
-}
-
 func (op *compiledOp) outSize() int {
 	switch op.kind {
 	case opConv:
