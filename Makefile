@@ -45,11 +45,12 @@ loc:
 
 # Cheap allocation regression gates for the gating hot loop: a steady-state
 # Decide+Feedback round, the batched compiled forward, every selector's
-# solve (Ranked with all candidates dirty included) and the coordinator's
-# solve-and-grant step must stay at ~zero allocs/op (testing.AllocsPerRun,
-# no benchmark run needed), and a whole engine round — gate loop, decode
-# pool, collector, feedback, rounds overlapping or not — under one small
-# object. The last line
+# solve (Ranked with all candidates dirty included), the coordinator's
+# solve-and-grant step, a worker's read of a round frame into its recycled
+# record and the container's in-place packet parse must stay at ~zero
+# allocs/op (testing.AllocsPerRun, no benchmark run needed), and a whole
+# engine round — gate loop, decode pool, collector, feedback, rounds
+# overlapping or not — under one small object. The last line
 # re-runs the nn and predictor suites with the AVX2 kernel linked out
 # (nn.portableOnly), so a host that has AVX2 still exercises the portable
 # kernels every other host runs.
@@ -58,7 +59,8 @@ alloc-smoke:
 	$(GO) test ./internal/predictor -run 'TestPredictIntoZeroAlloc|TestWindowZeroAlloc' -count 1
 	$(GO) test ./internal/nn -run TestCompiledForwardZeroAlloc -count 1
 	$(GO) test ./internal/knapsack -run TestSelectZeroAlloc -count 1
-	$(GO) test ./internal/cluster -run TestSolveGrantZeroAlloc -count 1
+	$(GO) test ./internal/cluster -run 'TestWorkerRoundZeroAlloc|TestSolveGrantZeroAlloc' -count 1
+	$(GO) test ./internal/container -run TestUnmarshalPacketIntoZeroAlloc -count 1
 	$(GO) test ./internal/pipeline -run TestEngineRoundAllocCeiling -count 1
 	$(GO) test -ldflags '-X packetgame/internal/nn.portableOnly=1' ./internal/nn ./internal/predictor -count 1
 
@@ -162,4 +164,5 @@ bench:
 	$(GO) test ./internal/core -run NONE -bench 'DecideRound' -benchtime 2s -benchmem
 	$(GO) test ./internal/knapsack -run NONE -bench Select -benchtime 300x -benchmem
 	$(GO) test ./internal/pipeline -run NONE -bench BenchmarkEngineRounds -benchtime 2s
+	$(GO) test ./internal/cluster -run NONE -bench BenchmarkDecodeRoundDelta -benchtime 2s
 	$(GO) test . -run NONE -bench . -benchtime 1s

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -642,8 +641,8 @@ func dialHung(addr string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriter(conn)
-	if err := writeHandshake(bw); err != nil {
+	l := newLink(conn)
+	if err := writeHandshake(l.bw); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -652,16 +651,14 @@ func dialHung(addr string) (net.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
-	if err := writeFrame(bw, fJoin, body); err != nil {
-		conn.Close()
+	if err := l.send(fJoin, body); err != nil {
 		return nil, err
 	}
 	// Drain incoming frames in the background so the coordinator's writes
 	// never block, but answer nothing.
 	go func() {
-		br := bufio.NewReader(conn)
 		for {
-			if _, _, err := readFrame(br); err != nil {
+			if _, _, err := l.recv(0, nil); err != nil {
 				return
 			}
 		}

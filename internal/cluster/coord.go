@@ -168,8 +168,13 @@ type inFrame struct {
 // nil only in the dead placeholder of a member that never re-homed.
 type wconn struct {
 	*link
-	id       int
-	frames   chan inFrame
+	id     int
+	frames chan inFrame
+	// spare is how frame bodies come home: the reader takes its next body
+	// buffer from here (else starts a new one), and the coordinator loop hands
+	// a body back once it has decoded it. Two slots: a pipelined round has a
+	// candidates and a report body out at once.
+	spare    chan []byte
 	lastSeen atomic.Int64 // unix nanos, updated by the reader on any frame
 	dead     bool         // coordinator-loop only
 	// prev is the delta-coding membership state of this connection's round
@@ -275,7 +280,6 @@ type Coordinator struct {
 	scatter [][]roundPacket // per-live-position round packets, ascending by stream
 	grantsB []byte
 	roundB  []byte
-	pktBuf  []byte
 }
 
 // NewCoordinator binds the listen socket and starts accepting joins.
@@ -382,15 +386,30 @@ func (c *Coordinator) clusterConfig() ClusterConfig {
 // readWorker pumps one worker's frames into its channel. Heartbeats are
 // folded into lastSeen here so they never clog the round machinery; reports
 // detour through the ReportDelay delivery model when one is configured.
+//
+// Every body that crosses wc.frames belongs to whoever receives it, until
+// reuse hands it back; a heartbeat's never leaves, so its buffer stays in hand.
 func (c *Coordinator) readWorker(wc *wconn) {
+	var buf []byte
+	place := func(uint8) *[]byte {
+		if buf == nil {
+			select {
+			case buf = <-wc.spare:
+			default:
+			}
+		}
+		return &buf
+	}
 	for {
-		typ, body, err := wc.recv(0)
+		typ, body, err := wc.recv(0, place)
 		wc.lastSeen.Store(time.Now().UnixNano())
-		switch {
-		case err == nil && typ == fHeartbeat:
-		case wc.delayCh == nil || (err == nil && typ != fReport):
+		if err == nil && typ == fHeartbeat {
+			continue
+		}
+		buf = nil // body is on its way out
+		if wc.delayCh == nil || (err == nil && typ != fReport) {
 			wc.frames <- inFrame{typ, body, err}
-		default:
+		} else {
 			// The terminal error takes the reports' FIFO too, undelayed: it
 			// must not overtake reports still in the delay pump — frame order
 			// pins the round a death is detected at, so two same-seed runs
@@ -488,6 +507,15 @@ func (c *Coordinator) awaitReport(wc *wconn) (inFrame, bool) {
 		return f, true
 	}
 	return c.await(wc, fReport)
+}
+
+// reuse hands a decoded frame's body back to the reader that read it; with no
+// room it is dropped.
+func (wc *wconn) reuse(body []byte) {
+	select {
+	case wc.spare <- body:
+	default:
+	}
 }
 
 func (c *Coordinator) markDead(wc *wconn, err error) {
@@ -611,6 +639,7 @@ func (c *Coordinator) candidatesFrom(wc *wconn, r int64) bool {
 		return false
 	}
 	err := decodeCandidates(f.body, c.cfg.Streams, &c.candMsg)
+	wc.reuse(f.body) // decodeCandidates copied everything out
 	if err == nil && c.candMsg.round != r {
 		err = fmt.Errorf("candidates for round %d during round %d", c.candMsg.round, r)
 	}
@@ -632,6 +661,7 @@ func (c *Coordinator) reportFrom(wc *wconn, r int64) (reportMsg, bool) {
 		return reportMsg{}, false
 	}
 	msg, err := decodeReport(f.body)
+	wc.reuse(f.body)
 	if err != nil || msg.round != r {
 		c.markDead(wc, fmt.Errorf("bad report (round %d, want %d): %v", msg.round, r, err))
 		return msg, false
@@ -862,7 +892,7 @@ func (c *Coordinator) runRounds(start int64) (Report, error) {
 				return c.report(), ErrCoordinatorKilled
 			}
 			wc := c.workers[id]
-			c.roundB = encodeRoundDelta(c.roundB[:0], r, bEff, mode, c.scatter[n], wc.prev, &c.pktBuf)
+			c.roundB = encodeRoundDelta(c.roundB[:0], r, bEff, mode, c.scatter[n], wc.prev)
 			wc.prev = wc.prev[:0]
 			for _, rp := range c.scatter[n] {
 				wc.prev = append(wc.prev, int32(rp.stream))
@@ -1032,7 +1062,7 @@ func (c *Coordinator) report() Report {
 // install is the one place a worker connection comes alive, under ring
 // identity id: lease stamped, report-delay pump if configured, reader started.
 func (c *Coordinator) install(id int, p *pending) *wconn {
-	wc := &wconn{link: p.link, id: id, frames: make(chan inFrame, 16)}
+	wc := &wconn{link: p.link, id: id, frames: make(chan inFrame, 16), spare: make(chan []byte, 2)}
 	wc.lastSeen.Store(time.Now().UnixNano())
 	if c.cfg.ReportDelay > 0 {
 		wc.delayCh = make(chan delayedReport, 64)

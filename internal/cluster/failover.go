@@ -246,7 +246,7 @@ func (c *Coordinator) primaryRejoin(p *pending, r int64) error {
 // are folded as reconcile records.
 func (c *Coordinator) catchUp(wc *wconn, from, to int64) {
 	for k := from; k < to; k++ {
-		c.roundB = encodeRoundDelta(c.roundB[:0], k, c.cfg.Budget, overload.ModeFull, nil, wc.prev, &c.pktBuf)
+		c.roundB = encodeRoundDelta(c.roundB[:0], k, c.cfg.Budget, overload.ModeFull, nil, wc.prev)
 		wc.prev = wc.prev[:0]
 		if err := wc.send(fRound, c.roundB); err != nil {
 			c.markDead(wc, err)

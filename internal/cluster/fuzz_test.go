@@ -36,22 +36,26 @@ func fuzzRoundPkts(ids ...int32) []roundPacket {
 // that already are), duplicate or out-of-range stream ids, hostile varints,
 // truncated scenes/packets, and trailing garbage must all return an error;
 // nothing may panic. Valid decodes must satisfy the sparse Round invariants
-// and keep truth/hasT parallel to the membership.
+// and keep truth/hasT parallel to the membership. Every input is decoded
+// twice — into a fresh record, and into a dirty recycled one that last held
+// a larger frame with truth on every entry — and the two must agree, on the
+// round or on the error: nothing of a record's past shows through.
 func FuzzPGCPRoundFrame(f *testing.F) {
 	const m = 64
+	dirtyBody := encodeRoundDelta(nil, 99, 77, overload.Mode(3),
+		recordRoundPkts(48, func(k int) int32 { return int32(k + 8) }, 40, 1, 5), nil)
 
-	var pktBuf []byte
 	// Fresh connection: everything is an add.
-	seed1 := encodeRoundDelta(nil, 0, 8.5, overload.Mode(1), fuzzRoundPkts(0, 3, 7, 63), nil, &pktBuf)
+	seed1 := encodeRoundDelta(nil, 0, 8.5, overload.Mode(1), fuzzRoundPkts(0, 3, 7, 63), nil)
 	f.Add(uint16(0), seed1)
 	// Steady state: identical membership, zero-length deltas.
-	seed2 := encodeRoundDelta(nil, 1, 8.5, overload.Mode(0), fuzzRoundPkts(0, 3, 7, 63), []int32{0, 3, 7, 63}, &pktBuf)
+	seed2 := encodeRoundDelta(nil, 1, 8.5, overload.Mode(0), fuzzRoundPkts(0, 3, 7, 63), []int32{0, 3, 7, 63})
 	f.Add(uint16(4), seed2)
 	// Churn: one gone, one added.
-	seed3 := encodeRoundDelta(nil, 2, 4.0, overload.Mode(2), fuzzRoundPkts(3, 7, 12, 63), []int32{0, 3, 7, 63}, &pktBuf)
+	seed3 := encodeRoundDelta(nil, 2, 4.0, overload.Mode(2), fuzzRoundPkts(3, 7, 12, 63), []int32{0, 3, 7, 63})
 	f.Add(uint16(4), seed3)
 	// Empty round against empty membership.
-	f.Add(uint16(0), encodeRoundDelta(nil, 3, 1.0, overload.Mode(0), nil, nil, &pktBuf))
+	f.Add(uint16(0), encodeRoundDelta(nil, 3, 1.0, overload.Mode(0), nil, nil))
 	// Truncations and mutations of a valid frame.
 	f.Add(uint16(0), seed1[:17])
 	f.Add(uint16(0), seed1[:len(seed1)/2])
@@ -60,6 +64,9 @@ func FuzzPGCPRoundFrame(f *testing.F) {
 	f.Add(uint16(0), mut)
 	f.Add(uint16(0), []byte{})
 	// Hostile varints: max-length gaps and counts.
+	// A gone id above every member (60, against members 1 and 5): the merge
+	// emits all of prev before it can tell, so the arena must hold them.
+	f.Add(uint16(3), encodeRoundDelta(nil, 4, 1.0, overload.Mode(0), fuzzRoundPkts(1, 5), []int32{1, 5, 60}))
 	f.Add(uint16(2), []byte{
 		0, 0, 0, 0, 0, 0, 0, 0, // round
 		0, 0, 0, 0, 0, 0, 0, 0, // bEff
@@ -77,25 +84,26 @@ func FuzzPGCPRoundFrame(f *testing.F) {
 			}
 		}
 		var msg roundMsg
-		if err := decodeRoundDelta(body, m, prev, &msg); err != nil {
+		err := decodeRoundDelta(body, m, prev, &msg)
+		var dirty roundMsg
+		if derr := decodeRoundDelta(dirtyBody, m, nil, &dirty); derr != nil {
+			t.Fatal(derr)
+		}
+		derr := decodeRoundDelta(body, m, prev, &dirty)
+		if (err == nil) != (derr == nil) || (err != nil && err.Error() != derr.Error()) {
+			t.Fatalf("fresh and recycled records disagree: %v vs %v", err, derr)
+		}
+		if err != nil {
 			return // rejected — the only acceptable failure mode
 		}
 		if err := msg.rnd.Validate(); err != nil {
 			t.Fatalf("accepted round violates invariants: %v", err)
 		}
-		if len(msg.truth) != msg.rnd.Len() || len(msg.hasT) != msg.rnd.Len() {
-			t.Fatalf("truth/hasT length %d/%d for %d members",
-				len(msg.truth), len(msg.hasT), msg.rnd.Len())
-		}
-		// Decoding the same body again against the same prev must agree:
-		// the decoder is stateless between calls apart from scratch reuse.
-		var again roundMsg
-		if err := decodeRoundDelta(body, m, prev, &again); err != nil {
-			t.Fatalf("second decode of accepted body failed: %v", err)
-		}
-		if again.rnd.Len() != msg.rnd.Len() || again.round != msg.round {
-			t.Fatalf("second decode disagrees: %d/%d members, round %d/%d",
-				again.rnd.Len(), msg.rnd.Len(), again.round, msg.round)
+		sameRound(t, &msg, &dirty)
+		for k, p := range dirty.rnd.Pkts {
+			if !within(p.Payload, body) {
+				t.Fatalf("packet %d's payload is not a view of the frame body", k)
+			}
 		}
 	})
 }
@@ -104,13 +112,12 @@ func FuzzPGCPRoundFrame(f *testing.F) {
 // deterministic frames (the fuzz target's invariants, minus the fuzzing).
 func TestRoundDeltaRejects(t *testing.T) {
 	const m = 16
-	var pktBuf []byte
 	prev := []int32{2, 5, 9}
 
 	t.Run("gone-not-member", func(t *testing.T) {
 		// Encode against a membership that includes 3, decode against one
 		// that does not: gone=3 was never a member.
-		body := encodeRoundDelta(nil, 0, 1, 0, fuzzRoundPkts(2, 5, 9), []int32{2, 3, 5, 9}, &pktBuf)
+		body := encodeRoundDelta(nil, 0, 1, 0, fuzzRoundPkts(2, 5, 9), []int32{2, 3, 5, 9})
 		var msg roundMsg
 		if err := decodeRoundDelta(body, m, prev, &msg); err == nil {
 			t.Fatal("gone id outside membership must error")
@@ -119,21 +126,21 @@ func TestRoundDeltaRejects(t *testing.T) {
 	t.Run("added-already-member", func(t *testing.T) {
 		// Encode against empty membership (everything added), decode against
 		// prev: added=2 collides with the kept member 2.
-		body := encodeRoundDelta(nil, 0, 1, 0, fuzzRoundPkts(2, 5, 9), nil, &pktBuf)
+		body := encodeRoundDelta(nil, 0, 1, 0, fuzzRoundPkts(2, 5, 9), nil)
 		var msg roundMsg
 		if err := decodeRoundDelta(body, m, prev, &msg); err == nil {
 			t.Fatal("added id already a member must error")
 		}
 	})
 	t.Run("out-of-range", func(t *testing.T) {
-		body := encodeRoundDelta(nil, 0, 1, 0, fuzzRoundPkts(2, 5, 9), prev, &pktBuf)
+		body := encodeRoundDelta(nil, 0, 1, 0, fuzzRoundPkts(2, 5, 9), prev)
 		var msg roundMsg
 		if err := decodeRoundDelta(body, 9, prev[:2], &msg); err == nil {
 			t.Fatal("stream id beyond fleet width must error")
 		}
 	})
 	t.Run("trailing-bytes", func(t *testing.T) {
-		body := encodeRoundDelta(nil, 0, 1, 0, fuzzRoundPkts(2, 5, 9), prev, &pktBuf)
+		body := encodeRoundDelta(nil, 0, 1, 0, fuzzRoundPkts(2, 5, 9), prev)
 		body = append(body, 0xAB)
 		var msg roundMsg
 		if err := decodeRoundDelta(body, m, prev, &msg); err == nil {
@@ -142,7 +149,7 @@ func TestRoundDeltaRejects(t *testing.T) {
 	})
 	t.Run("roundtrip", func(t *testing.T) {
 		pkts := fuzzRoundPkts(1, 2, 5, 9, 15)
-		body := encodeRoundDelta(nil, 7, 3.25, overload.Mode(1), pkts, prev, &pktBuf)
+		body := encodeRoundDelta(nil, 7, 3.25, overload.Mode(1), pkts, prev)
 		var msg roundMsg
 		if err := decodeRoundDelta(body, m, prev, &msg); err != nil {
 			t.Fatal(err)

@@ -162,13 +162,12 @@ func TestWireGoldenFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pktBuf []byte
 	frames := []struct {
 		name string
 		typ  uint8
 		body []byte
 	}{
-		{"round", fRound, encodeRoundDelta(nil, 7, 12.5, overload.Mode(1), fuzzRoundPkts(3, 7, 12, 63), []int32{0, 3, 7, 63}, &pktBuf)},
+		{"round", fRound, encodeRoundDelta(nil, 7, 12.5, overload.Mode(1), fuzzRoundPkts(3, 7, 12, 63), []int32{0, 3, 7, 63})},
 		{"candidates", fCandidates, encodeCandidates(nil, 7, 4.75, []knapsack.Candidate{
 			{Stream: 3, Value: 0.5, Cost: 1.25}, {Stream: 7, Value: 0.125, Cost: 2}, {Stream: 63, Value: 0.875, Cost: 1.5}})},
 		{"grant", fGrant, encodeGrant(nil, 7, []int{63, 3})},
@@ -181,7 +180,7 @@ func TestWireGoldenFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&out, "%s %s\n", f.name, hex.EncodeToString(buf.Bytes()))
-		typ, body, err := readFrame(bufio.NewReader(&buf))
+		typ, body, err := (&link{br: bufio.NewReader(&buf)}).recv(0, nil)
 		if err != nil || typ != f.typ || !bytes.Equal(body, f.body) {
 			t.Fatalf("%s frame does not read back: type %d, %v", f.name, typ, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -12,8 +13,9 @@ import (
 )
 
 // This file is the cluster's I/O shell: the only non-test code that dials,
-// accepts, wraps a connection in buffers, speaks the preamble, or arms a read
-// deadline. What happens on the wire when a peer connects is answered here.
+// accepts, wraps a connection in buffers, speaks the preamble, arms a read
+// deadline, or reads bytes off a connection. What happens on the wire when a
+// peer connects, and whose memory a received frame lands in, is answered here.
 
 // link is one PGCP connection. Sends may come from several goroutines (a
 // round loop and a heartbeat pump share one); there is a single reader. The
@@ -24,6 +26,7 @@ type link struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	gone chan struct{} // closed when the link dies
+	hdr  [9]byte       // the single reader's frame-header scratch
 
 	mu  sync.Mutex // serializes writers and guards err
 	err error
@@ -36,6 +39,21 @@ func newLink(conn net.Conn) *link {
 		bw:   bufio.NewWriterSize(conn, 1<<20), // is a handful of syscalls
 		gone: make(chan struct{}),
 	}
+}
+
+// writeFrame writes one frame and flushes.
+func writeFrame(bw *bufio.Writer, typ uint8, body []byte) error {
+	var hdr [9]byte
+	hdr[0] = typ
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(body)))
+	binary.BigEndian.PutUint32(hdr[5:9], crc32.Checksum(body, crcTable))
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return err
+	}
+	if _, err := bw.Write(body); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 func (l *link) send(typ uint8, body []byte) error {
@@ -51,12 +69,77 @@ func (l *link) send(typ uint8, body []byte) error {
 	return l.err
 }
 
-// recv reads the next frame, waiting at most wait for it when wait > 0.
-func (l *link) recv(wait time.Duration) (uint8, []byte, error) {
+// recv reads the next frame, waiting at most wait for it when wait > 0, and
+// verifies the body checksum. The header is read first; place then says
+// which of the caller's buffers a frame of that type goes into, and the body
+// is read into that buffer's storage (readBody's grow and shrink rules) and
+// left there — the returned body aliases *place(typ) and is valid until the
+// caller next offers that buffer. A nil place reads into fresh memory.
+func (l *link) recv(wait time.Duration, place func(typ uint8) *[]byte) (uint8, []byte, error) {
 	if wait > 0 {
 		l.conn.SetReadDeadline(time.Now().Add(wait))
 	}
-	return readFrame(l.br)
+	if _, err := io.ReadFull(l.br, l.hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	typ := l.hdr[0]
+	n := binary.BigEndian.Uint32(l.hdr[1:5])
+	if n > maxFrameBody {
+		return 0, nil, fmt.Errorf("cluster: frame body %d exceeds limit", n)
+	}
+	var fresh []byte
+	buf := &fresh
+	if place != nil {
+		buf = place(typ)
+	}
+	var err error
+	if *buf, err = readBody(l.br, *buf, int(n)); err != nil {
+		return 0, nil, err
+	}
+	if crc32.Checksum(*buf, crcTable) != binary.BigEndian.Uint32(l.hdr[5:9]) {
+		return 0, nil, fmt.Errorf("cluster: frame CRC mismatch (type %d, %d bytes)", typ, n)
+	}
+	return typ, *buf, nil
+}
+
+const (
+	// bodyGrowStep is how far a body buffer first grows ahead of the bytes
+	// that have arrived.
+	bodyGrowStep = 1 << 20
+	// bodyShrinkFloor is the capacity below which a body buffer is never
+	// reallocated downward: shrinking small buffers only causes churn.
+	bodyShrinkFloor = 64 << 10
+)
+
+// readBody reads an n-byte frame body into buf's storage and returns it. The
+// length came off the wire, so the buffer grows only once the bytes it has
+// room for have arrived — by bodyGrowStep, or by doubling once it is past
+// that, never beyond n — and a corrupt or hostile length field costs in
+// proportion to what the peer actually sends, never n up front. So one spike
+// frame does not pin its buffer for the connection's lifetime, storage above
+// the floor is reallocated down when a frame needs under a quarter of it
+// (the knapsack order scratch's rule).
+func readBody(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	if c := cap(buf); c > bodyShrinkFloor && n < c/4 {
+		buf = make([]byte, 0, n)
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		k := len(buf)
+		if k == cap(buf) {
+			grown := make([]byte, k, k+max(min(n-k, bodyGrowStep), min(n-k, k)))
+			copy(grown, buf)
+			buf = grown
+		}
+		buf = buf[:min(n, cap(buf))]
+		if _, err := io.ReadFull(br, buf[k:]); err != nil {
+			if err == io.EOF && k > 0 {
+				err = io.ErrUnexpectedEOF // the cut fell between two reads of one body
+			}
+			return buf[:0], err
+		}
+	}
+	return buf, nil
 }
 
 func (l *link) close() {
@@ -141,7 +224,7 @@ func (l *link) identify(helloType uint8, hello any, wantType uint8, reply any, r
 	if err != nil {
 		return err
 	}
-	typ, body, err := l.recv(replyWait)
+	typ, body, err := l.recv(replyWait, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: awaiting reply frame %d: %w", wantType, err)
 	}
@@ -164,7 +247,7 @@ type pending struct {
 func acceptLink(conn net.Conn) (p *pending, err error) {
 	p = &pending{link: newLink(conn)}
 	if err = readHandshake(p.br); err == nil {
-		p.typ, p.hello, err = p.recv(0)
+		p.typ, p.hello, err = p.recv(0, nil)
 	}
 	if err != nil {
 		p.close()

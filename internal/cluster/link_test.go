@@ -264,20 +264,23 @@ func TestLinkSendAfterDeadIsSticky(t *testing.T) {
 
 // TestClusterIOConfinedToLink keeps the shell a shell: over the package's
 // non-test files, the calls that dial, wrap a connection in buffers, speak
-// the preamble, arm a read deadline or write a frame occur only in link.go
-// (net.Listen also in NewCoordinator, writeFrame's definition in proto.go);
-// one statement sends fTakeover; the three connection handles carry no
-// socket of their own; and the real-timer sites outside link.go are counted,
-// so the sans-IO refactor (ROADMAP item 3) has a number to drive to 0.
+// the preamble, arm a read deadline, or read or write a frame — anything
+// bufio, io.ReadFull, a make([]byte sized by the wire — occur only in link.go
+// (net.Listen also in NewCoordinator), and proto.go, which only encodes and
+// decodes bodies in memory, imports neither bufio nor io; one statement sends
+// fTakeover; the three connection handles carry no socket of their own; and
+// the real-timer sites outside link.go are counted, so the sans-IO refactor
+// (ROADMAP item 3) has a number to drive to 0.
 func TestClusterIOConfinedToLink(t *testing.T) {
 	files, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	confined := []string{"net.Dial", "net.Listen", "bufio.NewReaderSize", "bufio.NewWriterSize", "bufio.NewReader(", "bufio.NewWriter(",
-		"writeHandshake", "readHandshake", "SetReadDeadline", "SetDeadline", "writeFrame(", "readFrame(", ".Accept()"}
-	allowed := map[string]string{"net.Listen": "coord.go", "writeFrame(": "proto.go", "readFrame(": "proto.go"}
+	confined := []string{"net.Dial", "net.Listen", "bufio.", "io.ReadFull",
+		"writeHandshake", "readHandshake", "SetReadDeadline", "SetDeadline", "writeFrame(", "readBody(", ".Accept()"}
+	allowed := map[string]string{"net.Listen": "coord.go"}
 	timers := regexp.MustCompile(`time\.(After|NewTimer|NewTicker|Sleep|AfterFunc|Tick)\(`)
+	wireSized := regexp.MustCompile(`make\(\[\]byte,[^)]*[a-zA-Z_]`) // a byte buffer whose size is not a literal
 	timerSites, takeoverSends, quorumLoops := 0, 0, 0
 	for _, f := range files {
 		name := f.Name()
@@ -297,7 +300,13 @@ func TestClusterIOConfinedToLink(t *testing.T) {
 			if name == "link.go" {
 				continue
 			}
+			if name == "proto.go" && (strings.TrimSpace(line) == `"bufio"` || strings.TrimSpace(line) == `"io"`) {
+				t.Errorf("proto.go:%d: imports %s", n+1, strings.TrimSpace(line))
+			}
 			timerSites += len(timers.FindAllString(line, -1))
+			if wireSized.MatchString(line) {
+				t.Errorf("%s:%d: byte buffer sized at run time outside link.go", name, n+1)
+			}
 			for _, call := range confined {
 				if strings.Contains(line, call) && allowed[call] != name {
 					t.Errorf("%s:%d: %s outside link.go", name, n+1, call)
@@ -330,6 +339,44 @@ func TestClusterIOConfinedToLink(t *testing.T) {
 		}
 		if !embedsLink {
 			t.Errorf("%s does not embed *link", handle.Name())
+		}
+	}
+}
+
+// TestFrameLengthIsNotTrusted: the length in a frame header is a claim. A
+// header promising 200 MB with nothing behind it, or with a little behind it,
+// costs the reader what actually arrived — not 200 MB up front — whether the
+// body goes to fresh memory or into a caller's buffer; a cut that falls on a
+// read boundary inside a body is still a truncated frame, not a clean end.
+func TestFrameLengthIsNotTrusted(t *testing.T) {
+	header := func(n uint32) []byte {
+		hdr := rawFrame(fRound, nil)
+		binary.BigEndian.PutUint32(hdr[1:5], n)
+		return hdr
+	}
+	var own []byte
+	for _, tc := range []struct {
+		name    string
+		wire    []byte
+		place   func(uint8) *[]byte
+		wantErr error
+	}{
+		{"header then EOF, fresh memory", header(200 << 20), nil, io.EOF},
+		{"header then EOF, caller's buffer", header(200 << 20), func(uint8) *[]byte { return &own }, io.EOF},
+		{"header then 100 KB", append(header(200<<20), make([]byte, 100<<10)...), nil, io.ErrUnexpectedEOF},
+		{"cut on a read boundary", append(header(200<<20), make([]byte, bodyGrowStep)...), nil, io.ErrUnexpectedEOF},
+	} {
+		l := &link{br: bufio.NewReader(bytes.NewReader(tc.wire))}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, body, err := l.recv(0, tc.place)
+		runtime.ReadMemStats(&after)
+		if err != tc.wantErr || body != nil {
+			t.Errorf("%s: recv = %d bytes, %v; want %v", tc.name, len(body), err, tc.wantErr)
+		}
+		// Under 2 MB for nothing; growth is append's, so a few times what came.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*uint64(len(tc.wire))+(2<<20) {
+			t.Errorf("%s: reader allocated %d bytes for %d that arrived", tc.name, grew, len(tc.wire))
 		}
 	}
 }

@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
+	"slices"
 	"time"
 
 	"packetgame/internal/codec"
@@ -22,8 +21,9 @@ import (
 )
 
 // PGCP — the PacketGame cluster protocol — runs over one TCP connection per
-// peer (link.go opens, accepts and identifies them). After a handshake
-// ("PGCP" + version), both sides exchange frames:
+// peer (link.go opens, accepts and identifies them, and reads and writes the
+// frames; this file only encodes and decodes bodies, in memory). After a
+// handshake ("PGCP" + version), both sides exchange frames:
 //
 //	type(u8) · bodyLen(u32) · crc32(u32, IEEE over body) · body
 //
@@ -80,41 +80,6 @@ const (
 const maxFrameBody = 256 << 20
 
 var crcTable = crc32.IEEETable
-
-// writeFrame writes one frame and flushes.
-func writeFrame(bw *bufio.Writer, typ uint8, body []byte) error {
-	var hdr [9]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.Checksum(body, crcTable))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(body); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// readFrame reads one frame, verifying the body checksum.
-func readFrame(br *bufio.Reader) (uint8, []byte, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	if n > maxFrameBody {
-		return 0, nil, fmt.Errorf("cluster: frame body %d exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, nil, err
-	}
-	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(hdr[5:9]) {
-		return 0, nil, fmt.Errorf("cluster: frame CRC mismatch (type %d, %d bytes)", hdr[0], n)
-	}
-	return hdr[0], body, nil
-}
 
 // JoinInfo is the worker's join request (gob).
 type JoinInfo struct {
@@ -282,6 +247,10 @@ func decodeCtrl(body []byte, v any) (uint64, error) {
 
 const sceneLen = 37
 
+// packetRecordHeader is the fixed part of container.MarshalPacket's record;
+// the payload follows it, so a record's length is known before it is written.
+const packetRecordHeader = 29
+
 func appendScene(dst []byte, s codec.Scene) []byte {
 	var b [sceneLen]byte
 	binary.BigEndian.PutUint64(b[0:8], uint64(s.Frame))
@@ -364,8 +333,8 @@ func readGapIDs(dst []int32, body []byte, off, count, m int) ([]int32, int, erro
 // encodeRoundDelta encodes one round frame against prev, the ascending
 // membership sent on this connection's previous round frame (empty for a
 // fresh connection). pkts must be ascending by stream — the coordinator's
-// demux emits them that way. pktBuf is a reusable marshal scratch.
-func encodeRoundDelta(dst []byte, round int64, bEff float64, mode overload.Mode, pkts []roundPacket, prev []int32, pktBuf *[]byte) []byte {
+// demux emits them that way.
+func encodeRoundDelta(dst []byte, round int64, bEff float64, mode overload.Mode, pkts []roundPacket, prev []int32) []byte {
 	var hdr [17]byte
 	binary.BigEndian.PutUint64(hdr[0:8], uint64(round))
 	binary.BigEndian.PutUint64(hdr[8:16], math.Float64bits(bEff))
@@ -432,15 +401,20 @@ func encodeRoundDelta(dst []byte, round int64, bEff float64, mode overload.Mode,
 		} else {
 			dst = append(dst, 0)
 		}
-		*pktBuf = container.MarshalPacket((*pktBuf)[:0], rp.pkt)
-		dst = binary.AppendUvarint(dst, uint64(len(*pktBuf)))
-		dst = append(dst, *pktBuf...)
+		dst = binary.AppendUvarint(dst, uint64(packetRecordHeader+len(rp.pkt.Payload)))
+		dst = container.MarshalPacket(dst, rp.pkt)
 	}
 	return dst
 }
 
-// roundMsg is one decoded round frame. rnd holds the active streams sparsely;
-// truth/hasT are parallel to rnd.IDs. gone/added are decode scratch.
+// roundMsg is the round record: one round as a worker's engine consumes it,
+// in memory the record owns and the next round reuses. rnd holds the active
+// streams sparsely and truth/hasT are parallel to rnd.IDs. For a round that
+// came off the wire, body is the frame body as it was read, rnd.Pkts[k]
+// points at pkts[k], and every Payload aliases body — nothing is copied out
+// of the frame; an orphan round carries the local source's own packets and
+// uses neither. gone/added are decode scratch. The record is recycled whole
+// (Worker.release), so whatever it handed out dies with the round.
 type roundMsg struct {
 	round int64
 	bEff  float64
@@ -449,16 +423,21 @@ type roundMsg struct {
 	truth []codec.Scene
 	hasT  []bool
 
+	body        []byte
+	pkts        []codec.Packet
 	gone, added []int32
 }
 
 // decodeRoundDelta decodes a round frame against prev, this connection's
-// membership after the previous round frame. On success msg.rnd.IDs is the
-// new membership (the caller persists a copy as the next prev); on error the
-// frame is rejected wholesale and prev must be kept. Every malformed input —
-// truncated varints or entries, out-of-range ids, a gone id that was not a
-// member, an added id that already was, trailing bytes — is an error, never
-// a panic.
+// membership after the previous round frame, into msg — reset, not
+// reallocated: whatever msg held before is gone and none of it shows through.
+// The packets' payloads alias body, which the caller keeps alive and
+// unmodified for as long as msg is in use (the worker reads the frame into
+// msg.body). On success msg.rnd.IDs is the new membership (the caller
+// persists a copy as the next prev); on error the frame is rejected
+// wholesale and prev must be kept. Every malformed input — truncated varints
+// or entries, out-of-range ids, a gone id that was not a member, an added id
+// that already was, trailing bytes — is an error, never a panic.
 func decodeRoundDelta(body []byte, m int, prev []int32, msg *roundMsg) error {
 	if len(body) < 17 {
 		return fmt.Errorf("cluster: truncated round frame")
@@ -495,6 +474,9 @@ func decodeRoundDelta(body []byte, m int, prev []int32, msg *roundMsg) error {
 	msg.truth = msg.truth[:0]
 	msg.hasT = msg.hasT[:0]
 	gone, added := msg.gone, msg.added
+	// No frame yields more entries than this, so the arena is sized once and
+	// the pointers handed to rnd.Pkts never move.
+	msg.pkts = slices.Grow(msg.pkts[:0], len(prev)+len(added))
 	pi, gi, ai := 0, 0, 0
 	for {
 		// Drop prev members named in gone; a gone id smaller than the next
@@ -563,7 +545,9 @@ func decodeRoundDelta(body []byte, m int, prev []int32, msg *roundMsg) error {
 		if plen > uint64(len(body)-off) {
 			return fmt.Errorf("cluster: packet length %d exceeds frame for stream %d", plen, id)
 		}
-		p, n, err := container.UnmarshalPacket(body[off : off+int(plen)])
+		msg.pkts = msg.pkts[:len(msg.pkts)+1]
+		p := &msg.pkts[len(msg.pkts)-1]
+		n, err := container.UnmarshalPacketInto(p, body[off:off+int(plen)])
 		if err != nil {
 			return fmt.Errorf("cluster: round entry for stream %d: %w", id, err)
 		}

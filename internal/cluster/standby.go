@@ -78,7 +78,7 @@ func (s *Standby) follow() (*replicaState, error) {
 	// heartbeat feeds the lease. Lease-long silence or a dead connection
 	// is primary death: take what we have to the election.
 	for {
-		typ, body, err := l.recv(cfg.Lease)
+		typ, body, err := l.recv(cfg.Lease, nil)
 		if err != nil {
 			return rs, nil
 		}

@@ -116,12 +116,20 @@ type Worker struct {
 
 	grantCh chan grantMsg
 	roundCh chan *roundMsg
+	// recFree is the round records' way back from the engine to the reader
+	// (takeRecord, release). Three slots, one per record that can exist with a
+	// pipelined coordinator: one installed, one in roundCh, one being decoded.
+	recFree chan *roundMsg
 
 	// prevIDs is the delta-coding membership state of the round-frame stream
 	// (readLoop-owned): the ascending stream ids of the last decoded round.
 	// It resets with every new session — delta coding starts from the empty
 	// set on both sides of a fresh connection.
 	prevIDs []int32
+	// rec is the record the round frame being read lands in, scratch the body
+	// buffer every other frame type shares (both readLoop-owned, see place).
+	rec     *roundMsg
+	scratch []byte
 	// owned tracks the streams this worker has ever been routed or adopted
 	// (readLoop-owned while connected; read by the engine only after the
 	// read loop has exited). Orphan mode gates exactly these streams.
@@ -163,6 +171,7 @@ func Dial(addr string, opts WorkerOptions) (*Worker, error) {
 		done:    make(chan struct{}),
 		grantCh: make(chan grantMsg, 1),
 		roundCh: make(chan *roundMsg, 1),
+		recFree: make(chan *roundMsg, 3),
 		over:    &metrics.OverloadStats{},
 	}
 	if err := w.build(wel); err != nil {
@@ -437,8 +446,9 @@ func (w *Worker) crash() {
 // orphan mode) it closes the session's down channel instead of failing the
 // worker — the engine thread then re-homes or goes orphan.
 func (w *Worker) readLoop(s *session) {
+	place := w.place
 	for {
-		typ, body, err := s.recv(0)
+		typ, body, err := s.recv(0, place)
 		if err != nil {
 			// Dead before down is signalled: what the engine sends once it has
 			// seen the loss fails, so its deltas ride the re-join handoff.
@@ -452,19 +462,10 @@ func (w *Worker) readLoop(s *session) {
 		}
 		switch typ {
 		case fRound:
-			// A fresh roundMsg per round: the engine holds the previous round
-			// until it asks for the next one, and a queued frame may sit in
-			// roundCh behind it, so buffers cannot be recycled in place. The
-			// allocation is O(active) — the sparse round only materializes
-			// the streams present in the frame.
-			msg := new(roundMsg)
-			if err := decodeRoundDelta(body, w.ccfg.Streams, w.prevIDs, msg); err != nil {
+			msg, err := w.decodeRound()
+			if err != nil {
 				w.fail(err)
 				return
-			}
-			w.prevIDs = append(w.prevIDs[:0], msg.rnd.IDs...)
-			for _, id := range msg.rnd.IDs {
-				w.owned[id] = true
 			}
 			select {
 			case w.roundCh <- msg:
@@ -503,6 +504,54 @@ func (w *Worker) readLoop(s *session) {
 			w.fail(fmt.Errorf("cluster: worker got unexpected frame type %d", typ))
 			return
 		}
+	}
+}
+
+// place tells the link where a frame's body goes. A round frame lands in the
+// record that will carry it to the engine and keep it for the round's life;
+// every other body is dead once its arm of the read loop has decoded it (the
+// decoders copy what they keep), so they all share one scratch.
+func (w *Worker) place(typ uint8) *[]byte {
+	if typ != fRound {
+		return &w.scratch
+	}
+	w.rec = w.takeRecord()
+	return &w.rec.body
+}
+
+// decodeRound decodes the round frame just read into w.rec's body, into
+// w.rec, and advances the session's membership state.
+func (w *Worker) decodeRound() (*roundMsg, error) {
+	msg := w.rec
+	if err := decodeRoundDelta(msg.body, w.ccfg.Streams, w.prevIDs, msg); err != nil {
+		return nil, err
+	}
+	w.prevIDs = append(w.prevIDs[:0], msg.rnd.IDs...)
+	for _, id := range msg.rnd.IDs {
+		w.owned[id] = true
+	}
+	return msg, nil
+}
+
+// takeRecord returns a round record to fill: a recycled one when the engine
+// has handed one back, else a new one.
+func (w *Worker) takeRecord() *roundMsg {
+	select {
+	case msg := <-w.recFree:
+		return msg
+	default:
+		return new(roundMsg)
+	}
+}
+
+// release recycles a round record: its body, packet arena and truth columns
+// become the next round's. Once it returns, nothing msg ever handed out — its
+// rnd, a packet, a Payload — may be touched again. With no room the record is
+// dropped.
+func (w *Worker) release(msg *roundMsg) {
+	select {
+	case w.recFree <- msg:
+	default:
 	}
 }
 
@@ -623,7 +672,8 @@ func (w *Worker) heartbeat(s *session) {
 func (w *Worker) drainStale() {
 	for {
 		select {
-		case <-w.roundCh:
+		case msg := <-w.roundCh:
+			w.release(msg)
 		case <-w.grantCh:
 		default:
 			return
@@ -694,10 +744,16 @@ type clusterSource struct {
 	mu        sync.Mutex // guards lastRound against the heartbeat goroutine
 	lastRound int64
 
-	welRound  int64 // clock granted at admission (for never-started workers)
-	started   bool
-	t0        time.Time
+	welRound int64 // clock granted at admission (for never-started workers)
+	started  bool
+	t0       time.Time
+	// cur is the installed round's record, nil once next has released it. The
+	// scalars read between rounds — the clock, the plan, the crash and orphan
+	// checks — are kept by value so nothing dereferences a released record.
 	cur       *roundMsg
+	round     int64
+	bEff      float64
+	mode      overload.Mode
 	grantEWMA float64 // smoothed granted decode cost (orphan budget)
 	grantSeen bool
 	orphan    *orphanState
@@ -716,7 +772,7 @@ type orphanState struct {
 // clock returns the next round this worker expects.
 func (s *clusterSource) clock() int64 {
 	if s.started {
-		return s.cur.round + 1
+		return s.round + 1
 	}
 	return s.welRound
 }
@@ -725,16 +781,30 @@ func (s *clusterSource) clock() int64 {
 // recovering through re-home or orphan mode when the session dies.
 func (s *clusterSource) next() (*roundMsg, error) {
 	w := s.w
+	// The release site, and the one place the records' lifetime rule is
+	// written. The engine is built (build) with MaxInFlight 1, overlap off and
+	// no Deadline, so its gate loop pulls the source only after the previous
+	// round was acked — every decode job done — fed back, and its roundWork
+	// recycled with its packet pointers cleared; the gate's scatter scratch is
+	// nil between Decides; and decode.Frame holds values, no packet. On entry
+	// here, then, no goroutine can reach a packet of the installed round. The
+	// record goes back before the report is written: in lockstep the
+	// coordinator sends the next round frame only after that report, so the
+	// reader finds this same record free — one record per worker.
+	if s.cur != nil {
+		w.release(s.cur)
+		s.cur = nil
+	}
 	if s.orphan != nil {
 		return s.orphanNext()
 	}
 	if s.started {
-		if w.opts.CrashAfter > 0 && s.cur.round >= w.opts.CrashAfter {
+		if w.opts.CrashAfter > 0 && s.round >= w.opts.CrashAfter {
 			w.crash()
 			return nil, errCrashed
 		}
 		totals := w.totals()
-		rep := encodeReport(s.cur.round, time.Since(s.t0), totals.sub(w.lastReported))
+		rep := encodeReport(s.round, time.Since(s.t0), totals.sub(w.lastReported))
 		if err := w.send(fReport, rep); err != nil {
 			if !w.recoverable() {
 				w.fail(err)
@@ -793,6 +863,7 @@ func (s *clusterSource) next() (*roundMsg, error) {
 
 func (s *clusterSource) install(msg *roundMsg) {
 	s.cur = msg
+	s.round, s.bEff, s.mode = msg.round, msg.bEff, msg.mode
 	s.started = true
 	s.t0 = time.Now()
 	s.mu.Lock()
@@ -817,7 +888,7 @@ func (s *clusterSource) enterOrphan() error {
 	if !s.grantSeen {
 		// Never granted anything: fall back to the planned share.
 		if s.started {
-			bEff = s.cur.bEff
+			bEff = s.bEff
 		} else {
 			bEff = w.ccfg.Budget
 		}
@@ -852,12 +923,12 @@ func (s *clusterSource) orphanNext() (*roundMsg, error) {
 		return nil, io.EOF
 	}
 	o.left--
-	msg := new(roundMsg)
+	msg := w.takeRecord()
 	msg.round = o.round
 	msg.bEff = o.bEff
 	msg.mode = overload.ModeTemporalOnly
-	msg.rnd.Reset(s.m)
-	if err := gatherOwned(o.src, w.owned, msg); err != nil {
+	if err := gatherOwned(o.src, w.owned, s.m, msg); err != nil {
+		w.release(msg)
 		// Source exhausted mid-orphan: reconcile what we have.
 		o.left = 0
 		return s.orphanNext()
@@ -870,14 +941,18 @@ func (s *clusterSource) orphanNext() (*roundMsg, error) {
 	return msg, nil
 }
 
-// gatherOwned pulls one round from the local source into msg, keeping only
-// the streams this worker owns (best effort: streams never routed here are
-// unknown and skipped).
-func gatherOwned(src pipeline.SparseRoundSource, owned []bool, msg *roundMsg) error {
+// gatherOwned pulls one round from the local source into msg — reset to
+// width m first — keeping only the streams this worker owns (best effort:
+// streams never routed here are unknown and skipped). The packets stay the
+// local source's own; msg's body and arena are not used.
+func gatherOwned(src pipeline.SparseRoundSource, owned []bool, m int, msg *roundMsg) error {
 	rnd, err := src.NextRoundSparse()
 	if err != nil {
 		return err
 	}
+	msg.rnd.Reset(m)
+	msg.truth = msg.truth[:0]
+	msg.hasT = msg.hasT[:0]
 	for k, id := range rnd.IDs {
 		if int(id) < len(owned) && owned[id] {
 			msg.rnd.Append(id, rnd.Pkts[k])
@@ -924,7 +999,7 @@ func (s *clusterSource) Truth(i int) (codec.Scene, bool) {
 // only obeys. Orphan rounds carry the degraded local plan in the same
 // fields, so nothing downstream distinguishes the two.
 func (s *clusterSource) Plan() (float64, overload.Mode) {
-	return s.cur.bEff, s.cur.mode
+	return s.bEff, s.mode
 }
 
 // remoteSelector implements knapsack.Selector by deferring the solve to the
@@ -962,7 +1037,7 @@ func (r *remoteSelector) Select(dst []int, cands []knapsack.Candidate, budget fl
 		r.cost[c.Stream] = c.Cost
 		offered += c.Cost
 	}
-	round := w.src.cur.round
+	round := w.src.round
 	r.buf = encodeCandidates(r.buf[:0], round, offered, cands)
 	if err := w.send(fCandidates, r.buf); err != nil {
 		if w.recoverable() {

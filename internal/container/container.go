@@ -42,22 +42,25 @@ func MarshalPacket(dst []byte, p *codec.Packet) []byte {
 	return append(dst, p.Payload...)
 }
 
-// UnmarshalPacket decodes a record produced by MarshalPacket. It returns the
-// packet (with StreamID and Codec left zero; callers fill them from context)
-// and the number of bytes consumed.
-func UnmarshalPacket(data []byte) (*codec.Packet, int, error) {
+// UnmarshalPacketInto decodes a record produced by MarshalPacket into *p and
+// returns the number of bytes consumed. It is the one parser of the record:
+// every field of *p is overwritten (StreamID and Codec with zero; callers
+// fill them from context), and p.Payload aliases data — nil when the payload
+// is empty — so it is valid only while the caller keeps data alive and
+// unmodified. On error *p is untouched.
+func UnmarshalPacketInto(p *codec.Packet, data []byte) (int, error) {
 	if len(data) < 29 {
-		return nil, 0, fmt.Errorf("container: record truncated: %d bytes", len(data))
+		return 0, fmt.Errorf("container: record truncated: %d bytes", len(data))
 	}
 	plen := int(binary.BigEndian.Uint32(data[25:]))
 	if len(data) < 29+plen {
-		return nil, 0, fmt.Errorf("container: payload truncated: have %d, need %d", len(data)-29, plen)
+		return 0, fmt.Errorf("container: payload truncated: have %d, need %d", len(data)-29, plen)
 	}
 	t := codec.PictureType(data[16])
 	if t > codec.PictureB {
-		return nil, 0, fmt.Errorf("container: invalid picture type %d", t)
+		return 0, fmt.Errorf("container: invalid picture type %d", t)
 	}
-	p := &codec.Packet{
+	*p = codec.Packet{
 		Seq:      int64(binary.BigEndian.Uint64(data[0:])),
 		PTS:      int64(binary.BigEndian.Uint64(data[8:])),
 		Type:     t,
@@ -66,9 +69,23 @@ func UnmarshalPacket(data []byte) (*codec.Packet, int, error) {
 		Size:     int(binary.BigEndian.Uint32(data[21:])),
 	}
 	if plen > 0 {
-		p.Payload = append([]byte(nil), data[29:29+plen]...)
+		p.Payload = data[29 : 29+plen : 29+plen]
 	}
-	return p, 29 + plen, nil
+	return 29 + plen, nil
+}
+
+// UnmarshalPacket is UnmarshalPacketInto for callers that keep the packet
+// past the life of data: a fresh packet with its own copy of the payload.
+func UnmarshalPacket(data []byte) (*codec.Packet, int, error) {
+	p := new(codec.Packet)
+	n, err := UnmarshalPacketInto(p, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	if p.Payload != nil {
+		p.Payload = append([]byte(nil), p.Payload...)
+	}
+	return p, n, nil
 }
 
 // Writer writes a PGV file.

@@ -3,8 +3,10 @@ package stream
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -39,8 +41,9 @@ func FuzzPGSPFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
+		var buf []byte
 		for i := 0; i < 1000; i++ {
-			_, _, body, err := readFrame(br)
+			_, _, body, err := readFrame(br, &buf)
 			switch {
 			case err == nil, errors.Is(err, errGoodbye):
 				// keep reading
@@ -64,17 +67,18 @@ func TestFrameAlignmentAfterCRCError(t *testing.T) {
 	bad[len(bad)-2] ^= 0x40
 	buf := append(bad, appendFrame(nil, 1, 2, []byte("second"))...)
 	br := bufio.NewReader(bytes.NewReader(buf))
-	if _, _, _, err := readFrame(br); !errors.Is(err, ErrFrameCRC) {
+	var own []byte
+	if _, _, _, err := readFrame(br, &own); !errors.Is(err, ErrFrameCRC) {
 		t.Fatalf("want ErrFrameCRC, got %v", err)
 	}
-	round, stream, body, err := readFrame(br)
+	round, stream, body, err := readFrame(br, &own)
 	if err != nil {
 		t.Fatalf("reader lost alignment after CRC error: %v", err)
 	}
 	if round != 1 || stream != 2 || string(body) != "second" {
 		t.Fatalf("recovered frame = (%d, %d, %q)", round, stream, body)
 	}
-	if _, _, _, err := readFrame(br); err != io.EOF {
+	if _, _, _, err := readFrame(br, &own); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
@@ -84,8 +88,22 @@ func TestFrameAlignmentAfterCRCError(t *testing.T) {
 func TestFrameRejectsHostileLength(t *testing.T) {
 	frame := appendFrame(nil, 0, 0, []byte("tiny"))
 	frame[12], frame[13] = 0xFF, 0xFF // length ≈ 4 GiB
-	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+	var own []byte
+	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), &own)
 	if err == nil || errors.Is(err, ErrFrameCRC) {
 		t.Fatalf("hostile length must be a hard framing error, got %v", err)
+	}
+	// A length inside the bound is still only a claim: with nothing behind
+	// the header the reader allocates for what arrived, not for the claim.
+	binary.BigEndian.PutUint32(frame[12:], maxFrameBody)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:frameHeaderLen])), &own)
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF || body != nil {
+		t.Fatalf("header promising %d bytes, then EOF: %d bytes, %v", maxFrameBody, len(body), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+		t.Fatalf("reader allocated %d bytes for a body that never came", grew)
 	}
 }

@@ -326,6 +326,10 @@ type Client struct {
 	sparseOut    codec.Round
 	denseScratch []*codec.Packet
 
+	// frame is the body buffer every frame is read into: both decoders copy
+	// what they keep out of it, so a body is dead once next has parsed it.
+	frame []byte
+
 	goodbye    bool
 	crcDropped int64
 }
@@ -407,7 +411,7 @@ func (c *Client) CorruptDropped() int64 { return c.crcDropped }
 // c.sparseIn (sparseLive set) and the returned packet is nil.
 func (c *Client) next() (p *codec.Packet, round int64, isRound bool, err error) {
 	for {
-		rnd, id, body, err := readFrame(c.br)
+		rnd, id, body, err := readFrame(c.br, &c.frame)
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrFrameCRC):
