@@ -1,6 +1,7 @@
 # Verification entry points. `make verify` is the tier-1 gate: build, unit
-# tests, and the full race-detector sweep (the staged pipeline engine and
-# the sharded gate are concurrent code; -race is not optional for them).
+# tests, and the full race-detector sweep (the staged pipeline engine is
+# concurrent code and the gate is callable from any goroutine; -race is not
+# optional for them).
 
 GO ?= go
 
@@ -161,7 +162,7 @@ chaos:
 bench:
 	$(GO) test ./internal/nn -run NONE -bench 'Forward|Kernel' -benchtime 2s -benchmem
 	$(GO) test ./internal/predictor -run NONE -bench PredictInto -cpu 1,2 -benchtime 2s -benchmem
-	$(GO) test ./internal/core -run NONE -bench 'DecideRound' -benchtime 2s -benchmem
+	$(GO) test ./internal/core -run NONE -bench 'DecideRound|DecideSparseTemporal' -benchtime 2s -benchmem
 	$(GO) test ./internal/knapsack -run NONE -bench Select -benchtime 300x -benchmem
 	$(GO) test ./internal/pipeline -run NONE -bench BenchmarkEngineRounds -benchtime 2s
 	$(GO) test ./internal/cluster -run NONE -bench BenchmarkDecodeRoundDelta -benchtime 2s

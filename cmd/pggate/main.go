@@ -49,8 +49,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		pipelined = flag.Bool("pipelined", false, "let up to -inflight rounds overlap (the next round is gated while this one decodes)")
 		inflight  = flag.Int("inflight", 1, "feedback lag k: round t is decided on feedback through round t-k; with -pipelined also the number of rounds that may overlap")
-		fresh     = flag.Bool("fresh", false, "apply feedback on round completion instead of the deterministic lag schedule (pipelined only)")
-		shards    = flag.Int("shards", 0, "gate state shards (0 = default)")
 		burn      = flag.Int64("burn", 0, "CPU nanoseconds burned per decode-cost unit (software decoder model)")
 		latency   = flag.Int64("latency", 0, "wall-clock nanoseconds per decode-cost unit (offloaded decoder model)")
 		faults    = flag.String("faults", "", "fault profile: none, light, chaos, heavy, or key=value list (arms circuit breakers)")
@@ -241,7 +239,7 @@ func main() {
 	case "random":
 		gate = core.NewBaselineGate(m, decode.DefaultCosts, knapsack.NewRandom(*seed), nil, *budget)
 	case "packetgame":
-		cfg := core.Config{Streams: m, Window: *window, Budget: *budget, UseTemporal: true, Shards: *shards}
+		cfg := core.Config{Streams: m, Window: *window, Budget: *budget, UseTemporal: true}
 		if inj != nil {
 			cfg.Breaker = &core.BreakerConfig{}
 		}
@@ -314,7 +312,7 @@ func main() {
 	stages := &metrics.StageSet{}
 	pcfg := pipeline.Config{
 		Source: src, Gate: gate, Task: task, Tasks: prioTasks, Workers: *workers,
-		Pipelined: *pipelined, MaxInFlight: *inflight, FreshFeedback: *fresh,
+		Pipelined: *pipelined, MaxInFlight: *inflight,
 		BurnNanosPerUnit: *burn, LatencyNanosPerUnit: *latency,
 		Stages: stages, Deadline: *deadline, Governor: gov, Overload: ostats,
 	}

@@ -1,7 +1,7 @@
 // Package cluster splits the PacketGame gate into a control plane and
 // data-plane workers: a coordinator owns the budget policy, the placement
 // ring, and the per-round knapsack solve, while N workers each run the
-// existing sharded gate over their slice of streams and speak PGCP (the
+// existing gate over their slice of streams and speak PGCP (the
 // PacketGame cluster protocol) over TCP.
 //
 // The design invariant is oracle equality: while the cluster is stable, the

@@ -74,7 +74,7 @@ type session struct {
 	down chan struct{} // closed by the read loop on a recoverable loss
 }
 
-// Worker is one data-plane process: it runs the full sharded gate over the
+// Worker is one data-plane process: it runs the full gate over the
 // global stream-ID space — scoring only the streams the coordinator routes
 // to it — and defers the knapsack solve to the coordinator through a remote
 // selector that trades candidate frames for grant frames inside Decide.

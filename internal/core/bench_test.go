@@ -171,3 +171,62 @@ func TestFastPathMatchesReferenceDecisions(t *testing.T) {
 		t.Fatalf("fast vs reference decisions diverge on %.1f%% of selections (diff %d / %d)", rate*100, diff, total)
 	}
 }
+
+// BenchmarkDecideSparseTemporal is the ledger's sparse-temporal shape on the
+// gate alone, which the dense DecideRound benchmarks do not reach: a 50,000-
+// stream fleet of which a window of 5,000 consecutive ids is active, the
+// window advancing by 2.5% of itself per round, scored by the temporal
+// estimator with exploration (no predictor) with breakers armed, one
+// DecideSparseAppend + FeedbackFull per iteration. The rounds of one full
+// turn of the window are pregenerated from a few prototype cameras whose
+// packet sequences are a whole number of GOPs long, so the turn repeats
+// seamlessly.
+func BenchmarkDecideSparseTemporal(b *testing.B) {
+	const (
+		m      = 50000
+		active = m / 10
+		step   = active / 40
+		turn   = m / step // rounds until the window is back where it began
+		protos = 16
+	)
+	g, err := NewGate(Config{Streams: m, Budget: 4 + active/8, UseTemporal: true, Breaker: &BreakerConfig{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seq [protos][]*codec.Packet
+	for c := range seq {
+		st := codec.NewStream(codec.SceneConfig{BaseActivity: 0.4},
+			codec.EncoderConfig{StreamID: c, GOPSize: 20}, int64(c))
+		for r := 0; r < turn; r++ {
+			seq[c] = append(seq[c], st.Next())
+		}
+	}
+	rounds := make([]codec.Round, turn)
+	for r := range rounds {
+		rnd := &rounds[r]
+		rnd.Reset(m)
+		start := r * step
+		for i := 0; i < start+active-m; i++ { // the part of the window that wrapped
+			rnd.Append(int32(i), seq[i%protos][r])
+		}
+		for i := start; i < min(start+active, m); i++ {
+			rnd.Append(int32(i), seq[i%protos][r])
+		}
+	}
+	necessary := make([]bool, active)
+	for k := range necessary {
+		necessary[k] = k%3 == 0
+	}
+	var sel []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel, err = g.DecideSparseAppend(&rounds[i%turn], sel[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := g.FeedbackFull(sel, necessary[:len(sel)], nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

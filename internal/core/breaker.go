@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // BreakerState is a per-stream circuit breaker state.
 type BreakerState uint8
@@ -103,9 +100,9 @@ type breaker struct {
 	snapshot BreakerSnapshot
 }
 
-// breakerSet is the gate's per-stream breaker array. It has its own lock:
-// Decide consults it under decideMu and the feedback path updates it under
-// ackMu, and those two run concurrently by design.
+// breakerSet is the gate's per-stream breaker array. It has no lock of its
+// own: Decide advances it and Feedback folds outcomes in, both under the
+// gate's mutex.
 //
 // Per-round cost is O(streams with packets), not O(m): only streams that
 // deliver a packet (and streams whose decode outcomes arrive) are touched,
@@ -116,7 +113,6 @@ type breaker struct {
 type breakerSet struct {
 	cfg BreakerConfig
 
-	mu    sync.Mutex
 	bs    []breaker
 	round int64   // rounds begun so far
 	quar  []bool  // quarantine mask; entries listed in quarList are live
@@ -164,7 +160,7 @@ func (s *breakerSet) fastForward(b *breaker, to int64) {
 
 // runOpen burns k packet-free open rounds: each counts quarantine time and
 // one cooldown round; exhausting the cooldown half-opens the breaker and
-// any remaining rounds are inert. Callers hold s.mu.
+// any remaining rounds are inert.
 func (s *breakerSet) runOpen(b *breaker, k int64) {
 	n := int64(b.openLeft)
 	if k < n {
@@ -180,7 +176,7 @@ func (s *breakerSet) runOpen(b *breaker, k int64) {
 // packetRound folds a packet arrival at round r into b: the gap resets, and
 // an open breaker still counts the round against its cooldown (half-opening
 // exactly when it expires, in which case the packet participates this round).
-// Returns whether the stream is quarantined this round. Callers hold s.mu.
+// Returns whether the stream is quarantined this round.
 func (s *breakerSet) packetRound(b *breaker, r int64) bool {
 	s.fastForward(b, r-1)
 	b.lastPkt = r
@@ -204,8 +200,6 @@ func (s *breakerSet) packetRound(b *breaker, r int64) bool {
 // are maintained — idle streams have no packet to quarantine. The mask is
 // scratch owned by the set, valid until the next round begins.
 func (s *breakerSet) beginRoundSparse(nonIdle []int32) []bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.round++
 	for _, i := range s.qlist {
 		s.quar[i] = false
@@ -221,7 +215,7 @@ func (s *breakerSet) beginRoundSparse(nonIdle []int32) []bool {
 }
 
 // open transitions a breaker to open and starts its cooldown. gapCaused
-// marks feedback-gap opens in the counters. Callers hold s.mu.
+// marks feedback-gap opens in the counters.
 func (s *breakerSet) open(b *breaker, gapCaused bool) {
 	if b.cooldown == 0 {
 		b.cooldown = s.cfg.Cooldown
@@ -237,8 +231,6 @@ func (s *breakerSet) open(b *breaker, gapCaused bool) {
 
 // outcome folds one decode outcome for stream i into its breaker.
 func (s *breakerSet) outcome(i int, failed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if i < 0 || i >= len(s.bs) {
 		return
 	}
@@ -279,8 +271,6 @@ func (s *breakerSet) outcome(i int, failed bool) {
 // breaker to the current round first so lazily deferred quarantine rounds
 // and gap-opens are reflected. O(m); diagnostic path only.
 func (s *breakerSet) snapshots() []BreakerSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]BreakerSnapshot, len(s.bs))
 	for i := range s.bs {
 		b := &s.bs[i]

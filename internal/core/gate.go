@@ -19,6 +19,7 @@ import (
 	"math"
 	"sync"
 
+	"packetgame/internal/bandit"
 	"packetgame/internal/codec"
 	"packetgame/internal/decode"
 	"packetgame/internal/knapsack"
@@ -74,13 +75,6 @@ type Config struct {
 	OnlineLR float64
 	// OnlineBatch is the minibatch size for online updates (default 64).
 	OnlineBatch int
-	// Shards partitions the per-stream gate state (temporal counters,
-	// predictor feature store, dependency trackers) into independently
-	// locked shards keyed by stream ID, so redundancy feedback from
-	// completed rounds lands without serializing against admission of new
-	// rounds. Purely a concurrency knob: decisions are identical for any
-	// shard count. Default min(8, Streams).
-	Shards int
 	// MaxPending is the number of decided-but-unacked rounds the gate
 	// tolerates before Decide fails. The default 1 enforces the paper's
 	// strict Decide/Feedback alternation; the pipelined engine raises it
@@ -169,15 +163,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.OnlineBatch == 0 {
 		c.OnlineBatch = 64
 	}
-	if c.Shards < 0 {
-		return c, fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.Shards > c.Streams {
-		c.Shards = c.Streams
-	}
 	if c.MaxPending < 0 {
 		return c, fmt.Errorf("core: MaxPending must be non-negative, got %d", c.MaxPending)
 	}
@@ -236,43 +221,44 @@ type pendingRound struct {
 
 // Gate is the PacketGame plug-in between parser and decoder.
 //
-// Concurrency: the Gate is safe for concurrent use. Decide calls serialize
-// against each other, Feedback calls serialize against each other, and a
-// Decide may run concurrently with a Feedback — the per-stream state they
-// share (the temporal estimator counters) is sharded behind per-shard locks
-// (Config.Shards), so feedback lands without stalling admission. Feedback
-// acks pending rounds strictly in decision order (FIFO), which keeps the
-// UCB reward windows ordered even when rounds complete out of order
-// downstream. Up to Config.MaxPending rounds may be awaiting feedback.
+// Concurrency: one mutex guards all of the gate's state and every exported
+// method takes it once, so every method is safe to call from any goroutine
+// and calls serialize — Decide against Feedback included. Algorithm 1 is a
+// strict per-round alternation and the engine calls both from its gate loop,
+// so nothing in the tree runs them side by side; a reader (Stats, Pending,
+// Confidence, ...) waits out a round in progress. Feedback acks pending
+// rounds strictly in decision order (FIFO), which keeps the UCB reward
+// windows ordered even when rounds complete out of order downstream. Up to
+// Config.MaxPending rounds may be awaiting feedback.
 type Gate struct {
 	cfg Config
 
-	// decideMu serializes Decide and guards the decision scratch buffers,
-	// the predictor forward pass, and the online trainer's weight updates.
-	decideMu sync.Mutex
-	// ackMu serializes Feedback and guards the shards' push lists.
-	ackMu sync.Mutex
-	// pendMu guards the pending-round FIFO, lifetime stats, the trace
-	// writer, and the online-sample buffer. Innermost lock.
-	pendMu sync.Mutex
+	// mu guards every field below. Exported methods lock it; unexported
+	// ones are called with it held and never lock.
+	mu sync.Mutex
 
-	shards *streamShards
+	// Per-stream state, indexed by stream id: the temporal estimator (nil
+	// when neither the temporal term nor the exploration bonus is enabled),
+	// the contextual predictor's feature store (size rings, poison counters,
+	// and the feature epochs the score cache keys on), and the GOP
+	// dependency trackers (Fig 6).
+	est      *bandit.TemporalEstimator
+	store    *predictor.Store
+	trackers *decode.MultiTracker
 
 	// breakers is the per-stream circuit-breaker set (nil when disabled).
-	// It carries its own lock: Decide advances it under decideMu while
-	// FeedbackExt folds outcomes in under ackMu.
 	breakers *breakerSet
 
 	// pending is the FIFO of unacked rounds, oldest first; it never holds
 	// more than maxPending (the in-flight depth), so retiring shifts it
 	// down. Retired rounds recycle their buffers through the free lists
-	// below (all under pendMu).
+	// below.
 	pending    []pendingRound
 	maxPending int
 	freeSel    [][]int
 	freeFeats  []map[int]predictor.Features
 
-	// Decision scratch (decideMu). The per-stream arrays (conf, costs,
+	// Decision scratch. The per-stream arrays (conf, costs,
 	// temporal, bonus, degraded, selected) are m-length but only the entries
 	// of the streams a round sweeps are written; `sweep` still lists them when
 	// the next round starts, which resets exactly those — every other entry
@@ -283,7 +269,8 @@ type Gate struct {
 	fresh      []int     // active subset re-scored through the network
 	nonIdleBuf []int32   // scanned non-idle list when the caller supplies none
 	sweep      []int32   // non-quarantined non-idle (windows advance)
-	shardIDs   [][]int32 // per-shard grouping scratch
+	pushIDs    []int32   // feedback scratch: the round's selections ...
+	pushRew    []float64 // ... and their rewards, for the estimator
 	conf       []float64
 	costs      []float64
 	temporal   []float64
@@ -316,11 +303,11 @@ type Gate struct {
 	// warmTarget, when allocated (first fresh import), marks streams
 	// adopted without transferred state: entry i > 0 degrades stream i to
 	// the temporal-only estimate until its feature store reaches that many
-	// pushes (decideMu).
+	// pushes.
 	warmTarget []int64
 
-	// Online learning (OnlineLR > 0). Weight updates take decideMu; the
-	// slab backs buffered samples and resets after every trainer step.
+	// Online learning (OnlineLR > 0). The slab backs buffered samples and
+	// resets after every trainer step.
 	trainer   *predictor.Trainer
 	buffer    []predictor.Sample
 	trainSlab *predictor.Slab
@@ -334,14 +321,10 @@ func NewGate(cfg Config) (*Gate, error) {
 	if err != nil {
 		return nil, err
 	}
-	needEst := cfg.UseTemporal || *cfg.Explore
-	shards, err := newStreamShards(cfg.Streams, cfg.Shards, cfg.Window, needEst, cfg.Costs)
-	if err != nil {
-		return nil, err
-	}
 	g := &Gate{
 		cfg:        cfg,
-		shards:     shards,
+		store:      predictor.NewStore(cfg.Streams, cfg.Window),
+		trackers:   decode.NewMultiTracker(cfg.Streams, cfg.Costs),
 		maxPending: cfg.MaxPending,
 		conf:       make([]float64, cfg.Streams),
 		costs:      make([]float64, cfg.Streams),
@@ -349,8 +332,12 @@ func NewGate(cfg Config) (*Gate, error) {
 		bonus:      make([]float64, cfg.Streams),
 		selected:   make([]bool, cfg.Streams),
 		degraded:   make([]bool, cfg.Streams),
-		shardIDs:   make([][]int32, len(shards.shards)),
 		numTiers:   1,
+	}
+	if cfg.UseTemporal || *cfg.Explore {
+		if g.est, err = bandit.NewTemporalEstimator(cfg.Streams, cfg.Window); err != nil {
+			return nil, err
+		}
 	}
 	if len(cfg.Priorities) != 0 {
 		for _, t := range cfg.Priorities {
@@ -387,6 +374,8 @@ func NewGate(cfg Config) (*Gate, error) {
 // Breakers returns every stream's circuit-breaker snapshot, or nil when
 // Config.Breaker is unset.
 func (g *Gate) Breakers() []BreakerSnapshot {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.breakers == nil {
 		return nil
 	}
@@ -409,22 +398,22 @@ func (g *Gate) Config() Config { return g.cfg }
 
 // Stats returns the lifetime counters.
 func (g *Gate) Stats() Stats {
-	g.pendMu.Lock()
-	defer g.pendMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.stats
 }
 
 // Incremental returns the churn-scaled path's lifetime work counters.
 func (g *Gate) Incremental() IncrementalStats {
-	g.decideMu.Lock()
-	defer g.decideMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.incStats
 }
 
 // Pending returns the number of decided rounds still awaiting feedback.
 func (g *Gate) Pending() int {
-	g.pendMu.Lock()
-	defer g.pendMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return len(g.pending)
 }
 
@@ -434,9 +423,9 @@ func (g *Gate) SetMaxPending(k int) {
 	if k < 1 {
 		k = 1
 	}
-	g.pendMu.Lock()
+	g.mu.Lock()
 	g.maxPending = k
-	g.pendMu.Unlock()
+	g.mu.Unlock()
 }
 
 // Decide runs one gating round. pkts holds one parsed packet per stream
@@ -452,8 +441,8 @@ func (g *Gate) Decide(pkts []*codec.Packet) ([]int, error) {
 // nil): callers that recycle dst across rounds pay zero allocations for the
 // result. On error the returned slice is nil.
 func (g *Gate) DecideAppend(pkts []*codec.Packet, dst []int) ([]int, error) {
-	g.decideMu.Lock()
-	defer g.decideMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.decideLocked(pkts, nil, dst)
 }
 
@@ -466,8 +455,8 @@ func (g *Gate) DecideAppend(pkts []*codec.Packet, dst []int) ([]int, error) {
 // whole round then costs O(non-idle), not O(m). The list is only read for
 // the duration of the call.
 func (g *Gate) DecideRoundAppend(pkts []*codec.Packet, nonIdle []int32, dst []int) ([]int, error) {
-	g.decideMu.Lock()
-	defer g.decideMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	last := int32(-1)
 	for _, i := range nonIdle {
 		if i <= last {
@@ -488,8 +477,8 @@ func (g *Gate) DecideRoundAppend(pkts []*codec.Packet, nonIdle []int32, dst []in
 // whole call O(active) for a mostly-idle fleet while remaining bit-identical
 // to handing the dense equivalent to Decide.
 func (g *Gate) DecideSparseAppend(r *codec.Round, dst []int) ([]int, error) {
-	g.decideMu.Lock()
-	defer g.decideMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if r.M != g.cfg.Streams {
 		return nil, fmt.Errorf("core: sparse round width %d for %d streams", r.M, g.cfg.Streams)
 	}
@@ -503,17 +492,6 @@ func (g *Gate) DecideSparseAppend(r *codec.Round, dst []int) ([]int, error) {
 	sel, err := g.decideLocked(g.pktAt, r.IDs, dst)
 	r.ClearScatter(g.pktAt)
 	return sel, err
-}
-
-// groupByShard splits ids (ascending stream IDs) into g.shardIDs by shard.
-func (g *Gate) groupByShard(ids []int32) {
-	s := int32(len(g.shards.shards))
-	for k := range g.shardIDs {
-		g.shardIDs[k] = g.shardIDs[k][:0]
-	}
-	for _, i := range ids {
-		g.shardIDs[i%s] = append(g.shardIDs[i%s], i)
-	}
 }
 
 // round is what one Decide threads through its five phases.
@@ -549,12 +527,8 @@ func (g *Gate) planRound(pkts []*codec.Packet, nonIdle []int32) (round, error) {
 	if len(pkts) != g.cfg.Streams {
 		return round{}, fmt.Errorf("core: %d packets for %d streams", len(pkts), g.cfg.Streams)
 	}
-	g.pendMu.Lock()
-	n := len(g.pending)
-	maxPending := g.maxPending
-	g.pendMu.Unlock()
-	if n >= maxPending {
-		return round{}, fmt.Errorf("core: Decide called with %d unacked rounds (MaxPending %d): Feedback must close the oldest round first", n, maxPending)
+	if n := len(g.pending); n >= g.maxPending {
+		return round{}, fmt.Errorf("core: Decide called with %d unacked rounds (MaxPending %d): Feedback must close the oldest round first", n, g.maxPending)
 	}
 	r := round{pkts: pkts, nonIdle: nonIdle, bEff: g.cfg.Budget, mode: overload.ModeFull}
 	if g.cfg.Planner != nil {
@@ -575,15 +549,15 @@ func (g *Gate) planRound(pkts []*codec.Packet, nonIdle []int32) (round, error) {
 }
 
 // sweepRound advances the circuit breakers (when armed) and folds packet
-// metadata into the per-stream feature store, reading the sharded
-// per-stream state (temporal estimate, exploration bonus,
-// dependency-inclusive cost) one shard lock at a time. Quarantined streams
-// are observed but excluded: their windows stay frozen (untrusted metadata),
-// their packets never enter the selection, and the budget they would have
-// consumed flows to the healthy streams. Brownout modes shed packets at
-// admission here too — shed streams still push their (trusted) windows so
-// context stays warm for recovery, but they are excluded from scoring and
-// selection. What is left is g.active: the round's candidates.
+// metadata into the per-stream feature store, reading the per-stream state
+// (temporal estimate, exploration bonus, dependency-inclusive cost) in the
+// same pass over the round's ids. Quarantined streams are observed but
+// excluded: their windows stay frozen (untrusted metadata), their packets
+// never enter the selection, and the budget they would have consumed flows to
+// the healthy streams. Brownout modes shed packets at admission here too —
+// shed streams still push their (trusted) windows so context stays warm for
+// recovery, but they are excluded from scoring and selection. What is left is
+// g.active: the round's candidates.
 func (g *Gate) sweepRound(r *round) {
 	// Reset the per-stream scratch entries the previous round wrote; all
 	// other entries still hold their zero values.
@@ -602,13 +576,25 @@ func (g *Gate) sweepRound(r *round) {
 	g.sweep = g.sweep[:0]
 	g.active = g.active[:0]
 	shedCount := 0
+	depAware := *g.cfg.DependencyAware
 	for _, i32 := range r.nonIdle {
 		i := int(i32)
 		if quar != nil && quar[i] {
 			continue
 		}
 		g.sweep = append(g.sweep, i32)
-		if !g.admit(r.mode, i, r.pkts[i]) {
+		p := r.pkts[i]
+		g.store.Push(i, p)
+		if g.est != nil {
+			g.temporal[i] = g.est.Exploit(i)
+			g.bonus[i] = g.est.Bonus(i)
+		}
+		if depAware {
+			g.costs[i] = g.trackers.Stream(i).Cost(p)
+		} else {
+			g.costs[i] = g.cfg.Costs.Of(p.Type)
+		}
+		if !g.admit(r.mode, i, p) {
 			shedCount++
 			continue
 		}
@@ -616,32 +602,6 @@ func (g *Gate) sweepRound(r *round) {
 	}
 	if shedCount > 0 {
 		g.cfg.Overload.AddShed(int64(shedCount))
-	}
-	numShards := len(g.shards.shards)
-	depAware := *g.cfg.DependencyAware
-	g.groupByShard(g.sweep)
-	for k, sh := range g.shards.shards {
-		lst := g.shardIDs[k]
-		if len(lst) == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		for _, i32 := range lst {
-			i := int(i32)
-			li := i / numShards
-			p := r.pkts[i]
-			sh.store.Push(li, p)
-			if sh.est != nil {
-				g.temporal[i] = sh.est.Exploit(li)
-				g.bonus[i] = sh.est.Bonus(li)
-			}
-			if depAware {
-				g.costs[i] = sh.trackers[li].Cost(p)
-			} else {
-				g.costs[i] = g.cfg.Costs.Of(p.Type)
-			}
-		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -692,11 +652,10 @@ func (g *Gate) scoreContextual() error {
 	g.feats = g.feats[:0]
 	g.fresh = g.fresh[:0]
 	for _, i := range g.active {
-		sh, li := g.shards.shardOf(i)
 		// Fault-aware gates degrade streams whose metadata windows are
 		// poisoned to the temporal-only estimate instead of trusting the
 		// network on garbage input.
-		if g.breakers != nil && sh.store.Poisoned(li) {
+		if g.breakers != nil && g.store.Poisoned(i) {
 			g.degraded[i] = true
 			g.conf[i] = g.temporal[i]
 			continue
@@ -705,7 +664,7 @@ func (g *Gate) scoreContextual() error {
 		// lost migration) stay temporal-only until their feature windows
 		// refill: the predictor never scores cold windows.
 		if g.warmTarget != nil && g.warmTarget[i] > 0 {
-			if sh.store.Pushes(li) >= g.warmTarget[i] {
+			if g.store.Pushes(i) >= g.warmTarget[i] {
 				g.warmTarget[i] = 0
 			} else {
 				g.degraded[i] = true
@@ -714,18 +673,18 @@ func (g *Gate) scoreContextual() error {
 			}
 		}
 		t := g.temporalInput(i)
-		if g.cacheValid[i] && g.cacheEpoch[i] == sh.store.Epoch(li) &&
+		if g.cacheValid[i] && g.cacheEpoch[i] == g.store.Epoch(i) &&
 			g.cacheTemp[i] == t && g.cachePredVer[i] == pVer {
 			g.conf[i] = g.cacheConf[i]
 			g.incStats.CacheHits++
 			continue
 		}
 		g.cacheValid[i] = false
-		g.cacheEpoch[i] = sh.store.Epoch(li)
+		g.cacheEpoch[i] = g.store.Epoch(i)
 		g.cacheTemp[i] = t
 		g.cachePredVer[i] = pVer
 		g.fresh = append(g.fresh, i)
-		g.feats = append(g.feats, sh.store.Features(li, t))
+		g.feats = append(g.feats, g.store.Features(i, t))
 	}
 	g.incStats.Scored += int64(len(g.active))
 	g.incStats.Forwards += int64(len(g.fresh))
@@ -772,8 +731,7 @@ func (g *Gate) retainFeatures(r *round) {
 		if g.degraded[i] {
 			continue // poisoned features must not train the net
 		}
-		sh, li := g.shards.shardOf(i)
-		r.pend.feats[i] = r.pend.slab.CloneInto(sh.store.Features(li, g.temporalInput(i)))
+		r.pend.feats[i] = r.pend.slab.CloneInto(g.store.Features(i, g.temporalInput(i)))
 	}
 }
 
@@ -807,10 +765,10 @@ func (g *Gate) selectRound(r *round) {
 	g.selOut = g.cfg.Selector.Select(g.selOut[:0], g.cands, r.bEff)
 }
 
-// commitRound commits the decisions to the dependency trackers, shard by
-// shard, then enqueues the round on the feedback FIFO and updates the
-// counters. Every non-idle packet commits — including quarantined and shed
-// ones (as unselected), which keeps reference-chain debts truthful. With
+// commitRound commits the decisions to the dependency trackers, then
+// enqueues the round on the feedback FIFO and updates the counters. Every
+// non-idle packet commits — including quarantined and shed ones (as
+// unselected), which keeps reference-chain debts truthful. With
 // dependency-aware costing off the trackers have no consumer (sweepRound
 // took the bare per-type cost), so that pass is skipped — an O(m) saving per
 // round that cannot affect any decision.
@@ -822,24 +780,11 @@ func (g *Gate) commitRound(r *round) {
 		spent += g.costs[i]
 	}
 	if *g.cfg.DependencyAware {
-		numShards := len(g.shards.shards)
-		g.groupByShard(r.nonIdle)
-		for k, sh := range g.shards.shards {
-			lst := g.shardIDs[k]
-			if len(lst) == 0 {
-				continue
-			}
-			sh.mu.Lock()
-			for _, i32 := range lst {
-				i := int(i32)
-				sh.trackers[i/numShards].Commit(r.pkts[i], g.selected[i])
-			}
-			sh.mu.Unlock()
+		for _, i := range r.nonIdle {
+			g.trackers.Stream(int(i)).Commit(r.pkts[i], g.selected[i])
 		}
 	}
 
-	// The round's retention buffers come from the free lists under pendMu.
-	g.pendMu.Lock()
 	r.pend.sel = append(g.grabSel(), sel...)
 	if g.cfg.Trace != nil {
 		rec := &trace.Round{T: g.stats.Rounds, Budget: r.bEff, Spent: spent, Mode: r.mode.String()}
@@ -860,7 +805,6 @@ func (g *Gate) commitRound(r *round) {
 	g.stats.Decoded += int64(len(sel))
 	g.stats.CostSpent += spent
 	g.pending = append(g.pending, r.pend)
-	g.pendMu.Unlock()
 	// Restore the all-false invariant on the selection mask.
 	for _, i := range sel {
 		g.selected[i] = false
@@ -882,8 +826,7 @@ func (g *Gate) admit(mode overload.Mode, i int, p *codec.Packet) bool {
 	}
 }
 
-// grabSel / grabFeatsMap recycle retired pending-round buffers. grabSel
-// requires pendMu; grabFeatsMap takes it itself.
+// grabSel / grabFeatsMap recycle retired pending-round buffers.
 func (g *Gate) grabSel() []int {
 	if n := len(g.freeSel); n > 0 {
 		s := g.freeSel[n-1]
@@ -894,8 +837,6 @@ func (g *Gate) grabSel() []int {
 }
 
 func (g *Gate) grabFeatsMap(sizeHint int) map[int]predictor.Features {
-	g.pendMu.Lock()
-	defer g.pendMu.Unlock()
 	if n := len(g.freeFeats); n > 0 {
 		m := g.freeFeats[n-1]
 		g.freeFeats = g.freeFeats[:n-1]
@@ -907,8 +848,11 @@ func (g *Gate) grabFeatsMap(sizeHint int) map[int]predictor.Features {
 // Confidence returns the confidence computed for stream i in the most
 // recent round that scored it (diagnostic).
 func (g *Gate) Confidence(i int) float64 {
-	g.decideMu.Lock()
-	defer g.decideMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if i < 0 || i >= g.cfg.Streams {
+		return 0
+	}
 	return g.conf[i]
 }
 
@@ -948,8 +892,8 @@ func (g *Gate) FeedbackExt(selected []int, necessary []bool, failed []bool) erro
 // optimistic about the reference chain until the stream's next keyframe
 // resets it — the GOP bounds the error window.
 func (g *Gate) FeedbackFull(selected []int, necessary, failed, deferred []bool) error {
-	g.ackMu.Lock()
-	defer g.ackMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	a := ack{selected: selected, necessary: necessary, failed: failed, deferred: deferred}
 	pr, err := g.validateAck(a)
 	if err != nil {
@@ -981,13 +925,10 @@ func (a ack) isDeferred(k int) bool { return a.deferred != nil && a.deferred[k] 
 // that round's Decide return value, slot for slot. A rejected ack leaves the
 // round pending.
 func (g *Gate) validateAck(a ack) (pendingRound, error) {
-	g.pendMu.Lock()
 	if len(g.pending) == 0 {
-		g.pendMu.Unlock()
 		return pendingRound{}, fmt.Errorf("core: Feedback without a pending round")
 	}
 	pr := g.pending[0]
-	g.pendMu.Unlock()
 	n := len(a.selected)
 	if n != len(a.necessary) {
 		return pr, fmt.Errorf("core: %d selections with %d feedback values", n, len(a.necessary))
@@ -1027,17 +968,16 @@ func (g *Gate) foldOutcomes(a ack) {
 	}
 }
 
-// pushEstimators pushes the round into every shard's estimator, visiting
-// only the round's selections instead of all m streams. A deferred slot is
-// left out, which records the stream as unselected: that is what keeps
-// abandoned decodes out of the UCB windows. Shard locks are taken one at a
-// time, so a concurrent Decide proceeds on the other shards.
+// pushEstimators pushes the round into the estimator, visiting only the
+// round's selections instead of all m streams; an empty round still advances
+// the estimator clock. A deferred slot is left out, which records the stream
+// as unselected: that is what keeps abandoned decodes out of the UCB windows.
 func (g *Gate) pushEstimators(a ack) error {
-	numShards := len(g.shards.shards)
-	for _, sh := range g.shards.shards {
-		sh.pushIDs = sh.pushIDs[:0]
-		sh.pushRew = sh.pushRew[:0]
+	if g.est == nil {
+		return nil
 	}
+	g.pushIDs = g.pushIDs[:0]
+	g.pushRew = g.pushRew[:0]
 	for k, i := range a.selected {
 		if a.isDeferred(k) {
 			continue
@@ -1046,20 +986,15 @@ func (g *Gate) pushEstimators(a ack) error {
 		if a.necessary[k] {
 			reward = 1
 		}
-		sh := g.shards.shards[i%numShards]
-		sh.pushIDs = append(sh.pushIDs, int32(i/numShards))
-		sh.pushRew = append(sh.pushRew, reward)
+		g.pushIDs = append(g.pushIDs, int32(i))
+		g.pushRew = append(g.pushRew, reward)
 	}
-	return g.shards.pushSparse()
+	return g.est.PushSparse(g.pushIDs, g.pushRew)
 }
 
 // bufferSamples turns the round's verified outcomes into online-training
-// samples and steps the trainer once a minibatch is buffered. Weight updates
-// share decideMu with the forward pass so training never races a concurrent
-// prediction.
+// samples and steps the trainer once a minibatch is buffered.
 func (g *Gate) bufferSamples(a ack, feats map[int]predictor.Features) error {
-	g.decideMu.Lock()
-	defer g.decideMu.Unlock()
 	for k, i := range a.selected {
 		if a.isFailed(k) {
 			continue // unverified label: never train on it
@@ -1096,8 +1031,6 @@ func (g *Gate) bufferSamples(a ack, feats map[int]predictor.Features) error {
 // retireRound writes the round's trace record, recycles its buffers, and
 // advances the FIFO head.
 func (g *Gate) retireRound(a ack, pr pendingRound) error {
-	g.pendMu.Lock()
-	defer g.pendMu.Unlock()
 	if pr.trace != nil {
 		slot := make(map[int]int, len(a.selected))
 		for k, i := range a.selected {

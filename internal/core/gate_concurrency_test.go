@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,52 +38,6 @@ func syntheticNecessary(round int, sel []int) []bool {
 		nec[k] = (round+i)%3 == 0
 	}
 	return nec
-}
-
-// TestGateShardCountInvariance verifies that sharding is purely a
-// concurrency knob: gates differing only in shard count make identical
-// decisions on an identical packet and feedback sequence.
-func TestGateShardCountInvariance(t *testing.T) {
-	const m, rounds = 13, 120
-	mk := func(shards int) *Gate {
-		g, err := NewGate(Config{Streams: m, Budget: 6, UseTemporal: true, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	gates := []*Gate{mk(1), mk(5), mk(m)}
-	streams := concFleet(m, 77)
-	for r := 0; r < rounds; r++ {
-		pkts := nextRoundPkts(streams)
-		var ref []int
-		for gi, g := range gates {
-			sel, err := g.Decide(pkts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gi == 0 {
-				ref = sel
-			} else if len(sel) != len(ref) {
-				t.Fatalf("round %d: gate with %d shards selected %v, 1-shard gate %v", r, g.Config().Shards, sel, ref)
-			} else {
-				for k := range sel {
-					if sel[k] != ref[k] {
-						t.Fatalf("round %d: gate with %d shards selected %v, 1-shard gate %v", r, g.Config().Shards, sel, ref)
-					}
-				}
-			}
-			if err := g.Feedback(sel, syntheticNecessary(r, sel)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ref := gates[0].Stats()
-	for _, g := range gates[1:] {
-		if g.Stats() != ref {
-			t.Errorf("stats diverged across shard counts: %+v vs %+v", g.Stats(), ref)
-		}
-	}
 }
 
 // TestGateMultiPendingQueue exercises the decided-but-unacked FIFO: up to
@@ -136,16 +94,22 @@ func TestGateMultiPendingQueue(t *testing.T) {
 }
 
 // TestGateConcurrentDecideFeedback runs a producer goroutine deciding
-// rounds against a consumer goroutine acking them (the staged engine's
-// topology), with concurrent Stats/Pending/Confidence readers. Run under
-// -race this validates the sharded gate's locking.
+// rounds against a consumer goroutine acking them, with breakers armed and
+// fed failures, beside readers of every diagnostic and a goroutine that keeps
+// trying to export a stream. Nothing in the tree drives a gate like this —
+// the contract is that it may: run under -race this shows the gate's one
+// mutex covers all of its state, the breakers included. An export can only
+// succeed at an instant with no round pending, when every decided round has
+// been fed back, so what it returns must be a whole state as of its Round.
 func TestGateConcurrentDecideFeedback(t *testing.T) {
 	const m, k, rounds = 32, 4, 300
-	g, err := NewGate(Config{Streams: m, Budget: 10, UseTemporal: true, MaxPending: k, Shards: 8})
+	g, err := NewGate(Config{Streams: m, Budget: 10, UseTemporal: true, MaxPending: k,
+		Breaker: &BreakerConfig{FailureThreshold: 2, Cooldown: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	streams := concFleet(m, 11)
+	const pendingErr = "rounds pending feedback"
 
 	type decided struct {
 		round int
@@ -156,30 +120,63 @@ func TestGateConcurrentDecideFeedback(t *testing.T) {
 	// keeps pending ≤ k−1 before each Decide and ≤ k after it.
 	acks := make(chan decided, k-2)
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 	var readers sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		readers.Add(1)
 		go func(w int) {
 			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for !stopped() {
 				_ = g.Stats()
 				_ = g.Pending()
 				_ = g.Confidence(w)
+				_ = g.Incremental()
+				_ = g.ClockRound()
+				if n, snaps := g.Quarantined(), g.Breakers(); len(snaps) != m || n < 0 || n > m {
+					t.Errorf("%d breaker snapshots, %d quarantined, for %d streams", len(snaps), n, m)
+					return
+				}
 			}
 		}(w)
 	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for i := 0; !stopped(); i = (i + 1) % m {
+			st, err := g.ExportStream(i)
+			if err != nil {
+				if !strings.Contains(err.Error(), pendingErr) {
+					t.Errorf("ExportStream(%d): %v", i, err)
+					return
+				}
+				continue
+			}
+			for _, r := range append(st.Temporal.Rounds, st.Temporal.LastSel) {
+				if r > st.Round {
+					t.Errorf("stream %d exported at round %d holds feedback of round %d", i, st.Round, r)
+					return
+				}
+			}
+		}
+	}()
 	var consumer sync.WaitGroup
 	consumer.Add(1)
 	consumerErr := make(chan error, 1)
 	go func() {
 		defer consumer.Done()
 		for d := range acks {
-			if err := g.Feedback(d.sel, syntheticNecessary(d.round, d.sel)); err != nil {
+			failed := make([]bool, len(d.sel))
+			for k, i := range d.sel {
+				failed[k] = i%8 == 0 // every eighth camera never decodes
+			}
+			if err := g.FeedbackExt(d.sel, syntheticNecessary(d.round, d.sel), failed); err != nil {
 				select {
 				case consumerErr <- err:
 				default:
@@ -193,6 +190,10 @@ func TestGateConcurrentDecideFeedback(t *testing.T) {
 		sel, err := g.Decide(nextRoundPkts(streams))
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
+		}
+		// This round at least is pending until the consumer gets it.
+		if _, err := g.ExportStream(r % m); err == nil || !strings.Contains(err.Error(), pendingErr) {
+			t.Fatalf("round %d: ExportStream with a round pending: %v", r, err)
 		}
 		acks <- decided{round: r, sel: sel}
 	}
@@ -211,5 +212,48 @@ func TestGateConcurrentDecideFeedback(t *testing.T) {
 	}
 	if g.Pending() != 0 {
 		t.Errorf("pending = %d after drain", g.Pending())
+	}
+	var opens int
+	for _, b := range g.Breakers() {
+		opens += b.Opens
+	}
+	if opens == 0 {
+		t.Error("no breaker ever opened: the fed failures did not reach the breakers")
+	}
+}
+
+// TestGateHasOneLock keeps the concurrency contract the one the Gate comment
+// states: across the package's non-test files there is one mutex (the Gate's)
+// and no striping of per-stream state to go with more; and the engine has no
+// mode that feeds a round back from anywhere but its gate loop.
+func TestGateHasOneLock(t *testing.T) {
+	count := func(dir, word string) (n int) {
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if !strings.HasSuffix(f.Name(), ".go") || strings.HasSuffix(f.Name(), "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(filepath.Join(dir, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += bytes.Count(src, []byte(word))
+		}
+		return n
+	}
+	if n := count(".", "sync.Mutex"); n != 1 {
+		t.Errorf("internal/core declares %d mutexes, want exactly the Gate's", n)
+	}
+	// Spelled in halves so a grep for the removed names finds nothing here.
+	for _, w := range []string{"sync.RWMutex", "sh" + "ard", "Sh" + "ard"} {
+		if n := count(".", w); n != 0 {
+			t.Errorf("internal/core names %q %d times", w, n)
+		}
+	}
+	if w := "Fresh" + "Feedback"; count("../pipeline", w) != 0 {
+		t.Errorf("internal/pipeline names %q", w)
 	}
 }

@@ -123,21 +123,21 @@ func TestIncrementalMatchesDenseOracle(t *testing.T) {
 		{
 			name: "temporal-only", m: 24, rounds: 1000, seed: 11,
 			cfg: func(m int) Config {
-				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true, Shards: 3}
+				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true}
 			},
 		},
 		{
 			name: "fused-alltasks", m: 24, rounds: 1000, seed: 12,
 			cfg: func(m int) Config {
 				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true,
-					TaskIndex: AllTasks, Shards: 3}
+					TaskIndex: AllTasks}
 			},
 		},
 		{
 			name: "predictor-only", m: 24, rounds: 1000, seed: 13, wantHits: true,
 			cfg: func(m int) Config {
 				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: false,
-					Explore: boolPtr(false), DependencyAware: boolPtr(false), Shards: 4}
+					Explore: boolPtr(false), DependencyAware: boolPtr(false)}
 			},
 		},
 		{
@@ -150,14 +150,14 @@ func TestIncrementalMatchesDenseOracle(t *testing.T) {
 				}
 				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true,
 					Breaker:    &BreakerConfig{FailureThreshold: 2, GapThreshold: 5, Cooldown: 4},
-					Priorities: prio, Shards: 3}
+					Priorities: prio}
 			},
 		},
 		{
 			name: "online-learning", m: 24, rounds: 800, seed: 15,
 			cfg: func(m int) Config {
 				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true,
-					OnlineLR: 0.05, OnlineBatch: 16, TaskIndex: 0, Shards: 3}
+					OnlineLR: 0.05, OnlineBatch: 16, TaskIndex: 0}
 			},
 		},
 	}

@@ -190,15 +190,12 @@ func TestGateTemporalOnlyModeSkipsPredictor(t *testing.T) {
 // exploitSnapshot reads every stream's current temporal exploitation term.
 func exploitSnapshot(g *Gate) []float64 {
 	out := make([]float64, g.cfg.Streams)
-	for _, sh := range g.shards.shards {
-		if sh.est == nil {
-			continue
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.est != nil {
+		for i := range out {
+			out[i] = g.est.Exploit(i)
 		}
-		sh.mu.Lock()
-		for li, i := range sh.ids {
-			out[i] = sh.est.Exploit(li)
-		}
-		sh.mu.Unlock()
 	}
 	return out
 }

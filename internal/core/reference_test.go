@@ -16,7 +16,7 @@ import (
 // round it walks all m streams, scores every admitted packet through the
 // forward it was given, sorts the whole candidate set from scratch, and
 // pushes an m-length feedback vector. It keeps no score memo, no persistent
-// order and no per-round dirty lists, takes no locks and is unsharded. The
+// order and no per-round dirty lists, and takes no locks. The
 // twin tests drive it beside the production Gate and demand the same
 // decisions, traces, stats and breaker snapshots.
 //
@@ -83,8 +83,6 @@ func (s *breakerSet) beginRound(pkts []*codec.Packet) []bool {
 		}
 	}
 	quar := s.beginRoundSparse(nonIdle)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range s.bs {
 		b := &s.bs[i]
 		s.fastForward(b, s.round)

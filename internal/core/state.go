@@ -47,8 +47,6 @@ type StreamState struct {
 }
 
 func (s *breakerSet) exportStream(i int) BreakerStreamState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b := &s.bs[i]
 	s.fastForward(b, s.round)
 	return BreakerStreamState{
@@ -62,8 +60,6 @@ func (s *breakerSet) exportStream(i int) BreakerStreamState {
 }
 
 func (s *breakerSet) importStream(i int, st BreakerStreamState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.bs[i] = breaker{
 		state:    st.State,
 		fails:    st.Fails,
@@ -79,8 +75,6 @@ func (s *breakerSet) importStream(i int, st BreakerStreamState) {
 // pinned to the current round so a state-lost stream does not instantly
 // gap-open against a zero lastPkt it never had a chance to refresh.
 func (s *breakerSet) resetStream(i int, fresh bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.bs[i] = breaker{}
 	if fresh {
 		s.bs[i].lastPkt = s.round
@@ -92,29 +86,18 @@ func (s *breakerSet) resetStream(i int, fresh bool) {
 // far). Stream state export/import is only meaningful between rounds, with
 // no round pending feedback.
 func (g *Gate) ClockRound() int64 {
-	g.pendMu.Lock()
-	defer g.pendMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.stats.Rounds
 }
 
-// lockQuiescent takes the decide and ack locks and verifies no round is
-// awaiting feedback — the only window in which per-stream state is coherent
-// enough to move. The returned func releases the locks.
-func (g *Gate) lockQuiescent(op string) (func(), error) {
-	g.decideMu.Lock()
-	g.ackMu.Lock()
-	g.pendMu.Lock()
-	pending := len(g.pending)
-	g.pendMu.Unlock()
-	if pending != 0 {
-		g.ackMu.Unlock()
-		g.decideMu.Unlock()
-		return nil, fmt.Errorf("core: %s with %d rounds pending feedback", op, pending)
+// quiescent verifies no round is awaiting feedback — the only window in
+// which per-stream state is coherent enough to move.
+func (g *Gate) quiescent(op string) error {
+	if n := len(g.pending); n != 0 {
+		return fmt.Errorf("core: %s with %d rounds pending feedback", op, n)
 	}
-	return func() {
-		g.ackMu.Unlock()
-		g.decideMu.Unlock()
-	}, nil
+	return nil
 }
 
 // ExportStream extracts stream i's complete gate state (estimator window,
@@ -124,25 +107,19 @@ func (g *Gate) ExportStream(i int) (StreamState, error) {
 	if i < 0 || i >= g.cfg.Streams {
 		return StreamState{}, fmt.Errorf("core: export stream %d out of range [0,%d)", i, g.cfg.Streams)
 	}
-	unlock, err := g.lockQuiescent("ExportStream")
-	if err != nil {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.quiescent("ExportStream"); err != nil {
 		return StreamState{}, err
 	}
-	defer unlock()
-	st := StreamState{Round: g.stats.Rounds}
-	sh, li := g.shards.shardOf(i)
-	sh.mu.Lock()
-	if sh.est != nil {
-		st.Temporal, err = sh.est.ExportStream(li)
+	st := StreamState{Round: g.stats.Rounds, Tracker: g.trackers.Stream(i).Export()}
+	var err error
+	if g.est != nil {
+		if st.Temporal, err = g.est.ExportStream(i); err != nil {
+			return StreamState{}, err
+		}
 	}
-	if err == nil {
-		st.Row, err = sh.store.ExportRow(li)
-	}
-	if err == nil {
-		st.Tracker = sh.trackers[li].Export()
-	}
-	sh.mu.Unlock()
-	if err != nil {
+	if st.Row, err = g.store.ExportRow(i); err != nil {
 		return StreamState{}, err
 	}
 	if g.breakers != nil {
@@ -162,32 +139,25 @@ func (g *Gate) RetireStream(i int) error {
 	if i < 0 || i >= g.cfg.Streams {
 		return fmt.Errorf("core: retire stream %d out of range [0,%d)", i, g.cfg.Streams)
 	}
-	unlock, err := g.lockQuiescent("RetireStream")
-	if err != nil {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.quiescent("RetireStream"); err != nil {
 		return err
 	}
-	defer unlock()
-	return g.resetStreamLocked(i, false)
+	return g.resetStream(i, false)
 }
 
-// resetStreamLocked clears stream i's state under the quiescent locks.
-func (g *Gate) resetStreamLocked(i int, fresh bool) error {
-	sh, li := g.shards.shardOf(i)
-	sh.mu.Lock()
-	var err error
-	if sh.est != nil {
-		err = sh.est.RemoveStream(li)
+// resetStream clears stream i's state.
+func (g *Gate) resetStream(i int, fresh bool) error {
+	if g.est != nil {
+		if err := g.est.RemoveStream(i); err != nil {
+			return err
+		}
 	}
-	if err == nil {
-		err = sh.store.ResetRow(li)
-	}
-	if err == nil {
-		sh.trackers[li].Reset()
-	}
-	sh.mu.Unlock()
-	if err != nil {
+	if err := g.store.ResetRow(i); err != nil {
 		return err
 	}
+	g.trackers.Stream(i).Reset()
 	if g.breakers != nil {
 		g.breakers.resetStream(i, fresh)
 	}
@@ -209,32 +179,26 @@ func (g *Gate) ImportStream(i int, st StreamState) error {
 	if i < 0 || i >= g.cfg.Streams {
 		return fmt.Errorf("core: import stream %d out of range [0,%d)", i, g.cfg.Streams)
 	}
-	unlock, err := g.lockQuiescent("ImportStream")
-	if err != nil {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.quiescent("ImportStream"); err != nil {
 		return err
 	}
-	defer unlock()
 	if st.Round != g.stats.Rounds {
 		return fmt.Errorf("core: import stream %d at round %d into gate at round %d", i, st.Round, g.stats.Rounds)
 	}
-	if err := g.resetStreamLocked(i, false); err != nil {
+	if err := g.resetStream(i, false); err != nil {
 		return err
 	}
-	sh, li := g.shards.shardOf(i)
-	sh.mu.Lock()
-	if sh.est != nil {
-		err = sh.est.ImportStream(li, st.Temporal)
+	if g.est != nil {
+		if err := g.est.ImportStream(i, st.Temporal); err != nil {
+			return err
+		}
 	}
-	if err == nil {
-		err = sh.store.ImportRow(li, st.Row)
-	}
-	if err == nil {
-		sh.trackers[li].Import(st.Tracker)
-	}
-	sh.mu.Unlock()
-	if err != nil {
+	if err := g.store.ImportRow(i, st.Row); err != nil {
 		return err
 	}
+	g.trackers.Stream(i).Import(st.Tracker)
 	if g.breakers != nil && st.HasBreaker {
 		g.breakers.importStream(i, st.Breaker)
 	}
@@ -256,12 +220,12 @@ func (g *Gate) ImportFreshStream(i int) error {
 	if i < 0 || i >= g.cfg.Streams {
 		return fmt.Errorf("core: fresh-import stream %d out of range [0,%d)", i, g.cfg.Streams)
 	}
-	unlock, err := g.lockQuiescent("ImportFreshStream")
-	if err != nil {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.quiescent("ImportFreshStream"); err != nil {
 		return err
 	}
-	defer unlock()
-	if err := g.resetStreamLocked(i, true); err != nil {
+	if err := g.resetStream(i, true); err != nil {
 		return err
 	}
 	if g.cfg.Predictor != nil {
@@ -280,45 +244,36 @@ func (g *Gate) ensureWarmTargets() {
 // Warming reports whether stream i is in the post-fresh-import degraded
 // mode (scored temporal-only until its feature windows refill).
 func (g *Gate) Warming(i int) bool {
-	g.decideMu.Lock()
-	defer g.decideMu.Unlock()
-	return g.warmTarget != nil && g.warmTarget[i] > 0
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.warmTarget != nil && i >= 0 && i < g.cfg.Streams && g.warmTarget[i] > 0
 }
 
 // AdvanceTo fast-forwards a freshly built gate's clock to absolute round T,
-// as if T empty rounds had been decided and acked: the estimator clocks, the
+// as if T empty rounds had been decided and acked: the estimator clock, the
 // breaker round, and the round counter all land on T. A worker joining a
 // cluster mid-run uses this to align with the cluster clock before importing
 // stream states. Only valid on a gate that has decided no rounds.
 func (g *Gate) AdvanceTo(T int64) error {
-	unlock, err := g.lockQuiescent("AdvanceTo")
-	if err != nil {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.quiescent("AdvanceTo"); err != nil {
 		return err
 	}
-	defer unlock()
 	if g.stats.Rounds != 0 {
 		return fmt.Errorf("core: AdvanceTo on a gate that already decided %d rounds", g.stats.Rounds)
 	}
 	if T < 0 {
 		return fmt.Errorf("core: AdvanceTo(%d): negative round", T)
 	}
-	for _, sh := range g.shards.shards {
-		sh.mu.Lock()
-		if sh.est != nil {
-			err = sh.est.AdvanceTo(T)
-		}
-		sh.mu.Unlock()
-		if err != nil {
+	if g.est != nil {
+		if err := g.est.AdvanceTo(T); err != nil {
 			return err
 		}
 	}
 	if g.breakers != nil {
-		g.breakers.mu.Lock()
 		g.breakers.round = T
-		g.breakers.mu.Unlock()
 	}
-	g.pendMu.Lock()
 	g.stats.Rounds = T
-	g.pendMu.Unlock()
 	return nil
 }

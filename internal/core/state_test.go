@@ -48,7 +48,7 @@ func driveStateRounds(t *testing.T, g *Gate, m, rounds int, seed int64, gopIdx [
 func stateTestGate(t *testing.T, m int, withPred bool) *Gate {
 	t.Helper()
 	cfg := Config{
-		Streams: m, Window: 4, Budget: 9, UseTemporal: true, Shards: 3,
+		Streams: m, Window: 4, Budget: 9, UseTemporal: true,
 		Breaker: &BreakerConfig{FailureThreshold: 2, GapThreshold: 6, Cooldown: 4},
 	}
 	if withPred {
@@ -200,5 +200,25 @@ func TestExportRequiresQuiescence(t *testing.T) {
 	}
 	if err := g.RetireStream(0); err == nil {
 		t.Fatalf("RetireStream succeeded with a round pending feedback")
+	}
+}
+
+// TestStreamDiagnosticsOutOfRange: the per-stream diagnostics answer for a
+// stream the gate does not have the way they answer for one that never saw a
+// packet, like every other per-stream method range-checks instead of
+// panicking on the caller's index.
+func TestStreamDiagnosticsOutOfRange(t *testing.T) {
+	const m = 4
+	g := stateTestGate(t, m, true)
+	if err := g.ImportFreshStream(m - 1); err != nil { // allocates the warm-up table
+		t.Fatal(err)
+	}
+	for _, i := range []int{-1, m, m + 1} {
+		if c := g.Confidence(i); c != 0 {
+			t.Errorf("Confidence(%d) = %v, want 0", i, c)
+		}
+		if g.Warming(i) {
+			t.Errorf("Warming(%d) = true", i)
+		}
 	}
 }

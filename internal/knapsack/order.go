@@ -154,7 +154,7 @@ func insertionSort(es []entry) {
 // order is the per-selector scratch around the kernel: the listing and the
 // radix's second buffer, both sized by the number of candidates listed (not
 // by the fleet), reused across rounds so a steady-state solve allocates
-// nothing. Safe because the gate serializes Select calls under decideMu.
+// nothing. Safe because the gate serializes Select calls under its mutex.
 type order struct {
 	es   []entry
 	tmp  []entry

@@ -13,7 +13,7 @@ import (
 // returns every round's decode set plus the final report. The fleet, gate,
 // and source are rebuilt identically each call, so any divergence between
 // two calls comes from the overlap mode under test.
-func runForDecisions(t *testing.T, pipelined, fresh bool, k, workers, m, rounds int, budget float64, seed int64) ([][]int, Report, core.Stats) {
+func runForDecisions(t *testing.T, pipelined bool, k, workers, m, rounds int, budget float64, seed int64) ([][]int, Report, core.Stats) {
 	t.Helper()
 	g, err := core.NewGate(core.Config{Streams: m, Budget: budget, UseTemporal: true})
 	if err != nil {
@@ -21,13 +21,12 @@ func runForDecisions(t *testing.T, pipelined, fresh bool, k, workers, m, rounds 
 	}
 	var decisions [][]int
 	eng, err := New(Config{
-		Source:        NewLocalSource(mkFleet(m, seed), rounds),
-		Gate:          g,
-		Task:          infer.PersonCounting{},
-		Workers:       workers,
-		MaxInFlight:   k,
-		Pipelined:     pipelined,
-		FreshFeedback: fresh,
+		Source:      NewLocalSource(mkFleet(m, seed), rounds),
+		Gate:        g,
+		Task:        infer.PersonCounting{},
+		Workers:     workers,
+		MaxInFlight: k,
+		Pipelined:   pipelined,
 		OnRound: func(round int64, sel []int) {
 			if int64(len(decisions)) != round {
 				t.Errorf("OnRound out of order: got round %d after %d rounds", round, len(decisions))
@@ -112,7 +111,7 @@ func TestPipelinedMatchesSequentialDecisions(t *testing.T) {
 				t.Fatalf("reference ran %d rounds (%d selections), want %d", repRef.Rounds, len(selRef), tc.rounds)
 			}
 			for _, pipelined := range []bool{false, true} {
-				sel, rep, st := runForDecisions(t, pipelined, false, tc.k, tc.workers, tc.m, tc.rounds, tc.budget, tc.seed)
+				sel, rep, st := runForDecisions(t, pipelined, tc.k, tc.workers, tc.m, tc.rounds, tc.budget, tc.seed)
 				compareRuns(t, fmt.Sprintf("%s/pipelined=%v", tc.name, pipelined), selRef, sel, repRef, rep, stRef, st)
 			}
 		})
@@ -125,31 +124,14 @@ func TestPipelinedMatchesSequentialDecisions(t *testing.T) {
 func TestSequentialLagOneMatchesSeedSchedule(t *testing.T) {
 	selRef, repRef, stRef := refForDecisions(t, 1, 12, 100, 5, 31)
 	for _, k := range []int{0, 1} {
-		sel, rep, st := runForDecisions(t, false, false, k, 4, 12, 100, 5, 31)
+		sel, rep, st := runForDecisions(t, false, k, 4, 12, 100, 5, 31)
 		compareRuns(t, fmt.Sprintf("MaxInFlight=%d", k), selRef, sel, repRef, rep, stRef, st)
 	}
 }
 
-// TestFreshFeedbackRunCompletes checks the timing-dependent feedback mode
-// end to end: same round count and packet accounting, valid report, no
-// deadlock — decision equality is deliberately not asserted.
-func TestFreshFeedbackRunCompletes(t *testing.T) {
-	const m, rounds = 24, 150
-	sel, rep, _ := runForDecisions(t, true, true, 4, 8, m, rounds, 9, 41)
-	if rep.Rounds != rounds || int64(len(sel)) != rep.Rounds {
-		t.Fatalf("rounds = %d (OnRound saw %d), want %d", rep.Rounds, len(sel), rounds)
-	}
-	if rep.Packets != int64(m*rounds) {
-		t.Errorf("packets = %d, want %d", rep.Packets, m*rounds)
-	}
-	if rep.Decoded == 0 || rep.Inferred != rep.Decoded {
-		t.Errorf("decoded = %d, inferred = %d", rep.Decoded, rep.Inferred)
-	}
-}
-
 // callLog records, in call order, every source pull ("P"), Decide ("D<t>")
-// and Feedback ("F<t>") of one run. With deterministic feedback all three
-// happen on Run's goroutine, so the log needs no lock.
+// and Feedback ("F<t>") of one run. All three happen on Run's goroutine, so
+// the log needs no lock.
 type callLog struct{ calls []string }
 
 // orderGate is a plain Decider — no DecideSparseAppend, no FeedbackFull —

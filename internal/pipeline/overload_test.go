@@ -87,43 +87,6 @@ func TestDeadlineAbortSettlesRounds(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestDeadlineAbortFreshFeedback covers the collector-applied feedback path
-// under deadline pressure: deferred slots reach FeedbackFull from the
-// collector goroutine and the token flow still bounds in-flight rounds.
-func TestDeadlineAbortFreshFeedback(t *testing.T) {
-	base := runtime.NumGoroutine()
-	const m, rounds = 8, 30
-	g, err := core.NewGate(core.Config{Streams: m, Budget: 6, UseTemporal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(Config{
-		Source:              NewLocalSource(mkFleet(m, 19), rounds),
-		Gate:                g,
-		Task:                infer.PersonCounting{},
-		Workers:             2,
-		MaxInFlight:         3,
-		Pipelined:           true,
-		FreshFeedback:       true,
-		Deadline:            time.Millisecond,
-		LatencyNanosPerUnit: 400_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Rounds != rounds {
-		t.Fatalf("completed %d/%d rounds", rep.Rounds, rounds)
-	}
-	if rep.DeadlineAborted == 0 {
-		t.Fatalf("no deadline aborts despite decodes exceeding the deadline: %+v", rep)
-	}
-	waitGoroutines(t, base)
-}
-
 // TestCloseDuringDeadlineAborts is the leak regression for abandoned
 // rounds: Close while deadline aborts are in flight must still drain the
 // collector and decode pool with no goroutines left behind.

@@ -188,13 +188,6 @@ type Config struct {
 	// while round t is still decoding, up to MaxInFlight rounds deep. Unset,
 	// each round is settled before the next is pulled.
 	Pipelined bool
-	// FreshFeedback (pipelined only) applies each round's redundancy
-	// feedback the moment the round completes, instead of deferring it to
-	// the gate loop's deterministic lag-k schedule. Decisions become
-	// timing-dependent (feedback may land earlier than the schedule
-	// promises, never later than needed) in exchange for the freshest
-	// possible UCB state. Feedback is still applied in strict round order.
-	FreshFeedback bool
 	// OnRound, when non-nil, is invoked synchronously after every gating
 	// decision with the round number and the selected stream indices.
 	// It is called from Run's goroutine in round order.
@@ -294,9 +287,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = 1
-	}
-	if cfg.FreshFeedback && !cfg.Pipelined {
-		return nil, errors.New("pipeline: FreshFeedback requires Pipelined")
 	}
 	if cfg.Deadline < 0 {
 		return nil, fmt.Errorf("pipeline: Deadline must be non-negative, got %v", cfg.Deadline)

@@ -11,13 +11,13 @@ import (
 )
 
 // TestPipelinedStressManyStreams is the staged engine's race stress test:
-// 64 streams, 8 decode workers, 4 rounds in flight, fresh (concurrent)
-// feedback, stage metrics on, and concurrent gate-state readers — run under
-// `go test -race` (see Makefile `race` target) this validates the sharded
-// gate and the collector topology end to end.
+// 64 streams, 8 decode workers, 4 rounds in flight, stage metrics on, and
+// concurrent gate-state readers — run under `go test -race` (see Makefile
+// `race` target) this validates the gate's mutex against readers outside the
+// engine and the collector topology end to end.
 func TestPipelinedStressManyStreams(t *testing.T) {
 	const m, rounds, workers, k = 64, 120, 8, 4
-	g, err := core.NewGate(core.Config{Streams: m, Budget: 24, UseTemporal: true, Shards: 8})
+	g, err := core.NewGate(core.Config{Streams: m, Budget: 24, UseTemporal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,6 @@ func TestPipelinedStressManyStreams(t *testing.T) {
 		Workers:             workers,
 		MaxInFlight:         k,
 		Pipelined:           true,
-		FreshFeedback:       true,
 		LatencyNanosPerUnit: 20_000, // keep decoders busy enough to overlap
 		Stages:              stages,
 	})
@@ -93,9 +92,9 @@ func TestPipelinedStressManyStreams(t *testing.T) {
 	}
 }
 
-// TestPipelinedStressDeterministicSchedule repeats the stress shape in the
-// deterministic (deferred-ack) mode, where the gate loop applies feedback:
-// Decide and Feedback then interleave with decode/infer via the collector.
+// TestPipelinedStressDeterministicSchedule repeats the stress shape with
+// instant decodes and nothing reading beside the run: the gate loop's Decide
+// and Feedback interleave with decode/infer via the collector at full speed.
 func TestPipelinedStressDeterministicSchedule(t *testing.T) {
 	const m, rounds, workers, k = 64, 120, 8, 4
 	g, err := core.NewGate(core.Config{Streams: m, Budget: 24, UseTemporal: true})

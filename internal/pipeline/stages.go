@@ -38,9 +38,9 @@ import (
 // it: before round t's source pull, rounds ≤ t−k are fed back, so Decide(t)
 // observes exactly rounds 0..t−k whether or not rounds overlap, and a source
 // that blocks (a cluster worker awaiting its round frame) blocks with no
-// feedback due. With FreshFeedback the collector applies Feedback itself the
-// moment a round settles — the freshest estimator state at the cost of
-// timing-dependent decisions — and the ack only returns the in-flight slot.
+// feedback due. The gate loop is the gate's only caller: the collector
+// settles rounds but never feeds one back, so when a round's feedback lands
+// is a matter of the schedule alone, never of decode timing.
 //
 // The fleet: the gate loop builds the inference monitors before it publishes
 // the first round (or EnsureFleet did, before Run). From a round's publish to
@@ -213,7 +213,7 @@ func (e *Engine) runRounds(maxRounds int) (Report, error) {
 				rw = <-acks
 			}
 			inflight--
-			if runErr == nil && !e.cfg.FreshFeedback {
+			if runErr == nil {
 				if err := feedback(e.cfg.Gate, rw); err != nil {
 					runErr = fmt.Errorf("pipeline: feedback: %w", err)
 				}
@@ -286,9 +286,6 @@ func (e *Engine) runRounds(maxRounds int) (Report, error) {
 	close(roundsCh)
 	applyDue(0)
 	<-done
-	if runErr == nil {
-		runErr = c.err
-	}
 	return c.rep, runErr
 }
 
@@ -302,7 +299,6 @@ type collector struct {
 	acks   chan<- *roundWork
 
 	rep Report
-	err error // first FreshFeedback error
 }
 
 func (c *collector) run() {
@@ -403,11 +399,6 @@ func (c *collector) settle(rw *roundWork, depth int) {
 	metrics.StageExit(e.cfg.Stages.InferStage(), time.Since(t0).Nanoseconds())
 	if e.cfg.Governor != nil {
 		e.cfg.Governor.Observe(time.Since(rw.enqueued), depth)
-	}
-	if e.cfg.FreshFeedback {
-		if err := feedback(e.cfg.Gate, rw); err != nil && c.err == nil {
-			c.err = fmt.Errorf("pipeline: feedback: %w", err)
-		}
 	}
 	c.acks <- rw
 }

@@ -25,7 +25,7 @@ import "packetgame/internal/codec"
 // Poisoned state is maintained incrementally (non-finite and nonzero counts
 // updated on push/evict), so the per-stream check is O(1) instead of an
 // O(w) window scan. A Store is not safe for concurrent use; the gate
-// serializes access per shard.
+// serializes access under its mutex.
 type Store struct {
 	n, w int
 
