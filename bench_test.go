@@ -18,6 +18,7 @@ import (
 	"packetgame/internal/knapsack"
 	"packetgame/internal/metrics"
 	"packetgame/internal/parser"
+	"packetgame/internal/pipeline"
 	"packetgame/internal/predictor"
 )
 
@@ -144,31 +145,6 @@ func benchGateRound(b *testing.B, m int) {
 		}
 	}
 	b.ReportMetric(float64(m), "streams/round")
-}
-
-// --- Fig 10: online simulation -----------------------------------------------
-
-// BenchmarkFig10_SimulationRound measures one full simulation round
-// (packets, gating, decoding, inference, feedback) for 100 streams.
-func BenchmarkFig10_SimulationRound(b *testing.B) {
-	const m = 100
-	streams := make([]*codec.Stream, m)
-	for i := range streams {
-		streams[i] = codec.NewStream(codec.SceneConfig{BaseActivity: 0.4, PersonRate: 0.3},
-			codec.EncoderConfig{StreamID: i, GOPSize: 25}, int64(i))
-	}
-	sim := core.NewSimulation(streams, infer.PersonCounting{}, decode.DefaultCosts)
-	gate, err := core.NewGate(core.Config{Streams: m, Budget: 8, UseTemporal: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim.SetDecider(gate)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(1, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Tab 4: plug-in overheads -------------------------------------------------
@@ -303,7 +279,9 @@ func benchEncode(b *testing.B, c codec.Codec, bitrate int) {
 // --- Tab 5: end-to-end composition -----------------------------------------------
 
 // BenchmarkTab5_PipelineRound measures one engine round with gate + filter +
-// inference over 64 streams (the composition Table 5 compares).
+// inference over 64 streams (the composition Table 5 compares), at the
+// engine's defaults: each round is pulled, gated, decoded, filtered, inferred
+// and fed back before the next.
 func BenchmarkTab5_PipelineRound(b *testing.B) {
 	const m = 64
 	streams := make([]*codec.Stream, m)
@@ -311,17 +289,22 @@ func BenchmarkTab5_PipelineRound(b *testing.B) {
 		streams[i] = codec.NewStream(codec.SceneConfig{BaseActivity: 0.4},
 			codec.EncoderConfig{StreamID: i, GOPSize: 25}, int64(i))
 	}
-	sim := core.NewSimulation(streams, infer.PersonCounting{}, decode.DefaultCosts)
 	gate, err := core.NewGate(core.Config{Streams: m, Budget: 8, UseTemporal: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim.SetDecider(gate)
+	eng, err := pipeline.New(pipeline.Config{
+		Source: pipeline.NewLocalSource(streams, 0),
+		Gate:   gate,
+		Task:   infer.PersonCounting{},
+		Filter: filter.NewInFi(1),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(1, 0); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := eng.Run(b.N); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -59,20 +59,37 @@ func main() {
 	fmt.Printf("trained on %d balanced samples (%d params, %d FLOPs/decision)\n\n",
 		len(train), pred.NumParams(), pred.FLOPs())
 
-	// 2. Online: one simulated day on the diurnal fleet.
-	run := func(name string, d packetgame.Decider) packetgame.SimResult {
-		sim := packetgame.NewSimulation(diurnalFleet(42), packetgame.PersonCounting{}, packetgame.DefaultCosts)
-		sim.SetDecider(d)
-		res, err := sim.Run(25*60*2, 4) // 24h in 4 dayparts
+	// 2. Online: one simulated day on the diurnal fleet, run on the pipeline
+	// engine one daypart at a time; each daypart's balanced accuracy comes
+	// from the fleet's class totals before and after it.
+	run := func(name string, d packetgame.Decider) float64 {
+		eng, err := packetgame.NewEngine(packetgame.EngineConfig{
+			Source: packetgame.NewLocalSource(diurnalFleet(42), 0),
+			Gate:   d,
+			Task:   packetgame.PersonCounting{},
+		})
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatal(err)
 		}
-		fmt.Printf("%-12s accuracy %.3f  filter %.1f%%  dayparts:", name, res.Accuracy, res.FilterRate*100)
-		for _, a := range res.SegmentAccuracy {
-			fmt.Printf(" %.3f", a)
+		var decoded, packets int64
+		var prev [4]int64
+		dayparts := ""
+		for part := 0; part < 4; part++ { // 24h in 4 dayparts
+			rep, err := eng.Run(25 * 60 * 2 / 4)
+			if err != nil {
+				log.Fatalf("%s: %v", name, err)
+			}
+			decoded, packets = decoded+rep.Decoded, packets+rep.Packets
+			nr, nc, pr, pc := eng.Fleet().ClassTotals()
+			if a, ok := packetgame.BalancedAccuracy(nr-prev[0], nc-prev[1], pr-prev[2], pc-prev[3]); ok {
+				dayparts += fmt.Sprintf(" %.3f", a)
+			}
+			prev = [4]int64{nr, nc, pr, pc}
 		}
-		fmt.Println()
-		return res
+		acc := eng.Fleet().Accuracy()
+		fmt.Printf("%-12s accuracy %.3f  filter %.1f%%  dayparts:%s\n",
+			name, acc, (1-float64(decoded)/float64(packets))*100, dayparts)
+		return acc
 	}
 
 	fmt.Printf("gating %d diurnal cameras for one day at budget %.0f units/round\n", cameras, budget)
@@ -87,7 +104,6 @@ func main() {
 	rr := run("round-robin", packetgame.NewBaselineGate(
 		cameras, packetgame.DefaultCosts, &packetgame.RoundRobin{}, nil, budget))
 
-	fmt.Printf("\nday-long accuracy: PacketGame %.3f vs round-robin %.3f at the same budget\n",
-		pg.Accuracy, rr.Accuracy)
+	fmt.Printf("\nday-long accuracy: PacketGame %.3f vs round-robin %.3f at the same budget\n", pg, rr)
 	fmt.Println("(expect the gap to widen in the commute-peak dayparts)")
 }

@@ -64,14 +64,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim := packetgame.NewSimulation(fleet(42), task, packetgame.DefaultCosts)
-		sim.SetDecider(gate)
-		res, err := sim.Run(rounds, 0)
+		eng, err := packetgame.NewEngine(packetgame.EngineConfig{
+			Source: packetgame.NewLocalSource(fleet(42), rounds),
+			Gate:   gate,
+			Task:   task,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := eng.Run(0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-22s balanced accuracy %.3f  filter %.1f%%\n",
-			name, res.BalancedAccuracy, res.FilterRate*100)
+			name, eng.Fleet().BalancedAccuracy(), rep.GateFilterRate*100)
 	}
 
 	// A multi-task deployment gates once for all models: use AllTasks.

@@ -34,16 +34,23 @@ func main() {
 		return streams
 	}
 
-	run := func(name string, decider packetgame.Decider) packetgame.SimResult {
-		sim := packetgame.NewSimulation(fleet(42), packetgame.PersonCounting{}, packetgame.DefaultCosts)
-		sim.SetDecider(decider)
-		res, err := sim.Run(rounds, 0)
+	// The engine's defaults feed each round back before pulling the next.
+	run := func(name string, decider packetgame.Decider) packetgame.EngineReport {
+		eng, err := packetgame.NewEngine(packetgame.EngineConfig{
+			Source: packetgame.NewLocalSource(fleet(42), rounds),
+			Gate:   decider,
+			Task:   packetgame.PersonCounting{},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := eng.Run(0)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
 		fmt.Printf("%-12s accuracy %.3f  filter rate %.1f%%  decoded %d/%d packets\n",
-			name, res.Accuracy, res.FilterRate*100, res.Decoded, res.Packets)
-		return res
+			name, rep.Accuracy, rep.GateFilterRate*100, rep.Decoded, rep.Packets)
+		return rep
 	}
 
 	fmt.Printf("gating %d cameras at budget %.1f units/round (PC task)\n\n", cameras, budget)
@@ -59,11 +66,11 @@ func main() {
 	rr := run("round-robin", packetgame.NewBaselineGate(
 		cameras, packetgame.DefaultCosts, &packetgame.RoundRobin{}, nil, budget))
 
-	all := run("decode-all", packetgame.NewBaselineGate(
-		cameras, packetgame.DefaultCosts, &packetgame.Greedy{}, nil, 1e9))
+	allGate := packetgame.NewBaselineGate(cameras, packetgame.DefaultCosts, &packetgame.Greedy{}, nil, 1e9)
+	all := run("decode-all", allGate)
 
 	fmt.Printf("\nPacketGame kept %.1f%% of decode-all accuracy using %.1f%% of its decode work\n",
-		pg.Accuracy/all.Accuracy*100, pg.CostSpent/all.CostSpent*100)
+		pg.Accuracy/all.Accuracy*100, gate.Stats().CostSpent/allGate.Stats().CostSpent*100)
 	if pg.Accuracy > rr.Accuracy {
 		fmt.Println("and beat round-robin at the same budget — cross-stream coordination pays.")
 	}

@@ -11,6 +11,7 @@ import (
 
 	"packetgame/internal/core"
 	"packetgame/internal/decode"
+	"packetgame/internal/infer"
 	"packetgame/internal/knapsack"
 	"packetgame/internal/overload"
 	"packetgame/internal/pipeline"
@@ -1040,20 +1041,11 @@ func (c *Coordinator) report() Report {
 	if total := rep.NegRounds + rep.PosRounds; total > 0 {
 		rep.Accuracy = float64(rep.NegCorrect+rep.PosCorrect) / float64(total)
 	}
-	var sum float64
-	n := 0
-	if rep.NegRounds > 0 {
-		sum += float64(rep.NegCorrect) / float64(rep.NegRounds)
-		n++
-	}
 	if rep.PosRounds > 0 {
 		rep.Recall = float64(rep.PosCorrect) / float64(rep.PosRounds)
-		sum += rep.Recall
-		n++
 	}
-	if n > 0 {
-		rep.BalancedAccuracy = sum / float64(n)
-	}
+	// 0 when no round was scored.
+	rep.BalancedAccuracy, _ = infer.BalancedAccuracy(rep.NegRounds, rep.NegCorrect, rep.PosRounds, rep.PosCorrect)
 	// P99 covers only the rounds this coordinator drove.
 	rep.P99 = p99(c.lats)
 	return rep

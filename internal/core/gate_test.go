@@ -256,121 +256,8 @@ func mkStreams(m int, seed int64) []*codec.Stream {
 	return streams
 }
 
-func runPolicy(t *testing.T, d Decider, m int, rounds int, seed int64) Result {
-	t.Helper()
-	sim := NewSimulation(mkStreams(m, seed), inferAD{}, decode.DefaultCosts)
-	sim.SetDecider(d)
-	res, err := sim.Run(rounds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// inferAD is a tiny local alias to avoid repeated struct literals.
-type inferAD = adTask
-
-// mkHetStreams builds a fleet where half the cameras are busy (frequent
-// person-count changes) and half are quiet — the regime where cross-stream
-// coordination pays off (§3.2).
-func mkHetStreams(m int, seed int64) []*codec.Stream {
-	streams := make([]*codec.Stream, m)
-	for i := range streams {
-		sc := codec.SceneConfig{BaseActivity: 0.05, PersonRate: 0.02}
-		if i%2 == 0 {
-			sc = codec.SceneConfig{BaseActivity: 0.95, PersonRate: 1.2, PersonStay: 4}
-		}
-		streams[i] = codec.NewStream(sc,
-			codec.EncoderConfig{StreamID: i, GOPSize: 25, GOPPhase: i * 7},
-			seed+int64(i)*101)
-	}
-	return streams
-}
-
-func TestTemporalGateBeatsRandomOnBurstyPC(t *testing.T) {
-	const m, rounds, budget = 20, 3000, 4.0
-	run := func(d Decider) Result {
-		sim := NewSimulation(mkHetStreams(m, 9000), infer.PersonCounting{}, decode.DefaultCosts)
-		sim.SetDecider(d)
-		res, err := sim.Run(rounds, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	gate, err := NewGate(Config{Streams: m, Budget: budget, UseTemporal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg := run(gate)
-	rnd := run(NewBaselineGate(m, decode.DefaultCosts, knapsack.NewRandom(1), nil, budget))
-	if pg.BalancedAccuracy <= rnd.BalancedAccuracy {
-		t.Errorf("temporal gate balanced accuracy %.3f must beat random %.3f",
-			pg.BalancedAccuracy, rnd.BalancedAccuracy)
-	}
-}
-
-func TestOracleDominatesEverything(t *testing.T) {
-	const m, rounds, budget = 20, 1000, 5.0
-	oracleSim := NewSimulation(mkStreams(m, 5000), adTask{}, decode.DefaultCosts)
-	oracle := NewBaselineGate(m, decode.DefaultCosts, &knapsack.Greedy{}, oracleSim.OracleValues, budget)
-	oracleSim.SetDecider(oracle)
-	oracleRes, err := oracleSim.Run(rounds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate, err := NewGate(Config{Streams: m, Budget: budget, UseTemporal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg := runPolicy(t, gate, m, rounds, 5000)
-	if oracleRes.Accuracy < pg.Accuracy-0.02 {
-		t.Errorf("oracle %.3f should not lose to PacketGame %.3f", oracleRes.Accuracy, pg.Accuracy)
-	}
-	if oracleRes.Accuracy < 0.9 {
-		t.Errorf("oracle accuracy %.3f suspiciously low", oracleRes.Accuracy)
-	}
-}
-
-func TestSimulationValidation(t *testing.T) {
-	sim := NewSimulation(mkStreams(2, 1), adTask{}, decode.DefaultCosts)
-	if _, err := sim.Run(10, 0); err == nil {
-		t.Error("run without decider must error")
-	}
-	g, err := NewGate(Config{Streams: 2, Budget: 5, UseTemporal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetDecider(g)
-	if _, err := sim.Run(0, 0); err == nil {
-		t.Error("zero rounds must error")
-	}
-}
-
-func TestSimulationSegments(t *testing.T) {
-	const m, rounds = 5, 120
-	sim := NewSimulation(mkStreams(m, 77), adTask{}, decode.DefaultCosts)
-	g, err := NewGate(Config{Streams: m, Budget: 3, UseTemporal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetDecider(g)
-	res, err := sim.Run(rounds, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.SegmentAccuracy) != 6 {
-		t.Fatalf("segments = %d, want 6", len(res.SegmentAccuracy))
-	}
-	for i, a := range res.SegmentAccuracy {
-		if a < 0 || a > 1 {
-			t.Errorf("segment %d accuracy %v out of range", i, a)
-		}
-	}
-	if res.FilterRate <= 0 || res.FilterRate >= 1 {
-		t.Errorf("filter rate = %v", res.FilterRate)
-	}
-}
+// MkStreams exports mkStreams to the package's external tests.
+var MkStreams = mkStreams
 
 func TestBaselineGateStats(t *testing.T) {
 	const m = 4

@@ -1,80 +1,64 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"packetgame/internal/core"
 	"packetgame/internal/decode"
+	"packetgame/internal/experiments"
 	"packetgame/internal/infer"
 	"packetgame/internal/knapsack"
 )
 
+// temporalGate builds the policy the probe tests gate with.
+func temporalGate(t *testing.T, m int, budget float64) func(*experiments.Eval) core.Decider {
+	return func(*experiments.Eval) core.Decider {
+		g, err := core.NewGate(core.Config{Streams: m, Budget: budget, UseTemporal: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+}
+
 func TestProbeDisabledByDefault(t *testing.T) {
-	sim := NewSimulation(mkStreams(4, 1), infer.AnomalyDetection{}, decode.DefaultCosts)
-	g, err := NewGate(Config{Streams: 4, Budget: 3, UseTemporal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetDecider(g)
-	res, err := sim.Run(50, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProbedRecall != -1 || res.ProbeRounds != 0 {
-		t.Errorf("probe stats without probing: %v / %d", res.ProbedRecall, res.ProbeRounds)
+	ev, _ := runEval(t, core.MkStreams(4, 1), infer.AnomalyDetection{}, 0, 50, temporalGate(t, 4, 3))
+	if ev.Recall() != -1 || ev.ProbeRounds != 0 {
+		t.Errorf("probe stats without probing: %v / %d", ev.Recall(), ev.ProbeRounds)
 	}
 }
 
 func TestProbeCountsRounds(t *testing.T) {
-	sim := NewSimulation(mkStreams(4, 2), infer.AnomalyDetection{}, decode.DefaultCosts)
-	g, err := NewGate(Config{Streams: 4, Budget: 3, UseTemporal: true})
-	if err != nil {
-		t.Fatal(err)
+	ev, _ := runEval(t, core.MkStreams(4, 2), infer.AnomalyDetection{}, 10, 100, temporalGate(t, 4, 3))
+	if ev.ProbeRounds != 10 {
+		t.Errorf("probe rounds = %d, want 10", ev.ProbeRounds)
 	}
-	sim.SetDecider(g)
-	sim.SetProbeEvery(10)
-	res, err := sim.Run(100, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProbeRounds != 10 {
-		t.Errorf("probe rounds = %d, want 10", res.ProbeRounds)
-	}
-	if res.ProbedRecall < 0 || res.ProbedRecall > 1 {
-		t.Errorf("probed recall = %v", res.ProbedRecall)
+	if r := ev.Recall(); r < 0 || r > 1 {
+		t.Errorf("probed recall = %v", r)
 	}
 }
 
 func TestProbeRecallPerfectWithUnlimitedBudget(t *testing.T) {
 	// With budget to decode everything, recall must be 1: every necessary
 	// packet is decoded.
-	sim := NewSimulation(mkStreams(4, 3), infer.PersonCounting{}, decode.DefaultCosts)
-	sim.SetDecider(NewBaselineGate(4, decode.DefaultCosts, &knapsack.Greedy{}, nil, 1e9))
-	sim.SetProbeEvery(5)
-	res, err := sim.Run(200, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProbedRecall != 1 {
-		t.Errorf("recall with unlimited budget = %v, want 1", res.ProbedRecall)
+	ev, _ := runEval(t, core.MkStreams(4, 3), infer.PersonCounting{}, 5, 200, func(*experiments.Eval) core.Decider {
+		return core.NewBaselineGate(4, decode.DefaultCosts, &knapsack.Greedy{}, nil, 1e9)
+	})
+	if r := ev.Recall(); r != 1 {
+		t.Errorf("recall with unlimited budget = %v, want 1", r)
 	}
 }
 
 func TestProbeOracleOutperformsRandomRecall(t *testing.T) {
-	run := func(mk func(sim *Simulation) Decider) float64 {
-		sim := NewSimulation(mkStreams(12, 4), infer.AnomalyDetection{}, decode.DefaultCosts)
-		sim.SetDecider(mk(sim))
-		sim.SetProbeEvery(3)
-		res, err := sim.Run(900, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.ProbedRecall
+	recall := func(mk func(*experiments.Eval) core.Decider) float64 {
+		ev, _ := runEval(t, core.MkStreams(12, 4), infer.AnomalyDetection{}, 3, 900, mk)
+		return ev.Recall()
 	}
-	oracle := run(func(sim *Simulation) Decider {
-		return NewBaselineGate(12, decode.DefaultCosts, &knapsack.Greedy{}, sim.OracleValues, 4)
+	oracle := recall(func(ev *experiments.Eval) core.Decider {
+		return core.NewBaselineGate(12, decode.DefaultCosts, &knapsack.Greedy{}, ev.OracleValues, 4)
 	})
-	random := run(func(sim *Simulation) Decider {
-		return NewBaselineGate(12, decode.DefaultCosts, knapsack.NewRandom(1), nil, 4)
+	random := recall(func(*experiments.Eval) core.Decider {
+		return core.NewBaselineGate(12, decode.DefaultCosts, knapsack.NewRandom(1), nil, 4)
 	})
 	if oracle <= random {
 		t.Errorf("oracle recall %.3f must beat random %.3f", oracle, random)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"packetgame/internal/core"
-	"packetgame/internal/decode"
 	"packetgame/internal/infer"
 	"packetgame/internal/knapsack"
 )
@@ -23,23 +22,6 @@ func Ablate(o Options) error {
 		return err
 	}
 
-	run := func(mutate func(*core.Config)) (core.Result, error) {
-		cfg := core.Config{
-			Streams: m, Budget: budget,
-			Predictor: s.pg, UseTemporal: true,
-		}
-		mutate(&cfg)
-		gate, err := core.NewGate(cfg)
-		if err != nil {
-			return core.Result{}, err
-		}
-		sim := core.NewSimulation(streamsFor(infer.PersonCounting{}, m, o.Seed+550),
-			infer.PersonCounting{}, decode.DefaultCosts)
-		sim.SetDecider(gate)
-		sim.SetProbeEvery(10)
-		return sim.Run(rounds, 0)
-	}
-
 	off := false
 	variants := []struct {
 		name   string
@@ -57,13 +39,24 @@ func Ablate(o Options) error {
 	o.printf("%-26s %10s %10s %10s %12s %10s\n", "variant", "bal.acc", "filter", "recall", "true cost", "overrun")
 	nominal := budget * float64(rounds)
 	for _, v := range variants {
-		res, err := run(v.mutate)
+		cfg := core.Config{Streams: m, Budget: budget, Predictor: s.pg, UseTemporal: true}
+		v.mutate(&cfg)
+		gate, err := core.NewGate(cfg)
+		if err != nil {
+			return err
+		}
+		ev, eng, err := NewEval(streamsFor(infer.PersonCounting{}, m, o.Seed+550), infer.PersonCounting{})
+		if err != nil {
+			return err
+		}
+		ev.Decider, ev.ProbeEvery = gate, 10
+		rep, err := eng.Run(rounds)
 		if err != nil {
 			return err
 		}
 		o.printf("%-26s %10.3f %10.3f %10.3f %12.0f %9.0f%%\n",
-			v.name, res.BalancedAccuracy, res.FilterRate, res.ProbedRecall,
-			res.CostSpent, (res.CostSpent/nominal-1)*100)
+			v.name, eng.Fleet().BalancedAccuracy(), rep.GateFilterRate, ev.Recall(),
+			ev.TrueCost, (ev.TrueCost/nominal-1)*100)
 	}
 	o.printf("(true cost charges skipped reference chains; a variant with positive\n")
 	o.printf(" overrun is spending beyond its nominal budget — the dependency-blind\n")

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -39,9 +41,14 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// goldenExperiments are the policy experiments whose printed output at
+// tinyOptions is pinned byte for byte in testdata/<name>.golden.
+var goldenExperiments = map[string]bool{"fig4": true, "fig10": true, "tab3": true, "regret": true, "ablate": true}
+
 // TestAllExperimentsSmoke runs every experiment at tiny scale and checks it
-// produces non-trivial output without error. This is the integration test
-// that keeps the whole reproduction harness runnable.
+// produces non-trivial output without error, and that the policy
+// experiments print exactly their golden output. This is the integration
+// test that keeps the whole reproduction harness runnable.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are not short")
@@ -59,6 +66,16 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			}
 			if !strings.Contains(out, "===") {
 				t.Errorf("%s: missing section header:\n%s", exp.Name, out)
+			}
+			if !goldenExperiments[exp.Name] {
+				return
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", exp.Name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(want) {
+				t.Errorf("%s: output differs from testdata/%s.golden:\ngot:\n%s\nwant:\n%s", exp.Name, exp.Name, out, want)
 			}
 		})
 	}

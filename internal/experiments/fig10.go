@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"packetgame/internal/codec"
-	"packetgame/internal/core"
-	"packetgame/internal/decode"
 	"packetgame/internal/infer"
 )
 
@@ -33,16 +31,18 @@ func Fig10(o Options) error {
 		if err != nil {
 			return err
 		}
-		sim := core.NewSimulation(streams, task, decode.DefaultCosts)
-		sim.SetDecider(gate)
-		res, err := sim.Run(totalRounds, segments)
+		eng, err := localEngine(streams, task, gate)
+		if err != nil {
+			return err
+		}
+		accs, err := SegmentAccuracy(eng, totalRounds, segments)
 		if err != nil {
 			return err
 		}
 		o.printf("=== Fig 10 (%s): balanced accuracy per time segment, B=%.1f (avg %.1f%%; paper avg %s) ===\n",
-			task.Name(), budget, res.BalancedAccuracy*100, paperAvg[task.Name()])
+			task.Name(), budget, eng.Fleet().BalancedAccuracy()*100, paperAvg[task.Name()])
 		o.printf("%8s %10s\n", "segment", "accuracy")
-		for i, a := range res.SegmentAccuracy {
+		for i, a := range accs {
 			o.printf("%8d %10.3f\n", i, a)
 		}
 		o.printf("\n")
@@ -77,13 +77,7 @@ func fig10MinBudget(o Options, s *onlineSetup, task infer.Task, m, rounds int) (
 		if err != nil {
 			return 0, err
 		}
-		sim := core.NewSimulation(fig10Streams(o, task, m), task, decode.DefaultCosts)
-		sim.SetDecider(gate)
-		res, err := sim.Run(rounds, 0)
-		if err != nil {
-			return 0, err
-		}
-		return res.BalancedAccuracy, nil
+		return balancedAccuracy(fig10Streams(o, task, m), task, gate, rounds)
 	}
 	if acc, err := run(hi); err != nil {
 		return 0, err

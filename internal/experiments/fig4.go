@@ -69,20 +69,26 @@ func Fig4(o Options) error {
 	rounds := o.scaled(800, 200)
 	for _, mm := range []int{25, 50, 100, 200, 400, 800} {
 		mm = o.scaled(mm, mm/8+1)
-		rr := runFig4Policy(o, mm, rounds, func(sim *core.Simulation) core.Decider {
+		rr, err := runFig4Policy(o, mm, rounds, func(*Eval) core.Decider {
 			return core.NewBaselineGate(mm, decode.DefaultCosts, &knapsack.RoundRobin{}, nil, roundBudget870)
 		})
-		opt := runFig4Policy(o, mm, rounds, func(sim *core.Simulation) core.Decider {
-			return core.NewBaselineGate(mm, decode.DefaultCosts, &knapsack.Greedy{}, sim.OracleValues, roundBudget870)
+		if err != nil {
+			return err
+		}
+		opt, err := runFig4Policy(o, mm, rounds, func(ev *Eval) core.Decider {
+			return core.NewBaselineGate(mm, decode.DefaultCosts, &knapsack.Greedy{}, ev.OracleValues, roundBudget870)
 		})
+		if err != nil {
+			return err
+		}
 		o.printf("%8d %12.3f %12.3f\n", mm, rr, opt)
 	}
 	o.printf("(paper: optimal sustains ~2000 streams at 90%% accuracy, round-robin ~30)\n")
 	return nil
 }
 
-// runFig4Policy runs one Fig 4b cell and returns mean accuracy.
-func runFig4Policy(o Options, m, rounds int, mk func(*core.Simulation) core.Decider) float64 {
+// runFig4Policy runs one Fig 4b cell and returns its balanced accuracy.
+func runFig4Policy(o Options, m, rounds int, mk func(*Eval) core.Decider) (float64, error) {
 	streams := dataset.Campus1K(dataset.Campus1KConfig{Cameras: m, Seed: o.Seed + 900})
 	// Busy non-diurnal cameras keep the workload stationary across cells.
 	for i := range streams {
@@ -91,11 +97,13 @@ func runFig4Policy(o Options, m, rounds int, mk func(*core.Simulation) core.Deci
 		}, codec.EncoderConfig{StreamID: i, Codec: codec.H265, GOPSize: 25, GOPPhase: i * 7},
 			o.Seed+int64(i)*977)
 	}
-	sim := core.NewSimulation(streams, infer.PersonCounting{}, decode.DefaultCosts)
-	sim.SetDecider(mk(sim))
-	res, err := sim.Run(rounds, 0)
+	ev, eng, err := NewEval(streams, infer.PersonCounting{})
 	if err != nil {
-		return -1
+		return 0, err
 	}
-	return res.BalancedAccuracy
+	ev.Decider = mk(ev)
+	if _, err := eng.Run(rounds); err != nil {
+		return 0, err
+	}
+	return eng.Fleet().BalancedAccuracy(), nil
 }

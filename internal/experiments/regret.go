@@ -7,6 +7,7 @@ import (
 	"packetgame/internal/decode"
 	"packetgame/internal/infer"
 	"packetgame/internal/knapsack"
+	"packetgame/internal/pipeline"
 )
 
 // maskDecider hides a fixed subset of streams from an inner policy: the
@@ -74,51 +75,43 @@ func Regret(o Options) error {
 	if err != nil {
 		return err
 	}
-	algSim := core.NewSimulation(mkStreams(), task, decode.DefaultCosts)
-	algSim.SetDecider(gate)
-
-	// The best fixed policy in hindsight: round-robin restricted to the
-	// busy half of the fleet (fair rotation maximizes distinct necessary
-	// decodes under this reward structure; quiet streams contribute
-	// nothing). Implemented by masking quiet streams' packets before a
-	// round-robin baseline.
-	staticSim := core.NewSimulation(mkStreams(), task, decode.DefaultCosts)
-	staticSim.SetDecider(&maskDecider{
-		inner: core.NewBaselineGate(m, decode.DefaultCosts, &knapsack.RoundRobin{}, nil, budget),
-		keep:  func(i int) bool { return i%2 == 0 },
-		buf:   make([]*codec.Packet, m),
-	})
-
-	// A uniform-random reference for contrast.
-	rndSim := core.NewSimulation(mkStreams(), task, decode.DefaultCosts)
-	rndSim.SetDecider(core.NewBaselineGate(m, decode.DefaultCosts,
-		knapsack.NewRandom(o.Seed+7), nil, budget))
-
-	var algMeter, rndMeter bandit.RegretMeter
-	step := func(sim *core.Simulation) (float64, error) {
-		res, err := sim.Run(1, 0)
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.NecessaryDecoded), nil
+	policies := [3]core.Decider{
+		gate,
+		// The best fixed policy in hindsight: round-robin restricted to the
+		// busy half of the fleet (fair rotation maximizes distinct necessary
+		// decodes under this reward structure; quiet streams contribute
+		// nothing). Implemented by masking quiet streams' packets before a
+		// round-robin baseline.
+		&maskDecider{
+			inner: core.NewBaselineGate(m, decode.DefaultCosts, &knapsack.RoundRobin{}, nil, budget),
+			keep:  func(i int) bool { return i%2 == 0 },
+			buf:   make([]*codec.Packet, m),
+		},
+		// A uniform-random reference for contrast.
+		core.NewBaselineGate(m, decode.DefaultCosts, knapsack.NewRandom(o.Seed+7), nil, budget),
 	}
-	// Per-round reward = necessary decodes this round; each Run(1, 0) call
-	// executes exactly one round and reports that round's counters.
+	var engs [3]*pipeline.Engine
+	for k, d := range policies {
+		if engs[k], err = localEngine(mkStreams(), task, d); err != nil {
+			return err
+		}
+	}
+
+	// Per-round reward = necessary decodes this round; each Run(1) call
+	// settles exactly one round, applies its feedback, and reports that
+	// round's counters.
+	var algMeter, rndMeter bandit.RegretMeter
 	for t := 0; t < rounds; t++ {
-		alg, err := step(algSim)
-		if err != nil {
-			return err
+		var reward [3]float64 // algorithm, best fixed, random
+		for k, eng := range engs {
+			rep, err := eng.Run(1)
+			if err != nil {
+				return err
+			}
+			reward[k] = float64(rep.NecessaryDecoded)
 		}
-		static, err := step(staticSim)
-		if err != nil {
-			return err
-		}
-		rnd, err := step(rndSim)
-		if err != nil {
-			return err
-		}
-		algMeter.Add(static, alg)
-		rndMeter.Add(static, rnd)
+		algMeter.Add(reward[1], reward[0])
+		rndMeter.Add(reward[1], reward[2])
 	}
 
 	perRound := func(meter *bandit.RegretMeter, from, to int) float64 {

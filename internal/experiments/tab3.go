@@ -73,20 +73,13 @@ func (s *onlineSetup) gateFor(method string, m int, budget float64) (core.Decide
 	return nil, fmt.Errorf("experiments: unknown method %q", method)
 }
 
-// accuracyAt runs one online simulation and returns the mean accuracy.
+// accuracyAt runs one online gating run and returns its balanced accuracy.
 func (s *onlineSetup) accuracyAt(method string, m int, budget float64, rounds int) (float64, error) {
-	streams := streamsFor(s.task, m, s.o.Seed+500)
-	sim := core.NewSimulation(streams, s.task, decode.DefaultCosts)
 	d, err := s.gateFor(method, m, budget)
 	if err != nil {
 		return 0, err
 	}
-	sim.SetDecider(d)
-	res, err := sim.Run(rounds, 0)
-	if err != nil {
-		return 0, err
-	}
-	return res.BalancedAccuracy, nil
+	return balancedAccuracy(streamsFor(s.task, m, s.o.Seed+500), s.task, d, rounds)
 }
 
 // minBudgetFor bisects the smallest per-round budget whose accuracy meets

@@ -84,21 +84,34 @@ func (m *Monitor) Accuracy() float64 {
 	return float64(m.correct[0]+m.correct[1]) / float64(total)
 }
 
-// BalancedAccuracy averages the per-class accuracies, counting only classes
-// the stream actually exhibited.
-func (m *Monitor) BalancedAccuracy() float64 {
+// BalancedAccuracy is the mean of the per-class accuracies over the classes
+// that occurred: nr rounds of negative ground truth (nc of them correct) and
+// pr positive (pc correct). ok is false when neither class occurred; each
+// caller decides what that reads as.
+func BalancedAccuracy(nr, nc, pr, pc int64) (v float64, ok bool) {
 	var sum float64
 	n := 0
-	for c := 0; c < 2; c++ {
-		if m.rounds[c] > 0 {
-			sum += float64(m.correct[c]) / float64(m.rounds[c])
-			n++
-		}
+	if nr > 0 {
+		sum += float64(nc) / float64(nr)
+		n++
+	}
+	if pr > 0 {
+		sum += float64(pc) / float64(pr)
+		n++
 	}
 	if n == 0 {
-		return 1
+		return 0, false
 	}
-	return sum / float64(n)
+	return sum / float64(n), true
+}
+
+// BalancedAccuracy averages the per-class accuracies, counting only classes
+// the stream actually exhibited (1 before any round).
+func (m *Monitor) BalancedAccuracy() float64 {
+	if v, ok := BalancedAccuracy(m.ClassStats()); ok {
+		return v
+	}
+	return 1
 }
 
 // Stats returns the raw counters: observed rounds, accurate rounds, decoded
@@ -158,30 +171,12 @@ func (f *Fleet) Accuracy() float64 {
 }
 
 // BalancedAccuracy pools the class counters across the fleet and averages
-// the two class accuracies.
+// the two class accuracies (1 before any round).
 func (f *Fleet) BalancedAccuracy() float64 {
-	var nr, nc, pr, pc int64
-	for _, m := range f.monitors {
-		a, b, c, d := m.ClassStats()
-		nr += a
-		nc += b
-		pr += c
-		pc += d
+	if v, ok := BalancedAccuracy(f.ClassTotals()); ok {
+		return v
 	}
-	var sum float64
-	n := 0
-	if nr > 0 {
-		sum += float64(nc) / float64(nr)
-		n++
-	}
-	if pr > 0 {
-		sum += float64(pc) / float64(pr)
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
+	return 1
 }
 
 // Totals aggregates raw counters across streams.

@@ -48,10 +48,6 @@ type (
 	Decider = core.Decider
 	// BaselineGate wraps a plain selector (round-robin, random, oracle).
 	BaselineGate = core.BaselineGate
-	// Simulation drives the synchronous round-based evaluation loop.
-	Simulation = core.Simulation
-	// SimResult summarizes a Simulation run.
-	SimResult = core.Result
 )
 
 // AllTaskHeads is the GateConfig.TaskIndex sentinel for multi-task gating:
@@ -61,11 +57,6 @@ const AllTaskHeads = core.AllTasks
 
 // NewGate builds a PacketGame gate.
 func NewGate(cfg GateConfig) (*Gate, error) { return core.NewGate(cfg) }
-
-// NewSimulation wires a fleet and a task into the round-based loop.
-func NewSimulation(streams []*Stream, task Task, cm CostModel) *Simulation {
-	return core.NewSimulation(streams, task, cm)
-}
 
 // NewBaselineGate builds a value-agnostic or oracle baseline policy.
 func NewBaselineGate(m int, cm CostModel, sel Selector, values core.ValueFunc, budget float64) *BaselineGate {
@@ -166,6 +157,12 @@ type (
 
 // TaskByName resolves "PC", "AD", "SR", or "FD".
 func TaskByName(name string) (Task, error) { return infer.ByName(name) }
+
+// BalancedAccuracy is the class-mean accuracy of class counts such as
+// Fleet.ClassTotals returns (ok is false when no class occurred).
+func BalancedAccuracy(nr, nc, pr, pc int64) (v float64, ok bool) {
+	return infer.BalancedAccuracy(nr, nc, pr, pc)
+}
 
 // Contextual predictor.
 type (

@@ -9,7 +9,7 @@ import (
 )
 
 // TestPublicAPIQuickstart walks the public API exactly like a downstream
-// user would: build a fleet, train a predictor, gate a simulation, and
+// user would: build a fleet, train a predictor, gate it on the engine, and
 // compare against a baseline.
 func TestPublicAPIQuickstart(t *testing.T) {
 	const m, window = 10, 5
@@ -64,7 +64,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 5. Gate the fleet online.
+	// 5. Gate the fleet online, one round decided, decoded, inferred and fed
+	// back at a time.
 	gate, err := NewGate(GateConfig{
 		Streams: m, Window: window, Budget: 4,
 		Predictor: deployed, UseTemporal: true,
@@ -72,17 +73,23 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := NewSimulation(streams, PersonCounting{}, DefaultCosts)
-	sim.SetDecider(gate)
-	res, err := sim.Run(600, 0)
-	if err != nil {
-		t.Fatal(err)
+	run := func(streams []*Stream, d Decider) EngineReport {
+		eng, err := NewEngine(EngineConfig{Source: NewLocalSource(streams, 600), Gate: d, Task: PersonCounting{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := eng.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
+	res := run(streams, gate)
 	if res.Accuracy <= 0.5 {
 		t.Errorf("gated accuracy = %.3f", res.Accuracy)
 	}
-	if res.FilterRate <= 0.3 {
-		t.Errorf("filter rate = %.3f, expected heavy gating at budget 4/%d", res.FilterRate, m)
+	if res.GateFilterRate <= 0.3 {
+		t.Errorf("filter rate = %.3f, expected heavy gating at budget 4/%d", res.GateFilterRate, m)
 	}
 
 	// 6. Compare against the round-robin baseline at the same budget.
@@ -94,12 +101,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 			int64(i)*17,
 		)
 	}
-	rrSim := NewSimulation(rrStreams, PersonCounting{}, DefaultCosts)
-	rrSim.SetDecider(NewBaselineGate(m, DefaultCosts, &RoundRobin{}, nil, 4))
-	rrRes, err := rrSim.Run(600, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rrRes := run(rrStreams, NewBaselineGate(m, DefaultCosts, &RoundRobin{}, nil, 4))
 	t.Logf("PacketGame %.3f vs round-robin %.3f accuracy at budget 4", res.Accuracy, rrRes.Accuracy)
 }
 
