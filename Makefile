@@ -48,7 +48,8 @@ loc:
 # Decide+Feedback round, the batched compiled forward, every selector's
 # solve (Ranked with all candidates dirty included), the coordinator's
 # solve-and-grant step, a worker's read of a round frame into its recycled
-# record and the container's in-place packet parse must stay at ~zero
+# record, the container's in-place packet parse and its record read into a
+# recycled buffer must stay at ~zero
 # allocs/op (testing.AllocsPerRun, no benchmark run needed), and a whole
 # engine round — gate loop, decode pool, collector, feedback, rounds
 # overlapping or not — under one small object. The last line
@@ -61,7 +62,7 @@ alloc-smoke:
 	$(GO) test ./internal/nn -run TestCompiledForwardZeroAlloc -count 1
 	$(GO) test ./internal/knapsack -run TestSelectZeroAlloc -count 1
 	$(GO) test ./internal/cluster -run 'TestWorkerRoundZeroAlloc|TestSolveGrantZeroAlloc' -count 1
-	$(GO) test ./internal/container -run TestUnmarshalPacketIntoZeroAlloc -count 1
+	$(GO) test ./internal/container -run 'TestUnmarshalPacketIntoZeroAlloc|TestReadRecordZeroAlloc' -count 1
 	$(GO) test ./internal/pipeline -run TestEngineRoundAllocCeiling -count 1
 	$(GO) test -ldflags '-X packetgame/internal/nn.portableOnly=1' ./internal/nn ./internal/predictor -count 1
 
@@ -137,13 +138,14 @@ SOAKSCALE ?= 0.25
 soak:
 	$(GO) run -race ./cmd/pgbench -exp overload -scale $(SOAKSCALE)
 
-# Short fuzzing sessions for the bitstream parser and the PGV demuxer.
-# Seed corpora always run as part of `make test`; this digs deeper.
+# Short fuzzing sessions for the bitstream parser, the record codec every
+# on-disk and wire format frames with, and each format's decoder. Seed
+# corpora always run as part of `make test`; this digs deeper.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/parser -fuzz FuzzParser -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parser -fuzz FuzzEmulationRoundTrip -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/container -fuzz FuzzReader -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/container -fuzz FuzzRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/container -fuzz FuzzUnmarshalPacket -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -fuzz FuzzPGSPFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -fuzz FuzzCaptureContainer -fuzztime $(FUZZTIME)

@@ -123,7 +123,7 @@ func cmdRecord(args []string) error {
 	}
 	w.StripPayloads = *strip
 	src := pipeline.NewNetSource(r)
-	n, err := capture.RecordRounds(src.NextRound, w, *rounds, *step, nil)
+	n, err := capture.RecordRounds(src, w, *rounds, *step, nil)
 	if err != nil {
 		f.Close()
 		return err

@@ -1,10 +1,10 @@
-// Command pgcat inspects PacketGame artifacts: PGV container files and
-// JSONL gating traces.
+// Command pgcat inspects PacketGame artifacts: PGC capture files and JSONL
+// gating traces.
 //
 // Usage:
 //
-//	pgcat -pgv clip.pgv            # per-packet listing + summary
-//	pgcat -pgv clip.pgv -q         # summary only
+//	pgcat -pgc capture.pgc         # per-packet listing + summary
+//	pgcat -pgc capture.pgc -q      # summary only
 //	pgcat -trace gate.jsonl        # gating trace summary
 package main
 
@@ -14,24 +14,25 @@ import (
 	"io"
 	"os"
 	"sort"
+	"time"
 
+	"packetgame/internal/capture"
 	"packetgame/internal/codec"
-	"packetgame/internal/container"
 	"packetgame/internal/stats"
 	"packetgame/internal/trace"
 )
 
 func main() {
 	var (
-		pgvPath   = flag.String("pgv", "", "PGV container file to inspect")
+		pgcPath   = flag.String("pgc", "", "PGC capture file to inspect")
 		tracePath = flag.String("trace", "", "JSONL gating trace to summarize")
 		quiet     = flag.Bool("q", false, "summary only (no per-packet listing)")
 	)
 	flag.Parse()
 
 	switch {
-	case *pgvPath != "":
-		if err := catPGV(*pgvPath, *quiet); err != nil {
+	case *pgcPath != "":
+		if err := catPGC(*pgcPath, *quiet); err != nil {
 			fatal(err)
 		}
 	case *tracePath != "":
@@ -39,54 +40,68 @@ func main() {
 			fatal(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "pgcat: provide -pgv or -trace (see -h)")
+		fmt.Fprintln(os.Stderr, "pgcat: provide -pgc or -trace (see -h)")
 		os.Exit(2)
 	}
 }
 
-func catPGV(path string, quiet bool) error {
+func catPGC(path string, quiet bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r, err := container.NewReader(f)
+	r, err := capture.NewReader(f)
 	if err != nil {
 		return err
 	}
-	hdr := r.Header()
-	fmt.Printf("%s: stream %d, codec %s, %d FPS, GOP %d\n",
-		path, hdr.StreamID, hdr.Codec, hdr.FPS, hdr.GOPSize)
+	meta := r.Session()
+	fmt.Printf("%s: %q, %d streams\n", path, meta.Label, len(meta.Streams))
+	for i, sm := range meta.Streams {
+		if !quiet {
+			fmt.Printf("  stream %d: codec %s, %d FPS, GOP %d\n", i, sm.Codec, sm.FPS, sm.GOPSize)
+		}
+	}
 
 	var sizes []float64
 	counts := map[codec.PictureType]int{}
 	var totalBytes int64
-	n := 0
+	var span time.Duration
+	decisions := 0
 	for {
-		p, err := r.Next()
+		rec, err := r.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
+		if rec.Kind == capture.RecTrace {
+			decisions++
+		}
+		if rec.Kind != capture.RecPacket {
+			continue
+		}
+		p := rec.Packet
 		if !quiet {
-			fmt.Printf("%8d %6s %10dB pts=%dms gop=%d/%d\n",
-				p.Seq, p.Type, p.Size, p.PTS, p.GOPIndex, p.GOPSize)
+			fmt.Printf("%8d s%-5d r%-7d %6s %10dB pts=%dms gop=%d/%d\n",
+				p.Seq, rec.StreamID, rec.Round, p.Type, p.Size, p.PTS, p.GOPIndex, p.GOPSize)
 		}
 		sizes = append(sizes, float64(p.Size))
 		counts[p.Type]++
 		totalBytes += int64(p.Size)
-		n++
+		span = rec.TS
 	}
-	fmt.Printf("\n%d packets (%d I, %d P, %d B), %.2f MB on the wire\n",
+	n := len(sizes)
+	fmt.Printf("\n%d packets (%d I, %d P, %d B), %.2f MB on the wire, %d decision rounds\n",
 		n, counts[codec.PictureI], counts[codec.PictureP], counts[codec.PictureB],
-		float64(totalBytes)/1e6)
+		float64(totalBytes)/1e6, decisions)
 	if n > 0 {
 		fmt.Printf("packet sizes: %s\n", stats.Summarize(sizes))
-		duration := float64(n) / float64(hdr.FPS)
-		fmt.Printf("duration %.1fs, mean bitrate %.0f kbit/s\n",
-			duration, float64(totalBytes)*8/duration/1000)
+	}
+	if span > 0 {
+		fmt.Printf("span %.1fs, mean bitrate %.0f kbit/s\n",
+			span.Seconds(), float64(totalBytes)*8/span.Seconds()/1000)
 	}
 	return nil
 }

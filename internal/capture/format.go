@@ -18,7 +18,7 @@
 //
 //	magic   "PGC1" (4 bytes)
 //	version byte   (currently 1)
-//	records until EOF or footer, each:
+//	records until EOF or footer, each an internal/container CRC record:
 //	    kind    uint8    // recSession | recPacket | recTrace | recIndex
 //	    length  uint32   // body length in bytes
 //	    crc     uint32   // CRC32 (IEEE) of the body
@@ -45,7 +45,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/bits"
 	"sync"
@@ -81,12 +80,10 @@ const (
 )
 
 const (
-	recHeaderLen = 9
-	footerLen    = 12
-	// maxJSONBody bounds session/trace/index records; larger means corrupt.
-	maxJSONBody = 16 << 20
-	// maxPacketBody bounds packet records, matching the PGV/PGSP limits.
-	maxPacketBody = 64 << 20
+	footerLen = 12
+	// maxRecordBody bounds a record body, PGSP's frame bound; a longer
+	// claimed length means a corrupt file.
+	maxRecordBody = 64 << 20
 	// packetPrefixLen is the binary prefix of a recPacket body.
 	packetPrefixLen = 20
 )
@@ -257,15 +254,9 @@ func (cw *Writer) Session() SessionMeta { return cw.meta }
 // writeRecord appends one framed record. Callers hold mu (or are still
 // single-goroutine, during construction/close).
 func (cw *Writer) writeRecord(kind RecordKind, body []byte) error {
-	hdr := recordHeader(byte(kind), body)
-	if _, err := cw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := cw.w.Write(body); err != nil {
-		return err
-	}
-	cw.off += int64(recHeaderLen + len(body))
-	return nil
+	n, err := container.WriteRecord(cw.w, uint8(kind), body)
+	cw.off += int64(n)
+	return err
 }
 
 // WritePacket appends one captured packet. ts is the packet's offset from
@@ -476,56 +467,19 @@ func (cr *Reader) Session() SessionMeta { return cr.meta }
 // Packets returns the number of packet records read so far.
 func (cr *Reader) Packets() int64 { return cr.packets }
 
-// readRecord reads one framed record, reusing the body buffer.
+// readRecord reads one record, its body into the reader's recycled buffer.
+// The file ending at a record boundary is io.EOF; anything else that stops
+// a record is corruption.
 func (cr *Reader) readRecord() (RecordKind, []byte, error) {
-	var hdr [recHeaderLen]byte
-	if _, err := io.ReadFull(cr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, corruptf("record header: %v", err)
+	if _, err := cr.r.Peek(1); err == io.EOF {
+		return 0, nil, io.EOF
 	}
-	kind := RecordKind(hdr[0])
-	n := binary.BigEndian.Uint32(hdr[1:])
-	crc := binary.BigEndian.Uint32(hdr[5:])
-	limit := uint32(maxJSONBody)
-	if kind == RecPacket {
-		limit = maxPacketBody
+	kind, body, err := container.ReadRecord(cr.r, maxRecordBody, cr.buf)
+	if err != nil {
+		return 0, nil, corruptf("record: %v", err)
 	}
-	if n > limit {
-		return 0, nil, corruptf("record of %d bytes exceeds limit", n)
-	}
-	// Large bodies are read in chunks rather than trusting the length field
-	// with one huge upfront allocation: a corrupt header claiming 64 MB on
-	// a 100-byte file fails after reading what actually exists.
-	if n <= 1<<20 {
-		if cap(cr.buf) < int(n) {
-			cr.buf = make([]byte, n)
-		}
-		cr.buf = cr.buf[:n]
-		if _, err := io.ReadFull(cr.r, cr.buf); err != nil {
-			return 0, nil, corruptf("record body: %v", err)
-		}
-	} else {
-		cr.buf = cr.buf[:0]
-		chunk := make([]byte, 1<<20)
-		for remaining := int(n); remaining > 0; {
-			c := chunk
-			if remaining < len(c) {
-				c = c[:remaining]
-			}
-			m, err := io.ReadFull(cr.r, c)
-			cr.buf = append(cr.buf, c[:m]...)
-			if err != nil {
-				return 0, nil, corruptf("record body: %v", err)
-			}
-			remaining -= m
-		}
-	}
-	if crc32.ChecksumIEEE(cr.buf) != crc {
-		return 0, nil, corruptf("record CRC mismatch")
-	}
-	return kind, cr.buf, nil
+	cr.buf = body
+	return RecordKind(kind), body, nil
 }
 
 // Next returns the next record, or io.EOF after the footer (or a clean
@@ -670,18 +624,17 @@ func ReadIndex(rs io.ReadSeeker) (SessionMeta, Index, error) {
 		return SessionMeta{}, Index{}, corruptf("bad footer magic %q", footer[:4])
 	}
 	off := binary.BigEndian.Uint64(footer[4:])
-	if off > uint64(end-footerLen-recHeaderLen) || off < 5 {
+	if off > uint64(end-footerLen) || off < 5 {
 		return SessionMeta{}, Index{}, corruptf("index offset %d out of bounds", off)
 	}
 	if _, err := rs.Seek(int64(off), io.SeekStart); err != nil {
 		return SessionMeta{}, Index{}, err
 	}
-	ir := &Reader{r: bufio.NewReader(io.LimitReader(rs, end-footerLen-int64(off))), meta: cr.meta}
-	kind, body, err := ir.readRecord()
+	kind, body, err := container.ReadRecord(bufio.NewReader(io.LimitReader(rs, end-footerLen-int64(off))), maxRecordBody, nil)
 	if err != nil {
-		return SessionMeta{}, Index{}, err
+		return SessionMeta{}, Index{}, corruptf("index record: %v", err)
 	}
-	if kind != RecIndex {
+	if RecordKind(kind) != RecIndex {
 		return SessionMeta{}, Index{}, corruptf("footer points at kind-%d record, want index", kind)
 	}
 	var ix Index

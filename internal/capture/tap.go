@@ -76,41 +76,17 @@ func (t *Tap) NextRound() ([]*codec.Packet, error) {
 // Truth implements RoundSource by delegation.
 func (t *Tap) Truth(i int) (codec.Scene, bool) { return t.src.Truth(i) }
 
-// RecordRounds drains a round iterator (a PGSP client's NextRound) into the
-// writer, up to maxRounds (0 = until EOF). Timestamps follow the Tap rules.
-// It returns the number of rounds recorded.
-func RecordRounds(next func() ([]*codec.Packet, error), w *Writer, maxRounds int64, virtualStep time.Duration, clock Clock) (int64, error) {
-	if clock == nil {
-		clock = RealClock
-	}
-	var start time.Time
-	var rounds int64
-	for maxRounds == 0 || rounds < maxRounds {
-		pkts, err := next()
-		if err == io.EOF {
+// RecordRounds drains src (a PGSP client's rounds) into the writer through a
+// Tap, up to maxRounds (0 = until EOF), and returns the number of rounds
+// recorded.
+func RecordRounds(src RoundSource, w *Writer, maxRounds int64, virtualStep time.Duration, clock Clock) (int64, error) {
+	t := NewTap(src, w, virtualStep, clock)
+	for maxRounds == 0 || t.round < maxRounds {
+		if _, err := t.NextRound(); err == io.EOF {
 			break
+		} else if err != nil {
+			return t.round, err
 		}
-		if err != nil {
-			return rounds, err
-		}
-		var ts time.Duration
-		if virtualStep > 0 {
-			ts = time.Duration(rounds) * virtualStep
-		} else {
-			if rounds == 0 {
-				start = clock.Now()
-			}
-			ts = clock.Now().Sub(start)
-		}
-		for _, p := range pkts {
-			if p == nil {
-				continue
-			}
-			if err := w.WritePacket(ts, rounds, p); err != nil {
-				return rounds, err
-			}
-		}
-		rounds++
 	}
-	return rounds, nil
+	return t.round, nil
 }

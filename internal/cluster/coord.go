@@ -86,7 +86,7 @@ type CoordConfig struct {
 	// transfers fall back to fresh adoption on the new owner.
 	TransferFault func(stream, attempt int) bool
 	// JournalPath, when set, makes the control plane durable: a snapshot +
-	// append-only journal (capture's CRC record discipline) of ring
+	// append-only journal (internal/container CRC records) of ring
 	// membership, the round clock, per-worker governor/demand state, and
 	// accuracy counters. A standby elected after a crash replays it — or
 	// the equivalent fJournalAppend frame stream — to take over.

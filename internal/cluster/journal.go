@@ -6,17 +6,17 @@ import (
 	"os"
 	"sort"
 
-	"packetgame/internal/capture"
+	"packetgame/internal/container"
 	"packetgame/internal/overload"
 )
 
 // The coordinator journal makes the cluster's control-plane state durable:
 // a snapshot record followed by an append-only stream of round, membership,
-// and reconcile records, each framed with internal/capture's CRC record
-// discipline. The same byte stream serves two consumers — a file on disk
-// (crash recovery) and live standbys following over PGCP v3 fJournalAppend
-// frames (election) — so both replay through one replica state machine and
-// provably converge to the same image.
+// and reconcile records, each an internal/container CRC record. The same
+// byte stream serves two consumers — a file on disk (crash recovery) and
+// live standbys following over PGCP v3 fJournalAppend frames (election) — so
+// both replay through one replica state machine and provably converge to the
+// same image.
 //
 // Compaction keeps the log bounded: once CompactEvery records accumulate
 // past the last snapshot the file is rewritten as magic+snapshot via
@@ -306,7 +306,7 @@ func openJournal(path string, compactEvery int, snap []byte) (*journal, error) {
 
 func (j *journal) writeHeader(f *os.File, snap []byte) error {
 	j.buf = append(j.buf[:0], journalMagic...)
-	j.buf = capture.AppendRecord(j.buf, jSnapshot, snap)
+	j.buf = container.AppendRecord(j.buf, jSnapshot, snap)
 	if _, err := f.Write(j.buf); err != nil {
 		return fmt.Errorf("cluster: journal write: %w", err)
 	}
@@ -316,7 +316,7 @@ func (j *journal) writeHeader(f *os.File, snap []byte) error {
 // append writes one record. The caller decides when to compact (via
 // shouldCompact + compact) so snapshots land only at consistent points.
 func (j *journal) append(kind uint8, body []byte) error {
-	j.buf = capture.AppendRecord(j.buf[:0], kind, body)
+	j.buf = container.AppendRecord(j.buf[:0], kind, body)
 	if _, err := j.f.Write(j.buf); err != nil {
 		return fmt.Errorf("cluster: journal write: %w", err)
 	}
@@ -398,7 +398,7 @@ func replayJournal(path string) (*replicaState, error) {
 	buf := data[len(journalMagic):]
 	applied := 0
 	for len(buf) > 0 {
-		kind, body, rest, err := capture.NextRecord(buf, maxJournalBody)
+		kind, body, rest, err := container.NextRecord(buf, maxJournalBody)
 		if err != nil {
 			if applied == 0 {
 				return nil, fmt.Errorf("cluster: journal %s: %w", path, err)

@@ -7,7 +7,7 @@ import (
 	"reflect"
 	"testing"
 
-	"packetgame/internal/capture"
+	"packetgame/internal/container"
 	"packetgame/internal/overload"
 )
 
@@ -132,7 +132,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 
 	// Find where the snapshot record ends: magic + first record.
-	_, _, rest, err := capture.NextRecord(whole[len(journalMagic):], maxJournalBody)
+	_, _, rest, err := container.NextRecord(whole[len(journalMagic):], maxJournalBody)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestJournalTailCorruption(t *testing.T) {
 // TestJournalRejectsForeignFile pins the header check.
 func TestJournalRejectsForeignFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "not-a-journal")
-	if err := os.WriteFile(path, []byte("PGV1 something else entirely"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("PGC1 something else entirely"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := replayJournal(path); err == nil {

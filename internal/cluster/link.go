@@ -5,11 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"packetgame/internal/container"
 )
 
 // This file is the cluster's I/O shell: the only non-test code that dials,
@@ -26,7 +27,6 @@ type link struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	gone chan struct{} // closed when the link dies
-	hdr  [9]byte       // the single reader's frame-header scratch
 
 	mu  sync.Mutex // serializes writers and guards err
 	err error
@@ -43,14 +43,7 @@ func newLink(conn net.Conn) *link {
 
 // writeFrame writes one frame and flushes.
 func writeFrame(bw *bufio.Writer, typ uint8, body []byte) error {
-	var hdr [9]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.Checksum(body, crcTable))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(body); err != nil {
+	if _, err := container.WriteRecord(bw, typ, body); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -70,76 +63,31 @@ func (l *link) send(typ uint8, body []byte) error {
 }
 
 // recv reads the next frame, waiting at most wait for it when wait > 0, and
-// verifies the body checksum. The header is read first; place then says
-// which of the caller's buffers a frame of that type goes into, and the body
-// is read into that buffer's storage (readBody's grow and shrink rules) and
-// left there — the returned body aliases *place(typ) and is valid until the
-// caller next offers that buffer. A nil place reads into fresh memory.
+// verifies the body checksum. The frame's type is peeked first; place then
+// says which of the caller's buffers a frame of that type goes into, and the
+// body is read into that buffer's storage (container.ReadBody's grow and
+// shrink rules) and left there — the returned body aliases *place(typ) and is
+// valid until the caller next offers that buffer. A nil place reads into
+// fresh memory.
 func (l *link) recv(wait time.Duration, place func(typ uint8) *[]byte) (uint8, []byte, error) {
 	if wait > 0 {
 		l.conn.SetReadDeadline(time.Now().Add(wait))
 	}
-	if _, err := io.ReadFull(l.br, l.hdr[:]); err != nil {
+	lead, err := l.br.Peek(1) // a frame's type leads its header
+	if err != nil {
 		return 0, nil, err
-	}
-	typ := l.hdr[0]
-	n := binary.BigEndian.Uint32(l.hdr[1:5])
-	if n > maxFrameBody {
-		return 0, nil, fmt.Errorf("cluster: frame body %d exceeds limit", n)
 	}
 	var fresh []byte
 	buf := &fresh
 	if place != nil {
-		buf = place(typ)
+		buf = place(lead[0])
 	}
-	var err error
-	if *buf, err = readBody(l.br, *buf, int(n)); err != nil {
+	typ, body, err := container.ReadRecord(l.br, maxFrameBody, *buf)
+	if err != nil {
 		return 0, nil, err
 	}
-	if crc32.Checksum(*buf, crcTable) != binary.BigEndian.Uint32(l.hdr[5:9]) {
-		return 0, nil, fmt.Errorf("cluster: frame CRC mismatch (type %d, %d bytes)", typ, n)
-	}
-	return typ, *buf, nil
-}
-
-const (
-	// bodyGrowStep is how far a body buffer first grows ahead of the bytes
-	// that have arrived.
-	bodyGrowStep = 1 << 20
-	// bodyShrinkFloor is the capacity below which a body buffer is never
-	// reallocated downward: shrinking small buffers only causes churn.
-	bodyShrinkFloor = 64 << 10
-)
-
-// readBody reads an n-byte frame body into buf's storage and returns it. The
-// length came off the wire, so the buffer grows only once the bytes it has
-// room for have arrived — by bodyGrowStep, or by doubling once it is past
-// that, never beyond n — and a corrupt or hostile length field costs in
-// proportion to what the peer actually sends, never n up front. So one spike
-// frame does not pin its buffer for the connection's lifetime, storage above
-// the floor is reallocated down when a frame needs under a quarter of it
-// (the knapsack order scratch's rule).
-func readBody(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
-	if c := cap(buf); c > bodyShrinkFloor && n < c/4 {
-		buf = make([]byte, 0, n)
-	}
-	buf = buf[:0]
-	for len(buf) < n {
-		k := len(buf)
-		if k == cap(buf) {
-			grown := make([]byte, k, k+max(min(n-k, bodyGrowStep), min(n-k, k)))
-			copy(grown, buf)
-			buf = grown
-		}
-		buf = buf[:min(n, cap(buf))]
-		if _, err := io.ReadFull(br, buf[k:]); err != nil {
-			if err == io.EOF && k > 0 {
-				err = io.ErrUnexpectedEOF // the cut fell between two reads of one body
-			}
-			return buf[:0], err
-		}
-	}
-	return buf, nil
+	*buf = body
+	return typ, body, nil
 }
 
 func (l *link) close() {

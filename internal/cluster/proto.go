@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"slices"
 	"time"
@@ -23,7 +22,8 @@ import (
 // PGCP — the PacketGame cluster protocol — runs over one TCP connection per
 // peer (link.go opens, accepts and identifies them, and reads and writes the
 // frames; this file only encodes and decodes bodies, in memory). After a
-// handshake ("PGCP" + version), both sides exchange frames:
+// handshake ("PGCP" + version), both sides exchange frames, each one
+// internal/container CRC record whose kind is the frame type:
 //
 //	type(u8) · bodyLen(u32) · crc32(u32, IEEE over body) · body
 //
@@ -35,7 +35,7 @@ import (
 // lists, finals, and the journal records inside journal-append frames. They
 // are rare and their payloads are deep config/state structs that evolve by
 // adding fields, which gob tolerates in both directions; they stay gob until
-// the shared wire layer (ROADMAP item 2) gives them explicit encoders.
+// explicit encoders replace them (ROADMAP item 4).
 const (
 	protoMagic = "PGCP"
 	// Version 2 made the hot frames sparse: round frames delta-code their
@@ -78,8 +78,6 @@ const (
 // maxFrameBody bounds one frame body (a 10k-stream round of ~1KB packets
 // fits with wide margin).
 const maxFrameBody = 256 << 20
-
-var crcTable = crc32.IEEETable
 
 // JoinInfo is the worker's join request (gob).
 type JoinInfo struct {

@@ -2,7 +2,6 @@ package container
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"testing/quick"
 
@@ -44,105 +43,5 @@ func TestUnmarshalErrors(t *testing.T) {
 	buf[16] = 7 // invalid picture type
 	if _, _, err := UnmarshalPacket(buf); err == nil {
 		t.Error("bad picture type must error")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	st := codec.NewStream(codec.SceneConfig{BaseActivity: 0.5},
-		codec.EncoderConfig{StreamID: 9, Codec: codec.H265, GOPSize: 12, FPS: 25}, 77)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{StreamID: 9, Codec: codec.H265, FPS: 25, GOPSize: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []*codec.Packet
-	for i := 0; i < 50; i++ {
-		p := st.Next()
-		want = append(want, p)
-		if err := w.WritePacket(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Count() != 50 {
-		t.Errorf("Count = %d", w.Count())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := r.Header()
-	if hdr.StreamID != 9 || hdr.Codec != codec.H265 || hdr.FPS != 25 || hdr.GOPSize != 12 {
-		t.Errorf("header = %+v", hdr)
-	}
-	for i, wp := range want {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("packet %d: %v", i, err)
-		}
-		if got.Seq != wp.Seq || got.Type != wp.Type || got.Size != wp.Size ||
-			got.StreamID != 9 || got.Codec != codec.H265 {
-			t.Fatalf("packet %d: got %v want %v", i, got, wp)
-		}
-		// Payload survives: the decoder can recover the scene.
-		if _, err := codec.DecodePayload(got.Payload); err != nil {
-			t.Fatalf("packet %d payload: %v", i, err)
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("after last packet err = %v, want io.EOF", err)
-	}
-}
-
-func TestWriterValidation(t *testing.T) {
-	if _, err := NewWriter(&bytes.Buffer{}, Header{}); err == nil {
-		t.Error("zero FPS must error")
-	}
-}
-
-func TestWriterClosedRejectsWrites(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{FPS: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WritePacket(&codec.Packet{}); err == nil {
-		t.Error("write after close must error")
-	}
-	if err := w.Close(); err != nil {
-		t.Error("double close must be a no-op")
-	}
-}
-
-func TestEmptyFileStillHasHeader(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, Header{FPS: 30, GOPSize: 10})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Header().FPS != 30 {
-		t.Errorf("header = %+v", r.Header())
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("err = %v, want io.EOF", err)
-	}
-}
-
-func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("not a pgv file at all"))); err == nil {
-		t.Error("bad magic must error")
-	}
-	if _, err := NewReader(bytes.NewReader([]byte("PG"))); err == nil {
-		t.Error("truncated magic must error")
 	}
 }

@@ -8,60 +8,6 @@ import (
 	"packetgame/internal/codec"
 )
 
-// validPGV builds a well-formed PGV file to seed the fuzz corpus.
-func validPGV(tb testing.TB, n int) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{FPS: 25, GOPSize: 5})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	st := codec.NewStream(codec.SceneConfig{}, codec.EncoderConfig{GOPSize: 5}, 7)
-	for i := 0; i < n; i++ {
-		if err := w.WritePacket(st.Next()); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzReader feeds arbitrary bytes to the PGV demuxer: truncated, corrupt,
-// or adversarial inputs must surface as errors, never as panics or runaway
-// allocations.
-func FuzzReader(f *testing.F) {
-	valid := validPGV(f, 3)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])           // truncated mid-record
-	f.Add(valid[:14])                     // header only
-	f.Add([]byte{})                       // empty
-	f.Add([]byte("PGV1"))                 // magic only
-	f.Add([]byte("PGV0garbagegarbage"))   // wrong magic
-	f.Add(bytes.Repeat([]byte{0xff}, 64)) // absurd record lengths
-	mut := append([]byte(nil), valid...)
-	mut[20] ^= 0xff // corrupt first record header
-	f.Add(mut)
-	f.Add(valid[:len(valid)-1]) // truncated one byte short of a full file
-	f.Add(valid[:14+29])        // cut exactly at a record boundary
-	f.Add(valid[:14+29+10])     // cut inside the second record's header
-	body := append([]byte(nil), valid...)
-	body[len(body)-3] ^= 0xff // corrupt the tail of the last record's body
-	f.Add(body)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for i := 0; i < 1<<16; i++ {
-			if _, err := r.Next(); err != nil {
-				return // io.EOF or a decode error: both acceptable
-			}
-		}
-	})
-}
-
 // FuzzUnmarshalPacket exercises the record codec directly and differentially:
 // any input must either round out to a packet or error, without panicking,
 // and UnmarshalPacketInto over a dirty packet must agree with UnmarshalPacket

@@ -1,9 +1,9 @@
 // Package pipeline assembles the end-to-end concurrent video inference
 // pipeline of Fig 1 with PacketGame plugged between parser and decoder:
-// a round source (local fleet, PGSP network client, or PGV files) feeds the
-// gate; selected packets are decoded on a worker pool; decoded frames pass
-// an optional frame filter and the inference task; redundancy feedback
-// closes the loop.
+// a round source (local fleet, PGSP network client, or a PGC capture replayed
+// by internal/capture) feeds the gate; selected packets are decoded on a
+// worker pool; decoded frames pass an optional frame filter and the
+// inference task; redundancy feedback closes the loop.
 //
 // The engine is one round loop (stages.go): gate → decode pool → collector →
 // redundancy feedback, with up to Config.MaxInFlight = k rounds between

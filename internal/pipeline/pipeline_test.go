@@ -1,13 +1,11 @@
 package pipeline
 
 import (
-	"bytes"
 	"io"
 	"net"
 	"testing"
 
 	"packetgame/internal/codec"
-	"packetgame/internal/container"
 	"packetgame/internal/core"
 	"packetgame/internal/decode"
 	"packetgame/internal/filter"
@@ -164,66 +162,6 @@ func TestEngineOverNetwork(t *testing.T) {
 	}
 	if rep.Decoded == 0 {
 		t.Error("nothing decoded over the network path")
-	}
-}
-
-func TestFileSourceRoundsAndEOF(t *testing.T) {
-	// Write two PGV files of different lengths; the source must zip them
-	// and keep going until both are exhausted.
-	mkFile := func(n int, seed int64) *container.Reader {
-		var buf bytes.Buffer
-		w, err := container.NewWriter(&buf, container.Header{FPS: 25, GOPSize: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := codec.NewStream(codec.SceneConfig{}, codec.EncoderConfig{GOPSize: 5}, seed)
-		for i := 0; i < n; i++ {
-			if err := w.WritePacket(st.Next()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := container.NewReader(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	src, err := NewFileSource([]*container.Reader{mkFile(5, 1), mkFile(8, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := 0
-	for {
-		pkts, err := src.NextRound()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		rounds++
-		if rounds <= 5 {
-			if pkts[0] == nil || pkts[1] == nil {
-				t.Fatalf("round %d: missing packets", rounds)
-			}
-		} else if pkts[0] != nil {
-			t.Fatalf("round %d: file 0 should be exhausted", rounds)
-		}
-	}
-	if rounds != 8 {
-		t.Errorf("rounds = %d, want 8", rounds)
-	}
-	if _, ok := src.Truth(0); ok {
-		t.Error("file source must report no truth")
-	}
-}
-
-func TestFileSourceValidation(t *testing.T) {
-	if _, err := NewFileSource(nil); err == nil {
-		t.Error("empty reader list must error")
 	}
 }
 

@@ -1,11 +1,9 @@
 package pipeline
 
 import (
-	"fmt"
 	"io"
 
 	"packetgame/internal/codec"
-	"packetgame/internal/container"
 )
 
 // LocalSource feeds rounds from an in-process camera fleet and retains
@@ -178,80 +176,3 @@ func (s *NetSource) NextRoundSparse() (*codec.Round, error) { return s.sparse.Ne
 
 // Truth implements RoundSource: network sources have none.
 func (s *NetSource) Truth(i int) (codec.Scene, bool) { return codec.Scene{}, false }
-
-// FileSource feeds rounds by zipping several PGV container readers: one
-// packet per file per round — the offline-video ingest path.
-type FileSource struct {
-	readers []*container.Reader
-	pkts    []*codec.Packet
-	eof     []bool
-	round   codec.Round
-}
-
-// NewFileSource wraps PGV readers. Stream IDs are reassigned to the reader
-// index so the round slice is dense.
-func NewFileSource(readers []*container.Reader) (*FileSource, error) {
-	if len(readers) == 0 {
-		return nil, fmt.Errorf("pipeline: no readers")
-	}
-	return &FileSource{
-		readers: readers,
-		pkts:    make([]*codec.Packet, len(readers)),
-		eof:     make([]bool, len(readers)),
-	}, nil
-}
-
-// NextRound implements RoundSource.
-func (s *FileSource) NextRound() ([]*codec.Packet, error) {
-	alive := false
-	for i, r := range s.readers {
-		s.pkts[i] = nil
-		if s.eof[i] {
-			continue
-		}
-		p, err := r.Next()
-		if err == io.EOF {
-			s.eof[i] = true
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		p.StreamID = i
-		s.pkts[i] = p
-		alive = true
-	}
-	if !alive {
-		return nil, io.EOF
-	}
-	return s.pkts, nil
-}
-
-// NextRoundSparse implements SparseRoundSource.
-func (s *FileSource) NextRoundSparse() (*codec.Round, error) {
-	alive := false
-	s.round.Reset(len(s.readers))
-	for i, r := range s.readers {
-		if s.eof[i] {
-			continue
-		}
-		p, err := r.Next()
-		if err == io.EOF {
-			s.eof[i] = true
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		p.StreamID = i
-		s.round.Append(int32(i), p)
-		alive = true
-	}
-	if !alive {
-		return nil, io.EOF
-	}
-	return &s.round, nil
-}
-
-// Truth implements RoundSource: container files carry no side-channel truth.
-func (s *FileSource) Truth(i int) (codec.Scene, bool) { return codec.Scene{}, false }

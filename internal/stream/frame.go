@@ -154,11 +154,12 @@ func decodeSparseRoundBody(body []byte, m int, r *codec.Round) error {
 	return nil
 }
 
-// readFrame reads one v2 frame, the body into *buf's storage: the returned
-// body aliases *buf and is valid until the next call with the same buffer. On
-// ErrFrameCRC the body was consumed and the reader remains frame-aligned; on
-// errGoodbye the session ended cleanly; any other error leaves the reader
-// unusable.
+// readFrame reads one v2 frame, the body into *buf's storage by
+// container.ReadBody's grow and shrink rules, the ones PGCP frames and PGC
+// records are read by: the returned body aliases *buf and is valid until the
+// next call with the same buffer. On ErrFrameCRC the body was consumed and
+// the reader remains frame-aligned; on errGoodbye the session ended cleanly;
+// any other error leaves the reader unusable.
 func readFrame(br *bufio.Reader, buf *[]byte) (round uint64, stream uint32, body []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err = io.ReadFull(br, hdr[:]); err != nil {
@@ -171,7 +172,7 @@ func readFrame(br *bufio.Reader, buf *[]byte) (round uint64, stream uint32, body
 	if n > maxFrameBody {
 		return 0, 0, nil, fmt.Errorf("stream: frame of %d bytes exceeds limit", n)
 	}
-	if *buf, err = readBody(br, *buf, int(n)); err != nil {
+	if *buf, err = container.ReadBody(br, *buf, int(n)); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // a header promised a body: truncated frame
 		}
@@ -184,47 +185,4 @@ func readFrame(br *bufio.Reader, buf *[]byte) (round uint64, stream uint32, body
 		return round, stream, nil, errGoodbye
 	}
 	return round, stream, *buf, nil
-}
-
-const (
-	// bodyGrowStep is how far a body buffer first grows ahead of the bytes
-	// that have arrived.
-	bodyGrowStep = 1 << 20
-	// bodyShrinkFloor is the capacity below which a body buffer is never
-	// reallocated downward: shrinking small buffers only causes churn.
-	bodyShrinkFloor = 64 << 10
-)
-
-// readBody reads an n-byte frame body into buf's storage and returns it. The
-// length came off the wire, so the buffer grows only once the bytes it has
-// room for have arrived — by bodyGrowStep, or by doubling once it is past
-// that, never beyond n — and a corrupt or hostile length field costs in
-// proportion to what the peer actually sends, never n up front. So one spike
-// frame does not pin its buffer for the session's lifetime, storage above
-// the floor is reallocated down when a frame needs under a quarter of it
-// (the knapsack order scratch's rule).
-//
-// PGCP's link reads bodies by the same rules; the two copies meet in the
-// shared wire layer (ROADMAP item 2).
-func readBody(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
-	if c := cap(buf); c > bodyShrinkFloor && n < c/4 {
-		buf = make([]byte, 0, n)
-	}
-	buf = buf[:0]
-	for len(buf) < n {
-		k := len(buf)
-		if k == cap(buf) {
-			grown := make([]byte, k, k+max(min(n-k, bodyGrowStep), min(n-k, k)))
-			copy(grown, buf)
-			buf = grown
-		}
-		buf = buf[:min(n, cap(buf))]
-		if _, err := io.ReadFull(br, buf[k:]); err != nil {
-			if err == io.EOF && k > 0 {
-				err = io.ErrUnexpectedEOF // the cut fell between two reads of one body
-			}
-			return buf[:0], err
-		}
-	}
-	return buf, nil
 }

@@ -374,17 +374,18 @@ func (c *Client) handshake() error {
 	if n == 0 || n > 1<<20 {
 		return fmt.Errorf("stream: implausible stream count %d", n)
 	}
-	c.infos = make([]StreamInfo, n)
-	for i := range c.infos {
-		var meta [5]byte
+	// The count is a claim: the table grows as entries arrive, so a peer that
+	// names a million streams and sends none costs nothing up front.
+	var meta [5]byte
+	for len(c.infos) < int(n) {
 		if _, err := io.ReadFull(c.br, meta[:]); err != nil {
-			return err
+			return fmt.Errorf("stream: handshake entry %d of %d: %w", len(c.infos), n, err)
 		}
-		c.infos[i] = StreamInfo{
+		c.infos = append(c.infos, StreamInfo{
 			Codec:   codec.Codec(meta[0]),
 			FPS:     int(binary.BigEndian.Uint16(meta[1:])),
 			GOPSize: int(binary.BigEndian.Uint16(meta[3:])),
-		}
+		})
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -236,6 +238,27 @@ func TestDialRejectsNonPGSP(t *testing.T) {
 	}()
 	if _, err := Dial(ln.Addr().String()); err == nil {
 		t.Error("bad handshake must error")
+	}
+}
+
+// TestHandshakeCountIsNotTrusted: the stream count in a handshake is a
+// claim. A peer that names 1<<20 streams and hangs up before the first entry
+// costs the client what arrived, not a 24 MiB table up front.
+func TestHandshakeCountIsNotTrusted(t *testing.T) {
+	client, server := net.Pipe()
+	go func() {
+		server.Write([]byte{'P', 'G', 'S', 'P', protocolVersion, 0x00, 0x10, 0x00, 0x00})
+		server.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := NewClient(client)
+	runtime.ReadMemStats(&after)
+	if c != nil || !errors.Is(err, io.EOF) {
+		t.Fatalf("handshake cut after its count: %v, want an EOF error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("client allocated %d bytes for a 9-byte handshake", grew)
 	}
 }
 

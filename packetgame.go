@@ -9,7 +9,7 @@
 //   - Gate (the paper's Algorithm 1) with its temporal estimator,
 //     contextual predictor, and combinatorial optimizer;
 //   - the synthetic video substrate (scene models, encoders, bitstreams,
-//     parser, PGV containers, PGSP network streaming);
+//     parser, PGSP network streaming);
 //   - the decoder cost model and the four inference-task simulators;
 //   - dataset generators mirroring the paper's corpora and the training
 //     helpers for the contextual predictor;
@@ -20,10 +20,7 @@
 package packetgame
 
 import (
-	"io"
-
 	"packetgame/internal/codec"
-	"packetgame/internal/container"
 	"packetgame/internal/core"
 	"packetgame/internal/dataset"
 	"packetgame/internal/decode"
@@ -245,14 +242,8 @@ func SplitSamples(samples []Sample, trainFrac float64, seed int64) (train, test 
 	return dataset.Split(samples, trainFrac, seed)
 }
 
-// Containers and network streaming.
+// Network streaming.
 type (
-	// PGVHeader is the PGV container header.
-	PGVHeader = container.Header
-	// PGVWriter writes PGV files.
-	PGVWriter = container.Writer
-	// PGVReader reads PGV files.
-	PGVReader = container.Reader
 	// StreamServer serves camera fleets over PGSP/TCP.
 	StreamServer = stream.Server
 	// StreamServerConfig parameterizes a StreamServer.
@@ -260,14 +251,6 @@ type (
 	// StreamClient consumes a PGSP session.
 	StreamClient = stream.Client
 )
-
-// NewPGVWriter starts a PGV file.
-func NewPGVWriter(w io.Writer, hdr PGVHeader) (*PGVWriter, error) {
-	return container.NewWriter(w, hdr)
-}
-
-// NewPGVReader opens a PGV file.
-func NewPGVReader(r io.Reader) (*PGVReader, error) { return container.NewReader(r) }
 
 // DialStream connects to a PGSP server.
 func DialStream(addr string) (*StreamClient, error) { return stream.Dial(addr) }

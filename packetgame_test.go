@@ -105,39 +105,6 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	t.Logf("PacketGame %.3f vs round-robin %.3f accuracy at budget 4", res.Accuracy, rrRes.Accuracy)
 }
 
-func TestPublicAPIParserRoundTrip(t *testing.T) {
-	st := NewStream(SceneConfig{}, EncoderConfig{GOPSize: 5}, 3)
-	var buf bytes.Buffer
-	// The codec-internal bitstream writer is not re-exported; containers
-	// are the public serialization. Exercise PGV round-trip instead.
-	w, err := NewPGVWriter(&buf, PGVHeader{StreamID: 1, Codec: H264, FPS: 25, GOPSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := w.WritePacket(st.Next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewPGVReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Header().Codec != H264 {
-		t.Errorf("header codec = %v", r.Header().Codec)
-	}
-	p, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Type != PictureI || p.StreamID != 1 {
-		t.Errorf("first packet = %v", p)
-	}
-}
-
 func TestPublicAPITaskByName(t *testing.T) {
 	for _, name := range []string{"PC", "AD", "SR", "FD"} {
 		task, err := TaskByName(name)
