@@ -45,15 +45,15 @@ loc:
 	@printf '%6d total outside benchmark/\n' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)
 
 # Cheap allocation regression gates for the gating hot loop: a steady-state
-# Decide+Feedback round, the batched compiled forward, every selector's
-# solve (Ranked with all candidates dirty included), the coordinator's
-# solve-and-grant step, a worker's read of a round frame into its recycled
-# record, the container's in-place packet parse and its record read into a
-# recycled buffer must stay at ~zero
-# allocs/op (testing.AllocsPerRun, no benchmark run needed), and a whole
-# engine round — gate loop, decode pool, collector, feedback, rounds
-# overlapping or not — under one small object. The last line
-# re-runs the nn and predictor suites with the AVX2 kernel linked out
+# DecideSparseAppend+FeedbackFull round, the batched compiled forward, every
+# selector's solve (Ranked with all candidates dirty included), the
+# coordinator's solve-and-grant step, a worker's read of a round frame into
+# its recycled record, the container's in-place packet parse and its record
+# read into a recycled buffer must stay at ~zero allocs/op
+# (testing.AllocsPerRun, no benchmark run needed), and a whole engine round —
+# gate loop, decode pool, collector, feedback, rounds overlapping or not,
+# behind the gate or a baseline policy — under one small object. The last
+# line re-runs the nn and predictor suites with the AVX2 kernel linked out
 # (nn.portableOnly), so a host that has AVX2 still exercises the portable
 # kernels every other host runs.
 alloc-smoke:
@@ -63,7 +63,7 @@ alloc-smoke:
 	$(GO) test ./internal/knapsack -run TestSelectZeroAlloc -count 1
 	$(GO) test ./internal/cluster -run 'TestWorkerRoundZeroAlloc|TestSolveGrantZeroAlloc' -count 1
 	$(GO) test ./internal/container -run 'TestUnmarshalPacketIntoZeroAlloc|TestReadRecordZeroAlloc' -count 1
-	$(GO) test ./internal/pipeline -run TestEngineRoundAllocCeiling -count 1
+	$(GO) test ./internal/pipeline -run 'TestEngineRoundAllocCeiling|TestBaselineRoundAllocCeiling' -count 1
 	$(GO) test -ldflags '-X packetgame/internal/nn.portableOnly=1' ./internal/nn ./internal/predictor -count 1
 
 verify: build vet test race alloc-smoke replay soak scale cluster failover benchdiff

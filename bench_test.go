@@ -130,17 +130,18 @@ func benchGateRound(b *testing.B, m int) {
 		streams[i] = codec.NewStream(codec.SceneConfig{BaseActivity: 0.4},
 			codec.EncoderConfig{StreamID: i, GOPSize: 25}, int64(i))
 	}
-	pkts := make([]*codec.Packet, m)
+	var rnd codec.Round
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		rnd.Reset(m)
 		for j, st := range streams {
-			pkts[j] = st.Next()
+			rnd.Append(int32(j), st.Next())
 		}
-		sel, err := gate.Decide(pkts)
+		sel, err := gate.DecideSparseAppend(&rnd, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := gate.Feedback(sel, make([]bool, len(sel))); err != nil {
+		if err := gate.FeedbackFull(sel, make([]bool, len(sel)), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"packetgame/internal/codec"
 	"packetgame/internal/core"
 	"packetgame/internal/overload"
 	"packetgame/internal/trace"
@@ -76,6 +77,7 @@ func Audit(c *Capture, opts AuditOptions) (AuditResult, error) {
 	res.ExtraRounds = len(c.Rounds) - n
 	res.ExtraDecisions = len(c.Decisions) - n
 
+	var rnd codec.Round
 	var sel []int
 	for i := 0; i < n; i++ {
 		rec := c.Decisions[i]
@@ -84,7 +86,8 @@ func Audit(c *Capture, opts AuditOptions) (AuditResult, error) {
 			return res, fmt.Errorf("capture: decision %d: %w", i, err)
 		}
 		planner.Set(rec.Budget, mode)
-		sel, err = gate.Decide(c.Rounds[i].Pkts)
+		rnd.FromDense(c.Rounds[i].Pkts)
+		sel, err = gate.DecideSparseAppend(&rnd, sel[:0])
 		if err != nil {
 			return res, fmt.Errorf("capture: replaying round %d: %w", i, err)
 		}

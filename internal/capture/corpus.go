@@ -199,7 +199,7 @@ func GenerateCorpus(w io.Writer, spec CorpusSpec) error {
 
 	step := time.Second / time.Duration(spec.FPS)
 	var ts time.Duration
-	pkts := make([]*codec.Packet, spec.Streams)
+	var rnd codec.Round
 	var sel []int
 	for r := 0; r < spec.Rounds; r++ {
 		if r > 0 {
@@ -213,21 +213,23 @@ func GenerateCorpus(w io.Writer, spec CorpusSpec) error {
 			bEff, mode = spec.Budget*spec.DipBudgetFrac, spec.DipMode
 		}
 		planner.Set(bEff, mode)
+		rnd.Reset(spec.Streams)
 		for i, st := range fleet {
-			pkts[i] = st.Next()
-			if err := cw.WritePacket(ts, int64(r), pkts[i]); err != nil {
+			p := st.Next()
+			if err := cw.WritePacket(ts, int64(r), p); err != nil {
 				return err
 			}
+			rnd.Append(int32(i), p)
 		}
-		sel, err = gate.Decide(pkts)
+		sel, err = gate.DecideSparseAppend(&rnd, sel[:0])
 		if err != nil {
 			return err
 		}
 		necessary := make([]bool, len(sel))
 		for k, i := range sel {
-			necessary[k] = necessity(spec.Seed, pkts[i])
+			necessary[k] = necessity(spec.Seed, rnd.Pkts[i])
 		}
-		if err := gate.Feedback(sel, necessary); err != nil {
+		if err := gate.FeedbackFull(sel, necessary, nil, nil); err != nil {
 			return err
 		}
 	}

@@ -577,6 +577,7 @@ func TestBlobRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	gop := make([]int, m)
 	pkts := make([]*codec.Packet, m)
+	var rnd codec.Round
 	for r := 0; r < 50; r++ {
 		for i := range pkts {
 			pkts[i] = nil
@@ -592,7 +593,8 @@ func TestBlobRoundtrip(t *testing.T) {
 			gop[i] = (gop[i] + 1) % 8
 			pkts[i] = p
 		}
-		sel, err := g.Decide(pkts)
+		rnd.FromDense(pkts)
+		sel, err := g.DecideSparseAppend(&rnd, nil)
 		if err != nil {
 			t.Fatalf("decide: %v", err)
 		}
@@ -600,7 +602,7 @@ func TestBlobRoundtrip(t *testing.T) {
 		for k := range sel {
 			nec[k] = k%2 == 0
 		}
-		if err := g.Feedback(sel, nec); err != nil {
+		if err := g.FeedbackFull(sel, nec, nil, nil); err != nil {
 			t.Fatalf("feedback: %v", err)
 		}
 	}

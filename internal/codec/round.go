@@ -100,19 +100,3 @@ func (r *Round) FromDense(pkts []*Packet) {
 		}
 	}
 }
-
-// Scatter writes the round's packets into a dense array of width M (dst[id]
-// = packet). dst must have length r.M. Use ClearScatter afterwards to undo
-// in O(active).
-func (r *Round) Scatter(dst []*Packet) {
-	for k, id := range r.IDs {
-		dst[id] = r.Pkts[k]
-	}
-}
-
-// ClearScatter nils out exactly the entries Scatter wrote.
-func (r *Round) ClearScatter(dst []*Packet) {
-	for _, id := range r.IDs {
-		dst[id] = nil
-	}
-}

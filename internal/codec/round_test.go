@@ -23,7 +23,7 @@ func TestRoundValidate(t *testing.T) {
 	}
 }
 
-func TestRoundScatterRoundTrip(t *testing.T) {
+func TestRoundFromDenseRoundTrip(t *testing.T) {
 	dense := make([]*Packet, 10)
 	for _, i := range []int{1, 4, 9} {
 		dense[i] = &Packet{StreamID: i}
@@ -36,17 +36,9 @@ func TestRoundScatterRoundTrip(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatalf("FromDense produced invalid round: %v", err)
 	}
-	scatter := make([]*Packet, 10)
-	r.Scatter(scatter)
-	for i := range dense {
-		if scatter[i] != dense[i] {
-			t.Fatalf("scatter[%d] mismatch", i)
-		}
-	}
-	r.ClearScatter(scatter)
-	for i, p := range scatter {
-		if p != nil {
-			t.Fatalf("ClearScatter left entry %d", i)
+	for i, p := range dense {
+		if r.Get(int32(i)) != p {
+			t.Fatalf("Get(%d) = %v, want the dense entry %v", i, r.Get(int32(i)), p)
 		}
 	}
 	if got := r.Get(4); got == nil || got.StreamID != 4 {

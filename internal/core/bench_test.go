@@ -45,20 +45,31 @@ func benchGate(tb testing.TB, m int, sel knapsack.Selector) (*Gate, [][]*codec.P
 	return g, pre
 }
 
+// roundsOf converts pregenerated dense rounds into codec.Rounds, off the
+// clock.
+func roundsOf(pre [][]*codec.Packet) []codec.Round {
+	rs := make([]codec.Round, len(pre))
+	for r := range pre {
+		rs[r].FromDense(pre[r])
+	}
+	return rs
+}
+
 func benchDecideRound(b *testing.B, m int) {
 	b.Helper()
 	g, pre := benchGate(b, m, nil)
+	rounds := roundsOf(pre)
 	var sel []int
 	necessary := make([]bool, m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		sel, err = g.DecideAppend(pre[i%len(pre)], sel[:0])
+		sel, err = g.DecideSparseAppend(&rounds[i%len(rounds)], sel[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := g.FeedbackExt(sel, necessary[:len(sel)], nil); err != nil {
+		if err := g.FeedbackFull(sel, necessary[:len(sel)], nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,10 +80,11 @@ func BenchmarkDecideRound256(b *testing.B)  { benchDecideRound(b, 256) }
 func BenchmarkDecideRound1024(b *testing.B) { benchDecideRound(b, 1024) }
 
 // TestDecideRoundAllocCeiling is the verify-gate smoke bench: after warmup,
-// a steady-state Decide+Feedback round must stay under a small allocs/op
-// ceiling (sync.Pool churn and map internals give a little slack; the target
-// is "no per-stream or per-buffer allocation scales with m"). That holds for
-// the built-in ranked solve and for a configured Selector alike.
+// a steady-state DecideSparseAppend+FeedbackFull round — the entry point
+// every engine round uses — must stay under a small allocs/op ceiling
+// (sync.Pool churn and map internals give a little slack; the target is "no
+// per-stream or per-buffer allocation scales with m"). That holds for the
+// built-in ranked solve and for a configured Selector alike.
 func TestDecideRoundAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
@@ -84,16 +96,17 @@ func TestDecideRoundAllocCeiling(t *testing.T) {
 func decideRoundAllocCeiling(t *testing.T, selector knapsack.Selector) {
 	const m = 128
 	g, pre := benchGate(t, m, selector)
+	rounds := roundsOf(pre)
 	var sel []int
 	necessary := make([]bool, m)
 	round := 0
 	run := func() {
 		var err error
-		sel, err = g.DecideAppend(pre[round%len(pre)], sel[:0])
+		sel, err = g.DecideSparseAppend(&rounds[round%len(rounds)], sel[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.FeedbackExt(sel, necessary[:len(sel)], nil); err != nil {
+		if err := g.FeedbackFull(sel, necessary[:len(sel)], nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		round++
@@ -110,8 +123,9 @@ func decideRoundAllocCeiling(t *testing.T, selector knapsack.Selector) {
 
 // TestFastPathMatchesReferenceDecisions runs the production gate and the
 // reference gate scoring through the float64 forward over identical packet
-// rounds and checks the decisions agree in aggregate: the float32 fast path
-// may flip exact near-ties in greedy ordering, so we bound the per-round
+// rounds — the production gate rotating its three entry points — and checks
+// the decisions agree in aggregate: the float32 fast path may flip exact
+// near-ties in greedy ordering, so we bound the per-round
 // symmetric-difference rate rather than demand identity.
 func TestFastPathMatchesReferenceDecisions(t *testing.T) {
 	const m, rounds = 96, 60
@@ -130,7 +144,14 @@ func TestFastPathMatchesReferenceDecisions(t *testing.T) {
 	var diff, total int
 	selB := make([]bool, m)
 	for r := 0; r < rounds; r++ {
-		fs, err := fast.Decide(pre[r%len(pre)])
+		pkts := pre[r%len(pre)]
+		var nonIdle []int32
+		for i, p := range pkts {
+			if p != nil {
+				nonIdle = append(nonIdle, int32(i))
+			}
+		}
+		fs, err := decideVia(fast, r, pkts, nonIdle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +178,7 @@ func TestFastPathMatchesReferenceDecisions(t *testing.T) {
 			}
 		}
 		total += len(rs)
-		if err := fast.Feedback(fs, necessary[:len(fs)]); err != nil {
+		if err := fast.FeedbackFull(fs, necessary[:len(fs)], nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := ref.Feedback(rs, necessary[:len(rs)]); err != nil {

@@ -153,7 +153,7 @@ func TestGateQuarantineAndRecovery(t *testing.T) {
 		for i := range pkts {
 			pkts[i] = iPacket(1000 + 100*i)
 		}
-		sel, err := g.Decide(pkts)
+		sel, err := decideDense(g, pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestGateQuarantineAndRecovery(t *testing.T) {
 				nec[k] = false
 			}
 		}
-		if err := g.FeedbackExt(sel, nec, failed); err != nil {
+		if err := g.FeedbackFull(sel, nec, failed, nil); err != nil {
 			t.Fatal(err)
 		}
 		return sel
@@ -392,7 +392,7 @@ func TestPoisonedWindowDegradesToTemporal(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		pkts := []*codec.Packet{iPacket(0), iPacket(4000)} // stream 0 truncated to zero size
 		for _, g := range []*Gate{armed, oblivious} {
-			sel, err := g.Decide(pkts)
+			sel, err := decideDense(g, pkts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,7 +400,7 @@ func TestPoisonedWindowDegradesToTemporal(t *testing.T) {
 			for k := range nec {
 				nec[k] = true
 			}
-			if err := g.Feedback(sel, nec); err != nil {
+			if err := g.FeedbackFull(sel, nec, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -433,7 +433,7 @@ func TestFeedbackExtValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := g.Decide([]*codec.Packet{iPacket(1000), iPacket(1000)})
+	sel, err := decideDense(g, []*codec.Packet{iPacket(1000), iPacket(1000)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,10 +441,10 @@ func TestFeedbackExtValidation(t *testing.T) {
 		t.Fatal("nothing selected")
 	}
 	nec := make([]bool, len(sel))
-	if err := g.FeedbackExt(sel, nec, make([]bool, len(sel)+1)); err == nil {
+	if err := g.FeedbackFull(sel, nec, make([]bool, len(sel)+1), nil); err == nil {
 		t.Fatal("failed-mask length mismatch must error")
 	}
-	if err := g.FeedbackExt(sel, nec, make([]bool, len(sel))); err != nil {
+	if err := g.FeedbackFull(sel, nec, make([]bool, len(sel)), nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -264,24 +264,23 @@ type Gate struct {
 	// the next round starts, which resets exactly those — every other entry
 	// is still at its zero value, making the reset equivalent to the dense
 	// full-array zeroing without the O(m) walk.
-	feats      []predictor.Features
-	active     []int     // admitted streams, ascending (scored this round)
-	fresh      []int     // active subset re-scored through the network
-	nonIdleBuf []int32   // scanned non-idle list when the caller supplies none
-	sweep      []int32   // non-quarantined non-idle (windows advance)
-	pushIDs    []int32   // feedback scratch: the round's selections ...
-	pushRew    []float64 // ... and their rewards, for the estimator
-	conf       []float64
-	costs      []float64
-	temporal   []float64
-	bonus      []float64
-	predOut    []float64            // [len(fresh) × tasks] confidences, row-major
-	selOut     []int                // the round's selection
-	selected   []bool               // all-false between rounds
-	degraded   []bool               // poisoned-window streams scored temporal-only this round
-	tasks      int                  // predictor head count (0 without a predictor)
-	cands      []knapsack.Candidate // custom-Selector candidate scratch (active streams only)
-	pktAt      []*codec.Packet      // sparse-round scatter scratch (m-length, nil between rounds)
+	feats    []predictor.Features
+	active   []int     // admitted streams, ascending (scored this round)
+	fresh    []int     // active subset re-scored through the network
+	sweep    []int32   // non-quarantined non-idle (windows advance)
+	pushIDs  []int32   // feedback scratch: the round's selections ...
+	pushRew  []float64 // ... and their rewards, for the estimator
+	conf     []float64
+	costs    []float64
+	temporal []float64
+	bonus    []float64
+	predOut  []float64            // [len(fresh) × tasks] confidences, row-major
+	selOut   []int                // the round's selection
+	selected []bool               // all-false between rounds
+	degraded []bool               // poisoned-window streams scored temporal-only this round
+	tasks    int                  // predictor head count (0 without a predictor)
+	cands    []knapsack.Candidate // custom-Selector candidate scratch (active streams only)
+	shim     codec.Round          // the dense shims' round (empty between rounds)
 
 	// ranked is the built-in solve: the persistent score-ordered candidate
 	// structure (nil with a custom Selector). The cache arrays (allocated
@@ -428,85 +427,62 @@ func (g *Gate) SetMaxPending(k int) {
 	g.mu.Unlock()
 }
 
-// Decide runs one gating round. pkts holds one parsed packet per stream
-// (nil for streams with no packet this round) and must have length
-// Config.Streams. It returns the indices of the streams whose packets should
-// be decoded. At most MaxPending rounds may be outstanding: with the default
-// of 1, Feedback must be called before the next Decide.
-func (g *Gate) Decide(pkts []*codec.Packet) ([]int, error) {
-	return g.DecideAppend(pkts, nil)
-}
-
-// DecideAppend is Decide appending the selection into dst (which may be
-// nil): callers that recycle dst across rounds pay zero allocations for the
-// result. On error the returned slice is nil.
-func (g *Gate) DecideAppend(pkts []*codec.Packet, dst []int) ([]int, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.decideLocked(pkts, nil, dst)
-}
-
-// DecideRoundAppend is DecideAppend for callers that already know which
-// streams delivered a packet this round: nonIdle must list exactly the
-// indices i with pkts[i] != nil, strictly ascending. Producers that assemble
-// the round (the pipelined engine, replay) build this list for free while
-// placing packets, and handing it over lets the gate skip its own O(m) scan
-// — with a small fleet slice active inside a large configured fleet, the
-// whole round then costs O(non-idle), not O(m). The list is only read for
-// the duration of the call.
-func (g *Gate) DecideRoundAppend(pkts []*codec.Packet, nonIdle []int32, dst []int) ([]int, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	last := int32(-1)
-	for _, i := range nonIdle {
-		if i <= last {
-			return nil, fmt.Errorf("core: nonIdle must be strictly ascending (%d after %d)", i, last)
-		}
-		if int(i) >= len(pkts) || pkts[i] == nil {
-			return nil, fmt.Errorf("core: nonIdle lists stream %d, which has no packet", i)
-		}
-		last = i
-	}
-	return g.decideLocked(pkts, nonIdle, dst)
-}
-
-// DecideSparseAppend is DecideRoundAppend over a sparse round: only the
-// streams in r exist this round. The round's packets are scattered into a
-// persistent m-length array (so the scoring core keeps its by-stream
-// indexing) and un-scattered afterwards — both O(active) — which makes the
-// whole call O(active) for a mostly-idle fleet while remaining bit-identical
-// to handing the dense equivalent to Decide.
+// DecideSparseAppend runs one gating round over r, the streams that
+// delivered a packet (ids strictly ascending, every id below
+// Config.Streams), and appends the indices of the streams whose packets
+// should be decoded to dst (which may be nil: a caller that recycles dst
+// pays no allocation for the result). The round costs O(len(r.IDs)), not
+// O(m). At most MaxPending rounds may be outstanding: with the default of 1,
+// FeedbackFull must close a round before the next one is decided. An invalid
+// round is rejected before any state moves; on error the result is nil.
 func (g *Gate) DecideSparseAppend(r *codec.Round, dst []int) ([]int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if r.M != g.cfg.Streams {
-		return nil, fmt.Errorf("core: sparse round width %d for %d streams", r.M, g.cfg.Streams)
+	return g.decideLocked(r, dst)
+}
+
+// DecideAppend decides a dense round: pkts[i] is stream i's packet, nil when
+// it is idle. O(m) per round. It and DecideRoundAppend are kept only because
+// the ledger probe (benchmark/probe.go) wraps them; everything else hands the
+// gate a codec.Round. Both fill the gate's own round and empty it again
+// before returning, so the gate holds no packet pointer between rounds.
+func (g *Gate) DecideAppend(pkts []*codec.Packet, dst []int) ([]int, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	defer g.shim.Reset(0)
+	g.shim.FromDense(pkts)
+	return g.decideLocked(&g.shim, dst)
+}
+
+// DecideRoundAppend decides the streams nonIdle lists (strictly ascending,
+// each with a packet in pkts).
+func (g *Gate) DecideRoundAppend(pkts []*codec.Packet, nonIdle []int32, dst []int) ([]int, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	defer g.shim.Reset(0)
+	g.shim.Reset(len(pkts))
+	for _, i := range nonIdle {
+		var p *codec.Packet // an id out of range stays nil for Validate to name
+		if i >= 0 && int(i) < len(pkts) {
+			p = pkts[i]
+		}
+		g.shim.Append(i, p)
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	if g.pktAt == nil {
-		g.pktAt = make([]*codec.Packet, g.cfg.Streams)
-	}
-	r.Scatter(g.pktAt)
-	sel, err := g.decideLocked(g.pktAt, r.IDs, dst)
-	r.ClearScatter(g.pktAt)
-	return sel, err
+	return g.decideLocked(&g.shim, dst)
 }
 
 // round is what one Decide threads through its five phases.
 type round struct {
-	pkts    []*codec.Packet
-	nonIdle []int32 // streams with a packet, ascending
-	bEff    float64 // effective budget the round plans against
-	mode    overload.Mode
-	pend    pendingRound // the round's feedback record, filled in as it goes
+	*codec.Round         // the round's packets: IDs ascending, Pkts parallel
+	bEff         float64 // effective budget the round plans against
+	mode         overload.Mode
+	pend         pendingRound // the round's feedback record, filled in as it goes
 }
 
 // decideLocked is Algorithm 1's round: plan → sweep → score → select →
 // commit. The selection is appended to dst; on error the result is nil.
-func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32, dst []int) ([]int, error) {
-	r, err := g.planRound(pkts, nonIdle)
+func (g *Gate) decideLocked(in *codec.Round, dst []int) ([]int, error) {
+	r, err := g.planRound(in)
 	if err != nil {
 		return nil, err
 	}
@@ -519,31 +495,25 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32, dst []int) ([
 	return append(dst, g.selOut...), nil
 }
 
-// planRound admits the round: it enforces the pending-round bound, asks the
-// overload planner or governor (when armed) for the effective budget and
-// degradation mode the round runs with instead of the fixed nominal budget,
-// and lists the non-idle streams when the caller did not.
-func (g *Gate) planRound(pkts []*codec.Packet, nonIdle []int32) (round, error) {
-	if len(pkts) != g.cfg.Streams {
-		return round{}, fmt.Errorf("core: %d packets for %d streams", len(pkts), g.cfg.Streams)
+// planRound admits the round: it checks the round's width and invariants and
+// the pending-round bound, then asks the overload planner or governor (when
+// armed) for the effective budget and degradation mode the round runs with
+// instead of the fixed nominal budget.
+func (g *Gate) planRound(in *codec.Round) (round, error) {
+	if in.M != g.cfg.Streams {
+		return round{}, fmt.Errorf("core: round width %d for %d streams", in.M, g.cfg.Streams)
+	}
+	if err := in.Validate(); err != nil {
+		return round{}, err
 	}
 	if n := len(g.pending); n >= g.maxPending {
 		return round{}, fmt.Errorf("core: Decide called with %d unacked rounds (MaxPending %d): Feedback must close the oldest round first", n, g.maxPending)
 	}
-	r := round{pkts: pkts, nonIdle: nonIdle, bEff: g.cfg.Budget, mode: overload.ModeFull}
+	r := round{Round: in, bEff: g.cfg.Budget, mode: overload.ModeFull}
 	if g.cfg.Planner != nil {
 		r.bEff, r.mode = g.cfg.Planner.Plan()
 	} else if g.cfg.Governor != nil {
 		r.bEff, r.mode = g.cfg.Governor.Plan()
-	}
-	if nonIdle == nil {
-		g.nonIdleBuf = g.nonIdleBuf[:0]
-		for i, p := range pkts {
-			if p != nil {
-				g.nonIdleBuf = append(g.nonIdleBuf, int32(i))
-			}
-		}
-		r.nonIdle = g.nonIdleBuf
 	}
 	return r, nil
 }
@@ -571,19 +541,19 @@ func (g *Gate) sweepRound(r *round) {
 
 	var quar []bool
 	if g.breakers != nil {
-		quar = g.breakers.beginRoundSparse(r.nonIdle)
+		quar = g.breakers.beginRoundSparse(r.IDs)
 	}
 	g.sweep = g.sweep[:0]
 	g.active = g.active[:0]
 	shedCount := 0
 	depAware := *g.cfg.DependencyAware
-	for _, i32 := range r.nonIdle {
+	for k, i32 := range r.IDs {
 		i := int(i32)
 		if quar != nil && quar[i] {
 			continue
 		}
 		g.sweep = append(g.sweep, i32)
-		p := r.pkts[i]
+		p := r.Pkts[k]
 		g.store.Push(i, p)
 		if g.est != nil {
 			g.temporal[i] = g.est.Exploit(i)
@@ -780,19 +750,23 @@ func (g *Gate) commitRound(r *round) {
 		spent += g.costs[i]
 	}
 	if *g.cfg.DependencyAware {
-		for _, i := range r.nonIdle {
-			g.trackers.Stream(int(i)).Commit(r.pkts[i], g.selected[i])
+		for k, i := range r.IDs {
+			g.trackers.Stream(int(i)).Commit(r.Pkts[k], g.selected[i])
 		}
 	}
 
 	r.pend.sel = append(g.grabSel(), sel...)
 	if g.cfg.Trace != nil {
 		rec := &trace.Round{T: g.stats.Rounds, Budget: r.bEff, Spent: spent, Mode: r.mode.String()}
+		k := 0 // the active set is an ascending subset of the round's ids
 		for _, i := range g.active {
+			for int(r.IDs[k]) != i {
+				k++
+			}
 			rec.Decisions = append(rec.Decisions, trace.Decision{
 				Stream:     i,
-				Type:       r.pkts[i].Type.String(),
-				Size:       r.pkts[i].Size,
+				Type:       r.Pkts[k].Type.String(),
+				Size:       r.Pkts[k].Size,
 				Confidence: g.conf[i],
 				Cost:       g.costs[i],
 				Selected:   g.selected[i],
@@ -801,7 +775,7 @@ func (g *Gate) commitRound(r *round) {
 		r.pend.trace = rec
 	}
 	g.stats.Rounds++
-	g.stats.Packets += int64(len(r.nonIdle))
+	g.stats.Packets += int64(len(r.IDs))
 	g.stats.Decoded += int64(len(sel))
 	g.stats.CostSpent += spent
 	g.pending = append(g.pending, r.pend)
@@ -856,36 +830,27 @@ func (g *Gate) Confidence(i int) float64 {
 	return g.conf[i]
 }
 
-// Feedback acks the oldest pending round: necessary[k] is the redundancy
-// feedback for stream selected[k] (aligned with that round's Decide return
-// value). Rounds must be acked in decision order; the gate verifies the ack
-// against the queued round so out-of-order or mismatched feedback fails fast
-// instead of corrupting the UCB reward windows.
-func (g *Gate) Feedback(selected []int, necessary []bool) error {
-	return g.FeedbackExt(selected, necessary, nil)
-}
-
-// FeedbackExt is Feedback with per-selection decode outcomes: failed[k]
-// marks a selection whose decode never produced a frame (poison pill,
-// exhausted retries). Failed selections drive the circuit breakers, are
+// FeedbackFull acks the oldest pending round: necessary[k] is the redundancy
+// feedback for stream selected[k] (aligned with that round's decision).
+// Rounds must be acked in decision order; the gate verifies the ack against
+// the queued round so out-of-order or mismatched feedback fails fast instead
+// of corrupting the UCB reward windows.
+//
+// failed[k] marks a selection whose decode never produced a frame (poison
+// pill, exhausted retries). Failed selections drive the circuit breakers, are
 // excluded from online training (their labels are unverified), and carry
 // whatever conservative necessary[k] the pipeline settled on so the UCB
-// reward windows stay well-defined over partial rounds. failed may be nil
-// (no failures), which is exactly Feedback.
-func (g *Gate) FeedbackExt(selected []int, necessary []bool, failed []bool) error {
-	return g.FeedbackFull(selected, necessary, failed, nil)
-}
-
-// FeedbackFull is FeedbackExt with load-shedding outcomes: deferred[k]
-// marks a selection the pipeline abandoned to meet a round deadline. A
-// deferred slot's outcome is *unknown* — not a failure, not a redundancy
-// verdict — so it must not leave a trace in any learned state: the slot is
-// recorded as unselected in the temporal estimator's reward window (no
-// reward, no selection count — only its age grows, exactly as if the
-// optimizer had passed it over), it never reaches the online trainer, and
-// it does not drive the stream's circuit breaker (the stream did nothing
-// wrong). necessary[k] is ignored for deferred slots. deferred may be nil
-// (nothing abandoned), which is exactly FeedbackExt.
+// reward windows stay well-defined over partial rounds.
+//
+// deferred[k] marks a selection the pipeline abandoned to meet a round
+// deadline. A deferred slot's outcome is *unknown* — not a failure, not a
+// redundancy verdict — so it must not leave a trace in any learned state: the
+// slot is recorded as unselected in the temporal estimator's reward window
+// (no reward, no selection count — only its age grows, exactly as if the
+// optimizer had passed it over), it never reaches the online trainer, and it
+// does not drive the stream's circuit breaker (the stream did nothing wrong).
+// necessary[k] is ignored for deferred slots. failed and deferred may be nil
+// (no failures, nothing abandoned).
 //
 // One deliberate approximation: the dependency tracker committed the
 // selection at Decide time, so an abandoned decode leaves the tracker

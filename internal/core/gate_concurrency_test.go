@@ -52,7 +52,7 @@ func TestGateMultiPendingQueue(t *testing.T) {
 	streams := concFleet(m, 5)
 	var sels [][]int
 	for r := 0; r < k; r++ {
-		sel, err := g.Decide(nextRoundPkts(streams))
+		sel, err := decideDense(g, nextRoundPkts(streams))
 		if err != nil {
 			t.Fatalf("decide %d of %d: %v", r+1, k, err)
 		}
@@ -61,14 +61,14 @@ func TestGateMultiPendingQueue(t *testing.T) {
 	if g.Pending() != k {
 		t.Fatalf("pending = %d, want %d", g.Pending(), k)
 	}
-	if _, err := g.Decide(nextRoundPkts(streams)); err == nil {
+	if _, err := decideDense(g, nextRoundPkts(streams)); err == nil {
 		t.Fatal("Decide beyond MaxPending must fail")
 	}
 	// Acking a round whose selection does not match the oldest pending
 	// round must fail without consuming it (out-of-order ack guard).
 	if len(sels[0]) > 0 {
 		bad := make([]bool, len(sels[0])+1)
-		if err := g.Feedback(append(append([]int(nil), sels[0]...), sels[0][0]), bad); err == nil {
+		if err := g.FeedbackFull(append(append([]int(nil), sels[0]...), sels[0][0]), bad, nil, nil); err == nil {
 			t.Fatal("mismatched feedback length must fail")
 		}
 		if g.Pending() != k {
@@ -76,7 +76,7 @@ func TestGateMultiPendingQueue(t *testing.T) {
 		}
 	}
 	for r, sel := range sels {
-		if err := g.Feedback(sel, syntheticNecessary(r, sel)); err != nil {
+		if err := g.FeedbackFull(sel, syntheticNecessary(r, sel), nil, nil); err != nil {
 			t.Fatalf("feedback %d: %v", r, err)
 		}
 	}
@@ -85,10 +85,10 @@ func TestGateMultiPendingQueue(t *testing.T) {
 	}
 	// SetMaxPending takes effect for subsequent rounds.
 	g.SetMaxPending(1)
-	if _, err := g.Decide(nextRoundPkts(streams)); err != nil {
+	if _, err := decideDense(g, nextRoundPkts(streams)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Decide(nextRoundPkts(streams)); err == nil {
+	if _, err := decideDense(g, nextRoundPkts(streams)); err == nil {
 		t.Fatal("Decide beyond lowered MaxPending must fail")
 	}
 }
@@ -176,7 +176,7 @@ func TestGateConcurrentDecideFeedback(t *testing.T) {
 			for k, i := range d.sel {
 				failed[k] = i%8 == 0 // every eighth camera never decodes
 			}
-			if err := g.FeedbackExt(d.sel, syntheticNecessary(d.round, d.sel), failed); err != nil {
+			if err := g.FeedbackFull(d.sel, syntheticNecessary(d.round, d.sel), failed, nil); err != nil {
 				select {
 				case consumerErr <- err:
 				default:
@@ -187,7 +187,7 @@ func TestGateConcurrentDecideFeedback(t *testing.T) {
 	}()
 
 	for r := 0; r < rounds; r++ {
-		sel, err := g.Decide(nextRoundPkts(streams))
+		sel, err := decideDense(g, nextRoundPkts(streams))
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}

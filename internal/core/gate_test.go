@@ -16,6 +16,14 @@ import (
 // adTask is the anomaly-detection task used throughout these tests.
 type adTask = infer.AnomalyDetection
 
+// decideDense hands a dense round (nil = idle stream) to d through the one
+// gating protocol, as its FromDense round.
+func decideDense(d Decider, pkts []*codec.Packet) ([]int, error) {
+	var r codec.Round
+	r.FromDense(pkts)
+	return d.DecideSparseAppend(&r, nil)
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -52,28 +60,28 @@ func TestGateProtocolEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Feedback(nil, nil); err == nil {
+	if err := g.FeedbackFull(nil, nil, nil, nil); err == nil {
 		t.Error("Feedback before Decide must error")
 	}
 	pkts := []*codec.Packet{
 		{Type: codec.PictureI, GOPIndex: 0, GOPSize: 5, Size: 1000},
 		{Type: codec.PictureI, GOPIndex: 0, GOPSize: 5, Size: 1000},
 	}
-	sel, err := g.Decide(pkts)
+	sel, err := decideDense(g, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Decide(pkts); err == nil {
+	if _, err := decideDense(g, pkts); err == nil {
 		t.Error("second Decide without Feedback must error")
 	}
 	nec := make([]bool, len(sel))
-	if err := g.Feedback(sel, nec[:0]); err == nil && len(sel) > 0 {
+	if err := g.FeedbackFull(sel, nec[:0], nil, nil); err == nil && len(sel) > 0 {
 		t.Error("feedback length mismatch must error")
 	}
-	if err := g.Feedback(sel, nec); err != nil {
+	if err := g.FeedbackFull(sel, nec, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Feedback(sel, nec); err == nil {
+	if err := g.FeedbackFull(sel, nec, nil, nil); err == nil {
 		t.Error("double Feedback must error")
 	}
 
@@ -84,7 +92,7 @@ func TestGateProtocolEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err = g.Decide([]*codec.Packet{pkts[0], pkts[0], pkts[0], nil})
+	sel, err = decideDense(g, []*codec.Packet{pkts[0], pkts[0], pkts[0], nil})
 	if err != nil || len(sel) != 3 {
 		t.Fatalf("Decide = %v, %v; want three selections", sel, err)
 	}
@@ -94,14 +102,14 @@ func TestGateProtocolEnforced(t *testing.T) {
 		"permuted":   {sel[1], sel[0], sel[2]},
 		"foreign":    {sel[0], sel[1], 3},
 	} {
-		if err := g.Feedback(bad, nec); err == nil {
+		if err := g.FeedbackFull(bad, nec, nil, nil); err == nil {
 			t.Errorf("%s ack %v of round %v must error", name, bad, sel)
 		}
 		if g.Pending() != 1 {
 			t.Fatalf("%s ack consumed the pending round", name)
 		}
 	}
-	if err := g.Feedback(sel, nec); err != nil {
+	if err := g.FeedbackFull(sel, nec, nil, nil); err != nil {
 		t.Fatalf("the round's own ack after rejected ones: %v", err)
 	}
 }
@@ -139,21 +147,21 @@ func TestCustomSelectorSeesActiveSet(t *testing.T) {
 
 	// Round 1, full mode: all six are candidates; the selector's pick, stream
 	// 5, fails its decode and opens its breaker.
-	sel, err := g.Decide([]*codec.Packet{key(), key(), key(), key(), key(), key()})
+	sel, err := decideDense(g, []*codec.Packet{key(), key(), key(), key(), key(), key()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.cands) != 6 || len(sel) != 1 || sel[0] != 5 {
 		t.Fatalf("round 1: %d candidates, selection %v; want 6 and [5]", len(rec.cands), sel)
 	}
-	if err := g.FeedbackExt(sel, []bool{false}, []bool{true}); err != nil {
+	if err := g.FeedbackFull(sel, []bool{false}, []bool{true}, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// Round 2, keyframe-only at B_eff 3.5: stream 1 is idle, 2 and 4 carry
 	// predicted pictures (shed), 5 is quarantined; 0 and 3 remain.
 	plan.Set(3.5, overload.ModeKeyframeOnly)
-	sel, err = g.Decide([]*codec.Packet{key(), nil, pred(), key(), pred(), key()})
+	sel, err = decideDense(g, []*codec.Packet{key(), nil, pred(), key(), pred(), key()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +186,7 @@ func TestGateRejectsWrongPacketCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Decide(make([]*codec.Packet, 2)); err == nil {
+	if _, err := decideDense(g, make([]*codec.Packet, 2)); err == nil {
 		t.Error("packet count mismatch must error")
 	}
 }
@@ -200,14 +208,14 @@ func TestGateRespectsBudgetPerRound(t *testing.T) {
 			pkts[i] = st.Next()
 		}
 		before := g.Stats().CostSpent
-		sel, err := g.Decide(pkts)
+		sel, err := decideDense(g, pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if spent := g.Stats().CostSpent - before; spent > 4+1e-9 {
 			t.Fatalf("round %d spent %v > budget 4", round, spent)
 		}
-		if err := g.Feedback(sel, make([]bool, len(sel))); err != nil {
+		if err := g.FeedbackFull(sel, make([]bool, len(sel)), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +238,7 @@ func TestGateIdleStreamsNeverSelected(t *testing.T) {
 		{Type: codec.PictureI, GOPIndex: 0, GOPSize: 5, Size: 500},
 		nil,
 	}
-	sel, err := g.Decide(pkts)
+	sel, err := decideDense(g, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +247,7 @@ func TestGateIdleStreamsNeverSelected(t *testing.T) {
 			t.Errorf("idle stream %d selected", i)
 		}
 	}
-	if err := g.Feedback(sel, make([]bool, len(sel))); err != nil {
+	if err := g.FeedbackFull(sel, make([]bool, len(sel)), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -269,11 +277,11 @@ func TestBaselineGateStats(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = &codec.Packet{Type: codec.PictureI, GOPIndex: 0, GOPSize: 5, Size: 100}
 	}
-	sel, err := b.Decide(pkts)
+	sel, err := decideDense(b, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Feedback(sel, make([]bool, len(sel))); err != nil {
+	if err := b.FeedbackFull(sel, make([]bool, len(sel)), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := b.Stats()
@@ -284,7 +292,7 @@ func TestBaselineGateStats(t *testing.T) {
 
 func TestBaselineGateWrongLength(t *testing.T) {
 	b := NewBaselineGate(3, decode.DefaultCosts, &knapsack.RoundRobin{}, nil, 2)
-	if _, err := b.Decide(make([]*codec.Packet, 2)); err == nil {
+	if _, err := decideDense(b, make([]*codec.Packet, 2)); err == nil {
 		t.Error("length mismatch must error")
 	}
 }
@@ -303,11 +311,11 @@ func TestDependencyAwareAblation(t *testing.T) {
 		for i, st := range streams {
 			pkts[i] = st.Next()
 		}
-		sel, err := g.Decide(pkts)
+		sel, err := decideDense(g, pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Feedback(sel, make([]bool, len(sel))); err != nil {
+		if err := g.FeedbackFull(sel, make([]bool, len(sel)), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +338,7 @@ func TestGateTraceRecordsDecisions(t *testing.T) {
 		for i, st := range streams {
 			pkts[i] = st.Next()
 		}
-		sel, err := g.Decide(pkts)
+		sel, err := decideDense(g, pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +346,7 @@ func TestGateTraceRecordsDecisions(t *testing.T) {
 		for k := range nec {
 			nec[k] = k%2 == 0
 		}
-		if err := g.Feedback(sel, nec); err != nil {
+		if err := g.FeedbackFull(sel, nec, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -111,6 +111,23 @@ func tinyPredictor(t *testing.T, tasks int, useTemporal bool) *predictor.Predict
 
 func boolPtr(b bool) *bool { return &b }
 
+// decideVia hands the dense round pkts, whose non-idle streams nonIdle lists,
+// to the gate through entry point r%3: DecideSparseAppend over its FromDense
+// round (the protocol every engine round uses), then the two ledger-probe
+// shims, DecideRoundAppend and DecideAppend. The twin tests rotate them so
+// all three are held to the reference gate.
+func decideVia(g *Gate, r int, pkts []*codec.Packet, nonIdle []int32) ([]int, error) {
+	switch r % 3 {
+	case 0:
+		var rnd codec.Round
+		rnd.FromDense(pkts)
+		return g.DecideSparseAppend(&rnd, nil)
+	case 1:
+		return g.DecideRoundAppend(pkts, nonIdle, nil)
+	}
+	return g.DecideAppend(pkts, nil)
+}
+
 // TestIncrementalMatchesDenseOracle is the bit-identity contract: for every
 // configuration, the production gate (score cache, ranked selection, lazy
 // breakers, sparse feedback) and the dense reference gate (reference_test.go)
@@ -246,16 +263,7 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 			nonIdle = append(nonIdle, int32(i))
 		}
 
-		// Alternate the production entry points: the churn-scaled
-		// caller-supplied list and the self-scanning Decide must behave
-		// identically.
-		var selInc []int
-		var err1 error
-		if r%3 == 0 {
-			selInc, err1 = inc.DecideRoundAppend(pkts, nonIdle, nil)
-		} else {
-			selInc, err1 = inc.Decide(pkts)
-		}
+		selInc, err1 := decideVia(inc, r, pkts, nonIdle)
 		selOra, err2 := ora.Decide(pkts)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("round %d: decide errors inc=%v oracle=%v", r, err1, err2)
@@ -336,9 +344,8 @@ func TestReferenceGateSharesNoRoundLogic(t *testing.T) {
 
 // TestIncrementalDecideAllocCeiling pins the steady-state allocation
 // behavior of the churn-scaled hot loop: with warm scratch and free lists, a
-// low-churn Decide+Feedback round through the caller-supplied non-idle list
-// — cache hits, ranked merge, sparse feedback and all — must allocate
-// (essentially) nothing.
+// low-churn DecideSparseAppend+FeedbackFull round — cache hits, ranked
+// merge, sparse feedback and all — must allocate (essentially) nothing.
 func TestIncrementalDecideAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector; covered by make alloc-smoke")
@@ -358,6 +365,7 @@ func TestIncrementalDecideAllocCeiling(t *testing.T) {
 		pkts[i] = &codec.Packet{StreamID: i, Type: codec.PictureP, Size: 900 + i%333, GOPSize: 25, GOPIndex: 1}
 		nonIdle[i] = int32(i)
 	}
+	rnd := codec.Round{M: m, IDs: nonIdle, Pkts: pkts} // every stream active
 	necessary := make([]bool, m)
 	var sel []int
 	lcg := uint64(9)
@@ -369,11 +377,11 @@ func TestIncrementalDecideAllocCeiling(t *testing.T) {
 			pkts[i].Size = 200 + int(lcg>>40)%60000
 		}
 		var err error
-		sel, err = g.DecideRoundAppend(pkts, nonIdle, sel[:0])
+		sel, err = g.DecideSparseAppend(&rnd, sel[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Feedback(sel, necessary[:len(sel)]); err != nil {
+		if err := g.FeedbackFull(sel, necessary[:len(sel)], nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

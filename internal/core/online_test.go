@@ -89,12 +89,12 @@ func TestAllTasksAggregation(t *testing.T) {
 		for i, st := range streams {
 			pkts[i] = st.Next()
 		}
-		sel, err := g.Decide(pkts)
+		sel, err := decideDense(g, pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The aggregated confidence must be at least either head's value.
-		if err := g.Feedback(sel, make([]bool, len(sel))); err != nil {
+		if err := g.FeedbackFull(sel, make([]bool, len(sel)), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -95,7 +95,7 @@ func TestGateBrownoutAdmission(t *testing.T) {
 						sawP = true
 					}
 				}
-				sel, err := g.Decide(pkts)
+				sel, err := decideDense(g, pkts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +110,7 @@ func TestGateBrownoutAdmission(t *testing.T) {
 				if len(sel) > 0 {
 					selRounds++
 				}
-				if err := g.Feedback(sel, necessary[:len(sel)]); err != nil {
+				if err := g.FeedbackFull(sel, necessary[:len(sel)], nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -159,11 +159,11 @@ func TestGateTemporalOnlyModeSkipsPredictor(t *testing.T) {
 	sa, sb := overloadStreams(m, 23), overloadStreams(m, 23)
 	necessary := make([]bool, m)
 	for r := 0; r < 30; r++ {
-		selA, err := withPred.Decide(nextRound(sa))
+		selA, err := decideDense(withPred, nextRound(sa))
 		if err != nil {
 			t.Fatal(err)
 		}
-		selB, err := noPred.Decide(nextRound(sb))
+		selB, err := decideDense(noPred, nextRound(sb))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,10 +178,10 @@ func TestGateTemporalOnlyModeSkipsPredictor(t *testing.T) {
 		for k := range necessary[:len(selA)] {
 			necessary[k] = (r+selA[k])%3 == 0
 		}
-		if err := withPred.Feedback(selA, necessary[:len(selA)]); err != nil {
+		if err := withPred.FeedbackFull(selA, necessary[:len(selA)], nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := noPred.Feedback(selB, necessary[:len(selB)]); err != nil {
+		if err := noPred.FeedbackFull(selB, necessary[:len(selB)], nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +222,7 @@ func TestDeferredFeedbackDoesNotPoisonEstimator(t *testing.T) {
 	necessary := make([]bool, 16)
 	step := func(g *Gate, streams []*codec.Stream, r int, defAll, necVal bool) []int {
 		t.Helper()
-		sel, err := g.Decide(nextRound(streams))
+		sel, err := decideDense(g, nextRound(streams))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestDeferredFeedbackSkipsTrainerAndBreakers(t *testing.T) {
 		failed[k] = true
 	}
 	for r := 0; r < 12; r++ {
-		sel, err := g.Decide(nextRound(streams))
+		sel, err := decideDense(g, nextRound(streams))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,13 +356,14 @@ func TestGovernedDecideRoundAllocCeiling(t *testing.T) {
 	for r := range pre {
 		pre[r] = nextRound(streams)
 	}
+	rnds := roundsOf(pre)
 	var sel []int
 	necessary := make([]bool, m)
 	deferred := make([]bool, m)
 	round := 0
 	run := func() {
 		var err error
-		sel, err = g.DecideAppend(pre[round%rounds], sel[:0])
+		sel, err = g.DecideSparseAppend(&rnds[round%rounds], sel[:0])
 		if err != nil {
 			t.Fatal(err)
 		}

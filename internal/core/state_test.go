@@ -29,7 +29,7 @@ func driveStateRounds(t *testing.T, g *Gate, m, rounds int, seed int64, gopIdx [
 			gopIdx[i] = (gopIdx[i] + 1) % 8
 			pkts[i] = p
 		}
-		sel, err := g.Decide(pkts)
+		sel, err := decideDense(g, pkts)
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
@@ -39,7 +39,7 @@ func driveStateRounds(t *testing.T, g *Gate, m, rounds int, seed int64, gopIdx [
 			necessary[k] = (r+i)%3 != 0
 			failed[k] = (r+i)%17 == 0
 		}
-		if err := g.FeedbackExt(sel, necessary, failed); err != nil {
+		if err := g.FeedbackFull(sel, necessary, failed, nil); err != nil {
 			t.Fatalf("round %d feedback: %v", r, err)
 		}
 	}
@@ -119,8 +119,8 @@ func TestStreamStateMigrationEquivalence(t *testing.T) {
 					gop2[i] = (gop2[i] + 1) % 8
 					pkts[i] = p
 				}
-				selD, err1 := donor.Decide(pkts)
-				selR, err2 := recip.Decide(pkts)
+				selD, err1 := decideDense(donor, pkts)
+				selR, err2 := decideDense(recip, pkts)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("tail round %d: donor=%v recipient=%v", r, err1, err2)
 				}
@@ -133,10 +133,10 @@ func TestStreamStateMigrationEquivalence(t *testing.T) {
 					necessary[k] = (r+i)%3 != 0
 					failed[k] = (r+i)%23 == 0
 				}
-				if err := donor.FeedbackExt(selD, necessary, failed); err != nil {
+				if err := donor.FeedbackFull(selD, necessary, failed, nil); err != nil {
 					t.Fatalf("donor feedback %d: %v", r, err)
 				}
-				if err := recip.FeedbackExt(selR, necessary, failed); err != nil {
+				if err := recip.FeedbackFull(selR, necessary, failed, nil); err != nil {
 					t.Fatalf("recipient feedback %d: %v", r, err)
 				}
 			}
@@ -192,7 +192,7 @@ func TestImportFreshStream(t *testing.T) {
 func TestExportRequiresQuiescence(t *testing.T) {
 	g := stateTestGate(t, 4, false)
 	pkts := []*codec.Packet{{Type: codec.PictureI, GOPSize: 8}, nil, nil, nil}
-	if _, err := g.Decide(pkts); err != nil {
+	if _, err := decideDense(g, pkts); err != nil {
 		t.Fatalf("decide: %v", err)
 	}
 	if _, err := g.ExportStream(0); err == nil {

@@ -174,43 +174,10 @@ func (mt *MultiTracker) Len() int { return len(mt.trackers) }
 // Stream returns the tracker for stream i.
 func (mt *MultiTracker) Stream(i int) *Tracker { return mt.trackers[i] }
 
-// Costs computes the dependency-inclusive decode cost of each round packet.
-// pkts[i] may be nil (stream idle this round); idle streams report cost 0
-// and callers must not select them.
-func (mt *MultiTracker) Costs(pkts []*codec.Packet) ([]float64, error) {
-	if len(pkts) != len(mt.trackers) {
-		return nil, fmt.Errorf("decode: %d packets for %d streams", len(pkts), len(mt.trackers))
-	}
-	costs := make([]float64, len(pkts))
-	for i, p := range pkts {
-		if p == nil {
-			continue
-		}
-		costs[i] = mt.trackers[i].Cost(p)
-	}
-	return costs, nil
-}
-
-// CostsAppend is Costs into caller-owned scratch: the per-stream costs are
-// appended to dst (which may be nil), so a caller that recycles its buffer
-// pays no allocation per round. dst is returned truncated-then-extended by
-// exactly len(pkts) entries.
-func (mt *MultiTracker) CostsAppend(dst []float64, pkts []*codec.Packet) ([]float64, error) {
-	if len(pkts) != len(mt.trackers) {
-		return dst, fmt.Errorf("decode: %d packets for %d streams", len(pkts), len(mt.trackers))
-	}
-	for i, p := range pkts {
-		if p == nil {
-			dst = append(dst, 0)
-			continue
-		}
-		dst = append(dst, mt.trackers[i].Cost(p))
-	}
-	return dst, nil
-}
-
-// CostsRound computes dependency-inclusive costs for a sparse round: one
-// appended entry per active stream, parallel to r.IDs. O(active).
+// CostsRound computes the dependency-inclusive decode cost of each packet of
+// a round: one entry per active stream, parallel to r.IDs, appended to dst
+// (which may be nil), so a caller that recycles its buffer pays no
+// allocation per round. O(active).
 func (mt *MultiTracker) CostsRound(dst []float64, r *codec.Round) ([]float64, error) {
 	if r.M != len(mt.trackers) {
 		return dst, fmt.Errorf("decode: round width %d for %d streams", r.M, len(mt.trackers))
@@ -221,31 +188,15 @@ func (mt *MultiTracker) CostsRound(dst []float64, r *codec.Round) ([]float64, er
 	return dst, nil
 }
 
-// CommitRound records a sparse round's decisions: selected[k] reports
-// whether stream r.IDs[k]'s packet was decoded. Idle streams carry no
-// dependency update (exactly as the dense Commit skips nil packets), so a
-// sparse commit is bit-identical to a dense one over the scattered round.
+// CommitRound records a round's decisions: selected[k] reports whether
+// stream r.IDs[k]'s packet was decoded. Idle streams carry no dependency
+// update.
 func (mt *MultiTracker) CommitRound(r *codec.Round, selected []bool) error {
 	if r.M != len(mt.trackers) || len(selected) != r.Len() {
-		return fmt.Errorf("decode: sparse commit length mismatch")
+		return fmt.Errorf("decode: round commit length mismatch")
 	}
 	for k, id := range r.IDs {
 		mt.trackers[id].Commit(r.Pkts[k], selected[k])
-	}
-	return nil
-}
-
-// Commit records the round's decisions. selected[i] reports whether stream
-// i's packet was decoded.
-func (mt *MultiTracker) Commit(pkts []*codec.Packet, selected []bool) error {
-	if len(pkts) != len(mt.trackers) || len(selected) != len(mt.trackers) {
-		return fmt.Errorf("decode: commit length mismatch")
-	}
-	for i, p := range pkts {
-		if p == nil {
-			continue
-		}
-		mt.trackers[i].Commit(p, selected[i])
 	}
 	return nil
 }

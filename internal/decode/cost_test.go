@@ -130,19 +130,21 @@ func TestTrackerMidGOPJoinOwesI(t *testing.T) {
 
 func TestMultiTrackerCostsAndCommit(t *testing.T) {
 	mt := NewMultiTracker(3, DefaultCosts)
-	round1 := []*codec.Packet{pkt(codec.PictureI, 0), pkt(codec.PictureI, 0), nil}
-	costs, err := mt.Costs(round1)
+	var round1 codec.Round
+	round1.FromDense([]*codec.Packet{pkt(codec.PictureI, 0), pkt(codec.PictureI, 0), nil})
+	costs, err := mt.CostsRound(nil, &round1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if costs[0] != DefaultCosts.I || costs[1] != DefaultCosts.I || costs[2] != 0 {
-		t.Errorf("round1 costs = %v", costs)
+	if len(costs) != 2 || costs[0] != DefaultCosts.I || costs[1] != DefaultCosts.I {
+		t.Errorf("round1 costs = %v, want one I cost per active stream", costs)
 	}
-	if err := mt.Commit(round1, []bool{true, false, false}); err != nil {
+	if err := mt.CommitRound(&round1, []bool{true, false}); err != nil {
 		t.Fatal(err)
 	}
-	round2 := []*codec.Packet{pkt(codec.PictureP, 1), pkt(codec.PictureP, 1), nil}
-	costs, err = mt.Costs(round2)
+	var round2 codec.Round
+	round2.FromDense([]*codec.Packet{pkt(codec.PictureP, 1), pkt(codec.PictureP, 1), nil})
+	costs, err = mt.CostsRound(costs[:0], &round2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +158,15 @@ func TestMultiTrackerCostsAndCommit(t *testing.T) {
 
 func TestMultiTrackerLengthMismatch(t *testing.T) {
 	mt := NewMultiTracker(2, DefaultCosts)
-	if _, err := mt.Costs(make([]*codec.Packet, 3)); err == nil {
-		t.Error("Costs must reject length mismatch")
+	var wide codec.Round
+	wide.FromDense(make([]*codec.Packet, 3))
+	if _, err := mt.CostsRound(nil, &wide); err == nil {
+		t.Error("CostsRound must reject a round of another width")
 	}
-	if err := mt.Commit(make([]*codec.Packet, 2), make([]bool, 1)); err == nil {
-		t.Error("Commit must reject length mismatch")
+	var r codec.Round
+	r.FromDense([]*codec.Packet{pkt(codec.PictureI, 0), nil})
+	if err := mt.CommitRound(&r, make([]bool, 2)); err == nil {
+		t.Error("CommitRound must reject a mask not parallel to the round")
 	}
 	if mt.Len() != 2 {
 		t.Errorf("Len = %d, want 2", mt.Len())

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"packetgame/internal/codec"
 	"packetgame/internal/core"
 	"packetgame/internal/decode"
@@ -73,17 +75,17 @@ type Eval struct {
 	fleet  *infer.Fleet
 	costs  *decode.MultiTracker
 	rounds int64
-	vals   []float64
-	cost   []float64
-	picked []bool
+	vals   []float64 // OracleValues' result, parallel to the round's ids
+	cost   []float64 // true costs, parallel to the round's ids
+	picked []bool    // the policy's selection, parallel to the round's ids
 }
 
 // NewEval builds a default engine over a local fleet with an Eval in its
 // gate slot, and returns both; set the Eval's Decider before running.
 func NewEval(streams []*codec.Stream, task infer.Task) (*Eval, *pipeline.Engine, error) {
 	m := len(streams)
-	ev := &Eval{src: pipeline.NewLocalSource(streams, 0), task: task, vals: make([]float64, m),
-		picked: make([]bool, m), costs: decode.NewMultiTracker(m, decode.DefaultCosts)}
+	ev := &Eval{src: pipeline.NewLocalSource(streams, 0), task: task,
+		costs: decode.NewMultiTracker(m, decode.DefaultCosts)}
 	eng, err := pipeline.New(pipeline.Config{Source: ev.src, Gate: ev, Task: task})
 	if err != nil {
 		return nil, nil, err
@@ -99,50 +101,57 @@ func (ev *Eval) need(i int) bool {
 	return !started || ev.task.Necessary(prev, ev.task.ResultOf(truth))
 }
 
-// OracleValues is a core.ValueFunc scoring each packet 1 if decoding it now
-// would be necessary and 1e-6 otherwise. Behind a BaselineGate with the
-// greedy selector it is the "Optimal" policy of Figs 4/9.
-func (ev *Eval) OracleValues(pkts []*codec.Packet) []float64 {
-	for i := range pkts {
-		ev.vals[i] = 1e-6
-		if ev.need(i) {
-			ev.vals[i] = 1
+// OracleValues is a core.ValueFunc scoring each packet of the round 1 if
+// decoding it now would be necessary and 1e-6 otherwise. Behind a
+// BaselineGate with the greedy selector it is the "Optimal" policy of
+// Figs 4/9.
+func (ev *Eval) OracleValues(r *codec.Round) []float64 {
+	ev.vals = ev.vals[:0]
+	for _, id := range r.IDs {
+		v := 1e-6
+		if ev.need(int(id)) {
+			v = 1
 		}
+		ev.vals = append(ev.vals, v)
 	}
 	return ev.vals
 }
 
-// Decide implements core.Decider: the policy decides, and its selection is
-// charged its true cost and, on a probed round, held against ground truth.
-func (ev *Eval) Decide(pkts []*codec.Packet) ([]int, error) {
-	sel, err := ev.Decider.Decide(pkts)
+// DecideSparseAppend implements core.Decider: the policy decides, and its
+// selection is charged its true cost and, on a probed round, held against
+// ground truth. The policy validates the round before anything is charged.
+func (ev *Eval) DecideSparseAppend(r *codec.Round, dst []int) ([]int, error) {
+	n := len(dst)
+	dst, err := ev.Decider.DecideSparseAppend(r, dst)
 	if err != nil {
 		return nil, err
 	}
-	if ev.cost, err = ev.costs.CostsAppend(ev.cost[:0], pkts); err != nil {
+	if ev.cost, err = ev.costs.CostsRound(ev.cost[:0], r); err != nil {
 		return nil, err
 	}
-	for _, i := range sel {
-		ev.picked[i] = true
-		ev.TrueCost += ev.cost[i]
+	ev.picked = slices.Grow(ev.picked[:0], r.Len())[:r.Len()]
+	clear(ev.picked)
+	for _, i := range dst[n:] {
+		k := r.Find(int32(i))
+		ev.picked[k] = true
+		ev.TrueCost += ev.cost[k]
 	}
-	if err := ev.costs.Commit(pkts, ev.picked); err != nil {
+	if err := ev.costs.CommitRound(r, ev.picked); err != nil {
 		return nil, err
 	}
 	if ev.ProbeEvery > 0 && ev.rounds%int64(ev.ProbeEvery) == 0 {
 		ev.ProbeRounds++
-		for i, p := range pkts {
-			if p != nil && ev.need(i) {
+		for k, id := range r.IDs {
+			if ev.need(int(id)) {
 				ev.Needed++
-				if ev.picked[i] {
+				if ev.picked[k] {
 					ev.Caught++
 				}
 			}
 		}
 	}
-	clear(ev.picked)
 	ev.rounds++
-	return sel, nil
+	return dst, nil
 }
 
 // Recall is the probe's estimate of the fraction of necessary packets the

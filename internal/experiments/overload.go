@@ -354,6 +354,7 @@ func soakOnce(o Options, p soakParams) (soakResult, error) {
 	pkts := make([]*codec.Packet, p.m)
 	truth := make([]codec.Scene, p.m)
 	isSel := make([]bool, p.m)
+	var rnd codec.Round
 
 	for r := 0; r < p.rounds; r++ {
 		for i, w := range wrapped {
@@ -361,7 +362,8 @@ func soakOnce(o Options, p soakParams) (soakResult, error) {
 			t, _ := w.Truth()
 			truth[i] = t
 		}
-		sel, err := g.Decide(pkts)
+		rnd.FromDense(pkts)
+		sel, err := g.DecideSparseAppend(&rnd, nil)
 		if err != nil {
 			return soakResult{}, fmt.Errorf("overload: round %d: %w", r, err)
 		}

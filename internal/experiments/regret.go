@@ -11,28 +11,25 @@ import (
 )
 
 // maskDecider hides a fixed subset of streams from an inner policy: the
-// inner policy only ever sees packets of the kept streams.
+// inner policy only ever sees packets of the kept streams. Feedback goes
+// straight to it.
 type maskDecider struct {
-	inner core.Decider
-	keep  func(i int) bool
-	buf   []*codec.Packet
+	core.Decider
+	keep func(i int) bool
+	sub  codec.Round
 }
 
-// Decide implements core.Decider.
-func (d *maskDecider) Decide(pkts []*codec.Packet) ([]int, error) {
-	for i, p := range pkts {
-		if d.keep(i) {
-			d.buf[i] = p
-		} else {
-			d.buf[i] = nil
+// DecideSparseAppend implements core.Decider.
+func (d *maskDecider) DecideSparseAppend(r *codec.Round, dst []int) ([]int, error) {
+	d.sub.Reset(r.M)
+	for k, id := range r.IDs {
+		if d.keep(int(id)) {
+			d.sub.Append(id, r.Pkts[k])
 		}
 	}
-	return d.inner.Decide(d.buf)
-}
-
-// Feedback implements core.Decider.
-func (d *maskDecider) Feedback(sel []int, necessary []bool) error {
-	return d.inner.Feedback(sel, necessary)
+	dst, err := d.Decider.DecideSparseAppend(&d.sub, dst)
+	d.sub.Reset(r.M)
+	return dst, err
 }
 
 // Regret validates Theorem 1 empirically. The comparator is the best fixed
@@ -83,9 +80,8 @@ func Regret(o Options) error {
 		// nothing). Implemented by masking quiet streams' packets before a
 		// round-robin baseline.
 		&maskDecider{
-			inner: core.NewBaselineGate(m, decode.DefaultCosts, &knapsack.RoundRobin{}, nil, budget),
-			keep:  func(i int) bool { return i%2 == 0 },
-			buf:   make([]*codec.Packet, m),
+			Decider: core.NewBaselineGate(m, decode.DefaultCosts, &knapsack.RoundRobin{}, nil, budget),
+			keep:    func(i int) bool { return i%2 == 0 },
 		},
 		// A uniform-random reference for contrast.
 		core.NewBaselineGate(m, decode.DefaultCosts, knapsack.NewRandom(o.Seed+7), nil, budget),

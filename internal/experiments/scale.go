@@ -316,7 +316,7 @@ func timeScaleCell(m int, churn float64, explore bool, seed int64) (scaleCell, e
 		if err != nil {
 			return err
 		}
-		return g.Feedback(sel, necessary[:len(sel)])
+		return g.FeedbackFull(sel, necessary[:len(sel)], nil, nil)
 	}
 
 	// Warmup: saturate the double-write feature rings (w+1 identical pushes
@@ -430,7 +430,7 @@ func timeIdleCell(m int, activity float64, seed int64) (scaleCell, error) {
 		if err != nil {
 			return err
 		}
-		return g.Feedback(sel, necessary[:len(sel)])
+		return g.FeedbackFull(sel, necessary[:len(sel)], nil, nil)
 	}
 
 	for r := 0; r < p.Config().Window+4; r++ {

@@ -151,13 +151,12 @@ func TestEngineDenseSourceEdges(t *testing.T) {
 	}
 }
 
-// spyGate is a Decider that embeds *core.Gate and overrides the two optional
-// upgrades the engine looks up — the shape of a tracing or timing wrapper.
-// Every other entry point is overridden to fail the test: the engine must
-// reach the gate through those two, on the wrapper, and nowhere else.
+// spyGate is a Decider that embeds *core.Gate and overrides both protocol
+// methods — the shape of a tracing or timing wrapper. The engine must reach
+// the gate through the wrapper's two methods; the Decider interface leaves it
+// no other way in.
 type spyGate struct {
 	*core.Gate
-	t *testing.T
 
 	mu      sync.Mutex
 	decided [][]int // selection of every round, in call order
@@ -179,35 +178,6 @@ func (g *spyGate) FeedbackFull(sel []int, necessary, failed, deferred []bool) er
 	return g.Gate.FeedbackFull(sel, necessary, failed, deferred)
 }
 
-func (g *spyGate) bypass(name string) {
-	g.t.Errorf("engine called %s past the wrapper's upgrades", name)
-}
-
-func (g *spyGate) Decide(p []*codec.Packet) ([]int, error) {
-	g.bypass("Decide")
-	return g.Gate.Decide(p)
-}
-
-func (g *spyGate) DecideAppend(p []*codec.Packet, dst []int) ([]int, error) {
-	g.bypass("DecideAppend")
-	return g.Gate.DecideAppend(p, dst)
-}
-
-func (g *spyGate) DecideRoundAppend(p []*codec.Packet, ids []int32, dst []int) ([]int, error) {
-	g.bypass("DecideRoundAppend")
-	return g.Gate.DecideRoundAppend(p, ids, dst)
-}
-
-func (g *spyGate) Feedback(sel []int, necessary []bool) error {
-	g.bypass("Feedback")
-	return g.Gate.Feedback(sel, necessary)
-}
-
-func (g *spyGate) FeedbackExt(sel []int, necessary, failed []bool) error {
-	g.bypass("FeedbackExt")
-	return g.Gate.FeedbackExt(sel, necessary, failed)
-}
-
 // TestWrappedGateSeesEveryRoundAndAck is the contract an embedding wrapper
 // depends on: from both engines, over both a dense-only and a sparse source,
 // the wrapper's DecideSparseAppend sees every round once, in round order,
@@ -220,7 +190,7 @@ func TestWrappedGateSeesEveryRoundAndAck(t *testing.T) {
 			name := fmt.Sprintf("pipelined=%v/dense=%v", pipelined, dense)
 			want, _, _ := runChurn(t, dense, pipelined, k, 4, m, rounds, 6, 301, 40)
 
-			spy := &spyGate{Gate: mkGate(t, m, 6), t: t}
+			spy := &spyGate{Gate: mkGate(t, m, 6)}
 			var src RoundSource = NewCameraSource(mkChurnFleet(m, 301, 40), rounds)
 			if dense {
 				src = denseOnly{src}

@@ -7,7 +7,9 @@ import (
 
 	"packetgame/internal/codec"
 	"packetgame/internal/core"
+	"packetgame/internal/decode"
 	"packetgame/internal/infer"
+	"packetgame/internal/knapsack"
 )
 
 // benchEngine builds an engine over a fresh seeded fleet. burn and latency
@@ -142,6 +144,19 @@ func (s *loopSource) Truth(int) (codec.Scene, bool) { return codec.Scene{}, fals
 // in the loop allocates per round, let alone per selected packet. (The
 // residue is each Run call's pool and channels spread over its rounds.)
 func TestEngineRoundAllocCeiling(t *testing.T) {
+	engineRoundAllocCeiling(t, func(m int, budget float64) core.Decider { return mkGate(t, m, budget) })
+}
+
+// TestBaselineRoundAllocCeiling holds a baseline policy's engine round to the
+// same ceiling: BaselineGate costs and commits the round by position and
+// appends its selection into the engine's recycled buffer.
+func TestBaselineRoundAllocCeiling(t *testing.T) {
+	engineRoundAllocCeiling(t, func(m int, budget float64) core.Decider {
+		return core.NewBaselineGate(m, decode.DefaultCosts, &knapsack.Greedy{}, nil, budget)
+	})
+}
+
+func engineRoundAllocCeiling(t *testing.T, gate func(m int, budget float64) core.Decider) {
 	const (
 		m, k, rounds   = 64, 2, 4000
 		budget         = 20.0
@@ -159,7 +174,7 @@ func TestEngineRoundAllocCeiling(t *testing.T) {
 			src.rounds[r] = codec.Round{M: m, IDs: append([]int32(nil), rnd.IDs...), Pkts: append([]*codec.Packet(nil), rnd.Pkts...)}
 		}
 		eng, err := New(Config{
-			Source: src, Gate: mkGate(t, m, budget), Task: infer.PersonCounting{},
+			Source: src, Gate: gate(m, budget), Task: infer.PersonCounting{},
 			Workers: 4, MaxInFlight: k, Pipelined: pipelined,
 		})
 		if err != nil {

@@ -134,24 +134,24 @@ func TestSequentialLagOneMatchesSeedSchedule(t *testing.T) {
 // the log needs no lock.
 type callLog struct{ calls []string }
 
-// orderGate is a plain Decider — no DecideSparseAppend, no FeedbackFull —
-// that logs its calls on the way to the gate behind it.
+// orderGate is a Decider that logs its calls on the way to the gate behind
+// it.
 type orderGate struct {
 	g            *core.Gate
 	log          *callLog
 	decided, fed int
 }
 
-func (o *orderGate) Decide(pkts []*codec.Packet) ([]int, error) {
+func (o *orderGate) DecideSparseAppend(r *codec.Round, dst []int) ([]int, error) {
 	o.log.calls = append(o.log.calls, fmt.Sprintf("D%d", o.decided))
 	o.decided++
-	return o.g.Decide(pkts)
+	return o.g.DecideSparseAppend(r, dst)
 }
 
-func (o *orderGate) Feedback(sel []int, necessary []bool) error {
+func (o *orderGate) FeedbackFull(sel []int, necessary, failed, deferred []bool) error {
 	o.log.calls = append(o.log.calls, fmt.Sprintf("F%d", o.fed))
 	o.fed++
-	return o.g.Feedback(sel, necessary)
+	return o.g.FeedbackFull(sel, necessary, failed, deferred)
 }
 
 // orderSource logs every pull of the source behind it, dense or sparse.
@@ -171,7 +171,7 @@ func (s orderSource) NextRoundSparse() (*codec.Round, error) {
 }
 
 // TestLagScheduleCallOrder pins the lag-k schedule as the gate sees it: for
-// k ∈ {1,2,4}, overlap off and on, a dense-only and a sparse source, a plain
+// k ∈ {1,2,4}, overlap off and on, a dense-only and a sparse source, a
 // Decider is called exactly D0…D(k−1), F0, Dk, F1, … with the tail of
 // Feedbacks after the last Decide. With overlap off the source pulls are
 // pinned too: F(t−k) comes before round t's pull, so a source that blocks

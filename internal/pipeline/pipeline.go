@@ -94,40 +94,9 @@ func (e *Engine) release(rnd *codec.Round) {
 	}
 }
 
-// decide routes a round to the gate. A gate may upgrade the Decider protocol
-// in exactly two ways — DecideSparseAppend here and FeedbackFull in feedback
-// — and both are looked up on the Config.Gate interface value, so a wrapper
-// embedding a *core.Gate sees every call. Plain Deciders (the baselines) get
-// the round scattered into a persistent dense scratch: correct for every
-// Decider, O(active) only for gates that understand rounds. The selection is
-// appended to dst by a gate that takes one; a plain Decider returns its own.
-func (e *Engine) decide(r *codec.Round, dst []int) ([]int, error) {
-	if rd, ok := e.cfg.Gate.(interface {
-		DecideSparseAppend(*codec.Round, []int) ([]int, error)
-	}); ok {
-		return rd.DecideSparseAppend(r, dst)
-	}
-	if len(e.scatter) < r.M {
-		e.scatter = make([]*codec.Packet, r.M)
-	}
-	dense := e.scatter[:r.M]
-	r.Scatter(dense)
-	sel, err := e.cfg.Gate.Decide(dense)
-	r.ClearScatter(dense)
-	return sel, err
-}
-
-// feedback routes a settled round's ack to the gate: FeedbackFull carries
-// the decode-failure and deadline-deferral masks (nil = none) to a gate that
-// understands them; a plain Decider gets the paper's Feedback, where failed
-// slots read as necessary and deferred slots as redundant.
+// feedback acks a settled round to the gate, with the decode-failure and
+// deadline-deferral masks nil when no slot failed or was deferred.
 func feedback(g core.Decider, rw *roundWork) error {
-	full, ok := g.(interface {
-		FeedbackFull([]int, []bool, []bool, []bool) error
-	})
-	if !ok {
-		return g.Feedback(rw.sel, rw.necessary)
-	}
 	failed, deferred := rw.failed, rw.deferred
 	if rw.nFailed == 0 {
 		failed = nil
@@ -135,14 +104,16 @@ func feedback(g core.Decider, rw *roundWork) error {
 	if rw.open == 0 {
 		deferred = nil
 	}
-	return full.FeedbackFull(rw.sel, rw.necessary, failed, deferred)
+	return g.FeedbackFull(rw.sel, rw.necessary, failed, deferred)
 }
 
 // Config parameterizes an Engine.
 type Config struct {
 	// Source supplies rounds.
 	Source RoundSource
-	// Gate is the gating policy (a *core.Gate or baseline).
+	// Gate is the gating policy (a *core.Gate, a baseline, or a wrapper
+	// around either). The engine calls nothing on it but the two Decider
+	// methods and, when present, SetMaxPending.
 	Gate core.Decider
 	// Task is the inference workload.
 	Task infer.Task
@@ -259,9 +230,6 @@ type Engine struct {
 	// per stream of the fleet. It is all-false between rounds — set and
 	// cleared per selection — so settling never pays an O(m) wipe.
 	selMask []bool
-	// scatter is decide's dense scratch for gates without a sparse entry
-	// point (all-nil between rounds).
-	scatter []*codec.Packet
 	// rwFree is the gate loop's roundWork free list: every round's buffers
 	// recycle through it, so a steady-state round allocates nothing of its
 	// own.

@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"packetgame/internal/codec"
 	"packetgame/internal/core"
 	"packetgame/internal/decode"
 	"packetgame/internal/infer"
@@ -18,9 +19,9 @@ func must(t *testing.T, err error) {
 
 // refLoop is the paper's Fig. 1 loop written plainly, sharing nothing with
 // the engine but the Decider, the decoder and the infer.Fleet it drives: pull
-// a dense round, Decide, decode every selection on the spot, run the
-// monitors, and hand Feedback back k rounds late, so that Decide(t) has seen
-// rounds 0..t−k. It is what both overlap modes of the engine are held to:
+// a dense round, hand the Decider its FromDense form, decode every selection
+// on the spot, run the monitors, and hand the feedback back k rounds late, so
+// that decision t has seen rounds 0..t−k. It is what both overlap modes of the engine are held to:
 // per-round selections and the counters of a Report.
 func refLoop(t *testing.T, g core.Decider, src RoundSource, task infer.Task, m, k int) ([][]int, Report) {
 	t.Helper()
@@ -34,7 +35,7 @@ func refLoop(t *testing.T, g core.Decider, src RoundSource, task infer.Task, m, 
 	)
 	feedBack := func(keep int) {
 		for ; len(sels)-fed > keep; fed++ {
-			must(t, g.Feedback(sels[fed], necs[fed]))
+			must(t, g.FeedbackFull(sels[fed], necs[fed], nil, nil))
 		}
 	}
 	for {
@@ -44,7 +45,9 @@ func refLoop(t *testing.T, g core.Decider, src RoundSource, task infer.Task, m, 
 			break
 		}
 		must(t, err)
-		sel, err := g.Decide(pkts)
+		var rnd codec.Round
+		rnd.FromDense(pkts)
+		sel, err := g.DecideSparseAppend(&rnd, nil)
 		must(t, err)
 		nec := make([]bool, len(sel))
 		decoded := make([]bool, len(pkts))

@@ -251,7 +251,7 @@ func (e *Engine) runRounds(maxRounds int) (Report, error) {
 		rw := e.getRW()
 		metrics.StageEnter(e.cfg.Stages.GateStage())
 		t0 := time.Now()
-		rw.sel, err = e.decide(rnd, rw.sel[:0])
+		rw.sel, err = e.cfg.Gate.DecideSparseAppend(rnd, rw.sel[:0])
 		metrics.StageExit(e.cfg.Stages.GateStage(), time.Since(t0).Nanoseconds())
 		if err != nil {
 			runErr = fmt.Errorf("pipeline: gate: %w", err)

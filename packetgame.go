@@ -41,10 +41,17 @@ type (
 	GateConfig = core.Config
 	// GateStats are a Gate's lifetime counters.
 	GateStats = core.Stats
-	// Decider is the round-based gating protocol (Gate and baselines).
+	// Decider is the gating protocol (Gate, baselines, or your own policy):
+	// DecideSparseAppend picks from one Round, FeedbackFull acks it.
 	Decider = core.Decider
+	// Round is one round's packets: the streams that delivered one, ids
+	// ascending, packets parallel.
+	Round = codec.Round
 	// BaselineGate wraps a plain selector (round-robin, random, oracle).
 	BaselineGate = core.BaselineGate
+	// ValueFunc scores a round's packets for a BaselineGate, parallel to the
+	// round's ids.
+	ValueFunc = core.ValueFunc
 )
 
 // AllTaskHeads is the GateConfig.TaskIndex sentinel for multi-task gating:
@@ -56,7 +63,7 @@ const AllTaskHeads = core.AllTasks
 func NewGate(cfg GateConfig) (*Gate, error) { return core.NewGate(cfg) }
 
 // NewBaselineGate builds a value-agnostic or oracle baseline policy.
-func NewBaselineGate(m int, cm CostModel, sel Selector, values core.ValueFunc, budget float64) *BaselineGate {
+func NewBaselineGate(m int, cm CostModel, sel Selector, values ValueFunc, budget float64) *BaselineGate {
 	return core.NewBaselineGate(m, cm, sel, values, budget)
 }
 

@@ -208,6 +208,69 @@ func TestPublicAPIEngineOverLocalSource(t *testing.T) {
 	}
 }
 
+// keyframesFirst is a gating policy written against the public API alone:
+// each round it takes the I-frames, then the other packets, in stream order,
+// while their bare decode cost fits the budget.
+type keyframesFirst struct {
+	budget      float64
+	rounds, fed int
+}
+
+func (d *keyframesFirst) DecideSparseAppend(r *Round, dst []int) ([]int, error) {
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	d.rounds++
+	left := d.budget
+	for _, keyframes := range []bool{true, false} {
+		for k, p := range r.Pkts {
+			if (p.Type == PictureI) != keyframes {
+				continue
+			}
+			if c := DefaultCosts.Of(p.Type); c <= left {
+				left -= c
+				dst = append(dst, int(r.IDs[k]))
+			}
+		}
+	}
+	return dst, nil
+}
+
+func (d *keyframesFirst) FeedbackFull(selected []int, necessary, failed, deferred []bool) error {
+	d.fed++
+	return nil
+}
+
+// TestPublicAPICustomDecider runs a Decider written against the facade on
+// the engine: every round reaches it once, every round is acked once, and
+// what it picks is what the engine decodes.
+func TestPublicAPICustomDecider(t *testing.T) {
+	const m, rounds = 6, 40
+	streams := make([]*Stream, m)
+	for i := range streams {
+		streams[i] = NewStream(SceneConfig{BaseActivity: 0.5}, EncoderConfig{StreamID: i, GOPSize: 5, GOPPhase: i}, int64(i)+3)
+	}
+	d := &keyframesFirst{budget: 4}
+	var picked int64
+	eng, err := NewEngine(EngineConfig{
+		Source: NewLocalSource(streams, rounds), Gate: d, Task: PersonCounting{},
+		OnRound: func(_ int64, sel []int) { picked += int64(len(sel)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.rounds != rounds || d.fed != rounds || rep.Rounds != rounds {
+		t.Errorf("decided %d, acked %d, reported %d rounds; want %d each", d.rounds, d.fed, rep.Rounds, rounds)
+	}
+	if rep.Decoded != picked || picked == 0 || rep.Packets != m*rounds {
+		t.Errorf("decoded %d of %d packets, the policy picked %d", rep.Decoded, rep.Packets, picked)
+	}
+}
+
 func TestPublicAPINetStreaming(t *testing.T) {
 	// The facade's DialStream against an in-process server.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
