@@ -68,7 +68,7 @@ alloc-smoke:
 
 verify: build vet test race alloc-smoke replay soak scale cluster failover benchdiff
 
-# Headline-regression gate: after `make scale`/`make cluster` rewrite the
+# Headline-regression gate: after `make scale`/`make failover` rewrite the
 # BENCH files, compare their headlines against the copies committed at HEAD
 # and fail if a speedup fell below 85% of its baseline or an absolute cost
 # (the churn sweep's ns figures) rose above 1/85% of it. Skips (with a note) when a baseline is missing or the
@@ -84,7 +84,8 @@ verify-quick: build vet test
 # chaos harness under the race detector (10k streams x 8 workers), then the
 # chaos benchmark — two worker kills, one rejoin — which self-asserts
 # recall within 2% of the stable cluster, the p99 SLO, and same-seed
-# determinism. CLUSTERSCALE=1 rewrites BENCH_cluster.json.
+# determinism. CLUSTERSCALE=1 rewrites BENCH_cluster.json (no benchdiff
+# headline: its legs self-assert).
 CLUSTERSCALE ?= 1
 cluster:
 	$(GO) test ./internal/cluster -race -count 1 -timeout 10m

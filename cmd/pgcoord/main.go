@@ -49,9 +49,7 @@ func main() {
 		slo       = flag.Duration("slo", 0, "per-round latency SLO arming the per-worker governors (0 = exact oracle mode)")
 		lease     = flag.Duration("lease", 10*time.Second, "worker lease: silence longer than this reaps the worker")
 		heartbeat = flag.Duration("heartbeat", 0, "worker heartbeat period (0 = lease/4)")
-		pipelined = flag.Bool("pipelined", false, "overlap rounds: gather round r's reports while round r+1 runs (bit-identical to lockstep at equal -lag)")
-		lag       = flag.Int("lag", 1, "feedback lag k: rounds granted but not yet observed when a round is planned")
-		rtt       = flag.Duration("rtt", 0, "deterministic report-delivery delay model (lockstep serializes it into every round; -pipelined hides it)")
+		lag       = flag.Int("lag", 1, "feedback lag k: rounds granted but not yet observed when a round is planned (> 1: rounds overlap)")
 		journal   = flag.String("journal", "", "durable control-plane state: write a snapshot+journal file here (crash-recoverable via -takeover)")
 		standby   = flag.String("standby", "", "primary pgcoord address: run as a warm standby replica that takes over on lease expiry")
 		sbName    = flag.String("name", "", "standby name reported to the primary (with -standby)")
@@ -78,7 +76,7 @@ func main() {
 		Task:        *taskName, Rounds: *rounds, MinWorkers: *workers,
 		Source: pipeline.NewLocalSource(fleet, *rounds),
 		SLO:    *slo, Lease: *lease, Heartbeat: *heartbeat,
-		Pipelined: *pipelined, MaxInFlight: *lag, ReportDelay: *rtt,
+		MaxInFlight: *lag,
 		JournalPath: *journal, RejoinWait: *rejoin,
 	}
 	if *verbose {

@@ -1,32 +1,30 @@
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"packetgame/internal/overload"
 )
 
-// This file is the primary's half of fail-over: maintaining the replica
-// image + journal + standby mirror stream, and handling re-joins from
-// workers that lost their connection. The standby's half (follow, election,
-// takeover) lives in standby.go.
+// The protocol's fail-over half, as free of I/O as core.go: the replica
+// image and its mirrors (journal file, standbys), re-joins, and a standby's
+// takeover. Following the primary as a standby is I/O: standby.go.
 
-func (c *Coordinator) crashDue(r int64, p CrashPoint) bool {
+func (c *coord) crashDue(r int64, p CrashPoint) bool {
 	return c.cfg.CrashAtRound > 0 && r == c.cfg.CrashAtRound && c.cfg.CrashPoint == p
 }
 
-// journalRound folds one observed round into the replica image and mirrors
-// the record to the journal file and every standby. Called from
-// observeFlight — the round's reports are in, so the record carries the
-// post-observe governor state and the round's aggregated accuracy deltas.
-func (c *Coordinator) journalRound(f *flight, agg AccDeltas, roundLat time.Duration, sloMiss bool) {
+// journalRound folds one observed round — its post-observe governor state
+// and aggregated accuracy deltas — into the replica image and mirrors it.
+func (c *coord) journalRound(f *flight, agg AccDeltas, roundLat time.Duration, sloMiss bool) {
 	rec := roundRecord{
 		Round: f.round, BEff: f.bEff, Mode: uint8(f.mode),
 		LatNs: int64(roundLat), SLOMiss: sloMiss,
 		Sel: f.sel, Deltas: agg,
 	}
 	for _, id := range f.ids {
-		if wc := c.workers[id]; wc != nil && !wc.dead {
+		if m := c.members[id]; m != nil && !m.dead {
 			rec.Ctl = append(rec.Ctl, c.rc.exportCtl(id))
 		}
 	}
@@ -34,236 +32,314 @@ func (c *Coordinator) journalRound(f *flight, agg AccDeltas, roundLat time.Durat
 	c.mirrorRecord(jRound, &rec)
 	// Compaction happens only here — at an observed-round point, where the
 	// replica is a consistent image of everything journaled so far.
-	if c.jr != nil && c.jr.shouldCompact() {
-		if err := c.compactJournal(); err != nil && c.jerr == nil {
-			c.jerr = err
-		}
+	if c.journaled && c.since >= compactEvery {
+		c.compactJournal()
 	}
 }
 
 // compactJournal rewrites the journal file as a snapshot of the replica.
-func (c *Coordinator) compactJournal() error {
+func (c *coord) compactJournal() {
 	snap, err := gobEncode(c.rs)
 	if err != nil {
-		return err
+		c.done(err)
+		return
 	}
-	return c.jr.compact(snap)
+	c.emit(effect{kind: effCompact, body: snap})
+	c.since = 0
 }
 
 // journalMember stamps a completed membership change and its migration's
 // counts with the epoch it produced, folds it into the replica, mirrors it.
-func (c *Coordinator) journalMember(rec *memberRecord) {
+func (c *coord) journalMember(rec *memberRecord) {
 	rec.Epoch, rec.NextID = c.epoch, c.nextID
-	if err := c.rs.applyMember(rec); err != nil && c.jerr == nil {
-		c.jerr = err
+	if err := c.rs.applyMember(rec); err != nil {
+		c.done(err)
+		return
 	}
 	c.mirrorRecord(jMember, rec)
 }
 
 // journalReconcile folds out-of-round accuracy deltas (re-home handoffs,
 // orphan reconciles, catch-up rounds) into the replica and mirrors them.
-func (c *Coordinator) journalReconcile(d AccDeltas) {
-	if d == (AccDeltas{}) {
-		return
+func (c *coord) journalReconcile(d AccDeltas) {
+	if d != (AccDeltas{}) {
+		c.rs.Acc.add(d)
+		c.mirrorRecord(jReconcile, &d)
 	}
-	c.rs.Acc.add(d)
-	c.mirrorRecord(jReconcile, &d)
 }
 
-// mirrorRecord serializes one journal record to the durable file and the
-// standby frame stream. The in-memory replica is updated by the caller
-// (typed, no serialization cost) so this is a no-op when neither a journal
-// file nor a standby is attached. A journal write failure is recorded and
-// fails the run at the next boundary: silent non-durability would be worse.
-func (c *Coordinator) mirrorRecord(kind uint8, rec any) {
-	if c.jr == nil && len(c.standbys) == 0 {
+// mirrorRecord serializes one journal record, already folded into the
+// replica, to the journal file and the standbys.
+func (c *coord) mirrorRecord(kind uint8, rec any) {
+	if !c.journaled && len(c.standbys) == 0 {
 		return
 	}
 	body, err := gobEncode(rec)
 	if err != nil {
-		if c.jerr == nil {
-			c.jerr = err
-		}
+		c.done(err)
 		return
 	}
-	if c.jr != nil {
-		if err := c.jr.append(kind, body); err != nil && c.jerr == nil {
-			c.jerr = err
+	if c.journaled {
+		c.emit(effect{kind: effJournal, typ: kind, body: body})
+		c.since++
+	}
+	if len(c.standbys) > 0 {
+		n := len(c.arena)
+		c.arena = append(append(c.arena, kind), body...)
+		for _, sb := range c.standbys {
+			c.emit(send(fJournalAppend, sb.conn, c.arena[n:]))
 		}
 	}
-	c.pushStandbys(kind, body)
-}
-
-// pushStandbys streams one record to every live standby and prunes the
-// dead; workers learn of a pruned standby via the refreshed address list.
-func (c *Coordinator) pushStandbys(kind uint8, body []byte) {
-	if len(c.standbys) == 0 {
-		return
-	}
-	c.jbuf = append(c.jbuf[:0], kind)
-	c.jbuf = append(c.jbuf, body...)
-	live := c.standbys[:0]
-	for _, sc := range c.standbys {
-		if sc.send(fJournalAppend, c.jbuf) == nil {
-			live = append(live, sc)
-		}
-	}
-	pruned := len(live) != len(c.standbys)
-	c.standbys = live
-	if pruned {
-		c.broadcastStandbys()
-	}
-}
-
-// standbyConn is the primary's handle on one attached standby: the link the
-// round loop and a heartbeat pump share, and the address workers re-home to.
-type standbyConn struct {
-	*link
-	addr string
 }
 
 // attachStandby registers a standby at a consistent point (quorum or a
-// drained round boundary): it receives a snapshot of the replica image and
-// from then on every mirrored record, putting it exactly at the journal
-// position a file replay would reach. Heartbeats feed its lease between
-// records: quiet stretches (slow rounds, idle sources) are not primary death.
-func (c *Coordinator) attachStandby(p *pending) error {
+// drained boundary): a snapshot of the replica, then every mirrored record,
+// puts it exactly where a file replay would. The shell starts its heartbeat
+// with the snapshot offer; its link's death prunes it.
+func (c *coord) attachStandby(p event) error {
 	var sj StandbyJoin
 	snap, err := gobEncode(c.rs)
-	if err != nil || gobDecode(p.hello, &sj) != nil {
-		p.close()
+	if err != nil || gobDecode(p.body, &sj) != nil {
+		c.hangUp(p.conn)
 		return err
 	}
-	sc := &standbyConn{link: p.link, addr: sj.Addr}
-	if sc.send(fSnapshotOffer, snap) != nil {
-		return nil // stillborn standby, not a cluster error
-	}
-	c.standbys = append(c.standbys, sc)
-	go sc.beat(c.cfg.Heartbeat, func() []byte { return nil })
+	c.emit(send(fSnapshotOffer, p.conn, snap))
+	c.standbys = append(c.standbys, standbyRef{conn: p.conn, addr: sj.Addr})
 	c.broadcastStandbys()
 	return nil
 }
 
-// standbyAddrs lists the live standbys' re-home addresses.
-func (c *Coordinator) standbyAddrs() []string {
+// standbyAddrs lists the attached standbys' re-home addresses.
+func (c *coord) standbyAddrs() []string {
 	var addrs []string
-	for _, sc := range c.standbys {
-		if sc.alive() && sc.addr != "" {
-			addrs = append(addrs, sc.addr)
+	for _, sb := range c.standbys {
+		if sb.addr != "" {
+			addrs = append(addrs, sb.addr)
 		}
 	}
 	return addrs
 }
 
 // broadcastStandbys tells every live worker where to re-home if this
-// coordinator dies. It runs between admissions too, so it walks the
-// membership, not the round loop's live list; send order is immaterial.
-func (c *Coordinator) broadcastStandbys() {
+// coordinator dies; send order is immaterial.
+func (c *coord) broadcastStandbys() {
 	addrs := c.standbyAddrs()
-	body, err := gobEncode(&addrs)
-	if err != nil {
-		return
-	}
-	for _, wc := range c.workers {
-		if !wc.dead {
-			if err := wc.send(fStandbys, body); err != nil {
-				c.markDead(wc, err)
+	if body, err := gobEncode(&addrs); err == nil {
+		for _, m := range c.members {
+			if !m.dead {
+				c.emit(send(fStandbys, m.conn, body))
 			}
 		}
 	}
 }
 
-// replyTakeover is the one writer of the re-join verdict. A reply that
-// cannot be delivered leaves the member to the reap, same as never arriving.
-func replyTakeover(p *pending, tk TakeoverInfo) bool {
-	body, err := gobEncode(&tk)
-	return err == nil && p.send(fTakeover, body) == nil
+// replyTakeover is the one writer of the re-join verdict.
+func (c *coord) replyTakeover(conn connID, tk TakeoverInfo) {
+	if body, err := gobEncode(&tk); err == nil {
+		c.emit(send(fTakeover, conn, body))
+	}
 }
 
-func refuseRejoin(p *pending, reason string) {
-	replyTakeover(p, TakeoverInfo{Reason: reason})
-	p.close()
+func (c *coord) refuseRejoin(p event, reason string) {
+	c.replyTakeover(p.conn, TakeoverInfo{Reason: reason})
+	c.hangUp(p.conn)
 }
 
 // rejoinHello opens every re-join, at a live primary or in a takeover window:
 // decode the hello, and settle a reconcile-only one (an orphan handing in its
 // observations, not asking for a seat) on the spot. !ok: unreadable, dropped.
-func (c *Coordinator) rejoinHello(p *pending) (info RejoinInfo, ok bool) {
-	if gobDecode(p.hello, &info) != nil {
-		p.close()
+func (c *coord) rejoinHello(p event) (info RejoinInfo, ok bool) {
+	if gobDecode(p.body, &info) != nil {
+		c.hangUp(p.conn)
 		return info, false
 	}
 	if info.ReconcileOnly {
 		c.journalReconcile(info.Deltas)
-		replyTakeover(p, TakeoverInfo{Accepted: true, Reason: "reconciled", Epoch: c.epoch})
-		p.close()
+		c.replyTakeover(p.conn, TakeoverInfo{Accepted: true, Reason: "reconciled", Epoch: c.epoch})
+		c.hangUp(p.conn)
 	}
 	return info, true
 }
 
 // acceptRejoin replies fTakeover and installs the worker's replacement
 // connection under its existing ring identity.
-func (c *Coordinator) acceptRejoin(p *pending, info RejoinInfo, resume int64) (*wconn, bool) {
-	tk := TakeoverInfo{Accepted: true, Epoch: c.epoch, Resume: resume, Standbys: c.standbyAddrs()}
-	if !replyTakeover(p, tk) {
-		p.close()
-		return nil, false
-	}
-	return c.install(info.WorkerID, p), true
+func (c *coord) acceptRejoin(p event, info RejoinInfo, resume int64) *member {
+	c.replyTakeover(p.conn, TakeoverInfo{Accepted: true, Epoch: c.epoch, Resume: resume, Standbys: c.standbyAddrs()})
+	return c.install(info.WorkerID, p.conn)
 }
 
-// primaryRejoin handles a re-join arriving at a live primary: an orphan
-// reconciling its observations, or a worker whose *connection* (not the
-// coordinator) died re-homing to the same primary before the reap removed
-// it from the ring. Revival is pure reconnection — the worker kept its
-// gate state and ownership never changed — plus empty-round catch-up for
-// the rounds it missed.
-func (c *Coordinator) primaryRejoin(p *pending, r int64) error {
+// primaryRejoin handles a re-join at a running coordinator: an orphan
+// reconciling, or a dead member not yet reaped re-homing (late for a
+// takeover window, say) — pure reconnection, the worker kept its gate state
+// and ownership never changed, plus catch-up for the rounds it missed.
+func (c *coord) primaryRejoin(p event, r int64, then func()) {
 	info, ok := c.rejoinHello(p)
 	if !ok || info.ReconcileOnly {
-		return nil
+		then()
+		return
 	}
-	if old, ok := c.workers[info.WorkerID]; !ok || !old.dead {
-		refuseRejoin(p, "not a re-homeable member")
-		return nil
+	if old := c.members[info.WorkerID]; old == nil || !old.dead {
+		c.refuseRejoin(p, "not a re-homeable member")
+		then()
+		return
 	}
-	wc, ok := c.acceptRejoin(p, info, r)
-	if !ok {
-		return nil
-	}
-	if err := c.rc.addWorker(wc.id); err != nil {
-		return err
+	m := c.acceptRejoin(p, info, r)
+	if err := c.rc.addWorker(m.id); err != nil {
+		c.done(err)
+		return
 	}
 	c.journalReconcile(info.Deltas)
-	c.catchUp(wc, info.Clock, r)
-	return nil
+	c.catchUp(m, info.Clock, r, then)
 }
 
-// catchUp advances one re-homed laggard from its clock to the resume round
-// with empty rounds through the regular engine path — round frame →
-// candidates → grant → report — so its gate clocks advance exactly as if
-// it had idled through the rounds it missed. Deltas settled along the way
-// are folded as reconcile records.
-func (c *Coordinator) catchUp(wc *wconn, from, to int64) {
-	for k := from; k < to; k++ {
-		c.roundB = encodeRoundDelta(c.roundB[:0], k, c.cfg.Budget, overload.ModeFull, nil, wc.prev)
-		wc.prev = wc.prev[:0]
-		if err := wc.send(fRound, c.roundB); err != nil {
-			c.markDead(wc, err)
-			return
-		}
-		if !c.candidatesFrom(wc, k) {
-			return
-		}
-		c.grantsB = encodeGrant(c.grantsB[:0], k, nil)
-		if err := wc.send(fGrant, c.grantsB); err != nil {
-			c.markDead(wc, err)
-			return
-		}
-		msg, ok := c.reportFrom(wc, k)
-		if !ok {
-			return
-		}
-		c.journalReconcile(msg.deltas)
+// catchUp advances a re-homed laggard from round k to round to with empty
+// rounds through the regular path — round frame, candidates, grant, report —
+// so its gate clocks advance as if it had idled through them; the deltas
+// settled on the way are reconcile records.
+func (c *coord) catchUp(m *member, k, to int64, then func()) {
+	if k >= to || m.dead {
+		then()
+		return
 	}
+	c.sendRound(m, k, c.cfg.Budget, overload.ModeFull, nil)
+	c.expect(m, fCandidates, func(body []byte) {
+		if body == nil || !c.candidatesOK(m, body, k) {
+			then()
+			return
+		}
+		n := len(c.arena)
+		c.arena = encodeGrant(c.arena, k, nil)
+		c.emitArena(fGrant, m.conn, n)
+		c.expect(m, fReport, func(body []byte) {
+			msg, err := decodeReport(body)
+			if body != nil && (err != nil || msg.round != k) {
+				c.markDead(m, fmt.Errorf("bad report (round %d, want %d): %v", msg.round, k, err))
+			}
+			if m.dead {
+				then()
+				return
+			}
+			c.journalReconcile(msg.deltas)
+			c.catchUp(m, k+1, to, then)
+		})
+	})
+}
+
+// takeover turns a followed (or file-replayed) replica into a live
+// coordinator. After restoring the control plane it holds the re-join window:
+// each journaled member re-homes (new connection, same ring identity, gate
+// state intact) or reconciles (an orphan handing in its observations before
+// leaving); joins and standbys queue for the first boundary meanwhile. The
+// window closes as soon as every member is accounted for — the deterministic
+// path — or after RejoinWait, the safety net for members that died with the
+// primary. Rounds resume at the max of the journal clock and every re-homed
+// worker's (rounds the dead primary granted but never journaled must not be
+// replayed at workers that already played them), once the laggards are
+// caught up in id order, from the identically seeded source advanced to it.
+func (c *coord) takeover(now time.Time, rs *replicaState, out []effect) []effect {
+	c.begin(now, out)
+	if err := c.restore(rs); err != nil {
+		c.done(err)
+		return c.end()
+	}
+	seen, clocks := map[int]bool{}, map[int]int64{}
+	c.serveUntil(c.cfg.RejoinWait, func() bool { return len(seen) == len(c.rs.Members) }, fRejoin, func(p event, next func()) {
+		info, ok := c.rejoinHello(p)
+		id := info.WorkerID
+		_, want := c.rs.member(id)
+		switch {
+		case !ok:
+		case info.ReconcileOnly:
+			if want && !seen[id] {
+				seen[id] = true
+				c.rep.DeadReasons[id] = "orphan: reconciled and left"
+			}
+		case !want || seen[id]:
+			c.refuseRejoin(p, fmt.Sprintf("worker %d is not a pending member of this takeover", id))
+		default:
+			seen[id] = true
+			c.acceptRejoin(p, info, c.rs.Round)
+			clocks[id] = info.Clock
+			c.journalReconcile(info.Deltas)
+		}
+		next()
+	}, func() {
+		resume := c.rs.Round
+		for _, clk := range clocks {
+			resume = max(resume, clk)
+		}
+		catchUp := func() {
+			each(len(c.rs.Members), func(i int, next func()) {
+				id := c.rs.Members[i].ID
+				if from, ok := clocks[id]; ok {
+					c.catchUp(c.members[id], from, resume, next)
+				} else {
+					next()
+				}
+			}, func() { c.rounds(resume, resume) })
+		}
+		// Members that never came back died with the primary; reconciled
+		// orphans left on purpose. Both get placeholder dead entries so the
+		// regular reap path adopts their arcs at the first round boundary.
+		for _, mi := range c.rs.Members {
+			if id := mi.ID; c.members[id] == nil {
+				c.members[id] = &member{id: id, dead: true}
+				c.rep.Deaths++
+				if _, ok := c.rep.DeadReasons[id]; !ok {
+					c.rep.DeadReasons[id] = "did not re-home after takeover"
+				}
+				c.rc.removeWorker(id)
+			}
+		}
+		if len(c.live()) > 0 {
+			catchUp()
+			return
+		}
+		// A cold takeover of a fully-dead fleet: nobody survived to re-home.
+		// Rebuild the data plane from fresh joins up to quorum instead — the
+		// journaled round clock, decision hash, and accuracy accounting carry
+		// forward; the dead members' arcs are fresh-adopted at the first
+		// round boundary, exactly like any other reap.
+		c.quorum(resume, func(err error) {
+			if err != nil {
+				c.done(fmt.Errorf("cluster: no workers re-homed after takeover: %w", err))
+				return
+			}
+			catchUp()
+		})
+	})
+	return c.end()
+}
+
+// restore rebuilds the control plane from the replica image, which becomes
+// this coordinator's own, so the final report spans both reigns.
+func (c *coord) restore(rs *replicaState) error {
+	if rs.Streams != c.cfg.Streams || rs.Window != c.cfg.Window || rs.Task != c.cfg.Task ||
+		rs.Budget != c.cfg.Budget || rs.SLONs != int64(c.cfg.SLO) {
+		return fmt.Errorf("cluster: journal config digest mismatch (journal has m=%d W=%d task=%q budget=%g slo=%s)",
+			rs.Streams, rs.Window, rs.Task, rs.Budget, time.Duration(rs.SLONs))
+	}
+	if len(rs.Members) == 0 {
+		return fmt.Errorf("cluster: journal holds no members to take over")
+	}
+	rs.Epoch++ // the election is an epoch transition of its own
+	c.rs, c.epoch, c.nextID = rs, rs.Epoch, rs.NextID
+	for _, m := range rs.Members {
+		c.ring.Add(m.ID)
+		if err := c.rc.addWorker(m.ID); err != nil {
+			return err
+		}
+	}
+	c.ring.Owners(c.owners)
+	for _, ctl := range rs.Ctl {
+		if err := c.rc.importCtl(ctl); err != nil {
+			return err
+		}
+	}
+	c.rep.Deaths = rs.Deaths // the journaled count seeds this reign's detections
+	// The elected coordinator's own journal starts from the restored image.
+	if c.journaled {
+		c.compactJournal()
+	}
+	return nil
 }

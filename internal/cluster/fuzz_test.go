@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"packetgame/internal/codec"
+	"packetgame/internal/knapsack"
 	"packetgame/internal/overload"
 )
 
@@ -145,6 +148,30 @@ func TestRoundDeltaRejects(t *testing.T) {
 		var msg roundMsg
 		if err := decodeRoundDelta(body, m, prev, &msg); err == nil {
 			t.Fatal("trailing bytes must error")
+		}
+	})
+	t.Run("offered-not-finite-or-negative", func(t *testing.T) {
+		// offered feeds the sender's demand EWMA: NaN would turn the budget
+		// split into equal shares for the rest of the run.
+		cands := []knapsack.Candidate{{Stream: 2, Value: 0.5, Cost: 1}}
+		for _, offered := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			var msg candidatesMsg
+			if err := decodeCandidates(encodeCandidates(nil, 0, offered, cands), m, &msg); err == nil {
+				t.Fatalf("offered cost %v accepted", offered)
+			}
+		}
+		var msg candidatesMsg
+		if err := decodeCandidates(encodeCandidates(nil, 0, 0, cands), m, &msg); err != nil {
+			t.Fatalf("offered cost 0 rejected: %v", err)
+		}
+	})
+	t.Run("report-negative-latency", func(t *testing.T) {
+		// The governor reads a negative latency EWMA as "unset".
+		if _, err := decodeReport(encodeReport(3, -time.Millisecond, AccDeltas{})); err == nil {
+			t.Fatal("negative report latency accepted")
+		}
+		if _, err := decodeReport(encodeReport(3, 0, AccDeltas{})); err != nil {
+			t.Fatalf("zero report latency rejected: %v", err)
 		}
 	})
 	t.Run("roundtrip", func(t *testing.T) {

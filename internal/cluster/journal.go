@@ -2,9 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"packetgame/internal/container"
 	"packetgame/internal/overload"
@@ -125,33 +126,14 @@ func newReplicaState() *replicaState {
 	return &replicaState{Hash: fnvOffset}
 }
 
-// memberIdx returns the index of id in Members, or -1.
-func (rs *replicaState) memberIdx(id int) int {
-	i := sort.Search(len(rs.Members), func(k int) bool { return rs.Members[k].ID >= id })
-	if i < len(rs.Members) && rs.Members[i].ID == id {
-		return i
-	}
-	return -1
+// member finds id in Members (kept ascending): its index, or where it goes.
+func (rs *replicaState) member(id int) (int, bool) {
+	return slices.BinarySearchFunc(rs.Members, id, func(m memberInfo, id int) int { return cmp.Compare(m.ID, id) })
 }
 
-// setCtl inserts or replaces one worker's control state, keeping Ctl
-// sorted by ID.
-func (rs *replicaState) setCtl(ctl workerCtl) {
-	i := sort.Search(len(rs.Ctl), func(k int) bool { return rs.Ctl[k].ID >= ctl.ID })
-	if i < len(rs.Ctl) && rs.Ctl[i].ID == ctl.ID {
-		rs.Ctl[i] = ctl
-		return
-	}
-	rs.Ctl = append(rs.Ctl, workerCtl{})
-	copy(rs.Ctl[i+1:], rs.Ctl[i:])
-	rs.Ctl[i] = ctl
-}
-
-func (rs *replicaState) removeCtl(id int) {
-	i := sort.Search(len(rs.Ctl), func(k int) bool { return rs.Ctl[k].ID >= id })
-	if i < len(rs.Ctl) && rs.Ctl[i].ID == id {
-		rs.Ctl = append(rs.Ctl[:i], rs.Ctl[i+1:]...)
-	}
+// ctl finds worker id's control state in Ctl (kept ascending by ID).
+func (rs *replicaState) ctl(id int) (int, bool) {
+	return slices.BinarySearchFunc(rs.Ctl, id, func(c workerCtl, id int) int { return cmp.Compare(c.ID, id) })
 }
 
 // apply folds one journal record into the replica. Errors mean the record
@@ -206,7 +188,11 @@ func (rs *replicaState) applyRound(rec *roundRecord) {
 	}
 	rs.ModeRounds[rec.Mode]++
 	for _, ctl := range rec.Ctl {
-		rs.setCtl(ctl)
+		if i, ok := rs.ctl(ctl.ID); ok {
+			rs.Ctl[i] = ctl
+		} else {
+			rs.Ctl = slices.Insert(rs.Ctl, i, ctl)
+		}
 	}
 }
 
@@ -216,25 +202,25 @@ func (rs *replicaState) applyMember(rec *memberRecord) error {
 		rs.NextID = rec.NextID
 	}
 	for _, m := range rec.Joined {
-		if rs.memberIdx(m.ID) >= 0 {
+		i, ok := rs.member(m.ID)
+		if ok {
 			return fmt.Errorf("cluster: journal member %d joined twice", m.ID)
 		}
-		i := sort.Search(len(rs.Members), func(k int) bool { return rs.Members[k].ID >= m.ID })
-		rs.Members = append(rs.Members, memberInfo{})
-		copy(rs.Members[i+1:], rs.Members[i:])
-		rs.Members[i] = m
+		rs.Members = slices.Insert(rs.Members, i, m)
 		rs.Workers++
 		if rec.Round > 0 {
 			rs.Joins++
 		}
 	}
 	for _, id := range rec.Died {
-		i := rs.memberIdx(id)
-		if i < 0 {
+		i, ok := rs.member(id)
+		if !ok {
 			return fmt.Errorf("cluster: journal member %d died without joining", id)
 		}
-		rs.Members = append(rs.Members[:i], rs.Members[i+1:]...)
-		rs.removeCtl(id)
+		rs.Members = slices.Delete(rs.Members, i, i+1)
+		if i, ok := rs.ctl(id); ok {
+			rs.Ctl = slices.Delete(rs.Ctl, i, i+1)
+		}
 		rs.Deaths++
 	}
 	rs.Transfers += rec.Transfers
@@ -293,28 +279,19 @@ func openJournal(path string, compactEvery int, snap []byte) (*journal, error) {
 		return nil, fmt.Errorf("cluster: journal: %w", err)
 	}
 	j := &journal{path: path, f: f, limit: compactEvery}
-	if err := j.writeHeader(f, snap); err != nil {
-		f.Close()
-		return nil, err
+	j.buf = container.AppendRecord(append(j.buf, journalMagic...), jSnapshot, snap)
+	if _, err = f.Write(j.buf); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("cluster: journal sync: %w", err)
+		return nil, fmt.Errorf("cluster: journal write: %w", err)
 	}
 	return j, nil
 }
 
-func (j *journal) writeHeader(f *os.File, snap []byte) error {
-	j.buf = append(j.buf[:0], journalMagic...)
-	j.buf = container.AppendRecord(j.buf, jSnapshot, snap)
-	if _, err := f.Write(j.buf); err != nil {
-		return fmt.Errorf("cluster: journal write: %w", err)
-	}
-	return nil
-}
-
-// append writes one record. The caller decides when to compact (via
-// shouldCompact + compact) so snapshots land only at consistent points.
+// append writes one record. The caller decides when to compact, so
+// snapshots land only at consistent points.
 func (j *journal) append(kind uint8, body []byte) error {
 	j.buf = container.AppendRecord(j.buf[:0], kind, body)
 	if _, err := j.f.Write(j.buf); err != nil {
@@ -324,42 +301,26 @@ func (j *journal) append(kind uint8, body []byte) error {
 	return nil
 }
 
-func (j *journal) shouldCompact() bool { return j.limit > 0 && j.since >= j.limit }
-
 // compact rewrites the journal as magic+snapshot. Written to a tmp file
 // and renamed over the original so a crash mid-compaction leaves a valid
 // journal either way.
 func (j *journal) compact(snap []byte) error {
 	tmp := j.path + ".tmp"
-	f, err := os.Create(tmp)
+	nj, err := openJournal(tmp, j.limit, snap) // written and fsynced
+	if err == nil {
+		if err = os.Rename(tmp, j.path); err != nil {
+			nj.f.Close()
+		}
+	}
 	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("cluster: journal compact: %w", err)
 	}
-	if err := j.writeHeader(f, snap); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cluster: journal compact sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cluster: journal compact close: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cluster: journal compact rename: %w", err)
-	}
-	old := j.f
-	j.f, err = os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	old.Close()
-	if err != nil {
-		return fmt.Errorf("cluster: journal reopen: %w", err)
-	}
-	j.since = 0
+	// The new file's descriptor followed it through the rename; appends
+	// continue at its end.
+	j.f.Close()
+	nj.path = j.path
+	*j = *nj
 	return nil
 }
 

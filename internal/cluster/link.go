@@ -15,8 +15,10 @@ import (
 
 // This file is the cluster's I/O shell: the only non-test code that dials,
 // accepts, wraps a connection in buffers, speaks the preamble, arms a read
-// deadline, or reads bytes off a connection. What happens on the wire when a
-// peer connects, and whose memory a received frame lands in, is answered here.
+// deadline or a timer, or reads bytes off a connection. What happens on the
+// wire when a peer connects, whose memory a received frame lands in, and how
+// the coordinator's protocol (core.go) meets the network, the clock, the
+// source and the journal file is answered here.
 
 // link is one PGCP connection. Sends may come from several goroutines (a
 // round loop and a heartbeat pump share one); there is a single reader. The
@@ -98,12 +100,6 @@ func (l *link) close() {
 		l.err = errors.New("cluster: link closed")
 		close(l.gone)
 	}
-}
-
-func (l *link) alive() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err == nil
 }
 
 // beat sends an fHeartbeat carrying body() every d until the link dies.
@@ -228,4 +224,182 @@ func serveLinks(ln net.Listener, stop <-chan struct{}, route func(typ uint8) cha
 			p.close()
 		}()
 	}
+}
+
+// peer is the shell's handle on one accepted connection: its link, and
+// spare, the way frame bodies come home — the reader takes its next body
+// buffer from here (else starts a new one) and the loop hands one back once
+// the core has stepped past it. Two slots: with rounds overlapping, a worker
+// can have a candidates and a report body out at once.
+type peer struct {
+	*link
+	spare chan []byte
+}
+
+// route counts an identified connection in before serveLinks queues it, so
+// a hook that waits for PendingJoins, then lets the core pull a round, has
+// the join admitted at that round's boundary.
+func (c *Coordinator) route(typ uint8) chan<- *pending {
+	if typ != fJoin && typ != fStandbyJoin && typ != fRejoin {
+		return nil
+	}
+	c.hellos.Add(1)
+	if typ == fJoin {
+		c.joins.Add(1)
+	}
+	return c.accepted
+}
+
+// run carries out effs, then steps the core with every event that follows
+// until it is done, and tears down. It returns the error the run ended with.
+func (c *Coordinator) run(effs []effect) error {
+	c.timer = time.NewTimer(time.Hour)
+	c.timer.Stop()
+	defer c.teardown()
+	for {
+		if done, err := c.apply(effs); done {
+			return err
+		}
+		ev := c.next()
+		effs = c.core.step(time.Now(), ev, effs)
+		c.queued.Store(int32(c.core.queuedJoins()))
+		if p := c.peers[ev.conn]; ev.kind == evFrame && p != nil {
+			select {
+			case p.spare <- ev.body:
+			default:
+			}
+		}
+	}
+}
+
+// next is the next event: connections and frames as they came; a round the
+// core asked for once every hello counted in by then has reached it (so a
+// join a hook waited for is admitted at that round's boundary); the timer
+// only behind whatever arrived before it went off.
+func (c *Coordinator) next() event {
+	for {
+		if idle := len(c.accepted) == 0 && len(c.inbox) == 0; idle && c.pull && c.hellos.Load() == 0 {
+			c.pull = false
+			rnd, err := c.src.NextRoundSparse()
+			return event{kind: evRound, rnd: rnd, err: err}
+		} else if idle && c.fired {
+			c.fired = false
+			return event{kind: evTimer}
+		}
+		timer := c.timer.C
+		if c.pull || c.fired {
+			timer = nil
+		}
+		select {
+		case p := <-c.accepted:
+			c.hellos.Add(-1)
+			if p.typ == fJoin {
+				c.joins.Add(-1) // the core counts it from here on (queued)
+			}
+			c.last++
+			pr := &peer{link: p.link, spare: make(chan []byte, 2)}
+			c.peers[c.last] = pr
+			go c.read(c.last, pr)
+			return event{kind: evHello, conn: c.last, typ: p.typ, body: p.hello}
+		case ev := <-c.inbox:
+			return ev
+		case <-timer:
+			c.fired = true
+		}
+	}
+}
+
+// read is connection id's one reader: its frames, then the error that ends
+// the link, go to the loop in order.
+func (c *Coordinator) read(id connID, p *peer) {
+	var buf []byte
+	place := func(uint8) *[]byte {
+		if buf == nil {
+			select {
+			case buf = <-p.spare:
+			default:
+			}
+		}
+		return &buf
+	}
+	for {
+		ev := event{kind: evFrame, conn: id}
+		if ev.typ, ev.body, ev.err = p.recv(0, place); ev.err != nil {
+			ev.kind = evClosed
+		}
+		buf = nil // the body is on its way out
+		select {
+		case c.inbox <- ev:
+		case <-c.stop:
+			return
+		}
+		if ev.err != nil {
+			return
+		}
+	}
+}
+
+// apply carries out effects in order; done reports the run's end.
+func (c *Coordinator) apply(effs []effect) (done bool, err error) {
+	for _, e := range effs {
+		p := c.peers[e.conn]
+		switch e.kind {
+		case effSend:
+			// A failed send kills the link, and its reader reports it.
+			if p != nil && p.send(e.typ, e.body) == nil && e.typ == fSnapshotOffer {
+				go p.beat(c.core.cfg.Heartbeat, func() []byte { return nil })
+			}
+		case effClose:
+			if p != nil {
+				p.close()
+				delete(c.peers, e.conn)
+			}
+		case effPull:
+			c.pull = true
+		case effTimer:
+			c.timer.Stop() // a tick it missed only wakes the core for nothing
+			c.fired = false
+			if !e.at.IsZero() {
+				c.timer.Reset(time.Until(e.at))
+			}
+		case effJournal:
+			err = c.jr.append(e.typ, e.body)
+		case effCompact:
+			err = c.jr.compact(e.body)
+		case effOnRound:
+			c.core.cfg.OnRound(e.round, e.sel)
+		case effOnRoundEnd:
+			c.core.cfg.OnRoundEnd(e.round)
+		case effOnMembership:
+			c.core.cfg.OnMembership(e.round, e.joined, e.died)
+		case effDone:
+			return true, e.err
+		}
+		if err != nil {
+			return true, err
+		}
+	}
+	return false, nil
+}
+
+// teardown releases everything the coordinator holds. The journal is fsynced and
+// closed BEFORE the listener is released: a standby elected after this
+// coordinator goes away must never race a half-flushed log.
+func (c *Coordinator) teardown() {
+	c.once.Do(func() {
+		close(c.stop)
+		if c.jr != nil {
+			c.jr.Close()
+		}
+		c.ln.Close()
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+		for _, p := range c.peers {
+			p.close()
+		}
+		for len(c.accepted) > 0 {
+			(<-c.accepted).close()
+		}
+	})
 }

@@ -320,13 +320,12 @@ func TestClusterIOConfinedToLink(t *testing.T) {
 	if quorumLoops != 1 {
 		t.Errorf("%d loops wait for MinWorkers, want exactly one (awaitQuorum)", quorumLoops)
 	}
-	// await's lease timer, the report-delay pump, awaitQuorum's and the rejoin
-	// window's deadlines, the transfer backoff, the worker's rejoin backoff.
-	if timerSites != 6 {
-		t.Errorf("%d real-timer sites outside link.go, recorded 6: update the count (and ROADMAP item 3) if one went, justify it if one came", timerSites)
+	// The worker's rejoin backoff: the coordinator's one timer is the shell's.
+	if timerSites != 1 {
+		t.Errorf("%d real-timer sites outside link.go, recorded 1: update the count (and ROADMAP item 5) if one went, justify it if one came", timerSites)
 	}
 	sockets := []reflect.Type{reflect.TypeOf((*net.Conn)(nil)).Elem(), reflect.TypeOf(&bufio.Reader{}), reflect.TypeOf(&bufio.Writer{})}
-	for _, handle := range []reflect.Type{reflect.TypeOf(wconn{}), reflect.TypeOf(standbyConn{}), reflect.TypeOf(session{})} {
+	for _, handle := range []reflect.Type{reflect.TypeOf(peer{}), reflect.TypeOf(session{})} {
 		embedsLink := false
 		for i := 0; i < handle.NumField(); i++ {
 			fld := handle.Field(i)

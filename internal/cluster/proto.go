@@ -184,18 +184,6 @@ func gobDecode(body []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
 }
 
-// MarshalBlob serializes one stream blob. A fresh encoder per blob makes the
-// bytes a pure function of the value, so migration tests can byte-compare
-// pre- and post-transfer state.
-func MarshalBlob(b StreamBlob) ([]byte, error) { return gobEncode(&b) }
-
-// UnmarshalBlob parses a serialized stream blob.
-func UnmarshalBlob(body []byte) (StreamBlob, error) {
-	var b StreamBlob
-	err := gobDecode(body, &b)
-	return b, err
-}
-
 // A control body is seq(u64) · gob payload: retire, state and fresh-adopt
 // requests and their state/ack replies carry it so the coordinator can match
 // a reply to its request. A nil payload — the ack — is the sequence number
@@ -339,56 +327,40 @@ func encodeRoundDelta(dst []byte, round int64, bEff float64, mode overload.Mode,
 	hdr[16] = uint8(mode)
 	dst = append(dst, hdr[:]...)
 
-	// First merge pass counts the deltas (uvarint counts precede the lists);
-	// the next two passes emit them. All three are O(prev + cur).
-	nGone, nAdded := 0, 0
-	pi := 0
-	for _, rp := range pkts {
-		id := int32(rp.stream)
-		for pi < len(prev) && prev[pi] < id {
-			nGone++
-			pi++
+	// The gone ids (in prev, not in pkts), then the added ones (in pkts, not
+	// in prev): per list, one O(prev + cur) merge walk counts (the uvarint
+	// count precedes the list) and a second emits the gaps.
+	for _, added := range [2]bool{false, true} {
+		n := 0
+		for emit := 0; emit < 2; emit++ {
+			last, pi := int32(-1), 0
+			delta := func(id int32) {
+				if emit == 0 {
+					n++
+				} else {
+					dst, last = binary.AppendUvarint(dst, uint64(id-last-1)), id
+				}
+			}
+			for _, rp := range pkts {
+				id := int32(rp.stream)
+				for ; pi < len(prev) && prev[pi] < id; pi++ {
+					if !added {
+						delta(prev[pi])
+					}
+				}
+				if pi < len(prev) && prev[pi] == id {
+					pi++
+				} else if added {
+					delta(id)
+				}
+			}
+			for ; pi < len(prev) && !added; pi++ {
+				delta(prev[pi])
+			}
+			if emit == 0 {
+				dst = binary.AppendUvarint(dst, uint64(n))
+			}
 		}
-		if pi < len(prev) && prev[pi] == id {
-			pi++
-		} else {
-			nAdded++
-		}
-	}
-	nGone += len(prev) - pi
-
-	dst = binary.AppendUvarint(dst, uint64(nGone))
-	pi = 0
-	last := int32(-1)
-	for _, rp := range pkts {
-		id := int32(rp.stream)
-		for pi < len(prev) && prev[pi] < id {
-			dst = binary.AppendUvarint(dst, uint64(prev[pi]-last-1))
-			last = prev[pi]
-			pi++
-		}
-		if pi < len(prev) && prev[pi] == id {
-			pi++
-		}
-	}
-	for ; pi < len(prev); pi++ {
-		dst = binary.AppendUvarint(dst, uint64(prev[pi]-last-1))
-		last = prev[pi]
-	}
-
-	dst = binary.AppendUvarint(dst, uint64(nAdded))
-	pi, last = 0, -1
-	for _, rp := range pkts {
-		id := int32(rp.stream)
-		for pi < len(prev) && prev[pi] < id {
-			pi++
-		}
-		if pi < len(prev) && prev[pi] == id {
-			pi++
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(id-last-1))
-		last = id
 	}
 
 	for _, rp := range pkts {
@@ -607,6 +579,12 @@ func decodeCandidates(body []byte, m int, msg *candidatesMsg) error {
 	}
 	msg.round = int64(binary.BigEndian.Uint64(body[0:8]))
 	msg.offered = math.Float64frombits(binary.BigEndian.Uint64(body[8:16]))
+	// offered feeds the sender's demand EWMA and the latency model: a NaN
+	// would poison the budget split for the rest of the run, a negative
+	// value skew every share.
+	if !(msg.offered >= 0) || math.IsInf(msg.offered, 1) {
+		return fmt.Errorf("cluster: offered cost %v is not a finite non-negative number", msg.offered)
+	}
 	count, off, err := readUvarint(body, 16)
 	if err != nil {
 		return err
@@ -708,25 +686,16 @@ type AccDeltas struct {
 }
 
 func (a *AccDeltas) add(b AccDeltas) {
-	a.NegRounds += b.NegRounds
-	a.NegCorrect += b.NegCorrect
-	a.PosRounds += b.PosRounds
-	a.PosCorrect += b.PosCorrect
-	a.DecodeFailed += b.DecodeFailed
-	a.Shed += b.Shed
-	a.Deferred += b.Deferred
+	for i, f := range b.fields() {
+		*a.fields()[i] += *f
+	}
 }
 
 func (a AccDeltas) sub(b AccDeltas) AccDeltas {
-	return AccDeltas{
-		NegRounds:    a.NegRounds - b.NegRounds,
-		NegCorrect:   a.NegCorrect - b.NegCorrect,
-		PosRounds:    a.PosRounds - b.PosRounds,
-		PosCorrect:   a.PosCorrect - b.PosCorrect,
-		DecodeFailed: a.DecodeFailed - b.DecodeFailed,
-		Shed:         a.Shed - b.Shed,
-		Deferred:     a.Deferred - b.Deferred,
+	for i, f := range b.fields() {
+		*a.fields()[i] -= *f
 	}
+	return a
 }
 
 func (a *AccDeltas) fields() [7]*int64 {
@@ -762,6 +731,9 @@ func decodeReport(body []byte) (reportMsg, error) {
 	}
 	if msg.round < 0 {
 		return reportMsg{}, fmt.Errorf("cluster: negative report round %d", msg.round)
+	}
+	if msg.latency < 0 { // the governor reads a negative EWMA as "unset"
+		return reportMsg{}, fmt.Errorf("cluster: negative report latency %d", msg.latency)
 	}
 	off := 16
 	var err error

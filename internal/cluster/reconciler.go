@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"packetgame/internal/overload"
@@ -132,13 +132,9 @@ func (rc *reconciler) plan(live []int) (float64, overload.Mode) {
 			share = rc.demand[id] / total
 		}
 		bEff += share * bw
-		if mw > mode {
-			mode = mw
-		}
+		mode = max(mode, mw)
 	}
-	if bEff > rc.budget {
-		bEff = rc.budget
-	}
+	bEff = min(bEff, rc.budget)
 	if bEff == 0 {
 		bEff = rc.budget
 	}
@@ -151,11 +147,7 @@ func p99(lats []time.Duration) time.Duration {
 	if len(lats) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (len(s)*99 + 99) / 100
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	s := slices.Clone(lats)
+	slices.Sort(s)
+	return s[min((len(s)*99+99)/100, len(s)-1)]
 }

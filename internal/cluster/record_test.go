@@ -309,7 +309,7 @@ func TestClusterReleaseUnderSlowDecode(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		cfg := coordConfig(p)
 		if pipelined {
-			cfg.Pipelined, cfg.MaxInFlight = true, 3
+			cfg.MaxInFlight = 3
 		}
 		rep, sels, _ := runCluster(t, cfg, p.workers, slow)
 		assertSelectionsEqual(t, oracle, sels)

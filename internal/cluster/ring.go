@@ -16,12 +16,18 @@
 // knapsack over partitioned budgets is a different optimizer — so only the
 // scoring is distributed; the solve stays central and exact.
 //
-// link.go is the package's I/O shell: the one file that dials, accepts,
-// buffers a connection, speaks the handshake or arms a read deadline.
-// Coordinator (coord.go, failover.go, standby.go) and worker (worker.go) hold
-// links and exchange the frames of proto.go; journal.go is the replica image
-// every run counter lives in, and its file.
+// The coordinator's protocol is a sans-IO state machine (core.go,
+// failover.go); link.go is the package's I/O shell — the one file that
+// dials, accepts, reads a connection or arms a timer, and the event loop
+// that runs the protocol. Workers (worker.go) and standbys (standby.go)
+// exchange the frames of proto.go; journal.go is the replica image every
+// run counter lives in, and its file.
 package cluster
+
+import (
+	"cmp"
+	"slices"
+)
 
 // splitmix64 is the placement hash: cheap, well-mixed, and stable across
 // processes (no seed material from the runtime).
@@ -42,6 +48,8 @@ type ringPoint struct {
 	worker int
 }
 
+func byHash(p ringPoint, h uint64) int { return cmp.Compare(p.hash, h) }
+
 // Ring is a consistent-hash placement ring with virtual nodes. Stream i
 // belongs to the worker owning the first ring point at or after hash(i).
 // Membership changes move only the arcs adjacent to the added or removed
@@ -51,41 +59,19 @@ type Ring struct {
 	points []ringPoint
 }
 
-// NewRing builds a ring over the given worker IDs.
-func NewRing(workers []int) *Ring {
-	r := &Ring{}
-	for _, w := range workers {
-		r.Add(w)
-	}
-	return r
-}
-
-// Add inserts a worker's virtual nodes.
+// Add inserts a worker's virtual nodes, keeping the points sorted by hash
+// (splitmix64 is a bijection, so no two points share one).
 func (r *Ring) Add(worker int) {
 	for v := 0; v < ringVNodes; v++ {
 		h := splitmix64(uint64(worker)<<20 | uint64(v) | uint64(0xC1)<<56)
-		p := ringPoint{hash: h, worker: worker}
-		// Insertion sort: the ring is small (workers × vnodes) and
-		// membership changes are rare.
-		i := len(r.points)
-		r.points = append(r.points, p)
-		for i > 0 && r.points[i-1].hash > p.hash {
-			r.points[i] = r.points[i-1]
-			i--
-		}
-		r.points[i] = p
+		i, _ := slices.BinarySearchFunc(r.points, h, byHash)
+		r.points = slices.Insert(r.points, i, ringPoint{hash: h, worker: worker})
 	}
 }
 
 // Remove deletes a worker's virtual nodes.
 func (r *Ring) Remove(worker int) {
-	out := r.points[:0]
-	for _, p := range r.points {
-		if p.worker != worker {
-			out = append(out, p)
-		}
-	}
-	r.points = out
+	r.points = slices.DeleteFunc(r.points, func(p ringPoint) bool { return p.worker == worker })
 }
 
 // Owner returns the worker owning stream i, or -1 on an empty ring.
@@ -93,20 +79,8 @@ func (r *Ring) Owner(stream int) int {
 	if len(r.points) == 0 {
 		return -1
 	}
-	h := splitmix64(uint64(stream))
-	lo, hi := 0, len(r.points)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r.points[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(r.points) {
-		lo = 0 // wrap to the first point
-	}
-	return r.points[lo].worker
+	i, _ := slices.BinarySearchFunc(r.points, splitmix64(uint64(stream)), byHash)
+	return r.points[i%len(r.points)].worker // past the last point: wrap to the first
 }
 
 // Owners fills dst (length m) with each stream's owner.

@@ -11,20 +11,20 @@ import (
 // solveFixture is a coordinator reduced to what solveGrant touches: stream
 // ownership, the live list, and a round's worth of candidates — no sockets.
 type solveFixture struct {
-	c     *Coordinator
+	c     *coord
 	items []knapsack.Item        // the dense array a single gate would solve
 	byOwn [][]knapsack.Candidate // each live worker's ascending candidate list
 }
 
 func newSolveFixture(streams int, workerIDs []int, seed int64) *solveFixture {
 	rng := rand.New(rand.NewSource(seed))
-	c := &Coordinator{
-		workers: make(map[int]*wconn),
+	c := &coord{
+		members: make(map[int]*member),
 		owners:  make([]int, streams),
 		cost:    make([]float64, streams),
 	}
 	for _, id := range workerIDs {
-		c.workers[id] = &wconn{id: id}
+		c.members[id] = &member{id: id}
 	}
 	c.refreshLive()
 	fx := &solveFixture{c: c, items: make([]knapsack.Item, streams), byOwn: make([][]knapsack.Candidate, len(workerIDs))}
@@ -158,7 +158,7 @@ func TestSolveGrantBucketsMatchOwnerFilter(t *testing.T) {
 	}
 	fx.assertGrants(t, f, "steady")
 
-	c.workers[2].dead = true // died after its candidates were gathered
+	c.members[2].dead = true // died after its candidates were gathered
 	f = fx.solve(150)
 	fx.assertGrants(t, f, "dead worker")
 	total := 0

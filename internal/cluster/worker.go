@@ -117,8 +117,8 @@ type Worker struct {
 	grantCh chan grantMsg
 	roundCh chan *roundMsg
 	// recFree is the round records' way back from the engine to the reader
-	// (takeRecord, release). Three slots, one per record that can exist with a
-	// pipelined coordinator: one installed, one in roundCh, one being decoded.
+	// (takeRecord, release). Three slots, one per record that can exist when
+	// the coordinator overlaps rounds: installed, in roundCh, being decoded.
 	recFree chan *roundMsg
 
 	// prevIDs is the delta-coding membership state of the round-frame stream
@@ -311,9 +311,6 @@ func (w *Worker) ID() int { return w.id }
 // Gate exposes the worker's gate (tests inspect warming/breaker state).
 func (w *Worker) Gate() *core.Gate { return w.gate }
 
-// Fleet exposes the worker's inference monitors.
-func (w *Worker) Fleet() *infer.Fleet { return w.fleet }
-
 // Orphan returns the orphan-mode episode summary (zero if never orphaned).
 func (w *Worker) Orphan() OrphanReport {
 	w.mu.Lock()
@@ -462,46 +459,40 @@ func (w *Worker) readLoop(s *session) {
 		}
 		switch typ {
 		case fRound:
-			msg, err := w.decodeRound()
-			if err != nil {
-				w.fail(err)
-				return
-			}
-			select {
-			case w.roundCh <- msg:
-			case <-w.stop:
-				return
+			var msg *roundMsg
+			if msg, err = w.decodeRound(); err == nil {
+				select {
+				case w.roundCh <- msg:
+				case <-w.stop:
+					return
+				}
 			}
 		case fGrant:
-			g, err := decodeGrant(body, w.ccfg.Streams)
-			if err != nil {
-				w.fail(err)
-				return
-			}
-			select {
-			case w.grantCh <- g:
-			case <-w.stop:
-				return
+			var g grantMsg
+			if g, err = decodeGrant(body, w.ccfg.Streams); err == nil {
+				select {
+				case w.grantCh <- g:
+				case <-w.stop:
+					return
+				}
 			}
 		case fRetire, fState, fImportFresh:
-			if err := w.control(typ, body); err != nil {
-				w.fail(err)
-				return
-			}
+			err = w.control(typ, body)
 		case fStandbys:
 			var addrs []string
-			if err := gobDecode(body, &addrs); err != nil {
-				w.fail(err)
-				return
+			if err = gobDecode(body, &addrs); err == nil {
+				w.setStandbys(addrs)
 			}
-			w.setStandbys(addrs)
 		case fGoodbye:
 			w.byeOnce.Do(func() { close(w.bye) })
 			return
 		case fHeartbeat:
 			// Coordinator heartbeat (standby path); tolerate and ignore.
 		default:
-			w.fail(fmt.Errorf("cluster: worker got unexpected frame type %d", typ))
+			err = fmt.Errorf("cluster: worker got unexpected frame type %d", typ)
+		}
+		if err != nil {
+			w.fail(err)
 			return
 		}
 	}
@@ -557,6 +548,9 @@ func (w *Worker) release(msg *roundMsg) {
 
 // control serves one sequenced control frame — retire, state, fresh-adopt:
 // decode, update the owned set, act, reply under the same sequence number.
+// Adopted streams take the state they came with, or — a fresh adoption,
+// their state was lost — honest zero state: breaker clock pinned to now,
+// temporal-only until windows refill.
 func (w *Worker) control(typ uint8, body []byte) error {
 	var ids []int
 	var blobs []StreamBlob
@@ -579,13 +573,26 @@ func (w *Worker) control(typ uint8, body []byte) error {
 		}
 		w.owned[i] = typ != fRetire
 	}
-	switch typ {
-	case fRetire:
+	if typ == fRetire {
 		return w.retire(seq, ids)
-	case fState:
-		return w.adopt(seq, blobs)
 	}
-	return w.adoptFresh(seq, ids)
+	for _, b := range blobs {
+		if err := w.gate.ImportStream(b.Stream, b.Gate); err != nil {
+			return fmt.Errorf("cluster: adopt %d: %w", b.Stream, err)
+		}
+		// The arriving counters were observed (and already reported) by the
+		// previous owner: exclude them from this worker's totals.
+		w.shiftBase(AccDeltas{}.sub(monDeltas(b.Monitor)))
+		w.fleet.Stream(b.Stream).Import(b.Monitor)
+	}
+	for _, i := range ids[len(blobs):] { // fresh adoptions: a state frame's ids are its blobs'
+		if err := w.gate.ImportFreshStream(i); err != nil {
+			return fmt.Errorf("cluster: fresh adopt %d: %w", i, err)
+		}
+		w.fleet.Stream(i).Reset()
+	}
+	body, _ = encodeCtrl(seq, nil) // the ack: no payload, nothing to fail
+	return w.send(fStateAck, body)
 }
 
 // retire exports the named streams (gate + monitor), resets their local
@@ -612,37 +619,6 @@ func (w *Worker) retire(seq uint64, ids []int) error {
 		return err
 	}
 	return w.send(fState, body)
-}
-
-// adopt imports transferred stream states and acks the batch.
-func (w *Worker) adopt(seq uint64, blobs []StreamBlob) error {
-	for _, b := range blobs {
-		if err := w.gate.ImportStream(b.Stream, b.Gate); err != nil {
-			return fmt.Errorf("cluster: adopt %d: %w", b.Stream, err)
-		}
-		// The arriving counters were observed (and already reported) by the
-		// previous owner: exclude them from this worker's totals.
-		w.shiftBase(AccDeltas{}.sub(monDeltas(b.Monitor)))
-		w.fleet.Stream(b.Stream).Import(b.Monitor)
-	}
-	return w.ack(seq)
-}
-
-// adoptFresh adopts streams whose state transfer was lost: honest zero
-// state, breaker clock pinned to now, temporal-only until windows refill.
-func (w *Worker) adoptFresh(seq uint64, ids []int) error {
-	for _, i := range ids {
-		if err := w.gate.ImportFreshStream(i); err != nil {
-			return fmt.Errorf("cluster: fresh adopt %d: %w", i, err)
-		}
-		w.fleet.Stream(i).Reset()
-	}
-	return w.ack(seq)
-}
-
-func (w *Worker) ack(seq uint64) error {
-	body, _ := encodeCtrl(seq, nil) // no payload, nothing to fail
-	return w.send(fStateAck, body)
 }
 
 // heartbeat sends liveness beacons for one session, until its link dies, so
@@ -785,10 +761,10 @@ func (s *clusterSource) next() (*roundMsg, error) {
 	// written. The engine is built (build) with MaxInFlight 1, overlap off and
 	// no Deadline, so its gate loop pulls the source only after the previous
 	// round was acked — every decode job done — fed back, and its roundWork
-	// recycled with its packet pointers cleared; the gate's scatter scratch is
-	// nil between Decides; and decode.Frame holds values, no packet. On entry
-	// here, then, no goroutine can reach a packet of the installed round. The
-	// record goes back before the report is written: in lockstep the
+	// recycled with its packet pointers cleared; the gate reads a round in
+	// place and keeps no packet; and decode.Frame holds values, no packet. On
+	// entry here, then, no goroutine can reach a packet of the installed round.
+	// The record goes back before the report is written: at MaxInFlight 1 the
 	// coordinator sends the next round frame only after that report, so the
 	// reader finds this same record free — one record per worker.
 	if s.cur != nil {

@@ -8,7 +8,7 @@ import (
 // BenchVersion is bumped whenever the shape of any BENCH_*.json report
 // changes, so trajectory tooling comparing benchmark files across commits
 // can refuse to diff incompatible schemas instead of misreading them.
-const BenchVersion = 6
+const BenchVersion = 7
 
 // BenchMeta stamps every BENCH_*.json with a parseable identity: which
 // report schema the file carries, which schema revision wrote it, and the

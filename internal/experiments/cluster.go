@@ -18,17 +18,12 @@ import (
 const clusterSLO = 20 * time.Millisecond
 
 // Cluster exercises the distributed gating cluster under chaos: a stable
-// 8-worker run sets the recall and p99 baseline, a pair of rate legs at a
-// deterministic report RTT measures how much pipelining rounds raises the
-// sustained round rate over strict lockstep (the two legs run at equal
-// feedback lag, so their decisions are bit-identical and the gap is pure
-// overlap), then a same-seed chaos run kills two workers at pinned round
-// boundaries and rejoins a replacement, and a second chaos run re-checks
-// bit-identical decision hashes. At full scale the acceptance bounds hold:
-// chaos recall within 2% of the stable cluster, cluster p99 within the SLO
-// through the rebalancing storm, pipelined round rate >=1.5x lockstep with
-// recall within 0.5% of stable, and the report is written to
-// BENCH_cluster.json.
+// 8-worker run sets the recall and p99 baseline, then a same-seed chaos run
+// kills two workers at pinned round boundaries and rejoins a replacement,
+// and a second chaos run re-checks bit-identical decision hashes. At full
+// scale the acceptance bounds hold: chaos recall within 2% of the stable
+// cluster and cluster p99 within the SLO through the rebalancing storm, and
+// the report is written to BENCH_cluster.json.
 func Cluster(o Options) error {
 	o = o.withDefaults()
 	m := o.scaled(2000, 96)
@@ -48,41 +43,6 @@ func Cluster(o Options) error {
 		return err
 	}
 	o.printf("stable:  %s\n", stable.line())
-
-	// Rate legs: charge a deterministic report RTT sized to the stable leg's
-	// per-round compute, then run the same scenario at feedback lag 2 twice —
-	// strict lockstep (RTT serialized into every round) and pipelined (RTT
-	// hidden behind the next round). Equal lag means the two legs make
-	// bit-identical decisions; the wall-clock gap is pure pipelining win.
-	rtt := time.Duration(stable.MsPerRound * 1e6)
-	if rtt < 2*time.Millisecond {
-		rtt = 2 * time.Millisecond
-	}
-	const rateLag = 3
-	scRate := sc
-	scRate.reportDelay, scRate.lag = rtt, rateLag
-	o.printf("\n--- Round-rate: lockstep vs pipelined at lag %d, report RTT %v ---\n", rateLag, rtt.Round(time.Microsecond))
-	lockstep, err := clusterLegRun(scRate, false)
-	if err != nil {
-		return err
-	}
-	o.printf("lockstep:  %.1f rounds/s (%.2fms/round) %s\n",
-		1e3/lockstep.MsPerRound, lockstep.MsPerRound, lockstep.line())
-	scRate.pipelined = true
-	pipelined, err := clusterLegRun(scRate, false)
-	if err != nil {
-		return err
-	}
-	o.printf("pipelined: %.1f rounds/s (%.2fms/round) %s\n",
-		1e3/pipelined.MsPerRound, pipelined.MsPerRound, pipelined.line())
-	if lockstep.DecisionHash != pipelined.DecisionHash {
-		return fmt.Errorf("cluster: pipelined decisions diverged from lockstep at equal lag (%s vs %s)",
-			lockstep.DecisionHash, pipelined.DecisionHash)
-	}
-	rateSpeedup := lockstep.MsPerRound / pipelined.MsPerRound
-	pipeDrift := pipelined.Recall - stable.Recall
-	o.printf("pipelined vs lockstep: %.2fx round rate (hashes equal); recall drift vs stable %+0.4f\n",
-		rateSpeedup, pipeDrift)
 
 	chaos, err := clusterLegRun(sc, true)
 	if err != nil {
@@ -120,26 +80,13 @@ func Cluster(o Options) error {
 			return fmt.Errorf("cluster: p99 breached the %v SLO (stable %.2fms, chaos %.2fms)",
 				clusterSLO, stable.P99Ms, chaos.P99Ms)
 		}
-		if rateSpeedup < 1.5 {
-			return fmt.Errorf("cluster: pipelined round rate %.2fx lockstep, below the 1.5x acceptance floor",
-				rateSpeedup)
-		}
-		if pipeDrift < -0.005 || pipeDrift > 0.005 {
-			return fmt.Errorf("cluster: pipelined recall %0.4f vs stable %0.4f exceeds the 0.5%% bound",
-				pipelined.Recall, stable.Recall)
-		}
-	}
-
-	if o.Scale >= 1 {
 		rep := clusterReport{
 			Meta: benchMeta("cluster"),
 			M:    m, Workers: workers, Rounds: rounds, Seed: o.Seed,
 			SLOMs:       float64(clusterSLO) / 1e6,
 			CrashRounds: []int64{sc.crash1, sc.crash2}, JoinRound: sc.join,
 			DeterminismOK: deterministic, RecallDrift: drift,
-			RTTMs: float64(rtt) / 1e6, Lag: rateLag,
-			RateSpeedup: rateSpeedup, PipelinedRecallDrift: pipeDrift,
-			Stable: stable, Lockstep: lockstep, Pipelined: pipelined, Chaos: chaos,
+			Stable: stable, Chaos: chaos,
 		}
 		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -161,12 +108,6 @@ type clusterScenario struct {
 	window               int
 	seed                 int64
 	crash1, crash2, join int64
-	// Rate-leg knobs: reportDelay models the report RTT, lag sets the
-	// feedback window (MaxInFlight), pipelined overlaps rounds. Zero values
-	// reproduce the classic strict-lockstep legs.
-	reportDelay time.Duration
-	lag         int
-	pipelined   bool
 }
 
 type clusterLeg struct {
@@ -202,17 +143,8 @@ type clusterReport struct {
 	JoinRound     int64      `json:"join_round"`
 	DeterminismOK bool       `json:"determinism_ok"`
 	RecallDrift   float64    `json:"recall_drift"`
-	// Rate legs: same scenario at feedback lag `Lag` with a deterministic
-	// report RTT of RTTMs, run lockstep and pipelined. RateSpeedup is the
-	// round-rate ratio between the two bit-identical runs.
-	RTTMs                float64    `json:"rtt_ms"`
-	Lag                  int        `json:"lag"`
-	RateSpeedup          float64    `json:"rate_speedup"`
-	PipelinedRecallDrift float64    `json:"pipelined_recall_drift"`
-	Stable               clusterLeg `json:"stable"`
-	Lockstep             clusterLeg `json:"lockstep"`
-	Pipelined            clusterLeg `json:"pipelined"`
-	Chaos                clusterLeg `json:"chaos"`
+	Stable        clusterLeg `json:"stable"`
+	Chaos         clusterLeg `json:"chaos"`
 }
 
 // clusterFleet builds the benchmark's deterministic camera fleet with
@@ -246,10 +178,6 @@ func clusterLegRun(sc clusterScenario, chaos bool) (clusterLeg, error) {
 		LatencyModel: func(worker int, granted, offered float64) time.Duration {
 			return time.Duration(granted * float64(40*time.Microsecond))
 		},
-		Pipelined: sc.pipelined, ReportDelay: sc.reportDelay,
-	}
-	if sc.lag > 0 {
-		cfg.MaxInFlight = sc.lag
 	}
 	var c *cluster.Coordinator
 	if chaos {
