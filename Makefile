@@ -48,7 +48,7 @@ loc:
 # DecideSparseAppend+FeedbackFull round, the batched compiled forward, every
 # selector's solve (Ranked with all candidates dirty included), the
 # coordinator's solve-and-grant step, a worker's read of a round frame into
-# its recycled record, the container's in-place packet parse and its record
+# its recycled record and its core's whole round, the container's in-place packet parse and its record
 # read into a recycled buffer must stay at ~zero allocs/op
 # (testing.AllocsPerRun, no benchmark run needed), and a whole engine round —
 # gate loop, decode pool, collector, feedback, rounds overlapping or not,
@@ -61,7 +61,7 @@ alloc-smoke:
 	$(GO) test ./internal/predictor -run 'TestPredictIntoZeroAlloc|TestWindowZeroAlloc' -count 1
 	$(GO) test ./internal/nn -run TestCompiledForwardZeroAlloc -count 1
 	$(GO) test ./internal/knapsack -run TestSelectZeroAlloc -count 1
-	$(GO) test ./internal/cluster -run 'TestWorkerRoundZeroAlloc|TestSolveGrantZeroAlloc' -count 1
+	$(GO) test ./internal/cluster -run 'TestWorkerRoundZeroAlloc|TestWorkerCoreRoundZeroAlloc|TestSolveGrantZeroAlloc' -count 1
 	$(GO) test ./internal/container -run 'TestUnmarshalPacketIntoZeroAlloc|TestReadRecordZeroAlloc' -count 1
 	$(GO) test ./internal/pipeline -run 'TestEngineRoundAllocCeiling|TestBaselineRoundAllocCeiling' -count 1
 	$(GO) test -ldflags '-X packetgame/internal/nn.portableOnly=1' ./internal/nn ./internal/predictor -count 1

@@ -32,16 +32,27 @@ const (
 	evHello                // conn identified itself with hello frame typ, body
 	evRound                // the round effPull asked for: rnd, or err
 	evTimer                // the time last armed has come
+
+	// A worker's (session.go).
+	evPull   // the engine pulls its next round
+	evSelect // the engine asks for a selection from cands under budget, appended to sel
+	evDialed // the dial effDial asked for: conn answered tk, or it failed with err
+	evEnded  // the engine stopped with err; fin holds its run counters
 )
 
 // event is one thing that happened. A frame body is only the step's.
 type event struct {
-	kind evKind
-	conn connID
-	typ  uint8
-	body []byte
-	rnd  *codec.Round
-	err  error
+	kind   evKind
+	conn   connID
+	typ    uint8
+	body   []byte
+	rnd    *codec.Round
+	err    error
+	sel    []int
+	cands  []knapsack.Candidate
+	budget float64
+	tk     *TakeoverInfo
+	fin    *WorkerFinal
 }
 
 type effKind uint8
@@ -57,6 +68,11 @@ const (
 	effOnRoundEnd                  // CoordConfig.OnRoundEnd(round)
 	effOnMembership                // CoordConfig.OnMembership(round, joined, died)
 	effDone                        // the run is over, with err
+
+	// A worker's (session.go).
+	effRound  // hand the engine rnd (round round, aliasing frame body body), or err
+	effSelect // hand the engine the selection sel
+	effDial   // dial addr with the re-join hello
 )
 
 // effect is one thing for the shell to do; its slices live until the next step.
@@ -70,6 +86,9 @@ type effect struct {
 	sel          []int
 	joined, died []int
 	err          error
+	rnd          *codec.Round
+	addr         string
+	hello        *RejoinInfo
 }
 
 func send(typ uint8, to connID, body []byte) effect {

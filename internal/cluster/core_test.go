@@ -398,10 +398,11 @@ func TestCoreArmsNoPassedDeadline(t *testing.T) {
 
 // TestCoordinatorCoreIsSansIO holds the protocol files to what makes the
 // tests above possible: no goroutine, channel, socket, file, wall clock or
-// link in core.go or failover.go — those belong to the shell (link.go).
+// link in core.go, failover.go or the worker's session.go — those belong to
+// the shell (link.go).
 func TestCoordinatorCoreIsSansIO(t *testing.T) {
 	banned := regexp.MustCompile(`\bgo\s+\w|\bchan\b|\btime\.(Now|Since|Until|After|AfterFunc|NewTimer|NewTicker|Tick|Sleep)\b|\bnet\.|\bos\.|\*link\b`)
-	for _, name := range []string{"core.go", "failover.go"} {
+	for _, name := range []string{"core.go", "failover.go", "session.go"} {
 		src, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)

@@ -10,15 +10,18 @@ import (
 	"sync"
 	"time"
 
+	"packetgame/internal/codec"
 	"packetgame/internal/container"
+	"packetgame/internal/knapsack"
+	"packetgame/internal/overload"
 )
 
 // This file is the cluster's I/O shell: the only non-test code that dials,
 // accepts, wraps a connection in buffers, speaks the preamble, arms a read
 // deadline or a timer, or reads bytes off a connection. What happens on the
 // wire when a peer connects, whose memory a received frame lands in, and how
-// the coordinator's protocol (core.go) meets the network, the clock, the
-// source and the journal file is answered here.
+// the coordinator's protocol (core.go) and a worker's (session.go) meet the
+// network, the clock, the sources and the journal file is answered here.
 
 // link is one PGCP connection. Sends may come from several goroutines (a
 // round loop and a heartbeat pump share one); there is a single reader. The
@@ -226,11 +229,11 @@ func serveLinks(ln net.Listener, stop <-chan struct{}, route func(typ uint8) cha
 	}
 }
 
-// peer is the shell's handle on one accepted connection: its link, and
-// spare, the way frame bodies come home — the reader takes its next body
-// buffer from here (else starts a new one) and the loop hands one back once
-// the core has stepped past it. Two slots: with rounds overlapping, a worker
-// can have a candidates and a report body out at once.
+// peer is the shell's handle on one connection: its link, and spare, the
+// way frame bodies come home — the reader takes its next body buffer from
+// here (else starts a new one) and the loop hands one back once the core is
+// through with it. Two slots: with rounds overlapping, a worker can have a
+// candidates and a report body out at once.
 type peer struct {
 	*link
 	spare chan []byte
@@ -402,4 +405,220 @@ func (c *Coordinator) teardown() {
 			(<-c.accepted).close()
 		}
 	})
+}
+
+// The worker's shell: clusterSource is its engine's source and its gate's
+// planner, remoteSelector the gate's selector. The engine's goroutine is the
+// event loop: a pull or a Select steps the core with the call, then with
+// every event that follows, until the core answers it.
+type (
+	clusterSource  Worker
+	remoteSelector Worker
+)
+
+// NextRoundSparse implements pipeline.SparseRoundSource.
+func (s *clusterSource) NextRoundSparse() (*codec.Round, error) {
+	w := (*Worker)(s)
+	// The release point. The engine (build) pulls only once the previous
+	// round was acked, fed back, and its roundWork recycled with its packet
+	// pointers cleared; the gate reads a round in place and keeps no packet;
+	// decode.Frame holds values, no packet. So here nothing can reach a packet
+	// of the round pulled last, and the frame body they alias goes back to the
+	// reader — before the report is sent, so at MaxInFlight 1 the next round
+	// frame lands in it: one round body per worker.
+	if w.lent != nil {
+		select {
+		case w.sess.spare <- w.lent:
+		default:
+		}
+		w.lent = nil
+	}
+	// What arrived while the round was in the engine is stepped first, with
+	// the gate quiescent: a session's death is seen before a report goes out.
+	for ev, ok := w.next(false); ok; ev, ok = w.next(false) {
+		w.step(ev, effRound)
+	}
+	e := w.await(event{kind: evPull}, effRound)
+	return e.rnd, e.err
+}
+
+// NextRound implements pipeline.RoundSource; the engine pulls sparse.
+func (s *clusterSource) NextRound() ([]*codec.Packet, error) {
+	return nil, errors.New("cluster: round frames are sparse; use NextRoundSparse")
+}
+
+// Truth implements pipeline.RoundSource: ground truth relayed with the
+// round (accuracy accounting only — redundancy feedback never reads it, so
+// decision equality does not depend on the relay).
+func (s *clusterSource) Truth(i int) (codec.Scene, bool) {
+	r := &s.core.rec
+	if k := r.rnd.Find(int32(i)); k >= 0 && r.hasT[k] {
+		return r.truth[k], true
+	}
+	return codec.Scene{}, false
+}
+
+// Plan implements overload.Planner: the coordinator's reconciler already
+// planned this round's effective budget and degradation mode; the worker
+// only obeys. Orphan rounds carry the degraded local plan in the same
+// fields, so nothing downstream distinguishes the two.
+func (s *clusterSource) Plan() (float64, overload.Mode) { return s.core.rec.bEff, s.core.rec.mode }
+
+// Select implements knapsack.Selector through the core (wcore.choose).
+func (r *remoteSelector) Select(dst []int, cands []knapsack.Candidate, budget float64) []int {
+	return (*Worker)(r).await(event{kind: evSelect, sel: dst, cands: cands, budget: budget}, effSelect).sel
+}
+
+// await steps the engine's call, then every event that follows, until the
+// core answers the call with an effect of kind want.
+func (w *Worker) await(call event, want effKind) effect {
+	ans, ok := w.step(call, want)
+	for !ok {
+		ev, _ := w.next(true)
+		ans, ok = w.step(ev, want)
+	}
+	return ans
+}
+
+// step hands the core ev and carries out its effects, stepping a dial's or an
+// orphan pull's outcome at once; ok reports an answer of kind want.
+func (w *Worker) step(ev event, want effKind) (ans effect, ok bool) {
+	for more := true; more; {
+		more = false
+		w.effs = w.core.step(time.Now(), ev, w.effs)
+		// The core addresses only its session, and that is the latest link —
+		// or the core has closed the latest and sends nothing more.
+		for _, e := range w.effs {
+			switch e.kind {
+			case effSend:
+				w.sess.send(e.typ, e.body) // a failed send kills the link; its reader reports it
+			case effClose:
+				w.sess.close()
+			case effTimer:
+				w.timer.Reset(time.Until(e.at))
+			case effPull:
+				rnd, err := w.orphan.NextRoundSparse()
+				ev, more = event{kind: evRound, rnd: rnd, err: err}, true
+			case effDial:
+				ev, more = w.dial(e.addr, e.hello), true
+			case effRound:
+				if e.rnd != nil {
+					w.lent = e.body
+					w.clock.Store(e.round)
+				}
+			case effDone:
+				w.err = e.err
+			}
+			if e.kind == want {
+				ans, ok = e, true
+			}
+		}
+	}
+	return ans, ok
+}
+
+// next is the next event: a reader's, or — blocking — the timer's.
+func (w *Worker) next(block bool) (ev event, ok bool) {
+	if block {
+		select {
+		case ev = <-w.inbox:
+		case <-w.timer.C:
+			return event{kind: evTimer}, true
+		}
+	} else {
+		select {
+		case ev = <-w.inbox:
+		default:
+			return ev, false
+		}
+	}
+	if ev.kind == evClosed {
+		w.readers--
+	}
+	return ev, true
+}
+
+// dial re-joins at addr; an answered connection becomes the worker's latest,
+// its reader and heartbeat running, for the core to keep or close.
+func (w *Worker) dial(addr string, hello *RejoinInfo) event {
+	var tk TakeoverInfo
+	l, err := dialLink(addr, rejoinDial, fRejoin, hello, fTakeover, &tk, rejoinReplyWait)
+	if err != nil {
+		return event{kind: evDialed, err: err}
+	}
+	return event{kind: evDialed, conn: w.attach(l), tk: &tk}
+}
+
+// attach makes l the worker's latest connection, with its own reader and
+// heartbeat, and returns its id. The heartbeat keeps the coordinator's lease
+// alive through long decode stalls; its period carries per-worker jitter, so
+// a fleet admitted or re-homed together does not beacon in phase.
+func (w *Worker) attach(l *link) connID {
+	w.conn++
+	w.sess = &peer{link: l, spare: make(chan []byte, 2)}
+	w.readers++
+	go w.read(w.conn, w.sess)
+	every := w.core.cfg.HeartbeatEvery
+	if every <= 0 {
+		every = 500 * time.Millisecond
+	}
+	go w.sess.beat(heartbeatJitter(every, w.core.id), func() []byte {
+		return encodeReport(w.clock.Load(), 0, AccDeltas{})
+	})
+	return w.conn
+}
+
+// read is connection id's one reader: its frames, then the error that ends
+// the link (closed first, so nothing more is sent on it), go to the loop in
+// order. A round frame lands in the body the loop last handed back through
+// spare, else in a new one, and is the core's from then on. Every other body
+// is through once the core has stepped it, and the inbox is unbuffered: the
+// loop takes a frame only after stepping the one before, so two buffers
+// taking turns are never written while the core reads one.
+func (w *Worker) read(id connID, p *peer) {
+	var round []byte
+	var small [2][]byte
+	turn := 0
+	place := func(typ uint8) *[]byte {
+		if typ != fRound {
+			turn ^= 1
+			return &small[turn]
+		}
+		if round == nil {
+			select {
+			case round = <-p.spare:
+			default:
+			}
+		}
+		return &round
+	}
+	for {
+		ev := event{kind: evFrame, conn: id}
+		if ev.typ, ev.body, ev.err = p.recv(0, place); ev.err != nil {
+			ev.kind = evClosed
+			p.close()
+		} else if ev.typ == fRound {
+			round = nil
+		}
+		w.inbox <- ev
+		if ev.err != nil {
+			return
+		}
+	}
+}
+
+// run drives the engine to its end, lets the core close the run out — the
+// final accounting after a goodbye — and tears the shell down: the timer
+// stopped, the session closed, and every reader's last event taken.
+func (w *Worker) run() {
+	defer w.running.Done()
+	w.timer = time.NewTimer(time.Hour)
+	w.timer.Stop()
+	rep, err := w.eng.Run(0)
+	w.step(event{kind: evEnded, err: err, fin: &WorkerFinal{Rounds: rep.Rounds, Decoded: rep.Decoded, DecodeFailed: rep.DecodeFailed}}, effDone)
+	w.timer.Stop()
+	w.sess.close()
+	for w.readers > 0 {
+		w.next(true)
+	}
 }

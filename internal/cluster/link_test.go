@@ -320,12 +320,12 @@ func TestClusterIOConfinedToLink(t *testing.T) {
 	if quorumLoops != 1 {
 		t.Errorf("%d loops wait for MinWorkers, want exactly one (awaitQuorum)", quorumLoops)
 	}
-	// The worker's rejoin backoff: the coordinator's one timer is the shell's.
-	if timerSites != 1 {
-		t.Errorf("%d real-timer sites outside link.go, recorded 1: update the count (and ROADMAP item 5) if one went, justify it if one came", timerSites)
+	// The coordinator's timer and the worker's re-join timer are the shell's.
+	if timerSites != 0 {
+		t.Errorf("%d real-timer sites outside link.go, recorded 0: justify one that came", timerSites)
 	}
 	sockets := []reflect.Type{reflect.TypeOf((*net.Conn)(nil)).Elem(), reflect.TypeOf(&bufio.Reader{}), reflect.TypeOf(&bufio.Writer{})}
-	for _, handle := range []reflect.Type{reflect.TypeOf(peer{}), reflect.TypeOf(session{})} {
+	for _, handle := range []reflect.Type{reflect.TypeOf(peer{})} {
 		embedsLink := false
 		for i := 0; i < handle.NumField(); i++ {
 			fld := handle.Field(i)

@@ -383,8 +383,9 @@ func encodeRoundDelta(dst []byte, round int64, bEff float64, mode overload.Mode,
 // came off the wire, body is the frame body as it was read, rnd.Pkts[k]
 // points at pkts[k], and every Payload aliases body — nothing is copied out
 // of the frame; an orphan round carries the local source's own packets and
-// uses neither. gone/added are decode scratch. The record is recycled whole
-// (Worker.release), so whatever it handed out dies with the round.
+// uses neither. gone/added are decode scratch. A worker has one record and
+// decodes each round into it as the round is installed, so whatever it
+// handed out dies with the round.
 type roundMsg struct {
 	round int64
 	bEff  float64
@@ -402,12 +403,12 @@ type roundMsg struct {
 // membership after the previous round frame, into msg — reset, not
 // reallocated: whatever msg held before is gone and none of it shows through.
 // The packets' payloads alias body, which the caller keeps alive and
-// unmodified for as long as msg is in use (the worker reads the frame into
-// msg.body). On success msg.rnd.IDs is the new membership (the caller
-// persists a copy as the next prev); on error the frame is rejected
-// wholesale and prev must be kept. Every malformed input — truncated varints
-// or entries, out-of-range ids, a gone id that was not a member, an added id
-// that already was, trailing bytes — is an error, never a panic.
+// unmodified for as long as msg is in use. On success msg.rnd.IDs is the
+// new membership (the caller persists a copy as the next prev); on error the
+// frame is rejected wholesale and prev must be kept. Every malformed input —
+// truncated varints or entries, out-of-range ids, a gone id that was not a
+// member, an added id that already was, trailing bytes — is an error, never
+// a panic.
 func decodeRoundDelta(body []byte, m int, prev []int32, msg *roundMsg) error {
 	if len(body) < 17 {
 		return fmt.Errorf("cluster: truncated round frame")
@@ -632,35 +633,36 @@ type grantMsg struct {
 	streams []int
 }
 
-func decodeGrant(body []byte, m int) (grantMsg, error) {
-	var msg grantMsg
+// decodeGrantInto decodes into msg, reusing its slice (the worker holds one
+// and is through with it before the next grant).
+func decodeGrantInto(body []byte, m int, msg *grantMsg) error {
 	if len(body) < 8 {
-		return msg, fmt.Errorf("cluster: truncated grant frame")
+		return fmt.Errorf("cluster: truncated grant frame")
 	}
 	msg.round = int64(binary.BigEndian.Uint64(body[0:8]))
 	count, off, err := readUvarint(body, 8)
 	if err != nil {
-		return msg, err
+		return err
 	}
 	if count > uint64(m) {
-		return msg, fmt.Errorf("cluster: %d grants exceed fleet width %d", count, m)
+		return fmt.Errorf("cluster: %d grants exceed fleet width %d", count, m)
 	}
-	msg.streams = make([]int, 0, count)
+	msg.streams = msg.streams[:0]
 	for k := uint64(0); k < count; k++ {
 		var s uint64
 		s, off, err = readUvarint(body, off)
 		if err != nil {
-			return msg, err
+			return err
 		}
 		if s >= uint64(m) {
-			return msg, fmt.Errorf("cluster: granted stream %d out of range [0,%d)", s, m)
+			return fmt.Errorf("cluster: granted stream %d out of range [0,%d)", s, m)
 		}
 		msg.streams = append(msg.streams, int(s))
 	}
 	if off != len(body) {
-		return msg, fmt.Errorf("cluster: %d trailing bytes after grant frame", len(body)-off)
+		return fmt.Errorf("cluster: %d trailing bytes after grant frame", len(body)-off)
 	}
-	return msg, nil
+	return nil
 }
 
 // --- report frame (worker → coordinator, v3 delta-coded) ---
@@ -706,13 +708,16 @@ func (a *AccDeltas) fields() [7]*int64 {
 }
 
 func encodeReport(round int64, latency time.Duration, d AccDeltas) []byte {
-	b := make([]byte, 16, 16+7)
-	binary.BigEndian.PutUint64(b[0:8], uint64(round))
-	binary.BigEndian.PutUint64(b[8:16], uint64(latency))
+	return appendReport(make([]byte, 0, 16+7), round, latency, d)
+}
+
+func appendReport(dst []byte, round int64, latency time.Duration, d AccDeltas) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(round))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(latency))
 	for _, f := range d.fields() {
-		b = binary.AppendUvarint(b, uint64(*f))
+		dst = binary.AppendUvarint(dst, uint64(*f))
 	}
-	return b
+	return dst
 }
 
 type reportMsg struct {

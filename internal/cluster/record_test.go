@@ -48,13 +48,31 @@ func streamsOf(pkts []roundPacket) []int32 {
 	return ids
 }
 
-// recordWorker is a worker with only its read-loop state: enough to take a
-// round frame off a link into a recycled record, no engine, no coordinator.
-func recordWorker(m int, prev []int32) *Worker {
-	w := &Worker{recFree: make(chan *roundMsg, 3), owned: make([]bool, m), prevIDs: prev}
-	w.ccfg.Streams = m
-	return w
+// recordWorker is a worker core with only its session state, behind a
+// reader that takes each round frame body from where the last one came
+// home: enough to take a round frame off a link into the core's one record,
+// no engine, no coordinator.
+func recordWorker(m int, prev []int32) *recordReader {
+	return &recordReader{wcore: &wcore{cfg: ClusterConfig{Streams: m}, owned: make([]bool, m), prevIDs: prev}}
 }
+
+type recordReader struct {
+	*wcore
+	spare []byte
+}
+
+func (r *recordReader) place(uint8) *[]byte { return &r.spare }
+
+// decodeRound installs the body just read into the core's record.
+func (r *recordReader) decodeRound() (*roundMsg, error) {
+	body := r.spare
+	r.spare = nil
+	return &r.rec, r.install(body)
+}
+
+// release hands the record's body back to the reader, as the engine's next
+// pull does.
+func (r *recordReader) release(msg *roundMsg) { r.spare = msg.body }
 
 // readerLink is a link that only ever reads, from r.
 func readerLink(r io.Reader) *link { return &link{br: bufio.NewReaderSize(r, 1<<20)} }
