@@ -149,6 +149,7 @@ fuzz:
 	$(GO) test ./internal/container -fuzz FuzzRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/container -fuzz FuzzUnmarshalPacket -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -fuzz FuzzPGSPFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stream -fuzz FuzzPGSPRoundBody -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture -fuzz FuzzCaptureContainer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/knapsack -fuzz FuzzOrderKernel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -fuzz FuzzPGCPRoundFrame -fuzztime $(FUZZTIME)

@@ -30,7 +30,6 @@ func main() {
 		gop      = flag.Int("gop", 25, "GOP size")
 		codecStr = flag.String("codec", "h264", "codec: h264, h265, vp9, jpeg2000")
 		seed     = flag.Int64("seed", 1, "random seed")
-		sparse   = flag.Bool("sparse", false, "send each round as one sparse frame holding only the active streams (requires sparse-aware clients)")
 		drain    = flag.Duration("drain", 5*time.Second, "shutdown grace period before force-closing connections")
 		record   = flag.String("record", "", "record the first served session to this .pgc capture file (virtual 1/fps timestamps)")
 	)
@@ -69,10 +68,9 @@ func main() {
 	}
 
 	scfg := stream.ServerConfig{
-		Rounds:       *rounds,
-		Realtime:     *realtime,
-		FPS:          *fps,
-		SparseRounds: *sparse,
+		Rounds:   *rounds,
+		Realtime: *realtime,
+		FPS:      *fps,
 		NewStreams: func() []*codec.Stream {
 			fleet := make([]*codec.Stream, *streams)
 			for i := range fleet {

@@ -60,28 +60,23 @@ func Sparse(src RoundSource) SparseRoundSource {
 	if ss, ok := src.(SparseRoundSource); ok {
 		return ss
 	}
-	return &denseAdapter{RoundSource: src, gather: gather{dense: src}}
+	return &denseAdapter{RoundSource: src}
 }
 
-// gather refills its Round from a dense round producer, O(m) per round.
-type gather struct {
-	dense RoundClient
+// denseAdapter is a dense-only RoundSource whose rounds it gathers into its
+// own Round, O(m) per round.
+type denseAdapter struct {
+	RoundSource
 	round codec.Round
 }
 
-func (g *gather) NextRoundSparse() (*codec.Round, error) {
-	pkts, err := g.dense.NextRound()
+func (a *denseAdapter) NextRoundSparse() (*codec.Round, error) {
+	pkts, err := a.NextRound()
 	if err != nil {
 		return nil, err
 	}
-	g.round.FromDense(pkts)
-	return &g.round, nil
-}
-
-// denseAdapter is a dense-only RoundSource seen through a gather.
-type denseAdapter struct {
-	RoundSource
-	gather
+	a.round.FromDense(pkts)
+	return &a.round, nil
 }
 
 // release drops a consumed round's packet references when the round is the

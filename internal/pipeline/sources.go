@@ -142,11 +142,6 @@ func (s *CameraSource) Truth(i int) (codec.Scene, bool) {
 // reconnecting *stream.Resilient.
 type RoundClient interface {
 	NextRound() ([]*codec.Packet, error)
-}
-
-// SparseRoundClient is the optional sparse extension of RoundClient;
-// *stream.Client satisfies it.
-type SparseRoundClient interface {
 	NextRoundSparse() (*codec.Round, error)
 }
 
@@ -154,25 +149,17 @@ type SparseRoundClient interface {
 // available over the network.
 type NetSource struct {
 	client RoundClient
-	sparse SparseRoundClient
 }
 
-// NewNetSource wraps a connected PGSP client. Clients speaking the sparse
-// wire format pass rounds through in O(active); plain clients go through
-// the same dense gather Sparse applies to plain sources.
-func NewNetSource(c RoundClient) *NetSource {
-	sparse, ok := c.(SparseRoundClient)
-	if !ok {
-		sparse = &gather{dense: c}
-	}
-	return &NetSource{client: c, sparse: sparse}
-}
+// NewNetSource wraps a connected PGSP client; its rounds pass through in
+// O(active).
+func NewNetSource(c RoundClient) *NetSource { return &NetSource{client: c} }
 
 // NextRound implements RoundSource.
 func (s *NetSource) NextRound() ([]*codec.Packet, error) { return s.client.NextRound() }
 
 // NextRoundSparse implements SparseRoundSource.
-func (s *NetSource) NextRoundSparse() (*codec.Round, error) { return s.sparse.NextRoundSparse() }
+func (s *NetSource) NextRoundSparse() (*codec.Round, error) { return s.client.NextRoundSparse() }
 
 // Truth implements RoundSource: network sources have none.
 func (s *NetSource) Truth(i int) (codec.Scene, bool) { return codec.Scene{}, false }

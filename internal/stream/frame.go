@@ -14,11 +14,15 @@ import (
 
 // PGSP v2 frame layout (all big-endian):
 //
-//	round   uint64   // round index the packet belongs to
-//	stream  uint32   // stream slot, or goodbyeStream for the end marker
+//	round   uint64   // round index the body belongs to
+//	stream  uint32   // sparseRoundStream, goodbyeStream, or a stream slot
 //	length  uint32   // body length in bytes
 //	crc     uint32   // CRC32 (IEEE) of the body
 //	body    [length]byte
+//
+// A round frame (sparseRoundStream) carries a whole round; a frame naming a
+// stream slot carries that stream's one packet, and a reader can close such
+// a round only when a frame of the next round arrives.
 //
 // The CRC lets the demuxer detect payload corruption on the wire and drop
 // the frame instead of handing garbage to the parser. The goodbye frame
@@ -31,9 +35,9 @@ const frameHeaderLen = 20
 // goodbyeStream is the reserved stream slot of the end-of-session marker.
 const goodbyeStream = ^uint32(0)
 
-// sparseRoundStream is the reserved stream slot carrying a whole sparse
-// round in one frame (ServerConfig.SparseRounds). The body packs only the
-// active streams:
+// sparseRoundStream is the reserved stream slot of a round frame: the one
+// data frame PGSP servers send, carrying a whole round and closing it. The
+// body packs only the active streams:
 //
 //	count  uvarint   // number of active streams this round
 //	repeat count times, in ascending stream order:
@@ -42,7 +46,8 @@ const goodbyeStream = ^uint32(0)
 //	  packet [plen]byte // container.MarshalPacket encoding
 //
 // Gap coding makes ascending order and uniqueness structural: a decoder can
-// reconstruct ids without sorting and duplicates cannot be expressed. An
+// reconstruct ids without sorting and duplicates cannot be expressed. Every
+// uvarint is in its shortest form, so a body has exactly one encoding. An
 // idle fleet costs one ~1-byte body per round instead of m frame headers.
 const sparseRoundStream = ^uint32(0) - 1
 
@@ -59,11 +64,27 @@ var ErrFrameCRC = errors.New("stream: frame CRC mismatch")
 // errGoodbye is returned by readFrame for the end-of-session marker.
 var errGoodbye = errors.New("stream: goodbye")
 
-// AppendFrame appends one v2 frame to dst. It is exported for replay tools
-// (internal/capture) that speak PGSP from recorded packets rather than a
-// live fleet.
+// AppendFrame appends one v2 per-stream frame (one packet body) to dst.
+// Servers send round frames (RoundEncoder); Client still reads per-stream
+// frames, closing such a round when the next round's first frame arrives.
 func AppendFrame(dst []byte, round uint64, stream uint32, body []byte) []byte {
 	return appendFrame(dst, round, stream, body)
+}
+
+// RoundEncoder frames whole rounds as PGSP round frames. It is the one PGSP
+// encoder: stream.Server and capture.ServeReplay both send through it. Its
+// buffers are reused, so the zero value is ready and a steady-state round
+// allocates nothing.
+type RoundEncoder struct {
+	pkt, body, frame []byte
+}
+
+// Encode returns round r (ids ascending, all below r.M) framed as one round
+// frame with round index round. The bytes are valid until the next call.
+func (e *RoundEncoder) Encode(round uint64, r *codec.Round) []byte {
+	e.body = appendSparseRoundBody(e.body[:0], r.IDs, r.Pkts, &e.pkt)
+	e.frame = appendFrame(e.frame[:0], round, sparseRoundStream, e.body)
+	return e.frame
 }
 
 // AppendGoodbye appends the end-of-session marker to dst.
@@ -103,13 +124,24 @@ func appendSparseRoundBody(dst []byte, ids []int32, pkts []*codec.Packet, scratc
 	return dst
 }
 
+// uvarint reads a uvarint in its shortest form. An overlong encoding (a
+// final zero byte after the first) reads as malformed, n <= 0, so a body
+// that decodes re-encodes to the same bytes.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -n
+	}
+	return v, n
+}
+
 // decodeSparseRoundBody decodes a sparse round body into r, which is Reset
 // to width m. Stream ids beyond m, truncated bodies, or trailing bytes are
 // errors — the frame CRC already passed, so any of these means a peer bug,
 // not wire noise.
 func decodeSparseRoundBody(body []byte, m int, r *codec.Round) error {
 	r.Reset(m)
-	count, n := binary.Uvarint(body)
+	count, n := uvarint(body)
 	if n <= 0 {
 		return errors.New("stream: sparse round: bad count")
 	}
@@ -117,19 +149,19 @@ func decodeSparseRoundBody(body []byte, m int, r *codec.Round) error {
 	if count > uint64(m) {
 		return fmt.Errorf("stream: sparse round: %d entries for %d streams", count, m)
 	}
-	prev := int64(-1)
+	next := int64(0) // lowest id the next entry may name
 	for i := uint64(0); i < count; i++ {
-		gap, n := binary.Uvarint(body)
+		gap, n := uvarint(body)
 		if n <= 0 {
 			return errors.New("stream: sparse round: bad id gap")
 		}
 		body = body[n:]
-		id := prev + 1 + int64(gap)
-		if id >= int64(m) {
-			return fmt.Errorf("stream: sparse round: stream %d out of range", id)
+		if gap >= uint64(int64(m)-next) {
+			return fmt.Errorf("stream: sparse round: stream %d+%d out of range [0,%d)", next, gap, m)
 		}
-		prev = id
-		plen, n := binary.Uvarint(body)
+		id := next + int64(gap)
+		next = id + 1
+		plen, n := uvarint(body)
 		if n <= 0 {
 			return errors.New("stream: sparse round: bad packet length")
 		}

@@ -6,8 +6,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"runtime"
 	"testing"
+
+	"packetgame/internal/codec"
 )
 
 // FuzzPGSPFrame throws arbitrary bytes at the v2 frame reader. Invariants:
@@ -58,6 +61,86 @@ func FuzzPGSPFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// roundBodies builds the round-body seeds: a valid three-stream body at
+// m = 4, and bodies or widths that each break one rule of the format.
+func roundBodies() (valid []byte, bad []struct {
+	name string
+	m    int
+	body []byte
+}) {
+	fleet := mkFactory(4, 3)()
+	var pkt []byte
+	pkts := []*codec.Packet{fleet[0].Next(), fleet[1].Next(), fleet[2].Next()}
+	valid = appendSparseRoundBody(nil, []int32{0, 2, 3}, pkts, &pkt)
+	// Stream 0's entry, then a gap of 2^64−1: read as a signed step it
+	// lands back on stream 0.
+	entry := appendSparseRoundBody(nil, []int32{0}, pkts[:1], &pkt)[1:]
+	wrap := append([]byte{2}, entry...)
+	wrap = binary.AppendUvarint(wrap, math.MaxUint64)
+	wrap = append(wrap, entry[1:]...)
+	bad = []struct {
+		name string
+		m    int
+		body []byte
+	}{
+		{"count above m", 2, valid},
+		{"id out of range", 3, valid},
+		{"gap wraps to a used id", 4, wrap},
+		{"truncated", 4, valid[:len(valid)-1]},
+		{"trailing bytes", 4, append(append([]byte(nil), valid...), 0)},
+		{"overlong count", 4, []byte{0x80, 0}},
+		{"empty", 4, nil},
+	}
+	return valid, bad
+}
+
+// FuzzPGSPRoundBody throws arbitrary bodies and fleet widths at the round
+// frame decoder, the one data frame PGSP servers send. Invariants: never
+// panic; a decoded round is valid at width m; and it re-encodes to exactly
+// the bytes it came from — so a count above m, an id out of range, a
+// truncation, trailing bytes or an overlong uvarint cannot decode.
+func FuzzPGSPRoundBody(f *testing.F) {
+	valid, bad := roundBodies()
+	f.Add(uint16(4), valid)
+	f.Add(uint16(4), []byte{0}) // an empty round
+	for _, b := range bad {
+		f.Add(uint16(b.m), b.body)
+	}
+	f.Fuzz(func(t *testing.T, m uint16, data []byte) {
+		var r codec.Round
+		if err := decodeSparseRoundBody(data, int(m), &r); err != nil {
+			return
+		}
+		if err := r.Validate(); err != nil || r.M != int(m) {
+			t.Fatalf("decoded an invalid round at m=%d: %v", m, err)
+		}
+		for k, id := range r.IDs {
+			if r.Pkts[k].StreamID != int(id) {
+				t.Fatalf("entry %d: packet of stream %d filed under %d", k, r.Pkts[k].StreamID, id)
+			}
+		}
+		var scratch []byte
+		if again := appendSparseRoundBody(nil, r.IDs, r.Pkts, &scratch); !bytes.Equal(again, data) {
+			t.Fatalf("decoded body re-encodes differently:\n in  %x\n out %x", data, again)
+		}
+	})
+}
+
+// TestRoundBodyRejects pins the decoder's error on each malformed body
+// class the fuzz target's invariant covers.
+func TestRoundBodyRejects(t *testing.T) {
+	valid, bad := roundBodies()
+	var r codec.Round
+	for _, b := range bad {
+		if err := decodeSparseRoundBody(b.body, b.m, &r); err == nil {
+			t.Errorf("%s: decoded without error", b.name)
+		}
+	}
+	if err := decodeSparseRoundBody(valid, 4, &r); err != nil || r.Len() != 3 {
+		t.Fatalf("valid body: %d entries, %v", r.Len(), err)
+	}
 }
 
 // TestFrameAlignmentAfterCRCError pins the skip-and-continue contract with a

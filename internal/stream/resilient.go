@@ -51,8 +51,8 @@ func (c ResilientConfig) withDefaults() ResilientConfig {
 // session ends the stream with io.EOF.
 //
 // The server builds a fresh camera fleet per connection, so a reconnected
-// session restarts its round numbering; NextRound's consumers (the pipeline
-// engine) never observe round indices, only round boundaries.
+// session restarts its round numbering; its consumers (the pipeline engine)
+// never observe round indices, only round boundaries.
 type Resilient struct {
 	cfg ResilientConfig
 	cur *Client
@@ -70,6 +70,8 @@ type Resilient struct {
 	backoff   time.Duration
 	gotRound  bool
 	needDelay bool
+
+	dense []*codec.Packet // NextRound's dense view
 }
 
 // NewResilient connects to the server (with the same retry policy used for
@@ -114,17 +116,18 @@ func (r *Resilient) Close() error {
 	return err
 }
 
-// NextRound yields the next complete round, transparently reconnecting
-// across outages. It returns io.EOF only after a clean goodbye-terminated
-// session, or a non-nil error once an outage exhausts MaxAttempts dials.
-func (r *Resilient) NextRound() ([]*codec.Packet, error) {
+// NextRoundSparse yields the next complete round, transparently
+// reconnecting across outages; the round is valid until the next call. It
+// returns io.EOF only after a clean goodbye-terminated session, or a non-nil
+// error once an outage exhausts MaxAttempts dials.
+func (r *Resilient) NextRoundSparse() (*codec.Round, error) {
 	for {
 		if r.cur == nil {
 			if err := r.connect(); err != nil {
 				return nil, err
 			}
 		}
-		pkts, err := r.cur.NextRound()
+		rnd, err := r.cur.NextRoundSparse()
 		if err == nil {
 			if !r.gotRound {
 				// The session is healthy: the next outage is a new incident
@@ -132,7 +135,7 @@ func (r *Resilient) NextRound() ([]*codec.Packet, error) {
 				r.gotRound = true
 				r.backoff = r.cfg.BaseBackoff
 			}
-			return pkts, nil
+			return rnd, nil
 		}
 		if err == io.EOF && r.cur.SawGoodbye() {
 			r.retire()
@@ -148,6 +151,15 @@ func (r *Resilient) NextRound() ([]*codec.Packet, error) {
 		r.retire()
 		r.outages++
 	}
+}
+
+// NextRound is the dense view of NextRoundSparse, valid until the next call.
+func (r *Resilient) NextRound() ([]*codec.Packet, error) {
+	rnd, err := r.NextRoundSparse()
+	if err != nil {
+		return nil, err
+	}
+	return denseView(&r.dense, rnd), nil
 }
 
 // retire folds the dead session's counters and discards it.

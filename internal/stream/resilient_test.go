@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"packetgame/internal/codec"
 	"packetgame/internal/container"
 )
 
@@ -102,6 +103,20 @@ func TestClientSkipsCorruptFrames(t *testing.T) {
 	if !c.SawGoodbye() || c.CorruptDropped() != 1 {
 		t.Fatalf("goodbye=%v dropped=%d", c.SawGoodbye(), c.CorruptDropped())
 	}
+
+	// On the round frame servers send, a corrupt body costs its whole round:
+	// round 0 is dropped and round 1 is the first delivered.
+	rounds := fleetRounds(mkFactory(2, 9)(), 2)
+	wire := handWritten(t, fleet, rounds, true, false)
+	wire[19+frameHeaderLen] ^= 0xFF // round 0's body
+	rc := pipeClient(t, wire, false)
+	got := readAll(t, rc, false)
+	if len(got) != 1 || !samePacket(got[0][0], rounds[1][0]) || !samePacket(got[0][1], rounds[1][1]) {
+		t.Fatalf("after a corrupt round frame got %d rounds, want round 1 alone", len(got))
+	}
+	if !rc.SawGoodbye() || rc.CorruptDropped() != 1 {
+		t.Fatalf("round frames: goodbye=%v dropped=%d", rc.SawGoodbye(), rc.CorruptDropped())
+	}
 }
 
 func TestResetWithoutGoodbyeIsUnclean(t *testing.T) {
@@ -154,52 +169,78 @@ func (c *cutConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
+// TestResilientSurvivesReset cuts the first session mid-round and drives
+// the reconnecting client through NextRound and through NextRoundSparse: the
+// reconnect loop is the same for both, so they deliver the same rounds.
 func TestResilientSurvivesReset(t *testing.T) {
 	srv := startServer(t, ServerConfig{NewStreams: mkFactory(2, 17), Rounds: 4})
-	dials := 0
-	r, err := NewResilient(ResilientConfig{
-		Addr:        srv.Addr().String(),
-		BaseBackoff: time.Millisecond,
-		Seed:        42,
-		WrapConn: func(conn net.Conn) net.Conn {
-			dials++
-			if dials == 1 {
-				// First session dies partway through: enough for the
-				// 19-byte handshake and round 0 (two 49-byte frames),
-				// then a reset mid-round-1.
-				return &cutConn{Conn: conn, remaining: 150}
-			}
-			return conn
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	rounds := 0
-	for {
-		pkts, err := r.NextRound()
-		if err == io.EOF {
-			break
-		}
+	run := func(sparse bool) [][]*codec.Packet {
+		dials := 0
+		r, err := NewResilient(ResilientConfig{
+			Addr:        srv.Addr().String(),
+			BaseBackoff: time.Millisecond,
+			Seed:        42,
+			WrapConn: func(conn net.Conn) net.Conn {
+				dials++
+				if dials == 1 {
+					// First session dies partway through: enough for the
+					// 19-byte handshake and round 0 (one 83-byte round
+					// frame), then a reset mid-round-1.
+					return &cutConn{Conn: conn, remaining: 150}
+				}
+				return conn
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pkts) != 2 {
-			t.Fatalf("round width %d", len(pkts))
+		defer r.Close()
+		var rounds [][]*codec.Packet
+		for {
+			var pkts []*codec.Packet
+			if sparse {
+				var rnd *codec.Round
+				if rnd, err = r.NextRoundSparse(); err == nil {
+					pkts = denseView(new([]*codec.Packet), rnd)
+				}
+			} else {
+				pkts, err = r.NextRound()
+				pkts = append([]*codec.Packet(nil), pkts...)
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pkts) != 2 {
+				t.Fatalf("round width %d", len(pkts))
+			}
+			rounds = append(rounds, pkts)
 		}
-		rounds++
+		if dials != 2 {
+			t.Fatalf("dials = %d, want 2 (initial + one reconnect)", dials)
+		}
+		if r.Reconnects() != 1 {
+			t.Fatalf("reconnects = %d, want 1", r.Reconnects())
+		}
+		// The healed session replays a fresh fleet from its own round 0, so
+		// the client sees at least the second session's full run.
+		if len(rounds) < 4 {
+			t.Fatalf("rounds = %d, want ≥ 4", len(rounds))
+		}
+		return rounds
 	}
-	if dials != 2 {
-		t.Fatalf("dials = %d, want 2 (initial + one reconnect)", dials)
+	dense, sparse := run(false), run(true)
+	if len(dense) != len(sparse) {
+		t.Fatalf("NextRound delivered %d rounds, NextRoundSparse %d", len(dense), len(sparse))
 	}
-	if r.Reconnects() != 1 {
-		t.Fatalf("reconnects = %d, want 1", r.Reconnects())
-	}
-	// The healed session replays a fresh fleet from its own round 0, so the
-	// client sees at least the second session's full run.
-	if rounds < 4 {
-		t.Fatalf("rounds = %d, want ≥ 4", rounds)
+	for k := range dense {
+		for i := range dense[k] {
+			if !samePacket(dense[k][i], sparse[k][i]) {
+				t.Fatalf("round %d stream %d: NextRound and NextRoundSparse differ", k, i)
+			}
+		}
 	}
 }
 
@@ -310,7 +351,7 @@ func TestReconnectBackoffEscalatesAcrossFlaps(t *testing.T) {
 func TestReconnectBackoffResetsAfterSession(t *testing.T) {
 	const base = 200 * time.Millisecond
 	addr := scriptedServer(t,
-		servedSession(1, false), // healthy, then cut
+		servedSession(1, false),      // healthy, then cut
 		refuseSession, refuseSession, // inflate the backoff mid-outage
 		servedSession(1, false), // healthy again, then cut
 		servedSession(1, true),  // final clean session
@@ -367,7 +408,7 @@ func TestShutdownNoLeakOnMidFrameDisconnect(t *testing.T) {
 	}
 	srv, err := Serve(ln, ServerConfig{
 		NewStreams: mkFactory(4, 33), // unlimited rounds
-		Realtime:   true, FPS: 200, // paced, so disconnects land mid-session
+		Realtime:   true, FPS: 200,   // paced, so disconnects land mid-session
 	})
 	if err != nil {
 		t.Fatal(err)

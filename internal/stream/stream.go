@@ -2,7 +2,8 @@
 // length-prefixed TCP protocol that muxes the encoded packets of many
 // cameras toward an analytics server, standing in for the RTSP ingest of
 // the paper's online use case. A Server paces synthetic camera fleets in
-// rounds; a Client demuxes packets (round-aligned) into the parser/gate.
+// rounds, one round frame each; a Client hands each round to the
+// parser/gate as soon as its frame has been read.
 package stream
 
 import (
@@ -49,14 +50,6 @@ type ServerConfig struct {
 	// negative disables): a stalled client is disconnected instead of
 	// wedging its serving goroutine forever.
 	WriteTimeout time.Duration
-	// SparseRounds packs each round into one frame carrying only the active
-	// streams (see sparseRoundStream in frame.go) instead of one frame per
-	// stream. Rounds demux identically on a current Client — packets, round
-	// grouping, and NextRound results are unchanged — but the per-round wire
-	// cost drops from m frame headers to one, and NextRoundSparse consumes
-	// the round with O(active) work. Opt-in: clients predating the sparse
-	// frame reject the reserved stream id.
-	SparseRounds bool
 	// Record, when non-nil, taps every packet of the first accepted
 	// session, invoked synchronously from the serving goroutine with the
 	// round index, stream slot, and packet. Only the first session is
@@ -168,9 +161,9 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn streams rounds to one client until done, shutdown, or write
-// error. Shutdown is only observed at round boundaries, so a client never
-// sees a partial round before the goodbye marker.
+// serveConn streams rounds to one client, one round frame each, until done,
+// shutdown, or write error. Shutdown is only observed at round boundaries,
+// so a client never sees a partial round before the goodbye marker.
 func (s *Server) serveConn(conn net.Conn) error {
 	record := s.claimRecord()
 	streams := s.cfg.NewStreams()
@@ -182,9 +175,8 @@ func (s *Server) serveConn(conn net.Conn) error {
 		return err
 	}
 	interval := time.Second / time.Duration(s.cfg.FPS)
-	var body, frame, rbody []byte
-	var ids []int32
-	var pkts []*codec.Packet
+	var rnd codec.Round
+	var enc RoundEncoder
 	next := time.Now()
 	round := int64(0)
 	for ; s.cfg.Rounds == 0 || round < int64(s.cfg.Rounds); round++ {
@@ -196,36 +188,18 @@ func (s *Server) serveConn(conn net.Conn) error {
 		if s.cfg.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		}
-		if s.cfg.SparseRounds {
-			ids, pkts = ids[:0], pkts[:0]
-			for i, st := range streams {
-				p := st.Next()
-				if record != nil {
-					record(round, i, p)
-				}
-				if p == nil {
-					continue
-				}
-				ids = append(ids, int32(i))
-				pkts = append(pkts, p)
+		rnd.Reset(len(streams))
+		for i, st := range streams {
+			p := st.Next()
+			if record != nil {
+				record(round, i, p)
 			}
-			rbody = appendSparseRoundBody(rbody[:0], ids, pkts, &body)
-			frame = appendFrame(frame[:0], uint64(round), sparseRoundStream, rbody)
-			if _, err := bw.Write(frame); err != nil {
-				return err
+			if p != nil {
+				rnd.Append(int32(i), p)
 			}
-		} else {
-			for i, st := range streams {
-				p := st.Next()
-				if record != nil {
-					record(round, i, p)
-				}
-				body = container.MarshalPacket(body[:0], p)
-				frame = appendFrame(frame[:0], uint64(round), uint32(i), body)
-				if _, err := bw.Write(frame); err != nil {
-					return err
-				}
-			}
+		}
+		if _, err := bw.Write(enc.Encode(uint64(round), &rnd)); err != nil {
+			return err
 		}
 		if err := bw.Flush(); err != nil {
 			return err
@@ -302,34 +276,29 @@ func WriteHandshake(w io.Writer, infos []StreamInfo) error {
 	return nil
 }
 
-// Client consumes a PGSP session.
+// Client consumes a PGSP session, one round per call.
 type Client struct {
 	conn  net.Conn
 	br    *bufio.Reader
 	infos []StreamInfo
 
-	// lookahead for round grouping
+	// round is the round NextRoundSparse hands out: a decoded round frame,
+	// or per-stream frames gathered into denseScratch and compacted.
+	// denseScratch is also NextRound's dense view.
+	round        codec.Round
+	denseScratch []*codec.Packet
+
+	// The per-stream reader's lookahead: the frame that closed the last
+	// gathered round is the first packet of the next.
 	pending      *codec.Packet
 	pendingRound int64
 	havePending  bool
-	round        int64
-	eof          bool
-
-	// sparse round frames: sparseIn holds the last decoded round while it
-	// is live (undelivered, or being drained packet-by-packet through Next).
-	sparseIn   codec.Round
-	sparseRnd  int64
-	sparseLive bool
-	sparsePos  int // Next()'s drain cursor into sparseIn
-
-	// NextRoundSparse scratch for sessions on the per-stream wire format.
-	sparseOut    codec.Round
-	denseScratch []*codec.Packet
 
 	// frame is the body buffer every frame is read into: both decoders copy
 	// what they keep out of it, so a body is dead once next has parsed it.
 	frame []byte
 
+	eof        bool // the session ended (goodbye, reset or cut)
 	goodbye    bool
 	crcDropped int64
 }
@@ -405,12 +374,14 @@ func (c *Client) SawGoodbye() bool { return c.goodbye }
 // mismatch.
 func (c *Client) CorruptDropped() int64 { return c.crcDropped }
 
-// next reads one message from the wire. Frames failing their CRC are
+// next reads frames until one carries data. Frames failing their CRC are
 // dropped (counted in CorruptDropped) and reading continues: the length
 // field kept the reader frame-aligned, so one corrupt body must not kill
-// the session. isRound reports a sparse round frame: the round now lives in
-// c.sparseIn (sparseLive set) and the returned packet is nil.
-func (c *Client) next() (p *codec.Packet, round int64, isRound bool, err error) {
+// the session (on a round frame, the round is lost). A round frame is
+// decoded into c.round and p is nil; a per-stream frame returns its packet
+// and round index. The end of the session — goodbye, reset or cut — sets
+// c.eof and returns io.EOF.
+func (c *Client) next() (p *codec.Packet, round int64, err error) {
 	for {
 		rnd, id, body, err := readFrame(c.br, &c.frame)
 		switch {
@@ -419,168 +390,115 @@ func (c *Client) next() (p *codec.Packet, round int64, isRound bool, err error) 
 			c.crcDropped++
 			continue
 		case errors.Is(err, errGoodbye):
-			c.goodbye = true
-			return nil, 0, false, io.EOF
+			c.goodbye, c.eof = true, true
+			return nil, 0, io.EOF
 		case err == io.EOF, errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, net.ErrClosed):
-			return nil, 0, false, io.EOF
+			c.eof = true
+			return nil, 0, io.EOF
 		default:
-			return nil, 0, false, err
+			return nil, 0, err
 		}
 		if id == sparseRoundStream {
-			if err := decodeSparseRoundBody(body, len(c.infos), &c.sparseIn); err != nil {
-				return nil, 0, false, err
+			if err := decodeSparseRoundBody(body, len(c.infos), &c.round); err != nil {
+				return nil, 0, err
 			}
-			for k, sid := range c.sparseIn.IDs {
-				c.sparseIn.Pkts[k].Codec = c.infos[sid].Codec
+			for k, sid := range c.round.IDs {
+				c.round.Pkts[k].Codec = c.infos[sid].Codec
 			}
-			c.sparseRnd, c.sparseLive, c.sparsePos = int64(rnd), true, 0
-			return nil, int64(rnd), true, nil
+			return nil, int64(rnd), nil
 		}
 		p, used, err := container.UnmarshalPacket(body)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, 0, err
 		}
 		if used != len(body) {
-			return nil, 0, false, fmt.Errorf("stream: message has trailing bytes")
+			return nil, 0, fmt.Errorf("stream: message has trailing bytes")
 		}
 		if int(id) >= len(c.infos) {
-			return nil, 0, false, fmt.Errorf("stream: message for unknown stream %d", id)
+			return nil, 0, fmt.Errorf("stream: message for unknown stream %d", id)
 		}
 		p.StreamID = int(id)
 		p.Codec = c.infos[id].Codec
-		return p, int64(rnd), false, nil
+		return p, int64(rnd), nil
 	}
 }
 
-// Next returns the next packet in arrival order along with its round index.
-// It returns io.EOF when the server is done. Sparse round frames demux
-// transparently: their packets drain one per call in ascending stream
-// order, so round grouping downstream behaves exactly as on the per-stream
-// wire format.
-func (c *Client) Next() (*codec.Packet, int64, error) {
+// NextRoundSparse returns the next round as a sparse codec.Round holding
+// only the active streams, valid until the next call. A round frame is
+// handed over as soon as it has been read: O(active), nothing read past it,
+// and an empty round is still a round. Per-stream frames are gathered until
+// a frame of another round arrives (kept for the next call) or the session
+// ends; a round frame among them is an error. It returns io.EOF once the
+// session has ended and every round has been handed out.
+func (c *Client) NextRoundSparse() (*codec.Round, error) {
+	p, round := c.pending, c.pendingRound
 	if c.havePending {
 		c.havePending = false
-		return c.pending, c.pendingRound, nil
-	}
-	for {
-		if c.sparseLive {
-			if c.sparsePos < c.sparseIn.Len() {
-				p := c.sparseIn.Pkts[c.sparsePos]
-				c.sparsePos++
-				return p, c.sparseRnd, nil
-			}
-			c.sparseLive = false // empty or exhausted round
-		}
-		p, round, isRound, err := c.next()
-		if err != nil {
-			return nil, 0, err
-		}
-		if isRound {
-			continue // drain it above
-		}
-		return p, round, nil
-	}
-}
-
-// NextRoundSparse gathers one full round as a sparse codec.Round holding
-// only the active streams. On a SparseRounds session this is O(active) —
-// one frame decode, no per-stream scan — and empty rounds are preserved;
-// on the per-stream wire format it gathers exactly like NextRound and
-// compacts. The returned round is valid until the next call.
-func (c *Client) NextRoundSparse() (*codec.Round, error) {
-	// Fast path: a sparse round frame maps to one call wholesale.
-	if !c.havePending && !c.sparseLive {
+	} else {
 		if c.eof {
 			return nil, io.EOF
 		}
-		p, round, isRound, err := c.next()
-		if err == io.EOF {
-			c.eof = true
-			return nil, io.EOF
-		}
-		if err != nil {
+		var err error
+		if p, round, err = c.next(); err != nil {
 			return nil, err
 		}
-		if isRound {
-			c.sparseLive = false
-			return &c.sparseIn, nil
+		if p == nil {
+			return &c.round, nil
 		}
-		// Per-stream wire format: stash and gather below.
-		c.pending, c.pendingRound, c.havePending = p, round, true
 	}
-	// Compatibility path: gather through the packet-wise demux (which also
-	// drains a partially-consumed sparse round) and compact.
-	if cap(c.denseScratch) < len(c.infos) {
-		c.denseScratch = make([]*codec.Packet, len(c.infos))
-	}
-	dense := c.denseScratch[:len(c.infos)]
-	for i := range dense {
-		dense[i] = nil
-	}
-	got := 0
+	dense := cleared(&c.denseScratch, len(c.infos))
+	dense[p.StreamID] = p
 	for {
-		if c.eof {
-			if got > 0 {
-				break
-			}
-			return nil, io.EOF
-		}
-		p, r, err := c.Next()
+		q, r, err := c.next()
 		if err == io.EOF {
-			c.eof = true
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if got == 0 {
-			c.round = r
-		} else if r != c.round {
-			c.pending, c.pendingRound, c.havePending = p, r, true
 			break
 		}
-		if dense[p.StreamID] != nil {
-			return nil, fmt.Errorf("stream: duplicate packet for stream %d in round %d", p.StreamID, r)
-		}
-		dense[p.StreamID] = p
-		got++
-	}
-	c.sparseOut.FromDense(dense)
-	return &c.sparseOut, nil
-}
-
-// NextRound gathers one full round: a slice indexed by stream ID with nil
-// entries for streams that sent nothing this round. It returns io.EOF once
-// the stream ends and all buffered rounds are drained.
-func (c *Client) NextRound() ([]*codec.Packet, error) {
-	round := make([]*codec.Packet, len(c.infos))
-	got := 0
-	for {
-		if c.eof {
-			if got > 0 {
-				return round, nil
-			}
-			return nil, io.EOF
-		}
-		p, r, err := c.Next()
-		if err == io.EOF {
-			c.eof = true
-			continue
-		}
 		if err != nil {
 			return nil, err
 		}
-		if got == 0 {
-			c.round = r
-		} else if r != c.round {
-			// Start of the next round: stash and return the current one.
-			c.pending, c.pendingRound, c.havePending = p, r, true
-			return round, nil
+		if q == nil {
+			return nil, fmt.Errorf("stream: round frame %d inside per-stream round %d", r, round)
 		}
-		if round[p.StreamID] != nil {
-			return nil, fmt.Errorf("stream: duplicate packet for stream %d in round %d", p.StreamID, r)
+		if r != round {
+			c.pending, c.pendingRound, c.havePending = q, r, true
+			break
 		}
-		round[p.StreamID] = p
-		got++
+		if dense[q.StreamID] != nil {
+			return nil, fmt.Errorf("stream: duplicate packet for stream %d in round %d", q.StreamID, r)
+		}
+		dense[q.StreamID] = q
 	}
+	c.round.FromDense(dense)
+	return &c.round, nil
+}
+
+// NextRound is the dense view of NextRoundSparse: a slice indexed by stream
+// ID with nil entries for streams that sent nothing this round, valid until
+// the next call. It returns io.EOF once the session has ended and every
+// round has been handed out.
+func (c *Client) NextRound() ([]*codec.Packet, error) {
+	r, err := c.NextRoundSparse()
+	if err != nil {
+		return nil, err
+	}
+	return denseView(&c.denseScratch, r), nil
+}
+
+// cleared returns *buf resized to m entries, all nil.
+func cleared(buf *[]*codec.Packet, m int) []*codec.Packet {
+	if cap(*buf) < m {
+		*buf = make([]*codec.Packet, m)
+	}
+	d := (*buf)[:m]
+	clear(d)
+	return d
+}
+
+// denseView scatters r into *buf: the nil-padded form NextRound returns.
+func denseView(buf *[]*codec.Packet, r *codec.Round) []*codec.Packet {
+	d := cleared(buf, r.M)
+	for k, id := range r.IDs {
+		d[id] = r.Pkts[k]
+	}
+	return d
 }

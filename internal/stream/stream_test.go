@@ -68,6 +68,25 @@ func TestHandshakeMetadata(t *testing.T) {
 	}
 }
 
+// packets drains a client round by round and returns its packets in
+// arrival order, each with the index of the round that carried it.
+func packets(t *testing.T, c *Client) (pkts []*codec.Packet, rounds []int) {
+	t.Helper()
+	for r := 0; ; r++ {
+		rnd, err := c.NextRoundSparse()
+		if err == io.EOF {
+			return pkts, rounds
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rnd.Pkts {
+			pkts = append(pkts, p)
+			rounds = append(rounds, r)
+		}
+	}
+}
+
 func TestPacketsArriveInRoundOrder(t *testing.T) {
 	const m, rounds = 4, 20
 	srv := startServer(t, ServerConfig{NewStreams: mkFactory(m, 2), Rounds: rounds})
@@ -76,30 +95,20 @@ func TestPacketsArriveInRoundOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	count := 0
-	lastRound := int64(-1)
-	for {
-		p, r, err := c.Next()
-		if err == io.EOF {
-			break
+	pkts, rs := packets(t, c)
+	for k, p := range pkts {
+		if p.Seq != int64(rs[k]) {
+			t.Fatalf("packet %d of stream %d has seq %d in round %d", k, p.StreamID, p.Seq, rs[k])
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r < lastRound {
-			t.Fatalf("round went backwards: %d after %d", r, lastRound)
-		}
-		lastRound = r
-		if p.StreamID < 0 || p.StreamID >= m {
-			t.Fatalf("bad stream id %d", p.StreamID)
+		if p.StreamID != k%m {
+			t.Fatalf("packet %d: stream %d, want %d (ascending within a round)", k, p.StreamID, k%m)
 		}
 		if p.Size <= 0 {
 			t.Fatalf("packet size %d", p.Size)
 		}
-		count++
 	}
-	if count != m*rounds {
-		t.Errorf("received %d packets, want %d", count, m*rounds)
+	if len(pkts) != m*rounds {
+		t.Errorf("received %d packets, want %d", len(pkts), m*rounds)
 	}
 }
 
@@ -148,14 +157,8 @@ func TestPayloadsDecodeAfterTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for {
-		p, _, err := c.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	pkts, _ := packets(t, c)
+	for _, p := range pkts {
 		if _, err := codec.DecodePayload(p.Payload); err != nil {
 			t.Fatalf("payload corrupted in transit: %v", err)
 		}
@@ -170,17 +173,12 @@ func TestMultipleClientsGetIndependentFleets(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		pkts, _ := packets(t, c)
 		var sizes []int
-		for {
-			p, _, err := c.Next()
-			if err == io.EOF {
-				return sizes
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, p := range pkts {
 			sizes = append(sizes, p.Size)
 		}
+		return sizes
 	}
 	a, b := read(), read()
 	if len(a) != len(b) || len(a) != 6 {
@@ -203,19 +201,11 @@ func TestRealtimePacing(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	n := 0
-	for {
-		if _, _, err := c.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
+	pkts, _ := packets(t, c)
 	elapsed := time.Since(start)
 	// 5 rounds at 100 FPS ≈ 40ms minimum (first round is unpaced).
-	if n != 5 {
-		t.Fatalf("packets = %d", n)
+	if len(pkts) != 5 {
+		t.Fatalf("packets = %d", len(pkts))
 	}
 	if elapsed < 25*time.Millisecond {
 		t.Errorf("realtime pacing too fast: %v", elapsed)
