@@ -52,12 +52,14 @@ loc:
 # read into a recycled buffer must stay at ~zero allocs/op
 # (testing.AllocsPerRun, no benchmark run needed), and a whole engine round —
 # gate loop, decode pool, collector, feedback, rounds overlapping or not,
-# behind the gate or a baseline policy — under one small object. The last
-# line re-runs the nn and predictor suites with the AVX2 kernel linked out
+# behind the gate or a baseline policy — under one small object. One memory
+# gate rides along: a temporal-only gate with breakers at m = 50,000 must hold
+# at most 260 live bytes per configured stream (TestGateBytesPerStream). The
+# last line re-runs the nn and predictor suites with the AVX2 kernel linked out
 # (nn.portableOnly), so a host that has AVX2 still exercises the portable
 # kernels every other host runs.
 alloc-smoke:
-	$(GO) test ./internal/core -run 'TestDecideRoundAllocCeiling|TestIncrementalDecideAllocCeiling' -count 1
+	$(GO) test ./internal/core -run 'TestDecideRoundAllocCeiling|TestIncrementalDecideAllocCeiling|TestGateBytesPerStream' -count 1
 	$(GO) test ./internal/predictor -run 'TestPredictIntoZeroAlloc|TestWindowZeroAlloc' -count 1
 	$(GO) test ./internal/nn -run TestCompiledForwardZeroAlloc -count 1
 	$(GO) test ./internal/knapsack -run TestSelectZeroAlloc -count 1

@@ -240,8 +240,9 @@ type Gate struct {
 	// Per-stream state, indexed by stream id: the temporal estimator (nil
 	// when neither the temporal term nor the exploration bonus is enabled),
 	// the contextual predictor's feature store (size rings, poison counters,
-	// and the feature epochs the score cache keys on), and the GOP
-	// dependency trackers (Fig 6).
+	// and the feature epochs the score cache keys on; nil without a
+	// predictor, the store's only reader), and the GOP dependency trackers
+	// (Fig 6).
 	est      *bandit.TemporalEstimator
 	store    *predictor.Store
 	trackers *decode.MultiTracker
@@ -322,7 +323,6 @@ func NewGate(cfg Config) (*Gate, error) {
 	}
 	g := &Gate{
 		cfg:        cfg,
-		store:      predictor.NewStore(cfg.Streams, cfg.Window),
 		trackers:   decode.NewMultiTracker(cfg.Streams, cfg.Costs),
 		maxPending: cfg.MaxPending,
 		conf:       make([]float64, cfg.Streams),
@@ -351,6 +351,7 @@ func NewGate(cfg Config) (*Gate, error) {
 		if err := cfg.Predictor.Compile(); err != nil {
 			return nil, fmt.Errorf("core: compiling inference fast path: %w", err)
 		}
+		g.store = predictor.NewStore(cfg.Streams, cfg.Window)
 		g.cacheConf = make([]float64, cfg.Streams)
 		g.cacheEpoch = make([]uint64, cfg.Streams)
 		g.cacheTemp = make([]float64, cfg.Streams)
@@ -519,9 +520,9 @@ func (g *Gate) planRound(in *codec.Round) (round, error) {
 }
 
 // sweepRound advances the circuit breakers (when armed) and folds packet
-// metadata into the per-stream feature store, reading the per-stream state
-// (temporal estimate, exploration bonus, dependency-inclusive cost) in the
-// same pass over the round's ids. Quarantined streams are observed but
+// metadata into the per-stream feature store (when there is a predictor to
+// read it), reading the per-stream state (temporal estimate, exploration
+// bonus, dependency-inclusive cost) in the same pass over the round's ids. Quarantined streams are observed but
 // excluded: their windows stay frozen (untrusted metadata), their packets
 // never enter the selection, and the budget they would have consumed flows to
 // the healthy streams. Brownout modes shed packets at admission here too —
@@ -554,7 +555,9 @@ func (g *Gate) sweepRound(r *round) {
 		}
 		g.sweep = append(g.sweep, i32)
 		p := r.Pkts[k]
-		g.store.Push(i, p)
+		if g.store != nil {
+			g.store.Push(i, p)
+		}
 		if g.est != nil {
 			g.temporal[i] = g.est.Exploit(i)
 			g.bonus[i] = g.est.Bonus(i)

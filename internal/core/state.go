@@ -31,7 +31,9 @@ type StreamState struct {
 	Round int64
 	// Temporal is the UCB estimator's window slice for the stream.
 	Temporal bandit.StreamState
-	// Row is the predictor feature-store row (windows, epoch, cursors).
+	// Row is the predictor feature-store row (windows, epoch, cursors). A
+	// gate without a predictor keeps no store: it exports the fresh row
+	// (predictor.FreshRow) and drops an imported row once it validates.
 	Row predictor.RowState
 	// Tracker is the dependency-cost tracker state.
 	Tracker decode.TrackerState
@@ -119,7 +121,9 @@ func (g *Gate) ExportStream(i int) (StreamState, error) {
 			return StreamState{}, err
 		}
 	}
-	if st.Row, err = g.store.ExportRow(i); err != nil {
+	if g.store == nil {
+		st.Row = predictor.FreshRow(g.cfg.Window)
+	} else if st.Row, err = g.store.ExportRow(i); err != nil {
 		return StreamState{}, err
 	}
 	if g.breakers != nil {
@@ -154,8 +158,10 @@ func (g *Gate) resetStream(i int, fresh bool) error {
 			return err
 		}
 	}
-	if err := g.store.ResetRow(i); err != nil {
-		return err
+	if g.store != nil {
+		if err := g.store.ResetRow(i); err != nil {
+			return err
+		}
 	}
 	g.trackers.Stream(i).Reset()
 	if g.breakers != nil {
@@ -187,6 +193,13 @@ func (g *Gate) ImportStream(i int, st StreamState) error {
 	if st.Round != g.stats.Rounds {
 		return fmt.Errorf("core: import stream %d at round %d into gate at round %d", i, st.Round, g.stats.Rounds)
 	}
+	// A storeless gate drops the row, but only one a store would take.
+	if err := st.Row.Validate(g.cfg.Window); err != nil {
+		return err
+	}
+	if err := st.Tracker.Validate(); err != nil {
+		return err
+	}
 	if err := g.resetStream(i, false); err != nil {
 		return err
 	}
@@ -195,10 +208,14 @@ func (g *Gate) ImportStream(i int, st StreamState) error {
 			return err
 		}
 	}
-	if err := g.store.ImportRow(i, st.Row); err != nil {
+	if g.store != nil {
+		if err := g.store.ImportRow(i, st.Row); err != nil {
+			return err
+		}
+	}
+	if err := g.trackers.Stream(i).Import(st.Tracker); err != nil {
 		return err
 	}
-	g.trackers.Stream(i).Import(st.Tracker)
 	if g.breakers != nil && st.HasBreaker {
 		g.breakers.importStream(i, st.Breaker)
 	}

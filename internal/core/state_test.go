@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"packetgame/internal/codec"
+	"packetgame/internal/predictor"
 )
 
 // driveStateRounds advances the gate through deterministic rounds with mixed
@@ -79,6 +81,9 @@ func TestStreamStateMigrationEquivalence(t *testing.T) {
 			driveStateRounds(t, donor, m, warm, 77, gop)
 
 			recip := stateTestGate(t, m, withPred)
+			if (recip.store != nil) != withPred {
+				t.Fatalf("feature store allocated = %v with predictor = %v", recip.store != nil, withPred)
+			}
 			if err := recip.AdvanceTo(donor.ClockRound()); err != nil {
 				t.Fatalf("AdvanceTo: %v", err)
 			}
@@ -141,6 +146,95 @@ func TestStreamStateMigrationEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStorelessStateCrossImport: a gate without a predictor keeps no feature
+// store, yet its stream states stay interchangeable with a store-bearing
+// gate's. Its export carries the fresh row and imports into a gate with a
+// store; a full row imports into it and is dropped; everything else moves
+// intact both ways.
+func TestStorelessStateCrossImport(t *testing.T) {
+	const m = 12
+	storeless := stateTestGate(t, m, false)
+	withStore := stateTestGate(t, m, true)
+	gop := make([]int, m)
+	driveStateRounds(t, storeless, m, 40, 3, gop)
+	gop2 := make([]int, m)
+	driveStateRounds(t, withStore, m, 40, 4, gop2)
+
+	export := func(g *Gate, i int) StreamState {
+		t.Helper()
+		st, err := g.ExportStream(i)
+		if err != nil {
+			t.Fatalf("export %d: %v", i, err)
+		}
+		return st
+	}
+	fresh := predictor.FreshRow(storeless.Config().Window)
+	for i := 0; i < m; i++ {
+		fromStoreless, fromStore := export(storeless, i), export(withStore, i)
+		if !reflect.DeepEqual(fromStoreless.Row, fresh) {
+			t.Fatalf("stream %d: storeless export row %+v, want the fresh row", i, fromStoreless.Row)
+		}
+		if fromStore.Row.Pushes == 0 {
+			t.Fatalf("stream %d: store-bearing export carries no pushes", i)
+		}
+		if err := withStore.ImportStream(i, fromStoreless); err != nil {
+			t.Fatalf("stream %d: storeless export refused by a store-bearing gate: %v", i, err)
+		}
+		if got := export(withStore, i); !reflect.DeepEqual(fromStoreless, got) {
+			t.Fatalf("stream %d: storeless state not preserved by a store-bearing gate\nsent: %+v\ngot:  %+v", i, fromStoreless, got)
+		}
+		if err := storeless.ImportStream(i, fromStore); err != nil {
+			t.Fatalf("stream %d: full row refused by a storeless gate: %v", i, err)
+		}
+		want := fromStore
+		want.Row = fresh
+		if got := export(storeless, i); !reflect.DeepEqual(want, got) {
+			t.Fatalf("stream %d: full row not dropped (or the rest not kept) by a storeless gate\nwant: %+v\ngot:  %+v", i, want, got)
+		}
+	}
+}
+
+// TestImportStreamRejectsMalformedState: a stream state no gate could have
+// exported is refused whole — by a storeless gate too, which checks the row
+// it then drops — and leaves the target stream as it was.
+func TestImportStreamRejectsMalformedState(t *testing.T) {
+	cases := []struct {
+		name  string
+		spoil func(*StreamState)
+	}{
+		{"row window length", func(st *StreamState) { st.Row.IValues = st.Row.IValues[:len(st.Row.IValues)-1] }},
+		{"row +Inf I-size", func(st *StreamState) { st.Row.IValues[0] = math.Inf(1) }},
+		{"row -Inf P-size", func(st *StreamState) { st.Row.PValues[1] = math.Inf(-1) }},
+		{"row picture type", func(st *StreamState) { st.Row.Last = uint8(codec.PictureB) + 1 }},
+		{"row negative pushes", func(st *StreamState) { st.Row.Pushes = -1 }},
+		{"tracker negative P debt", func(st *StreamState) { st.Tracker.UndecodedPs = -1 }},
+	}
+	for _, withPred := range []bool{false, true} {
+		const m, victim = 6, 2
+		g := stateTestGate(t, m, withPred)
+		driveStateRounds(t, g, m, 30, 8, make([]int, m))
+		for _, c := range cases {
+			before, err := g.ExportStream(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, _ := g.ExportStream(victim) // its own window slices to spoil
+			c.spoil(&st)
+			if err := g.ImportStream(victim, st); err == nil {
+				t.Errorf("predictor=%v %s: malformed state imported", withPred, c.name)
+				continue
+			}
+			after, err := g.ExportStream(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(before, after) {
+				t.Errorf("predictor=%v %s: refused import changed the stream\nbefore: %+v\nafter:  %+v", withPred, c.name, before, after)
+			}
+		}
 	}
 }
 

@@ -54,13 +54,15 @@ func (c CostModel) Max() float64 {
 // packet must pay for decoding them too (Fig 6), while selecting an I-frame
 // or crossing into a new GOP clears the debt.
 type Tracker struct {
+	// The int ahead of the three bools packs a Tracker into 40 bytes; a
+	// MultiTracker holds one per configured stream.
 	cm CostModel
 
-	// undecodedI reports that the current GOP's I-frame was skipped.
-	undecodedI bool
 	// undecodedPs counts skipped reference P-frames since the last decoded
 	// reference in the current GOP.
 	undecodedPs int
+	// undecodedI reports that the current GOP's I-frame was skipped.
+	undecodedI bool
 	// nextRefPrepaid reports that the upcoming reference frame was already
 	// decoded (paid for) as the forward dependency of a selected B-frame.
 	nextRefPrepaid bool
@@ -154,16 +156,16 @@ func (t *Tracker) Commit(p *codec.Packet, decoded bool) {
 }
 
 // MultiTracker tracks dependencies for m concurrent streams indexed 0..m-1.
+// The trackers are one flat array of values, not m heap objects.
 type MultiTracker struct {
-	cm       CostModel
-	trackers []*Tracker
+	trackers []Tracker
 }
 
 // NewMultiTracker creates trackers for m streams.
 func NewMultiTracker(m int, cm CostModel) *MultiTracker {
-	mt := &MultiTracker{cm: cm, trackers: make([]*Tracker, m)}
+	mt := &MultiTracker{trackers: make([]Tracker, m)}
 	for i := range mt.trackers {
-		mt.trackers[i] = NewTracker(cm)
+		mt.trackers[i].cm = cm
 	}
 	return mt
 }
@@ -172,7 +174,7 @@ func NewMultiTracker(m int, cm CostModel) *MultiTracker {
 func (mt *MultiTracker) Len() int { return len(mt.trackers) }
 
 // Stream returns the tracker for stream i.
-func (mt *MultiTracker) Stream(i int) *Tracker { return mt.trackers[i] }
+func (mt *MultiTracker) Stream(i int) *Tracker { return &mt.trackers[i] }
 
 // CostsRound computes the dependency-inclusive decode cost of each packet of
 // a round: one entry per active stream, parallel to r.IDs, appended to dst

@@ -194,3 +194,21 @@ func TestTrackerCostLowerBound(t *testing.T) {
 		tr.Commit(p, i%3 == 0)
 	}
 }
+
+// A tracker state owing a negative number of P-frames would price the next
+// dependent packet below its own cost; Import refuses it and keeps its state.
+func TestTrackerImportRejectsNegativeDebt(t *testing.T) {
+	tr := NewTracker(DefaultCosts)
+	tr.Commit(pkt(codec.PictureI, 0), true)
+	tr.Commit(pkt(codec.PictureP, 1), false)
+	before := tr.Export()
+	if err := tr.Import(TrackerState{UndecodedPs: -3, SawAny: true}); err == nil {
+		t.Fatal("tracker imported a negative P-frame debt")
+	}
+	if got := tr.Export(); got != before {
+		t.Fatalf("refused import changed the tracker: %+v, was %+v", got, before)
+	}
+	if got := tr.Cost(pkt(codec.PictureP, 2)); got != 2*DefaultCosts.P {
+		t.Fatalf("P cost after refused import = %v, want %v", got, 2*DefaultCosts.P)
+	}
+}

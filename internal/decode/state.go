@@ -1,5 +1,7 @@
 package decode
 
+import "fmt"
+
 // TrackerState is the portable dependency state of one stream's Tracker:
 // everything needed for the importing gate to charge bit-identical
 // dependency-inclusive costs after a migration.
@@ -20,13 +22,27 @@ func (t *Tracker) Export() TrackerState {
 	}
 }
 
-// Import overwrites the tracker's dependency state with an exported one.
-// The cost model is the receiver's own and must match the donor's.
-func (t *Tracker) Import(st TrackerState) {
+// Validate checks that st is a state some tracker could have exported: a
+// negative debt of skipped P-frames would charge negative costs.
+func (st TrackerState) Validate() error {
+	if st.UndecodedPs < 0 {
+		return fmt.Errorf("decode: tracker state owes %d P-frames", st.UndecodedPs)
+	}
+	return nil
+}
+
+// Import overwrites the tracker's dependency state with an exported one,
+// refusing one Validate rejects (the tracker is then unchanged). The cost
+// model is the receiver's own and must match the donor's.
+func (t *Tracker) Import(st TrackerState) error {
+	if err := st.Validate(); err != nil {
+		return err
+	}
 	t.undecodedI = st.UndecodedI
 	t.undecodedPs = st.UndecodedPs
 	t.nextRefPrepaid = st.NextRefPrepaid
 	t.sawAny = st.SawAny
+	return nil
 }
 
 // Reset returns the tracker to the fresh (no packet seen) state.

@@ -16,11 +16,17 @@ type Monitor struct {
 	task    Task
 	emitted Result
 	started bool
+	idx     int32 // position in fleet's array
 
 	rounds  [2]int64 // [negative, positive] ground-truth rounds
 	correct [2]int64
 	decoded int64
 	reward  int64 // decoded frames that were necessary
+
+	// fleet is the fleet whose class totals this monitor keeps current (nil
+	// for a stand-alone monitor). Only the monitor at fleet.monitors[idx]
+	// moves them: a copied Monitor value is on its own.
+	fleet *Fleet
 }
 
 // NewMonitor creates a monitor for one stream running the given task.
@@ -68,6 +74,31 @@ func (m *Monitor) score(truth codec.Scene) {
 	}
 	if ok {
 		m.correct[cls]++
+	}
+	if f := m.owner(); f != nil {
+		f.class[2*cls]++
+		if ok {
+			f.class[2*cls+1]++
+		}
+	}
+}
+
+// owner returns the fleet whose totals m keeps, or nil for a stand-alone
+// monitor or a copy of a fleet's.
+func (m *Monitor) owner() *Fleet {
+	if f := m.fleet; f != nil && &f.monitors[m.idx] == m {
+		return f
+	}
+	return nil
+}
+
+// addTotals adds sign times m's class counters to its owner's totals.
+func (m *Monitor) addTotals(sign int64) {
+	if f := m.owner(); f != nil {
+		f.class[0] += sign * m.rounds[0]
+		f.class[1] += sign * m.correct[0]
+		f.class[2] += sign * m.rounds[1]
+		f.class[3] += sign * m.correct[1]
 	}
 }
 
@@ -126,34 +157,33 @@ func (m *Monitor) ClassStats() (nr, nc, pr, pc int64) {
 	return m.rounds[0], m.correct[0], m.rounds[1], m.correct[1]
 }
 
-// Fleet is a set of per-stream monitors for one task.
+// Fleet is a set of per-stream monitors for one task: one flat array of
+// values, reachable one at a time through Stream. The monitors keep the
+// fleet's class totals current as they score, import and reset, so
+// ClassTotals is O(1).
 type Fleet struct {
-	task     Task
-	monitors []*Monitor
+	monitors []Monitor
+	class    [4]int64 // negRounds, negCorrect, posRounds, posCorrect
 }
 
 // NewFleet creates m monitors.
 func NewFleet(task Task, m int) *Fleet {
-	f := &Fleet{task: task, monitors: make([]*Monitor, m)}
-	for i := range f.monitors {
-		f.monitors[i] = NewMonitor(task)
-	}
-	return f
+	return NewFleetOf([]Task{task}, m)
 }
 
 // NewFleetOf creates m monitors with per-stream tasks: stream i runs
 // tasks[i mod len(tasks)] — a mixed deployment where co-located models with
 // different priorities share one gate. tasks must be non-empty.
 func NewFleetOf(tasks []Task, m int) *Fleet {
-	f := &Fleet{task: tasks[0], monitors: make([]*Monitor, m)}
+	f := &Fleet{monitors: make([]Monitor, m)}
 	for i := range f.monitors {
-		f.monitors[i] = NewMonitor(tasks[i%len(tasks)])
+		f.monitors[i] = Monitor{task: tasks[i%len(tasks)], idx: int32(i), fleet: f}
 	}
 	return f
 }
 
 // Stream returns stream i's monitor.
-func (f *Fleet) Stream(i int) *Monitor { return f.monitors[i] }
+func (f *Fleet) Stream(i int) *Monitor { return &f.monitors[i] }
 
 // Len returns the number of streams.
 func (f *Fleet) Len() int { return len(f.monitors) }
@@ -164,8 +194,8 @@ func (f *Fleet) Accuracy() float64 {
 		return 1
 	}
 	var sum float64
-	for _, m := range f.monitors {
-		sum += m.Accuracy()
+	for i := range f.monitors {
+		sum += f.monitors[i].Accuracy()
 	}
 	return sum / float64(len(f.monitors))
 }
@@ -181,8 +211,8 @@ func (f *Fleet) BalancedAccuracy() float64 {
 
 // Totals aggregates raw counters across streams.
 func (f *Fleet) Totals() (rounds, correct, decoded, necessary int64) {
-	for _, m := range f.monitors {
-		r, c, d, n := m.Stats()
+	for i := range f.monitors {
+		r, c, d, n := f.monitors[i].Stats()
 		rounds += r
 		correct += c
 		decoded += d
@@ -191,14 +221,7 @@ func (f *Fleet) Totals() (rounds, correct, decoded, necessary int64) {
 	return
 }
 
-// ClassTotals aggregates the class-split counters across streams.
+// ClassTotals returns the class-split counters summed across streams.
 func (f *Fleet) ClassTotals() (nr, nc, pr, pc int64) {
-	for _, m := range f.monitors {
-		a, b, c, d := m.ClassStats()
-		nr += a
-		nc += b
-		pr += c
-		pc += d
-	}
-	return
+	return f.class[0], f.class[1], f.class[2], f.class[3]
 }

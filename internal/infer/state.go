@@ -36,6 +36,7 @@ func (m *Monitor) Export() MonitorState {
 // Import overwrites the monitor's state with an exported one. The task is
 // the receiver's own and must match the donor's.
 func (m *Monitor) Import(st MonitorState) {
+	m.addTotals(-1)
 	m.emitted = st.Emitted
 	m.started = st.Started
 	m.rounds[0] = st.NegRounds
@@ -44,10 +45,12 @@ func (m *Monitor) Import(st MonitorState) {
 	m.correct[1] = st.PosCorrect
 	m.decoded = st.Decoded
 	m.reward = st.Reward
+	m.addTotals(1)
 }
 
 // Reset returns the monitor to the fresh (nothing emitted) state.
 func (m *Monitor) Reset() {
+	m.addTotals(-1)
 	m.emitted = Result{}
 	m.started = false
 	m.rounds = [2]int64{}

@@ -3,6 +3,8 @@ package predictor
 import (
 	"fmt"
 	"math"
+
+	"packetgame/internal/codec"
 )
 
 // RowState is one stream's portable slice of a Store: both size windows in
@@ -52,6 +54,37 @@ func (s *Store) ExportRow(i int) (RowState, error) {
 	return st, nil
 }
 
+// FreshRow is the row of a stream that never pushed a packet into a store
+// with window length w: what ResetRow leaves and ExportRow then returns.
+func FreshRow(w int) RowState {
+	return RowState{IValues: make([]float64, w), PValues: make([]float64, w)}
+}
+
+// Validate checks that st could have been exported by a store with window
+// length w. A NaN window value is a poisoned (but possible) packet size;
+// ±Inf never is, since NormalizeSize clamps, so a row carrying one is
+// refused rather than imported as a window Poisoned could not see.
+func (st RowState) Validate(w int) error {
+	if len(st.IValues) != w || len(st.PValues) != w {
+		return fmt.Errorf("predictor: import row: window lengths %d/%d, want %d", len(st.IValues), len(st.PValues), w)
+	}
+	if st.IRun < 0 || st.IRun > int32(w+1) || st.PRun < 0 || st.PRun > int32(w+1) {
+		return fmt.Errorf("predictor: import row: runs %d/%d outside [0,%d]", st.IRun, st.PRun, w+1)
+	}
+	for j := 0; j < w; j++ {
+		if math.IsInf(st.IValues[j], 0) || math.IsInf(st.PValues[j], 0) {
+			return fmt.Errorf("predictor: import row: infinite window value at slot %d", j)
+		}
+	}
+	if st.Last > uint8(codec.PictureB) {
+		return fmt.Errorf("predictor: import row: picture type %d out of range", st.Last)
+	}
+	if st.Pushes < 0 {
+		return fmt.Errorf("predictor: import row: negative push count %d", st.Pushes)
+	}
+	return nil
+}
+
 // ImportRow installs an exported row for stream i, overwriting whatever the
 // row held. The ring is re-based at the canonical cursor (pos = w-1) with
 // the double-write invariant restored, and the nonzero/non-finite counters
@@ -62,11 +95,8 @@ func (s *Store) ImportRow(i int, st RowState) error {
 		return fmt.Errorf("predictor: import row %d out of range [0,%d)", i, s.n)
 	}
 	w := s.w
-	if len(st.IValues) != w || len(st.PValues) != w {
-		return fmt.Errorf("predictor: import row: window lengths %d/%d, want %d", len(st.IValues), len(st.PValues), w)
-	}
-	if st.IRun < 0 || st.IRun > int32(w+1) || st.PRun < 0 || st.PRun > int32(w+1) {
-		return fmt.Errorf("predictor: import row: runs %d/%d outside [0,%d]", st.IRun, st.PRun, w+1)
+	if err := st.Validate(w); err != nil {
+		return err
 	}
 	iRow := s.iBuf[i*2*w : (i+1)*2*w]
 	pRow := s.pBuf[i*2*w : (i+1)*2*w]
