@@ -1,6 +1,9 @@
 package bandit
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // StreamState is one stream's portable slice of a TemporalEstimator: the
 // window entries (which of the last w rounds selected the stream, with their
@@ -80,25 +83,8 @@ func (e *TemporalEstimator) ImportStream(i int, st StreamState) error {
 	if e.selCount[i] != 0 || e.rewardSum[i] != 0 || e.lastSel[i] != 0 {
 		return fmt.Errorf("bandit: import into non-empty stream %d", i)
 	}
-	if len(st.Rounds) != len(st.Rewards) {
-		return fmt.Errorf("bandit: import: %d rounds with %d rewards", len(st.Rounds), len(st.Rewards))
-	}
-	if st.LastSel > e.t {
-		return fmt.Errorf("bandit: import: lastSel %d ahead of clock %d", st.LastSel, e.t)
-	}
-	lo := e.t - int64(e.w)
-	prev := int64(0)
-	for k, r := range st.Rounds {
-		if r <= lo || r > e.t || r < 1 {
-			return fmt.Errorf("bandit: import: round %d outside window (%d,%d]", r, lo, e.t)
-		}
-		if r <= prev {
-			return fmt.Errorf("bandit: import: rounds not strictly ascending at %d", r)
-		}
-		prev = r
-		if k == len(st.Rounds)-1 && st.LastSel != r {
-			return fmt.Errorf("bandit: import: lastSel %d disagrees with newest entry %d", st.LastSel, r)
-		}
+	if err := st.Validate(e.t, e.w); err != nil {
+		return err
 	}
 	for k, r := range st.Rounds {
 		s := int((r - 1) % int64(e.w))
@@ -110,6 +96,40 @@ func (e *TemporalEstimator) ImportStream(i int, st StreamState) error {
 	e.lastSel[i] = st.LastSel
 	return nil
 }
+
+// Validate checks st against an estimator at clock t with window w: aligned
+// rounds and finite rewards, rounds strictly ascending inside (t-w, t], and a
+// last selection neither ahead of the clock nor off the newest entry.
+func (st StreamState) Validate(t int64, w int) error {
+	if len(st.Rounds) != len(st.Rewards) {
+		return fmt.Errorf("bandit: import: %d rounds with %d rewards", len(st.Rounds), len(st.Rewards))
+	}
+	if st.LastSel < 0 || st.LastSel > t {
+		return fmt.Errorf("bandit: import: lastSel %d outside clock [0,%d]", st.LastSel, t)
+	}
+	lo := t - int64(w)
+	prev := int64(0)
+	for k, r := range st.Rounds {
+		if r <= lo || r > t || r < 1 {
+			return fmt.Errorf("bandit: import: round %d outside window (%d,%d]", r, lo, t)
+		}
+		if r <= prev {
+			return fmt.Errorf("bandit: import: rounds not strictly ascending at %d", r)
+		}
+		prev = r
+		if x := st.Rewards[k]; math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("bandit: import: round %d reward %v", r, x)
+		}
+	}
+	if n := len(st.Rounds); n > 0 && st.LastSel != st.Rounds[n-1] {
+		return fmt.Errorf("bandit: import: lastSel %d disagrees with newest entry %d", st.LastSel, st.Rounds[n-1])
+	}
+	return nil
+}
+
+// ValidateStream checks st against this estimator's clock and window, as
+// ImportStream does, without touching any stream.
+func (e *TemporalEstimator) ValidateStream(st StreamState) error { return st.Validate(e.t, e.w) }
 
 // RemoveStream erases stream i's window entries and aggregates, returning it
 // to the never-selected state. The estimator clock is unchanged. Used when a

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"packetgame/internal/core"
@@ -164,27 +162,10 @@ var ErrCoordinatorKilled = errors.New("cluster: coordinator killed (simulated cr
 // Coordinator is the control plane: the placement ring, the budget
 // reconciler and the per-round global solve, speaking PGCP to the workers.
 // The protocol is core (core.go, failover.go); the Coordinator is its shell
-// (link.go): one reader per connection turns frames into events, and one
-// loop — Run's goroutine — owns the core, the only timer, the source and the
-// journal file, carrying out each step's effects, hooks included, in order.
+// (link.go), whose loop is Run's goroutine.
 type Coordinator struct {
-	core     *coord
-	ln       net.Listener
-	src      pipeline.SparseRoundSource
-	jr       *journal      // nil without JournalPath
-	accepted chan *pending // 64: hellos queue while the loop is busy, or (a standby) following
-	inbox    chan event    // frames and deaths, each connection's in order; 256 keeps readers off the loop's back
-	stop     chan struct{} // closed at teardown: frees accept and readers
-	peers    map[connID]*peer
-	last     connID
-	timer    *time.Timer
-	fired    bool // the timer went off; its event waits behind the inbox
-	pull     bool // the core asked for a round
-	// hellos counts identified connections not yet handed to the core, joins
-	// the joins among them — both counted before they are queued — and
-	// queued the joins the core holds. PendingJoins is joins + queued.
-	hellos, joins, queued atomic.Int32
-	once                  sync.Once
+	core *coord
+	shell
 }
 
 // NewCoordinator binds the listen socket and starts accepting joins.
@@ -205,13 +186,16 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{ln: ln, src: pipeline.Sparse(cfg.Source), accepted: make(chan *pending, 64),
-		inbox: make(chan event, 256), stop: make(chan struct{}), peers: make(map[connID]*peer)}
-	c.core = newCoord(cfg, c.src.Truth)
+	c := &Coordinator{}
+	src := pipeline.Sparse(cfg.Source)
+	c.core = newCoord(cfg, src.Truth)
+	c.init(c.core.step, src)
+	// 64: hellos queue while the loop is busy, without holding up accept.
+	c.ln, c.accepted, c.hooks = ln, make(chan *pending, 64), &c.core.cfg
 	if cfg.JournalPath != "" {
 		snap, err := gobEncode(c.core.rs)
 		if err == nil {
-			c.jr, err = openJournal(cfg.JournalPath, compactEvery, snap)
+			c.jr, err = openJournal(cfg.JournalPath, snap)
 		}
 		if err != nil {
 			ln.Close()
@@ -229,13 +213,66 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 // tests use it to pin a join to a deterministic round: dial from a round
 // hook, then block until the join request is queued — the very next round
 // boundary admits it.
-func (c *Coordinator) PendingJoins() int { return int(c.joins.Load() + c.queued.Load()) }
+func (c *Coordinator) PendingJoins() int { return int(c.joins.Load()) }
 
 // Run drives the cluster: quorum, then rounds (admit → reap → plan →
 // scatter round → gather candidates → global solve → scatter grants →
 // observe the flight leaving the MaxInFlight window), then an orderly
-// goodbye. It returns the merged report.
+// goodbye — from the core's entry (coord.enter) to the end of the run. It
+// tears the shell down and returns the merged report.
 func (c *Coordinator) Run() (Report, error) {
-	err := c.run(c.core.run(time.Now(), nil))
+	err := c.await(event{kind: evStart}, effDone).err
+	c.teardown()
 	return c.core.report(), err
+}
+
+// TakeoverFromJournal elects a coordinator directly from a journal file —
+// the cold-standby path (`pgcoord -takeover <journal>`): replay the log
+// (tolerating a torn tail), then run the same takeover protocol a warm
+// standby runs.
+func (c *Coordinator) TakeoverFromJournal(path string) (Report, error) {
+	rs, err := replayJournal(path)
+	if err != nil {
+		c.teardown()
+		return c.core.report(), err
+	}
+	c.core.enter = func() { c.core.takeover(rs) }
+	return c.Run()
+}
+
+// Standby is a warm replica of the coordinator: a Coordinator whose core
+// follows the primary (failover.go) until it takes over. Decisions after the
+// takeover continue the exact sequence the primary would have produced: the
+// replica carries the round clock, ring membership, demand EWMAs, and AIMD
+// governor state.
+type Standby struct{ c *Coordinator }
+
+// NewStandby binds the standby's own listen socket (workers re-home to it)
+// and prepares a coordinator with the primary's configuration. cfg.Source
+// must be an identically-seeded instance of the primary's source: a takeover
+// advances it to the resume round.
+func NewStandby(primary, name string, cfg CoordConfig) (*Standby, error) {
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.core.enter = func() { c.core.follow(primary, StandbyJoin{Name: name, Addr: c.Addr()}) }
+	return &Standby{c: c}, nil
+}
+
+// Addr returns the standby's own listen address (what workers re-home to).
+func (s *Standby) Addr() string { return s.c.Addr() }
+
+// TookOver reports whether this standby was elected. Valid once Run returns.
+func (s *Standby) TookOver() bool { return s.c.core.elected }
+
+// Run follows the primary until it completes (a goodbye: the standby stands
+// down with a zero report) or dies (the standby takes over and returns the
+// merged report that spans both reigns).
+func (s *Standby) Run() (Report, error) {
+	rep, err := s.c.Run()
+	if !s.TookOver() {
+		return Report{}, err
+	}
+	return rep, err
 }

@@ -32,11 +32,12 @@ const (
 	evHello                // conn identified itself with hello frame typ, body
 	evRound                // the round effPull asked for: rnd, or err
 	evTimer                // the time last armed has come
+	evStart                // the shell's first step: the core opens the reign it was built for
+	evDialed               // the dial effDial asked for: conn answered with frame typ, body, or it failed with err
 
 	// A worker's (session.go).
 	evPull   // the engine pulls its next round
 	evSelect // the engine asks for a selection from cands under budget, appended to sel
-	evDialed // the dial effDial asked for: conn answered tk, or it failed with err
 	evEnded  // the engine stopped with err; fin holds its run counters
 )
 
@@ -51,7 +52,6 @@ type event struct {
 	sel    []int
 	cands  []knapsack.Candidate
 	budget float64
-	tk     *TakeoverInfo
 	fin    *WorkerFinal
 }
 
@@ -68,11 +68,11 @@ const (
 	effOnRoundEnd                  // CoordConfig.OnRoundEnd(round)
 	effOnMembership                // CoordConfig.OnMembership(round, joined, died)
 	effDone                        // the run is over, with err
+	effDial                        // dial addr, send hello frame typ carrying body, await the reply for at − now
 
 	// A worker's (session.go).
-	effRound  // hand the engine rnd (round round, aliasing frame body body), or err
+	effRound  // hand the engine rnd (round round, aliasing frame body body of conn), or err
 	effSelect // hand the engine the selection sel
-	effDial   // dial addr with the re-join hello
 )
 
 // effect is one thing for the shell to do; its slices live until the next step.
@@ -88,7 +88,6 @@ type effect struct {
 	err          error
 	rnd          *codec.Round
 	addr         string
-	hello        *RejoinInfo
 }
 
 func send(typ uint8, to connID, body []byte) effect {
@@ -119,6 +118,7 @@ type standbyRef struct { // an attached standby, and where workers re-home to it
 type coord struct {
 	cfg   CoordConfig
 	truth func(stream int) (codec.Scene, bool) // ground truth of the pulled round
+	enter func()                               // the reign evStart opens: lead, follow, or a cold takeover
 	now   time.Time
 	out   []effect
 	arena []byte // this step's hot frame bodies: out's sends alias it
@@ -144,6 +144,8 @@ type coord struct {
 	journaled bool // records go to a journal file too
 	since     int  // journal records since its last snapshot
 	rep       Report
+	primary   connID // a standby's link to the primary it follows (failover.go)
+	elected   bool   // a standby that took over
 
 	// What the coordinator waits for, and does once settle finds it ready;
 	// deadline ends a quorum wait or a re-join window; armed is the shell's
@@ -207,12 +209,12 @@ func newCoord(cfg CoordConfig, truth func(int) (codec.Scene, bool)) *coord {
 	}
 	c.rs.Streams, c.rs.Budget, c.rs.Window, c.rs.Task, c.rs.SLONs = cfg.Streams, cfg.Budget, cfg.Window, cfg.Task, int64(cfg.SLO)
 	c.answeredFn, c.dueFn, c.solveFn, c.retireFn = c.answered, c.dueIn, c.solve, c.retire
+	c.enter = c.lead
 	return c
 }
 
-// run opens a primary's reign: quorum, then rounds from 0.
-func (c *coord) run(now time.Time, out []effect) []effect {
-	c.begin(now, out)
+// lead opens a primary's reign: quorum, then rounds from 0.
+func (c *coord) lead() {
 	c.quorum(0, func(err error) {
 		if err != nil {
 			c.done(err)
@@ -220,7 +222,6 @@ func (c *coord) run(now time.Time, out []effect) []effect {
 		}
 		c.rounds(0, 0)
 	})
-	return c.end()
 }
 
 // step hands the coordinator one event seen at now and returns what to do
@@ -228,10 +229,14 @@ func (c *coord) run(now time.Time, out []effect) []effect {
 func (c *coord) step(now time.Time, ev event, out []effect) []effect {
 	c.begin(now, out)
 	switch ev.kind {
+	case evStart:
+		c.enter()
 	case evFrame:
 		c.frame(ev.conn, ev.typ, ev.body)
 	case evClosed:
 		c.closed(ev.conn, ev.err)
+	case evDialed: // only ever the answer to a standby's dial
+		c.followed(ev)
 	case evHello:
 		c.pending = append(c.pending, ev)
 	case evRound: // only ever the answer to effPull
@@ -342,10 +347,14 @@ func (c *coord) answered() bool {
 
 // frame routes one frame; any frame renews its sender's lease. The frame a
 // member is asked for is taken, a report is filed under its flight whenever
-// it arrives, anything else kills the sender, and a non-member's is dropped.
+// it arrives, anything else kills the sender; the followed primary's goes to
+// the following phase, and anyone else's is dropped.
 func (c *coord) frame(conn connID, typ uint8, body []byte) {
 	m := c.conns[conn]
 	if m == nil {
+		if c.fromPrimary(conn) {
+			c.primaryFrame(typ, body)
+		}
 		return
 	}
 	m.lastSeen = c.now
@@ -370,13 +379,17 @@ func (c *coord) frame(conn connID, typ uint8, body []byte) {
 }
 
 // closed takes a link's death: a member's waits for settle, a standby's
-// prunes it, a queued hello's drops it.
+// prunes it, a queued hello's drops it, the followed primary's ends its lease.
 func (c *coord) closed(conn connID, err error) {
 	if m := c.conns[conn]; m != nil {
 		m.closed = err
 		return
 	}
-	c.hangUp(conn) // a read error leaves the socket open
+	if c.fromPrimary(conn) { // settle elects now, and hangs up
+		c.deadline = c.now
+		return
+	}
+	c.hangUp(conn) // the shell lets the dead link go
 	if i := slices.IndexFunc(c.standbys, func(sb standbyRef) bool { return sb.conn == conn }); i >= 0 {
 		c.standbys = slices.Delete(c.standbys, i, i+1)
 		c.broadcastStandbys()
@@ -516,15 +529,6 @@ func (c *coord) serve(p event, r int64, then func()) {
 		}
 		then()
 	}
-}
-
-func (c *coord) queuedJoins() (n int) {
-	for _, p := range c.pending {
-		if p.typ == fJoin {
-			n++
-		}
-	}
-	return n
 }
 
 const (

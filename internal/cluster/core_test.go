@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -117,7 +118,7 @@ func newCoreRig(t *testing.T, p clusterParams, cfg CoordConfig) *coreRig {
 	cfg.JournalPath = "records only: the rig keeps them"
 	cfg.OnRound = func(int64, []int) {}
 	g := &coreRig{t: t, c: newCoord(cfg, src.Truth), src: src, now: time.Unix(1000, 0), candRound: -1}
-	g.out = g.c.run(g.now, nil)
+	g.out = g.c.step(g.now, event{kind: evStart}, nil)
 	g.apply()
 	for i := 0; i < p.workers; i++ {
 		w := &scripted{conn: connID(i + 1)}
@@ -396,6 +397,182 @@ func TestCoreArmsNoPassedDeadline(t *testing.T) {
 	}
 }
 
+// followRig drives a standby's core on a virtual clock, no socket: the test
+// is the primary, on link 1, and reads what the core answers.
+type followRig struct {
+	t    *testing.T
+	c    *coord
+	cfg  CoordConfig
+	snap replicaState // the image the primary offered
+	t0   time.Time    // when the offer was stepped: the lease runs from here
+	effs []effect
+}
+
+func newFollowRig(t *testing.T) *followRig {
+	p := clusterParams{m: 48, workers: 2, rounds: 4, window: 4, seed: 5, budget: 12}
+	g := &followRig{t: t, cfg: coordConfig(p), t0: time.Unix(1000, 0)}
+	g.cfg.Lease, g.cfg.JoinTimeout, g.cfg.RejoinWait = time.Second, 3*time.Second, 2*time.Second
+	g.c = newCoord(g.cfg, nil)
+	g.c.enter = func() { g.c.follow("primary:1", StandbyJoin{Name: "sb", Addr: "sb:2"}) }
+	g.snap = *g.c.rs
+	g.snap.Members, g.snap.NextID, g.snap.Epoch, g.snap.Round = []memberInfo{{ID: 0, Name: "w0"}, {ID: 1, Name: "w1"}}, 2, 2, 7
+	g.step(g.t0, event{kind: evStart})
+	d := only(t, g.effs, effDial)
+	var join StandbyJoin
+	if d.addr != "primary:1" || d.typ != fStandbyJoin || gobDecode(d.body, &join) != nil || join.Addr != "sb:2" || !d.at.Equal(g.t0.Add(g.cfg.JoinTimeout)) {
+		t.Fatalf("follow dial %+v (hello %+v)", d, join)
+	}
+	g.step(g.t0, event{kind: evDialed, conn: 1, typ: fSnapshotOffer, body: mustGob(t, &g.snap)})
+	g.armed(g.t0.Add(g.cfg.Lease))
+	return g
+}
+
+func (g *followRig) step(at time.Time, ev event) { g.effs = g.c.step(at, ev, g.effs) }
+
+// frame steps a frame from the primary at t0 + d.
+func (g *followRig) frame(d time.Duration, typ uint8, body []byte) {
+	g.step(g.t0.Add(d), event{kind: evFrame, conn: 1, typ: typ, body: body})
+}
+
+// appendRecord is the fJournalAppend body mirroring one journal record.
+func (g *followRig) appendRecord(kind uint8, rec any) []byte {
+	return append([]byte{kind}, mustGob(g.t, rec)...)
+}
+
+func (g *followRig) armed(at time.Time) {
+	g.t.Helper()
+	if e := only(g.t, g.effs, effTimer); !e.at.Equal(at) {
+		g.t.Fatalf("timer armed for %v, want %v", e.at, at)
+	}
+}
+
+func (g *followRig) following() {
+	g.t.Helper()
+	if g.c.primary != 1 || g.c.elected || g.c.over {
+		g.t.Fatalf("following link %d, elected=%v over=%v, want still following; effects %+v", g.c.primary, g.c.elected, g.c.over, g.effs)
+	}
+}
+
+// elected checks the step just taken took over: the primary's link hung up,
+// the epoch one past the image's, the re-join window armed from now.
+func (g *followRig) elected(now time.Time) {
+	g.t.Helper()
+	if !g.c.elected || g.c.primary != 0 || g.c.over || g.c.epoch != g.snap.Epoch+1 {
+		g.t.Fatalf("elected=%v following link %d over=%v epoch %d, want a takeover at epoch %d", g.c.elected, g.c.primary, g.c.over, g.c.epoch, g.snap.Epoch+1)
+	}
+	if e := only(g.t, g.effs, effClose); e.conn != 1 {
+		g.t.Fatalf("hung up on link %d, want the primary's", e.conn)
+	}
+	g.armed(now.Add(g.cfg.RejoinWait))
+}
+
+// ended checks the run ended in this step, with an error naming want ("":
+// none), and that nothing was elected.
+func (g *followRig) ended(want string) {
+	g.t.Helper()
+	e := only(g.t, g.effs, effDone)
+	if g.c.elected || (want == "") != (e.err == nil) || e.err != nil && !strings.Contains(e.err.Error(), want) {
+		g.t.Fatalf("run ended with %v, elected=%v; want an end naming %q", e.err, g.c.elected, want)
+	}
+}
+
+// TestCoreElection steps a standby's following phase on a virtual clock: the
+// offer becomes the replica, appends keep it current, every primary frame
+// renews the lease, and the lease is judged at each step's now — a step at
+// or past its end elects unless it brings a primary frame, which is taken
+// whenever it is stepped (as a member's frame renews its lease before settle
+// judges it). A goodbye stands down; a broken journal stream, or a frame the
+// phase has no use for, ends the run.
+func TestCoreElection(t *testing.T) {
+	lease := time.Second
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, g *followRig)
+	}{
+		{"offer, then one append", func(t *testing.T, g *followRig) {
+			if g.c.rs.Round != g.snap.Round || len(g.c.rs.Members) != 2 {
+				t.Fatalf("replica %+v, want the offered image", g.c.rs)
+			}
+			g.frame(time.Millisecond, fJournalAppend, g.appendRecord(jRound, &roundRecord{Round: 7, Sel: []int{3, 9}}))
+			g.following()
+			if g.c.rs.Rounds != 1 || g.c.rs.Round != 8 || g.c.rs.Decoded != 2 || g.c.rs.Hash == g.snap.Hash {
+				t.Fatalf("replica after the append: %+v", g.c.rs)
+			}
+			g.armed(g.t0.Add(time.Millisecond + lease))
+		}},
+		{"silence to lease - 1ns, then a heartbeat re-arms", func(t *testing.T, g *followRig) {
+			g.step(g.t0.Add(lease-time.Nanosecond), event{kind: evTimer})
+			g.following()
+			g.frame(lease-time.Nanosecond, fHeartbeat, nil)
+			g.following()
+			g.armed(g.t0.Add(2*lease - time.Nanosecond))
+		}},
+		{"expiry elects", func(t *testing.T, g *followRig) {
+			g.step(g.t0.Add(lease), event{kind: evTimer})
+			g.elected(g.t0.Add(lease))
+		}},
+		{"a hello at the lease end elects, and waits in the window", func(t *testing.T, g *followRig) {
+			g.step(g.t0.Add(lease/2), event{kind: evHello, conn: 5, typ: fRejoin, body: mustGob(t, &RejoinInfo{WorkerID: 9})})
+			g.following()
+			g.step(g.t0.Add(lease), event{kind: evHello, conn: 6, typ: fJoin, body: mustGob(t, &JoinInfo{})})
+			if !g.c.elected || len(g.c.pending) != 1 || g.c.pending[0].conn != 6 {
+				t.Fatalf("elected=%v, pending %+v: want the join queued, worker 9's re-join refused", g.c.elected, g.c.pending)
+			}
+			if bodies := sent(g.effs, fTakeover); len(bodies) != 1 {
+				t.Fatalf("%d re-join verdicts, want the stranger refused", len(bodies))
+			}
+		}},
+		{"the primary's link dies: elected at once", func(t *testing.T, g *followRig) {
+			g.step(g.t0.Add(lease/3), event{kind: evClosed, conn: 1, err: errors.New("EOF")})
+			g.elected(g.t0.Add(lease / 3))
+		}},
+		{"a goodbye at lease - 1ns stands down", func(t *testing.T, g *followRig) {
+			g.frame(lease-time.Nanosecond, fGoodbye, nil)
+			g.ended("")
+		}},
+		{"a goodbye at exactly the lease end stands down", func(t *testing.T, g *followRig) {
+			g.frame(lease, fGoodbye, nil)
+			g.ended("")
+		}},
+		{"an empty append ends the run", func(t *testing.T, g *followRig) {
+			g.frame(time.Millisecond, fJournalAppend, nil)
+			g.ended("empty journal append")
+		}},
+		{"an unknown frame ends the run", func(t *testing.T, g *followRig) {
+			g.frame(time.Millisecond, fGrant, encodeGrant(nil, 7, nil))
+			g.ended("unexpected frame")
+		}},
+		{"a journal sequence gap ends the run", func(t *testing.T, g *followRig) {
+			// The join of worker 4 never arrived: its death cannot apply.
+			g.frame(time.Millisecond, fJournalAppend, g.appendRecord(jMember, &memberRecord{Round: 7, Epoch: 3, NextID: 5, Died: []int{4}}))
+			g.ended("died without joining")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, newFollowRig(t)) })
+	}
+}
+
+// TestCoreFollowDialFails: a standby whose dial fails — no connection, a
+// reply that is not a snapshot offer, an offer that does not decode — ends
+// its run with an error, never an election: it never had an image to take
+// over.
+func TestCoreFollowDialFails(t *testing.T) {
+	for _, ev := range []event{
+		{kind: evDialed, err: errors.New("connection refused")},
+		{kind: evDialed, conn: 1, typ: fWelcome, body: mustGob(t, &Welcome{})},
+		{kind: evDialed, conn: 1, typ: fSnapshotOffer, body: []byte{0xFF}},
+	} {
+		c := newCoord(CoordConfig{Streams: 4}, nil)
+		c.enter = func() { c.follow("primary:1", StandbyJoin{}) }
+		now := time.Unix(1000, 0)
+		c.step(now, event{kind: evStart}, nil)
+		effs := c.step(now, ev, nil)
+		if e := only(t, effs, effDone); e.err == nil || !strings.Contains(e.err.Error(), "standby follow") || c.elected {
+			t.Fatalf("dial outcome %+v: run ended with %v, elected=%v", ev, e.err, c.elected)
+		}
+	}
+}
+
 // TestCoordinatorCoreIsSansIO holds the protocol files to what makes the
 // tests above possible: no goroutine, channel, socket, file, wall clock or
 // link in core.go, failover.go or the worker's session.go — those belong to
@@ -426,10 +603,6 @@ func (l *link) alive() bool {
 	defer l.mu.Unlock()
 	return l.err == nil
 }
-
-// shouldCompact reports whether the journal holds its compaction threshold
-// of records past its snapshot (the coordinator counts them itself).
-func (j *journal) shouldCompact() bool { return j.limit > 0 && j.since >= j.limit }
 
 // NewRing builds a ring over the given worker IDs.
 func NewRing(workers []int) *Ring {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // The protocol's fail-over half, as free of I/O as core.go: the replica
-// image and its mirrors (journal file, standbys), re-joins, and a standby's
-// takeover. Following the primary as a standby is I/O: standby.go.
+// image and its mirrors (journal file, standbys), re-joins, a standby's
+// following phase, and its takeover.
 
 func (c *coord) crashDue(r int64, p CrashPoint) bool {
 	return c.cfg.CrashAtRound > 0 && r == c.cfg.CrashAtRound && c.cfg.CrashPoint == p
@@ -225,6 +226,60 @@ func (c *coord) catchUp(m *member, k, to int64, then func()) {
 	})
 }
 
+// A standby follows the primary before it leads (DESIGN §16): the offer that
+// answers its dial is its replica image, mirrored journal records keep it
+// current, and each primary frame renews the primary's lease. A goodbye
+// stands it down; a step at or past the lease end that brings no primary
+// frame elects, and the takeover runs in that step. A failed dial, or a
+// journal stream it cannot apply, ends the run with an error.
+
+// follow opens a standby's reign: the dial to primary.
+func (c *coord) follow(primary string, join StandbyJoin) {
+	body, _ := gobEncode(&join) // plain values: nothing to fail
+	c.emit(effect{kind: effDial, addr: primary, typ: fStandbyJoin, body: body, at: c.now.Add(c.cfg.JoinTimeout)})
+}
+
+// followed takes the dial's outcome: the offer is the image; the lease starts.
+func (c *coord) followed(ev event) {
+	rs := new(replicaState)
+	if err := answer(ev.typ, ev.body, ev.err, fSnapshotOffer, rs); err != nil {
+		c.hangUp(ev.conn)
+		c.done(fmt.Errorf("cluster: standby follow: %w", err))
+		return
+	}
+	c.rs, c.primary = rs, ev.conn
+	c.deadline = c.now.Add(c.cfg.Lease)
+	c.wait(c.expired, c.elect)
+}
+
+func (c *coord) fromPrimary(conn connID) bool { return conn != 0 && conn == c.primary }
+
+// primaryFrame takes one frame from the primary while following.
+func (c *coord) primaryFrame(typ uint8, body []byte) {
+	var err error
+	switch {
+	case typ == fGoodbye:
+		c.done(nil)
+	case typ == fJournalAppend && len(body) == 0:
+		err = errors.New("cluster: empty journal append frame")
+	case typ == fJournalAppend:
+		err = c.rs.apply(body[0], body[1:])
+	case typ != fHeartbeat:
+		err = fmt.Errorf("cluster: standby got unexpected frame %d", typ)
+	}
+	if err != nil {
+		c.done(err)
+	}
+	c.deadline = c.now.Add(c.cfg.Lease)
+}
+
+// elect ends the following phase: the image the primary mirrored is taken over.
+func (c *coord) elect() {
+	c.hangUp(c.primary)
+	c.primary, c.elected = 0, true
+	c.takeover(c.rs)
+}
+
 // takeover turns a followed (or file-replayed) replica into a live
 // coordinator. After restoring the control plane it holds the re-join window:
 // each journaled member re-homes (new connection, same ring identity, gate
@@ -236,11 +291,10 @@ func (c *coord) catchUp(m *member, k, to int64, then func()) {
 // worker's (rounds the dead primary granted but never journaled must not be
 // replayed at workers that already played them), once the laggards are
 // caught up in id order, from the identically seeded source advanced to it.
-func (c *coord) takeover(now time.Time, rs *replicaState, out []effect) []effect {
-	c.begin(now, out)
+func (c *coord) takeover(rs *replicaState) {
 	if err := c.restore(rs); err != nil {
 		c.done(err)
-		return c.end()
+		return
 	}
 	seen, clocks := map[int]bool{}, map[int]int64{}
 	c.serveUntil(c.cfg.RejoinWait, func() bool { return len(seen) == len(c.rs.Members) }, fRejoin, func(p event, next func()) {
@@ -308,7 +362,6 @@ func (c *coord) takeover(now time.Time, rs *replicaState, out []effect) []effect
 			catchUp()
 		})
 	})
-	return c.end()
 }
 
 // restore rebuilds the control plane from the replica image, which becomes

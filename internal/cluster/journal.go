@@ -264,21 +264,19 @@ func OracleHash(sels [][]int) uint64 {
 // snapshot points and on Close, bounding the exposure window to well under
 // the one-round loss budget).
 type journal struct {
-	path  string
-	f     *os.File
-	since int // records appended since the last snapshot
-	limit int // compaction threshold
-	buf   []byte
+	path string
+	f    *os.File
+	buf  []byte
 }
 
 // openJournal creates (truncating) a journal at path seeded with an
 // initial snapshot record.
-func openJournal(path string, compactEvery int, snap []byte) (*journal, error) {
+func openJournal(path string, snap []byte) (*journal, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: journal: %w", err)
 	}
-	j := &journal{path: path, f: f, limit: compactEvery}
+	j := &journal{path: path, f: f}
 	j.buf = container.AppendRecord(append(j.buf, journalMagic...), jSnapshot, snap)
 	if _, err = f.Write(j.buf); err == nil {
 		err = f.Sync()
@@ -297,7 +295,6 @@ func (j *journal) append(kind uint8, body []byte) error {
 	if _, err := j.f.Write(j.buf); err != nil {
 		return fmt.Errorf("cluster: journal write: %w", err)
 	}
-	j.since++
 	return nil
 }
 
@@ -306,7 +303,7 @@ func (j *journal) append(kind uint8, body []byte) error {
 // journal either way.
 func (j *journal) compact(snap []byte) error {
 	tmp := j.path + ".tmp"
-	nj, err := openJournal(tmp, j.limit, snap) // written and fsynced
+	nj, err := openJournal(tmp, snap) // written and fsynced
 	if err == nil {
 		if err = os.Rename(tmp, j.path); err != nil {
 			nj.f.Close()

@@ -23,12 +23,13 @@ func journalFixture(t *testing.T, path string, seed int64, records int, compactE
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr, err := openJournal(path, compactEvery, snap)
+	jr, err := openJournal(path, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jr.Close()
 
+	since := 0 // records past the last snapshot, as the coordinator counts them
 	mirror := func(kind uint8, rec any) {
 		body, err := gobEncode(rec)
 		if err != nil {
@@ -40,7 +41,8 @@ func journalFixture(t *testing.T, path string, seed int64, records int, compactE
 		if err := jr.append(kind, body); err != nil {
 			t.Fatal(err)
 		}
-		if jr.shouldCompact() {
+		if since++; since >= compactEvery {
+			since = 0
 			snap, err := gobEncode(rs)
 			if err != nil {
 				t.Fatal(err)

@@ -8,20 +8,29 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"packetgame/internal/codec"
 	"packetgame/internal/container"
 	"packetgame/internal/knapsack"
 	"packetgame/internal/overload"
+	"packetgame/internal/pipeline"
 )
 
 // This file is the cluster's I/O shell: the only non-test code that dials,
 // accepts, wraps a connection in buffers, speaks the preamble, arms a read
-// deadline or a timer, or reads bytes off a connection. What happens on the
-// wire when a peer connects, whose memory a received frame lands in, and how
-// the coordinator's protocol (core.go) and a worker's (session.go) meet the
-// network, the clock, the sources and the journal file is answered here.
+// deadline or a timer, reads the clock, or reads bytes off a connection. What
+// happens on the wire when a peer connects, whose memory a received frame
+// lands in, and how a core — the coordinator's (core.go, failover.go) or a
+// worker's (session.go) — meets the network, the clock, the sources and the
+// journal file is answered here, once for both.
+
+// clock is the package's one wall-clock read: every step's now comes from it.
+func clock() time.Time { return time.Now() }
+
+// dialTimeout bounds the connect of every dial a core asks for.
+const dialTimeout = 5 * time.Second
 
 // link is one PGCP connection. Sends may come from several goroutines (a
 // round loop and a heartbeat pump share one); there is a single reader. The
@@ -76,7 +85,8 @@ func (l *link) send(typ uint8, body []byte) error {
 // fresh memory.
 func (l *link) recv(wait time.Duration, place func(typ uint8) *[]byte) (uint8, []byte, error) {
 	if wait > 0 {
-		l.conn.SetReadDeadline(time.Now().Add(wait))
+		l.conn.SetReadDeadline(clock().Add(wait))
+		defer l.conn.SetReadDeadline(time.Time{})
 	}
 	lead, err := l.br.Peek(1) // a frame's type leads its header
 	if err != nil {
@@ -142,44 +152,32 @@ func readHandshake(br *bufio.Reader) error {
 	return nil
 }
 
-// dialLink opens a connection the way every PGCP client does — worker join,
-// standby follow, worker re-join: dial (within dialTimeout when > 0), identify.
-func dialLink(addr string, dialTimeout time.Duration, helloType uint8, hello any, wantType uint8, reply any, replyWait time.Duration) (*link, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+// dialLink opens a connection to addr, within timeout when > 0.
+func dialLink(addr string, timeout time.Duration) (*link, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	l := newLink(conn)
-	if err := l.identify(helloType, hello, wantType, reply, replyWait); err != nil {
-		l.close()
-		return nil, err
-	}
-	return l, nil
+	return newLink(conn), nil
 }
 
-// identify is the client half: preamble, a helloType frame carrying hello
-// (gob), then the peer's first frame — a wantType, gob-decoded into reply —
-// awaited for replyWait, or for as long as the peer takes when that is 0.
-func (l *link) identify(helloType uint8, hello any, wantType uint8, reply any, replyWait time.Duration) error {
-	body, err := gobEncode(hello)
+// exchange is the client half of every opening — worker join, standby
+// follow, worker re-join: preamble, a helloType frame carrying hello, then
+// the peer's first frame, awaited for wait, or for as long as the peer takes
+// when that is 0.
+func (l *link) exchange(helloType uint8, hello []byte, wait time.Duration) (uint8, []byte, error) {
+	err := writeHandshake(l.bw)
 	if err == nil {
-		err = writeHandshake(l.bw)
-	}
-	if err == nil {
-		err = l.send(helloType, body)
+		err = l.send(helloType, hello)
 	}
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	typ, body, err := l.recv(replyWait, nil)
+	typ, body, err := l.recv(wait, nil)
 	if err != nil {
-		return fmt.Errorf("cluster: awaiting reply frame %d: %w", wantType, err)
+		return 0, nil, fmt.Errorf("cluster: awaiting the reply to hello %d: %w", helloType, err)
 	}
-	if typ != wantType {
-		return fmt.Errorf("cluster: expected reply frame %d, got %d", wantType, typ)
-	}
-	l.conn.SetReadDeadline(time.Time{})
-	return gobDecode(body, reply)
+	return typ, body, nil
 }
 
 // pending is an accepted connection that has identified itself: typ is its
@@ -229,14 +227,289 @@ func serveLinks(ln net.Listener, stop <-chan struct{}, route func(typ uint8) cha
 	}
 }
 
-// peer is the shell's handle on one connection: its link, and spare, the
-// way frame bodies come home — the reader takes its next body buffer from
-// here (else starts a new one) and the loop hands one back once the core is
-// through with it. Two slots: with rounds overlapping, a worker can have a
-// candidates and a report body out at once.
+// peer is the shell's handle on one connection: its link, and spare, where
+// the engine hands back a round frame body once through with it, for the
+// reader to read the next round into — two slots, for a coordinator that
+// sends rounds ahead; a body that finds both taken is dropped.
 type peer struct {
 	*link
-	spare chan []byte
+	spare   chan []byte
+	joining bool // a join hello the core has neither welcomed nor dropped
+}
+
+// shell runs one core. Each connection has one reader, which hands its frames
+// and then its death to the loop over one unbuffered inbox; the loop — the
+// goroutine that calls await: a coordinator's, or a worker's engine — owns
+// the core, the only timer, the round source, the journal file and the hooks,
+// steps the core with every event and the time it read for it, and carries
+// out each step's effects in order.
+type shell struct {
+	step  func(now time.Time, ev event, out []effect) []effect
+	effs  []effect
+	inbox chan event
+	stop  chan struct{} // closed at teardown: frees accept and readers
+	peers map[connID]*peer
+	last  connID
+	timer *time.Timer
+	fired bool                       // the timer went off; its event waits behind what arrived before it
+	pull  bool                       // the core asked for a round
+	src   pipeline.SparseRoundSource // what a pull pulls
+	err   error                      // what the run ended with (effDone)
+	once  sync.Once
+
+	// A coordinator's. hellos counts identified connections not yet handed
+	// to the core, joins the joins not yet welcomed or dropped; both are
+	// counted before they are queued on accepted.
+	ln            net.Listener
+	accepted      chan *pending
+	hellos, joins atomic.Int32
+	jr            *journal // nil without JournalPath
+	hooks         *CoordConfig
+
+	// A worker's: the heartbeat each of its links gets, the round body the
+	// engine holds and its peer, and the installed round.
+	beat   func(*peer)
+	lent   []byte
+	lender *peer
+	round  atomic.Int64
+}
+
+func (s *shell) init(step func(time.Time, event, []effect) []effect, src pipeline.SparseRoundSource) {
+	s.step, s.src = step, src
+	s.inbox, s.stop, s.peers = make(chan event), make(chan struct{}), make(map[connID]*peer)
+	s.timer = time.NewTimer(time.Hour)
+	s.timer.Stop()
+}
+
+// await steps call, then every event that follows, until the core answers
+// with an effect of kind want.
+func (s *shell) await(call event, want effKind) effect {
+	ans, ok := s.carry(call, want)
+	for !ok {
+		ev, _ := s.next(true)
+		ans, ok = s.carry(ev, want)
+	}
+	return ans
+}
+
+// carry steps ev at the time it reads and carries out the effects in order,
+// stepping a dial's outcome at once; ok reports an answer of kind want. A
+// journal write that fails ends the run with its error.
+func (s *shell) carry(ev event, want effKind) (ans effect, ok bool) {
+	for more := true; more; {
+		more = false
+		now := clock()
+		s.effs = s.step(now, ev, s.effs)
+		for _, e := range s.effs {
+			if err := s.do(now, e); err != nil {
+				return effect{kind: effDone, err: err}, true
+			}
+			if e.kind == effDial {
+				ev, more = s.dial(now, e), true
+			}
+			if e.kind == want {
+				ans, ok = e, true
+			}
+		}
+	}
+	return ans, ok
+}
+
+// do carries out one effect the core returned at now.
+func (s *shell) do(now time.Time, e effect) error {
+	p := s.peers[e.conn]
+	switch e.kind {
+	case effSend:
+		// A failed send kills the link, and its reader reports it.
+		if p != nil && p.send(e.typ, e.body) == nil && e.typ == fSnapshotOffer {
+			go p.beat(s.hooks.Heartbeat, func() []byte { return nil })
+		}
+		if p != nil && e.typ == fWelcome {
+			s.admitted(p)
+		}
+	case effClose:
+		if p != nil {
+			s.admitted(p)
+			p.close()
+			delete(s.peers, e.conn)
+		}
+	case effPull:
+		s.pull = true
+	case effTimer:
+		s.timer.Stop() // a tick it missed only wakes the core for nothing
+		s.fired = false
+		if !e.at.IsZero() {
+			s.timer.Reset(e.at.Sub(now))
+		}
+	case effJournal:
+		return s.jr.append(e.typ, e.body)
+	case effCompact:
+		return s.jr.compact(e.body)
+	case effOnRound:
+		s.hooks.OnRound(e.round, e.sel)
+	case effOnRoundEnd:
+		s.hooks.OnRoundEnd(e.round)
+	case effOnMembership:
+		s.hooks.OnMembership(e.round, e.joined, e.died)
+	case effRound:
+		if e.rnd != nil {
+			s.lent, s.lender = e.body, p
+			s.round.Store(e.round)
+		}
+	case effDone:
+		s.err = e.err
+	}
+	return nil
+}
+
+// next is the next event: whatever is waiting first; then, with nothing
+// waiting, a round the core asked for once every hello counted in by then has
+// reached it (so a join a hook waited for is admitted at that round's
+// boundary), or the timer that went off; else — when block — whatever comes
+// first.
+func (s *shell) next(block bool) (event, bool) {
+	for {
+		select {
+		case p := <-s.accepted:
+			return s.hello(p), true
+		case ev := <-s.inbox:
+			return ev, true
+		default:
+		}
+		switch {
+		case !block:
+			return event{}, false
+		case s.pull && s.hellos.Load() == 0:
+			s.pull = false
+			rnd, err := s.src.NextRoundSparse()
+			return event{kind: evRound, rnd: rnd, err: err}, true
+		case s.fired:
+			s.fired = false
+			return event{kind: evTimer}, true
+		}
+		timer := s.timer.C
+		if s.pull {
+			timer = nil
+		}
+		select {
+		case p := <-s.accepted:
+			return s.hello(p), true
+		case ev := <-s.inbox:
+			return ev, true
+		case <-timer:
+			s.fired = true
+		}
+	}
+}
+
+// hello hands the core an identified connection, a peer from now on.
+func (s *shell) hello(p *pending) event {
+	s.hellos.Add(-1)
+	id := s.attach(p.link)
+	s.peers[id].joining = p.typ == fJoin
+	return event{kind: evHello, conn: id, typ: p.typ, body: p.hello}
+}
+
+// admitted takes p's join, if it still awaits admission, off PendingJoins.
+func (s *shell) admitted(p *peer) {
+	if p.joining {
+		p.joining = false
+		s.joins.Add(-1)
+	}
+}
+
+// dial opens the connection e asks for — e.typ's hello carrying e.body, the
+// first frame back awaited for e.at − now once connected — as a peer for the
+// core to keep or close.
+func (s *shell) dial(now time.Time, e effect) event {
+	ev := event{kind: evDialed}
+	l, err := dialLink(e.addr, dialTimeout)
+	if err == nil {
+		if ev.typ, ev.body, err = l.exchange(e.typ, e.body, e.at.Sub(now)); err != nil {
+			l.close()
+		} else {
+			ev.conn = s.attach(l)
+		}
+	}
+	ev.err = err
+	return ev
+}
+
+// attach makes l a peer, with its own reader (and a worker's heartbeat), and
+// returns its id.
+func (s *shell) attach(l *link) connID {
+	s.last++
+	p := &peer{link: l, spare: make(chan []byte, 2)}
+	s.peers[s.last] = p
+	go s.read(s.last, p)
+	if s.beat != nil {
+		s.beat(p)
+	}
+	return s.last
+}
+
+// read is connection id's one reader: its frames, then the error that ends
+// the link (closed first, so nothing more is sent on it), go to the loop in
+// order. A round frame lands in a body from spare, else a new one, and is the
+// core's from then on. Every other body is through once the core has stepped
+// it, and the inbox is unbuffered — the loop takes a frame only after
+// stepping the one before — so two buffers can take turns.
+func (s *shell) read(id connID, p *peer) {
+	var round []byte
+	var small [2][]byte
+	turn := 0
+	place := func(typ uint8) *[]byte {
+		if typ != fRound {
+			turn ^= 1
+			return &small[turn]
+		}
+		if round == nil {
+			select {
+			case round = <-p.spare:
+			default:
+			}
+		}
+		return &round
+	}
+	for {
+		ev := event{kind: evFrame, conn: id}
+		if ev.typ, ev.body, ev.err = p.recv(0, place); ev.err != nil {
+			ev.kind = evClosed
+			p.close()
+		} else if ev.typ == fRound {
+			round = nil
+		}
+		select {
+		case s.inbox <- ev:
+		case <-s.stop:
+			return
+		}
+		if ev.err != nil {
+			return
+		}
+	}
+}
+
+// teardown releases everything the shell holds. The journal is fsynced and
+// closed BEFORE the listener is released: a standby elected after this
+// coordinator goes away must never race a half-flushed log.
+func (s *shell) teardown() {
+	s.once.Do(func() {
+		close(s.stop)
+		if s.jr != nil {
+			s.jr.Close()
+		}
+		if s.ln != nil {
+			s.ln.Close()
+		}
+		s.timer.Stop()
+		for _, p := range s.peers {
+			p.close()
+		}
+		for len(s.accepted) > 0 {
+			(<-s.accepted).close()
+		}
+	})
 }
 
 // route counts an identified connection in before serveLinks queues it, so
@@ -253,164 +526,9 @@ func (c *Coordinator) route(typ uint8) chan<- *pending {
 	return c.accepted
 }
 
-// run carries out effs, then steps the core with every event that follows
-// until it is done, and tears down. It returns the error the run ended with.
-func (c *Coordinator) run(effs []effect) error {
-	c.timer = time.NewTimer(time.Hour)
-	c.timer.Stop()
-	defer c.teardown()
-	for {
-		if done, err := c.apply(effs); done {
-			return err
-		}
-		ev := c.next()
-		effs = c.core.step(time.Now(), ev, effs)
-		c.queued.Store(int32(c.core.queuedJoins()))
-		if p := c.peers[ev.conn]; ev.kind == evFrame && p != nil {
-			select {
-			case p.spare <- ev.body:
-			default:
-			}
-		}
-	}
-}
-
-// next is the next event: connections and frames as they came; a round the
-// core asked for once every hello counted in by then has reached it (so a
-// join a hook waited for is admitted at that round's boundary); the timer
-// only behind whatever arrived before it went off.
-func (c *Coordinator) next() event {
-	for {
-		if idle := len(c.accepted) == 0 && len(c.inbox) == 0; idle && c.pull && c.hellos.Load() == 0 {
-			c.pull = false
-			rnd, err := c.src.NextRoundSparse()
-			return event{kind: evRound, rnd: rnd, err: err}
-		} else if idle && c.fired {
-			c.fired = false
-			return event{kind: evTimer}
-		}
-		timer := c.timer.C
-		if c.pull || c.fired {
-			timer = nil
-		}
-		select {
-		case p := <-c.accepted:
-			c.hellos.Add(-1)
-			if p.typ == fJoin {
-				c.joins.Add(-1) // the core counts it from here on (queued)
-			}
-			c.last++
-			pr := &peer{link: p.link, spare: make(chan []byte, 2)}
-			c.peers[c.last] = pr
-			go c.read(c.last, pr)
-			return event{kind: evHello, conn: c.last, typ: p.typ, body: p.hello}
-		case ev := <-c.inbox:
-			return ev
-		case <-timer:
-			c.fired = true
-		}
-	}
-}
-
-// read is connection id's one reader: its frames, then the error that ends
-// the link, go to the loop in order.
-func (c *Coordinator) read(id connID, p *peer) {
-	var buf []byte
-	place := func(uint8) *[]byte {
-		if buf == nil {
-			select {
-			case buf = <-p.spare:
-			default:
-			}
-		}
-		return &buf
-	}
-	for {
-		ev := event{kind: evFrame, conn: id}
-		if ev.typ, ev.body, ev.err = p.recv(0, place); ev.err != nil {
-			ev.kind = evClosed
-		}
-		buf = nil // the body is on its way out
-		select {
-		case c.inbox <- ev:
-		case <-c.stop:
-			return
-		}
-		if ev.err != nil {
-			return
-		}
-	}
-}
-
-// apply carries out effects in order; done reports the run's end.
-func (c *Coordinator) apply(effs []effect) (done bool, err error) {
-	for _, e := range effs {
-		p := c.peers[e.conn]
-		switch e.kind {
-		case effSend:
-			// A failed send kills the link, and its reader reports it.
-			if p != nil && p.send(e.typ, e.body) == nil && e.typ == fSnapshotOffer {
-				go p.beat(c.core.cfg.Heartbeat, func() []byte { return nil })
-			}
-		case effClose:
-			if p != nil {
-				p.close()
-				delete(c.peers, e.conn)
-			}
-		case effPull:
-			c.pull = true
-		case effTimer:
-			c.timer.Stop() // a tick it missed only wakes the core for nothing
-			c.fired = false
-			if !e.at.IsZero() {
-				c.timer.Reset(time.Until(e.at))
-			}
-		case effJournal:
-			err = c.jr.append(e.typ, e.body)
-		case effCompact:
-			err = c.jr.compact(e.body)
-		case effOnRound:
-			c.core.cfg.OnRound(e.round, e.sel)
-		case effOnRoundEnd:
-			c.core.cfg.OnRoundEnd(e.round)
-		case effOnMembership:
-			c.core.cfg.OnMembership(e.round, e.joined, e.died)
-		case effDone:
-			return true, e.err
-		}
-		if err != nil {
-			return true, err
-		}
-	}
-	return false, nil
-}
-
-// teardown releases everything the coordinator holds. The journal is fsynced and
-// closed BEFORE the listener is released: a standby elected after this
-// coordinator goes away must never race a half-flushed log.
-func (c *Coordinator) teardown() {
-	c.once.Do(func() {
-		close(c.stop)
-		if c.jr != nil {
-			c.jr.Close()
-		}
-		c.ln.Close()
-		if c.timer != nil {
-			c.timer.Stop()
-		}
-		for _, p := range c.peers {
-			p.close()
-		}
-		for len(c.accepted) > 0 {
-			(<-c.accepted).close()
-		}
-	})
-}
-
 // The worker's shell: clusterSource is its engine's source and its gate's
 // planner, remoteSelector the gate's selector. The engine's goroutine is the
-// event loop: a pull or a Select steps the core with the call, then with
-// every event that follows, until the core answers it.
+// loop: a pull or a Select awaits the core's answer to the call.
 type (
 	clusterSource  Worker
 	remoteSelector Worker
@@ -428,15 +546,15 @@ func (s *clusterSource) NextRoundSparse() (*codec.Round, error) {
 	// frame lands in it: one round body per worker.
 	if w.lent != nil {
 		select {
-		case w.sess.spare <- w.lent:
+		case w.lender.spare <- w.lent:
 		default:
 		}
-		w.lent = nil
+		w.lent, w.lender = nil, nil
 	}
 	// What arrived while the round was in the engine is stepped first, with
 	// the gate quiescent: a session's death is seen before a report goes out.
 	for ev, ok := w.next(false); ok; ev, ok = w.next(false) {
-		w.step(ev, effRound)
+		w.carry(ev, effRound)
 	}
 	e := w.await(event{kind: evPull}, effRound)
 	return e.rnd, e.err
@@ -469,156 +587,23 @@ func (r *remoteSelector) Select(dst []int, cands []knapsack.Candidate, budget fl
 	return (*Worker)(r).await(event{kind: evSelect, sel: dst, cands: cands, budget: budget}, effSelect).sel
 }
 
-// await steps the engine's call, then every event that follows, until the
-// core answers the call with an effect of kind want.
-func (w *Worker) await(call event, want effKind) effect {
-	ans, ok := w.step(call, want)
-	for !ok {
-		ev, _ := w.next(true)
-		ans, ok = w.step(ev, want)
-	}
-	return ans
-}
-
-// step hands the core ev and carries out its effects, stepping a dial's or an
-// orphan pull's outcome at once; ok reports an answer of kind want.
-func (w *Worker) step(ev event, want effKind) (ans effect, ok bool) {
-	for more := true; more; {
-		more = false
-		w.effs = w.core.step(time.Now(), ev, w.effs)
-		// The core addresses only its session, and that is the latest link —
-		// or the core has closed the latest and sends nothing more.
-		for _, e := range w.effs {
-			switch e.kind {
-			case effSend:
-				w.sess.send(e.typ, e.body) // a failed send kills the link; its reader reports it
-			case effClose:
-				w.sess.close()
-			case effTimer:
-				w.timer.Reset(time.Until(e.at))
-			case effPull:
-				rnd, err := w.orphan.NextRoundSparse()
-				ev, more = event{kind: evRound, rnd: rnd, err: err}, true
-			case effDial:
-				ev, more = w.dial(e.addr, e.hello), true
-			case effRound:
-				if e.rnd != nil {
-					w.lent = e.body
-					w.clock.Store(e.round)
-				}
-			case effDone:
-				w.err = e.err
-			}
-			if e.kind == want {
-				ans, ok = e, true
-			}
-		}
-	}
-	return ans, ok
-}
-
-// next is the next event: a reader's, or — blocking — the timer's.
-func (w *Worker) next(block bool) (ev event, ok bool) {
-	if block {
-		select {
-		case ev = <-w.inbox:
-		case <-w.timer.C:
-			return event{kind: evTimer}, true
-		}
-	} else {
-		select {
-		case ev = <-w.inbox:
-		default:
-			return ev, false
-		}
-	}
-	if ev.kind == evClosed {
-		w.readers--
-	}
-	return ev, true
-}
-
-// dial re-joins at addr; an answered connection becomes the worker's latest,
-// its reader and heartbeat running, for the core to keep or close.
-func (w *Worker) dial(addr string, hello *RejoinInfo) event {
-	var tk TakeoverInfo
-	l, err := dialLink(addr, rejoinDial, fRejoin, hello, fTakeover, &tk, rejoinReplyWait)
-	if err != nil {
-		return event{kind: evDialed, err: err}
-	}
-	return event{kind: evDialed, conn: w.attach(l), tk: &tk}
-}
-
-// attach makes l the worker's latest connection, with its own reader and
-// heartbeat, and returns its id. The heartbeat keeps the coordinator's lease
-// alive through long decode stalls; its period carries per-worker jitter, so
-// a fleet admitted or re-homed together does not beacon in phase.
-func (w *Worker) attach(l *link) connID {
-	w.conn++
-	w.sess = &peer{link: l, spare: make(chan []byte, 2)}
-	w.readers++
-	go w.read(w.conn, w.sess)
+// heartbeat keeps the coordinator's lease alive through long decode stalls,
+// reporting the installed round; its period carries per-worker jitter, so a
+// fleet admitted or re-homed together does not beacon in phase.
+func (w *Worker) heartbeat(p *peer) {
 	every := w.core.cfg.HeartbeatEvery
-	if every <= 0 {
-		every = 500 * time.Millisecond
-	}
-	go w.sess.beat(heartbeatJitter(every, w.core.id), func() []byte {
-		return encodeReport(w.clock.Load(), 0, AccDeltas{})
+	orDefault(&every, 500*time.Millisecond)
+	go p.beat(heartbeatJitter(every, w.core.id), func() []byte {
+		return encodeReport(w.round.Load(), 0, AccDeltas{})
 	})
-	return w.conn
 }
 
-// read is connection id's one reader: its frames, then the error that ends
-// the link (closed first, so nothing more is sent on it), go to the loop in
-// order. A round frame lands in the body the loop last handed back through
-// spare, else in a new one, and is the core's from then on. Every other body
-// is through once the core has stepped it, and the inbox is unbuffered: the
-// loop takes a frame only after stepping the one before, so two buffers
-// taking turns are never written while the core reads one.
-func (w *Worker) read(id connID, p *peer) {
-	var round []byte
-	var small [2][]byte
-	turn := 0
-	place := func(typ uint8) *[]byte {
-		if typ != fRound {
-			turn ^= 1
-			return &small[turn]
-		}
-		if round == nil {
-			select {
-			case round = <-p.spare:
-			default:
-			}
-		}
-		return &round
-	}
-	for {
-		ev := event{kind: evFrame, conn: id}
-		if ev.typ, ev.body, ev.err = p.recv(0, place); ev.err != nil {
-			ev.kind = evClosed
-			p.close()
-		} else if ev.typ == fRound {
-			round = nil
-		}
-		w.inbox <- ev
-		if ev.err != nil {
-			return
-		}
-	}
-}
-
-// run drives the engine to its end, lets the core close the run out — the
-// final accounting after a goodbye — and tears the shell down: the timer
-// stopped, the session closed, and every reader's last event taken.
+// run drives the engine to its end, lets the core close the run out in one
+// step — the final accounting after a goodbye, or nothing if the run ended
+// before — and tears the shell down.
 func (w *Worker) run() {
 	defer w.running.Done()
-	w.timer = time.NewTimer(time.Hour)
-	w.timer.Stop()
 	rep, err := w.eng.Run(0)
-	w.step(event{kind: evEnded, err: err, fin: &WorkerFinal{Rounds: rep.Rounds, Decoded: rep.Decoded, DecodeFailed: rep.DecodeFailed}}, effDone)
-	w.timer.Stop()
-	w.sess.close()
-	for w.readers > 0 {
-		w.next(true)
-	}
+	w.carry(event{kind: evEnded, err: err, fin: &WorkerFinal{Rounds: rep.Rounds, Decoded: rep.Decoded, DecodeFailed: rep.DecodeFailed}}, effDone)
+	w.teardown()
 }

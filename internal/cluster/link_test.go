@@ -102,6 +102,11 @@ func TestLinkHandshakeTable(t *testing.T) {
 	})
 
 	t.Run("identify", func(t *testing.T) {
+		// A join's opening exchange, its reply decoded as Dial decodes it.
+		identify := func(l *link, wel *Welcome, wait time.Duration) error {
+			typ, body, err := l.exchange(fJoin, mustGob(t, &JoinInfo{Name: "w"}), wait)
+			return answer(typ, body, err, fWelcome, wel)
+		}
 		// The peer reads the preamble and hello, then answers with reply (or
 		// never, when reply is nil) and holds the connection until told.
 		peer := func(server net.Conn, reply []byte, release <-chan struct{}) {
@@ -131,7 +136,7 @@ func TestLinkHandshakeTable(t *testing.T) {
 			l := newLink(client)
 			var wel Welcome
 			start := time.Now()
-			err := l.identify(fJoin, &JoinInfo{Name: "w"}, fWelcome, &wel, 100*time.Millisecond)
+			err := identify(l, &wel, 100*time.Millisecond)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: identify = %v; want an error naming %q", tc.name, err, tc.wantErr)
 			}
@@ -149,7 +154,7 @@ func TestLinkHandshakeTable(t *testing.T) {
 		go peer(server, rawFrame(fWelcome, mustGob(t, &Welcome{WorkerID: 4, Epoch: 9})), release)
 		var wel Welcome
 		l := newLink(client)
-		if err := l.identify(fJoin, &JoinInfo{Name: "w"}, fWelcome, &wel, time.Second); err != nil || wel.WorkerID != 4 || wel.Epoch != 9 {
+		if err := identify(l, &wel, time.Second); err != nil || wel.WorkerID != 4 || wel.Epoch != 9 {
 			t.Fatalf("intact exchange: %+v, %v", wel, err)
 		}
 		l.close()
@@ -267,10 +272,11 @@ func TestLinkSendAfterDeadIsSticky(t *testing.T) {
 // the preamble, arm a read deadline, or read or write a frame — anything
 // bufio, io.ReadFull, a make([]byte sized by the wire — occur only in link.go
 // (net.Listen also in NewCoordinator), and proto.go, which only encodes and
-// decodes bodies in memory, imports neither bufio nor io; one statement sends
-// fTakeover; the three connection handles carry no socket of their own; and
-// the real-timer sites outside link.go are counted, so the sans-IO refactor
-// (ROADMAP item 3) has a number to drive to 0.
+// decodes bodies in memory, imports neither bufio nor io; only link.go reads
+// a frame (recv); the package reads the wall clock at exactly one site (the
+// shell's clock); one statement sends fTakeover; the connection handle
+// carries no socket of its own; and there is no real-timer site outside
+// link.go.
 func TestClusterIOConfinedToLink(t *testing.T) {
 	files, err := os.ReadDir(".")
 	if err != nil {
@@ -281,7 +287,7 @@ func TestClusterIOConfinedToLink(t *testing.T) {
 	allowed := map[string]string{"net.Listen": "coord.go"}
 	timers := regexp.MustCompile(`time\.(After|NewTimer|NewTicker|Sleep|AfterFunc|Tick)\(`)
 	wireSized := regexp.MustCompile(`make\(\[\]byte,[^)]*[a-zA-Z_]`) // a byte buffer whose size is not a literal
-	timerSites, takeoverSends, quorumLoops := 0, 0, 0
+	timerSites, takeoverSends, quorumLoops, clockReads := 0, 0, 0, 0
 	for _, f := range files {
 		name := f.Name()
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -297,6 +303,7 @@ func TestClusterIOConfinedToLink(t *testing.T) {
 			}
 			takeoverSends += strings.Count(line, "send(fTakeover")
 			quorumLoops += strings.Count(line, "< c.cfg.MinWorkers")
+			clockReads += strings.Count(line, "time.Now(")
 			if name == "link.go" {
 				continue
 			}
@@ -304,6 +311,9 @@ func TestClusterIOConfinedToLink(t *testing.T) {
 				t.Errorf("proto.go:%d: imports %s", n+1, strings.TrimSpace(line))
 			}
 			timerSites += len(timers.FindAllString(line, -1))
+			if strings.Contains(line, "recv(") {
+				t.Errorf("%s:%d: reads a frame (recv) outside link.go", name, n+1)
+			}
 			if wireSized.MatchString(line) {
 				t.Errorf("%s:%d: byte buffer sized at run time outside link.go", name, n+1)
 			}
@@ -316,6 +326,9 @@ func TestClusterIOConfinedToLink(t *testing.T) {
 	}
 	if takeoverSends != 1 {
 		t.Errorf("%d statements send fTakeover, want exactly one (replyTakeover)", takeoverSends)
+	}
+	if clockReads != 1 {
+		t.Errorf("%d time.Now( sites in the package, want exactly one (the shell's clock)", clockReads)
 	}
 	if quorumLoops != 1 {
 		t.Errorf("%d loops wait for MinWorkers, want exactly one (awaitQuorum)", quorumLoops)

@@ -184,6 +184,17 @@ func gobDecode(body []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
 }
 
+// answer decodes a hello's reply into v: a frame of type want, unless err.
+func answer(typ uint8, body []byte, err error, want uint8, v any) error {
+	if err == nil && typ != want {
+		err = fmt.Errorf("cluster: expected reply frame %d, got %d", want, typ)
+	}
+	if err == nil {
+		err = gobDecode(body, v)
+	}
+	return err
+}
+
 // A control body is seq(u64) · gob payload: retire, state and fresh-adopt
 // requests and their state/ack replies carry it so the coordinator can match
 // a reply to its request. A nil payload — the ack — is the sequence number

@@ -101,6 +101,7 @@ type orphanState struct {
 // rejoinSweep dials the standby list in order, attempt after attempt.
 type rejoinSweep struct {
 	info          RejoinInfo
+	hello         []byte
 	attempt, next int
 }
 
@@ -162,7 +163,7 @@ func (c *wcore) handRound(rnd *codec.Round, err error) {
 	c.pulling = false
 	e := effect{kind: effRound, rnd: rnd, err: err}
 	if rnd != nil {
-		e.round, e.body = c.rec.round, c.rec.body
+		e.round, e.body, e.conn = c.rec.round, c.rec.body, c.conn
 	}
 	c.emit(e)
 }
@@ -366,7 +367,8 @@ func (c *wcore) granted(body []byte) error {
 }
 
 // control serves one sequenced control frame — retire, state, fresh-adopt:
-// decode, update the owned set, act, reply under the same sequence number.
+// decode, check every blob's monitor state, update the owned set, act, reply
+// under the same sequence number.
 // Adopted streams take the state they came with, or — a fresh adoption,
 // their state was lost — honest zero state: breaker clock pinned to now,
 // temporal-only until windows refill.
@@ -379,6 +381,7 @@ func (c *wcore) control(typ uint8, body []byte) error {
 		seq, err = decodeCtrl(body, &blobs)
 		for _, b := range blobs {
 			ids = append(ids, b.Stream)
+			err = cmp.Or(err, b.Monitor.Validate())
 		}
 	} else {
 		seq, err = decodeCtrl(body, &ids)
@@ -401,7 +404,7 @@ func (c *wcore) control(typ uint8, body []byte) error {
 		}
 		mon := b.Monitor
 		c.accBase = c.accBase.sub(AccDeltas{NegRounds: mon.NegRounds, NegCorrect: mon.NegCorrect, PosRounds: mon.PosRounds, PosCorrect: mon.PosCorrect})
-		c.fleet.Stream(b.Stream).Import(b.Monitor)
+		_ = c.fleet.Stream(b.Stream).Import(mon) // validated above: nothing to refuse
 	}
 	for _, i := range ids[len(blobs):] { // fresh adoptions: a state frame's ids are its blobs'
 		if err := c.gate.ImportFreshStream(i); err != nil {
@@ -447,6 +450,7 @@ func (c *wcore) rejoin(clock int64, reconcileOnly bool) {
 		WorkerID: c.id, Epoch: c.epoch, Clock: clock, Name: c.opts.Name,
 		ReconcileOnly: reconcileOnly, Deltas: c.totals().sub(c.lastReported),
 	}}
+	c.sweep.hello, _ = gobEncode(&c.sweep.info) // plain values: nothing to fail
 	c.dial()
 }
 
@@ -455,7 +459,7 @@ func (c *wcore) rejoin(clock int64, reconcileOnly bool) {
 func (c *wcore) dial() {
 	s := c.sweep
 	if s.next < len(c.standbys) {
-		c.emit(effect{kind: effDial, addr: c.standbys[s.next], hello: &s.info})
+		c.emit(effect{kind: effDial, addr: c.standbys[s.next], typ: fRejoin, body: s.hello, at: c.now.Add(rejoinReplyWait)})
 		s.next++
 		return
 	}
@@ -467,18 +471,21 @@ func (c *wcore) dial() {
 	c.emit(effect{kind: effTimer, at: c.now.Add(rejoinBackoff(rejoinBase, c.id, s.attempt-1))})
 }
 
-// dialed takes a dial's outcome: a failure tries the next standby; a verdict
-// ends the sweep. An accepted handoff carried every observation not yet
-// reported (the engine has been waiting since), and an accepted re-home makes
-// the new connection the session — fresh delta coding, the elected
-// coordinator's epoch and standbys.
+// dialed takes a dial's outcome: a failure — no connection, or no verdict on
+// it — tries the next standby; a verdict ends the sweep. An accepted handoff
+// carried every observation not yet reported (the engine has been waiting
+// since), and an accepted re-home makes the new connection the session —
+// fresh delta coding, the elected coordinator's epoch and standbys.
 func (c *wcore) dialed(ev event) {
+	var tk TakeoverInfo
+	err := answer(ev.typ, ev.body, ev.err, fTakeover, &tk)
 	switch {
-	case ev.err != nil:
-		c.dial()
-	case !ev.tk.Accepted:
+	case err != nil:
 		c.emit(effect{kind: effClose, conn: ev.conn})
-		c.rejoined(fmt.Errorf("cluster: re-join rejected: %s", ev.tk.Reason))
+		c.dial()
+	case !tk.Accepted:
+		c.emit(effect{kind: effClose, conn: ev.conn})
+		c.rejoined(fmt.Errorf("cluster: re-join rejected: %s", tk.Reason))
 	case c.sweep.info.ReconcileOnly:
 		c.lastReported = c.totals()
 		c.emit(effect{kind: effClose, conn: ev.conn})
@@ -486,7 +493,7 @@ func (c *wcore) dialed(ev event) {
 	default:
 		c.lastReported = c.totals()
 		c.conn, c.open, c.prevIDs = ev.conn, true, c.prevIDs[:0]
-		c.epoch, c.standbys = ev.tk.Epoch, ev.tk.Standbys
+		c.epoch, c.standbys = tk.Epoch, tk.Standbys
 		c.rejoined(nil)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"packetgame/internal/infer"
 	"packetgame/internal/knapsack"
 	"packetgame/internal/overload"
 	"packetgame/internal/pipeline"
@@ -61,7 +62,7 @@ func (g *workerRig) step(ev event) []effect {
 			e.body = slices.Clone(e.body)
 			all = append(all, e)
 			if e.kind == effPull {
-				rnd, err := g.w.orphan.NextRoundSparse()
+				rnd, err := g.w.src.NextRoundSparse()
 				ev, pulled = event{kind: evRound, rnd: rnd, err: err}, true
 			}
 		}
@@ -92,6 +93,23 @@ func (g *workerRig) offer(ids ...int) []effect {
 		cands = append(cands, knapsack.Candidate{Stream: int32(id), Value: float64(1 + id), Cost: 1})
 	}
 	return g.step(event{kind: evSelect, cands: cands, budget: 2})
+}
+
+// helloOf decodes the re-join hello a dial effect carries.
+func helloOf(t *testing.T, d effect) (info RejoinInfo) {
+	t.Helper()
+	if d.typ != fRejoin {
+		t.Fatalf("dial with hello frame %d, want a re-join", d.typ)
+	}
+	if err := gobDecode(d.body, &info); err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// dialedWith is a dial answered on conn with the verdict tk.
+func dialedWith(t *testing.T, conn connID, tk TakeoverInfo) event {
+	return event{kind: evDialed, conn: conn, typ: fTakeover, body: mustGob(t, &tk)}
 }
 
 func only(t *testing.T, effs []effect, kind effKind) effect {
@@ -178,8 +196,8 @@ func TestWorkerCore(t *testing.T) {
 			if len(sent(effs, fReport)) != 0 || g.c.lastReported.PosRounds != 2 {
 				t.Fatalf("report on a dead session: %+v, watermark %+v", effs, g.c.lastReported)
 			}
-			if d := only(t, effs, effDial); d.addr != "sb:1" || d.hello.Deltas.PosRounds != 3 || d.hello.Clock != 2 || d.hello.ReconcileOnly {
-				t.Fatalf("re-join hello %+v to %s", d.hello, d.addr)
+			if d := only(t, effs, effDial); d.addr != "sb:1" || helloOf(t, d).Deltas.PosRounds != 3 || helloOf(t, d).Clock != 2 || helloOf(t, d).ReconcileOnly {
+				t.Fatalf("re-join hello %+v to %s", helloOf(t, d), d.addr)
 			}
 		}},
 		{"session lost with a round delivered: the round is still played", func(t *testing.T) {
@@ -196,8 +214,8 @@ func TestWorkerCore(t *testing.T) {
 			if e := only(t, g.offer(4, 5, 6), effSelect); len(e.sel) != 2 || e.sel[0] != 6 {
 				t.Fatalf("local selection %v, want the greedy's two best [6 5]", e.sel)
 			}
-			if d := only(t, g.pull(), effDial); d.hello.Clock != 2 {
-				t.Fatalf("re-join after the delivered round at clock %d, want 2", d.hello.Clock)
+			if d := only(t, g.pull(), effDial); helloOf(t, d).Clock != 2 {
+				t.Fatalf("re-join after the delivered round at clock %d, want 2", helloOf(t, d).Clock)
 			}
 		}},
 		{"re-join sweep: backoff timers, then an accepted takeover", func(t *testing.T) {
@@ -207,8 +225,8 @@ func TestWorkerCore(t *testing.T) {
 			effs := g.pull()
 			for attempt := 0; attempt < 2; attempt++ {
 				for _, addr := range []string{"a", "b"} {
-					if d := only(t, effs, effDial); d.addr != addr || d.hello.Clock != 6 || d.hello.WorkerID != rigWorker {
-						t.Fatalf("sweep %d: dial %s %+v, want %s", attempt, d.addr, d.hello, addr)
+					if d := only(t, effs, effDial); d.addr != addr || helloOf(t, d).Clock != 6 || helloOf(t, d).WorkerID != rigWorker {
+						t.Fatalf("sweep %d: dial %s %+v, want %s", attempt, d.addr, helloOf(t, d), addr)
 					}
 					effs = g.step(event{kind: evDialed, err: errors.New("refused")})
 				}
@@ -219,7 +237,7 @@ func TestWorkerCore(t *testing.T) {
 				effs = g.step(event{kind: evTimer})
 			}
 			g.frame(8, fRound, nil) // not the session's conn: ignored
-			effs = g.step(event{kind: evDialed, conn: 9, tk: &TakeoverInfo{Accepted: true, Epoch: 7, Standbys: []string{"c"}}})
+			effs = g.step(dialedWith(t, 9, TakeoverInfo{Accepted: true, Epoch: 7, Standbys: []string{"c"}}))
 			if len(effs) != 0 || g.c.conn != 9 || !g.c.open || g.c.epoch != 7 || !slices.Equal(g.c.standbys, []string{"c"}) || len(g.c.prevIDs) != 0 {
 				t.Fatalf("after the takeover: %+v, conn %d epoch %d standbys %v membership %v", effs, g.c.conn, g.c.epoch, g.c.standbys, g.c.prevIDs)
 			}
@@ -256,7 +274,7 @@ func TestWorkerCore(t *testing.T) {
 			g := newWorkerRig(t, 0, []string{"a", "b"}, nil)
 			g.step(event{kind: evClosed, conn: 1, err: errors.New("gone")})
 			only(t, g.pull(), effDial)
-			effs := g.step(event{kind: evDialed, conn: 2, tk: &TakeoverInfo{Reason: "not a member"}})
+			effs := g.step(dialedWith(t, 2, TakeoverInfo{Reason: "not a member"}))
 			if !slices.ContainsFunc(effs, func(e effect) bool { return e.kind == effClose && e.conn == 2 }) {
 				t.Fatalf("the rejecting connection left open: %+v", effs)
 			}
@@ -280,10 +298,10 @@ func TestWorkerCore(t *testing.T) {
 				g.offer(2, 7, 9)
 			}
 			d := only(t, g.pull(), effDial)
-			if !d.hello.ReconcileOnly || d.hello.Clock != 3 {
-				t.Fatalf("reconcile hello %+v", d.hello)
+			if !helloOf(t, d).ReconcileOnly || helloOf(t, d).Clock != 3 {
+				t.Fatalf("reconcile hello %+v", helloOf(t, d))
 			}
-			effs := g.step(event{kind: evDialed, conn: 4, tk: &TakeoverInfo{Accepted: true}})
+			effs := g.step(dialedWith(t, 4, TakeoverInfo{Accepted: true}))
 			if e := only(t, effs, effClose); e.conn != 4 {
 				t.Fatalf("closed conn %d, want the reconcile's", e.conn)
 			}
@@ -341,18 +359,37 @@ func TestWorkerCoreRejects(t *testing.T) {
 			body, _ := encodeCtrl(1, &[]int{5})
 			return body
 		}},
+		// Between rounds, so the frame is served: the monitor counts more
+		// correct rounds than rounds, and nothing may move before that is seen.
+		{"adopted monitor state is malformed", "monitor state", fState, func(g *workerRig) []byte {
+			st, err := g.c.gate.ExportStream(5)
+			if err != nil {
+				g.t.Fatal(err)
+			}
+			body, _ := encodeCtrl(1, &[]StreamBlob{{Stream: 5, Gate: st}, {Stream: 6, Gate: st, Monitor: infer.MonitorState{PosRounds: 1, PosCorrect: 2}}})
+			return body
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := newWorkerRig(t, 0, []string{"sb"}, nil)
 			g.round(0, 4, 2, 3, 4)
 			g.pull()
-			g.offer(2, 3, 4)
+			idle := tc.typ == fState
+			if !idle {
+				g.offer(2, 3, 4)
+			}
+			base := g.c.accBase
 			effs := g.frame(1, tc.typ, tc.body(g))
 			if e := only(t, effs, effDone); e.err == nil || !strings.Contains(e.err.Error(), tc.want) {
 				t.Fatalf("done with %v, want an error naming %q", e.err, tc.want)
 			}
-			if e := only(t, effs, effSelect); len(e.sel) != 0 {
-				t.Fatalf("selection %v handed after a protocol error", e.sel)
+			if g.c.accBase != base || g.c.owned[5] || g.c.owned[6] {
+				t.Fatalf("refused frame moved the books: accBase %+v (was %+v), owned %v", g.c.accBase, base, g.c.owned)
+			}
+			if !idle {
+				if e := only(t, effs, effSelect); len(e.sel) != 0 {
+					t.Fatalf("selection %v handed after a protocol error", e.sel)
+				}
 			}
 			only(t, effs, effClose)
 			if e := only(t, g.pull(), effRound); e.err == nil {

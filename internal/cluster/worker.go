@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"packetgame/internal/core"
@@ -54,9 +53,8 @@ const (
 	// list, with deterministic jittered backoff from rejoinBase between them.
 	rejoinAttempts = 8
 	rejoinBase     = 50 * time.Millisecond
-	// rejoinDial bounds one dial; rejoinReplyWait the wait for the verdict
-	// (the standby may hold its rejoin window open for slower members).
-	rejoinDial      = 5 * time.Second
+	// rejoinReplyWait bounds the wait for a re-join's verdict (the standby
+	// may hold its rejoin window open for slower members).
 	rejoinReplyWait = 30 * time.Second
 )
 
@@ -71,25 +69,14 @@ var errCrashed = errors.New("cluster: injected worker crash")
 //
 // Its protocol is core (session.go); the Worker is its shell (link.go). The
 // engine's goroutine is the worker's event loop: its source and selector
-// step the core, and between steps they block on inbox, which the current
-// session's reader feeds in arrival order.
+// await the core's answer, and in between the shell steps the core with what
+// the session's reader brings. The shell's source is the local one orphan
+// mode pulls (nil: not armed); its err is what the run ended with, valid
+// once Wait returns.
 type Worker struct {
 	core *wcore
 	eng  *pipeline.Engine
-	// orphan is the local source orphan mode pulls (nil: not armed).
-	orphan pipeline.SparseRoundSource
-
-	// inbox is unbuffered: a reader hands over a frame only once the loop has
-	// stepped the one before it (read).
-	inbox   chan event
-	sess    *peer // the latest connection; conn is its id
-	conn    connID
-	readers int // readers whose closing event the loop has yet to take
-	timer   *time.Timer
-	effs    []effect
-	lent    []byte       // the round frame body the engine's round aliases
-	clock   atomic.Int64 // the installed round, for the heartbeats
-	err     error        // what the run ended with: valid once Wait returns
+	shell
 	running sync.WaitGroup
 }
 
@@ -112,12 +99,17 @@ func Dial(addr string, opts WorkerOptions) (*Worker, error) {
 	}
 	// The welcome comes at the coordinator's next consistent point, unbounded.
 	var wel Welcome
-	l, err := dialLink(addr, 0, fJoin, &JoinInfo{Name: opts.Name}, fWelcome, &wel, 0)
+	l, err := dialLink(addr, 0)
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{inbox: make(chan event)}
-	if err := w.build(wel, opts); err != nil {
+	hello, _ := gobEncode(&JoinInfo{Name: opts.Name}) // plain values: nothing to fail
+	typ, body, err := l.exchange(fJoin, hello, 0)
+	w := &Worker{}
+	if err = answer(typ, body, err, fWelcome, &wel); err == nil {
+		err = w.build(wel, opts)
+	}
+	if err != nil {
 		l.close()
 		return nil, err
 	}
@@ -140,8 +132,8 @@ func (w *Worker) build(wel Welcome, opts WorkerOptions) error {
 	}
 	c.rec.round = wel.CurrentRound - 1
 	if o := opts.Orphan; o != nil {
-		w.orphan = pipeline.Sparse(o.Source)
-		c.truth = w.orphan.Truth
+		w.src = pipeline.Sparse(o.Source)
+		c.truth = w.src.Truth
 	}
 	task, err := infer.ByName(cfg.Task)
 	if err != nil {
@@ -203,6 +195,8 @@ func (w *Worker) build(wel Welcome, opts WorkerOptions) error {
 	// before its first round frame.
 	c.fleet = w.eng.EnsureFleet(cfg.Streams)
 	w.core = c
+	w.init(c.step, w.src)
+	w.beat = w.heartbeat
 	return nil
 }
 

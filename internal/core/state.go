@@ -61,6 +61,17 @@ func (s *breakerSet) exportStream(i int) BreakerStreamState {
 	}
 }
 
+// Validate refuses a breaker phase no breaker could be in: an unknown state,
+// or a negative counter, cooldown or packet clock.
+func (st BreakerStreamState) Validate() error {
+	sn := st.Snapshot
+	if st.State > BreakerHalfOpen || min(st.LastPkt, sn.QuarantinedRounds) < 0 ||
+		min(st.Fails, st.Cooldown, st.OpenLeft, sn.ConsecutiveFails, sn.Opens, sn.GapOpens, sn.Reopens, sn.Recoveries) < 0 {
+		return fmt.Errorf("core: malformed breaker state %+v", st)
+	}
+	return nil
+}
+
 func (s *breakerSet) importStream(i int, st BreakerStreamState) {
 	s.bs[i] = breaker{
 		state:    st.State,
@@ -177,10 +188,11 @@ func (g *Gate) resetStream(i int, fresh bool) error {
 }
 
 // ImportStream installs an exported state into stream i's slot, which is
-// reset first. The exporting gate's clock must match this gate's clock: the
-// estimator window rounds, breaker phase, and feature epochs are all
-// round-anchored. After a successful import the stream's decisions continue
-// bit-identically to a gate that had owned it all along.
+// reset first; a state that fails validation is refused before the reset.
+// The exporting gate's clock must match this gate's clock: the estimator
+// window rounds, breaker phase, and feature epochs are all round-anchored.
+// After a successful import the stream's decisions continue bit-identically
+// to a gate that had owned it all along.
 func (g *Gate) ImportStream(i int, st StreamState) error {
 	if i < 0 || i >= g.cfg.Streams {
 		return fmt.Errorf("core: import stream %d out of range [0,%d)", i, g.cfg.Streams)
@@ -199,6 +211,14 @@ func (g *Gate) ImportStream(i int, st StreamState) error {
 	}
 	if err := st.Tracker.Validate(); err != nil {
 		return err
+	}
+	if err := st.Breaker.Validate(); err != nil {
+		return err
+	}
+	if g.est != nil {
+		if err := g.est.ValidateStream(st.Temporal); err != nil {
+			return err
+		}
 	}
 	if err := g.resetStream(i, false); err != nil {
 		return err

@@ -211,17 +211,29 @@ func TestImportStreamRejectsMalformedState(t *testing.T) {
 		{"row picture type", func(st *StreamState) { st.Row.Last = uint8(codec.PictureB) + 1 }},
 		{"row negative pushes", func(st *StreamState) { st.Row.Pushes = -1 }},
 		{"tracker negative P debt", func(st *StreamState) { st.Tracker.UndecodedPs = -1 }},
+		{"temporal lastSel ahead of the clock", func(st *StreamState) { st.Temporal.LastSel = st.Round + 1 }},
+		{"temporal NaN reward", func(st *StreamState) { st.Temporal.Rewards[len(st.Temporal.Rewards)-1] = math.NaN() }},
+		{"temporal +Inf reward", func(st *StreamState) { st.Temporal.Rewards[0] = math.Inf(1) }},
+		{"breaker state 99", func(st *StreamState) { st.Breaker.State = 99 }},
+		{"breaker negative cooldown", func(st *StreamState) { st.Breaker.Cooldown = -1 }},
+		{"breaker negative fails", func(st *StreamState) { st.Breaker.Fails = -1 }},
+		{"breaker negative open-left", func(st *StreamState) { st.Breaker.OpenLeft = -1 }},
 	}
 	for _, withPred := range []bool{false, true} {
-		const m, victim = 6, 2
-		g := stateTestGate(t, m, withPred)
-		driveStateRounds(t, g, m, 30, 8, make([]int, m))
 		for _, c := range cases {
+			// A gate of its own per case: a refusal that wiped the stream must
+			// not leave the next case nothing to spoil.
+			const m, victim = 6, 2
+			g := stateTestGate(t, m, withPred)
+			driveStateRounds(t, g, m, 30, 8, make([]int, m))
 			before, err := g.ExportStream(victim)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st, _ := g.ExportStream(victim) // its own window slices to spoil
+			if len(st.Temporal.Rewards) == 0 || !st.HasBreaker {
+				t.Fatalf("victim has no estimator entries or no breaker to spoil: %+v", st)
+			}
 			c.spoil(&st)
 			if err := g.ImportStream(victim, st); err == nil {
 				t.Errorf("predictor=%v %s: malformed state imported", withPred, c.name)

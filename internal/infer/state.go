@@ -1,5 +1,7 @@
 package infer
 
+import "fmt"
+
 // MonitorState is one stream's portable inference-monitor state. The emitted
 // result and started flag are load-bearing for gating decisions — redundancy
 // feedback ("was this inference necessary?") compares against the previously
@@ -33,9 +35,23 @@ func (m *Monitor) Export() MonitorState {
 	}
 }
 
-// Import overwrites the monitor's state with an exported one. The task is
-// the receiver's own and must match the donor's.
-func (m *Monitor) Import(st MonitorState) {
+// Validate refuses counters no monitor could have kept: a negative count,
+// more correct rounds of a class than rounds of it, or more necessary
+// decodes than decodes.
+func (st MonitorState) Validate() error {
+	if min(st.NegCorrect, st.PosCorrect, st.Reward) < 0 ||
+		st.NegCorrect > st.NegRounds || st.PosCorrect > st.PosRounds || st.Reward > st.Decoded {
+		return fmt.Errorf("infer: malformed monitor state %+v", st)
+	}
+	return nil
+}
+
+// Import overwrites the monitor's state with an exported one that passes
+// Validate. The task is the receiver's own and must match the donor's.
+func (m *Monitor) Import(st MonitorState) error {
+	if err := st.Validate(); err != nil {
+		return err
+	}
 	m.addTotals(-1)
 	m.emitted = st.Emitted
 	m.started = st.Started
@@ -46,6 +62,7 @@ func (m *Monitor) Import(st MonitorState) {
 	m.decoded = st.Decoded
 	m.reward = st.Reward
 	m.addTotals(1)
+	return nil
 }
 
 // Reset returns the monitor to the fresh (nothing emitted) state.
