@@ -24,8 +24,10 @@ race:
 # image does not bake it in, so its absence is not an error). vet's asmdecl
 # holds the nn AVX2 kernel's frame layout to its Go declaration; the arm64
 # legs keep the other side of that build constraint — the portable stub and
-# everything that calls through it — compiling and vetted.
+# everything that calls through it — compiling and vetted. The gofmt leg
+# fails when gofmt would rewrite any file, and lists the files.
 vet:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l: not formatted:"; echo "$$files"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/nn ./internal/predictor
@@ -49,7 +51,7 @@ loc:
 # selector's solve (Ranked with all candidates dirty included), the
 # coordinator's solve-and-grant step, a worker's read of a round frame into
 # its recycled record and its core's whole round, the container's in-place packet parse and its record
-# read into a recycled buffer must stay at ~zero allocs/op
+# read into a recycled buffer, and a PGSP round frame's encode and send must stay at ~zero allocs/op
 # (testing.AllocsPerRun, no benchmark run needed), and a whole engine round —
 # gate loop, decode pool, collector, feedback, rounds overlapping or not,
 # behind the gate or a baseline policy — under one small object. One memory
@@ -65,6 +67,7 @@ alloc-smoke:
 	$(GO) test ./internal/knapsack -run TestSelectZeroAlloc -count 1
 	$(GO) test ./internal/cluster -run 'TestWorkerRoundZeroAlloc|TestWorkerCoreRoundZeroAlloc|TestSolveGrantZeroAlloc' -count 1
 	$(GO) test ./internal/container -run 'TestUnmarshalPacketIntoZeroAlloc|TestReadRecordZeroAlloc' -count 1
+	$(GO) test ./internal/stream -run TestRoundFrameZeroAlloc -count 1
 	$(GO) test ./internal/pipeline -run 'TestEngineRoundAllocCeiling|TestBaselineRoundAllocCeiling' -count 1
 	$(GO) test -ldflags '-X packetgame/internal/nn.portableOnly=1' ./internal/nn ./internal/predictor -count 1
 

@@ -11,10 +11,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
-	"time"
 
 	"packetgame/internal/capture"
 	"packetgame/internal/codec"
@@ -46,18 +44,12 @@ func main() {
 }
 
 func catPGC(path string, quiet bool) error {
-	f, err := os.Open(path)
+	c, err := capture.LoadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r, err := capture.NewReader(f)
-	if err != nil {
-		return err
-	}
-	meta := r.Session()
-	fmt.Printf("%s: %q, %d streams\n", path, meta.Label, len(meta.Streams))
-	for i, sm := range meta.Streams {
+	fmt.Printf("%s: %q, %d streams\n", path, c.Meta.Label, len(c.Meta.Streams))
+	for i, sm := range c.Meta.Streams {
 		if !quiet {
 			fmt.Printf("  stream %d: codec %s, %d FPS, GOP %d\n", i, sm.Codec, sm.FPS, sm.GOPSize)
 		}
@@ -66,40 +58,29 @@ func catPGC(path string, quiet bool) error {
 	var sizes []float64
 	counts := map[codec.PictureType]int{}
 	var totalBytes int64
-	var span time.Duration
-	decisions := 0
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	var rnd codec.Round
+	for i, r := range c.Rounds {
+		if err := c.DecodeRound(i, &rnd); err != nil {
 			return err
 		}
-		if rec.Kind == capture.RecTrace {
-			decisions++
+		for k, p := range rnd.Pkts {
+			if !quiet {
+				fmt.Printf("%8d s%-5d r%-7d %6s %10dB pts=%dms gop=%d/%d\n",
+					p.Seq, rnd.IDs[k], r.Round, p.Type, p.Size, p.PTS, p.GOPIndex, p.GOPSize)
+			}
+			sizes = append(sizes, float64(p.Size))
+			counts[p.Type]++
+			totalBytes += int64(p.Size)
 		}
-		if rec.Kind != capture.RecPacket {
-			continue
-		}
-		p := rec.Packet
-		if !quiet {
-			fmt.Printf("%8d s%-5d r%-7d %6s %10dB pts=%dms gop=%d/%d\n",
-				p.Seq, rec.StreamID, rec.Round, p.Type, p.Size, p.PTS, p.GOPIndex, p.GOPSize)
-		}
-		sizes = append(sizes, float64(p.Size))
-		counts[p.Type]++
-		totalBytes += int64(p.Size)
-		span = rec.TS
 	}
 	n := len(sizes)
 	fmt.Printf("\n%d packets (%d I, %d P, %d B), %.2f MB on the wire, %d decision rounds\n",
 		n, counts[codec.PictureI], counts[codec.PictureP], counts[codec.PictureB],
-		float64(totalBytes)/1e6, decisions)
+		float64(totalBytes)/1e6, len(c.Decisions))
 	if n > 0 {
 		fmt.Printf("packet sizes: %s\n", stats.Summarize(sizes))
 	}
-	if span > 0 {
+	if span := c.Duration(); span > 0 {
 		fmt.Printf("span %.1fs, mean bitrate %.0f kbit/s\n",
 			span.Seconds(), float64(totalBytes)*8/span.Seconds()/1000)
 	}

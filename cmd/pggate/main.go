@@ -305,7 +305,7 @@ func main() {
 		if capw == nil {
 			openCapture(nil) // baseline policies: packets only
 		}
-		tap = capture.NewTap(src, capw, *recStep, nil)
+		tap = capture.NewTap(pipeline.Sparse(src), capw, *recStep, nil)
 		src = tap
 	}
 

@@ -39,7 +39,7 @@ type AuditResult struct {
 // Ok reports whether the audit found the replay bit-identical.
 func (r AuditResult) Ok() bool { return r.Divergent == 0 && r.ExtraDecisions == 0 }
 
-// Audit replays a capture's packets through a freshly built gate and diffs
+// Audit replays a capture's rounds through a freshly built gate and diffs
 // every round's selected set against the capture's recorded decision trace.
 // The gate is reconstructed from the capture's GateMeta; each round's
 // effective budget and degradation mode are pinned from the recorded trace
@@ -86,7 +86,9 @@ func Audit(c *Capture, opts AuditOptions) (AuditResult, error) {
 			return res, fmt.Errorf("capture: decision %d: %w", i, err)
 		}
 		planner.Set(rec.Budget, mode)
-		rnd.FromDense(c.Rounds[i].Pkts)
+		if err := c.DecodeRound(i, &rnd); err != nil {
+			return res, fmt.Errorf("capture: decoding round %d: %w", i, err)
+		}
 		sel, err = gate.DecideSparseAppend(&rnd, sel[:0])
 		if err != nil {
 			return res, fmt.Errorf("capture: replaying round %d: %w", i, err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"packetgame/internal/codec"
+	"packetgame/internal/trace"
 )
 
 // testMeta builds a small session header for synthetic captures.
@@ -60,19 +61,23 @@ func TestCaptureRoundtrip(t *testing.T) {
 	if len(c.Rounds) != 4 {
 		t.Fatalf("rounds = %d, want 4", len(c.Rounds))
 	}
+	var rnd codec.Round
 	for i, r := range c.Rounds {
-		if r.TS != ts[i] {
-			t.Errorf("round %d TS = %v, want %v", i, r.TS, ts[i])
+		if r.TS != ts[i] || r.Round != int64(i) {
+			t.Errorf("round %d: round %d at %v, want %v", i, r.Round, r.TS, ts[i])
 		}
-		if len(r.Pkts) != 3 {
-			t.Fatalf("round %d has %d slots", i, len(r.Pkts))
+		if err := c.DecodeRound(i, &rnd); err != nil {
+			t.Fatal(err)
 		}
-		for s, p := range r.Pkts {
-			if p == nil || p.StreamID != s {
-				t.Fatalf("round %d slot %d: bad packet %+v", i, s, p)
+		if rnd.M != 3 || rnd.Len() != 3 {
+			t.Fatalf("round %d: %d of %d streams", i, rnd.Len(), rnd.M)
+		}
+		for k, p := range rnd.Pkts {
+			if p.StreamID != k || rnd.IDs[k] != int32(k) || p.Codec != codec.H264 {
+				t.Fatalf("round %d entry %d: bad packet %+v", i, k, p)
 			}
 			if !bytes.Equal(p.Payload, []byte{1, 2, 3}) {
-				t.Fatalf("round %d slot %d: payload not preserved", i, s)
+				t.Fatalf("round %d entry %d: payload not preserved", i, k)
 			}
 		}
 	}
@@ -102,7 +107,11 @@ func TestCaptureStripPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := c.Rounds[0].Pkts[0]
+	var rnd codec.Round
+	if err := c.DecodeRound(0, &rnd); err != nil {
+		t.Fatal(err)
+	}
+	p := rnd.Pkts[0]
 	if len(p.Payload) != 0 {
 		t.Fatalf("payload survived stripping: %d bytes", len(p.Payload))
 	}
@@ -111,21 +120,54 @@ func TestCaptureStripPayloads(t *testing.T) {
 	}
 }
 
-func TestWriterRejectsRegressingTime(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, testMeta(1, nil))
-	if err != nil {
-		t.Fatal(err)
+// TestWriterRejectsOutOfOrder: each row writes round 5 (streams 0 and 1 at
+// 1 s), then a packet the round records cannot hold. The packet is refused
+// and leaves no trace: the capture still loads with round 5 as written.
+func TestWriterRejectsOutOfOrder(t *testing.T) {
+	pkt := func(s int) *codec.Packet { return &codec.Packet{StreamID: s, Type: codec.PictureP, Size: 10} }
+	rows := []struct {
+		name string
+		bad  func(w *Writer) error
+	}{
+		{"regressing timestamp", func(w *Writer) error { return w.WritePacket(time.Millisecond, 6, pkt(0)) }},
+		{"regressing round at equal timestamp", func(w *Writer) error { return w.WritePacket(time.Second, 4, pkt(0)) }},
+		{"timestamp changes within a round", func(w *Writer) error { return w.WritePacket(time.Second+time.Millisecond, 5, pkt(2)) }},
+		{"stream repeated within a round", func(w *Writer) error { return w.WritePacket(time.Second, 5, pkt(1)) }},
+		{"stream out of order within a round", func(w *Writer) error { return w.WritePacket(time.Second, 5, pkt(0)) }},
+		{"packet of a round already written", func(w *Writer) error {
+			if err := w.WriteDecision(trace.Round{}); err != nil {
+				t.Fatal(err)
+			}
+			return w.WritePacket(time.Second, 5, pkt(2))
+		}},
 	}
-	p := &codec.Packet{StreamID: 0, Type: codec.PictureP, Size: 10}
-	if err := w.WritePacket(time.Second, 5, p); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WritePacket(time.Millisecond, 6, p); err == nil {
-		t.Fatal("regressing timestamp accepted")
-	}
-	if err := w.WritePacket(time.Second, 4, p); err == nil {
-		t.Fatal("regressing round at equal timestamp accepted")
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, testMeta(3, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < 2; s++ {
+				if err := w.WritePacket(time.Second, 5, pkt(s)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := row.bad(w); err == nil {
+				t.Fatal("accepted")
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c, err := Load(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rnd codec.Round
+			if len(c.Rounds) != 1 || c.DecodeRound(0, &rnd) != nil || rnd.Len() != 2 || c.Index.Packets != 2 {
+				t.Fatalf("the refused packet left a trace: %d rounds, index %+v", len(c.Rounds), c.Index)
+			}
+		})
 	}
 }
 
@@ -172,12 +214,16 @@ func TestFilterStreamsKeepsSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range got.Rounds {
-		if r.Pkts[0] != nil || r.Pkts[2] != nil {
-			t.Fatal("dropped stream still present")
+	if len(got.Rounds) != 2 {
+		t.Fatalf("%d rounds, want 2", len(got.Rounds))
+	}
+	var rnd codec.Round
+	for i := range got.Rounds {
+		if err := got.DecodeRound(i, &rnd); err != nil {
+			t.Fatal(err)
 		}
-		if r.Pkts[1] == nil || r.Pkts[3] == nil {
-			t.Fatal("kept stream missing")
+		if rnd.M != 4 || rnd.Len() != 2 || rnd.IDs[0] != 1 || rnd.IDs[1] != 3 || rnd.Pkts[1].StreamID != 3 {
+			t.Fatalf("round %d kept streams %v of %d, want [1 3] of 4", i, rnd.IDs, rnd.M)
 		}
 	}
 	if _, err := c.FilterStreams([]int{9}); err == nil {

@@ -215,11 +215,10 @@ func GenerateCorpus(w io.Writer, spec CorpusSpec) error {
 		planner.Set(bEff, mode)
 		rnd.Reset(spec.Streams)
 		for i, st := range fleet {
-			p := st.Next()
-			if err := cw.WritePacket(ts, int64(r), p); err != nil {
-				return err
-			}
-			rnd.Append(int32(i), p)
+			rnd.Append(int32(i), st.Next())
+		}
+		if err := cw.writeRound(ts, int64(r), &rnd); err != nil {
+			return err
 		}
 		sel, err = gate.DecideSparseAppend(&rnd, sel[:0])
 		if err != nil {

@@ -1,42 +1,47 @@
 // Package capture implements PGC, the PacketGame capture container: a
-// compact indexed recording of a live PGSP session. A capture holds every
-// packet of the session with its arrival timestamp and round index, the
+// recording of a live PGSP session that stores the session's wire. A
+// capture holds every round exactly as PGSP carries it — the round body a
+// round frame wraps — with the round's arrival timestamp and index, the
 // gate's decision trace (per-round selected set, effective budget B_eff,
 // degradation-ladder mode, and feedback verdicts) interleaved at the
 // position it was settled, and a trailing index with per-stream metadata
 // (packet rate, GOP structure, size histograms, priority tier) so tools can
-// map a capture directory without scanning packet bodies.
+// map a capture directory without scanning round bodies.
 //
 // Captures turn the synthetic-generator-driven test and bench layer into a
-// corpus-driven one, the way GopherCap does for PCAPs: replaying a capture
-// with its recorded inter-packet timing preserves the bursts that actually
-// stress the system (a flat average rate provably flattens them), and
-// replaying its packets through a fresh gate while diffing against the
-// embedded decision trace is a free determinism audit.
+// corpus-driven one, the way GopherCap does for PCAPs: replay writes the
+// stored round bodies back under fresh frame headers at their recorded
+// timing, which preserves the bursts that actually stress the system (a
+// flat average rate provably flattens them), and replaying the rounds
+// through a fresh gate while diffing against the embedded decision trace is
+// a free determinism audit.
 //
-// File layout (all integers big-endian):
+// File layout (fixed-width integers big-endian):
 //
-//	magic   "PGC1" (4 bytes)
-//	version byte   (currently 1)
+//	magic   "PGC2" (4 bytes)
+//	version byte   (currently 2)
 //	records until EOF or footer, each an internal/container CRC record:
-//	    kind    uint8    // recSession | recPacket | recTrace | recIndex
+//	    kind    uint8    // RecSession | RecRound | RecTrace | RecIndex
 //	    length  uint32   // body length in bytes
 //	    crc     uint32   // CRC32 (IEEE) of the body
 //	    body    [length]byte
 //	footer  "PGCX" (4 bytes) + uint64 offset of the index record
 //
-// The first record must be recSession (JSON SessionMeta); the last is
-// recIndex (JSON Index), addressed by the footer so indexed opens never
-// scan. recPacket bodies are binary:
+// The first record must be RecSession (JSON SessionMeta); the last is
+// RecIndex (JSON Index), addressed by the footer so indexed opens never
+// scan. RecRound bodies are binary, in strictly increasing round order and
+// non-decreasing time:
 //
-//	stream  uint32
-//	round   uint64
-//	ts      uint64   // nanoseconds since capture start
-//	record  ...      // container.MarshalPacket encoding
+//	ts      uvarint  // nanoseconds since capture start
+//	round   uvarint  // the recorded round index
+//	body    ...      // the PGSP round body (stream.RoundEncoder)
 //
-// recTrace bodies are the JSON encoding of one trace.Round. Every body is
-// CRC-protected; a reader must fail cleanly on truncation, corruption, or
-// implausible lengths — never panic or over-read (FuzzCaptureContainer).
+// Every uvarint is in its shortest form. RecTrace bodies are the JSON
+// encoding of one trace.Round. Every body is CRC-protected, and every round
+// body must decode at the session's width; a reader must fail cleanly on
+// truncation, corruption, or implausible lengths — never panic or over-read
+// (FuzzCaptureContainer). PGC1, which stored one record per packet, is not
+// read: its files fail with an error that names their version.
 package capture
 
 import (
@@ -57,13 +62,13 @@ import (
 )
 
 // Magic identifies PGC capture files.
-var Magic = [4]byte{'P', 'G', 'C', '1'}
+var Magic = [4]byte{'P', 'G', 'C', '2'}
 
 // footerMagic opens the 12-byte footer that addresses the index record.
 var footerMagic = [4]byte{'P', 'G', 'C', 'X'}
 
 // Version is the current container version.
-const Version = 1
+const Version = 2
 
 // RecordKind tags one record in a capture.
 type RecordKind uint8
@@ -71,8 +76,8 @@ type RecordKind uint8
 const (
 	// RecSession is the JSON session header (first record).
 	RecSession RecordKind = 1
-	// RecPacket is one captured packet with timestamp and round.
-	RecPacket RecordKind = 2
+	// RecRound is one round: timestamp, round index and PGSP round body.
+	RecRound RecordKind = 2
 	// RecTrace is one decision-trace round (JSON trace.Round).
 	RecTrace RecordKind = 3
 	// RecIndex is the JSON index (last record).
@@ -84,8 +89,6 @@ const (
 	// maxRecordBody bounds a record body, PGSP's frame bound; a longer
 	// claimed length means a corrupt file.
 	maxRecordBody = 64 << 20
-	// packetPrefixLen is the binary prefix of a recPacket body.
-	packetPrefixLen = 20
 )
 
 // ErrCorrupt wraps every structural failure a capture reader detects, so
@@ -198,7 +201,7 @@ type Index struct {
 func (ix Index) Duration() time.Duration { return time.Duration(ix.DurationNanos) }
 
 // Writer writes a PGC capture. Safe for concurrent use: a pipelined
-// recording writes packets from the source goroutine while the gate's
+// recording writes rounds from the source goroutine while the gate's
 // feedback path appends decision-trace rounds.
 type Writer struct {
 	mu     sync.Mutex
@@ -214,11 +217,19 @@ type Writer struct {
 	// WritePacket.
 	StripPayloads bool
 
-	idx       Index
-	stats     []StreamStats
-	lastRound int64
-	lastTS    time.Duration
+	idx   Index
+	stats []StreamStats
+
+	// The last round begun, and whether it is still being collected: its
+	// record is written when a later round begins, on WriteDecision, or on
+	// Close.
 	haveRound bool
+	open      bool
+	round     int64
+	ts        time.Duration
+	pend      []codec.Packet // the open round's packets, ascending stream ids
+	rnd       codec.Round
+	enc       stream.RoundEncoder
 }
 
 // NewWriter starts a capture with the given session header.
@@ -248,9 +259,6 @@ func NewWriter(w io.Writer, meta SessionMeta) (*Writer, error) {
 	return cw, cw.writeRecord(RecSession, body)
 }
 
-// Session returns the session header.
-func (cw *Writer) Session() SessionMeta { return cw.meta }
-
 // writeRecord appends one framed record. Callers hold mu (or are still
 // single-goroutine, during construction/close).
 func (cw *Writer) writeRecord(kind RecordKind, body []byte) error {
@@ -259,46 +267,37 @@ func (cw *Writer) writeRecord(kind RecordKind, body []byte) error {
 	return err
 }
 
-// WritePacket appends one captured packet. ts is the packet's offset from
-// capture start; packets must arrive in non-decreasing (ts, round) order —
-// replay streams captures without buffering, so out-of-order input is an
-// error at write time rather than a surprise at replay time.
+// WritePacket adds one captured packet to round round. ts is the round's
+// offset from capture start, the same for every packet of the round.
+// Rounds come in increasing order at non-decreasing timestamps, and a
+// round's packets in ascending stream order, the order its round body
+// holds them: replay streams captures without buffering, so anything else —
+// a packet of a round already written among them — is an error at write
+// time rather than a surprise at replay time. The packet's payload must
+// stay unmodified until its round is written.
 func (cw *Writer) WritePacket(ts time.Duration, round int64, p *codec.Packet) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if cw.closed {
-		return errors.New("capture: writer closed")
-	}
+	return cw.writePacket(ts, round, p)
+}
+
+func (cw *Writer) writePacket(ts time.Duration, round int64, p *codec.Packet) error {
 	if p.StreamID < 0 || p.StreamID >= len(cw.stats) {
 		return fmt.Errorf("capture: packet for stream %d of %d", p.StreamID, len(cw.stats))
 	}
-	if ts < 0 {
-		return fmt.Errorf("capture: negative timestamp %v", ts)
-	}
-	if cw.idx.Packets > 0 && (ts < cw.lastTS || round < cw.lastRound) {
-		return fmt.Errorf("capture: out-of-order packet (ts %v round %d after ts %v round %d)",
-			ts, round, cw.lastTS, cw.lastRound)
-	}
-	if !cw.haveRound || round != cw.lastRound {
-		cw.idx.Rounds++
-		cw.haveRound = true
-	}
-	cw.lastTS, cw.lastRound = ts, round
-
-	var prefix [packetPrefixLen]byte
-	binary.BigEndian.PutUint32(prefix[0:], uint32(p.StreamID))
-	binary.BigEndian.PutUint64(prefix[4:], uint64(round))
-	binary.BigEndian.PutUint64(prefix[12:], uint64(ts))
-	cw.buf = append(cw.buf[:0], prefix[:]...)
-	if cw.StripPayloads && len(p.Payload) > 0 {
-		stripped := *p
-		stripped.Payload = nil
-		cw.buf = container.MarshalPacket(cw.buf, &stripped)
-	} else {
-		cw.buf = container.MarshalPacket(cw.buf, p)
-	}
-	if err := cw.writeRecord(RecPacket, cw.buf); err != nil {
+	if cw.open && round == cw.round {
+		if ts != cw.ts {
+			return fmt.Errorf("capture: packet at %v in round %d, which is at %v", ts, round, cw.ts)
+		}
+		if n := len(cw.pend); n > 0 && p.StreamID <= cw.pend[n-1].StreamID {
+			return fmt.Errorf("capture: stream %d after stream %d in round %d", p.StreamID, cw.pend[n-1].StreamID, round)
+		}
+	} else if err := cw.begin(ts, round); err != nil {
 		return err
+	}
+	cw.pend = append(cw.pend, *p)
+	if cw.StripPayloads {
+		cw.pend[len(cw.pend)-1].Payload = nil
 	}
 
 	st := &cw.stats[p.StreamID]
@@ -322,18 +321,76 @@ func (cw *Writer) WritePacket(ts time.Duration, round int64, p *codec.Packet) er
 	}
 	st.SizeHist[sizeBucket(p.Size)]++
 	cw.idx.Packets++
-	if ns := ts.Nanoseconds(); ns > cw.idx.DurationNanos {
-		cw.idx.DurationNanos = ns
-	}
 	return nil
 }
 
-// WriteDecision appends one decision-trace round.
+// begin writes the open round, if any, and opens round round at ts.
+func (cw *Writer) begin(ts time.Duration, round int64) error {
+	switch {
+	case cw.closed:
+		return errors.New("capture: writer closed")
+	case ts < 0 || round < 0:
+		return fmt.Errorf("capture: negative timestamp %v or round %d", ts, round)
+	case cw.haveRound && round == cw.round:
+		return fmt.Errorf("capture: round %d has already been written", round)
+	case cw.haveRound && (round < cw.round || ts < cw.ts):
+		return fmt.Errorf("capture: out-of-order round (ts %v round %d after ts %v round %d)",
+			ts, round, cw.ts, cw.round)
+	}
+	if err := cw.flush(); err != nil {
+		return err
+	}
+	cw.haveRound, cw.open, cw.round, cw.ts = true, true, round, ts
+	cw.idx.Rounds++
+	cw.idx.DurationNanos = ts.Nanoseconds()
+	return nil
+}
+
+// flush writes the open round, if any, as one round record.
+func (cw *Writer) flush() error {
+	if !cw.open {
+		return nil
+	}
+	cw.open = false
+	cw.rnd.Reset(len(cw.stats))
+	for i := range cw.pend {
+		cw.rnd.Append(int32(cw.pend[i].StreamID), &cw.pend[i])
+	}
+	cw.buf = binary.AppendUvarint(cw.buf[:0], uint64(cw.ts))
+	cw.buf = binary.AppendUvarint(cw.buf, uint64(cw.round))
+	cw.buf = cw.enc.AppendBody(cw.buf, &cw.rnd)
+	clear(cw.pend)
+	cw.pend = cw.pend[:0]
+	return cw.writeRecord(RecRound, cw.buf)
+}
+
+// writeRound writes one whole round and its record at once, so a tapped
+// round is complete on disk before anything else — a concurrent
+// WriteDecision, say — can cut in. An idle round is a round too.
+func (cw *Writer) writeRound(ts time.Duration, round int64, r *codec.Round) error {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	if err := cw.begin(ts, round); err != nil {
+		return err
+	}
+	for _, p := range r.Pkts {
+		if err := cw.writePacket(ts, round, p); err != nil {
+			return err
+		}
+	}
+	return cw.flush()
+}
+
+// WriteDecision writes the open round, if any, then one decision-trace
+// round.
 func (cw *Writer) WriteDecision(r trace.Round) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
 	if cw.closed {
 		return errors.New("capture: writer closed")
+	}
+	if err := cw.flush(); err != nil {
+		return err
 	}
 	body, err := json.Marshal(r)
 	if err != nil {
@@ -347,43 +404,32 @@ func (cw *Writer) WriteDecision(r trace.Round) error {
 }
 
 // Write implements trace.Sink, so a gate's Config.Trace can point straight
-// at the capture writer and the decision trace lands next to the packets.
+// at the capture writer and the decision trace lands next to the rounds.
 func (cw *Writer) Write(r trace.Round) error { return cw.WriteDecision(r) }
 
-// Index returns the index as accumulated so far.
-func (cw *Writer) Index() Index {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	return cw.indexLocked()
-}
-
-func (cw *Writer) indexLocked() Index {
-	ix := cw.idx
-	ix.PerStream = make([]StreamStats, len(cw.stats))
-	copy(ix.PerStream, cw.stats)
-	for i := range ix.PerStream {
-		st := &ix.PerStream[i]
-		if st.SizeMin < 0 {
-			st.SizeMin = 0
-		}
-		if span := st.LastTSNanos - st.FirstTSNanos; span > 0 && st.Packets > 1 {
-			st.MeanRate = float64(st.Packets-1) / (float64(span) / 1e9)
-		}
-	}
-	return ix
-}
-
-// Close writes the index record and footer and flushes. The writer must not
-// be reused.
+// Close writes the open round, the index record and the footer, and
+// flushes. The writer must not be reused.
 func (cw *Writer) Close() error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
 	if cw.closed {
 		return nil
 	}
+	if err := cw.flush(); err != nil {
+		return err
+	}
 	cw.closed = true
 	idxOff := cw.off
-	body, err := json.Marshal(cw.indexLocked())
+	ix := cw.idx
+	ix.PerStream = cw.stats
+	for i := range ix.PerStream {
+		st := &ix.PerStream[i]
+		st.SizeMin = max(st.SizeMin, 0)
+		if span := st.LastTSNanos - st.FirstTSNanos; span > 0 && st.Packets > 1 {
+			st.MeanRate = float64(st.Packets-1) / (float64(span) / 1e9)
+		}
+	}
+	body, err := json.Marshal(ix)
 	if err != nil {
 		return err
 	}
@@ -399,210 +445,91 @@ func (cw *Writer) Close() error {
 	return cw.w.Flush()
 }
 
-// Record is one decoded capture record.
-type Record struct {
-	Kind RecordKind
-
-	// Packet fields (RecPacket).
-	StreamID int
-	Round    int64
-	TS       time.Duration
-	Packet   *codec.Packet
-
-	// Trace holds the decision round (RecTrace).
-	Trace *trace.Round
-
-	// Index holds the trailing index (RecIndex).
-	Index *Index
-}
-
-// Reader reads a capture sequentially. It validates framing, CRCs, and
-// plausibility bounds on every record: a truncated or corrupted capture
-// yields an error wrapping ErrCorrupt, never a panic or an unbounded
-// allocation.
-type Reader struct {
-	r       *bufio.Reader
-	meta    SessionMeta
-	buf     []byte
-	sawIdx  bool
-	done    bool
-	packets int64
-}
-
-// NewReader opens a capture stream and parses its session header.
-func NewReader(r io.Reader) (*Reader, error) {
-	cr := &Reader{r: bufio.NewReaderSize(r, 64<<10)}
+// readHeader reads the magic, the version and the session header. Like
+// every capture read, it fails cleanly — an error wrapping ErrCorrupt,
+// never a panic or an unbounded allocation — on truncated, corrupted or
+// implausible input.
+func readHeader(br *bufio.Reader) (SessionMeta, error) {
+	var meta SessionMeta
 	var magic [5]byte
-	if _, err := io.ReadFull(cr.r, magic[:]); err != nil {
-		return nil, corruptf("reading magic: %v", err)
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return meta, corruptf("reading magic: %v", err)
 	}
-	if [4]byte(magic[:4]) != Magic {
-		return nil, corruptf("bad magic %q", magic[:4])
+	if [4]byte(magic[:4]) != Magic || magic[4] != Version {
+		if string(magic[:3]) == "PGC" {
+			return meta, corruptf("%q version %d is not read: this reader reads %q version %d",
+				magic[:4], magic[4], Magic[:], Version)
+		}
+		return meta, corruptf("bad magic %q", magic[:4])
 	}
-	if magic[4] != Version {
-		return nil, corruptf("unsupported version %d", magic[4])
+	kind, body, err := container.ReadRecord(br, maxRecordBody, nil)
+	switch {
+	case err != nil:
+		return meta, corruptf("session header: %v", err)
+	case RecordKind(kind) != RecSession:
+		return meta, corruptf("first record is kind %d, want session header", kind)
 	}
-	kind, body, err := cr.readRecord()
-	if err != nil {
-		return nil, err
+	if err := json.Unmarshal(body, &meta); err != nil {
+		return meta, corruptf("session header: %v", err)
 	}
-	if kind != RecSession {
-		return nil, corruptf("first record is kind %d, want session header", kind)
+	if len(meta.Streams) == 0 || len(meta.Streams) > 1<<20 {
+		return meta, corruptf("implausible stream count %d", len(meta.Streams))
 	}
-	if err := json.Unmarshal(body, &cr.meta); err != nil {
-		return nil, corruptf("session header: %v", err)
-	}
-	if len(cr.meta.Streams) == 0 {
-		return nil, corruptf("session header has no streams")
-	}
-	if len(cr.meta.Streams) > 1<<20 {
-		return nil, corruptf("implausible stream count %d", len(cr.meta.Streams))
-	}
-	return cr, nil
+	return meta, nil
 }
 
-// Session returns the session header.
-func (cr *Reader) Session() SessionMeta { return cr.meta }
-
-// Packets returns the number of packet records read so far.
-func (cr *Reader) Packets() int64 { return cr.packets }
-
-// readRecord reads one record, its body into the reader's recycled buffer.
-// The file ending at a record boundary is io.EOF; anything else that stops
-// a record is corruption.
-func (cr *Reader) readRecord() (RecordKind, []byte, error) {
-	if _, err := cr.r.Peek(1); err == io.EOF {
-		return 0, nil, io.EOF
+// readFooter reads the 12-byte footer, which is all that may follow the
+// index record.
+func readFooter(br *bufio.Reader) error {
+	var footer [footerLen]byte
+	if _, err := io.ReadFull(br, footer[:]); err != nil {
+		return corruptf("footer: %v", err)
 	}
-	kind, body, err := container.ReadRecord(cr.r, maxRecordBody, cr.buf)
-	if err != nil {
-		return 0, nil, corruptf("record: %v", err)
+	if [4]byte(footer[:4]) != footerMagic {
+		return corruptf("bad footer magic %q", footer[:4])
 	}
-	cr.buf = body
-	return RecordKind(kind), body, nil
+	if _, err := br.ReadByte(); err != io.EOF {
+		return corruptf("trailing bytes after footer")
+	}
+	return nil
 }
 
-// Next returns the next record, or io.EOF after the footer (or a clean
-// truncation at a record boundary with no index — a capture cut mid-write
-// is still readable up to its last intact record, but Index records the
-// loss by its absence).
-func (cr *Reader) Next() (Record, error) {
-	if cr.done {
-		return Record{}, io.EOF
+// parseIndex decodes an index record and sanity-checks it against the
+// session header.
+func parseIndex(body []byte, streams int) (*Index, error) {
+	var ix Index
+	if err := json.Unmarshal(body, &ix); err != nil {
+		return nil, corruptf("index record: %v", err)
 	}
-	if cr.sawIdx {
-		// Only the 12-byte footer may follow the index record.
-		var footer [footerLen]byte
-		if _, err := io.ReadFull(cr.r, footer[:]); err != nil {
-			return Record{}, corruptf("footer: %v", err)
-		}
-		if [4]byte(footer[:4]) != footerMagic {
-			return Record{}, corruptf("bad footer magic %q", footer[:4])
-		}
-		if _, err := cr.r.ReadByte(); err != io.EOF {
-			return Record{}, corruptf("trailing bytes after footer")
-		}
-		cr.done = true
-		return Record{}, io.EOF
-	}
-	kind, body, err := cr.readRecord()
-	if err == io.EOF {
-		cr.done = true
-		return Record{}, io.EOF
-	}
-	if err != nil {
-		return Record{}, err
-	}
-	switch kind {
-	case RecPacket:
-		rec, err := cr.decodePacket(body)
-		if err != nil {
-			return Record{}, err
-		}
-		cr.packets++
-		return rec, nil
-	case RecTrace:
-		var tr trace.Round
-		if err := json.Unmarshal(body, &tr); err != nil {
-			return Record{}, corruptf("trace record: %v", err)
-		}
-		return Record{Kind: RecTrace, Trace: &tr}, nil
-	case RecIndex:
-		var ix Index
-		if err := json.Unmarshal(body, &ix); err != nil {
-			return Record{}, corruptf("index record: %v", err)
-		}
-		if err := validateIndex(&ix, len(cr.meta.Streams)); err != nil {
-			return Record{}, err
-		}
-		cr.sawIdx = true
-		return Record{Kind: RecIndex, Index: &ix}, nil
-	case RecSession:
-		return Record{}, corruptf("duplicate session header")
-	default:
-		return Record{}, corruptf("unknown record kind %d", kind)
-	}
-}
-
-func (cr *Reader) decodePacket(body []byte) (Record, error) {
-	if len(body) < packetPrefixLen {
-		return Record{}, corruptf("packet record truncated: %d bytes", len(body))
-	}
-	id := binary.BigEndian.Uint32(body[0:])
-	round := int64(binary.BigEndian.Uint64(body[4:]))
-	ts := int64(binary.BigEndian.Uint64(body[12:]))
-	if int(id) >= len(cr.meta.Streams) {
-		return Record{}, corruptf("packet for unknown stream %d", id)
-	}
-	if round < 0 || ts < 0 {
-		return Record{}, corruptf("packet with negative round/timestamp")
-	}
-	p, used, err := container.UnmarshalPacket(body[packetPrefixLen:])
-	if err != nil {
-		return Record{}, corruptf("packet body: %v", err)
-	}
-	if used != len(body)-packetPrefixLen {
-		return Record{}, corruptf("packet record has trailing bytes")
-	}
-	p.StreamID = int(id)
-	if c, err := codec.ParseCodec(cr.meta.Streams[id].Codec); err == nil {
-		p.Codec = c
-	}
-	return Record{Kind: RecPacket, StreamID: int(id), Round: round,
-		TS: time.Duration(ts), Packet: p}, nil
-}
-
-// validateIndex sanity-checks an index against the session header.
-func validateIndex(ix *Index, streams int) error {
 	if ix.Packets < 0 || ix.Rounds < 0 || ix.Decisions < 0 || ix.DurationNanos < 0 {
-		return corruptf("index with negative counters")
+		return nil, corruptf("index with negative counters")
 	}
 	if len(ix.PerStream) > streams {
-		return corruptf("index covers %d streams, session has %d", len(ix.PerStream), streams)
+		return nil, corruptf("index covers %d streams, session has %d", len(ix.PerStream), streams)
 	}
 	var total int64
 	for i := range ix.PerStream {
 		st := &ix.PerStream[i]
 		if st.ID < 0 || st.ID >= streams {
-			return corruptf("index entry for unknown stream %d", st.ID)
+			return nil, corruptf("index entry for unknown stream %d", st.ID)
 		}
 		if st.Packets < 0 || st.Bytes < 0 || st.Keyframes < 0 ||
 			st.SizeMin < 0 || st.SizeMax < 0 || st.FirstTSNanos < 0 || st.LastTSNanos < st.FirstTSNanos {
-			return corruptf("index entry for stream %d has negative fields", st.ID)
+			return nil, corruptf("index entry for stream %d has negative fields", st.ID)
 		}
 		total += st.Packets
 	}
 	if total != ix.Packets {
-		return corruptf("index packet counts disagree: %d per-stream vs %d total", total, ix.Packets)
+		return nil, corruptf("index packet counts disagree: %d per-stream vs %d total", total, ix.Packets)
 	}
-	return nil
+	return &ix, nil
 }
 
 // ReadIndex opens a capture by its footer: it reads the session header and
-// seeks straight to the index record, never touching packet bodies — the
+// seeks straight to the index record, never touching round bodies — the
 // fast path behind the `pgcap map` verb.
 func ReadIndex(rs io.ReadSeeker) (SessionMeta, Index, error) {
-	cr, err := NewReader(rs)
+	meta, err := readHeader(bufio.NewReader(rs))
 	if err != nil {
 		return SessionMeta{}, Index{}, err
 	}
@@ -637,12 +564,9 @@ func ReadIndex(rs io.ReadSeeker) (SessionMeta, Index, error) {
 	if RecordKind(kind) != RecIndex {
 		return SessionMeta{}, Index{}, corruptf("footer points at kind-%d record, want index", kind)
 	}
-	var ix Index
-	if err := json.Unmarshal(body, &ix); err != nil {
-		return SessionMeta{}, Index{}, corruptf("index record: %v", err)
-	}
-	if err := validateIndex(&ix, len(cr.meta.Streams)); err != nil {
+	ix, err := parseIndex(body, len(meta.Streams))
+	if err != nil {
 		return SessionMeta{}, Index{}, err
 	}
-	return cr.meta, ix, nil
+	return meta, *ix, nil
 }

@@ -3,6 +3,7 @@ package capture
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"packetgame/internal/codec"
@@ -47,16 +48,13 @@ type Window struct {
 	From, To time.Duration
 }
 
-// Bounded reports whether the window has an upper edge.
-func (w Window) Bounded() bool { return w.To > 0 }
-
 // Contains reports whether a capture timestamp falls inside the window.
 // Boundary semantics are exact: ts == From is in, ts == To is out.
 func (w Window) Contains(ts time.Duration) bool {
 	if ts < w.From {
 		return false
 	}
-	if w.Bounded() && ts >= w.To {
+	if w.To > 0 && ts >= w.To {
 		return false
 	}
 	return true
@@ -81,8 +79,8 @@ func (o ReplayOptions) withDefaults() (ReplayOptions, error) {
 	if o.Speedup == 0 {
 		o.Speedup = 1
 	}
-	if o.Speedup < 0 {
-		return o, fmt.Errorf("capture: negative speedup %v", o.Speedup)
+	if o.Speedup < 0 || math.IsNaN(o.Speedup) || math.IsInf(o.Speedup, 0) {
+		return o, fmt.Errorf("capture: speedup %v is not a positive finite number", o.Speedup)
 	}
 	if o.Clock == nil {
 		o.Clock = RealClock
@@ -90,15 +88,16 @@ func (o ReplayOptions) withDefaults() (ReplayOptions, error) {
 	return o, nil
 }
 
-// schedule precomputes each surviving round's emission offset from replay
-// start, honoring window, speedup, and the flat-rate control.
-func schedule(c *Capture, o ReplayOptions) ([]RecordedRound, []time.Duration, error) {
-	rounds := c.Rounds
+// schedule returns the rounds to replay — the capture, or its copy cut to
+// the window — and each round's emission offset from replay start,
+// honoring speedup and the flat-rate control.
+func schedule(c *Capture, o ReplayOptions) (*Capture, []time.Duration) {
 	if o.Window != (Window{}) {
-		rounds = c.FilterWindow(o.Window, false).Rounds
+		c = c.FilterWindow(o.Window, false)
 	}
+	rounds := c.Rounds
 	if len(rounds) == 0 {
-		return nil, nil, nil
+		return c, nil
 	}
 	due := make([]time.Duration, len(rounds))
 	base := rounds[0].TS
@@ -118,20 +117,22 @@ func schedule(c *Capture, o ReplayOptions) ([]RecordedRound, []time.Duration, er
 			due[i] = time.Duration(float64(r.TS-base) / o.Speedup)
 		}
 	}
-	return rounds, due, nil
+	return c, due
 }
 
 // TimedSource replays a loaded capture's rounds at their recorded times —
 // scaled by Speedup, restricted by Window, or flattened by Flat — blocking
-// in NextRound until each round is due. It satisfies the pipeline engine's
-// RoundSource interface, so a capture can drive the exact ingest path a
-// live PGSP session does.
+// in NextRoundSparse until each round is due, then decoding it. It is a
+// pipeline.SparseRoundSource, so a capture can drive the exact ingest path
+// a live PGSP session does.
 type TimedSource struct {
-	rounds []RecordedRound
-	due    []time.Duration
-	clock  Clock
-	start  time.Time
-	i      int
+	c     *Capture // the rounds to replay
+	due   []time.Duration
+	clock Clock
+	start time.Time
+	i     int
+	round codec.Round
+	dense []*codec.Packet
 	// Emitted records each round's actual emission offset from replay
 	// start (clock time), for timing verification.
 	emitted []time.Duration
@@ -143,23 +144,21 @@ func NewTimedSource(c *Capture, opts ReplayOptions) (*TimedSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	rounds, due, err := schedule(c, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &TimedSource{rounds: rounds, due: due, clock: opts.Clock}, nil
+	c, due := schedule(c, opts)
+	return &TimedSource{c: c, due: due, clock: opts.Clock}, nil
 }
 
 // Rounds returns the number of rounds the replay will emit.
-func (s *TimedSource) Rounds() int { return len(s.rounds) }
+func (s *TimedSource) Rounds() int { return len(s.due) }
 
 // Emitted returns the per-round emission offsets observed so far.
 func (s *TimedSource) Emitted() []time.Duration { return s.emitted }
 
-// NextRound implements the pipeline RoundSource protocol: it sleeps until
-// the next round is due, then returns its packets.
-func (s *TimedSource) NextRound() ([]*codec.Packet, error) {
-	if s.i >= len(s.rounds) {
+// NextRoundSparse implements pipeline.SparseRoundSource: it sleeps until
+// the next round is due, then returns it decoded, valid until the next
+// call.
+func (s *TimedSource) NextRoundSparse() (*codec.Round, error) {
+	if s.i >= len(s.due) {
 		return nil, io.EOF
 	}
 	if s.i == 0 {
@@ -170,11 +169,22 @@ func (s *TimedSource) NextRound() ([]*codec.Packet, error) {
 		s.clock.Sleep(d)
 	}
 	s.emitted = append(s.emitted, s.clock.Now().Sub(s.start))
-	r := &s.rounds[s.i]
+	if err := s.c.DecodeRound(s.i, &s.round); err != nil {
+		return nil, err
+	}
 	s.i++
-	return r.Pkts, nil
+	return &s.round, nil
 }
 
-// Truth implements the pipeline RoundSource protocol: captures carry no
-// side-channel ground truth.
+// NextRound is the dense view of NextRoundSparse, for pipeline.RoundSource.
+func (s *TimedSource) NextRound() ([]*codec.Packet, error) {
+	r, err := s.NextRoundSparse()
+	if err != nil {
+		return nil, err
+	}
+	return r.Dense(&s.dense), nil
+}
+
+// Truth implements pipeline.RoundSource: captures carry no side-channel
+// ground truth.
 func (s *TimedSource) Truth(i int) (codec.Scene, bool) { return codec.Scene{}, false }

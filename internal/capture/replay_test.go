@@ -185,9 +185,14 @@ func TestReplayWindowing(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsNegativeSpeedup: a speedup that is not a positive
+// finite number would drop the recorded timing (NaN schedules every round
+// at math.MinInt64, +Inf every round at 0), so it is refused.
 func TestReplayRejectsNegativeSpeedup(t *testing.T) {
 	c := buildCapture(t, []time.Duration{0, time.Second})
-	if _, err := NewTimedSource(c, ReplayOptions{Speedup: -1}); err == nil {
-		t.Fatal("negative speedup accepted")
+	for _, speedup := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := NewTimedSource(c, ReplayOptions{Speedup: speedup}); err == nil {
+			t.Errorf("speedup %v accepted", speedup)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"packetgame/internal/codec"
 	"packetgame/internal/stream"
 )
 
@@ -23,8 +22,8 @@ const closeGrace = 5 * time.Second
 // concurrently replaying captures interleave as distinct rounds (each round
 // carries packets from exactly one capture, the other slots idle) — the
 // same shape a bursty multi-source ingest presents to the gate. Each round
-// goes out as one round frame the moment it is due, so a client closes it
-// without waiting for the next.
+// goes out the moment it is due as its stored body under a fresh round
+// frame header, so a client closes it without waiting for the next.
 type ReplayServer struct {
 	captures []*Capture
 	infos    []stream.StreamInfo
@@ -118,28 +117,26 @@ func (s *ReplayServer) acceptLoop() {
 type mux struct {
 	mu    sync.Mutex
 	bw    *bufio.Writer
-	width int // the session's stream count
 	round uint64
-	rnd   codec.Round
-	enc   stream.RoundEncoder
+	body  []byte // a shifted body
 	err   error
 }
 
-// emitRound writes one replayed round (all packets of one capture's round,
-// at stream slots base+i) as a fresh global round in one round frame.
-func (m *mux) emitRound(base int, r *RecordedRound) error {
+// emitRound writes one stored round body as a fresh global round in one
+// round frame, its stream ids shifted onto the capture's slots base+i.
+func (m *mux) emitRound(base int, body []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return m.err
 	}
-	m.rnd.Reset(m.width)
-	for i, p := range r.Pkts {
-		if p != nil {
-			m.rnd.Append(int32(base+i), p)
-		}
+	if base > 0 {
+		m.body, m.err = stream.ShiftRoundBody(m.body[:0], body, base)
+		body = m.body
 	}
-	_, m.err = m.bw.Write(m.enc.Encode(m.round, &m.rnd))
+	if m.err == nil {
+		m.err = stream.WriteRoundFrame(m.bw, m.round, body)
+	}
 	m.round++
 	if m.err == nil {
 		m.err = m.bw.Flush()
@@ -155,13 +152,10 @@ func (s *ReplayServer) serveConn(conn net.Conn) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	m := &mux{bw: bw, width: len(s.infos)}
+	m := &mux{bw: bw}
 	var workers sync.WaitGroup
 	for ci, c := range s.captures {
-		rounds, due, err := schedule(c, s.opts)
-		if err != nil {
-			return err
-		}
+		c, due := schedule(c, s.opts)
 		workers.Add(1)
 		go func(base int, rounds []RecordedRound, due []time.Duration) {
 			defer workers.Done()
@@ -174,11 +168,11 @@ func (s *ReplayServer) serveConn(conn net.Conn) error {
 				if d := start.Add(due[i]).Sub(clock.Now()); d > 0 {
 					clock.Sleep(d)
 				}
-				if err := m.emitRound(base, &rounds[i]); err != nil {
+				if err := m.emitRound(base, rounds[i].Body); err != nil {
 					return
 				}
 			}
-		}(s.base[ci], rounds, due)
+		}(s.base[ci], c.Rounds, due)
 	}
 	workers.Wait()
 	m.mu.Lock()

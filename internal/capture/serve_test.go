@@ -2,9 +2,11 @@ package capture
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,6 +97,115 @@ func TestServeReplayMuxesCaptures(t *testing.T) {
 	}
 	if slotSeen[0] != 3 || slotSeen[1] != 2 || slotSeen[2] != 2 {
 		t.Fatalf("per-slot packet counts %v, want [3 2 2]", slotSeen)
+	}
+}
+
+// payloadCapture loads a capture of `streams` streams over `rounds` rounds,
+// every packet with a payload, keeping the given stream slots.
+func payloadCapture(t *testing.T, streams, rounds int, keep []int) *Capture {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, testMeta(streams, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRounds(t, w, streams, make([]time.Duration, rounds))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err = c.FilterStreams(keep); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestServeReplayWritesStoredBodies: a replay writes the wire the capture
+// stores. With one capture, every round frame's body is the stored body
+// byte for byte; with two muxed captures, the second capture's rounds
+// decode to its own packets at ids shifted past the first capture's slots.
+func TestServeReplayWritesStoredBodies(t *testing.T) {
+	serve := func(captures ...*Capture) net.Conn {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := ServeReplay(ln, captures, ReplayOptions{Clock: &VirtualClock{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	a := payloadCapture(t, 3, 4, []int{1, 2}) // every round's first gap is 1
+
+	conn := serve(a)
+	if _, err := io.ReadFull(conn, make([]byte, 9+5*3)); err != nil { // the handshake
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		var hdr [20]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, binary.BigEndian.Uint32(hdr[12:]))
+		if _, err := io.ReadFull(conn, body); err != nil {
+			t.Fatal(err)
+		}
+		if id := binary.BigEndian.Uint32(hdr[8:]); id == ^uint32(0) { // goodbye
+			if i != len(a.Rounds) {
+				t.Fatalf("goodbye after %d of %d rounds", i, len(a.Rounds))
+			}
+			break
+		}
+		if !bytes.Equal(body, a.Rounds[i].Body) {
+			t.Fatalf("round %d: wire body\n%x\nstored body\n%x", i, body, a.Rounds[i].Body)
+		}
+	}
+
+	b := payloadCapture(t, 4, 3, []int{1, 3})
+	client, err := stream.NewClient(serve(a, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want codec.Round
+	j := 0
+	for {
+		got, err := client.NextRoundSparse()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.IDs[0] < 3 { // a round of the first capture
+			continue
+		}
+		if err := b.DecodeRound(j, &want); err != nil {
+			t.Fatal(err)
+		}
+		j++
+		if got.Len() != want.Len() {
+			t.Fatalf("b's round %d: %d packets, want %d", j-1, got.Len(), want.Len())
+		}
+		for k, p := range got.Pkts {
+			w := *want.Pkts[k]
+			w.StreamID += 3
+			if got.IDs[k] != want.IDs[k]+3 || !reflect.DeepEqual(*p, w) {
+				t.Fatalf("b's round %d entry %d: got %+v at %d, want %+v at %d", j-1, k, *p, got.IDs[k], w, want.IDs[k]+3)
+			}
+		}
+	}
+	if j != len(b.Rounds) {
+		t.Fatalf("client saw %d of b's %d rounds", j, len(b.Rounds))
 	}
 }
 

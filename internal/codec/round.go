@@ -100,3 +100,18 @@ func (r *Round) FromDense(pkts []*Packet) {
 		}
 	}
 }
+
+// Dense scatters the round into *buf, grown to M entries with nil for idle
+// streams: the nil-padded view dense consumers read. It is valid until the
+// round or *buf is reused.
+func (r *Round) Dense(buf *[]*Packet) []*Packet {
+	if cap(*buf) < r.M {
+		*buf = make([]*Packet, r.M)
+	}
+	d := (*buf)[:r.M]
+	clear(d)
+	for k, id := range r.IDs {
+		d[id] = r.Pkts[k]
+	}
+	return d
+}

@@ -47,8 +47,22 @@ func TestRoundFromDenseRoundTrip(t *testing.T) {
 	if r.Get(5) != nil || r.Find(0) != -1 {
 		t.Fatalf("idle lookups should miss")
 	}
+	// Dense is FromDense's inverse, and clears a reused buffer's stale slots.
+	buf := []*Packet{{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}}
+	back := r.Dense(&buf)
+	if len(back) != len(dense) || &back[0] != &buf[0] {
+		t.Fatalf("Dense: %d entries, buffer reused %v", len(back), &back[0] == &buf[0])
+	}
+	for i := range dense {
+		if back[i] != dense[i] {
+			t.Fatalf("Dense[%d] = %v, want %v", i, back[i], dense[i])
+		}
+	}
 	r.Reset(6)
 	if r.Len() != 0 || r.M != 6 {
 		t.Fatalf("Reset: len %d m %d", r.Len(), r.M)
+	}
+	if d := r.Dense(&buf); len(d) != 6 || d[0] != nil {
+		t.Fatalf("Dense of an empty round: %v", d)
 	}
 }

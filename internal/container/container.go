@@ -6,7 +6,9 @@
 // demuxing plays in the paper's offline-video use case. The CRC record
 // (record.go: kind u8 · length u32 · crc32 u32 · body) frames PGC capture
 // records, PGCP frames and the cluster journal, and ReadBody is the one rule
-// for reading a body whose length came off the wire.
+// for reading a body whose length came off the wire. Uvarint is the one
+// reader of the shortest-form uvarints PGSP round bodies and PGC round
+// records are built from.
 package container
 
 import (
@@ -75,4 +77,15 @@ func UnmarshalPacket(data []byte) (*codec.Packet, int, error) {
 		p.Payload = append([]byte(nil), p.Payload...)
 	}
 	return p, n, nil
+}
+
+// Uvarint reads a uvarint in its shortest form. An overlong encoding (a
+// final zero byte after the first) reads as malformed, n <= 0, so bytes that
+// decode re-encode to the same bytes.
+func Uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -n
+	}
+	return v, n
 }

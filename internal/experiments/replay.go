@@ -85,7 +85,7 @@ func Replay(o Options) error {
 	}
 	recorded := scheduleOffsets(c, w)
 	for {
-		if _, err := src.NextRound(); err != nil {
+		if _, err := src.NextRoundSparse(); err != nil {
 			break
 		}
 	}
@@ -125,7 +125,7 @@ func Replay(o Options) error {
 		return err
 	}
 	for {
-		if _, err := flat.NextRound(); err != nil {
+		if _, err := flat.NextRoundSparse(); err != nil {
 			break
 		}
 	}

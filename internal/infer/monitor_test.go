@@ -23,7 +23,9 @@ func sumClassStats(f *Fleet) (tot [4]int64) {
 // of its monitors' class counters after every step of a seeded random mix of
 // decoded and skipped rounds, imports (of other monitors' states, fresh
 // states and arbitrary counters) and resets across streams of a mixed-task
-// fleet.
+// fleet. Arbitrary counters are drawn with correct ≤ rounds, so every such
+// import is accepted; a separate spoiled draw (more correct rounds than
+// rounds) must be refused and leave the monitor and the fleet untouched.
 func TestFleetClassTotalsProperty(t *testing.T) {
 	tasks := []Task{PersonCounting{}, FireDetection{}, AnomalyDetection{}}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -43,11 +45,29 @@ func TestFleetClassTotalsProperty(t *testing.T) {
 				mon.ObserveSkipped(scene())
 			case op == 8:
 				st := f.Stream(rng.Intn(m)).Export()
-				if rng.Intn(2) == 0 {
-					st.NegRounds, st.NegCorrect = rng.Int63n(50), rng.Int63n(50)
-					st.PosRounds, st.PosCorrect = rng.Int63n(50), rng.Int63n(50)
+				switch rng.Intn(3) {
+				case 0:
+					st.NegRounds, st.PosRounds = rng.Int63n(50), rng.Int63n(50)
+					st.NegCorrect, st.PosCorrect = rng.Int63n(st.NegRounds+1), rng.Int63n(st.PosRounds+1)
+				case 1:
+					st.PosRounds = rng.Int63n(50)
+					st.PosCorrect = st.PosRounds + 1 + rng.Int63n(50)
+					nr, nc, pr, pc := mon.ClassStats()
+					fnr, fnc, fpr, fpc := f.ClassTotals()
+					if err := mon.Import(st); err == nil {
+						t.Fatalf("seed %d step %d: spoiled import %+v accepted", seed, step, st)
+					}
+					if a, b, c, d := mon.ClassStats(); [4]int64{a, b, c, d} != [4]int64{nr, nc, pr, pc} {
+						t.Fatalf("seed %d step %d: refused import moved the monitor", seed, step)
+					}
+					if a, b, c, d := f.ClassTotals(); [4]int64{a, b, c, d} != [4]int64{fnr, fnc, fpr, fpc} {
+						t.Fatalf("seed %d step %d: refused import moved the fleet totals", seed, step)
+					}
+					continue
 				}
-				mon.Import(st)
+				if err := mon.Import(st); err != nil {
+					t.Fatalf("seed %d step %d: import %+v refused: %v", seed, step, st, err)
+				}
 			default:
 				mon.Reset()
 			}

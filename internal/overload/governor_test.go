@@ -19,17 +19,17 @@ func mustGovernor(t *testing.T, cfg Config) *Governor {
 func TestGovernorValidation(t *testing.T) {
 	bad := []Config{
 		{},
-		{SLO: time.Millisecond},                                              // no budget
-		{SLO: -time.Millisecond, Budget: 10},                                 // negative SLO
-		{SLO: time.Millisecond, Budget: 10, Cut: 1.5},                        // cut >= 1
-		{SLO: time.Millisecond, Budget: 10, Alpha: 2},                        // alpha > 1
-		{SLO: time.Millisecond, Budget: 10, Guard: 1.2},                      // guard > 1
-		{SLO: time.Millisecond, Budget: 10, Guard: 0.5, Headroom: 0.6},       // headroom >= guard
-		{SLO: time.Millisecond, Budget: 10, MinBudget: 20},                   // min > budget
-		{SLO: time.Millisecond, Budget: 10, EnterAfter: -1},                  // negative hysteresis
-		{SLO: time.Millisecond, Budget: 10, ExitAfter: -3},                   // negative hysteresis
-		{SLO: time.Millisecond, Budget: 10, SaturatedDepth: -1},              // negative depth
-		{SLO: time.Millisecond, Budget: 10, Step: -1},                        // negative step
+		{SLO: time.Millisecond},              // no budget
+		{SLO: -time.Millisecond, Budget: 10}, // negative SLO
+		{SLO: time.Millisecond, Budget: 10, Cut: 1.5},                  // cut >= 1
+		{SLO: time.Millisecond, Budget: 10, Alpha: 2},                  // alpha > 1
+		{SLO: time.Millisecond, Budget: 10, Guard: 1.2},                // guard > 1
+		{SLO: time.Millisecond, Budget: 10, Guard: 0.5, Headroom: 0.6}, // headroom >= guard
+		{SLO: time.Millisecond, Budget: 10, MinBudget: 20},             // min > budget
+		{SLO: time.Millisecond, Budget: 10, EnterAfter: -1},            // negative hysteresis
+		{SLO: time.Millisecond, Budget: 10, ExitAfter: -3},             // negative hysteresis
+		{SLO: time.Millisecond, Budget: 10, SaturatedDepth: -1},        // negative depth
+		{SLO: time.Millisecond, Budget: 10, Step: -1},                  // negative step
 	}
 	for i, cfg := range bad {
 		if _, err := NewGovernor(cfg); err == nil {

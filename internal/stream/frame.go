@@ -65,123 +65,133 @@ var ErrFrameCRC = errors.New("stream: frame CRC mismatch")
 var errGoodbye = errors.New("stream: goodbye")
 
 // AppendFrame appends one v2 per-stream frame (one packet body) to dst.
-// Servers send round frames (RoundEncoder); Client still reads per-stream
+// Servers send round frames (WriteRoundFrame); Client still reads per-stream
 // frames, closing such a round when the next round's first frame arrives.
 func AppendFrame(dst []byte, round uint64, stream uint32, body []byte) []byte {
-	return appendFrame(dst, round, stream, body)
-}
-
-// RoundEncoder frames whole rounds as PGSP round frames. It is the one PGSP
-// encoder: stream.Server and capture.ServeReplay both send through it. Its
-// buffers are reused, so the zero value is ready and a steady-state round
-// allocates nothing.
-type RoundEncoder struct {
-	pkt, body, frame []byte
-}
-
-// Encode returns round r (ids ascending, all below r.M) framed as one round
-// frame with round index round. The bytes are valid until the next call.
-func (e *RoundEncoder) Encode(round uint64, r *codec.Round) []byte {
-	e.body = appendSparseRoundBody(e.body[:0], r.IDs, r.Pkts, &e.pkt)
-	e.frame = appendFrame(e.frame[:0], round, sparseRoundStream, e.body)
-	return e.frame
+	return append(appendFrameHeader(dst, round, stream, body), body...)
 }
 
 // AppendGoodbye appends the end-of-session marker to dst.
 func AppendGoodbye(dst []byte, round uint64) []byte {
-	return appendGoodbye(dst, round)
+	return AppendFrame(dst, round, goodbyeStream, nil)
 }
 
-// appendFrame appends one v2 frame to dst.
-func appendFrame(dst []byte, round uint64, stream uint32, body []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint64(hdr[0:], round)
-	binary.BigEndian.PutUint32(hdr[8:], stream)
-	binary.BigEndian.PutUint32(hdr[12:], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(body))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
+// WriteRoundFrame writes a round body to w as one round frame with round
+// index round. It is the one way a round frame is sent: stream.Server frames
+// the bodies RoundEncoder appends, and capture.ServeReplay frames the bodies
+// a capture stores. The header is built in w's free buffer space, so a
+// steady-state frame allocates nothing.
+func WriteRoundFrame(w *bufio.Writer, round uint64, body []byte) error {
+	if _, err := w.Write(appendFrameHeader(w.AvailableBuffer(), round, sparseRoundStream, body)); err != nil {
+		return err
+	}
+	_, err := w.Write(body)
+	return err
 }
 
-// appendGoodbye appends the end-of-session marker.
-func appendGoodbye(dst []byte, round uint64) []byte {
-	return appendFrame(dst, round, goodbyeStream, nil)
+// appendFrameHeader appends the 20-byte v2 frame header for body to dst.
+func appendFrameHeader(dst []byte, round uint64, stream uint32, body []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, round)
+	dst = binary.BigEndian.AppendUint32(dst, stream)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 }
 
-// appendSparseRoundBody appends the sparse round body for the given active
-// packets (ids ascending, pkts parallel). scratch recycles the per-packet
-// marshal buffer across calls.
-func appendSparseRoundBody(dst []byte, ids []int32, pkts []*codec.Packet, scratch *[]byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+// RoundEncoder appends round bodies. It is the one round-body encoder: the
+// bodies stream.Server sends and the bodies a PGC capture stores both come
+// from it. Its packet scratch is reused, so the zero value is ready and a
+// steady-state round allocates nothing.
+type RoundEncoder struct {
+	pkt []byte
+}
+
+// AppendBody appends round r's body (ids ascending, all below r.M) to dst.
+func (e *RoundEncoder) AppendBody(dst []byte, r *codec.Round) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(r.IDs)))
 	prev := int32(-1)
-	for k, id := range ids {
+	for k, id := range r.IDs {
 		dst = binary.AppendUvarint(dst, uint64(id-prev-1))
 		prev = id
-		*scratch = container.MarshalPacket((*scratch)[:0], pkts[k])
-		dst = binary.AppendUvarint(dst, uint64(len(*scratch)))
-		dst = append(dst, *scratch...)
+		e.pkt = container.MarshalPacket(e.pkt[:0], r.Pkts[k])
+		dst = binary.AppendUvarint(dst, uint64(len(e.pkt)))
+		dst = append(dst, e.pkt...)
 	}
 	return dst
 }
 
-// uvarint reads a uvarint in its shortest form. An overlong encoding (a
-// final zero byte after the first) reads as malformed, n <= 0, so a body
-// that decodes re-encodes to the same bytes.
-func uvarint(b []byte) (uint64, int) {
-	v, n := binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, -n
+// ShiftRoundBody appends body to dst with every stream id raised by by, for
+// a replay that muxes several captures onto one slot range. Ids are gap
+// coded, so only the first gap changes: one uvarint is re-encoded and the
+// rest is copied.
+func ShiftRoundBody(dst, body []byte, by int) ([]byte, error) {
+	count, n := container.Uvarint(body)
+	if n <= 0 {
+		return dst, errors.New("stream: round body: bad count")
 	}
-	return v, n
+	if count == 0 {
+		return append(dst, body...), nil
+	}
+	gap, g := container.Uvarint(body[n:])
+	if g <= 0 {
+		return dst, errors.New("stream: round body: bad id gap")
+	}
+	dst = append(dst, body[:n]...)
+	dst = binary.AppendUvarint(dst, gap+uint64(by))
+	return append(dst, body[n+g:]...), nil
 }
 
-// decodeSparseRoundBody decodes a sparse round body into r, which is Reset
-// to width m. Stream ids beyond m, truncated bodies, or trailing bytes are
-// errors — the frame CRC already passed, so any of these means a peer bug,
-// not wire noise.
-func decodeSparseRoundBody(body []byte, m int, r *codec.Round) error {
+// DecodeRoundBody decodes a round body into r, which is Reset to the
+// session's width len(infos); every packet is stamped with its stream id and
+// that stream's codec, and owns its payload. It is the one round-body
+// decoder: a PGSP client reads round frames and a PGC capture reads its
+// stored rounds through it. Stream ids beyond the width, truncated bodies,
+// trailing bytes or overlong uvarints are errors — a frame's CRC or a
+// record's already passed, so any of these means a peer bug, not noise.
+func DecodeRoundBody(body []byte, infos []StreamInfo, r *codec.Round) error {
+	m := len(infos)
 	r.Reset(m)
-	count, n := uvarint(body)
+	count, n := container.Uvarint(body)
 	if n <= 0 {
-		return errors.New("stream: sparse round: bad count")
+		return errors.New("stream: round body: bad count")
 	}
 	body = body[n:]
 	if count > uint64(m) {
-		return fmt.Errorf("stream: sparse round: %d entries for %d streams", count, m)
+		return fmt.Errorf("stream: round body: %d entries for %d streams", count, m)
 	}
 	next := int64(0) // lowest id the next entry may name
 	for i := uint64(0); i < count; i++ {
-		gap, n := uvarint(body)
+		gap, n := container.Uvarint(body)
 		if n <= 0 {
-			return errors.New("stream: sparse round: bad id gap")
+			return errors.New("stream: round body: bad id gap")
 		}
 		body = body[n:]
 		if gap >= uint64(int64(m)-next) {
-			return fmt.Errorf("stream: sparse round: stream %d+%d out of range [0,%d)", next, gap, m)
+			return fmt.Errorf("stream: round body: stream %d+%d out of range [0,%d)", next, gap, m)
 		}
 		id := next + int64(gap)
 		next = id + 1
-		plen, n := uvarint(body)
+		plen, n := container.Uvarint(body)
 		if n <= 0 {
-			return errors.New("stream: sparse round: bad packet length")
+			return errors.New("stream: round body: bad packet length")
 		}
 		body = body[n:]
 		if plen > uint64(len(body)) {
-			return errors.New("stream: sparse round: truncated packet")
+			return errors.New("stream: round body: truncated packet")
 		}
 		p, used, err := container.UnmarshalPacket(body[:plen])
 		if err != nil {
-			return fmt.Errorf("stream: sparse round: %w", err)
+			return fmt.Errorf("stream: round body: %w", err)
 		}
 		if used != int(plen) {
-			return errors.New("stream: sparse round: packet has trailing bytes")
+			return errors.New("stream: round body: packet has trailing bytes")
 		}
 		body = body[plen:]
 		p.StreamID = int(id)
+		p.Codec = infos[id].Codec
 		r.Append(int32(id), p)
 	}
 	if len(body) != 0 {
-		return errors.New("stream: sparse round: trailing bytes")
+		return errors.New("stream: round body: trailing bytes")
 	}
 	return nil
 }

@@ -18,10 +18,10 @@ import (
 // ErrFrameCRC the reader stays frame-aligned (the next read starts at the
 // next header, so a valid trailing frame is still recovered).
 func FuzzPGSPFrame(f *testing.F) {
-	valid := appendFrame(nil, 3, 1, []byte("packet body"))
+	valid := AppendFrame(nil, 3, 1, []byte("packet body"))
 	f.Add(valid)
-	f.Add(appendGoodbye(nil, 9))
-	f.Add(appendFrame(nil, 0, 0, nil))
+	f.Add(AppendGoodbye(nil, 9))
+	f.Add(AppendFrame(nil, 0, 0, nil))
 	// Body corruption: CRC mismatch, framing intact.
 	crcBad := append([]byte(nil), valid...)
 	crcBad[len(crcBad)-1] ^= 0x01
@@ -34,7 +34,7 @@ func FuzzPGSPFrame(f *testing.F) {
 	f.Add(valid[:frameHeaderLen-3])
 	f.Add(valid[:frameHeaderLen+4])
 	// A length field promising far more than maxFrameBody.
-	huge := appendFrame(nil, 1, 2, []byte("x"))
+	huge := AppendFrame(nil, 1, 2, []byte("x"))
 	huge[12], huge[13], huge[14], huge[15] = 0xFF, 0xFF, 0xFF, 0xFF
 	f.Add(huge)
 	// A corrupt frame followed by a valid one: alignment must survive.
@@ -71,12 +71,12 @@ func roundBodies() (valid []byte, bad []struct {
 	body []byte
 }) {
 	fleet := mkFactory(4, 3)()
-	var pkt []byte
+	var enc RoundEncoder
 	pkts := []*codec.Packet{fleet[0].Next(), fleet[1].Next(), fleet[2].Next()}
-	valid = appendSparseRoundBody(nil, []int32{0, 2, 3}, pkts, &pkt)
+	valid = enc.AppendBody(nil, &codec.Round{M: 4, IDs: []int32{0, 2, 3}, Pkts: pkts})
 	// Stream 0's entry, then a gap of 2^64−1: read as a signed step it
 	// lands back on stream 0.
-	entry := appendSparseRoundBody(nil, []int32{0}, pkts[:1], &pkt)[1:]
+	entry := enc.AppendBody(nil, &codec.Round{M: 4, IDs: []int32{0}, Pkts: pkts[:1]})[1:]
 	wrap := append([]byte{2}, entry...)
 	wrap = binary.AppendUvarint(wrap, math.MaxUint64)
 	wrap = append(wrap, entry[1:]...)
@@ -110,7 +110,7 @@ func FuzzPGSPRoundBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, m uint16, data []byte) {
 		var r codec.Round
-		if err := decodeSparseRoundBody(data, int(m), &r); err != nil {
+		if err := DecodeRoundBody(data, make([]StreamInfo, m), &r); err != nil {
 			return
 		}
 		if err := r.Validate(); err != nil || r.M != int(m) {
@@ -121,8 +121,8 @@ func FuzzPGSPRoundBody(f *testing.F) {
 				t.Fatalf("entry %d: packet of stream %d filed under %d", k, r.Pkts[k].StreamID, id)
 			}
 		}
-		var scratch []byte
-		if again := appendSparseRoundBody(nil, r.IDs, r.Pkts, &scratch); !bytes.Equal(again, data) {
+		var enc RoundEncoder
+		if again := enc.AppendBody(nil, &r); !bytes.Equal(again, data) {
 			t.Fatalf("decoded body re-encodes differently:\n in  %x\n out %x", data, again)
 		}
 	})
@@ -134,21 +134,45 @@ func TestRoundBodyRejects(t *testing.T) {
 	valid, bad := roundBodies()
 	var r codec.Round
 	for _, b := range bad {
-		if err := decodeSparseRoundBody(b.body, b.m, &r); err == nil {
+		if err := DecodeRoundBody(b.body, make([]StreamInfo, b.m), &r); err == nil {
 			t.Errorf("%s: decoded without error", b.name)
 		}
 	}
-	if err := decodeSparseRoundBody(valid, 4, &r); err != nil || r.Len() != 3 {
+	if err := DecodeRoundBody(valid, make([]StreamInfo, 4), &r); err != nil || r.Len() != 3 {
 		t.Fatalf("valid body: %d entries, %v", r.Len(), err)
+	}
+}
+
+// TestRoundFrameZeroAlloc: a steady-state round, its body appended into a
+// reused buffer and framed onto a buffered writer, allocates nothing — the
+// send loop of stream.Server and of capture.ServeReplay.
+func TestRoundFrameZeroAlloc(t *testing.T) {
+	valid, _ := roundBodies()
+	var r codec.Round
+	if err := DecodeRoundBody(valid, make([]StreamInfo, 4), &r); err != nil {
+		t.Fatal(err)
+	}
+	var enc RoundEncoder
+	var body []byte
+	bw := bufio.NewWriter(io.Discard)
+	round := func() {
+		body = enc.AppendBody(body[:0], &r)
+		if err := WriteRoundFrame(bw, 7, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("a round frame allocates %.1f objects", avg)
 	}
 }
 
 // TestFrameAlignmentAfterCRCError pins the skip-and-continue contract with a
 // deterministic case: corrupt frame, then a valid one the reader must reach.
 func TestFrameAlignmentAfterCRCError(t *testing.T) {
-	bad := appendFrame(nil, 0, 0, []byte("first"))
+	bad := AppendFrame(nil, 0, 0, []byte("first"))
 	bad[len(bad)-2] ^= 0x40
-	buf := append(bad, appendFrame(nil, 1, 2, []byte("second"))...)
+	buf := append(bad, AppendFrame(nil, 1, 2, []byte("second"))...)
 	br := bufio.NewReader(bytes.NewReader(buf))
 	var own []byte
 	if _, _, _, err := readFrame(br, &own); !errors.Is(err, ErrFrameCRC) {
@@ -169,7 +193,7 @@ func TestFrameAlignmentAfterCRCError(t *testing.T) {
 // TestFrameRejectsHostileLength ensures a corrupt length field fails fast
 // instead of allocating gigabytes.
 func TestFrameRejectsHostileLength(t *testing.T) {
-	frame := appendFrame(nil, 0, 0, []byte("tiny"))
+	frame := AppendFrame(nil, 0, 0, []byte("tiny"))
 	frame[12], frame[13] = 0xFF, 0xFF // length ≈ 4 GiB
 	var own []byte
 	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), &own)

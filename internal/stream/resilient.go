@@ -159,7 +159,7 @@ func (r *Resilient) NextRound() ([]*codec.Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return denseView(&r.dense, rnd), nil
+	return rnd.Dense(&r.dense), nil
 }
 
 // retire folds the dead session's counters and discards it.

@@ -69,14 +69,14 @@ func TestClientSkipsCorruptFrames(t *testing.T) {
 	}
 	addr := rawSession(t, 2, func(bw *bufio.Writer) {
 		// Round 0: stream 0 intact, stream 1's body corrupted on the wire.
-		bw.Write(appendFrame(nil, 0, 0, mkBody(0)))
-		bad := appendFrame(nil, 0, 1, mkBody(1))
+		bw.Write(AppendFrame(nil, 0, 0, mkBody(0)))
+		bad := AppendFrame(nil, 0, 1, mkBody(1))
 		bad[len(bad)-1] ^= 0xFF
 		bw.Write(bad)
 		// Round 1: both intact. Then a clean goodbye.
-		bw.Write(appendFrame(nil, 1, 0, mkBody(0)))
-		bw.Write(appendFrame(nil, 1, 1, mkBody(1)))
-		bw.Write(appendGoodbye(nil, 2))
+		bw.Write(AppendFrame(nil, 1, 0, mkBody(0)))
+		bw.Write(AppendFrame(nil, 1, 1, mkBody(1)))
+		bw.Write(AppendGoodbye(nil, 2))
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -123,9 +123,9 @@ func TestResetWithoutGoodbyeIsUnclean(t *testing.T) {
 	fleet := mkFactory(1, 13)()
 	addr := rawSession(t, 1, func(bw *bufio.Writer) {
 		body := container.MarshalPacket(nil, fleet[0].Next())
-		bw.Write(appendFrame(nil, 0, 0, body))
+		bw.Write(AppendFrame(nil, 0, 0, body))
 		// Cut mid-frame: a header promising more bytes than ever arrive.
-		frame := appendFrame(nil, 1, 0, body)
+		frame := AppendFrame(nil, 1, 0, body)
 		bw.Write(frame[:len(frame)-3])
 	})
 	c, err := Dial(addr)
@@ -201,7 +201,7 @@ func TestResilientSurvivesReset(t *testing.T) {
 			if sparse {
 				var rnd *codec.Round
 				if rnd, err = r.NextRoundSparse(); err == nil {
-					pkts = denseView(new([]*codec.Packet), rnd)
+					pkts = rnd.Dense(new([]*codec.Packet))
 				}
 			} else {
 				pkts, err = r.NextRound()
@@ -289,14 +289,14 @@ func servedSession(n int, goodbye bool) func(net.Conn) {
 			return
 		}
 		for r := 0; r < n; r++ {
-			bw.Write(appendFrame(nil, uint64(r), 0, container.MarshalPacket(nil, fleet[0].Next())))
+			bw.Write(AppendFrame(nil, uint64(r), 0, container.MarshalPacket(nil, fleet[0].Next())))
 		}
 		if goodbye {
-			bw.Write(appendGoodbye(nil, uint64(n)))
+			bw.Write(AppendGoodbye(nil, uint64(n)))
 		} else {
 			// A cut mid-frame: the boundary header flushes round n−1, the
 			// truncated body means round n never completes.
-			frame := appendFrame(nil, uint64(n), 0, container.MarshalPacket(nil, fleet[0].Next()))
+			frame := AppendFrame(nil, uint64(n), 0, container.MarshalPacket(nil, fleet[0].Next()))
 			bw.Write(frame[:len(frame)-3])
 		}
 		bw.Flush()

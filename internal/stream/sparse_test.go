@@ -40,17 +40,17 @@ func handWritten(t *testing.T, fleet []*codec.Stream, rounds [][]*codec.Packet, 
 	for r, pkts := range rounds {
 		if roundFrames {
 			rnd.FromDense(pkts)
-			bw.Write(enc.Encode(uint64(r), &rnd))
+			WriteRoundFrame(bw, uint64(r), enc.AppendBody(nil, &rnd))
 			continue
 		}
 		for i, p := range pkts {
 			if p != nil {
-				bw.Write(appendFrame(nil, uint64(r), uint32(i), container.MarshalPacket(nil, p)))
+				bw.Write(AppendFrame(nil, uint64(r), uint32(i), container.MarshalPacket(nil, p)))
 			}
 		}
 	}
 	if !open {
-		bw.Write(appendGoodbye(nil, uint64(len(rounds))))
+		bw.Write(AppendGoodbye(nil, uint64(len(rounds))))
 	}
 	bw.Flush()
 	return wire.Bytes()
@@ -90,7 +90,7 @@ func readAll(t *testing.T, c *Client, sparse bool) [][]*codec.Packet {
 				if verr := rnd.Validate(); verr != nil {
 					t.Fatalf("round %d invalid: %v", len(all), verr)
 				}
-				dense = denseView(new([]*codec.Packet), rnd)
+				dense = rnd.Dense(new([]*codec.Packet))
 			}
 		} else {
 			var pkts []*codec.Packet
@@ -241,7 +241,7 @@ func TestRoundFrameClosesOnItsOwnFrame(t *testing.T) {
 					got <- nil
 					return
 				}
-				got <- denseView(new([]*codec.Packet), rnd)
+				got <- rnd.Dense(new([]*codec.Packet))
 				return
 			}
 			pkts, err := c.NextRound()

@@ -177,6 +177,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 	interval := time.Second / time.Duration(s.cfg.FPS)
 	var rnd codec.Round
 	var enc RoundEncoder
+	var body []byte
 	next := time.Now()
 	round := int64(0)
 	for ; s.cfg.Rounds == 0 || round < int64(s.cfg.Rounds); round++ {
@@ -198,7 +199,8 @@ func (s *Server) serveConn(conn net.Conn) error {
 				rnd.Append(int32(i), p)
 			}
 		}
-		if _, err := bw.Write(enc.Encode(uint64(round), &rnd)); err != nil {
+		body = enc.AppendBody(body[:0], &rnd)
+		if err := WriteRoundFrame(bw, uint64(round), body); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
@@ -234,7 +236,7 @@ func (s *Server) sayGoodbye(conn net.Conn, bw *bufio.Writer, round uint64) error
 	if s.cfg.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
-	if _, err := bw.Write(appendGoodbye(nil, round)); err != nil {
+	if _, err := bw.Write(AppendGoodbye(nil, round)); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -399,11 +401,8 @@ func (c *Client) next() (p *codec.Packet, round int64, err error) {
 			return nil, 0, err
 		}
 		if id == sparseRoundStream {
-			if err := decodeSparseRoundBody(body, len(c.infos), &c.round); err != nil {
+			if err := DecodeRoundBody(body, c.infos, &c.round); err != nil {
 				return nil, 0, err
-			}
-			for k, sid := range c.round.IDs {
-				c.round.Pkts[k].Codec = c.infos[sid].Codec
 			}
 			return nil, int64(rnd), nil
 		}
@@ -446,7 +445,8 @@ func (c *Client) NextRoundSparse() (*codec.Round, error) {
 			return &c.round, nil
 		}
 	}
-	dense := cleared(&c.denseScratch, len(c.infos))
+	c.round.Reset(len(c.infos))
+	dense := c.round.Dense(&c.denseScratch) // an empty round's view: m nil slots
 	dense[p.StreamID] = p
 	for {
 		q, r, err := c.next()
@@ -481,24 +481,5 @@ func (c *Client) NextRound() ([]*codec.Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return denseView(&c.denseScratch, r), nil
-}
-
-// cleared returns *buf resized to m entries, all nil.
-func cleared(buf *[]*codec.Packet, m int) []*codec.Packet {
-	if cap(*buf) < m {
-		*buf = make([]*codec.Packet, m)
-	}
-	d := (*buf)[:m]
-	clear(d)
-	return d
-}
-
-// denseView scatters r into *buf: the nil-padded form NextRound returns.
-func denseView(buf *[]*codec.Packet, r *codec.Round) []*codec.Packet {
-	d := cleared(buf, r.M)
-	for k, id := range r.IDs {
-		d[id] = r.Pkts[k]
-	}
-	return d
+	return r.Dense(&c.denseScratch), nil
 }
