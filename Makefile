@@ -51,7 +51,8 @@ loc:
 # selector's solve (Ranked with all candidates dirty included), the
 # coordinator's solve-and-grant step, a worker's read of a round frame into
 # its recycled record and its core's whole round, the container's in-place packet parse and its record
-# read into a recycled buffer, and a PGSP round frame's encode and send must stay at ~zero allocs/op
+# read into a recycled buffer, a PGSP round frame's encode and send, and a PGSP
+# frame's read must stay at ~zero allocs/op
 # (testing.AllocsPerRun, no benchmark run needed), and a whole engine round —
 # gate loop, decode pool, collector, feedback, rounds overlapping or not,
 # behind the gate or a baseline policy — under one small object. One memory
@@ -67,7 +68,7 @@ alloc-smoke:
 	$(GO) test ./internal/knapsack -run TestSelectZeroAlloc -count 1
 	$(GO) test ./internal/cluster -run 'TestWorkerRoundZeroAlloc|TestWorkerCoreRoundZeroAlloc|TestSolveGrantZeroAlloc' -count 1
 	$(GO) test ./internal/container -run 'TestUnmarshalPacketIntoZeroAlloc|TestReadRecordZeroAlloc' -count 1
-	$(GO) test ./internal/stream -run TestRoundFrameZeroAlloc -count 1
+	$(GO) test ./internal/stream -run 'TestRoundFrameZeroAlloc|TestReadFrameZeroAlloc' -count 1
 	$(GO) test ./internal/pipeline -run 'TestEngineRoundAllocCeiling|TestBaselineRoundAllocCeiling' -count 1
 	$(GO) test -ldflags '-X packetgame/internal/nn.portableOnly=1' ./internal/nn ./internal/predictor -count 1
 

@@ -36,7 +36,9 @@ const (
 // compiledOp is one fused stage of the inference graph. Weights live in a
 // flat row-major []float32 (filter-major for conv: [out][in][k]), except that
 // a matvec-shaped op compiled for the SIMD kernel keeps its first `lanes`
-// output rows transposed (see laneLayout) — one layout per op, never both.
+// output rows transposed (see laneLayout) and a single-channel conv compiled
+// for it keeps a per-output tap table instead (see tapLayout) — one layout
+// per op, never both.
 //
 // There is deliberately no int8 variant: a quantized path existed and
 // honestly measured 0.28× the scalar float32 kernels before its removal,
@@ -53,6 +55,10 @@ type compiledOp struct {
 	// lanes > 0 marks a matvec-shaped op laid out for matvecAVX2: that many
 	// leading output rows (a multiple of 8) are stored [in][lanes].
 	lanes int
+	// pos != nil marks a single-channel k = 3 conv laid out for conv3AVX2:
+	// w is its tap table, b is nil, and pos[o] is the input index output
+	// o's first tap reads.
+	pos []int32
 
 	w []float32
 	b []float32
@@ -133,12 +139,14 @@ func compile(s *Sequential, inShape []int) (*Compiled, error) {
 				kind: opConv, in: lt.in, out: lt.out, k: lt.k,
 				inL: shape[1], outLen: shape[1] - lt.k + 1,
 			}
+			op.act = fuse()
 			fillWeights(&op, lt.w.W.Data, lt.b.W.Data)
 			if op.inL == op.k {
 				op.laneLayout(op.in * op.k)
+			} else {
+				op.tapLayout()
 			}
 			shape = []int{lt.out, op.outLen}
-			op.act = fuse()
 			c.ops = append(c.ops, op)
 		case *Dense:
 			if len(shape) != 1 || shape[0] != lt.in {
@@ -197,9 +205,9 @@ func fillWeights(op *compiledOp, w, b []float64) {
 // tests through the path every other host takes.
 var portableOnly string
 
-// useSIMD makes Compile lay matvec-shaped ops out for matvecAVX2. It is fixed
-// at start-up from the CPU; only the kernel tests flip it, to compile one set
-// of weights both ways.
+// useSIMD makes Compile lay matvec-shaped ops out for matvecAVX2 and
+// single-channel convs for conv3AVX2. It is fixed at start-up from the CPU;
+// only the kernel tests flip it, to compile one set of weights both ways.
 var useSIMD = portableOnly == "" && cpuHasAVX2()
 
 // laneLayout re-lays a row-major [out][in] matvec op for the lane-per-output
@@ -220,6 +228,29 @@ func (op *compiledOp) laneLayout(in int) {
 	}
 	copy(w[in*lanes:], op.w[in*lanes:])
 	op.w, op.lanes = w, lanes
+}
+
+// tapLayout re-lays a single-channel k = 3 conv for conv3AVX2, one lane per
+// output o = f·outLen+p: w becomes four rows of out·outLen floats — row 0 the
+// bias b[f], row 1+t the tap w[f][t] — and pos[o] = p. The kernel holds a
+// whole input row in one vector, so rows longer than 8 stay on the scalar
+// loop, as do widths that are not a multiple of 8 and a fused sigmoid.
+func (op *compiledOp) tapLayout() {
+	width := op.out * op.outLen
+	if !useSIMD || op.in != 1 || op.k != 3 || op.inL > 8 || width%8 != 0 || op.act == ActSigmoid {
+		return
+	}
+	w := make([]float32, 4*width)
+	pos := make([]int32, width)
+	for o := range pos {
+		f, p := o/op.outLen, o%op.outLen
+		w[o] = op.b[f]
+		for t := 0; t < 3; t++ {
+			w[(t+1)*width+o] = op.w[f*3+t]
+		}
+		pos[o] = int32(p)
+	}
+	op.w, op.b, op.pos = w, nil, pos
 }
 
 // ChunkRows is the number of examples Forward carries through the whole
@@ -319,21 +350,29 @@ func sigmoid32(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
-// convForward is the im2col-free fused Conv1D kernel. Two layout facts make
+// convForward is the im2col-free fused Conv1D kernel. Three layout facts make
 // the predictor's convs cheap: when inL == k there is a single output
 // position and the [in][inL] input block lines up element-for-element with
-// the [in][k] filter row, so the conv is one long dot; and the common k = 3
-// is unrolled with direct indexing instead of per-channel subslices (whose
-// setup cost dwarfs three multiplies).
+// the [in][k] filter row, so the conv is one long dot; a single-channel
+// k = 3 conv over at most 8 positions fits one vector, so conv3AVX2 runs it
+// from its tap table; and the common k = 3 is otherwise unrolled with direct
+// indexing instead of per-channel subslices (whose setup cost dwarfs three
+// multiplies).
 func convForward(op *compiledOp, n int, x, y []float32) {
 	in, out, k, inL, outL := op.in, op.out, op.k, op.inL, op.outLen
 	if inL == k {
 		matvecRows(op, n, in*k, x, y)
 		return
 	}
+	if op.pos != nil {
+		x, y = x[:n*inL], y[:n*out*outL]
+		conv3AVX2(&op.w[0], &op.pos[0], &x[0], &y[0], inL, out*outL, n, op.act == ActReLU)
+		return
+	}
 	if k == 3 && in == 1 {
 		// Single input channel (the towers' first conv): the three filter
-		// taps live in registers across the whole position sweep.
+		// taps live in registers across the whole position sweep. This is
+		// the order conv3AVX2's lanes keep: bias first, taps ascending.
 		for bi := 0; bi < n; bi++ {
 			xb := x[bi*inL : bi*inL+inL]
 			yb := y[bi*out*outL : (bi+1)*out*outL]

@@ -8,3 +8,9 @@ func cpuHasAVX2() bool
 //
 //go:noescape
 func matvecAVX2(wt, b, x, y *float32, in, lanes, ystride, n int, relu bool)
+
+// conv3AVX2 is the lane-per-output kernel behind a tap-laid-out conv (see
+// tapLayout); kernel_amd64.s has its contract.
+//
+//go:noescape
+func conv3AVX2(tab *float32, pos *int32, x, y *float32, inL, width, n int, relu bool)

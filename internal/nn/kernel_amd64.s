@@ -148,3 +148,92 @@ nextrow:
 done:
 	VZEROUPPER
 	RET
+
+// Lane j of iota8 holds j: compared against a broadcast inL it gives the mask
+// of the lanes a row of inL floats fills.
+DATA iota8<>+0(SB)/4, $0
+DATA iota8<>+4(SB)/4, $1
+DATA iota8<>+8(SB)/4, $2
+DATA iota8<>+12(SB)/4, $3
+DATA iota8<>+16(SB)/4, $4
+DATA iota8<>+20(SB)/4, $5
+DATA iota8<>+24(SB)/4, $6
+DATA iota8<>+28(SB)/4, $7
+GLOBL iota8<>(SB), RODATA|NOPTR, $32
+
+// func conv3AVX2(tab *float32, pos *int32, x, y *float32, inL, width, n int, relu bool)
+//
+// The single-input-channel k = 3 conv over n rows of inL ≤ 8 floats (x
+// advances by inL, y by width, a multiple of 8). tab is four rows of width
+// floats — row 0 the bias of output o, rows 1..3 its taps — and pos[o] is
+// the input index output o's first tap reads:
+//
+//	y[o] = act(((tab[o] + tab[width+o]·x[pos[o]]) + tab[2·width+o]·x[pos[o]+1]) + tab[3·width+o]·x[pos[o]+2])
+//
+// One lane owns one output and does what the scalar loop does for it: start
+// at the bias, then a separate VMULPS and VADDPS per tap, taps ascending, no
+// FMA; ReLU is VMAXPS with zero as the first source (matvecAVX2's rule). A
+// row is loaded once with VMASKMOVPS, which touches no byte past x[inL-1],
+// and each tap's inputs are gathered from that register with VPERMPS.
+//
+// Register use: SI tab, DX pos, R8 x row, DI y row, CX inL, R9 width, R11
+// rows left, R12 relu, BX output offset, AX tap cursor; Y0-Y2 input indices
+// of taps 0-2, Y3 accumulator, Y4-Y6 gathered inputs and products, Y12 all
+// ones (-1 per lane), Y13 load mask, Y14 input row, Y15 zero.
+TEXT ·conv3AVX2(SB), NOSPLIT, $0-57
+	MOVQ    tab+0(FP), SI
+	MOVQ    pos+8(FP), DX
+	MOVQ    x+16(FP), R8
+	MOVQ    y+24(FP), DI
+	MOVQ    inL+32(FP), CX
+	MOVQ    width+40(FP), R9
+	MOVQ    n+48(FP), R11
+	MOVBQZX relu+56(FP), R12
+	VXORPS  Y15, Y15, Y15
+	VPCMPEQD Y12, Y12, Y12
+	VMOVQ   CX, X13
+	VPBROADCASTD X13, Y13
+	VPCMPGTD iota8<>(SB), Y13, Y13
+	TESTQ   R11, R11
+	JLE     cdone
+
+crow:
+	VMASKMOVPS (R8), Y13, Y14
+	XORQ BX, BX
+
+cblock:
+	VMOVDQU (DX)(BX*4), Y0
+	VPSUBD  Y12, Y0, Y1
+	VPSUBD  Y12, Y1, Y2
+	LEAQ    (SI)(BX*4), AX
+	VMOVUPS (AX), Y3
+	VPERMPS Y14, Y0, Y4
+	LEAQ    (AX)(R9*4), AX
+	VMULPS  (AX), Y4, Y4
+	VADDPS  Y4, Y3, Y3
+	VPERMPS Y14, Y1, Y5
+	LEAQ    (AX)(R9*4), AX
+	VMULPS  (AX), Y5, Y5
+	VADDPS  Y5, Y3, Y3
+	VPERMPS Y14, Y2, Y6
+	LEAQ    (AX)(R9*4), AX
+	VMULPS  (AX), Y6, Y6
+	VADDPS  Y6, Y3, Y3
+	TESTQ   R12, R12
+	JZ      cstore
+	VMAXPS  Y3, Y15, Y3
+
+cstore:
+	VMOVUPS Y3, (DI)(BX*4)
+	ADDQ    $8, BX
+	CMPQ    BX, R9
+	JL      cblock
+
+	LEAQ (R8)(CX*4), R8
+	LEAQ (DI)(R9*4), DI
+	DECQ R11
+	JNZ  crow
+
+cdone:
+	VZEROUPPER
+	RET

@@ -147,11 +147,78 @@ func TestSIMDMatchesPortable(t *testing.T) {
 	}
 }
 
+// TestSIMDConvTapsMatchPortable is the tap kernel's bit-identity property:
+// every tower shape of windows 1..8 (k = min(3, w), two conv blocks), at
+// widths the kernel covers and ones it leaves to the scalar loop, and a
+// lone single-channel conv under each fused activation, over batches that
+// end before, on and after a chunk boundary, with special values in weights,
+// biases and inputs and unaligned input and output slices, return the
+// portable graph's bits. It also checks which ops took the tap layout, so
+// the property cannot pass by never running the kernel.
+func TestSIMDConvTapsMatchPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	acts := []struct {
+		name  string
+		layer func() Layer
+	}{
+		{"none", nil},
+		{"relu", func() Layer { return NewReLU("r") }},
+		{"sigmoid", func() Layer { return NewSigmoid("s") }},
+	}
+	check := func(name string, s *Sequential, w int, rate float64, wantTaps bool) {
+		simd, portable := compileBoth(t, s, []int{1, w})
+		if got := simd.ops[0].pos != nil; got != wantTaps || portable.ops[0].pos != nil {
+			t.Fatalf("%s: tap layout SIMD %v portable %v, want %v and false", name, got, portable.ops[0].pos != nil, wantTaps)
+		}
+		for _, n := range []int{1, 7, 64, 65, 130} {
+			off := rng.Intn(8)
+			x := unaligned(n*w, off)
+			for i := range x {
+				x[i] = spiced(rng, rate)
+			}
+			got := unaligned(n*simd.OutDim(), (off+5)%8)
+			want := make([]float32, n*simd.OutDim())
+			simd.Forward(n, x, got)
+			portable.Forward(n, x, want)
+			for i := range want {
+				if !sameF32(got[i], want[i]) {
+					t.Fatalf("%s n=%d output %d: SIMD %v (%#08x) != portable %v (%#08x)", name, n, i,
+						got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+	for w := 1; w <= 8; w++ {
+		k := min(3, w)
+		for _, out := range []int{8, 12, 32, 40} {
+			taps := w > 3 && out*(w-k+1)%8 == 0
+			for _, rate := range []float64{0, 0.05} {
+				tower := buildTower(w, out, 2, rng)
+				for _, p := range tower.Params() {
+					fillParams(rng, rate, p)
+				}
+				check(fmt.Sprintf("tower w%d out%d rate%g", w, out, rate), tower, w, rate, taps)
+			}
+			for _, act := range acts {
+				c := NewConv1D("c", 1, out, k, rng)
+				fillParams(rng, 0.05, c.w, c.b)
+				layers := []Layer{c}
+				if act.layer != nil {
+					layers = append(layers, act.layer())
+				}
+				check(fmt.Sprintf("conv w%d out%d %s", w, out, act.name), NewSequential("g", layers...), w, 0.05,
+					taps && act.name != "sigmoid")
+			}
+		}
+	}
+}
+
 // TestSIMDSpecialValues pins the cases a vector ReLU is most likely to get
 // wrong: a NaN pre-activation must come back NaN, as the portable
 // `if v < 0 { v = 0 }` leaves it, and ±Inf, -0 products and denormals must
-// clamp the same way. (A -0 pre-activation cannot occur: the accumulator
-// starts at +0, and +0 + -0 is +0.)
+// clamp the same way, in the matvec and in the tap kernel. (In the matvec a
+// -0 pre-activation cannot occur: the accumulator starts at +0, and +0 + -0
+// is +0. The tap kernel starts at the bias, so its row pins -0 too.)
 func TestSIMDSpecialValues(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	d := NewDense("d", 2, 8, rand.New(rand.NewSource(1)))
@@ -183,11 +250,47 @@ func TestSIMDSpecialValues(t *testing.T) {
 	if want[1] == want[1] || want[3] != 0 || want[4] == want[4] {
 		t.Fatalf("portable ReLU no longer passes NaN and clamps -Inf: %v", want)
 	}
+
+	// A -0 pre-activation must come back -0 from ReLU. Filter f computes
+	// ((b + w0·x0) + w1·x1) + w2·x2 at both positions of x = (1, 1, 1, 1).
+	c := NewConv1D("c", 1, 8, 3, rand.New(rand.NewSource(2)))
+	filters := [8][4]float64{
+		{negZero, negZero, negZero, negZero},     // -0 throughout stays -0
+		{math.NaN(), 0, 0, 0},                    // NaN bias stays NaN
+		{0, math.Inf(1), 0, 0},                   // +Inf
+		{0, 0, math.Inf(-1), 0},                  // -Inf clamps to +0
+		{0, math.Inf(1), 0, math.Inf(-1)},        // Inf-Inf = NaN
+		{1e-40, 0, -1e-40, 0},                    // denormals cancel to +0
+		{0, 0, 0, -1e-45},                        // negative denormal clamps
+		{math.MaxFloat32, 0, math.MaxFloat32, 0}, // overflow to +Inf
+	}
+	for f, r := range filters {
+		c.b.W.Data[f] = r[0]
+		copy(c.w.W.Data[f*3:f*3+3], r[1:])
+	}
+	simd, portable = compileBoth(t, NewSequential("g", c, NewReLU("r")), []int{1, 4})
+	if simd.ops[0].pos == nil {
+		t.Fatal("the 1→8 k3 conv over 4 positions did not take the tap layout")
+	}
+	x = []float32{1, 1, 1, 1}
+	got, want = make([]float32, 16), make([]float32, 16)
+	simd.Forward(1, x, got)
+	portable.Forward(1, x, want)
+	for o := range want {
+		if !sameF32(got[o], want[o]) {
+			t.Errorf("conv output %d: SIMD %v (%#08x) != portable %v (%#08x)", o,
+				got[o], math.Float32bits(got[o]), want[o], math.Float32bits(want[o]))
+		}
+	}
+	if !math.Signbit(float64(want[0])) || want[2] == want[2] || want[6] != 0 {
+		t.Fatalf("portable conv ReLU no longer keeps -0, passes NaN and clamps -Inf: %v", want)
+	}
 }
 
-// TestSIMDLayoutKeepsOneCopy: a SIMD-compiled op holds exactly as many
-// weights as the portable one (transposed block plus row-major tail, never
-// both layouts), and ops the kernel does not cover are left alone.
+// TestSIMDLayoutKeepsOneCopy: a SIMD-compiled matvec op holds exactly as
+// many weights as the portable one (transposed block plus row-major tail,
+// never both layouts), a tap-laid-out conv holds its tap table alone, and
+// ops the kernels do not cover are left alone.
 func TestSIMDLayoutKeepsOneCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := NewSequential("head", NewDense("fc1", 68, 37, rng), NewReLU("r"), NewDense("out", 37, 1, rng), NewSigmoid("s"))
@@ -200,34 +303,63 @@ func TestSIMDLayoutKeepsOneCopy(t *testing.T) {
 	if simd.ops[0].lanes != 32 || simd.ops[1].lanes != 0 || portable.ops[0].lanes != 0 {
 		t.Fatalf("lanes: simd %d,%d portable %d; want 32,0 and 0", simd.ops[0].lanes, simd.ops[1].lanes, portable.ops[0].lanes)
 	}
+
+	// A tower's first conv (1→32, k = 3, 5 positions) holds its tap table
+	// and position indices and nothing else: 4 rows × 96 floats + 96 int32s,
+	// where the row-major op held 96 weights + 32 biases.
+	simd, portable = compileBoth(t, buildTower(5, 32, 2, rng), []int{1, 5})
+	opBytes := func(op *compiledOp) int { return 4 * (len(op.w) + len(op.b) + len(op.pos)) }
+	if op := &simd.ops[0]; op.pos == nil || op.b != nil || len(op.w) != 4*96 || opBytes(op) != 1920 {
+		t.Fatalf("tap layout: pos %d, b %d, w %d (%d B); want 96, 0, 384 (1920 B)", len(op.pos), len(op.b), len(op.w), opBytes(op))
+	}
+	if op := &portable.ops[0]; op.pos != nil || opBytes(op) != 512 {
+		t.Fatalf("portable conv0 holds %d B and pos %v; want 512 B row-major", opBytes(op), op.pos != nil)
+	}
+	if len(simd.ops[1].w) != len(portable.ops[1].w) || simd.ops[1].pos != nil {
+		t.Fatalf("conv1: SIMD holds %d weights, portable %d", len(simd.ops[1].w), len(portable.ops[1].w))
+	}
 }
 
-func benchKernel(b *testing.B, simd bool, in, out int) {
+// benchKernel runs one layer + ReLU over a chunk of rows of inShape, compiled
+// for the SIMD kernels or the portable ones; flops is the layer's
+// multiply-adds a row, counted twice.
+func benchKernel(b *testing.B, simd bool, layer Layer, inShape []int, flops int) {
 	if simd && !cpuHasAVX2() {
 		b.Skip("no AVX2")
 	}
 	saved := useSIMD
 	useSIMD = simd
 	defer func() { useSIMD = saved }()
-	rng := rand.New(rand.NewSource(8))
-	c, err := Compile(NewSequential("g", NewDense("d", in, out, rng), NewReLU("r")), []int{in})
+	c, err := Compile(NewSequential("g", layer, NewReLU("r")), inShape)
 	if err != nil {
 		b.Fatal(err)
 	}
 	const n = ChunkRows
-	x := randInput(n*in, rng)
-	y := make([]float32, n*out)
+	x := randInput(n*c.InDim(), rand.New(rand.NewSource(9)))
+	y := make([]float32, n*c.OutDim())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Forward(n, x, y)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
-	b.ReportMetric(float64(2*in*out)*n*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+	b.ReportMetric(float64(flops)*n*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 }
 
-// The two shapes that hold the predictor's FLOPs: head.fc1 and a tower's
-// second conv seen as a 96→32 matvec.
-func BenchmarkKernelFC1SIMD(b *testing.B)       { benchKernel(b, true, 68, 128) }
-func BenchmarkKernelFC1Portable(b *testing.B)   { benchKernel(b, false, 68, 128) }
-func BenchmarkKernelConv1SIMD(b *testing.B)     { benchKernel(b, true, 96, 32) }
-func BenchmarkKernelConv1Portable(b *testing.B) { benchKernel(b, false, 96, 32) }
+func benchDense(b *testing.B, simd bool, in, out int) {
+	benchKernel(b, simd, NewDense("d", in, out, rand.New(rand.NewSource(8))), []int{in}, 2*in*out)
+}
+
+// A tower's first conv: one input channel of 5 positions, 32 filters of
+// 3 taps, 3 output positions.
+func benchConv0(b *testing.B, simd bool) {
+	benchKernel(b, simd, NewConv1D("c", 1, 32, 3, rand.New(rand.NewSource(8))), []int{1, 5}, 2*3*32*3)
+}
+
+// The predictor's op shapes: head.fc1, a tower's second conv seen as a
+// 96→32 matvec, and a tower's first conv.
+func BenchmarkKernelFC1SIMD(b *testing.B)       { benchDense(b, true, 68, 128) }
+func BenchmarkKernelFC1Portable(b *testing.B)   { benchDense(b, false, 68, 128) }
+func BenchmarkKernelConv1SIMD(b *testing.B)     { benchDense(b, true, 96, 32) }
+func BenchmarkKernelConv1Portable(b *testing.B) { benchDense(b, false, 96, 32) }
+func BenchmarkKernelConv0SIMD(b *testing.B)     { benchConv0(b, true) }
+func BenchmarkKernelConv0Portable(b *testing.B) { benchConv0(b, false) }

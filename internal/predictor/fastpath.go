@@ -97,7 +97,7 @@ func (p *Predictor) Compile() error {
 const chunkRows = nn.ChunkRows
 
 // fanOutRows is the smallest batch PredictInto spreads over several cores:
-// 64 chunks, ~6 ms of serial work on the reference core. A fork-join ends
+// 64 chunks, ~3 ms of serial work on the reference core. A fork-join ends
 // when its slowest worker does, so every call is exposed to one scheduler
 // stall — a helper's P still parked, or its thread losing the core to a
 // neighbour for a timeslice — whatever the batch size. On a shared host

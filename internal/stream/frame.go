@@ -203,14 +203,18 @@ func DecodeRoundBody(body []byte, infos []StreamInfo, r *codec.Round) error {
 // the reader remains frame-aligned; on errGoodbye the session ended cleanly;
 // any other error leaves the reader unusable.
 func readFrame(br *bufio.Reader, buf *[]byte) (round uint64, stream uint32, body []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err = io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // cut inside a header
+		}
 		return 0, 0, nil, err
 	}
 	round = binary.BigEndian.Uint64(hdr[0:])
 	stream = binary.BigEndian.Uint32(hdr[8:])
 	n := binary.BigEndian.Uint32(hdr[12:])
 	crc := binary.BigEndian.Uint32(hdr[16:])
+	br.Discard(frameHeaderLen) // cannot fail: the bytes are buffered
 	if n > maxFrameBody {
 		return 0, 0, nil, fmt.Errorf("stream: frame of %d bytes exceeds limit", n)
 	}

@@ -167,6 +167,35 @@ func TestRoundFrameZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReadFrameZeroAlloc: reading a frame into a recycled body buffer
+// allocates nothing — the header is parsed in the reader's own buffer — and
+// a cut keeps its meaning: io.EOF before a header, io.ErrUnexpectedEOF
+// inside one.
+func TestReadFrameZeroAlloc(t *testing.T) {
+	frame := AppendFrame(nil, 5, 2, []byte("round body"))
+	src := bytes.NewReader(frame)
+	br := bufio.NewReader(src)
+	var buf []byte
+	read := func() {
+		src.Reset(frame)
+		br.Reset(src)
+		if _, _, body, err := readFrame(br, &buf); err != nil || string(body) != "round body" {
+			t.Fatalf("readFrame = %q, %v", body, err)
+		}
+	}
+	read()
+	if avg := testing.AllocsPerRun(100, read); avg != 0 {
+		t.Fatalf("a frame read allocates %.1f objects", avg)
+	}
+	if _, _, _, err := readFrame(br, &buf); err != io.EOF {
+		t.Fatalf("read past the last frame: %v, want io.EOF", err)
+	}
+	br.Reset(bytes.NewReader(frame[:frameHeaderLen-1]))
+	if _, _, _, err := readFrame(br, &buf); err != io.ErrUnexpectedEOF {
+		t.Fatalf("frame cut inside its header: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
 // TestFrameAlignmentAfterCRCError pins the skip-and-continue contract with a
 // deterministic case: corrupt frame, then a valid one the reader must reach.
 func TestFrameAlignmentAfterCRCError(t *testing.T) {
